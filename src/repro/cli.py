@@ -210,6 +210,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("re-run with --resume to continue from the last checkpoint",
               file=sys.stderr)
         return 3
+    except ValueError as exc:  # input rejected by LoadPoints / the planner
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     for name in plan.stage_names():
         print(f"  {name:<16} {state.stage_status.get(name, '?')}")

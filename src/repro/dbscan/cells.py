@@ -6,22 +6,20 @@ scalable dataset size at driver memory.  MR-DBSCAN [He et al. 2014] and
 the dDBGSCAN family show the production shape, built here:
 
 1. **CellGrid** — bin points into a uniform grid with cell edge = eps
-   (the batch counterpart of `GridIndex`: a point's eps-ball is covered
-   by its own cell plus the 3^d - 1 Chebyshev-adjacent cells).
-2. **Balanced cell partitions** — greedily pack whole cells into
-   ``num_partitions`` groups by per-cell point counts (LPT scheduling),
-   so skewed data cannot starve or overload executors the way
-   contiguous index ranges do.
-3. **eps-halo replication** — each partition additionally receives the
-   points of *foreign* adjacent cells that lie within eps of one of its
-   own cells' bounding boxes.  Owned points therefore see their entire
-   eps-neighbourhood locally, and each executor builds a kd-tree over
-   only (owned + halo) points: no executor ever holds a global index.
+   (a point's eps-ball is covered by its own cell plus the 3^d - 1
+   Chebyshev-adjacent cells), grouped by cell as one CSR pair.
+2. **Balanced cell partitions** — whole cells packed into
+   ``num_partitions`` groups by point count (greedy LPT), so skewed data
+   cannot starve or overload executors the way index ranges do.
+3. **eps-halo replication** — each partition also receives the points
+   of *foreign* adjacent cells within eps of one of its own cells'
+   bounding boxes, so owned points see their whole eps-neighbourhood
+   locally and each executor builds a kd-tree over (owned + halo)
+   points only: no executor ever holds a global index.
 4. **`cell_local_dbscan`** — the SEED expansion (Algorithm 2 lines
-   4-29) over a partition payload: owned points expand, halo points are
-   recorded as SEEDs exactly like foreign points in the index-range
-   plan, and the unchanged union-find merge (Algorithm 4) stitches the
-   partial clusters over those halo edges.
+   4-29) over a partition payload: halo points are recorded as SEEDs
+   like foreign points in the index-range plan, and the unchanged
+   union-find merge (Algorithm 4) stitches partials over those edges.
 
 Determinism contract (tests/pipeline/test_cell_plan.py): partitions
 scan their owned points in ascending global index, and the collect
@@ -33,18 +31,15 @@ unambiguous (see DESIGN.md §10 for the tie-break rule when it is not).
 from __future__ import annotations
 
 import heapq
+import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from ..kdtree import KDTree
-from .partial import (
-    NEIGHBOR_MODES,
-    SEED_POLICIES,
-    OpCounters,
-    PartialCluster,
-)
+from .partial import NEIGHBOR_MODES, SEED_POLICIES, OpCounters, PartialCluster
 
 #: Relative slack on the eps comparison used by the halo filter only.
 #: ``floor(x / eps)`` and ``cell * eps`` round differently, so a point at
@@ -53,90 +48,100 @@ from .partial import (
 #: safe: the kd-tree recomputes exact distances inside the partition.
 HALO_SLACK = 1e-9
 
+#: (cell, foreign point) rows the halo test holds at once.  A constant,
+#: not a knob: it caps the planner's float temporaries (expanding every
+#: cross-partition pair at once measured +24 % driver peak RSS).
+HALO_BLOCK_ROWS = 8192
+
+#: ``|floor(x / eps)|`` stays below this, so cells, their +-1 neighbours
+#: and differences of two cells are all exact in int64.
+CELL_LIMIT = 2 ** 62
+
 
 class CellGrid:
     """Batch uniform grid over a fixed point set, cell edge = ``eps``.
 
     The batch counterpart of `GridIndex` (which is mutable and
-    insert-oriented): built once over the whole array with vectorised
-    binning, it exposes the occupied cells, their point lists (ascending
-    global index), and Chebyshev adjacency between occupied cells.
+    insert-oriented): built once with vectorised binning, it exposes the
+    occupied ``cells`` (lexicographically sorted), their points as one
+    CSR pair — cell ``i`` holds ``order[starts[i]:starts[i + 1]]``,
+    ascending global index — and Chebyshev adjacency between them.
     """
 
     def __init__(self, points: np.ndarray, eps: float):
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
-        points = np.ascontiguousarray(points, dtype=np.float64)  # lint: allow[SCL001] ROADMAP item 1: central driver binning
+        points = np.ascontiguousarray(points, dtype=np.float64)  # lint: allow[SCL001] ROADMAP item 3: central driver binning
         if points.ndim != 2:
             raise ValueError(f"points must be 2-D, got shape {points.shape}")
-        self.points = points  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-        self.eps = float(eps)
+        self.points = points  # lint: allow[SCL001] ROADMAP item 3: central driver binning
         self.n, self.d = points.shape
-        coords = np.floor(points / eps).astype(np.int64)  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-        if self.n:
-            # Occupied cells in lexicographic order; `inverse` maps each
-            # point to its cell's row in `cells`.
-            cells, inverse = np.unique(coords, axis=0, return_inverse=True)  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-            inverse = inverse.ravel()  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-        else:
-            cells = np.empty((0, self.d), dtype=np.int64)
-            inverse = np.empty(0, dtype=np.int64)
-        self.cells = cells  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-        self.cell_of_point = inverse  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-        self.counts = np.bincount(inverse, minlength=len(cells)).astype(np.int64)
+        with np.errstate(over="ignore"):
+            scaled = np.floor(points / eps)  # lint: allow[SCL001] ROADMAP item 3: central driver binning
+        # NaN compares false, so non-finite coordinates fail here too.
+        if not (np.abs(scaled) < CELL_LIMIT).all():
+            raise ValueError(
+                f"floor(points / eps) must be finite and below 2**62 (eps={eps})"
+            )
+        coords = scaled.astype(np.int64)  # lint: allow[SCL001] ROADMAP item 3: central driver binning
+        # Occupied cells in lexicographic order; `inverse` maps each
+        # point to its cell's row in `cells`.
+        self.cells, inverse = np.unique(coords, axis=0, return_inverse=True)  # lint: allow[SCL001] ROADMAP item 3: central driver binning
+        self.num_cells = len(self.cells)
+        self.cell_of_point = inverse = inverse.ravel()  # lint: allow[SCL001] ROADMAP item 3: central driver binning
+        self.counts = np.bincount(inverse, minlength=self.num_cells).astype(np.int64)
         # Points grouped by cell; stable sort keeps ascending global
         # index within each cell (the determinism contract needs it).
-        order = np.argsort(inverse, kind="stable")  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-        starts = np.concatenate(([0], np.cumsum(self.counts)))
-        self.cell_points = [  # lint: allow[SCL001,SCL002] ROADMAP item 1: central driver binning
-            order[starts[i]:starts[i + 1]] for i in range(len(cells))
-        ]
+        self.order = np.argsort(inverse, kind="stable")  # lint: allow[SCL001] ROADMAP item 3: central driver binning
+        self.starts = np.concatenate(([0], np.cumsum(self.counts)))
 
-    @property
-    def num_cells(self) -> int:
-        """Number of occupied cells."""
-        return int(len(self.cells))
+    def join_keys(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(keys, radix)``: an ascending mixed-radix int64 key per
+        occupied cell, every axis padded by one cell either side so that
+        ``key + offset @ radix`` is the key of the cell at ``offset`` in
+        {-1, 0, 1}^d — or ``None`` when the key space, sized in Python
+        ints, does not fit int64."""
+        lo = self.cells.min(axis=0).tolist()
+        hi = self.cells.max(axis=0).tolist()
+        radix = [1] * (self.d + 1)
+        for k in range(self.d, 0, -1):
+            radix[k - 1] = radix[k] * (hi[k - 1] - lo[k - 1] + 3)
+        if radix[0] >= 2 ** 63:
+            return None
+        radix = np.array(radix[1:], dtype=np.int64)
+        return (self.cells - np.array(lo, dtype=np.int64) + 1) @ radix, radix
 
-    def cell_of(self, x: np.ndarray) -> tuple[int, ...]:
-        """Grid coordinates of an arbitrary location."""
-        x = np.asarray(x, dtype=np.float64)
-        return tuple(int(v) for v in np.floor(x / self.eps).astype(np.int64))
-
-    def adjacent_pairs(self) -> Iterator[tuple[int, int]]:
+    def adjacent_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Ordered pairs ``(i, j)``, ``i != j``, of Chebyshev-adjacent
-        occupied cells (coordinates differing by at most 1 everywhere).
+        occupied cells (coordinates differing by at most 1 everywhere),
+        as chunks ``(I, J)`` of cell-row arrays, each pair in one chunk.
 
-        Two strategies, same trade as `GridIndex.neighbors`: enumerate
-        the 3^d offset box through a dict when it is smaller than the
-        occupied-cell count, otherwise scan occupied cells pairwise in
-        vectorised blocks (3^d explodes at d=10 while real datasets
-        occupy far fewer cells).
+        Two strategies, same trade as `GridIndex.neighbors`: a sorted-key
+        join (one `np.searchsorted` and one chunk per offset) when the
+        3^d offset box is smaller than the occupied-cell count; else
+        (3^d explodes at d=10 while real datasets occupy far fewer
+        cells), or when the keys would overflow, a pairwise scan of
+        occupied cells in vectorised blocks, one chunk per block.
         """
         m = self.num_cells
-        if m == 0:
-            return
-        if 3 ** self.d <= m:
-            index = {tuple(c): i for i, c in enumerate(self.cells.tolist())}
-            for i, c in enumerate(self.cells.tolist()):
-                for offset in np.ndindex(*(3,) * self.d):
-                    if all(o == 1 for o in offset):
-                        continue
-                    j = index.get(tuple(b + o - 1 for b, o in zip(c, offset)))
-                    if j is not None:
-                        yield i, j
-        else:
+        joined = self.join_keys() if 3 ** self.d <= m else None
+        if joined is None:
             # Block size keeps the (block, m, d) difference tensor small.
             block = max(1, (1 << 22) // max(1, m * self.d))
             for s in range(0, m, block):
                 rows = self.cells[s:s + block]
-                cheb = np.abs(
-                    rows[:, None, :] - self.cells[None, :, :]
-                ).max(axis=2)
-                for bi, j in zip(*np.nonzero(cheb <= 1)):
-                    i = int(bi) + s
-                    j = int(j)
-                    if i != j:
-                        yield i, j
+                cheb = np.abs(rows[:, None] - self.cells[None]).max(axis=2)
+                i, j = np.nonzero(cheb <= 1)
+                i += s
+                yield i[i != j], j[i != j]
+            return
+        keys, radix = joined
+        for offset in itertools.product((-1, 0, 1), repeat=self.d):
+            if any(offset):
+                want = keys + int(np.dot(offset, radix))
+                pos = np.minimum(np.searchsorted(keys, want), m - 1)
+                i = np.flatnonzero(keys[pos] == want)
+                yield i, pos[i]
 
 
 @dataclass
@@ -244,42 +249,39 @@ def build_cell_assignment(
     """
     if num_partitions < 1:
         raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
-    grid = CellGrid(points, eps)  # lint: allow[SCL001] ROADMAP item 1: central driver binning
+    grid = CellGrid(points, eps)  # lint: allow[SCL001] ROADMAP item 3: central driver binning
     cell_pid = balance_cells(grid.counts, num_partitions)
-    point_pid = (  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-        cell_pid[grid.cell_of_point] if grid.n
-        else np.empty(0, dtype=np.int64)
-    )
+    point_pid = cell_pid[grid.cell_of_point]  # lint: allow[SCL001] ROADMAP item 3: central driver binning
 
-    halo_mask = np.zeros((num_partitions, grid.n), dtype=bool)  # lint: allow[SCL001] ROADMAP item 1: central driver binning
+    # Halo membership as (partition * n + point) keys, found by testing
+    # (cell i, point of adjacent foreign cell j) rows a block at a time.
     eps2 = (eps * eps) * (1.0 + HALO_SLACK)
-    for i, j in grid.adjacent_pairs():
-        pi, pj = int(cell_pid[i]), int(cell_pid[j])
-        if pi == pj:
-            continue
-        idx = grid.cell_points[j]
-        q = grid.points[idx]
-        lo = grid.cells[i] * eps
-        hi = lo + eps
-        excess = np.maximum(np.maximum(lo - q, q - hi), 0.0)
-        near = (excess * excess).sum(axis=1) <= eps2
-        halo_mask[pi, idx[near]] = True
-
-    owned = [  # lint: allow[SCL001] ROADMAP item 1: central driver binning
+    found = [np.empty(0, dtype=np.int64)]
+    for ci, cj in grid.adjacent_pairs():
+        cross = cell_pid[ci] != cell_pid[cj]
+        ci, cj = ci[cross], cj[cross]
+        cnt = grid.counts[cj]
+        ends = np.cumsum(cnt)
+        for s in range(0, int(cnt.sum()), HALO_BLOCK_ROWS):
+            rows = np.arange(s, min(s + HALO_BLOCK_ROWS, ends[-1]))
+            k = np.searchsorted(ends, rows, side="right")  # pair of each row
+            idx = grid.order[grid.starts[cj[k]] + rows - (ends[k] - cnt[k])]
+            i = ci[k]
+            q = grid.points[idx]
+            lo = grid.cells[i] * eps
+            excess = np.maximum(np.maximum(lo - q, q - (lo + eps)), 0.0)
+            near = (excess * excess).sum(axis=1) <= eps2
+            found.append(cell_pid[i[near]] * grid.n + idx[near])
+    halo_pid, halo_idx = np.divmod(np.unique(np.concatenate(found)), grid.n)
+    cuts = np.searchsorted(halo_pid, np.arange(num_partitions + 1))
+    owned = [  # lint: allow[SCL001] ROADMAP item 3: central driver binning
         np.flatnonzero(point_pid == p).astype(np.int64)
         for p in range(num_partitions)
     ]
-    halo = [
-        np.flatnonzero(halo_mask[p]).astype(np.int64)
-        for p in range(num_partitions)
-    ]
+    halo = [halo_idx[cuts[p]:cuts[p + 1]] for p in range(num_partitions)]
     return CellAssignment(
-        n=grid.n,
-        num_partitions=num_partitions,
-        num_cells=grid.num_cells,
-        owned=owned,
-        halo=halo,
-        halo_home=[point_pid[h] for h in halo],
+        n=grid.n, num_partitions=num_partitions, num_cells=grid.num_cells,
+        owned=owned, halo=halo, halo_home=[point_pid[h] for h in halo],
     )
 
 
@@ -384,8 +386,6 @@ def _expand_cells(
     recorded as SEEDs, never expanded — their home partition computes
     their neighbourhoods.
     """
-    from collections import deque
-
     owned_ids = payload.owned_ids
     halo_ids = payload.halo_ids
     halo_home = payload.halo_home
@@ -415,7 +415,7 @@ def _expand_cells(
             counters.hashtable_puts += 1
         seeds_by_partition: dict[int, int] = {}
         seed_set: set[int] = set()
-        queue: deque[int] = deque(int(x) for x in neigh)
+        queue: deque[int] = deque(neigh.tolist())
         if counters is not None:
             counters.queue_adds += len(neigh)
         while queue:
@@ -432,7 +432,7 @@ def _expand_cells(
                     neigh2 = neigh_of(p)
                     if len(neigh2) >= minpts:
                         core[p] = True
-                        queue.extend(int(x) for x in neigh2)
+                        queue.extend(neigh2.tolist())
                         if counters is not None:
                             counters.queue_adds += len(neigh2)
                 if counters is not None:

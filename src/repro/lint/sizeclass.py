@@ -51,7 +51,7 @@ shuffle-free plans' stage classes, minus task-submitted closures
 substrate.  Findings carry related "tainted here" locations and the
 usual line-free messages so baselines survive drift; the known
 central binning/balancing in `repro.dbscan.cells` is baselined with
-scoped pragmas referencing ROADMAP item 1, not silently skipped.
+scoped pragmas referencing ROADMAP item 3, not silently skipped.
 """
 
 from __future__ import annotations

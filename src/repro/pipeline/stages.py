@@ -120,6 +120,8 @@ class LoadPoints(Stage):
             points = np.ascontiguousarray(state.points, dtype=np.float64)
             if points.ndim != 2:
                 raise ValueError(f"points must be 2-D, got shape {points.shape}")
+            if not np.isfinite(points).all():
+                raise ValueError("points must be finite (found NaN or inf)")
             state.points = points
             state.n = int(points.shape[0])
             sp.annotate(n=state.n, d=int(points.shape[1]))

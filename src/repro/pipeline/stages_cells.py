@@ -63,7 +63,7 @@ class CellPartition(Stage):
         cfg = state.config
         with state.tracer.span("driver.cell_partition", cat="driver") as sp:
             t0 = time.perf_counter()
-            # lint: allow[SCL001] ROADMAP item 1: central driver binning
+            # lint: allow[SCL001] ROADMAP item 3: central driver binning
             assignment = build_cell_assignment(
                 state.points, cfg.eps, cfg.num_partitions
             )

@@ -1,13 +1,17 @@
 """Cell partitioning primitives: grid binning, adjacency, LPT balance,
 eps-halo completeness, and the per-partition SEED expansion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import generate_clustered, generate_skewed
+from repro.dbscan import cells as cells_mod
 from repro.dbscan.cells import (
+    HALO_SLACK,
     CellGrid,
     balance_cells,
     build_cell_assignment,
@@ -25,15 +29,65 @@ def brute_adjacent_pairs(cells: np.ndarray) -> set[tuple[int, int]]:
     }
 
 
+def pair_set(grid: CellGrid) -> set[tuple[int, int]]:
+    """`adjacent_pairs` chunks as a set; also checks that no pair is
+    reported twice (the halo test relies on it only for cost)."""
+    pairs = [p for i, j in grid.adjacent_pairs()
+             for p in zip(i.tolist(), j.tolist())]
+    assert len(set(pairs)) == len(pairs)
+    return set(pairs)
+
+
+def reference_assignment(points, eps, num_partitions):
+    """The per-pair planner `build_cell_assignment` replaced, kept as the
+    reference: one Python step per adjacent cell pair, a (partitions, n)
+    bool mask, adjacency by brute force."""
+    grid = CellGrid(points, eps)
+    cell_pid = balance_cells(grid.counts, num_partitions)
+    point_pid = cell_pid[grid.cell_of_point]
+    halo_mask = np.zeros((num_partitions, grid.n), dtype=bool)
+    eps2 = (eps * eps) * (1.0 + HALO_SLACK)
+    for i, j in sorted(brute_adjacent_pairs(grid.cells)):
+        pi, pj = int(cell_pid[i]), int(cell_pid[j])
+        if pi == pj:
+            continue
+        idx = np.flatnonzero(grid.cell_of_point == j)
+        q = grid.points[idx]
+        lo = grid.cells[i] * eps
+        hi = lo + eps
+        excess = np.maximum(np.maximum(lo - q, q - hi), 0.0)
+        near = (excess * excess).sum(axis=1) <= eps2
+        halo_mask[pi, idx[near]] = True
+    owned = [np.flatnonzero(point_pid == p).astype(np.int64)
+             for p in range(num_partitions)]
+    halo = [np.flatnonzero(halo_mask[p]).astype(np.int64)
+            for p in range(num_partitions)]
+    return owned, halo, [point_pid[h] for h in halo]
+
+
+def assert_matches_reference(points, eps, num_partitions):
+    a = build_cell_assignment(points, eps, num_partitions)
+    owned, halo, home = reference_assignment(points, eps, num_partitions)
+    assert a.n == len(points) and a.num_partitions == num_partitions
+    for got, want in ((a.owned, owned), (a.halo, halo), (a.halo_home, home)):
+        assert len(got) == num_partitions
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+    return a
+
+
 class TestCellGrid:
     def test_binning_partitions_the_points(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 100, (300, 3))
         grid = CellGrid(pts, eps=10.0)
         assert int(grid.counts.sum()) == 300
-        seen = np.concatenate(grid.cell_points)
-        assert sorted(seen.tolist()) == list(range(300))
-        for ci, idx in enumerate(grid.cell_points):
+        assert sorted(grid.order.tolist()) == list(range(300))
+        assert grid.starts[0] == 0 and grid.starts[-1] == 300
+        np.testing.assert_array_equal(np.diff(grid.starts), grid.counts)
+        for ci in range(grid.num_cells):
+            idx = grid.order[grid.starts[ci]:grid.starts[ci + 1]]
             # Ascending global index within each cell (the determinism
             # contract), and every point binned to its own coordinates.
             assert (np.diff(idx) > 0).all() or len(idx) <= 1
@@ -43,7 +97,7 @@ class TestCellGrid:
     def test_empty(self):
         grid = CellGrid(np.empty((0, 2)), eps=1.0)
         assert grid.num_cells == 0
-        assert list(grid.adjacent_pairs()) == []
+        assert pair_set(grid) == set()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -51,14 +105,48 @@ class TestCellGrid:
         with pytest.raises(ValueError):
             CellGrid(np.zeros(3), eps=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -5e18])
+    def test_unbinnable_coordinates_rejected(self, bad):
+        """floor(x / eps) outside the int64-safe range used to be cast to
+        garbage INT64_MIN cells; it must raise, with no numpy warning."""
+        pts = np.array([[0.0, 1.0], [2.0, bad]])
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="eps"):
+            CellGrid(pts, eps=1.0)
+        with pytest.raises(ValueError):
+            build_cell_assignment(pts, 1.0, 2)
+        # Finite and in range for this eps: fine.
+        CellGrid(np.array([[0.0, 4e18]]), eps=1.0)
+        CellGrid(np.array([[0.0, 1e300]]), eps=1e290)
+
     def test_adjacency_offset_strategy_matches_brute_force(self):
-        # d=2, many occupied cells: 3^2 = 9 <= m picks the offset-dict
-        # enumeration.
+        # d=2, many occupied cells: 3^2 = 9 <= m picks the sorted-key
+        # join, one searchsorted per offset.
         rng = np.random.default_rng(1)
-        pts = rng.uniform(0, 60, (400, 2))
+        pts = rng.uniform(-30, 30, (400, 2))
         grid = CellGrid(pts, eps=5.0)
         assert 3 ** grid.d <= grid.num_cells
-        assert set(grid.adjacent_pairs()) == brute_adjacent_pairs(grid.cells)
+        keys, _ = grid.join_keys()
+        assert (np.diff(keys) > 0).all()
+        assert len(list(grid.adjacent_pairs())) == 3 ** grid.d - 1
+        assert pair_set(grid) == brute_adjacent_pairs(grid.cells)
+
+    def test_adjacency_key_overflow_falls_back_to_scan(self):
+        # Two far-apart clumps: the per-axis spans multiply past int64,
+        # so the join is refused (exact Python-int guard) and the scan
+        # answers instead — same pairs.
+        rng = np.random.default_rng(11)
+        near = rng.uniform(0, 6, (60, 3))
+        pts = np.vstack([near, near + 3e12, near - 3e12])
+        grid = CellGrid(pts, eps=1.0)
+        assert 3 ** grid.d <= grid.num_cells
+        assert grid.join_keys() is None
+        assert pair_set(grid) == brute_adjacent_pairs(grid.cells)
+        assert_matches_reference(pts, 1.0, 3)
+        # Just inside the guard the join still runs, exactly.
+        wide = np.vstack([near[:, :2], near[:, :2] + 2.0e9])
+        grid = CellGrid(wide, eps=1.0)
+        assert grid.join_keys() is not None
+        assert pair_set(grid) == brute_adjacent_pairs(grid.cells)
 
     def test_adjacency_scan_strategy_matches_brute_force(self):
         # d=10: 3^10 = 59 049 offsets dwarf the occupied-cell count, so
@@ -66,7 +154,7 @@ class TestCellGrid:
         g = generate_skewed(400, d=10, seed=2)
         grid = CellGrid(g.points, eps=25.0)
         assert 3 ** grid.d > grid.num_cells
-        assert set(grid.adjacent_pairs()) == brute_adjacent_pairs(grid.cells)
+        assert pair_set(grid) == brute_adjacent_pairs(grid.cells)
 
 
 class TestBalanceCells:
@@ -139,6 +227,112 @@ class TestHalo:
         a = build_cell_assignment(data.points, 25.0, 1)
         assert a.halo_points_total == 0
         assert len(a.owned[0]) == a.n
+
+
+SKEWED_BENCH = dict(n=15000, d=2, num_clusters=10, zipf_exponent=1.2,
+                    cluster_std=20, noise_fraction=0.05, shuffle=False, seed=1)
+
+
+class TestPlannerMatchesReference:
+    """The array planner makes exactly the per-pair loop's decisions:
+    owned / halo / halo_home equal array for array."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("partitions", [1, 2, 4, 7])
+    def test_dimensions_and_partition_counts(self, d, partitions):
+        # Centred on 0 (negative cells, floor not trunc); d=10 takes the
+        # scan branch (3^10 > m), d <= 3 the sorted-key join.
+        rng = np.random.default_rng(100 * d + partitions)
+        pts = rng.normal(0.0, 6.0 if d < 10 else 1.2, (260, d))
+        grid = CellGrid(pts, eps=2.0)
+        assert (3 ** d <= grid.num_cells) == (d < 10)
+        a = assert_matches_reference(pts, 2.0, partitions)
+        assert (a.halo_points_total > 0) == (partitions > 1)
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(21)
+        base = rng.uniform(-8, 8, (40, 2))
+        assert_matches_reference(np.repeat(base, 5, axis=0), 1.5, 3)
+
+    def test_all_points_in_one_cell(self):
+        pts = np.random.default_rng(22).uniform(0.1, 0.9, (50, 3))
+        a = assert_matches_reference(pts, 1.0, 4)
+        assert a.num_cells == 1 and a.halo_points_total == 0
+
+    def test_more_partitions_than_cells(self):
+        pts = np.array([[0.5], [1.5], [2.5], [2.6]])
+        a = assert_matches_reference(pts, 1.0, 6)
+        assert sum(len(o) > 0 for o in a.owned) == 3
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_empty_input(self, d):
+        a = assert_matches_reference(np.empty((0, d)), 1.0, 3)
+        assert a.num_cells == 0 and a.halo_points_total == 0
+        assert [len(x) for x in a.owned + a.halo + a.halo_home] == [0] * 9
+
+    def test_points_at_exactly_eps_from_a_foreign_box(self):
+        # eps = 0.1 is not a binary fraction: cell * eps and floor(x/eps)
+        # round differently, which is what HALO_SLACK absorbs.
+        eps = 0.1
+        k = np.arange(-20, 20)
+        pts = np.column_stack([
+            np.concatenate([k * eps, k * eps + eps, k * eps + eps / 2]),
+            np.tile(k % 3 * eps, 3),
+        ])
+        a = assert_matches_reference(pts, eps, 2)
+        tree = KDTree(pts)
+        for p in range(2):
+            visible = set(a.owned[p].tolist()) | set(a.halo[p].tolist())
+            for i in a.owned[p]:
+                assert set(tree.query_radius(pts[i], eps).tolist()) <= visible
+
+    def test_cell_larger_than_one_row_block(self):
+        # One cell holds more points than HALO_BLOCK_ROWS, so its rows
+        # straddle block boundaries for every adjacent foreign cell.
+        rng = np.random.default_rng(23)
+        big = rng.uniform(0.0, 1.0, (cells_mod.HALO_BLOCK_ROWS + 700, 2))
+        ring = rng.uniform(-1.0, 2.0, (60, 2))
+        a = assert_matches_reference(np.vstack([big, ring]), 1.0, 3)
+        assert a.halo_points_total > cells_mod.HALO_BLOCK_ROWS
+
+    def test_skewed_benchmark_shape_matches_and_memory_is_bounded(self):
+        """The `skewed_cells_edges` input.  tracemalloc peak stays under
+        6 MiB (per-pair loop 3.6, streaming planner ~3): expanding every
+        cross-partition (cell, point) row at once would fail here, in
+        Tier-1, before it fails the benchmark's RSS bound."""
+        pts = generate_skewed(**SKEWED_BENCH).points
+        tracemalloc.start()
+        try:
+            a = build_cell_assignment(pts, 2.0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2 ** 20, f"planner peak {peak / 2 ** 20:.1f} MiB"
+        assert (a.num_cells, a.halo_points_total) == (8043, 30533)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(0, 90),
+    d=st.sampled_from([1, 2, 3, 10]),
+    partitions=st.integers(1, 6),
+    eps=st.sampled_from([0.1, 0.5, 1.0, 2.5]),
+    block=st.sampled_from([1, 7, 8192]),
+    snap=st.booleans(),
+)
+def test_planner_equals_reference_property(seed, n, d, partitions, eps,
+                                           block, snap):
+    """Random inputs, with the row block shrunk so block boundaries fall
+    inside cells, and optionally snapped to multiples of eps / 2 so many
+    points are duplicates or sit exactly eps from a foreign box."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-4, 4, (n, d)) * (1.0 if d < 10 else 0.3)
+    if snap:
+        pts = np.round(pts / (eps / 2)) * (eps / 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cells_mod, "HALO_BLOCK_ROWS", block)
+        assert_matches_reference(pts, eps, partitions)
 
 
 class TestCellLocalDBSCAN:

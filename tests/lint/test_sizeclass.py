@@ -344,10 +344,10 @@ class TestAcceptanceSeeds:
 
     def test_removing_a_pragma_resurfaces_its_finding_only(self, tree):
         # The committed pragmas are line-scoped: dropping the one on the
-        # cell_points grouping brings back exactly that site's findings.
+        # CSR `order` grouping brings back exactly that site's finding.
         cells = tree / "repro" / "dbscan" / "cells.py"
         src = cells.read_text()
-        target = "  # lint: allow[SCL001,SCL002] ROADMAP item 1"
+        target = 'kind="stable")  # lint: allow[SCL001] ROADMAP item 3'
         assert target in src
         line = next(
             s for s in src.splitlines() if target in s
@@ -355,7 +355,7 @@ class TestAcceptanceSeeds:
         cells.write_text(src.replace(line, line.split("  # lint")[0]))
         report = run_lint([str(tree)])
         scl = [f for f in report.findings if f.rule.startswith("SCL")]
-        assert {f.rule for f in scl} == {"SCL001", "SCL002"}
+        assert {f.rule for f in scl} == {"SCL001"}
         assert {f.line for f in scl} == {scl[0].line}, (
             "other pragma'd sites must stay suppressed"
         )

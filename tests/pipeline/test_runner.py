@@ -66,6 +66,32 @@ class TestPlanValidation:
             PipelineRunner(plan, config).run(data)
 
 
+class TestNonFiniteInputRejected:
+    """NaN/inf used to run to completion with numpy RuntimeWarnings (and
+    land in garbage INT64_MIN grid cells on the cell plan); `LoadPoints`
+    is the one home for the check, so every plan refuses up front."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kw", [
+        dict(partitioning="range"),
+        dict(partitioning="cells"),
+        dict(partitioning="cells", merge_mode="edges"),
+    ])
+    def test_load_points_raises_before_any_stage(self, data, kw, bad):
+        points = data.copy()
+        points[17, 3] = bad
+        config = make_config("spark", **kw)
+        runner = PipelineRunner(build_plan(config), config)
+        with np.errstate(all="raise"), \
+                pytest.raises(ValueError, match="finite") as exc:
+            runner.run(points)
+        assert "\n" not in str(exc.value)
+
+    def test_finite_input_still_runs(self, data):
+        state = run_plan(make_config("spark", partitioning="cells"), data)
+        assert state.labels.shape == (len(data),)
+
+
 #: (algorithm, stage to crash after, stages that must be skipped on resume)
 CRASH_MATRIX = [
     ("spark", "CollectPartials",

@@ -191,6 +191,17 @@ class TestRun:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("partitioning", ["range", "cells"])
+    def test_non_finite_points_one_line_error(self, tmp_path, capsys,
+                                              partitioning):
+        path = tmp_path / "bad.txt"
+        path.write_text("0.0 1.0\n2.0 nan\n3.0 inf\n")
+        assert main(["run", str(path), "--eps", "1.0",
+                     "--partitioning", partitioning]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_sanitize_rejected_for_sequential(self, points_file, capsys):
         assert main(["run", points_file, "--algorithm", "sequential",
                      "--sanitize"]) == 1
