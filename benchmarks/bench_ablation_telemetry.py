@@ -15,9 +15,10 @@ is worthless.  Three configurations of the same job:
   getrusage high-water reads bracketing every task).
 
 A `MetricsRegistry` is deliberately *not* part of this ablation: a
-registry switches the executor to the instrumented operation-counting
-kernel (`_expand_counted`, Section III-B counts), whose ~25% cost is a
-pre-existing, separately-documented trade — not span/profile overhead.
+registry makes the one expansion kernel also tally the Section III-B
+`OpCounters` (per row, in the same loop — a few percent of
+`local_dbscan`, DESIGN.md §6), which is operation counting, not
+span/profile overhead.
 
 Rounds are interleaved with the configuration order rotated every
 round (running the same config in the same slot every time bakes

@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from ..kdtree import KDTree
-from .partial import NEIGHBOR_MODES, SEED_POLICIES, OpCounters, PartialCluster
+from ..obs.collect import task_span
+from .partial import Frame, OpCounters, PartialCluster, expand_frame
 
 #: Relative slack on the eps comparison used by the halo filter only.
 #: ``floor(x / eps)`` and ``cell * eps`` round differently, so a point at
@@ -314,19 +314,7 @@ def cell_local_dbscan(
     slightly (HALO_SLACK), which only widens this set; the seed/export
     join never probes the extras.
     """
-    if seed_policy not in SEED_POLICIES:
-        raise ValueError(
-            f"seed_policy must be one of {SEED_POLICIES}, got {seed_policy!r}"
-        )
-    if neighbor_mode not in NEIGHBOR_MODES:
-        raise ValueError(
-            f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {neighbor_mode!r}"
-        )
     n_own = int(len(payload.owned_ids))
-    if n_own == 0:
-        return []
-    from ..obs.collect import task_span
-
     if len(payload.halo_ids):
         local_points = np.vstack([payload.owned_points, payload.halo_points])
     else:
@@ -334,135 +322,19 @@ def cell_local_dbscan(
     with task_span("task.kdtree_build", n_own=n_own,
                    n_halo=int(len(payload.halo_ids))):
         tree = KDTree(local_points, leaf_size=leaf_size)
-
-    if neighbor_mode == "batched":
-        # Phase A: every owned neighbourhood in one vectorised call.
-        with task_span("task.kdtree_query", n=n_own):
-            indptr, indices = tree.query_radius_batch(
-                local_points[:n_own], eps, max_neighbors
-            )
-        if counters is not None:
-            counters.range_queries += n_own
-        if boundary_out is not None:
-            # A row is boundary iff any neighbour is a halo point (local
-            # id >= n_own); cumsum-of-flags handles empty rows.
-            halo_flag = indices >= n_own
-            cs = np.concatenate(([0], np.cumsum(halo_flag)))
-            rows = np.flatnonzero(cs[indptr[1:]] > cs[indptr[:-1]])
-            boundary_out.update(np.asarray(payload.owned_ids)[rows].tolist())
-
-        def neigh_of(k: int) -> np.ndarray:
-            return indices[indptr[k]:indptr[k + 1]]
-    else:
-        owned_ids_arr = np.asarray(payload.owned_ids)
-
-        def neigh_of(k: int) -> np.ndarray:
-            if counters is not None:
-                counters.range_queries += 1
-            row = tree.query_radius(local_points[k], eps, max_neighbors)
-            if (
-                boundary_out is not None
-                and row.size
-                and bool((row >= n_own).any())
-            ):
-                boundary_out.add(int(owned_ids_arr[k]))
-            return row
-
-    return _expand_cells(payload, neigh_of, n_own, minpts, seed_policy, counters)
-
-
-def _expand_cells(
-    payload: CellPayload,
-    neigh_of,
-    n_own: int,
-    minpts: int,
-    seed_policy: str,
-    counters: OpCounters | None,
-) -> list[PartialCluster]:
-    """The BFS/SEED loop of `_expand`, over local (owned + halo) ids.
-
-    Local ids < n_own are owned (classic expansion); the rest are halo
-    points, handled exactly like foreign points in the index-range plan:
-    recorded as SEEDs, never expanded — their home partition computes
-    their neighbourhoods.
-    """
-    owned_ids = payload.owned_ids
-    halo_ids = payload.halo_ids
+    global_ids = np.concatenate([payload.owned_ids, payload.halo_ids])
     halo_home = payload.halo_home
-    visited = np.zeros(n_own, dtype=bool)
-    assigned = np.zeros(n_own, dtype=bool)
-    core = np.zeros(n_own, dtype=bool)
-    partials: list[PartialCluster] = []
-
-    for k in range(n_own):
-        if counters is not None:
-            counters.hashtable_lookups += 1
-        if visited[k]:
-            continue
-        visited[k] = True
-        neigh = neigh_of(k)
-        if counters is not None:
-            counters.hashtable_puts += 1
-        if len(neigh) < minpts:
-            continue  # noise unless claimed later as a border point
-        core[k] = True
-        cluster = PartialCluster(
-            partition=payload.partition, local_id=len(partials),
-            lo=0, hi=0, members=[int(owned_ids[k])],
-        )
-        assigned[k] = True
-        if counters is not None:
-            counters.hashtable_puts += 1
-        seeds_by_partition: dict[int, int] = {}
-        seed_set: set[int] = set()
-        queue: deque[int] = deque(neigh.tolist())
-        if counters is not None:
-            counters.queue_adds += len(neigh)
-        while queue:
-            p = queue.popleft()
-            if counters is not None:
-                counters.queue_removes += 1
-            if p < n_own:
-                if counters is not None:
-                    counters.hashtable_lookups += 1
-                if not visited[p]:
-                    visited[p] = True
-                    if counters is not None:
-                        counters.hashtable_puts += 1
-                    neigh2 = neigh_of(p)
-                    if len(neigh2) >= minpts:
-                        core[p] = True
-                        queue.extend(neigh2.tolist())
-                        if counters is not None:
-                            counters.queue_adds += len(neigh2)
-                if counters is not None:
-                    counters.hashtable_lookups += 1
-                if not assigned[p]:
-                    assigned[p] = True
-                    if counters is not None:
-                        counters.hashtable_puts += 1
-                    g = int(owned_ids[p])
-                    cluster.members.append(g)
-                    if not core[p]:
-                        cluster.borders.add(g)
-            else:
-                h = p - n_own
-                g = int(halo_ids[h])
-                if g in seed_set:
-                    continue
-                if seed_policy == "one_per_partition":
-                    par = int(halo_home[h])
-                    if par in seeds_by_partition:
-                        if counters is not None:
-                            counters.seeds_skipped += 1
-                        continue
-                    seeds_by_partition[par] = g
-                seed_set.add(g)
-                cluster.seeds.append(g)
-                if counters is not None:
-                    counters.seeds_placed += 1
-        partials.append(cluster)
-    return partials
+    frame = Frame(
+        partition=payload.partition, lo=0, hi=0, tree=tree,
+        own_points=local_points[:n_own], n_homes=len(np.unique(halo_home)),
+        to_local=None, to_global=global_ids.__getitem__,
+        home_of=lambda k: int(halo_home[k - n_own]),
+    )
+    return expand_frame(
+        frame, range(n_own), eps, minpts, seed_policy=seed_policy,
+        max_neighbors=max_neighbors, neighbor_mode=neighbor_mode,
+        counters=counters, boundary_out=boundary_out,
+    )
 
 
 __all__ = [

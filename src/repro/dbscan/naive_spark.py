@@ -18,7 +18,8 @@ shuffle rounds with all-points record volume in each, versus zero
 shuffles for the SEED algorithm.
 
 The propagation body lives in `repro.pipeline.stages_naive` (the plan
-is `repro.pipeline.naive_plan`); this class is the thin frontend shim.
+is the ``naive`` row of `repro.pipeline.STAGE_MANIFEST`); this class is
+the thin frontend shim.
 """
 
 from __future__ import annotations

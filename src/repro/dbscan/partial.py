@@ -30,16 +30,16 @@ import numpy as np
 
 from ..engine.partitioner import IndexRangePartitioner
 from ..kdtree import KDTree
+from ..obs.collect import task_span
 
 SEED_POLICIES = ("all", "one_per_partition")
 
-#: How the executor obtains eps-neighbourhoods (DESIGN.md §6):
+#: Where the expansion kernel takes its neighbour rows from (DESIGN.md §6):
 #:
-#: - ``"per_point"``: one kd-tree walk per BFS pop (the paper's loop).
-#: - ``"batched"``: phase A answers every owned point's neighbourhood in
-#:   one vectorised kernel call (`KDTree.query_radius_batch`) and stores
-#:   them in CSR arrays; phase B runs the identical BFS/SEED expansion
-#:   over the precomputed rows with no per-pop tree queries.
+#: - ``"per_point"``: one kd-tree walk when the BFS first visits a point
+#:   (the paper's loop; the only mode whose memory is not O(nnz)).
+#: - ``"batched"``: every owned point's neighbourhood from one vectorised
+#:   kernel call (`KDTree.query_radius_batch`), kept as CSR arrays.
 NEIGHBOR_MODES = ("per_point", "batched")
 
 
@@ -126,6 +126,30 @@ class PartialCluster:
         )
 
 
+@dataclass
+class Frame:
+    """One partition's id space, as the expansion kernel sees it.
+
+    Local ids ``[0, n_own)`` are the partition's own points — row ``k``
+    of ``own_points`` is local id ``k`` — and the rest, up to the size of
+    ``tree``, are foreign: reachable as SEEDs, never expanded.  ``tree``
+    answers radius queries in its own ids, which ``to_local`` maps into
+    the frame (``None`` when the tree is already built over local ids).
+    The range plan is the rotation ``(g - lo) % n`` of the global index
+    space; the cell plan is ``owned_ids`` followed by ``halo_ids``.
+    """
+
+    partition: int
+    lo: int                      # stamped on the partials (range plan only)
+    hi: int
+    tree: KDTree
+    own_points: np.ndarray
+    n_homes: int                 # distinct partitions foreign ids can belong to
+    to_local: Callable[[np.ndarray], np.ndarray] | None
+    to_global: Callable[[np.ndarray], np.ndarray]
+    home_of: Callable[[int], int]    # owning partition of a foreign local id
+
+
 def local_dbscan(
     partition_id: int,
     own_indices: Iterable[int],
@@ -151,11 +175,10 @@ def local_dbscan(
     (range queries, queue adds/removes, hashtable puts/lookups).
 
     ``neighbor_mode="batched"`` precomputes every owned point's
-    eps-neighbourhood with one `KDTree.query_radius_batch` call (phase A)
-    and expands over the stored CSR rows (phase B).  The partial
-    clusters — members, member order, borders, seeds — are identical to
-    the per-point mode; ``range_queries`` counts the whole owned range
-    (which per-point mode also queries exactly once per point).
+    eps-neighbourhood with one `KDTree.query_radius_batch` call and
+    expands over the stored CSR rows; ``"per_point"`` queries each point
+    when the expansion first visits it.  The partial clusters — members,
+    member order, borders, seeds — and the counters are identical.
 
     ``boundary_out``, when given, collects every *queried* owned point
     that has at least one foreign neighbour within eps.  Intersected
@@ -164,322 +187,168 @@ def local_dbscan(
     of the edge-based merge (DESIGN.md §11).  Requires
     ``max_neighbors=None``: truncation breaks the symmetry argument.
     """
+    lo, hi = partitioner.range_of(partition_id)
+    n = points.shape[0]
+    order = np.fromiter(own_indices, dtype=np.int64)
+    stray = order[(order < lo) | (order >= hi)]
+    if stray.size:
+        raise ValueError(
+            f"index {int(stray[0])} handed to partition {partition_id} whose "
+            f"range is [{lo}, {hi}) — partitioning is inconsistent"
+        )
+    frame = Frame(
+        partition=partition_id, lo=lo, hi=hi, tree=tree,
+        own_points=points[lo:hi], n_homes=partitioner.num_partitions - 1,
+        to_local=lambda ids: (ids - lo) % n,
+        to_global=lambda ids: (ids + lo) % n,
+        home_of=lambda k: partitioner.partition((k + lo) % n),
+    )
+    return expand_frame(
+        frame, (order - lo).tolist(), eps, minpts, seed_policy=seed_policy,
+        max_neighbors=max_neighbors, neighbor_mode=neighbor_mode,
+        counters=counters, boundary_out=boundary_out,
+    )
+
+
+def expand_frame(
+    frame: Frame,
+    order: Iterable[int],
+    eps: float,
+    minpts: int,
+    *,
+    seed_policy: str,
+    max_neighbors: int | None,
+    neighbor_mode: str,
+    counters: OpCounters | None,
+    boundary_out: set[int] | None,
+) -> list[PartialCluster]:
+    """The BFS/SEED expansion (Algorithm 2 with Algorithm 3's SEED rule).
+
+    Expands from the owned local ids in ``order``.  The paper's queue
+    holds neighbour ids; this one holds whole neighbour *rows*.  A row
+    never repeats an id and the FIFO pops a row's ids contiguously, so
+    dropping a row's already-assigned ids in one numpy pass at its pop
+    and walking the rest visits, assigns, seeds and enqueues in exactly
+    the order of the per-id loop.  The per-id work left is O(members +
+    seeds), not O(neighbours), and the Section III-B counts follow from
+    the row sizes.
+
+    ``state`` is the paper's Hashtable over the frame: an owned id is
+    unseen, visited (queried, in no cluster yet) or assigned; a foreign
+    id is assigned while it is a seed of the cluster being built.
+    """
     if seed_policy not in SEED_POLICIES:
-        raise ValueError(f"seed_policy must be one of {SEED_POLICIES}, got {seed_policy!r}")
+        raise ValueError(
+            f"seed_policy must be one of {SEED_POLICIES}, got {seed_policy!r}"
+        )
     if neighbor_mode not in NEIGHBOR_MODES:
         raise ValueError(
             f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {neighbor_mode!r}"
         )
-    lo, hi = partitioner.range_of(partition_id)
+    if boundary_out is not None and max_neighbors is not None:
+        raise ValueError("boundary_out requires max_neighbors=None (see local_dbscan)")
+    own_points, tree = frame.own_points, frame.tree
+    to_local, to_global = frame.to_local, frame.to_global
+    n_own = len(own_points)
+    if n_own == 0:
+        return []
+    c = counters
+    core = np.zeros(n_own, dtype=bool)
+    indptr = indices = None
     if neighbor_mode == "batched":
-        from ..obs.collect import task_span
-
-        # Phase A: one shared-descent kernel call over the owned range.
-        with task_span("task.kdtree_query", n=hi - lo):
+        with task_span("task.kdtree_query", n=n_own):
             indptr, indices = tree.query_radius_batch(
-                points[lo:hi], eps, max_neighbors
+                own_points, eps, max_neighbors
             )
+        if to_local is not None:
+            indices = to_local(indices)
+        core = np.diff(indptr) >= minpts
+        if c is not None:
+            c.range_queries += n_own
         if boundary_out is not None:
-            # A row is boundary iff any neighbour falls outside [lo, hi).
-            # cumsum-of-flags handles empty rows, unlike np.add.reduceat.
-            outside = (indices < lo) | (indices >= hi)
-            cs = np.concatenate(([0], np.cumsum(outside)))
+            # Rows with a foreign id; cumsum-of-flags handles empty rows,
+            # unlike np.add.reduceat.
+            cs = np.concatenate(([0], np.cumsum(indices >= n_own)))
             rows = np.flatnonzero(cs[indptr[1:]] > cs[indptr[:-1]])
-            boundary_out.update((rows + lo).tolist())
-        if counters is None:
-            # Phase B fast path: row-at-a-time vectorised expansion.
-            return _expand_batched(
-                partition_id, own_indices, indptr, indices,
-                points.shape[0], lo, hi, minpts, partitioner, seed_policy,
-            )
-        # Instrumented runs replay the per-element loop over the stored
-        # rows so every Section III-B count is observed exactly.
-        counters.range_queries += hi - lo
+            boundary_out.update(to_global(rows).tolist())
 
-        def neigh_of(j: int) -> np.ndarray:
-            k = j - lo
+    def row_of(k: int) -> np.ndarray:
+        """Owned id ``k``'s neighbour row, fetched on its first visit."""
+        if indptr is not None:
             return indices[indptr[k]:indptr[k + 1]]
-    elif counters is not None:
-        query = tree.query_radius
+        row = tree.query_radius(own_points[k], eps, max_neighbors)
+        if to_local is not None:
+            row = to_local(row)
+        core[k] = len(row) >= minpts
+        if c is not None:
+            c.range_queries += 1
+        if boundary_out is not None and row.size and row.max() >= n_own:
+            boundary_out.add(int(to_global(k)))
+        return row
 
-        def neigh_of(j: int) -> np.ndarray:
-            counters.range_queries += 1
-            return query(points[j], eps, max_neighbors)
-    else:
-        query = tree.query_radius
-
-        def neigh_of(j: int) -> np.ndarray:
-            return query(points[j], eps, max_neighbors)
-
-    if boundary_out is not None and neighbor_mode != "batched":
-        # Per-point modes record boundary lazily: only visited points
-        # get queried, but every cluster member is visited, so the
-        # export set (boundary ∩ members) matches the batched mode.
-        inner = neigh_of
-
-        def neigh_of(j: int, _inner=inner) -> np.ndarray:
-            row = _inner(j)
-            if row.size and bool(((row < lo) | (row >= hi)).any()):
-                boundary_out.add(j)
-            return row
-
-    if counters is not None:
-        return _expand_counted(
-            partition_id, own_indices, neigh_of, lo, hi, minpts,
-            partitioner, seed_policy, counters,
-        )
-    return _expand(
-        partition_id, own_indices, neigh_of, lo, hi, minpts,
-        partitioner, seed_policy,
-    )
-
-
-def _expand(
-    partition_id: int,
-    own_indices: Iterable[int],
-    neigh_of: Callable[[int], np.ndarray],
-    lo: int,
-    hi: int,
-    minpts: int,
-    partitioner: IndexRangePartitioner,
-    seed_policy: str,
-) -> list[PartialCluster]:
-    """The BFS/SEED expansion (phase B), shared by both neighbour modes."""
-    # The paper's Hashtable: point index -> visited/assigned state.
-    visited: dict[int, bool] = {}
-    assignment: dict[int, int] = {}
-    core_flag: dict[int, bool] = {}
+    UNSEEN, VISITED, ASSIGNED = 0, 1, 2
+    state = np.zeros(len(tree.points), dtype=np.uint8)
+    capped = seed_policy == "one_per_partition"
     partials: list[PartialCluster] = []
-
-    for i in own_indices:
-        i = int(i)
-        if not lo <= i < hi:
-            raise ValueError(
-                f"index {i} handed to partition {partition_id} whose range is "
-                f"[{lo}, {hi}) — partitioning is inconsistent"
-            )
-        if i in visited:  # Algorithm 2 line 5: already in hashtable
+    for k in order:
+        if c is not None:
+            c.hashtable_lookups += 1
+        if state[k]:  # Algorithm 2 line 5: already in hashtable
             continue
-        visited[i] = True
-        neigh = neigh_of(i)
-        if len(neigh) < minpts:
-            core_flag[i] = False
+        state[k] = VISITED
+        row = row_of(k)
+        if c is not None:
+            c.hashtable_puts += 1
+        if len(row) < minpts:
             continue  # noise unless claimed later as a border point
-        core_flag[i] = True
-        cluster = PartialCluster(
-            partition=partition_id, local_id=len(partials), lo=lo, hi=hi, members=[i]
-        )
-        assignment[i] = cluster.local_id
-        seeds_by_partition: dict[int, int] = {}
-        seed_set: set[int] = set()
-        # The Queue N of Algorithm 2 (LinkedList in the paper's Java).
-        queue: deque[int] = deque(int(x) for x in neigh)
+        state[k] = ASSIGNED
+        members, seeds = [k], []
+        homes_taken: set[int] = set()
+        visits = skipped = 0
+        adds = len(row)
+        queue = deque((row,))
         while queue:
-            p = queue.popleft()
-            if lo <= p < hi:
-                # Own point: classic expansion (Algorithm 2 lines 13–22).
-                if p not in visited:
-                    visited[p] = True
-                    neigh2 = neigh_of(p)
-                    if len(neigh2) >= minpts:
-                        core_flag[p] = True
-                        queue.extend(int(x) for x in neigh2)
-                    else:
-                        core_flag[p] = False
-                if p not in assignment:
-                    assignment[p] = cluster.local_id
-                    cluster.members.append(p)
-                    if not core_flag[p]:
-                        cluster.borders.add(p)
-            else:
-                # Foreign point: SEED placement (Algorithm 3).  Never
-                # expanded — its home executor computes its neighbourhood.
-                if p in seed_set:
-                    continue
-                if seed_policy == "one_per_partition":
-                    par = partitioner.partition(p)
-                    if par in seeds_by_partition:
-                        continue  # Algorithm 3 line 11: one seed placed already
-                    seeds_by_partition[par] = p
-                seed_set.add(p)
-                cluster.seeds.append(p)
-        partials.append(cluster)
-    return partials
-
-
-def _expand_batched(
-    partition_id: int,
-    own_indices: Iterable[int],
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n_total: int,
-    lo: int,
-    hi: int,
-    minpts: int,
-    partitioner: IndexRangePartitioner,
-    seed_policy: str,
-) -> list[PartialCluster]:
-    """Phase B over precomputed CSR rows, vectorised row-at-a-time.
-
-    Exactly equivalent to `_expand`: the flat FIFO queue pops a point's
-    whole neighbour row contiguously (expansions append at the back),
-    and rows never repeat an index, so processing one row's elements
-    against the row-start state with numpy masks visits, assigns, and
-    enqueues in the same order as the per-element loop.  The per-point
-    BFS therefore reduces to a queue of *row ids* — one numpy pass per
-    row instead of one Python iteration per neighbour.
-    """
-    counts = np.diff(indptr)
-    core = counts >= minpts            # every owned point, known up front
-    visited = np.zeros(hi - lo, dtype=bool)
-    assigned = np.zeros(hi - lo, dtype=bool)
-    partials: list[PartialCluster] = []
-    # Per-cluster foreign-seed dedup, reset via the seed list itself.
-    seen_seed = np.zeros(n_total, dtype=bool)
-    p_minus_1 = partitioner.num_partitions - 1
-
-    for i in own_indices:
-        i = int(i)
-        if not lo <= i < hi:
-            raise ValueError(
-                f"index {i} handed to partition {partition_id} whose range is "
-                f"[{lo}, {hi}) — partitioning is inconsistent"
-            )
-        k = i - lo
-        if visited[k]:
-            continue
-        visited[k] = True
-        if not core[k]:
-            continue  # noise unless claimed later as a border point
-        cluster = PartialCluster(
-            partition=partition_id, local_id=len(partials), lo=lo, hi=hi, members=[i]
-        )
-        assigned[k] = True
-        seeds_by_partition: dict[int, int] = {}
-        rows: deque[int] = deque([k])
-        while rows:
-            r = rows.popleft()
-            row = indices[indptr[r]:indptr[r + 1]]
-            own_mask = (row >= lo) & (row < hi)
-            own = row[own_mask] - lo
-            newly = own[~visited[own]]
-            visited[newly] = True
-            rows.extend(newly[core[newly]].tolist())
-            join = own[~assigned[own]]
-            assigned[join] = True
-            cluster.members.extend((join + lo).tolist())
-            cluster.borders.update((join[~core[join]] + lo).tolist())
-            foreign = row[~own_mask]
-            if foreign.size == 0:
-                continue
-            if seed_policy == "all":
-                # Row elements are distinct, so only cross-row dedup needed.
-                new = foreign[~seen_seed[foreign]]
-                seen_seed[new] = True
-                cluster.seeds.extend(new.tolist())
-            elif len(seeds_by_partition) < p_minus_1:
-                # one_per_partition: caps fill fast; loop only until then.
-                for s in foreign.tolist():
-                    if seen_seed[s]:
-                        continue
-                    par = partitioner.partition(s)
-                    if par in seeds_by_partition:
-                        continue
-                    seeds_by_partition[par] = s
-                    seen_seed[s] = True
-                    cluster.seeds.append(s)
-                    if len(seeds_by_partition) == p_minus_1:
-                        break
-        if cluster.seeds:
-            seen_seed[np.asarray(cluster.seeds)] = False
-        partials.append(cluster)
-    return partials
-
-
-def _expand_counted(
-    partition_id: int,
-    own_indices: Iterable[int],
-    neigh_of: Callable[[int], np.ndarray],
-    lo: int,
-    hi: int,
-    minpts: int,
-    partitioner: IndexRangePartitioner,
-    seed_policy: str,
-    c: OpCounters,
-) -> list[PartialCluster]:
-    """Instrumented twin of the `_expand` hot loop.
-
-    Kept separate so the common path pays nothing for the counters;
-    tests assert both paths produce identical partial clusters.
-    ``range_queries`` is counted by the caller (inside ``neigh_of`` for
-    per-point mode, as one batch for batched mode).
-    """
-    visited: dict[int, bool] = {}
-    assignment: dict[int, int] = {}
-    core_flag: dict[int, bool] = {}
-    partials: list[PartialCluster] = []
-
-    for i in own_indices:
-        i = int(i)
-        if not lo <= i < hi:
-            raise ValueError(
-                f"index {i} handed to partition {partition_id} whose range is "
-                f"[{lo}, {hi}) — partitioning is inconsistent"
-            )
-        c.hashtable_lookups += 1
-        if i in visited:
-            continue
-        visited[i] = True
-        c.hashtable_puts += 1
-        neigh = neigh_of(i)
-        if len(neigh) < minpts:
-            core_flag[i] = False
-            continue
-        core_flag[i] = True
-        cluster = PartialCluster(
-            partition=partition_id, local_id=len(partials), lo=lo, hi=hi, members=[i]
-        )
-        assignment[i] = cluster.local_id
-        c.hashtable_puts += 1
-        seeds_by_partition: dict[int, int] = {}
-        seed_set: set[int] = set()
-        queue: deque[int] = deque(int(x) for x in neigh)
-        c.queue_adds += len(neigh)
-        while queue:
-            p = queue.popleft()
-            c.queue_removes += 1
-            if lo <= p < hi:
-                c.hashtable_lookups += 1
-                if p not in visited:
-                    visited[p] = True
-                    c.hashtable_puts += 1
-                    neigh2 = neigh_of(p)
-                    if len(neigh2) >= minpts:
-                        core_flag[p] = True
-                        queue.extend(int(x) for x in neigh2)
-                        c.queue_adds += len(neigh2)
-                    else:
-                        core_flag[p] = False
-                c.hashtable_lookups += 1
-                if p not in assignment:
-                    assignment[p] = cluster.local_id
-                    c.hashtable_puts += 1
-                    cluster.members.append(p)
-                    if not core_flag[p]:
-                        cluster.borders.add(p)
-            else:
-                if p in seed_set:
-                    continue
-                if seed_policy == "one_per_partition":
-                    par = partitioner.partition(p)
-                    if par in seeds_by_partition:
-                        c.seeds_skipped += 1
-                        continue
-                    seeds_by_partition[par] = p
-                seed_set.add(p)
-                cluster.seeds.append(p)
-                c.seeds_placed += 1
-        partials.append(cluster)
+            row = queue.popleft()
+            if c is not None:
+                c.queue_removes += len(row)
+                c.hashtable_lookups += 2 * int(np.count_nonzero(row < n_own))
+            for p in row[state[row] < ASSIGNED].tolist():
+                if p < n_own:
+                    # Own point: classic expansion (Algorithm 2 ll. 13–22).
+                    if state[p] == UNSEEN:
+                        visits += 1
+                        grown = row_of(p)
+                        if len(grown) >= minpts:
+                            adds += len(grown)
+                            queue.append(grown)
+                    members.append(p)
+                else:
+                    # Foreign point: SEED placement (Algorithm 3).  Never
+                    # expanded — its home executor computes its row.
+                    if capped:
+                        # Algorithm 3 line 11: one seed per foreign home.
+                        if (len(homes_taken) == frame.n_homes
+                                or (home := frame.home_of(p)) in homes_taken):
+                            skipped += 1
+                            continue
+                        homes_taken.add(home)
+                    seeds.append(p)
+                state[p] = ASSIGNED
+        if c is not None:
+            c.hashtable_puts += visits + len(members)
+            c.queue_adds += adds
+            c.seeds_placed += len(seeds)
+            c.seeds_skipped += skipped
+        joined = np.asarray(members)
+        placed = np.asarray(seeds, dtype=np.int64)
+        state[placed] = UNSEEN  # foreign marks last for one cluster
+        partials.append(PartialCluster(
+            partition=frame.partition, local_id=len(partials),
+            lo=frame.lo, hi=frame.hi,
+            members=to_global(joined).tolist(),
+            seeds=to_global(placed).tolist(),
+            borders=set(to_global(joined[~core[joined]]).tolist()),
+        ))
     return partials
 
 

@@ -12,8 +12,8 @@ Both produce identical clusterings; Ablation C benchmarks them
 head-to-head.
 
 As a pipeline composition this is the degenerate single-partition plan
-(`repro.pipeline.sequential_plan`): LoadPoints → BuildIndex →
-SequentialExpand, no engine, no merge.  The expansion kernels below are
+(the ``sequential`` row of `repro.pipeline.STAGE_MANIFEST`): LoadPoints
+→ BuildIndex → SequentialExpand, no engine, no merge.  The expansion kernels below are
 what `repro.pipeline.stages.SequentialExpand` calls.
 """
 

@@ -14,10 +14,11 @@ in the job's lineage, which is the property the whole design buys.
 
 Since the pipeline refactor this class is a thin shim: the sequence
 above lives in `repro.pipeline` as a composition of typed stages
-(`repro.pipeline.spark_plan`), and ``fit`` just assembles a `RunConfig`,
-hands it to a `PipelineRunner`, and repackages the final state as the
-historical result object.  Labels, partials, and counters are
-byte-identical to the pre-refactor monolithic implementation.
+(the ``spark`` row of `repro.pipeline.STAGE_MANIFEST`), and ``fit`` just
+assembles a `RunConfig`, hands it to a `PipelineRunner`, and repackages
+the final state as the historical result object.  Labels, partials, and
+counters are byte-identical to the pre-refactor monolithic
+implementation.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ merging.
 
 As a plan composition this is literally the Spark plan plus a
 `SpatialReorder` stage after `LoadPoints` and a permutation-undoing
-`RelabelFilter` tail (`repro.pipeline.spatial_plan`).
+`RelabelFilter` tail (the ``spatial`` row of
+`repro.pipeline.STAGE_MANIFEST`).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Static plan-contract checking (PLN001/PLN002) and manifest parsing.
 
-`repro.pipeline.plans` mirrors its plan compositions into a pure-literal
-``STAGE_MANIFEST`` (plan name → tuple of stage *class* names) plus
-``SHUFFLE_FREE_PLANS``.  This module reads both straight off the AST —
+`repro.pipeline.plans` declares its plan compositions as a pure-literal
+``STAGE_MANIFEST`` (plan name → tuple of stage *class* names, the same
+table ``build_plan`` instantiates) plus ``SHUFFLE_FREE_PLANS``.  This module reads both straight off the AST —
 no import, no execution — joins them with the ``name``/``requires``/
 ``provides`` class-attribute literals of the stage classes themselves,
 and verifies every plan's dataflow chain:
@@ -28,10 +28,10 @@ shuffle-free plans are SHF001 entry points, so adding a stage to the
 ``spark``/``spatial`` compositions automatically puts it under the
 zero-shuffle contract.
 
-The check is deliberately against the *class-default* contracts; a
-constructor override (``BuildIndex(requires=("points", "perm"))``) can
-only narrow scheduling within an already-valid plan, and the runtime
-`Plan.__post_init__` + runner validation cover the instance level.
+The contracts checked are the class attributes themselves: stages take
+no constructor arguments, so there is no per-instance override to miss.
+The runtime `Plan.__post_init__` + runner validation cover what a
+literal cannot (the first stage's type, keys missing at run time).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ in this package, executed by one `PipelineRunner`:
 
 - `RunConfig` — the single frozen config replacing the kwarg sprawl;
 - `Stage` subclasses — the paper's driver steps as typed objects;
-- `Plan` / `build_plan` — the five frontend compositions;
+- `Plan` / `build_plan` / `STAGE_MANIFEST` — the plan table and its
+  instantiation;
 - `PipelineRunner` — spans + metrics per stage, checkpoint/resume;
 - `CheckpointStore` — content-hashed per-stage artifacts on disk.
 
@@ -36,21 +37,11 @@ from .stages_cells import CellCollect, CellPartition, LocalIndexExpand
 from .stages_naive import NaiveRelabel, ShuffleExpand
 from .stages_mapreduce import MRBuildIndex, MRCollect, MRLocalExpand, MRRelabel
 from .plans import (
-    PLAN_BUILDERS,
     SHUFFLE_FREE_PLANS,
     STAGE_MANIFEST,
     Plan,
     build_plan,
-    cell_edges_plan,
-    cell_plan,
-    mapreduce_plan,
-    naive_plan,
     plan_name,
-    sequential_plan,
-    spark_edges_plan,
-    spark_plan,
-    spatial_edges_plan,
-    spatial_plan,
 )
 from .runner import RESTORED, RUN, SKIPPED, PipelineCrash, PipelineRunner
 
@@ -87,20 +78,10 @@ __all__ = [
     "MRCollect",
     "MRRelabel",
     "Plan",
-    "PLAN_BUILDERS",
     "STAGE_MANIFEST",
     "SHUFFLE_FREE_PLANS",
     "build_plan",
     "plan_name",
-    "spark_plan",
-    "spatial_plan",
-    "cell_plan",
-    "spark_edges_plan",
-    "spatial_edges_plan",
-    "cell_edges_plan",
-    "sequential_plan",
-    "naive_plan",
-    "mapreduce_plan",
     "PipelineRunner",
     "PipelineCrash",
     "RUN",

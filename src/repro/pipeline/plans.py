@@ -1,28 +1,34 @@
-"""Plan compositions: the five frontends as stage lists.
+"""Plan compositions: one table, `STAGE_MANIFEST`, read by everyone.
 
-The paper's driver program is one fixed sequence; the five frontends are
-small edits of it (Section IV vs. the Section V baselines):
+The paper's driver program is one fixed sequence; the frontends are
+small edits of it (Section IV vs. the Section V baselines).  Each plan
+is a row of `STAGE_MANIFEST` — stage *class* names in execution order —
+and `build_plan` instantiates the row for the plan a `RunConfig`
+resolves to (`plan_name`).  The six SEED plans are the product of three
+heads and two merge tails:
 
 ==============  ==========================================================
 ``spark``       LoadPoints → BuildIndex → PartitionPlan → BroadcastModel →
-                LocalExpand → CollectPartials → MergePartials → RelabelFilter
-``spatial``     the same plan with a SpatialReorder stage after LoadPoints
-                (and a permutation-undoing RelabelFilter tail)
-``cell``        LoadPoints → CellPartition → LocalIndexExpand → CellCollect →
-                MergePartials → RelabelFilter — the spark plan re-based on
+                LocalExpand → (tail)
+``spatial``     the same head with a SpatialReorder stage after LoadPoints
+                (RelabelFilter then undoes the permutation)
+``cell``        LoadPoints → CellPartition → LocalIndexExpand → (tail) —
                 cell partitions with local indexes and an eps-halo; no
                 BuildIndex, no BroadcastModel (``partitioning="cells"``)
-``*_edges``     the spark/spatial/cell compositions with the edge-based
-                merge tail (``merge_mode="edges"``): LocalExpand emits
-                digests, then CollectEdges → MergeEdges → ApplyGidMap
-                replaces CollectPartials → MergePartials (DESIGN.md §11)
-``sequential``  the degenerate single-partition plan: LoadPoints →
-                BuildIndex → SequentialExpand
-``naive``       LoadPoints → BuildIndex → ShuffleExpand → RelabelFilter
-``mapreduce``   LoadPoints → BuildIndex(+cache) → PartitionPlan →
-                LocalExpand(MR job 1) → CollectPartials(MR job 2) →
-                RelabelFilter
+partials tail   CollectPartials (CellCollect on the cell plan) →
+                MergePartials → RelabelFilter
+``*_edges``     CollectEdges → MergeEdges → ApplyGidMap → RelabelFilter:
+                executors ship digests, not partial clusters
+                (``merge_mode="edges"``, DESIGN.md §11)
+``sequential``  the degenerate single-partition plan (Algorithm 1)
+``naive``       the shuffle-per-round baseline the paper argues against
+``mapreduce``   two-round MR-DBSCAN over the mini-MapReduce runtime
 ==============  ==========================================================
+
+Stages take no constructor arguments: whatever varies between plans
+that share a stage class (what `LocalExpand` ships, whether
+`RelabelFilter` has a permutation to undo) is read from the `RunConfig`
+and the pipeline state at run time.
 
 ``Plan.outputs`` names the state keys a frontend reads off the final
 state; the runner works backwards from them to decide which stages can be
@@ -33,26 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import stages, stages_cells, stages_mapreduce, stages_naive
 from .config import RunConfig
-from .stages import (
-    ApplyGidMap,
-    BroadcastModel,
-    BuildIndex,
-    CollectEdges,
-    CollectPartials,
-    LoadPoints,
-    LocalExpand,
-    MergeEdges,
-    MergePartials,
-    PartitionPlan,
-    RelabelFilter,
-    SequentialExpand,
-    SpatialReorder,
-    Stage,
-)
-from .stages_cells import CellCollect, CellPartition, LocalIndexExpand
-from .stages_mapreduce import MRBuildIndex, MRCollect, MRLocalExpand, MRRelabel
-from .stages_naive import NaiveRelabel, ShuffleExpand
+from .stages import LoadPoints, Stage
 
 
 @dataclass(frozen=True)
@@ -76,207 +65,11 @@ class Plan:
         return tuple(s.name for s in self.stages)
 
 
-def spark_plan(config: RunConfig) -> Plan:
-    """The paper's SEED pipeline (Algorithm 2)."""
-    return Plan(
-        name="spark",
-        algo_label="SparkDBSCAN",
-        stages=(
-            LoadPoints(),
-            BuildIndex(),
-            PartitionPlan(),
-            BroadcastModel(),
-            LocalExpand(),
-            CollectPartials(),
-            MergePartials(),
-            RelabelFilter(),
-        ),
-        outputs=("labels", "outcome", "partials"),
-    )
-
-
-def spatial_plan(config: RunConfig) -> Plan:
-    """The SEED pipeline over spatially-reordered indices (future work)."""
-    return Plan(
-        name="spatial",
-        algo_label="SpatialSparkDBSCAN",
-        stages=(
-            LoadPoints(),
-            SpatialReorder(),
-            # The tree must be built over the *reordered* points, so the
-            # build depends on the permutation having been applied.
-            BuildIndex(requires=("points", "perm")),
-            PartitionPlan(),
-            BroadcastModel(),
-            LocalExpand(),
-            CollectPartials(),
-            MergePartials(),
-            RelabelFilter(spatial=True, keep_partials=config.keep_partials),
-        ),
-        outputs=("labels", "outcome", "partials", "perm"),
-    )
-
-
-def cell_plan(config: RunConfig) -> Plan:
-    """The SEED pipeline over cell partitions with partition-local
-    indexes and an eps-halo (``RunConfig(partitioning="cells")``).
-
-    No `BuildIndex`, no `BroadcastModel`: the driver never constructs a
-    global kd-tree and nothing dataset-sized is ever broadcast — each
-    executor indexes only its (owned + halo) payload.
-    """
-    return Plan(
-        name="cell",
-        algo_label="SparkDBSCAN[cells]",
-        stages=(
-            LoadPoints(),
-            CellPartition(),
-            LocalIndexExpand(),
-            CellCollect(),
-            MergePartials(),
-            RelabelFilter(),
-        ),
-        outputs=("labels", "outcome", "partials"),
-    )
-
-
-def spark_edges_plan(config: RunConfig) -> Plan:
-    """The SEED pipeline with the edge-based merge tail
-    (``RunConfig(merge_mode="edges")``, DESIGN.md §11).
-
-    Executors cache their expansions and ship only partition digests;
-    the driver union-finds over cluster keys and a second distributed
-    pass applies the broadcast gid map.  Labels are byte-identical to
-    the partial-mode plan.
-    """
-    return Plan(
-        name="spark_edges",
-        algo_label="SparkDBSCAN[edges]",
-        stages=(
-            LoadPoints(),
-            BuildIndex(),
-            PartitionPlan(),
-            BroadcastModel(),
-            LocalExpand(emit="edges"),
-            CollectEdges(),
-            MergeEdges(),
-            ApplyGidMap(),
-            RelabelFilter(),
-        ),
-        outputs=("labels", "outcome"),
-    )
-
-
-def spatial_edges_plan(config: RunConfig) -> Plan:
-    """The spatial SEED pipeline with the edge-based merge tail."""
-    return Plan(
-        name="spatial_edges",
-        algo_label="SpatialSparkDBSCAN[edges]",
-        stages=(
-            LoadPoints(),
-            SpatialReorder(),
-            BuildIndex(requires=("points", "perm")),
-            PartitionPlan(),
-            BroadcastModel(),
-            LocalExpand(emit="edges"),
-            CollectEdges(),
-            MergeEdges(),
-            ApplyGidMap(),
-            # keep_partials is rejected with merge_mode="edges" (no
-            # partials ever reach the driver), so the tail only undoes
-            # the permutation.
-            RelabelFilter(spatial=True),
-        ),
-        outputs=("labels", "outcome", "perm"),
-    )
-
-
-def cell_edges_plan(config: RunConfig) -> Plan:
-    """The cell-partitioned SEED pipeline with the edge-based merge tail.
-
-    Still no dataset-sized broadcast: `ApplyGidMap` broadcasts only the
-    O(partials) gid map.
-    """
-    return Plan(
-        name="cell_edges",
-        algo_label="SparkDBSCAN[cells,edges]",
-        stages=(
-            LoadPoints(),
-            CellPartition(),
-            LocalIndexExpand(emit="edges"),
-            CollectEdges(),
-            MergeEdges(),
-            ApplyGidMap(),
-            RelabelFilter(),
-        ),
-        outputs=("labels", "outcome"),
-    )
-
-
-def sequential_plan(config: RunConfig) -> Plan:
-    """Algorithm 1 as a degenerate single-partition plan."""
-    return Plan(
-        name="sequential",
-        algo_label="sequential",
-        stages=(
-            LoadPoints(),
-            BuildIndex(),
-            SequentialExpand(),
-        ),
-        outputs=("labels",),
-    )
-
-
-def naive_plan(config: RunConfig) -> Plan:
-    """The shuffle-per-round baseline the paper argues against."""
-    return Plan(
-        name="naive",
-        algo_label="NaiveSparkDBSCAN",
-        stages=(
-            LoadPoints(),
-            BuildIndex(),
-            ShuffleExpand(),
-            NaiveRelabel(),
-        ),
-        outputs=("labels", "propagated"),
-    )
-
-
-def mapreduce_plan(config: RunConfig) -> Plan:
-    """Two-round MR-DBSCAN over the mini-MapReduce runtime (Figure 7)."""
-    return Plan(
-        name="mapreduce",
-        algo_label="MapReduceDBSCAN",
-        stages=(
-            LoadPoints(),
-            MRBuildIndex(),
-            PartitionPlan(),
-            MRLocalExpand(),
-            MRCollect(),
-            MRRelabel(),
-        ),
-        outputs=("labels", "mr_round1", "mr_round2"),
-    )
-
-
-PLAN_BUILDERS = {
-    "spark": spark_plan,
-    "spatial": spatial_plan,
-    "cell": cell_plan,
-    "spark_edges": spark_edges_plan,
-    "spatial_edges": spatial_edges_plan,
-    "cell_edges": cell_edges_plan,
-    "sequential": sequential_plan,
-    "naive": naive_plan,
-    "mapreduce": mapreduce_plan,
-}
-
-# Static mirror of the plan compositions above, as stage *class* names.
-# Pure literals on purpose: the whole-program linter (repro.lint.plans)
-# reads this straight off the AST — without importing or executing
-# anything — to verify each plan's requires/provides chain and to
-# derive the SHF001 entry points.  tests/pipeline/test_plans.py asserts
-# it stays in sync with the builders.
+# Every plan's stages, once, as stage *class* names.  Pure literals on
+# purpose: `build_plan` instantiates a row by name, and the
+# whole-program linter (repro.lint.plans) reads the same rows straight
+# off the AST — without importing or executing anything — to verify each
+# plan's requires/provides chain and to derive the SHF001 entry points.
 STAGE_MANIFEST = {
     "spark": (
         "LoadPoints", "BuildIndex", "PartitionPlan", "BroadcastModel",
@@ -311,6 +104,21 @@ STAGE_MANIFEST = {
         "LoadPoints", "MRBuildIndex", "PartitionPlan", "MRLocalExpand",
         "MRCollect", "MRRelabel",
     ),
+}
+
+# What each plan's frontend reads off the final state (beyond
+# ``labels``), and the label its ``dbscan.fit`` span carries.  An edges
+# plan never brings partials to the driver, so it cannot output them.
+PLAN_OUTPUTS = {
+    "spark": (("outcome", "partials"), "SparkDBSCAN"),
+    "spatial": (("outcome", "partials", "perm"), "SpatialSparkDBSCAN"),
+    "cell": (("outcome", "partials"), "SparkDBSCAN[cells]"),
+    "spark_edges": (("outcome",), "SparkDBSCAN[edges]"),
+    "spatial_edges": (("outcome", "perm"), "SpatialSparkDBSCAN[edges]"),
+    "cell_edges": (("outcome",), "SparkDBSCAN[cells,edges]"),
+    "sequential": ((), "sequential"),
+    "naive": (("propagated",), "NaiveSparkDBSCAN"),
+    "mapreduce": (("mr_round1", "mr_round2"), "MapReduceDBSCAN"),
 }
 
 # Plans under the paper's zero-shuffle contract (Algorithms 3-4): their
@@ -369,9 +177,20 @@ def plan_name(config: RunConfig) -> str:
 
 
 def build_plan(config: RunConfig) -> Plan:
-    """The plan composition for ``config.algorithm``/``partitioning``."""
-    try:
-        builder = PLAN_BUILDERS[plan_name(config)]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {config.algorithm!r}") from None
-    return builder(config)
+    """The plan composition for ``config.algorithm``/``partitioning``/
+    ``merge_mode``: the manifest row, instantiated."""
+    name = plan_name(config)
+    outputs, algo_label = PLAN_OUTPUTS[name]
+    return Plan(
+        name=name,
+        stages=tuple(_stage_class(cls)() for cls in STAGE_MANIFEST[name]),
+        outputs=("labels",) + outputs,
+        algo_label=algo_label,
+    )
+
+
+def _stage_class(name: str) -> type[Stage]:
+    for module in (stages, stages_cells, stages_mapreduce, stages_naive):
+        if hasattr(module, name):
+            return getattr(module, name)
+    raise LookupError(f"STAGE_MANIFEST names unknown stage class {name!r}")

@@ -165,16 +165,15 @@ class BuildIndex(Stage):
 
     A prebuilt tree lent by the caller (``fit(..., tree=...)``) short-
     circuits the build, mirroring the pre-refactor fast path used by the
-    scaling benchmarks.
+    scaling benchmarks.  In the spatial plans the tree is built over the
+    *reordered* points: `SpatialReorder` sits before this stage and
+    always executes, because those plans list ``perm`` among their
+    outputs.
     """
 
     name = "BuildIndex"
     requires = ("points",)
     provides = ("tree",)
-
-    def __init__(self, requires: tuple[str, ...] | None = None):
-        if requires is not None:
-            self.requires = requires
 
     def run(self, state: PipelineState) -> None:
         if state.tree is not None:
@@ -223,34 +222,31 @@ class BroadcastModel(Stage):
             state.indices = sc.parallelize(
                 range(state.n), state.config.num_partitions
             )
-            state.acc = sc.accumulator(LIST_CONCAT)
-            state.counters_acc = (
-                sc.accumulator(LIST_CONCAT)
-                if state.metrics_registry is not None
-                else None
-            )
+            open_accumulators(state, sc)
             state.timings.setup += time.perf_counter() - t0
+
+
+def open_accumulators(state: PipelineState, sc) -> None:
+    """The partials/digests accumulator, plus one for `OpCounters` when
+    a metrics registry is there to receive them."""
+    state.acc = sc.accumulator(LIST_CONCAT)
+    state.counters_acc = (
+        sc.accumulator(LIST_CONCAT)
+        if state.metrics_registry is not None else None
+    )
 
 
 class LocalExpand(Stage):
     """Run local DBSCAN with SEED placement on every partition (ll. 4-29).
 
-    ``emit="partials"`` (default) ships whole partial clusters through
-    the accumulator.  ``emit="edges"`` keeps the expansion cached in the
-    lineage and ships only each partition's `PartitionDigest`
-    (DESIGN.md §11); `ApplyGidMap` later reuses the cached expansion —
-    or deterministically recomputes it on a cache miss under the
-    processes backend — to label members executor-side.
+    What reaches the driver follows ``merge_mode`` (see
+    `ship_expansions`): whole partial clusters, or — with ``"edges"`` —
+    only each partition's `PartitionDigest` (DESIGN.md §11).
     """
 
     name = "LocalExpand"
     requires = ("engine", "partitioner")
     provides = ("expanded",)
-
-    def __init__(self, emit: str = "partials"):
-        if emit not in ("partials", "edges"):
-            raise ValueError(f"emit must be 'partials' or 'edges', got {emit!r}")
-        self.emit = emit
 
     def run(self, state: PipelineState) -> None:
         cfg = state.config
@@ -258,11 +254,11 @@ class LocalExpand(Stage):
         eps, minpts = cfg.eps, cfg.minpts
         seed_policy, max_neighbors = cfg.seed_policy, cfg.max_neighbors
         neighbor_mode = cfg.neighbor_mode
-        tree_b, acc, counters_acc = state.tree_b, state.acc, state.counters_acc
-        collect_counters = counters_acc is not None
-        track_boundary = self.emit == "edges"
+        tree_b = state.tree_b
+        collect_counters = state.counters_acc is not None
+        track_boundary = cfg.merge_mode == "edges"
 
-        def expand(pid: int, it) -> LocalExpansion:
+        def expand(pid: int, it):
             # Worker sub-phase spans: no-ops unless the run collects
             # telemetry, merged into the driver trace either way.
             with task_span("task.broadcast_fetch", partition=pid) as bsp:
@@ -280,48 +276,45 @@ class LocalExpand(Stage):
                     boundary_out=boundary,
                 )
                 esp.annotate(partials=len(result))
-            return LocalExpansion(
+            yield LocalExpansion(
                 partition=pid, partials=result,
-                boundary=boundary if boundary is not None else set(),
-                counters=counters,
+                boundary=boundary or set(), counters=counters,
             )
 
-        if self.emit == "partials":
+        ship_expansions(state, state.indices.map_partitions_with_index(expand))
 
-            def run_partition(pid: int, it) -> None:
-                exp = expand(pid, it)
-                # Algorithm 2 lines 26-28: ship partial clusters to the
-                # driver through the accumulator as the task finishes.
-                acc.add(exp.partials)
-                if counters_acc is not None:
-                    counters_acc.add([(pid, exp.counters)])
 
-            state.indices.foreach_partition_with_index(run_partition)
-        else:
+def ship_expansions(state: PipelineState, expansions) -> None:
+    """The executor job shared by the range and cell plans.
 
-            def expand_partition(pid: int, it):
-                yield expand(pid, it)
+    ``expansions`` is the stage's lazy RDD of one `LocalExpansion` per
+    partition.  With ``merge_mode="partials"`` the partial clusters ship
+    to the driver through the accumulator as each task finishes
+    (Algorithm 2 lines 26-28); with ``"edges"`` only each partition's
+    digest does, and the expansions stay cached in the lineage for
+    `ApplyGidMap` — which reuses them, or deterministically recomputes
+    them on a cache miss under the processes backend.
+    """
+    acc, counters_acc = state.acc, state.counters_acc
+    edges = state.config.merge_mode == "edges"
+    if edges:
+        expansions = expansions.persist()
+        state.extras["expanded_rdd"] = expansions
 
-            # Cached executor-side; the digest job below and ApplyGidMap
-            # both consume it.  Counters/digests are shipped only from the
-            # foreach action so a job-2 cache miss cannot double-count.
-            expanded = state.indices.map_partitions_with_index(
-                expand_partition
-            ).persist()
-            state.extras["expanded_rdd"] = expanded
+    def ship(pid: int, it) -> None:
+        # Counters ship only from this action, so a cache miss in
+        # ApplyGidMap's job cannot double-count.
+        for exp in it:
+            acc.add([partition_digest(exp)] if edges else exp.partials)
+            if counters_acc is not None:
+                counters_acc.add([(pid, exp.counters)])
 
-            def emit_digest(pid: int, it) -> None:
-                for exp in it:
-                    acc.add([partition_digest(exp)])
-                    if counters_acc is not None:
-                        counters_acc.add([(pid, exp.counters)])
+    expansions.foreach_partition_with_index(ship)
 
-            expanded.foreach_partition_with_index(emit_digest)
-
-        durations = state.sc.last_job_metrics.task_durations()
-        state.timings.executor_task_durations = durations
-        state.timings.executor_total = sum(durations)
-        state.timings.executor_max = max(durations) if durations else 0.0
+    durations = state.sc.last_job_metrics.task_durations()
+    state.timings.executor_task_durations = durations
+    state.timings.executor_total = sum(durations)
+    state.timings.executor_max = max(durations) if durations else 0.0
 
 
 class CollectPartials(Stage):
@@ -735,7 +728,10 @@ class RelabelFilter(Stage):
     """Finalise labels: undo any spatial permutation, remap kept partials.
 
     For the plain (index-partitioned) plans this is the identity tail;
-    for the spatial plan it is the pre-refactor ``driver.relabel`` step.
+    for the spatial plans it is the pre-refactor ``driver.relabel`` step.
+    The ``perm`` (and, in partials mode, ``partials``) it then reads are
+    declared as the spatial plans' ``outputs``, which is what keeps their
+    producers from being skipped on a resume.
     """
 
     name = "RelabelFilter"
@@ -743,20 +739,11 @@ class RelabelFilter(Stage):
     provides = ("labels",)
     checkpointable = True
 
-    def __init__(self, spatial: bool = False, keep_partials: bool = False):
-        self.spatial = spatial
-        if spatial:
-            self.requires = ("outcome", "perm")
-            self.load_requires = ("perm", "partials") if keep_partials \
-                else ("perm",)
-            if keep_partials:
-                self.requires = self.requires + ("partials",)
-
     def run(self, state: PipelineState) -> None:
-        if not self.spatial:
+        perm = state.perm
+        if perm is None:
             state.labels = state.outcome.labels
             return
-        perm = state.perm
         with state.tracer.span("driver.relabel", cat="driver"):
             # Undo the permutation: reordered[k] is original point perm[k].
             labels = np.empty_like(state.outcome.labels)
@@ -777,7 +764,7 @@ class RelabelFilter(Stage):
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
         state.labels = store.load_npz(self.name)["labels"].astype(np.int64)
-        if self.spatial and state.config.keep_partials \
+        if state.perm is not None and state.config.keep_partials \
                 and state.partials is not None:
             # Restored partials are in reordered space; put them back in
             # caller order exactly as a live relabel would have.

@@ -38,11 +38,11 @@ import time
 
 import numpy as np
 
-from ..engine import LIST_CONCAT
 from ..dbscan.cells import CellAssignment, build_cell_assignment, cell_local_dbscan
-from ..dbscan.partial import LocalExpansion, OpCounters, partition_digest
+from ..dbscan.partial import LocalExpansion, OpCounters
+from ..obs.collect import task_span
 from .checkpoint import CheckpointStore
-from .stages import CollectPartials, Stage
+from .stages import CollectPartials, Stage, open_accumulators, ship_expansions
 from .state import PipelineState
 
 
@@ -128,11 +128,6 @@ class LocalIndexExpand(Stage):
     requires = ("cell_assignment", "points")
     provides = ("engine", "expanded")
 
-    def __init__(self, emit: str = "partials"):
-        if emit not in ("partials", "edges"):
-            raise ValueError(f"emit must be 'partials' or 'edges', got {emit!r}")
-        self.emit = emit
-
     def run(self, state: PipelineState) -> None:
         cfg = state.config
         assignment = state.extras["cell_assignment"]
@@ -144,12 +139,7 @@ class LocalIndexExpand(Stage):
                              for p in payloads)
             payload_bytes = sum(p.nbytes for p in payloads)
             state.indices = sc.parallelize(payloads, cfg.num_partitions)
-            state.acc = sc.accumulator(LIST_CONCAT)
-            state.counters_acc = (
-                sc.accumulator(LIST_CONCAT)
-                if state.metrics_registry is not None
-                else None
-            )
+            open_accumulators(state, sc)
             state.timings.setup += time.perf_counter() - t0
             sp.annotate(halo_points=assignment.halo_points_total,
                         halo_nbytes=halo_bytes, payload_nbytes=payload_bytes)
@@ -173,13 +163,10 @@ class LocalIndexExpand(Stage):
         eps, minpts = cfg.eps, cfg.minpts
         leaf_size, seed_policy = cfg.leaf_size, cfg.seed_policy
         max_neighbors, neighbor_mode = cfg.max_neighbors, cfg.neighbor_mode
-        acc, counters_acc = state.acc, state.counters_acc
-        collect_counters = counters_acc is not None
-        track_boundary = self.emit == "edges"
+        collect_counters = state.counters_acc is not None
+        track_boundary = cfg.merge_mode == "edges"
 
-        def expand(pid: int, it) -> LocalExpansion:
-            from ..obs.collect import task_span
-
+        def expand(pid: int, it):
             counters = OpCounters() if collect_counters else None
             boundary: set[int] | None = set() if track_boundary else None
             result = []
@@ -203,47 +190,12 @@ class LocalIndexExpand(Stage):
                         c.local_id = k
                 esp.annotate(partials=len(result), n_own=n_own,
                              n_halo=n_halo)
-            return LocalExpansion(
+            yield LocalExpansion(
                 partition=pid, partials=result,
-                boundary=boundary if boundary is not None else set(),
-                counters=counters,
+                boundary=boundary or set(), counters=counters,
             )
 
-        if self.emit == "partials":
-
-            def run_partition(pid: int, it) -> None:
-                exp = expand(pid, it)
-                # Partial clusters ship to the driver through the
-                # accumulator as the task finishes, like the range plan.
-                acc.add(exp.partials)
-                if counters_acc is not None:
-                    counters_acc.add([(pid, exp.counters)])
-
-            state.indices.foreach_partition_with_index(run_partition)
-        else:
-
-            def expand_partition(pid: int, it):
-                yield expand(pid, it)
-
-            # Cached executor-side; digests ship from the foreach action
-            # only, so a cache miss under processes cannot double-count.
-            expanded = state.indices.map_partitions_with_index(
-                expand_partition
-            ).persist()
-            state.extras["expanded_rdd"] = expanded
-
-            def emit_digest(pid: int, it) -> None:
-                for exp in it:
-                    acc.add([partition_digest(exp)])
-                    if counters_acc is not None:
-                        counters_acc.add([(pid, exp.counters)])
-
-            expanded.foreach_partition_with_index(emit_digest)
-
-        durations = state.sc.last_job_metrics.task_durations()
-        state.timings.executor_task_durations = durations
-        state.timings.executor_total = sum(durations)
-        state.timings.executor_max = max(durations) if durations else 0.0
+        ship_expansions(state, state.indices.map_partitions_with_index(expand))
 
 
 class CellCollect(CollectPartials):

@@ -1,8 +1,11 @@
 """Batched executor mode (`neighbor_mode="batched"`) must be behaviourally
 identical to the paper's per-point loop: same partial clusters (members,
 member order, borders, seeds, seed order), same merged labels, and the
-same OpCounters — phase A issues exactly one kernel query per owned
-point, which is also what the per-point loop does one call at a time.
+same OpCounters — the batched query issues exactly one kernel query per
+owned point, which is also what the per-point loop does one call at a
+time.  Checked on both frames the one expansion kernel is entered with:
+the range plan's (`local_dbscan`) and the cell plan's
+(`cell_local_dbscan`), with and without counters.
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbscan import SparkDBSCAN, dbscan_sequential, local_dbscan
+from repro.dbscan.cells import build_cell_assignment, cell_local_dbscan
 from repro.dbscan.partial import NEIGHBOR_MODES, OpCounters
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
@@ -43,6 +47,29 @@ def _identical_partials(a, b):
         assert (ca.lo, ca.hi) == (cb.lo, cb.hi)
 
 
+def frame_runners(pts, p, eps, minpts):
+    """One ``run(**kwargs) -> partials`` per partition, for both frames."""
+    tree = KDTree(pts, leaf_size=8)
+    part = IndexRangePartitioner(len(pts), p)
+    runners = []
+    for pid in range(p):
+        lo, hi = part.range_of(pid)
+
+        def run_range(pid=pid, lo=lo, hi=hi, **kwargs):
+            return local_dbscan(pid, range(lo, hi), pts, tree, eps, minpts,
+                                part, **kwargs)
+
+        runners.append((hi - lo, run_range))
+    for payload in build_cell_assignment(pts, eps, p).payloads(pts):
+
+        def run_cell(payload=payload, **kwargs):
+            return cell_local_dbscan(payload, eps, minpts, leaf_size=8,
+                                     **kwargs)
+
+        runners.append((len(payload.owned_ids), run_cell))
+    return runners
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     pts=point_clouds(),
@@ -52,35 +79,38 @@ def _identical_partials(a, b):
     policy=st.sampled_from(("all", "one_per_partition")),
 )
 def test_batched_partials_identical(pts, p, eps, minpts, policy):
-    """Property: partial clusters match per-point exactly, both policies."""
-    tree = KDTree(pts, leaf_size=8)
-    part = IndexRangePartitioner(len(pts), p)
-    for pid in range(p):
-        lo, hi = part.range_of(pid)
-        per_point = local_dbscan(pid, range(lo, hi), pts, tree, eps, minpts,
-                                 part, seed_policy=policy)
-        batched = local_dbscan(pid, range(lo, hi), pts, tree, eps, minpts,
-                               part, seed_policy=policy, neighbor_mode="batched")
-        _identical_partials(per_point, batched)
+    """Property: partial clusters match per-point exactly, both policies,
+    both frames, and whether or not the run is counted."""
+    for _, run in frame_runners(pts, p, eps, minpts):
+        per_point = run(seed_policy=policy, neighbor_mode="per_point")
+        for mode in NEIGHBOR_MODES:
+            for counters in (None, OpCounters()):
+                _identical_partials(per_point, run(
+                    seed_policy=policy, neighbor_mode=mode, counters=counters))
 
 
 @settings(max_examples=25, deadline=None)
-@given(pts=point_clouds(), p=st.integers(1, 5), eps=st.floats(0.5, 8.0))
-def test_batched_op_counters_identical(pts, p, eps):
+@given(
+    pts=point_clouds(),
+    p=st.integers(1, 5),
+    eps=st.floats(0.5, 8.0),
+    policy=st.sampled_from(("all", "one_per_partition")),
+)
+def test_batched_op_counters_identical(pts, p, eps, policy):
     """The Section III-B bookkeeping is mode-independent: identical queue,
     hashtable, and seed counts, and range_queries covers each owned point
-    exactly once in both modes."""
-    tree = KDTree(pts, leaf_size=8)
-    part = IndexRangePartitioner(len(pts), p)
-    for pid in range(p):
-        lo, hi = part.range_of(pid)
+    exactly once in both modes — on the range and the cell frame."""
+    for n_own, run in frame_runners(pts, p, eps, 3):
         c_pp, c_b = OpCounters(), OpCounters()
-        local_dbscan(pid, range(lo, hi), pts, tree, eps, 3, part, counters=c_pp)
-        local_dbscan(pid, range(lo, hi), pts, tree, eps, 3, part, counters=c_b,
-                     neighbor_mode="batched")
+        partials = run(seed_policy=policy, neighbor_mode="per_point",
+                       counters=c_pp)
+        run(seed_policy=policy, neighbor_mode="batched", counters=c_b)
         assert c_pp.__dict__ == c_b.__dict__
-        assert c_b.range_queries == hi - lo
+        assert c_b.range_queries == n_own
         assert c_b.queue_adds == c_b.queue_removes
+        assert c_b.seeds_placed == sum(len(c.seeds) for c in partials)
+        if policy == "all":
+            assert c_b.seeds_skipped == 0
 
 
 class TestEndToEnd:

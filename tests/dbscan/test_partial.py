@@ -92,6 +92,31 @@ class TestLocalClustering:
         with pytest.raises(ValueError):
             local_dbscan(0, range(5), pts, tree, 1.5, 2, part, seed_policy="some")
 
+    @pytest.mark.parametrize("mode", ["per_point", "batched"])
+    def test_boundary_out_rejects_truncated_neighbourhoods(self, mode):
+        """The export set is only right on the symmetric eps-graph; only
+        `RunConfig` used to say so, and a direct caller got a silently
+        wrong set.  Both frame builders go through the one kernel entry."""
+        from repro.dbscan.cells import build_cell_assignment, cell_local_dbscan
+
+        pts = _line_points(10)
+        tree = KDTree(pts)
+        part = IndexRangePartitioner(10, 2)
+        with pytest.raises(ValueError, match="max_neighbors"):
+            local_dbscan(0, range(5), pts, tree, 1.5, 2, part, max_neighbors=2,
+                         neighbor_mode=mode, boundary_out=set())
+        payload = build_cell_assignment(pts, 1.5, 2).payloads(pts)[0]
+        with pytest.raises(ValueError, match="max_neighbors"):
+            cell_local_dbscan(payload, 1.5, 2, max_neighbors=2,
+                              neighbor_mode=mode, boundary_out=set())
+        # Either alone stays legal.
+        local_dbscan(0, range(5), pts, tree, 1.5, 2, part, max_neighbors=2,
+                     neighbor_mode=mode)
+        boundary: set[int] = set()
+        local_dbscan(0, range(5), pts, tree, 1.5, 2, part, neighbor_mode=mode,
+                     boundary_out=boundary)
+        assert boundary == {4}
+
 
 class TestPartialCluster:
     def test_owns_checks_range_membership(self):
