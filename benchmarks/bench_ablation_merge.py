@@ -8,7 +8,10 @@ synthetic chains, plus the merge-time cost of each strategy.
 
 B3 sweeps the *wire format* instead (DESIGN.md §11): shipping whole
 partial clusters vs shipping edge digests, over 100k–1M-point datasets,
-comparing driver merge time and the bytes the driver collects.
+comparing the bytes the driver collects and the driver merge time.  The
+union-find merge is the same function either way (`union_find_merge`);
+what differs is the owner table it joins seeds against — every member,
+or only the boundary exports.
 """
 
 from __future__ import annotations
@@ -114,11 +117,13 @@ def test_ablation_merge_payload_sweep(benchmark):
     """Ablation B3 — partials vs edge digests at 100k–1M points.
 
     One spatially-partitioned clustering per dataset produces the
-    partial clusters; both merge paths then run over the same partials:
-    the partials path measures `merge_union_find` over whole member
-    lists, the edge path measures `merge_edges` over digests (with the
-    label re-application included in its time).  Bytes are the canonical
-    collect payloads the `repro_driver_collect_bytes` gauge reports.
+    partial clusters; both wire formats then feed the one union-find
+    core from the same partials: `merge_union_find` builds its owner
+    table from whole member lists (O(points)) and applies the labels,
+    `merge_edges` builds it from the digests' exports (O(boundary)) and
+    `apply_gid_map` follows — so the time difference is the table's
+    size, not a second algorithm.  Bytes are the canonical collect
+    payloads the `repro_driver_collect_bytes` gauge reports.
     """
     rows, payload = [], []
     last_digests = None

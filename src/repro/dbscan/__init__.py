@@ -13,6 +13,7 @@ from .merge import (
     merge_paper,
     merge_partials,
     merge_union_find,
+    union_find_merge,
 )
 from .cells import (
     CellAssignment,
@@ -85,6 +86,7 @@ __all__ = [
     "UnionFind",
     "merge_partials",
     "merge_union_find",
+    "union_find_merge",
     "merge_paper",
     "merge_edges",
     "apply_gid_map",

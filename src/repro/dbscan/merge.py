@@ -5,11 +5,12 @@ cluster ``Cj`` proves the two pieces belong to one global cluster
 (Figure 4: C[0]'s seed 3000 is a regular element of C[5], so they
 merge).
 
-Two strategies:
-
 - ``"union_find"`` (default): connected components of the
-  seed-containment graph.  Handles arbitrary merge chains (A→B→C) and
-  is the correct closure of the paper's idea.
+  seed-containment graph — arbitrary merge chains (A→B→C) included.
+  One implementation, `union_find_merge`, joins seeds against an *owner
+  table* (point, owning cluster, core there?); `merge_union_find` and
+  `merge_edges` only build that table, from collected member lists or
+  from digests.
 - ``"paper"``: a literal single pass of Algorithm 4 — for each
   unfinished cluster, dig its seeds, absorb each master, mark statuses.
   Seeds of absorbed masters are *not* re-followed, so long chains can
@@ -19,6 +20,7 @@ Two strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -29,13 +31,19 @@ MERGE_STRATEGIES = ("union_find", "paper")
 
 #: How partial clusters reach the driver (DESIGN.md §11):
 #:
-#: - ``"partials"``: executors ship whole member/seed point lists;
-#:   `merge_partials` works over them — O(points) collect + merge.
+#: - ``"partials"``: executors ship whole member/seed point lists; the
+#:   owner table is every member — O(points) collect + merge — and the
+#:   driver applies the labels (`apply_gid_map`).
 #: - ``"edges"``: executors ship `PartitionDigest`s (summaries, seed
-#:   half-edges, boundary exports); `merge_edges` runs the same
-#:   union-find over cluster keys — O(edges + partials) — and labels are
-#:   applied by a second distributed pass (`apply_gid_map` per task).
+#:   half-edges, boundary exports); the owner table is the exports —
+#:   O(edges + partials) — and labels are applied by a second
+#:   distributed pass (`member_labels` per task).
 MERGE_MODES = ("partials", "edges")
+
+#: Seeds joined against the owner table at a time: the join's
+#: temporaries are this long, not O(seeds) — joined in one piece they
+#: cost the paper-default benchmark +38 % driver RSS.
+SEED_BLOCK_ROWS = 8192
 
 
 class UnionFind:
@@ -82,10 +90,214 @@ class MergeOutcome:
     groups: list[list[int]] = field(default_factory=list)  # partial idxs per global
 
 
+@dataclass
+class EdgeMergePlan:
+    """The merge's decisions, without a label array.
+
+    ``gid_of`` maps each kept partial cluster's ``(partition, local_id)``
+    key to its global cluster id; `apply_gid_map` — in edges mode, the
+    second distributed pass — applies it to the member lists.
+    ``claims`` resolves the only other points that get a label:
+    cross-partition border seeds owned by nobody — a dict of O(boundary)
+    size, not O(points).  ``groups`` indexes the clusters as passed to
+    `union_find_merge`: the collected list for `merge_union_find`,
+    canonical (founder-sorted) order for `merge_edges`.
+    """
+
+    gid_of: dict[tuple[int, int], int]
+    claims: dict[int, int]
+    num_partials: int
+    num_seeds: int
+    num_edges: int
+    num_merges: int
+    num_global_clusters: int
+    groups: list[list[int]] = field(default_factory=list)
+
+
+def union_find_merge(
+    clusters: list[tuple[tuple[int, int], int, int, list[int]]],
+    owner_point: np.ndarray,
+    owner_cluster: np.ndarray,
+    owner_core: np.ndarray,
+    min_cluster_size: int = 0,
+) -> EdgeMergePlan:
+    """Connected components over core seed⋈owner hits — the driver merge.
+
+    ``clusters`` are ``(cid, founder, size, seeds)`` rows in gid-numbering
+    order; the owner table is three parallel arrays, ``owner_cluster``
+    indexing ``clusters``.  Clusters under ``min_cluster_size`` are
+    dropped from both.  A seed whose point has a *core* row links the
+    two clusters (a border row is a legal overlap, not an edge); a seed
+    with no row is a cross-partition border point, claimed by the first
+    cluster to reach it in ascending founder order — never arrival
+    order, which varies across backends.  Seeds are joined against the
+    point-sorted table `SEED_BLOCK_ROWS` at a time and only a block's
+    distinct (source, owner) pairs reach the `UnionFind`: no Python loop
+    scales with seeds or table rows.
+    """
+    m = len(clusters)
+    cids, founders, sizes, seeds = zip(*clusters) if m else ((), (), (), ())
+    keep = np.array(sizes, dtype=np.int64) >= min_cluster_size
+    kept = np.flatnonzero(keep)
+    rows = np.flatnonzero(keep[owner_cluster])
+    rows = rows[np.argsort(owner_point[rows], kind="stable")]
+    t_cluster, t_core = owner_cluster[rows], owner_core[rows]
+    # One past the end holds no point, so a probe that runs off the
+    # table (or finds it empty) reads a miss instead of raising.
+    t_point = np.append(owner_point[rows], -1)
+
+    walk = kept[np.argsort(np.array(founders, dtype=np.int64)[kept],
+                           kind="stable")]
+    counts = np.fromiter(map(len, seeds), np.int64, m)
+    ends = np.cumsum(counts[walk])
+    total = int(ends[-1]) if len(walk) else 0
+    flat = chain.from_iterable(seeds[ci] for ci in walk.tolist())
+    uf = UnionFind(m)
+    num_edges = 0
+    claim_point = claim_src = np.empty(0, dtype=np.int64)
+    for start in range(0, total, SEED_BLOCK_ROWS):
+        s = np.fromiter(flat, np.int64, min(SEED_BLOCK_ROWS, total - start))
+        src = walk[np.searchsorted(
+            ends, np.arange(start, start + len(s)), side="right"
+        )]
+        pos = np.searchsorted(t_point[:-1], s)
+        owned = t_point[pos] == s
+        hit = pos[owned]
+        core = t_core[hit]
+        num_edges += int(np.count_nonzero(core))
+        pairs = np.unique(src[owned][core] * m + t_cluster[hit][core])
+        for a, b in zip((pairs // m).tolist(), (pairs % m).tolist()):
+            uf.union(a, b)
+        # np.unique keeps first occurrences and earlier blocks come
+        # first in the concatenation: the founder-order tie-break.
+        claim_point, first = np.unique(
+            np.concatenate([claim_point, s[~owned]]), return_index=True
+        )
+        claim_src = np.concatenate([claim_src, src[~owned]])[first]
+
+    # Gids number the components by first appearance in the order passed.
+    gid_at = np.full(m, -1, dtype=np.int64)
+    gid_of: dict[tuple[int, int], int] = {}
+    root_to_gid: dict[int, int] = {}
+    groups: list[list[int]] = []
+    for ci in kept.tolist():
+        gid = root_to_gid.setdefault(uf.find(ci), len(groups))
+        if gid == len(groups):
+            groups.append([])
+        groups[gid].append(ci)
+        gid_of[cids[ci]] = gid_at[ci] = gid
+    return EdgeMergePlan(
+        gid_of=gid_of,
+        claims=dict(zip(claim_point.tolist(), gid_at[claim_src].tolist())),
+        num_partials=m,
+        num_seeds=int(counts.sum()),
+        num_edges=num_edges,
+        num_merges=len(kept) - len(groups),
+        num_global_clusters=len(groups),
+        groups=groups,
+    )
+
+
+def merge_union_find(partials: list[PartialCluster], n: int) -> MergeOutcome:
+    """`union_find_merge` over collected partials, labels applied here.
+
+    The owner table is every member, core unless in ``borders`` —
+    O(points), which is why only ``merge_mode="partials"`` builds it.
+    Gids follow the list as passed; the pipeline founder-sorts it.
+    """
+    n_members = [len(c.members) for c in partials]
+    point = np.fromiter(
+        chain.from_iterable(c.members for c in partials),
+        np.int64, sum(n_members),
+    )
+    borders = np.fromiter(
+        chain.from_iterable(c.borders for c in partials), np.int64
+    )
+    plan = union_find_merge(
+        [(c.cid, c.members[0] if c.members else i, c.size, c.seeds)
+         for i, c in enumerate(partials)],
+        owner_point=point,
+        owner_cluster=np.repeat(np.arange(len(partials)), n_members),
+        owner_core=~np.isin(point, borders),
+    )
+    return MergeOutcome(
+        apply_gid_map(partials, plan, n), plan.num_merges,
+        plan.num_global_clusters, groups=plan.groups,
+    )
+
+
+def merge_edges(
+    digests: list[PartitionDigest],
+    min_cluster_size: int = 0,
+) -> EdgeMergePlan:
+    """`union_find_merge` over digests: O(edges + partials), no point
+    lists.
+
+    Clusters are the flattened summaries in founder-sorted (canonical)
+    order and the owner table is the boundary exports.  By eps-symmetry
+    a member some other partition reaches as a SEED is always exported,
+    so the join finds the rows it would find among all members and the
+    plan labels byte-identically to `merge_union_find`'s.
+    """
+    clusters = sorted(
+        ((summ.cid, summ.founder, summ.size, seed_list) for d in digests
+         for summ, seed_list in zip(d.summaries, d.seeds)),
+        key=lambda row: row[1],
+    )
+    index_of = {row[0]: i for i, row in enumerate(clusters)}
+    table = np.array(
+        [(point, index_of[d.partition, local_id], is_core)
+         for d in digests for point, local_id, is_core in d.exports],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    return union_find_merge(
+        clusters, table[:, 0], table[:, 1], table[:, 2].astype(bool),
+        min_cluster_size,
+    )
+
+
+def member_labels(
+    partials: list[PartialCluster], gid_of: dict[tuple[int, int], int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`apply_gid_map`'s per-partition half, what an `ApplyGidMap` task
+    ships: the member ids of the clusters ``gid_of`` keeps, back to
+    back, then each such cluster's gid and member count — 8 B a point;
+    the driver repeats the gids."""
+    kept = [(c.members, gid) for c in partials
+            if (gid := gid_of.get(c.cid)) is not None]
+    sizes = np.array([len(members) for members, _ in kept], np.int64)
+    ids = np.fromiter(
+        chain.from_iterable(members for members, _ in kept),
+        np.int64, int(sizes.sum()),
+    )
+    return ids, np.array([gid for _, gid in kept], np.int64), sizes
+
+
+def apply_gid_map(
+    partials: list[PartialCluster],
+    plan: EdgeMergePlan,
+    n: int,
+) -> np.ndarray:
+    """The label application: members take their cluster's gid, the
+    plan's claimed border seeds theirs, everything else is noise.
+    ``merge_mode="edges"`` runs the `member_labels` half executor-side
+    and calls this for the claims only.
+    """
+    labels = np.full(n, NOISE, dtype=np.int64)
+    ids, gids, sizes = member_labels(partials, plan.gid_of)
+    labels[ids] = np.repeat(gids, sizes)
+    claims = plan.claims
+    labels[np.fromiter(claims, np.int64, len(claims))] = np.fromiter(
+        claims.values(), np.int64, len(claims)
+    )
+    return labels
+
+
 def _member_owner_map(partials: list[PartialCluster]) -> dict[int, int]:
-    """point index -> index (into ``partials``) of the cluster owning it
-    as a regular element.  Ownership is unique because each executor
-    assigns its own points to at most one partial cluster."""
+    """`merge_paper`'s owner table: point index -> index (into
+    ``partials``) of the cluster owning it as a regular element.
+    Ownership is unique because each executor assigns its own points to
+    at most one partial cluster."""
     owner: dict[int, int] = {}
     for ci, c in enumerate(partials):
         for m in c.members:
@@ -94,57 +306,11 @@ def _member_owner_map(partials: list[PartialCluster]) -> dict[int, int]:
 
 
 def _links_clusters(partials: list[PartialCluster], oi: int, s: int) -> bool:
-    """A seed ``s`` owned by cluster ``oi`` links the two clusters only if
-    ``s`` is a *core* member there — density-connectivity never passes
-    through a border point (two clusters may legitimately share one)."""
+    """`merge_paper`'s edge test: a seed ``s`` owned by cluster ``oi``
+    links the two clusters only if ``s`` is a *core* member there —
+    density-connectivity never passes through a border point (two
+    clusters may legitimately share one)."""
     return partials[oi].is_core_member(s)
-
-
-def merge_union_find(partials: list[PartialCluster], n: int) -> MergeOutcome:
-    """Global clusters = connected components over core-seed-containment
-    edges."""
-    owner = _member_owner_map(partials)
-    uf = UnionFind(len(partials))
-    merges = 0
-    for ci, c in enumerate(partials):
-        for s in c.seeds:
-            oi = owner.get(s)
-            if (
-                oi is not None
-                and _links_clusters(partials, oi, s)
-                and uf.union(ci, oi)
-            ):
-                merges += 1
-
-    root_to_gid: dict[int, int] = {}
-    labels = np.full(n, NOISE, dtype=np.int64)
-    groups: dict[int, list[int]] = {}
-    for ci, c in enumerate(partials):
-        root = uf.find(ci)
-        gid = root_to_gid.setdefault(root, len(root_to_gid))
-        groups.setdefault(gid, []).append(ci)
-        for m in c.members:
-            labels[m] = gid
-    # Seeds that are regular members elsewhere already got their label.
-    # Unowned seeds are cross-partition *border* points: claimed by the
-    # first cluster that reached them (standard DBSCAN tie-breaking).
-    # "First" is pinned to ascending founder order, not list order —
-    # accumulator arrival order varies across backends and the tie-break
-    # must not vary with it.
-    for ci in sorted(
-        range(len(partials)),
-        key=lambda i: partials[i].members[0] if partials[i].members else i,
-    ):
-        gid = root_to_gid[uf.find(ci)]
-        for s in partials[ci].seeds:
-            if s not in owner and labels[s] == NOISE:
-                labels[s] = gid
-    return MergeOutcome(
-        labels=labels,
-        num_merges=merges,
-        num_global_clusters=len(root_to_gid),
-        groups=[groups[g] for g in sorted(groups)],
-    )
 
 
 def merge_paper(partials: list[PartialCluster], n: int) -> MergeOutcome:
@@ -249,146 +415,10 @@ def merge_partials(
         raise ValueError(
             f"strategy must be one of {MERGE_STRATEGIES}, got {strategy!r}"
         )
-    original: list[int] | None = None
-    if min_cluster_size > 0:
-        original = [ci for ci, c in enumerate(partials)
-                    if c.size >= min_cluster_size]
-        partials = [partials[ci] for ci in original]
-    if strategy == "union_find":
-        outcome = merge_union_find(partials, n)
-    else:
-        outcome = merge_paper(partials, n)
-    if original is not None:
-        # The strategies numbered the filtered list; translate each group
-        # back to indices into the caller's original list.
-        outcome.groups = [[original[ci] for ci in g] for g in outcome.groups]
+    kept = [ci for ci, c in enumerate(partials) if c.size >= min_cluster_size]
+    merge = merge_union_find if strategy == "union_find" else merge_paper
+    outcome = merge([partials[ci] for ci in kept], n)
+    # The strategies numbered the filtered list; translate each group
+    # back to indices into the caller's original list.
+    outcome.groups = [[kept[ci] for ci in g] for g in outcome.groups]
     return outcome
-
-
-@dataclass
-class EdgeMergePlan:
-    """Driver-side merge decisions computed from digests alone.
-
-    ``gid_of`` maps each kept partial cluster's ``(partition, local_id)``
-    key to its global cluster id; the second distributed pass applies it
-    to the executor-resident member lists.  ``claims`` resolves the only
-    points the driver must label itself: cross-partition border seeds
-    owned by nobody — a dict of O(boundary) size, not O(points).
-
-    ``groups`` indexes partial clusters in canonical (founder-sorted)
-    order, matching what `merge_partials` produces over the
-    founder-sorted collected list.
-    """
-
-    gid_of: dict[tuple[int, int], int]
-    claims: dict[int, int]
-    num_partials: int
-    num_seeds: int
-    num_edges: int
-    num_merges: int
-    num_global_clusters: int
-    groups: list[list[int]] = field(default_factory=list)
-
-
-def merge_edges(
-    digests: list[PartitionDigest],
-    min_cluster_size: int = 0,
-) -> EdgeMergePlan:
-    """Union-find over cluster keys: O(edges + partials), no point lists.
-
-    Joins each kept cluster's seeds against the export table (point →
-    owning cluster, core?).  A hit on a *core* export is exactly an
-    owner-map edge of `merge_union_find`; border hits are skipped for
-    the same reason `_links_clusters` skips them.  Gid numbering, the
-    ``min_cluster_size`` filter, and the border-seed claim tie-break all
-    replay the partial-mode semantics over founder-sorted order, so the
-    resulting labels are byte-identical.
-    """
-    flat: list[tuple] = []  # (summary, seed list), canonical order
-    for d in digests:
-        for summ, seed_list in zip(d.summaries, d.seeds):
-            flat.append((summ, seed_list))
-    flat.sort(key=lambda e: e[0].founder)
-    index_of = {summ.cid: i for i, (summ, _) in enumerate(flat)}
-    if min_cluster_size > 0:
-        kept = [i for i, (summ, _) in enumerate(flat)
-                if summ.size >= min_cluster_size]
-    else:
-        kept = list(range(len(flat)))
-    kept_set = set(kept)
-
-    # Export table over kept clusters only: point -> (canonical cluster
-    # index, is_core).  Ownership is unique, so no collisions.
-    exports: dict[int, tuple[int, bool]] = {}
-    for d in digests:
-        for point, local_id, is_core in d.exports:
-            oi = index_of[(d.partition, local_id)]
-            if oi in kept_set:
-                exports[point] = (oi, is_core)
-
-    uf = UnionFind(len(flat))
-    merges = 0
-    num_edges = 0
-    for ci in kept:
-        for s in flat[ci][1]:
-            hit = exports.get(s)
-            if hit is None:
-                continue
-            oi, is_core = hit
-            if not is_core:
-                continue  # border export: legal overlap, not an edge
-            num_edges += 1
-            if uf.union(ci, oi):
-                merges += 1
-
-    root_to_gid: dict[int, int] = {}
-    gid_of: dict[tuple[int, int], int] = {}
-    groups: dict[int, list[int]] = {}
-    for ci in kept:
-        root = uf.find(ci)
-        gid = root_to_gid.setdefault(root, len(root_to_gid))
-        groups.setdefault(gid, []).append(ci)
-        gid_of[flat[ci][0].cid] = gid
-
-    # Border-seed claims, founder-sorted as in `merge_union_find`: a
-    # seed that is a member of a kept cluster is in the export table
-    # (members with foreign neighbours are always exported), so
-    # ``s not in exports`` ⟺ ``s not in owner`` over seed points.
-    claims: dict[int, int] = {}
-    for ci in kept:
-        gid = root_to_gid[uf.find(ci)]
-        for s in flat[ci][1]:
-            if s not in exports and s not in claims:
-                claims[s] = gid
-
-    return EdgeMergePlan(
-        gid_of=gid_of,
-        claims=claims,
-        num_partials=len(flat),
-        num_seeds=sum(len(seed_list) for _, seed_list in flat),
-        num_edges=num_edges,
-        num_merges=merges,
-        num_global_clusters=len(root_to_gid),
-        groups=[groups[g] for g in sorted(groups)],
-    )
-
-
-def apply_gid_map(
-    partials: list[PartialCluster],
-    plan: EdgeMergePlan,
-    n: int,
-) -> np.ndarray:
-    """Reference label application (the distributed pass, run locally).
-
-    The pipeline's `ApplyGidMap` stage does this executor-side per
-    partition; this helper exists for tests and benchmarks that hold the
-    partials in one process.
-    """
-    labels = np.full(n, NOISE, dtype=np.int64)
-    for c in partials:
-        gid = plan.gid_of.get(c.cid)
-        if gid is not None and c.members:
-            labels[np.asarray(c.members, dtype=np.int64)] = gid
-    for s, gid in plan.claims.items():
-        labels[s] = gid
-    return labels

@@ -216,8 +216,8 @@ class SparkDBSCAN:
         else:
             # merge_mode="edges": no partials ever reach the driver; the
             # counts come from the digest summaries via MergeEdges.
-            num_partials = int(state.extras.get("num_partials", 0))
-            num_seeds = int(state.extras.get("num_seeds", 0))
+            plan = state.extras["merge_plan"]
+            num_partials, num_seeds = plan.num_partials, plan.num_seeds
         return SparkDBSCANResult(
             labels=state.labels,
             timings=state.timings,

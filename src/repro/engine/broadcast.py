@@ -54,8 +54,10 @@ class Broadcast(Generic[T]):
         value: T,
         spill_dir: str | None,
         expected_hash: str | None = None,
+        manager: "BroadcastManager | None" = None,
     ):
         self.bid = bid
+        self._manager = manager   # driver-side only; never pickled
         self._path: str | None = None
         self.nbytes = 0   # serialized size; 0 when never materialised to disk
         # Structural hash taken at broadcast time when sanitizing; the
@@ -130,11 +132,14 @@ class Broadcast(Generic[T]):
             )
 
     def unpersist(self) -> None:
-        """Drop the cached value in this process (and the backing file)."""
+        """Drop the cached value in this process (and the backing file);
+        the issuing manager forgets the handle."""
         with _cache_lock:
             _local_cache.pop(self.bid, None)
         if self._path is not None and os.path.exists(self._path):
             os.unlink(self._path)
+        if self._manager is not None:
+            self._manager.forget(self)
 
     def __getstate__(self) -> dict[str, Any]:
         # Never ship the value itself through task serialization: that is
@@ -154,6 +159,7 @@ class Broadcast(Generic[T]):
         self._path = state["_path"]
         self.nbytes = state.get("nbytes", 0)
         self._expected_hash = state.get("_expected_hash")
+        self._manager = None
 
 
 class BroadcastManager:
@@ -176,12 +182,20 @@ class BroadcastManager:
             from .sanitize import deep_hash
 
             expected = deep_hash(value)
-        b = Broadcast(bid, value, self._spill_dir, expected_hash=expected)
-        self._issued.append(b)
+        b = Broadcast(
+            bid, value, self._spill_dir, expected_hash=expected, manager=self
+        )
+        with self._lock:
+            self._issued.append(b)
         return b
+
+    def forget(self, b: Broadcast[Any]) -> None:
+        """Stop tracking a handle its holder has released."""
+        with self._lock:
+            if b in self._issued:
+                self._issued.remove(b)
 
     def stop(self) -> None:
         """Shut the component down and release resources."""
-        for b in self._issued:
+        for b in list(self._issued):
             b.unpersist()
-        self._issued.clear()

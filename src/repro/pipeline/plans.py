@@ -108,14 +108,18 @@ STAGE_MANIFEST = {
 
 # What each plan's frontend reads off the final state (beyond
 # ``labels``), and the label its ``dbscan.fit`` span carries.  An edges
-# plan never brings partials to the driver, so it cannot output them.
+# plan never brings partials to the driver, so it cannot output them;
+# its partial/seed counts live in the merge plan, which a resume
+# therefore restores (O(partials) JSON) instead of skipping.
 PLAN_OUTPUTS = {
     "spark": (("outcome", "partials"), "SparkDBSCAN"),
     "spatial": (("outcome", "partials", "perm"), "SpatialSparkDBSCAN"),
     "cell": (("outcome", "partials"), "SparkDBSCAN[cells]"),
-    "spark_edges": (("outcome",), "SparkDBSCAN[edges]"),
-    "spatial_edges": (("outcome", "perm"), "SpatialSparkDBSCAN[edges]"),
-    "cell_edges": (("outcome",), "SparkDBSCAN[cells,edges]"),
+    "spark_edges": (("outcome", "merge_plan"), "SparkDBSCAN[edges]"),
+    "spatial_edges": (
+        ("outcome", "merge_plan", "perm"), "SpatialSparkDBSCAN[edges]",
+    ),
+    "cell_edges": (("outcome", "merge_plan"), "SparkDBSCAN[cells,edges]"),
     "sequential": ((), "sequential"),
     "naive": (("propagated",), "NaiveSparkDBSCAN"),
     "mapreduce": (("mr_round1", "mr_round2"), "MapReduceDBSCAN"),

@@ -7,7 +7,8 @@ cross-cutting concerns the frontends used to re-thread individually:
   ``run``/``restored``) around the stage's own legacy spans, plus
   checkpoint hit/miss counters in the metrics registry;
 - **engine lifecycle** — a lent `SparkContext` is reused (and its tracer
-  adopted), an owned one is stopped in ``finally``;
+  adopted), an owned one is stopped in ``finally``, and either way the
+  fit's tree broadcast is released there;
 - **checkpoint/resume** — checkpointable stages persist their outputs
   under ``checkpoint_dir`` keyed by `RunConfig.content_hash`; with
   ``resume=True`` a completed stage is restored from disk and every
@@ -106,6 +107,9 @@ class PipelineRunner:
             ):
                 self._execute(state)
         finally:
+            # A lent context outlives this fit; its tree broadcast must not.
+            if state.tree_b is not None:
+                state.tree_b.unpersist()
             if state.own_sc and state.sc is not None:
                 state.sc.stop()
         state.timings.wall = time.perf_counter() - wall_start

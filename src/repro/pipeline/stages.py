@@ -8,9 +8,12 @@ state keys it ``requires`` and ``provides`` (see `PipelineState`); the
 and — on ``--resume`` — restores a stage's outputs from disk instead of
 re-running it *and everything upstream of it*.
 
-The stage bodies are the pre-refactor frontend code, moved — not
-rewritten — so every plan composition produces byte-identical labels,
-partials, and OpCounters to the monolithic ``fit`` methods they replace.
+Every plan composition produces byte-identical labels, partials and
+OpCounters to the monolithic ``fit`` methods the stages replaced.  What
+several stages do alike is one body each: the executor job
+(`ship_expansions`), the accumulator drain (`drain_accumulator`), the
+counters, label and outcome checkpoint codecs (`counters_doc` /
+`restore_counters`, `LabelStage`, `OutcomeStage`).
 The span names emitted here (``driver.kdtree_build``, ``driver.setup``,
 ``driver.accumulator_drain``, ``driver.merge``, ``driver.relabel``,
 ``driver.spatial_reorder``, ``executor.partition_expand``) are the same
@@ -30,8 +33,14 @@ import numpy as np
 from ..engine import LIST_CONCAT
 from ..engine.partitioner import IndexRangePartitioner
 from ..kdtree import KDTree
-from ..dbscan.core import NOISE
-from ..dbscan.merge import EdgeMergePlan, MergeOutcome, merge_edges, merge_partials
+from ..dbscan.merge import (
+    EdgeMergePlan,
+    MergeOutcome,
+    apply_gid_map,
+    member_labels,
+    merge_edges,
+    merge_partials,
+)
 from ..dbscan.partial import (
     LocalExpansion,
     OpCounters,
@@ -46,29 +55,6 @@ from ..dbscan.partial import (
 from ..obs.collect import task_span
 from .checkpoint import CheckpointStore
 from .state import PipelineState
-
-#: Driver-collected payload size (canonical pickled bytes) of the merge
-#: input — partial clusters or digests depending on ``merge_mode``.  The
-#: perf gate compares it exactly, hence the canonical rendering.
-COLLECT_BYTES_HELP = (
-    "Canonical pickled size of the merge payload collected by the driver."
-)
-
-
-def _graft_executor_spans(
-    state: PipelineState, partials_per: list[int], seeds_per: list[int]
-) -> None:
-    """Graft per-partition expansion spans onto the driver trace.
-
-    With one partition per core (the paper's setup) their max is the
-    executor wall.
-    """
-    for pid, dur in enumerate(state.timings.executor_task_durations):
-        state.tracer.add_span(
-            "executor.partition_expand", dur, cat="executor",
-            tid=f"executor-{pid}", partition=pid,
-            partials=partials_per[pid], seeds=seeds_per[pid],
-        )
 
 
 class PipelineError(Exception):
@@ -102,6 +88,40 @@ class Stage:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
+
+
+class LabelStage(Stage):
+    """A checkpointable stage that ends in ``state.labels``."""
+
+    checkpointable = True
+
+    def save(self, state: PipelineState, store: CheckpointStore) -> None:
+        store.save_npz(self.name, labels=state.labels)
+
+    def load(self, state: PipelineState, store: CheckpointStore) -> None:
+        state.labels = store.load_npz(self.name)["labels"].astype(np.int64)
+
+
+class OutcomeStage(Stage):
+    """A checkpointable stage that ends in a `MergeOutcome`: the labels,
+    and the merge statistics as the JSON document next to them."""
+
+    checkpointable = True
+    #: The document's keys — the checkpoint format, whatever fields
+    #: `MergeOutcome` grows.
+    STATS = ("num_merges", "num_global_clusters", "overlapping_points", "groups")
+
+    def save(self, state: PipelineState, store: CheckpointStore) -> None:
+        o = state.outcome
+        store.save_npz(self.name, labels=o.labels)
+        store.save_json(self.name, {k: getattr(o, k) for k in self.STATS})
+
+    def load(self, state: PipelineState, store: CheckpointStore) -> None:
+        stats = store.load_json(self.name)
+        state.outcome = MergeOutcome(
+            labels=store.load_npz(self.name)["labels"].astype(np.int64),
+            **{k: stats[k] for k in self.STATS},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +337,85 @@ def ship_expansions(state: PipelineState, expansions) -> None:
     state.timings.executor_max = max(durations) if durations else 0.0
 
 
+def drain_accumulator(
+    state: PipelineState, sort_key, payload_nbytes, counts_of
+) -> list:
+    """The collect stages' body: accumulator (and OpCounters) to driver.
+
+    Returns what the executors shipped in ``sort_key`` order — the
+    accumulator's own order follows task *completion* under the
+    threads/processes backends, and nothing downstream may depend on
+    which executor finished first.  ``payload_nbytes`` sizes the list
+    for the ``repro_driver_collect_bytes`` gauge; ``counts_of(item)`` is
+    its ``(partition, partials, seeds)``, for the per-partition expansion
+    spans grafted onto the driver trace (with one partition per core,
+    the paper's setup, their max is the executor wall).
+    """
+    tracer, registry = state.tracer, state.metrics_registry
+    num_partitions = state.config.num_partitions
+    partials_per, seeds_per = [0] * num_partitions, [0] * num_partitions
+    with tracer.span("driver.accumulator_drain", cat="driver") as sp:
+        items = sorted(state.acc.value, key=sort_key)
+        if tracer.enabled:
+            for pid, num_partials, num_seeds in map(counts_of, items):
+                partials_per[pid] += num_partials
+                seeds_per[pid] += num_seeds
+            sp.annotate(num_partials=sum(partials_per))
+        if registry is not None:
+            nbytes = payload_nbytes(items)
+            registry.gauge(
+                "repro_driver_collect_bytes",
+                "Canonical pickled size of the merge payload collected "
+                "by the driver.",
+            ).set(nbytes)
+            sp.annotate(collect_bytes=nbytes)
+    if tracer.enabled:
+        for pid, dur in enumerate(state.timings.executor_task_durations):
+            tracer.add_span(
+                "executor.partition_expand", dur, cat="executor",
+                tid=f"executor-{pid}", partition=pid,
+                partials=partials_per[pid], seeds=seeds_per[pid],
+            )
+    install_counters(
+        state,
+        list(state.counters_acc.value)
+        if state.counters_acc is not None else None,
+    )
+    return items
+
+
+def install_counters(state: PipelineState, counters: list | None) -> None:
+    """``state.counters`` — drained or restored — and, given a registry,
+    the `OpCounters` metrics derived from them."""
+    state.counters = counters
+    if counters is None or state.metrics_registry is None:
+        return
+    from ..obs.registry import record_op_counters
+
+    for pid, oc in counters:
+        record_op_counters(state.metrics_registry, oc, partition=pid)
+
+
+def counters_doc(state: PipelineState) -> list | None:
+    """``state.counters`` as the collect checkpoints store them."""
+    if state.counters is None:
+        return None
+    return [[pid, vars(oc)] for pid, oc in state.counters]
+
+
+def restore_counters(state: PipelineState, doc: list | None) -> None:
+    """Inverse of `counters_doc`."""
+    install_counters(
+        state,
+        None if doc is None else [(pid, OpCounters(**c)) for pid, c in doc],
+    )
+
+
 class CollectPartials(Stage):
     """Drain the accumulator: partial clusters (and OpCounters) to driver.
 
     The collected list is founder-sorted (by ``members[0]``, globally
-    unique) into a canonical order: accumulator merge order follows task
-    *completion* under the threads/processes backends, and gid numbering
-    downstream must not depend on which executor finished first.
+    unique): gid numbering downstream follows it.
     """
 
     name = "CollectPartials"
@@ -332,41 +424,12 @@ class CollectPartials(Stage):
     checkpointable = True
 
     def run(self, state: PipelineState) -> None:
-        tracer = state.tracer
-        with tracer.span("driver.accumulator_drain", cat="driver") as sp:
-            partials = list(state.acc.value)
-            partials.sort(key=lambda c: c.members[0])
-            sp.annotate(num_partials=len(partials))
-            if state.metrics_registry is not None:
-                nbytes = partials_payload_nbytes(partials)
-                state.metrics_registry.gauge(
-                    "repro_driver_collect_bytes", COLLECT_BYTES_HELP
-                ).set(nbytes)
-                sp.annotate(collect_bytes=nbytes)
-        state.partials = partials
-
-        if tracer.enabled:
-            num_partitions = state.config.num_partitions
-            partials_per = [0] * num_partitions
-            seeds_per = [0] * num_partitions
-            for c in partials:
-                partials_per[c.partition] += 1
-                seeds_per[c.partition] += len(c.seeds)
-            _graft_executor_spans(state, partials_per, seeds_per)
-        state.counters = (
-            list(state.counters_acc.value)
-            if state.counters_acc is not None else None
+        state.partials = drain_accumulator(
+            state,
+            sort_key=lambda c: c.members[0],
+            payload_nbytes=partials_payload_nbytes,
+            counts_of=lambda c: (c.partition, 1, len(c.seeds)),
         )
-        self._record_counters(state)
-
-    @staticmethod
-    def _record_counters(state: PipelineState) -> None:
-        if state.counters is None or state.metrics_registry is None:
-            return
-        from ..obs.registry import record_op_counters
-
-        for pid, oc in state.counters:
-            record_op_counters(state.metrics_registry, oc, partition=pid)
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
         store.save_json(self.name, {
@@ -384,9 +447,7 @@ class CollectPartials(Stage):
                 }
                 for c in state.partials
             ],
-            "counters": None if state.counters is None else [
-                [pid, vars(oc)] for pid, oc in state.counters
-            ],
+            "counters": counters_doc(state),
         })
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
@@ -400,20 +461,15 @@ class CollectPartials(Stage):
             )
             for d in doc["partials"]
         ]
-        state.counters = (
-            None if doc["counters"] is None
-            else [(pid, OpCounters(**c)) for pid, c in doc["counters"]]
-        )
-        self._record_counters(state)
+        restore_counters(state, doc["counters"])
 
 
-class MergePartials(Stage):
+class MergePartials(OutcomeStage):
     """Dig SEEDs and merge partial clusters on the driver (Algorithm 4)."""
 
     name = "MergePartials"
     requires = ("partials", "n")
     provides = ("outcome",)
-    checkpointable = True
 
     def run(self, state: PipelineState) -> None:
         cfg = state.config
@@ -444,27 +500,6 @@ class MergePartials(Stage):
                 outcome.num_global_clusters, outcome.overlapping_points,
             )
 
-    def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        o = state.outcome
-        store.save_npz(self.name, labels=o.labels)
-        store.save_json(self.name, {
-            "num_merges": o.num_merges,
-            "num_global_clusters": o.num_global_clusters,
-            "overlapping_points": o.overlapping_points,
-            "groups": o.groups,
-        })
-
-    def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        stats = store.load_json(self.name)
-        labels = store.load_npz(self.name)["labels"].astype(np.int64)
-        state.outcome = MergeOutcome(
-            labels=labels,
-            num_merges=stats["num_merges"],
-            num_global_clusters=stats["num_global_clusters"],
-            overlapping_points=stats["overlapping_points"],
-            groups=[list(g) for g in stats["groups"]],
-        )
-
 
 # ---------------------------------------------------------------------------
 # edge-based merge tail (merge_mode="edges", DESIGN.md §11)
@@ -484,35 +519,14 @@ class CollectEdges(Stage):
     checkpointable = True
 
     def run(self, state: PipelineState) -> None:
-        tracer = state.tracer
-        with tracer.span("driver.accumulator_drain", cat="driver") as sp:
-            digests = list(state.acc.value)
-            digests.sort(key=lambda d: d.partition)
-            sp.annotate(
-                num_digests=len(digests),
-                num_partials=sum(len(d.summaries) for d in digests),
-            )
-            if state.metrics_registry is not None:
-                nbytes = digest_payload_nbytes(digests)
-                state.metrics_registry.gauge(
-                    "repro_driver_collect_bytes", COLLECT_BYTES_HELP
-                ).set(nbytes)
-                sp.annotate(collect_bytes=nbytes)
-        state.extras["digest"] = digests
-
-        if tracer.enabled:
-            num_partitions = state.config.num_partitions
-            partials_per = [0] * num_partitions
-            seeds_per = [0] * num_partitions
-            for d in digests:
-                partials_per[d.partition] += len(d.summaries)
-                seeds_per[d.partition] += sum(len(ss) for ss in d.seeds)
-            _graft_executor_spans(state, partials_per, seeds_per)
-        state.counters = (
-            list(state.counters_acc.value)
-            if state.counters_acc is not None else None
+        state.extras["digest"] = drain_accumulator(
+            state,
+            sort_key=lambda d: d.partition,
+            payload_nbytes=digest_payload_nbytes,
+            counts_of=lambda d: (
+                d.partition, len(d.summaries), sum(map(len, d.seeds))
+            ),
         )
-        CollectPartials._record_counters(state)
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
         store.save_json(self.name, {
@@ -530,9 +544,7 @@ class CollectEdges(Stage):
                 }
                 for d in state.extras["digest"]
             ],
-            "counters": None if state.counters is None else [
-                [pid, vars(oc)] for pid, oc in state.counters
-            ],
+            "counters": counters_doc(state),
         })
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
@@ -550,11 +562,7 @@ class CollectEdges(Stage):
             )
             for d in doc["digests"]
         ]
-        state.counters = (
-            None if doc["counters"] is None
-            else [(pid, OpCounters(**c)) for pid, c in doc["counters"]]
-        )
-        CollectPartials._record_counters(state)
+        restore_counters(state, doc["counters"])
 
 
 class MergeEdges(Stage):
@@ -584,7 +592,7 @@ class MergeEdges(Stage):
                 num_global_clusters=plan.num_global_clusters,
                 overlapping_points=0,
             )
-        self._install(state, plan)
+        state.extras["merge_plan"] = plan
         if state.metrics_registry is not None:
             from ..obs.registry import record_merge_outcome
 
@@ -597,45 +605,27 @@ class MergeEdges(Stage):
                 plan.num_global_clusters, 0,
             )
 
-    @staticmethod
-    def _install(state: PipelineState, plan: EdgeMergePlan) -> None:
-        state.extras["merge_plan"] = plan
-        # The result object's partial-cluster counts, without the partials.
-        state.extras["num_partials"] = plan.num_partials
-        state.extras["num_seeds"] = plan.num_seeds
-
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
+        # The plan's fields, its two dicts as sorted rows.
         plan = state.extras["merge_plan"]
         store.save_json(self.name, {
+            **vars(plan),
             "gid_of": [[p, l, g] for (p, l), g in sorted(plan.gid_of.items())],
             "claims": [[s, g] for s, g in sorted(plan.claims.items())],
-            "num_partials": plan.num_partials,
-            "num_seeds": plan.num_seeds,
-            "num_edges": plan.num_edges,
-            "num_merges": plan.num_merges,
-            "num_global_clusters": plan.num_global_clusters,
-            "groups": plan.groups,
         })
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
         doc = store.load_json(self.name)
-        plan = EdgeMergePlan(
-            gid_of={(p, l): g for p, l, g in doc["gid_of"]},
-            claims={s: g for s, g in doc["claims"]},
-            num_partials=doc["num_partials"],
-            num_seeds=doc["num_seeds"],
-            num_edges=doc["num_edges"],
-            num_merges=doc["num_merges"],
-            num_global_clusters=doc["num_global_clusters"],
-            groups=[list(g) for g in doc["groups"]],
-        )
-        self._install(state, plan)
+        doc["gid_of"] = {(p, l): g for p, l, g in doc["gid_of"]}
+        doc["claims"] = {s: g for s, g in doc["claims"]}
+        state.extras["merge_plan"] = EdgeMergePlan(**doc)
 
 
-class ApplyGidMap(Stage):
+class ApplyGidMap(OutcomeStage):
     """Second distributed pass: label members executor-side via the
-    broadcast ``local_cid → gid`` map; the driver assembles per-cluster
-    ``(member ids, gid)`` chunks and applies the O(boundary) claims dict.
+    broadcast ``local_cid → gid`` map (`member_labels`); the driver
+    writes each partition's member ids, 8 B a point on the wire, over
+    the O(boundary) claims.
 
     Under the processes backend a fresh worker misses the job-1 cache and
     recomputes the expansion through the lineage — deterministically, so
@@ -648,12 +638,12 @@ class ApplyGidMap(Stage):
     # A restore rebuilds the outcome from saved labels alone — no engine,
     # so a fully-restored run never starts a SparkContext.
     load_requires = ()
-    checkpointable = True
 
     def run(self, state: PipelineState) -> None:
         plan: EdgeMergePlan = state.extras["merge_plan"]
         expanded = state.extras["expanded_rdd"]
         sc = state.sc
+        gid_b = None
         try:
             with state.tracer.span("driver.apply_labels", cat="driver") as sp:
                 t0 = time.perf_counter()
@@ -662,31 +652,14 @@ class ApplyGidMap(Stage):
 
                 def apply_partition(pid: int, it) -> None:
                     gid_of = gid_b.value
-                    chunks = []
-                    for exp in it:
-                        for c in exp.partials:
-                            gid = gid_of.get((c.partition, c.local_id))
-                            if gid is not None and c.members:
-                                chunks.append(
-                                    (np.asarray(c.members, dtype=np.int64),
-                                     gid)
-                                )
-                    label_acc.add(chunks)
+                    label_acc.add(
+                        [member_labels(exp.partials, gid_of) for exp in it]
+                    )
 
                 expanded.foreach_partition_with_index(apply_partition)
-                labels = np.full(state.n, NOISE, dtype=np.int64)
-                for ids, gid in label_acc.value:
-                    labels[ids] = gid
-                if plan.claims:
-                    claim_ids = np.fromiter(
-                        plan.claims.keys(), dtype=np.int64,
-                        count=len(plan.claims),
-                    )
-                    claim_gids = np.fromiter(
-                        plan.claims.values(), dtype=np.int64,
-                        count=len(plan.claims),
-                    )
-                    labels[claim_ids] = claim_gids
+                labels = apply_gid_map((), plan, state.n)  # the claims
+                for ids, gids, sizes in label_acc.value:
+                    labels[ids] = np.repeat(gids, sizes)
                 state.timings.driver_merge += time.perf_counter() - t0
                 sp.annotate(
                     num_labelled_partials=len(plan.gid_of),
@@ -694,37 +667,15 @@ class ApplyGidMap(Stage):
                 )
         finally:
             expanded.unpersist()
+            if gid_b is not None:
+                gid_b.unpersist()
         state.outcome = MergeOutcome(
-            labels=labels,
-            num_merges=plan.num_merges,
-            num_global_clusters=plan.num_global_clusters,
-            overlapping_points=0,
-            groups=[list(g) for g in plan.groups],
-        )
-
-    def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        o = state.outcome
-        store.save_npz(self.name, labels=o.labels)
-        store.save_json(self.name, {
-            "num_merges": o.num_merges,
-            "num_global_clusters": o.num_global_clusters,
-            "overlapping_points": o.overlapping_points,
-            "groups": o.groups,
-        })
-
-    def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        stats = store.load_json(self.name)
-        labels = store.load_npz(self.name)["labels"].astype(np.int64)
-        state.outcome = MergeOutcome(
-            labels=labels,
-            num_merges=stats["num_merges"],
-            num_global_clusters=stats["num_global_clusters"],
-            overlapping_points=stats["overlapping_points"],
-            groups=[list(g) for g in stats["groups"]],
+            labels, plan.num_merges, plan.num_global_clusters,
+            groups=plan.groups,
         )
 
 
-class RelabelFilter(Stage):
+class RelabelFilter(LabelStage):
     """Finalise labels: undo any spatial permutation, remap kept partials.
 
     For the plain (index-partitioned) plans this is the identity tail;
@@ -737,7 +688,6 @@ class RelabelFilter(Stage):
     name = "RelabelFilter"
     requires = ("outcome",)
     provides = ("labels",)
-    checkpointable = True
 
     def run(self, state: PipelineState) -> None:
         perm = state.perm
@@ -759,11 +709,8 @@ class RelabelFilter(Stage):
             c.seeds = [int(perm[s]) for s in c.seeds]
             c.borders = {int(perm[b]) for b in c.borders}
 
-    def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        store.save_npz(self.name, labels=state.labels)
-
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        state.labels = store.load_npz(self.name)["labels"].astype(np.int64)
+        super().load(state, store)
         if state.perm is not None and state.config.keep_partials \
                 and state.partials is not None:
             # Restored partials are in reordered space; put them back in
@@ -775,13 +722,12 @@ class RelabelFilter(Stage):
 # degenerate single-partition plan (Algorithm 1)
 # ---------------------------------------------------------------------------
 
-class SequentialExpand(Stage):
+class SequentialExpand(LabelStage):
     """Classic DBSCAN as a single executor-less expansion over all points."""
 
     name = "SequentialExpand"
     requires = ("points", "tree")
     provides = ("labels",)
-    checkpointable = True
 
     def run(self, state: PipelineState) -> None:
         # Imported lazily: repro.dbscan.sequential is itself a thin shim
@@ -811,12 +757,6 @@ class SequentialExpand(Stage):
                 state.labels = _dbscan_array(state.n, cfg.minpts, neigh_of)
             else:
                 state.labels = _dbscan_hashtable(state.n, cfg.minpts, neigh_of)
-
-    def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        store.save_npz(self.name, labels=state.labels)
-
-    def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        state.labels = store.load_npz(self.name)["labels"].astype(np.int64)
 
 
 __all__ = [

@@ -23,7 +23,7 @@ from ..mapreduce import JobStats, MapReduceJob
 from ..dbscan.merge import merge_partials
 from ..dbscan.partial import local_dbscan
 from .checkpoint import CheckpointStore
-from .stages import Stage
+from .stages import LabelStage, Stage
 from .state import PipelineState
 
 
@@ -190,22 +190,15 @@ class MRCollect(Stage):
         state.extras["job2_stats"] = JobStats(**doc["job2_stats"])
 
 
-class MRRelabel(Stage):
+class MRRelabel(LabelStage):
     """Assemble the final label array from round 2's output records."""
 
     name = "RelabelFilter"
     requires = ("mr_round2", "n")
     provides = ("labels",)
-    checkpointable = True
 
     def run(self, state: PipelineState) -> None:
         labels = np.full(state.n, -1, dtype=np.int64)
         for idx, lab in state.extras["out2"]:
             labels[idx] = lab
         state.labels = labels
-
-    def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        store.save_npz(self.name, labels=state.labels)
-
-    def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        state.labels = store.load_npz(self.name)["labels"].astype(np.int64)

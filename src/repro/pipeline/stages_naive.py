@@ -16,7 +16,7 @@ import numpy as np
 
 from ..dbscan.core import NOISE
 from .checkpoint import CheckpointStore
-from .stages import Stage
+from .stages import LabelStage, Stage
 from .state import PipelineState
 
 
@@ -41,7 +41,7 @@ class ShuffleExpand(Stage):
         sc = state.ensure_context()
         eps, minpts = cfg.eps, cfg.minpts
         rounds = 0
-        tree_b = sc.broadcast(state.tree)
+        tree_b = state.tree_b = sc.broadcast(state.tree)
 
         # Pass 1 (no shuffle yet): core flags + adjacency edges.
         def neighbourhoods(it):
@@ -144,13 +144,12 @@ class ShuffleExpand(Stage):
         state.extras["shuffle_bytes"] = doc["shuffle_bytes"]
 
 
-class NaiveRelabel(Stage):
+class NaiveRelabel(LabelStage):
     """Assemble the final label array from core labels and border claims."""
 
     name = "RelabelFilter"
     requires = ("propagated", "n")
     provides = ("labels",)
-    checkpointable = True
 
     def run(self, state: PipelineState) -> None:
         labels = state.extras["naive_labels"]
@@ -162,9 +161,3 @@ class NaiveRelabel(Stage):
         for i, lab in border.items():
             out[i] = remap[lab] if lab in remap else NOISE
         state.labels = out
-
-    def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        store.save_npz(self.name, labels=state.labels)
-
-    def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        state.labels = store.load_npz(self.name)["labels"].astype(np.int64)

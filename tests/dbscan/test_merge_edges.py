@@ -1,7 +1,10 @@
 """Edge-based merging (DESIGN.md §11): `merge_edges` over digests must
-replay `merge_union_find` over the founder-sorted partials exactly —
+agree with `merge_union_find` over the founder-sorted partials exactly —
 same gids, same claims, same labels — while never touching a member
-list on the driver."""
+list on the driver.  Both are adapters over `union_find_merge`, so what
+these tests compare is the two owner tables (boundary exports vs all
+members); `test_merge_golden.py` and the per-seed loop in
+`test_properties.py` pin the shared core itself."""
 
 import numpy as np
 import pytest
@@ -123,6 +126,21 @@ class TestChainsAndBorders:
         assert plan.gid_of == {} and plan.claims == {}
         labels = apply_gid_map([], plan, 10)
         assert (labels == NOISE).all()
+
+    def test_member_labels_ships_eight_bytes_a_point(self):
+        """What an `ApplyGidMap` task sends back: member ids once, a gid
+        and a count per kept cluster — not a gid per point."""
+        from repro.dbscan.merge import member_labels
+
+        a = pc(0, 0, 0, 10, [0, 1, 2, 3], seeds=[10])
+        small = pc(0, 1, 0, 10, [7])
+        b = pc(1, 0, 10, 20, [10, 11, 12])
+        plan = merge_edges(digest_from_partials([a, small, b]),
+                           min_cluster_size=2)
+        ids, gids, sizes = member_labels([a, small, b], plan.gid_of)
+        assert ids.tolist() == [0, 1, 2, 3, 10, 11, 12]
+        assert gids.tolist() == [0, 0] and sizes.tolist() == [4, 3]
+        assert ids.nbytes == 8 * 7 and gids.nbytes == sizes.nbytes == 8 * 2
 
 
 class TestContestedBorderSeedDeterminism:

@@ -1,13 +1,19 @@
 """Property-based DBSCAN tests: the paper's equivalence claim under
 arbitrary data, partitioning, and parameters (hypothesis)."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbscan import (
     NOISE,
+    PartialCluster,
     SparkDBSCAN,
+    UnionFind,
     apply_gid_map,
     clusterings_equivalent,
     dbscan_sequential,
@@ -16,9 +22,18 @@ from repro.dbscan import (
     merge_edges,
     merge_partials,
     merge_union_find,
+    union_find_merge,
 )
+from repro.dbscan import merge as merge_module
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
+
+#: The production block, and two that split any non-trivial seed list.
+SEED_BLOCKS = (1, 7, merge_module.SEED_BLOCK_ROWS)
+
+
+def seed_block(rows):
+    return mock.patch.object(merge_module, "SEED_BLOCK_ROWS", rows)
 
 
 @st.composite
@@ -115,37 +130,177 @@ def _collected_partials(pts, p, eps, minpts, tree):
     return partials
 
 
+def loop_merge(clusters, owners, min_cluster_size=0):
+    """Per-seed reference for `union_find_merge`: one dict lookup and one
+    ``union`` per seed, the loop the array core replaced.  Returns
+    ``(gid_of, claims, num_edges)``."""
+    kept = [ci for ci, row in enumerate(clusters) if row[2] >= min_cluster_size]
+    table = {p: (ci, core) for p, ci, core in owners if ci in kept}
+    uf = UnionFind(len(clusters))
+    num_edges = 0
+    for ci in kept:
+        for s in clusters[ci][3]:
+            oi, core = table.get(s, (None, False))
+            if core:
+                num_edges += 1
+                uf.union(ci, oi)
+    gids, gid_of, claims = {}, {}, {}
+    for ci in kept:
+        gid_of[clusters[ci][0]] = gids.setdefault(uf.find(ci), len(gids))
+    for ci in sorted(kept, key=lambda i: clusters[i][1]):
+        for s in clusters[ci][3]:
+            if s not in table:
+                claims.setdefault(s, gid_of[clusters[ci][0]])
+    return gid_of, claims, num_edges
+
+
+def core_inputs(partials):
+    """`union_find_merge`'s arguments for collected partials, the owner
+    table as ``(point, cluster, is_core)`` triples."""
+    clusters = [(c.cid, c.members[0], c.size, c.seeds) for c in partials]
+    owners = [(m, ci, m not in c.borders)
+              for ci, c in enumerate(partials) for m in c.members]
+    return clusters, owners
+
+
+def array_merge(clusters, owners, min_cluster_size=0):
+    table = np.array(owners, dtype=np.int64).reshape(-1, 3)
+    return union_find_merge(clusters, table[:, 0], table[:, 1],
+                            table[:, 2].astype(bool), min_cluster_size)
+
+
 @settings(max_examples=30, deadline=None)
 @given(pts=point_clouds(), p=st.integers(1, 6), eps=st.floats(0.5, 8.0),
-       minpts=st.integers(2, 6))
-def test_edge_merge_equivalent_to_partials_merge(pts, p, eps, minpts):
+       minpts=st.integers(2, 6), block=st.sampled_from(SEED_BLOCKS))
+def test_edge_merge_equivalent_to_partials_merge(pts, p, eps, minpts, block):
     """DESIGN.md §11's contract as a property: merging digests and
-    re-applying the gid map is byte-identical to merging whole partials."""
+    re-applying the gid map is byte-identical to merging whole partials
+    — and, both being adapters over one core, to the per-seed loop,
+    whatever the seed block."""
     tree = KDTree(pts, leaf_size=8)
     partials = _collected_partials(pts, p, eps, minpts, tree)
-    ref = merge_union_find(partials, len(pts))
-    plan = merge_edges(digest_from_partials(partials))
+    with seed_block(block):
+        ref = merge_union_find(partials, len(pts))
+        plan = merge_edges(digest_from_partials(partials))
     labels = apply_gid_map(partials, plan, len(pts))
     np.testing.assert_array_equal(labels, ref.labels)
     assert plan.num_merges == ref.num_merges
     assert plan.num_global_clusters == ref.num_global_clusters
     assert plan.groups == ref.groups
+    gid_of, claims, num_edges = loop_merge(*core_inputs(partials))
+    assert list(plan.gid_of.items()) == list(gid_of.items())
+    assert (plan.claims, plan.num_edges) == (claims, num_edges)
 
 
 @settings(max_examples=20, deadline=None)
 @given(pts=point_clouds(), p=st.integers(2, 5), eps=st.floats(0.5, 8.0),
-       size=st.integers(1, 6))
-def test_edge_merge_respects_min_cluster_size(pts, p, eps, size):
+       size=st.integers(1, 6), block=st.sampled_from(SEED_BLOCKS))
+def test_edge_merge_respects_min_cluster_size(pts, p, eps, size, block):
     """The r1m small-partial filter must behave identically in both
     merge paths, kept-set and labels alike."""
     minpts = 3
     tree = KDTree(pts, leaf_size=8)
     partials = _collected_partials(pts, p, eps, minpts, tree)
-    ref = merge_partials(list(partials), len(pts), min_cluster_size=size)
-    plan = merge_edges(digest_from_partials(partials), min_cluster_size=size)
+    with seed_block(block):
+        ref = merge_partials(list(partials), len(pts), min_cluster_size=size)
+        plan = merge_edges(digest_from_partials(partials),
+                           min_cluster_size=size)
     labels = apply_gid_map(partials, plan, len(pts))
     np.testing.assert_array_equal(labels, ref.labels)
     assert plan.groups == ref.groups
+    gid_of, claims, _ = loop_merge(*core_inputs(partials), size)
+    assert (plan.gid_of, plan.claims) == (gid_of, claims)
+
+
+def _cluster(cid, founder, seeds, size=10):
+    return ((cid, 0), founder, size, list(seeds))
+
+
+#: Hand-built core inputs aimed at the block boundaries.
+BLOCK_CASES = {
+    # 20 seeds in one cluster: three blocks of 7, twenty of 1.
+    "a cluster whose seeds exceed one block": (
+        [_cluster(0, 0, range(100, 120)), _cluster(1, 100, [0])],
+        [(0, 0, True)] + [(100 + k, 1, k % 3 != 0) for k in range(20)], 0),
+    # 500 is owned by nobody; clusters 2 (founder 5) and 0 (founder 40,
+    # merged with 1) both reach it, from seed positions 3 and 11 of the
+    # founder walk.  41 is a border row: found, but not an edge.
+    "a contested border seed whose claimants fall in different blocks": (
+        [_cluster(0, 40, [21, 22, 500]), _cluster(1, 20, [41, 42, 43, 44, 45]),
+         _cluster(2, 5, [6, 7, 8, 500])],
+        [(40, 0, True), (41, 0, False), (20, 1, True), (21, 1, True),
+         (22, 1, True), (5, 2, True)], 0),
+    "an empty owner table": (
+        [_cluster(0, 3, [9, 8, 7]), _cluster(1, 1, [8, 3])], [], 0),
+    "zero kept clusters": (
+        [_cluster(0, 0, [10], size=2), _cluster(1, 10, [0], size=3)],
+        [(0, 0, True), (10, 1, True)], 4),
+    "no clusters at all": ([], [], 0),
+}
+
+
+@pytest.mark.parametrize("block", SEED_BLOCKS)
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_seed_blocks_do_not_change_the_merge(case, block):
+    clusters, owners, size = BLOCK_CASES[case]
+    gid_of, claims, num_edges = loop_merge(clusters, owners, size)
+    with seed_block(block):
+        plan = array_merge(clusters, owners, size)
+    assert (plan.gid_of, plan.claims, plan.num_edges) == (
+        gid_of, claims, num_edges)
+    assert plan.num_global_clusters == len(set(gid_of.values()))
+    assert plan.num_merges == len(gid_of) - plan.num_global_clusters
+    assert sorted(ci for g in plan.groups for ci in g) == [
+        ci for ci, row in enumerate(clusters) if row[2] >= size]
+
+
+def test_contested_claim_goes_to_the_lower_founder_across_blocks():
+    clusters, owners, _ = BLOCK_CASES[
+        "a contested border seed whose claimants fall in different blocks"]
+    with seed_block(7):
+        plan = array_merge(clusters, owners)
+    assert plan.claims[500] == plan.gid_of[(2, 0)] != plan.gid_of[(0, 0)]
+
+
+def _paper_shaped_partials(seeds_per_cluster):
+    """2 048 six-member partials over 12 288 points, every seed a core
+    member of another partial — the shape of `paper_r100k_p32`, where
+    seeds outnumber points by 25 to 1 and more."""
+    rng = np.random.default_rng(0)
+    n, per = 12288, 6
+    partials = []
+    for ci in range(n // per):
+        lo = ci * per
+        seeds = rng.integers(0, n - per, seeds_per_cluster)
+        seeds[seeds >= lo] += per
+        partials.append(PartialCluster(
+            ci % 32, ci // 32, lo, lo + per,
+            members=list(range(lo, lo + per)),
+            seeds=np.unique(seeds).tolist(),
+        ))
+    return n, partials
+
+
+@pytest.mark.parametrize("seeds_per_cluster", [160, 320])
+def test_merge_memory_is_independent_of_the_seed_total(seeds_per_cluster):
+    """The join runs in `SEED_BLOCK_ROWS` blocks, so what the merge
+    allocates is O(owner table + partials), not O(seeds).  Both adapters
+    peak at 2.0 MiB here at either size; joined in one piece (the block
+    constant patched to 10**9) they peak at 35 MiB with 160 seeds per
+    cluster and 68 MiB with 320."""
+    n, partials = _paper_shaped_partials(seeds_per_cluster)
+    assert len(partials) >= 2000
+    assert sum(len(c.seeds) for c in partials) >= 300_000 * seeds_per_cluster // 160
+    digests = digest_from_partials(partials)
+    for merge in (lambda: merge_union_find(partials, n),
+                  lambda: merge_edges(digests)):
+        tracemalloc.start()
+        try:
+            merge()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 @settings(max_examples=25, deadline=None)

@@ -96,6 +96,35 @@ class TestFrontendCheckpointing:
         assert resumed.num_seeds == reference.num_seeds
         assert resumed.num_merges == reference.num_merges
 
+    @pytest.mark.parametrize("partitioning", ["range", "cells"])
+    @pytest.mark.parametrize(
+        "fail_after", ["CollectEdges", "MergeEdges", "ApplyGidMap", None]
+    )
+    def test_spark_edges_crash_resume_via_frontend(
+        self, points, tmp_path, fail_after, partitioning
+    ):
+        """Edges mode reads its counts off the merge plan, which a
+        resume restores even when every later stage is restored too
+        (``None``: the first run completes, RelabelFilter included)."""
+        def model(**kw):
+            return SparkDBSCAN(EPS, MINPTS, num_partitions=3,
+                               merge_mode="edges", partitioning=partitioning,
+                               **kw)
+
+        reference = model().fit(points)
+        assert reference.num_partial_clusters > 0 and reference.num_seeds > 0
+        first = model(checkpoint_dir=str(tmp_path), fail_after=fail_after)
+        if fail_after is None:
+            first.fit(points)
+        else:
+            with pytest.raises(PipelineCrash):
+                first.fit(points)
+        resumed = model(checkpoint_dir=str(tmp_path), resume=True).fit(points)
+        assert np.array_equal(resumed.labels, reference.labels)
+        assert resumed.num_partial_clusters == reference.num_partial_clusters
+        assert resumed.num_seeds == reference.num_seeds
+        assert resumed.num_merges == reference.num_merges
+
     def test_sequential_crash_resume(self, points, tmp_path):
         from repro.dbscan import dbscan_sequential
 

@@ -184,14 +184,16 @@ class TestCrashResume:
 
 #: (kill_after, stages that must be skipped on resume) for the edge-merge
 #: tail.  Killing after ApplyGidMap leaves only RelabelFilter, a pure
-#: driver transform; killing after MergeEdges must re-run the expansion
+#: driver transform — MergeEdges is restored too, not skipped: the
+#: frontend reads its partial/seed counts off the plan (an edges plan
+#: output); killing after MergeEdges must re-run the expansion
 #: (ApplyGidMap needs the executor-resident member lists) but restores
 #: the merge plan; killing after CollectEdges restores the digest.
 EDGE_CRASH_MATRIX = [
     ("CollectEdges", set()),
     ("MergeEdges", {"CollectEdges"}),
     ("ApplyGidMap", {"BuildIndex", "PartitionPlan", "BroadcastModel",
-                     "LocalExpand", "CollectEdges", "MergeEdges"}),
+                     "LocalExpand", "CollectEdges"}),
 ]
 
 
@@ -223,6 +225,7 @@ class TestEdgeMergeCrashResume:
         resumed = run_plan(config, data, checkpoint_dir=str(tmp_path),
                            resume=True)
         assert resumed.stage_status["ApplyGidMap"] == "restored"
+        assert resumed.stage_status["MergeEdges"] == "restored"
         np.testing.assert_array_equal(resumed.labels, reference.labels)
         np.testing.assert_array_equal(resumed.perm, reference.perm)
 

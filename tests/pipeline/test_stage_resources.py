@@ -10,9 +10,13 @@ stops a lent context, so leaked cache entries would survive and fail
 the count below (which they did before the fix).
 """
 
+import os
+
 import numpy as np
+import pytest
 
 from repro.data import generate_clustered
+from repro.dbscan import SparkDBSCAN
 from repro.engine import SparkContext
 from repro.pipeline import PipelineRunner, RunConfig, build_plan
 
@@ -71,3 +75,71 @@ def test_naive_stage_releases_caches_even_when_a_round_fails():
             assert sc.block_manager.num_disk_blocks == 0
         finally:
             sc.broadcast = real_broadcast
+
+
+def _live_broadcasts(sc):
+    """Driver-cached broadcast values, handles the manager still tracks,
+    and backing files on disk (``processes`` only)."""
+    from repro.engine import broadcast
+
+    files = [f for f in os.listdir(sc.spill_dir) if f.startswith("bcast-")]
+    return (set(broadcast._local_cache), list(sc.broadcast_manager._issued),
+            files)
+
+
+@pytest.mark.parametrize("master", ["simulated[4]", "processes[2]"])
+def test_fits_on_a_lent_context_release_their_broadcasts(master):
+    # BroadcastModel's tree and ApplyGidMap's gid map used to stay
+    # cached (and on disk under ``processes``) until sc.stop(): three
+    # fits left {KDTree, KDTree, dict, KDTree, dict} behind.  Labels must
+    # not change: under ``processes`` ApplyGidMap may recompute the
+    # expansion through the lineage, which needs the tree broadcast
+    # alive until the fit — not the stage — ends.
+    points = generate_clustered(
+        n=400, num_clusters=4, cluster_std=8.0, seed=11
+    ).points
+    expected = SparkDBSCAN(25.0, 5, num_partitions=4).fit(points).labels
+    with SparkContext(master) as sc:
+        clean = _live_broadcasts(sc)
+        assert clean[1:] == ([], [])
+        for mode in ("partials", "edges", "edges"):
+            got = SparkDBSCAN(
+                25.0, 5, num_partitions=4, merge_mode=mode
+            ).fit(points, sc=sc)
+            np.testing.assert_array_equal(got.labels, expected)
+            assert _live_broadcasts(sc) == clean
+
+
+def test_naive_plan_releases_its_tree_broadcast():
+    from repro.engine import broadcast
+    from repro.kdtree import KDTree
+
+    points = generate_clustered(
+        n=120, num_clusters=3, cluster_std=6.0, seed=7
+    ).points
+    config = RunConfig(eps=20.0, minpts=4, algorithm="naive", num_partitions=2)
+    with SparkContext("simulated[2]") as sc:
+        before = set(broadcast._local_cache)
+        PipelineRunner(build_plan(config), config).run(points, sc=sc)
+        leaked = set(broadcast._local_cache) - before
+        assert not any(
+            isinstance(broadcast._local_cache[bid], KDTree) for bid in leaked
+        )
+
+
+def test_gid_map_broadcast_is_timed_inside_apply_labels():
+    # ``timings.driver_merge`` (the harness's driver_s) and the
+    # ``driver.apply_labels`` span cover the gid-map broadcast: its
+    # pickle and spill under ``processes`` are merge cost.
+    from repro.obs import Tracer
+
+    points = generate_clustered(
+        n=400, num_clusters=4, cluster_std=8.0, seed=11
+    ).points
+    tracer = Tracer()
+    SparkDBSCAN(25.0, 5, num_partitions=4, merge_mode="edges",
+                tracer=tracer).fit(points)
+    (apply,) = tracer.find("driver.apply_labels")
+    tree_b, gid_b = tracer.find("driver.broadcast")
+    assert tree_b.end <= apply.start
+    assert apply.start <= gid_b.start and gid_b.end <= apply.end
