@@ -52,6 +52,41 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_outputs(args: argparse.Namespace, tracer, registry, done=None) -> None:
+    """The one output tail of `cluster` and `run`.
+
+    ``done`` is ``(labels, wall seconds, partial clusters or None)`` of a
+    finished fit: labels and the result gauges need it.  The trace and the
+    metrics are written either way — both commands call this in a
+    ``finally``, so a crashed run still leaves its log behind.
+    """
+    if done is not None:
+        labels, wall, partials = done
+        if args.labels_out:
+            np.savetxt(args.labels_out, labels, fmt="%d")
+            print(f"labels written to {args.labels_out}")
+    if args.trace_out:
+        tracer.write_jsonl(args.trace_out)
+        print(f"trace written to {args.trace_out} "
+              f"({len(tracer.spans)} spans; render with `repro trace`)")
+    if registry is None:
+        return
+    if done is not None:
+        registry.gauge(
+            "repro_run_wall_seconds", "End-to-end wall clock of the run."
+        ).set(wall)
+        registry.gauge("repro_clusters", "Clusters found.").set(
+            int(np.unique(labels[labels >= 0]).size))
+        registry.gauge("repro_noise_points", "Noise points.").set(
+            int(np.count_nonzero(labels == -1)))
+        if partials is not None:
+            registry.gauge(
+                "repro_partial_clusters", "Partial clusters before merging."
+            ).set(partials)
+    registry.write(args.metrics_out)
+    print(f"metrics written to {args.metrics_out}")
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Cluster a dataset/points file with the chosen implementation."""
     from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
@@ -79,77 +114,64 @@ def cmd_cluster(args: argparse.Namespace) -> int:
               f"(spark, spatial), not {args.algorithm!r}", file=sys.stderr)
         return 1
 
-    if args.algorithm == "sequential":
-        from repro.dbscan import dbscan_sequential
+    done = None
+    try:
+        if args.algorithm == "sequential":
+            from repro.dbscan import dbscan_sequential
 
-        result = dbscan_sequential(points, args.eps, args.minpts,
-                                   neighbor_mode=args.neighbor_mode,
-                                   tracer=tracer)
-    elif args.algorithm == "spark":
-        from repro.dbscan import SparkDBSCAN
+            result = dbscan_sequential(points, args.eps, args.minpts,
+                                       neighbor_mode=args.neighbor_mode,
+                                       tracer=tracer)
+        elif args.algorithm == "spark":
+            from repro.dbscan import SparkDBSCAN
 
-        result = SparkDBSCAN(args.eps, args.minpts,
-                             num_partitions=args.partitions,
-                             master=args.master,
-                             neighbor_mode=args.neighbor_mode,
-                             merge_mode=args.merge_mode,
-                             tracer=tracer,
-                             metrics_registry=registry,
-                             sanitize=args.sanitize,
-                             profile=profile,
-                             profile_alloc=args.profile_alloc).fit(points)
-    elif args.algorithm == "spatial":
-        from repro.dbscan import SpatialSparkDBSCAN
+            result = SparkDBSCAN(args.eps, args.minpts,
+                                 num_partitions=args.partitions,
+                                 master=args.master,
+                                 neighbor_mode=args.neighbor_mode,
+                                 merge_mode=args.merge_mode,
+                                 tracer=tracer,
+                                 metrics_registry=registry,
+                                 sanitize=args.sanitize,
+                                 profile=profile,
+                                 profile_alloc=args.profile_alloc).fit(points)
+        elif args.algorithm == "spatial":
+            from repro.dbscan import SpatialSparkDBSCAN
 
-        result = SpatialSparkDBSCAN(args.eps, args.minpts,
-                                    num_partitions=args.partitions,
-                                    master=args.master,
-                                    neighbor_mode=args.neighbor_mode,
-                                    merge_mode=args.merge_mode,
-                                    tracer=tracer,
-                                    metrics_registry=registry,
-                                    sanitize=args.sanitize,
-                                    profile=profile,
-                                    profile_alloc=args.profile_alloc).fit(points)
-    elif args.algorithm == "naive":
-        from repro.dbscan import NaiveSparkDBSCAN
+            result = SpatialSparkDBSCAN(args.eps, args.minpts,
+                                        num_partitions=args.partitions,
+                                        master=args.master,
+                                        neighbor_mode=args.neighbor_mode,
+                                        merge_mode=args.merge_mode,
+                                        tracer=tracer,
+                                        metrics_registry=registry,
+                                        sanitize=args.sanitize,
+                                        profile=profile,
+                                        profile_alloc=args.profile_alloc).fit(points)
+        elif args.algorithm == "naive":
+            from repro.dbscan import NaiveSparkDBSCAN
 
-        result = NaiveSparkDBSCAN(args.eps, args.minpts,
-                                  num_partitions=args.partitions,
-                                  master=args.master,
-                                  tracer=tracer,
-                                  sanitize=args.sanitize).fit(points)
-    else:  # mapreduce
-        from repro.dbscan import MapReduceDBSCAN
+            result = NaiveSparkDBSCAN(args.eps, args.minpts,
+                                      num_partitions=args.partitions,
+                                      master=args.master,
+                                      tracer=tracer,
+                                      sanitize=args.sanitize).fit(points)
+        else:  # mapreduce
+            from repro.dbscan import MapReduceDBSCAN
 
-        result = MapReduceDBSCAN(args.eps, args.minpts,
-                                 num_maps=args.partitions,
-                                 startup_overhead=0.0,
-                                 tracer=tracer).fit(points)
+            result = MapReduceDBSCAN(args.eps, args.minpts,
+                                     num_maps=args.partitions,
+                                     startup_overhead=0.0,
+                                     tracer=tracer).fit(points)
 
-    print(result.summary())
-    t = result.timings
-    print(f"timing: kdtree {t.kdtree_build:.3f}s | executors "
-          f"{t.executor_total:.3f}s total / {t.executor_max:.3f}s max | "
-          f"driver merge {t.driver_merge:.3f}s")
-    if args.labels_out:
-        np.savetxt(args.labels_out, result.labels, fmt="%d")
-        print(f"labels written to {args.labels_out}")
-    if args.trace_out:
-        tracer.write_jsonl(args.trace_out)
-        print(f"trace written to {args.trace_out} "
-              f"({len(tracer.spans)} spans; render with `repro trace`)")
-    if registry is not None:
-        registry.gauge(
-            "repro_run_wall_seconds", "End-to-end wall clock of the run."
-        ).set(t.wall)
-        registry.gauge("repro_clusters", "Clusters found.").set(result.num_clusters)
-        registry.gauge("repro_noise_points", "Noise points.").set(result.num_noise)
-        registry.gauge(
-            "repro_partial_clusters", "Partial clusters before merging."
-        ).set(result.num_partial_clusters)
-        registry.write(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
+        print(result.summary())
+        t = result.timings
+        print(f"timing: kdtree {t.kdtree_build:.3f}s | executors "
+              f"{t.executor_total:.3f}s total / {t.executor_max:.3f}s max | "
+              f"driver merge {t.driver_merge:.3f}s")
+        done = (result.labels, t.wall, result.num_partial_clusters)
+    finally:
+        _write_outputs(args, tracer, registry, done)
     return 0
 
 
@@ -203,6 +225,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         mode = "resume" if args.resume else "cold"
         print(f"checkpoints: {args.checkpoint_dir} ({mode}, "
               f"run key {config.content_hash(points)[:16]}…)")
+    done = None
     try:
         state = runner.run(points)
     except PipelineCrash as exc:
@@ -213,31 +236,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:  # input rejected by LoadPoints / the planner
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    for name in plan.stage_names():
-        print(f"  {name:<16} {state.stage_status.get(name, '?')}")
-    labels = state.labels
-    num_clusters = int(np.unique(labels[labels >= 0]).size)
-    num_noise = int(np.count_nonzero(labels == -1))
-    t = state.timings
-    print(f"{num_clusters} clusters, {num_noise} noise points out of "
-          f"{labels.shape[0]} (wall {t.wall:.3f}s)")
-    if args.labels_out:
-        np.savetxt(args.labels_out, labels, fmt="%d")
-        print(f"labels written to {args.labels_out}")
-    if args.trace_out:
-        tracer.write_jsonl(args.trace_out)
-        print(f"trace written to {args.trace_out} "
-              f"({len(tracer.spans)} spans; render with `repro trace`)")
-    if registry is not None:
-        registry.gauge(
-            "repro_run_wall_seconds", "End-to-end wall clock of the run."
-        ).set(t.wall)
-        registry.gauge("repro_clusters", "Clusters found.").set(num_clusters)
-        registry.gauge("repro_noise_points", "Noise points.").set(num_noise)
-        registry.write(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-    return 0
+    else:
+        for name in plan.stage_names():
+            print(f"  {name:<16} {state.stage_status.get(name, '?')}")
+        labels = state.labels
+        num_clusters = int(np.unique(labels[labels >= 0]).size)
+        num_noise = int(np.count_nonzero(labels == -1))
+        t = state.timings
+        print(f"{num_clusters} clusters, {num_noise} noise points out of "
+              f"{labels.shape[0]} (wall {t.wall:.3f}s)")
+        if state.partials is not None:
+            partials = len(state.partials)
+        else:  # edges mode counts them in the merge plan; other plans have none
+            partials = getattr(state.extras.get("merge_plan"), "num_partials", None)
+        done = (labels, t.wall, partials)
+        return 0
+    finally:
+        _write_outputs(args, tracer, registry, done)
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
@@ -380,10 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES, default="per_point")
     s.set_defaults(func=cmd_scaling)
 
-    h = sub.add_parser("history", help="summarise an engine event log")
-    h.add_argument("log_path")
-    h.set_defaults(func=cmd_history)
-
     tr = sub.add_parser("trace", help="report on a span trace written "
                                       "by --trace-out")
     tr.add_argument("trace_path")
@@ -464,19 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     li.set_defaults(func=cmd_lint)
 
     return parser
-
-
-def cmd_history(args: argparse.Namespace) -> int:
-    """Render an engine event log as a history report."""
-    from repro.engine.history import HistoryError, format_history, load_history
-
-    try:
-        history = load_history(args.log_path)
-    except HistoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(format_history(history))
-    return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:

@@ -26,7 +26,6 @@ from .context import SparkContext
 from .errors import (
     ContextStoppedError,
     EngineError,
-    EventLogClosedError,
     InjectedFault,
     JobAbortedError,
     ShuffleFetchError,
@@ -83,7 +82,6 @@ __all__ = [
     "ShuffleFetchError",
     "InjectedFault",
     "ContextStoppedError",
-    "EventLogClosedError",
     "SanitizerError",
     "BroadcastMutationError",
     "AccumulatorReadError",

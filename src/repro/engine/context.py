@@ -27,7 +27,6 @@ from .broadcast import Broadcast, BroadcastManager
 from .dag_scheduler import DAGScheduler
 from .errors import ContextStoppedError
 from ..obs.spans import NULL_TRACER, Tracer
-from .event_log import EventLog
 from .fault import FaultPlan
 from .metrics import JobMetrics
 from .rdd import RDD, ParallelCollectionRDD, SourceRDD
@@ -50,7 +49,6 @@ class SparkContext:
         app_name: str = "repro",
         spill_dir: str | None = None,
         max_task_failures: int = 4,
-        event_log_path: str | None = None,
         speculation: bool = False,
         speculation_multiplier: float = 2.0,
         tracer: Tracer = NULL_TRACER,
@@ -89,7 +87,6 @@ class SparkContext:
             profile=profile,
             profile_alloc=profile_alloc,
         )
-        self.event_log = EventLog(event_log_path)
         self.dag_scheduler = DAGScheduler(
             self.task_scheduler,
             self.shuffle_manager,
@@ -97,12 +94,9 @@ class SparkContext:
             tracer=tracer,
             metrics_registry=metrics_registry,
             sanitize=sanitize,
-            event_log=self.event_log,
         )
         self.fault_plan = FaultPlan()  # injected faults/stragglers for tests
-        self.event_log.emit(
-            "app_start", app_name=app_name, master=master, sanitize=sanitize
-        )
+        tracer.instant("engine.context", cat="engine", app_name=app_name, master=master)
         self.sanitizer: Sanitizer | None = None
         if sanitize:
             self.sanitizer = Sanitizer(tracer=tracer, metrics_registry=metrics_registry)
@@ -158,9 +152,7 @@ class SparkContext:
     def run_job(self, rdd: RDD[T], func: Callable[[int, Iterator[T]], Any]) -> list[Any]:
         """Execute an action over the RDD; returns per-partition results."""
         self._check_running()
-        results = self.dag_scheduler.run_job(rdd, func, fault_plan=self.fault_plan)
-        self.event_log.record_job(self.dag_scheduler.job_metrics[-1])
-        return results
+        return self.dag_scheduler.run_job(rdd, func, fault_plan=self.fault_plan)
 
     @property
     def last_job_metrics(self) -> JobMetrics:
@@ -176,14 +168,8 @@ class SparkContext:
             return
         self._stopped = True
         if self.sanitizer is not None:
-            findings = self.sanitizer.finalize()
-            self.event_log.emit(
-                "sanitizer_report",
-                findings=[f.render() for f in findings],
-            )
+            self.sanitizer.finalize()
             sanitizer_deactivate(self.sanitizer)
-        self.event_log.emit("app_end", app_name=self.app_name)
-        self.event_log.close()
         self.backend.shutdown()
         self.broadcast_manager.stop()
         self.block_manager.clear()

@@ -62,11 +62,3 @@ class InjectedFault(EngineError):
 
 class ContextStoppedError(EngineError):
     """An operation was attempted on a stopped SparkContext."""
-
-
-class EventLogClosedError(EngineError):
-    """A write was attempted on a closed EventLog.
-
-    The runtime twin of lint rule LIF002: once `EventLog.close` has
-    run, further `emit`/`record_job` calls are a bug — the backing file
-    is gone, so the write would silently land only in memory."""

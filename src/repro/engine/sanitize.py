@@ -181,10 +181,6 @@ class SanitizerFinding:
     detail: str
     labels: dict[str, Any] = field(default_factory=dict)
 
-    def render(self) -> str:
-        extra = " ".join(f"{k}={v}" for k, v in sorted(self.labels.items()))
-        return f"[{self.kind}] {self.detail}" + (f" ({extra})" if extra else "")
-
 
 @dataclass
 class _AccessState:

@@ -61,7 +61,7 @@ class TaskScheduler:
         speculation: bool = False,
         speculation_multiplier: float = 2.0,
         tracer: Tracer = NULL_TRACER,
-        collect_telemetry: bool | None = None,
+        collect_telemetry: bool = False,
         profile: bool = False,
         profile_alloc: bool = False,
     ):
@@ -75,8 +75,6 @@ class TaskScheduler:
         self.speculation_multiplier = speculation_multiplier
         self.speculative_launches = 0
         self.tracer = tracer
-        # None = follow the tracer: collect worker telemetry exactly when
-        # there is a live tracer to merge it into.
         self.collect_telemetry = collect_telemetry
         self.profile = profile
         self.profile_alloc = profile_alloc
@@ -91,17 +89,13 @@ class TaskScheduler:
         ``on_outcome`` observes every attempt (success or failure) — the
         DAG scheduler uses it to record metrics for all attempts.
         """
-        collect = (
-            self.collect_telemetry
-            if self.collect_telemetry is not None
-            else self.tracer.enabled
-        )
-        if collect or self.profile:
+        if self.collect_telemetry or self.profile:
             # Stamp run-level observability settings onto every task here,
             # once — retries go through dataclasses.replace and inherit them.
             tasks = [
                 dataclasses.replace(
-                    t, collect_telemetry=collect, profile=self.profile,
+                    t, collect_telemetry=self.collect_telemetry,
+                    profile=self.profile,
                     profile_alloc=self.profile_alloc,
                 )
                 for t in tasks

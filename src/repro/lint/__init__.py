@@ -10,10 +10,10 @@ broadcasts, or invoke RDD actions, and every plan's stage contract
 chain must be complete and acyclic.  A flow-sensitive layer
 (`repro.lint.cfg` → `repro.lint.dataflow` → `repro.lint.typestate`)
 builds a per-function CFG and runs typestate over it: no use of a
-stopped context (LIF001), no write to a closed event log (LIF002), no
-action on an unpersisted RDD/Broadcast (LIF003), no persisted RDD
-leaked past an exit path (RES001), and no lock/context held across an
-escaping exception path (RES002).  A size-class abstract
+stopped context (LIF001), no action on an unpersisted RDD/Broadcast
+(LIF003), no persisted RDD leaked past an exit path (RES001), and no
+lock/context held across an escaping exception path (RES002).  A
+size-class abstract
 interpretation (`repro.lint.sizeclass`) over the O(1) ⊑ O(cells) ⊑
 O(partials) ⊑ O(edges) ⊑ O(points) lattice proves the driver stays
 sub-O(points) outside the sanctioned stages (SCL001–SCL004), seeded

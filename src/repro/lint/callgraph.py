@@ -34,7 +34,7 @@ from .closures import ModuleAnalysis, Scope, TaskFunction, raw_dotted
 # method calls on these are lineage operations, never call edges.
 ENGINE_API_TAGS = frozenset({
     "RDD", "SparkContext", "StreamingContext", "Broadcast", "Accumulator",
-    "EventLog", "BlockManager", "ShuffleManager",
+    "BlockManager", "ShuffleManager",
     "Lock", "File", "Thread", "Socket",
 })
 

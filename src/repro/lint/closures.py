@@ -85,7 +85,6 @@ RDD_FACTORY_METHODS = {"parallelize", "text_file", "from_source"}
 _CTOR_TYPES = {
     "SparkContext": "SparkContext",
     "StreamingContext": "StreamingContext",
-    "EventLog": "EventLog",
     "BlockManager": "BlockManager",
     "ShuffleManager": "ShuffleManager",
     "Lock": "Lock",

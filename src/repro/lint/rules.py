@@ -9,8 +9,8 @@ set, so they fire through helper modules too:
 
 - ``CAP001`` capture-driver-state — functions passed to RDD operations
   (and everything they transitively call) must not capture driver-side
-  engine objects (`SparkContext`, `RDD`, `EventLog`, block/shuffle
-  managers).  Tasks are retried, speculated, and (on the processes
+  engine objects (`SparkContext`, `RDD`, block/shuffle managers).
+  Tasks are retried, speculated, and (on the processes
   backend) cloudpickled; captured driver state either fails to
   serialize or silently diverges per executor.
 - ``PCK001`` capture-unpicklable — task closures must not capture
@@ -33,12 +33,12 @@ set, so they fire through helper modules too:
   task-reachable code.
 - ``PLN001``/``PLN002`` plan contracts (`repro.lint.plans`) — every
   manifest plan's Stage needs/provides chain is complete and acyclic.
-- ``LIF001``/``LIF002``/``LIF003`` lifecycle ordering and
+- ``LIF001``/``LIF003`` lifecycle ordering and
   ``RES001``/``RES002`` resource leaks (`repro.lint.typestate`) —
   flow-sensitive typestate over per-function CFGs: use-after-stop
-  (SparkContext), write-after-close (EventLog), action-after-unpersist
-  (RDD/Broadcast), persist with no unpersist on an exit path, and
-  lock/context held across an escaping exception path.
+  (SparkContext), action-after-unpersist (RDD/Broadcast), persist
+  with no unpersist on an exit path, and lock/context held across an
+  escaping exception path.
 - ``SCL001``–``SCL004`` size classes (`repro.lint.sizeclass`) — an
   abstract interpretation over the O(1) ⊑ O(cells) ⊑ O(partials) ⊑
   O(edges) ⊑ O(points) lattice, seeded from the ``SIZE_MANIFEST``:
@@ -75,7 +75,6 @@ DRIVER_STATE_TYPES = {
     "SparkContext": "the SparkContext (driver-only: owns the backend and scheduler)",
     "StreamingContext": "the StreamingContext (driver-only)",
     "RDD": "an RDD (lineage handles live on the driver; ship data, not plans)",
-    "EventLog": "the EventLog (driver-side append-only log)",
     "BlockManager": "a BlockManager (executor-local storage, never shipped)",
     "ShuffleManager": "the ShuffleManager (driver-side shuffle bookkeeping)",
 }
@@ -314,11 +313,6 @@ project_rule(
     "LIF001",
     "SparkContext used after stop() on every path",
     lambda project: check_typestate(project, rules=("LIF001",)),
-)
-project_rule(
-    "LIF002",
-    "EventLog written after close() on every path",
-    lambda project: check_typestate(project, rules=("LIF002",)),
 )
 project_rule(
     "LIF003",

@@ -77,7 +77,7 @@ def to_sarif(report: LintReport, catalogue: dict[str, str] | None = None) -> dic
 
         catalogue = rule_catalogue()
     # The whole catalogue, not just the fired rules: rule descriptors
-    # are the machine-readable half of the 18-rule parity contract.
+    # are the machine-readable half of the 17-rule parity contract.
     ids = sorted(set(catalogue) | {f.rule for f in report.findings})
     rules = [
         {

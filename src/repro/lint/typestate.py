@@ -6,7 +6,6 @@ each function's CFG (`repro.lint.cfg`) with the forward fixpoint solver
 
 - ``SparkContext``/``StreamingContext``: *open* → *stopped* (``stop()``
   or leaving a ``with`` block);
-- ``EventLog``: *open* → *closed*;
 - ``RDD``: *live* → *persisted* (``persist()``/``cache()``) →
   *unpersisted*;
 - ``Broadcast``: *live* → *unpersisted* (``unpersist()``/``destroy()``);
@@ -36,7 +35,6 @@ Rules (each finding carries the acquire/transition site as a SARIF
 ``relatedLocation``):
 
 - ``LIF001`` use-after-stop (SparkContext/StreamingContext)
-- ``LIF002`` write-after-close (EventLog)
 - ``LIF003`` action-after-unpersist (RDD actions, ``Broadcast.value``)
 - ``RES001`` persist/cache with no unpersist on some exit path
 - ``RES002`` lock/context acquired but not released on an exception path
@@ -58,7 +56,6 @@ from .findings import Finding
 KIND_OF_TAG = {
     "SparkContext": "context",
     "StreamingContext": "context",
-    "EventLog": "eventlog",
     "RDD": "rdd",
     "Broadcast": "broadcast",
     "Lock": "lock",
@@ -67,7 +64,6 @@ KIND_OF_TAG = {
 #: kind -> state a fresh constructor call starts in
 INIT_STATE = {
     "context": "open",
-    "eventlog": "open",
     "rdd": "live",
     "broadcast": "live",
     "lock": "released",
@@ -77,7 +73,6 @@ INIT_STATE = {
 #: done when the instruction raises mid-flight)
 RELEASE = {
     "context": {"stop": "stopped"},
-    "eventlog": {"close": "closed"},
     "rdd": {"unpersist": "unpersisted"},
     "broadcast": {"unpersist": "unpersisted", "destroy": "unpersisted"},
     "lock": {"release": "released"},
@@ -91,7 +86,7 @@ ACQUIRE = {
 }
 
 #: kind -> state applied when a ``with`` block over the object exits
-WITH_EXIT_STATE = {"context": "stopped", "eventlog": "closed", "lock": "released"}
+WITH_EXIT_STATE = {"context": "stopped", "lock": "released"}
 
 #: kind -> state applied when a ``with`` block over the object enters
 WITH_ENTER_STATE = {"lock": "held"}
@@ -99,7 +94,6 @@ WITH_ENTER_STATE = {"lock": "held"}
 #: kind -> states in which the object is dead for its use-set
 DEAD_STATES = {
     "context": {"stopped"},
-    "eventlog": {"closed"},
     "rdd": {"unpersisted"},
     "broadcast": {"unpersisted"},
 }
@@ -110,7 +104,6 @@ USES = {
         "parallelize", "text_file", "from_source", "broadcast",
         "accumulator", "list_accumulator", "run_job",
     },
-    "eventlog": {"emit", "record_job"},
     "rdd": {
         "collect", "count", "reduce", "take", "take_ordered", "first",
         "sum", "fold", "aggregate", "foreach", "foreach_partition",
@@ -120,14 +113,13 @@ USES = {
 }
 
 #: kind -> LIF rule id for a use of a definitely-dead object
-USE_RULE = {"context": "LIF001", "eventlog": "LIF002", "rdd": "LIF003",
-            "broadcast": "LIF003"}
+USE_RULE = {"context": "LIF001", "rdd": "LIF003", "broadcast": "LIF003"}
 
 #: kind -> past-tense transition verb for related-location messages
-DEAD_VERB = {"context": "stopped", "eventlog": "closed", "rdd": "unpersisted",
+DEAD_VERB = {"context": "stopped", "rdd": "unpersisted",
              "broadcast": "unpersisted"}
 
-TYPESTATE_RULES = ("LIF001", "LIF002", "LIF003", "RES001", "RES002")
+TYPESTATE_RULES = ("LIF001", "LIF003", "RES001", "RES002")
 
 
 # -- abstract state -----------------------------------------------------------
@@ -661,7 +653,6 @@ class _FunctionChecker:
             f".{method}() called on it"
         noun = {
             "context": "a definitely-stopped SparkContext",
-            "eventlog": "a closed EventLog",
             "rdd": "an unpersisted RDD",
             "broadcast": "an unpersisted Broadcast",
         }[kind]

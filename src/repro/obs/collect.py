@@ -154,7 +154,7 @@ class WorkerTelemetry:
         self.metric_deltas.append((name, help, float(amount), labels))
 
     def phase_totals(self) -> dict[str, float]:
-        """Summed duration per span name (event-log summary payload)."""
+        """Summed duration per span name."""
         totals: dict[str, float] = {}
         for s in self.spans:
             totals[s.name] = totals.get(s.name, 0.0) + s.dur

@@ -11,7 +11,11 @@ merge-graph statistics fall out of one trace instead of ad-hoc timers:
   the parallel executor wall-clock, paper configuration one partition
   per core);
 - **partials / merge stats** — carried as labels on the expansion and
-  ``driver.merge`` spans.
+  ``driver.merge`` spans;
+- **jobs table and skew** — one fold over the engine's task-attempt
+  spans, keyed by (job, stage, partition), gives the per-job/per-stage
+  summary (tasks, failed attempts, task seconds, shuffle bytes) and
+  the per-partition costs of the heaviest job-stage.
 
 `TraceReport.from_events` consumes the Chrome trace events written by
 `Tracer.write_jsonl`, so it works identically on a live tracer
@@ -27,6 +31,8 @@ from typing import Any
 from .spans import Tracer, iter_complete_events
 
 __all__ = [
+    "JobRow",
+    "StageRow",
     "TraceReport",
     "format_report",
     "format_skew_report",
@@ -58,6 +64,39 @@ def _contains(outer: dict[str, Any], inner: dict[str, Any]) -> bool:
 
 
 @dataclass
+class StageRow:
+    """One stage of the jobs table, folded from its task-attempt spans."""
+
+    failed_attempts: int = 0
+    total_task_s: float = 0.0         # successful attempts, duplicates included
+    max_task_s: float = 0.0
+    shuffle_bytes_written: int = 0
+    shuffle_bytes_read: int = 0
+    # partition -> (seconds, worker pid) of its winning (fastest
+    # successful) attempt, matching StageMetrics.task_durations under
+    # speculation; retries' failed attempts never enter.
+    winners: dict[int, tuple[float, int]] = field(default_factory=dict)
+
+    @property
+    def num_tasks(self) -> int:
+        """Distinct partitions with a successful attempt."""
+        return len(self.winners)
+
+
+@dataclass
+class JobRow:
+    """One job of the jobs table: its wall-clock and its stages."""
+
+    wall_s: float = 0.0               # the ``engine.job`` span
+    stages: dict[int, StageRow] = field(default_factory=dict)
+
+    @property
+    def failed_attempts(self) -> int:
+        """Failed task attempts across the job's stages."""
+        return sum(s.failed_attempts for s in self.stages.values())
+
+
+@dataclass
 class TraceReport:
     """Headline numbers extracted from one run's span trace."""
 
@@ -78,7 +117,12 @@ class TraceReport:
     # -- distributed telemetry (PR 7): worker sub-phases + skew ------------
     worker_phase_s: dict[str, float] = field(default_factory=dict)
     worker_pids: list[int] = field(default_factory=list)
-    # partition -> winning successful attempt's seconds / worker pid
+    # -- the jobs table: engine.context instant + job/stage/attempt spans --
+    app_name: str = "?"
+    master: str = "?"
+    jobs: dict[int, JobRow] = field(default_factory=dict)
+    # partition -> winning successful attempt's seconds / worker pid, for
+    # the job-stage whose winning attempts sum largest (the expansion)
     partition_costs: dict[int, float] = field(default_factory=dict)
     partition_pids: dict[int, int] = field(default_factory=dict)
     halo_stats: dict[str, Any] = field(default_factory=dict)
@@ -166,10 +210,6 @@ class TraceReport:
         report.wall_s = (max_end - min_start) / 1e6
         report.num_spans = len(xs)
         driver = [e for e in xs if e.get("cat") == "driver"]
-        # partition -> durations of successful engine task attempts; the
-        # winning (fastest) one defines the partition's cost, matching
-        # StageMetrics.task_durations under speculation.
-        attempt_costs: dict[int, list[float]] = {}
         for e in xs:
             name = e.get("name", "?")
             cat = e.get("cat", "")
@@ -208,18 +248,34 @@ class TraceReport:
                         + int(args["partials"])
                     )
             elif cat == "engine":
-                if name.startswith("task"):
+                written = int(args.get("shuffle_bytes_written", 0))
+                read = int(args.get("shuffle_bytes_read", 0))
+                report.shuffle_bytes_written += written
+                report.shuffle_bytes_read += read
+                # A hand-built trace without job/stage labels is one group.
+                job_id = int(args.get("job_id", 0))
+                if name == "engine.context":
+                    report.app_name = str(args.get("app_name", "?"))
+                    report.master = str(args.get("master", "?"))
+                elif name == "engine.job":
+                    report.jobs.setdefault(job_id, JobRow()).wall_s = dur_s
+                elif name.startswith("task["):  # an attempt; instants are not
                     report.engine_task_s += dur_s
-                    if "partition" in args and args.get("succeeded", True):
-                        p = int(args["partition"])
-                        attempt_costs.setdefault(p, []).append(dur_s)
-                        pid = int(args.get("worker_pid", 0))
-                        if pid:
-                            report.partition_pids[p] = pid
-                report.shuffle_bytes_written += int(
-                    args.get("shuffle_bytes_written", 0)
-                )
-                report.shuffle_bytes_read += int(args.get("shuffle_bytes_read", 0))
+                    if "partition" not in args:
+                        continue
+                    job = report.jobs.setdefault(job_id, JobRow())
+                    stage = job.stages.setdefault(
+                        int(args.get("stage_id", 0)), StageRow())
+                    stage.shuffle_bytes_written += written
+                    stage.shuffle_bytes_read += read
+                    if not args.get("succeeded", True):
+                        stage.failed_attempts += 1
+                        continue
+                    stage.total_task_s += dur_s
+                    stage.max_task_s = max(stage.max_task_s, dur_s)
+                    p = int(args["partition"])
+                    if p not in stage.winners or dur_s < stage.winners[p][0]:
+                        stage.winners[p] = (dur_s, int(args.get("worker_pid", 0)))
             elif cat == "worker":
                 report.worker_phase_s[name] = (
                     report.worker_phase_s.get(name, 0.0) + dur_s
@@ -227,9 +283,16 @@ class TraceReport:
                 pid = int(e.get("pid", 0))
                 if pid and pid not in report.worker_pids:
                     report.worker_pids.append(pid)
-        report.partition_costs = {
-            p: min(costs) for p, costs in sorted(attempt_costs.items())
-        }
+        # The skew numbers describe the job-stage whose winning attempts
+        # sum largest — the expansion, not a later sub-millisecond pass.
+        heaviest = max(
+            (s.winners for j in report.jobs.values() for s in j.stages.values()),
+            key=lambda w: sum(cost for cost, _ in w.values()), default={},
+        )
+        for p, (cost, pid) in sorted(heaviest.items()):
+            report.partition_costs[p] = cost
+            if pid:
+                report.partition_pids[p] = pid
         report.worker_pids.sort()
         return report
 
@@ -302,6 +365,30 @@ def format_report(report: TraceReport) -> str:
         lines.append("merge: " + ", ".join(
             f"{k}={v}" for k, v in sorted(report.merge_stats.items())
         ))
+    if report.jobs:
+        tasks = sum(
+            s.num_tasks for j in report.jobs.values() for s in j.stages.values()
+        )
+        lines.append("")
+        lines.append(f"application: {report.app_name} (master={report.master})")
+        lines.append(f"jobs: {len(report.jobs)}   tasks: {tasks}")
+        lines.append(f"{'job':>4} {'stages':>6} {'wall':>9} {'failures':>8}")
+        for job_id, job in sorted(report.jobs.items()):
+            lines.append(
+                f"{job_id:>4} {len(job.stages):>6} {_fmt_s(job.wall_s):>9} "
+                f"{job.failed_attempts:>8}"
+            )
+            for stage_id, stage in sorted(job.stages.items()):
+                line = (
+                    f"     stage {stage_id}: {stage.num_tasks} tasks, "
+                    f"{_fmt_s(stage.total_task_s)} total, "
+                    f"{_fmt_s(stage.max_task_s)} max"
+                )
+                if stage.shuffle_bytes_written:
+                    line += f", {stage.shuffle_bytes_written} shuffle bytes written"
+                if stage.shuffle_bytes_read:
+                    line += f", {stage.shuffle_bytes_read} shuffle bytes read"
+                lines.append(line)
     return "\n".join(lines)
 
 

@@ -1,172 +1,121 @@
-"""History report from the event log."""
+"""The jobs table of a span trace: what `repro history` used to print
+from the event log, now folded from the trace by `TraceReport`."""
 
 import pytest
 
 from repro.engine import FaultPlan, SparkContext
-from repro.engine.history import (
-    HistoryError,
-    format_history,
-    load_history,
-    summarize_events,
-)
+from repro.obs import TraceReport, Tracer, format_report, load_trace
+
+
+def _traced(path, body, master="simulated[2]"):
+    """Run ``body(sc)`` under a traced context; write and reload the trace."""
+    tracer = Tracer()
+    with SparkContext(master, app_name="history-test", tracer=tracer) as sc:
+        body(sc)
+    tracer.write_jsonl(path)
+    return TraceReport.from_events(load_trace(path))
 
 
 class TestSummarize:
     def _run_app(self, path):
-        with SparkContext("simulated[2]", event_log_path=path) as sc:
+        def body(sc):
             sc.parallelize(range(8), 2).sum()
             sc.parallelize([(i % 2, i) for i in range(8)], 2).reduce_by_key(
                 lambda a, b: a + b
             ).collect()
 
+        return _traced(path, body)
+
     def test_jobs_and_stages_counted(self, tmp_path):
-        path = str(tmp_path / "log.jsonl")
-        self._run_app(path)
-        app = load_history(path)
-        assert len(app.jobs) == 2
-        assert app.jobs[0].num_stages == 1
-        assert app.jobs[1].num_stages == 2
-        assert app.total_tasks == 2 + 4
+        report = self._run_app(str(tmp_path / "t.jsonl"))
+        assert (report.app_name, report.master) == ("history-test", "simulated[2]")
+        assert len(report.jobs) == 2
+        assert len(report.jobs[0].stages) == 1
+        assert len(report.jobs[1].stages) == 2
+        assert all(j.wall_s > 0 for j in report.jobs.values())
+        assert sum(
+            s.num_tasks for j in report.jobs.values() for s in j.stages.values()
+        ) == 2 + 4
 
     def test_failures_counted(self, tmp_path):
-        path = str(tmp_path / "log.jsonl")
-        with SparkContext("simulated[2]", event_log_path=path) as sc:
+        def body(sc):
             sc.fault_plan = FaultPlan(fail_attempts={(-1, 0): 2})
             sc.parallelize(range(4), 2).collect()
-        app = load_history(path)
-        assert app.jobs[0].failed_attempts == 2
-        assert app.jobs[0].stages[0].num_tasks == 2  # distinct partitions
+
+        report = _traced(str(tmp_path / "t.jsonl"), body)
+        assert report.jobs[0].failed_attempts == 2
+        assert report.jobs[0].stages[0].num_tasks == 2  # distinct partitions
 
     def test_shuffle_bytes_surface(self, tmp_path):
-        path = str(tmp_path / "log.jsonl")
-        self._run_app(path)
-        app = load_history(path)
-        shuffle_stages = [
-            s for j in app.jobs.values() for s in j.stages.values()
-            if s.shuffle_bytes_written
-        ]
-        assert shuffle_stages
+        report = self._run_app(str(tmp_path / "t.jsonl"))
+        stages = [s for j in report.jobs.values() for s in j.stages.values()]
+        total_written = sum(s.shuffle_bytes_written for s in stages)
+        total_read = sum(s.shuffle_bytes_read for s in stages)
+        assert total_written > 0
         # the reduce side of the shuffle charges its read volume too,
         # and reads exactly what the map side wrote
-        read_stages = [
-            s for j in app.jobs.values() for s in j.stages.values()
-            if s.shuffle_bytes_read
-        ]
-        assert read_stages
-        total_written = sum(s.shuffle_bytes_written for s in shuffle_stages)
-        total_read = sum(s.shuffle_bytes_read for s in read_stages)
         assert total_read == total_written
+        assert (report.shuffle_bytes_written, report.shuffle_bytes_read) == (
+            total_written, total_read
+        )
 
     def test_format_renders(self, tmp_path):
-        path = str(tmp_path / "log.jsonl")
-        self._run_app(path)
-        text = format_history(load_history(path))
-        assert "application:" in text
+        text = format_report(self._run_app(str(tmp_path / "t.jsonl")))
+        assert "application: history-test (master=simulated[2])" in text
+        assert "jobs: 2   tasks: 6" in text
         assert "stage 0:" in text
         assert "shuffle bytes written" in text
         assert "shuffle bytes read" in text
 
     def test_empty_events(self):
-        app = summarize_events([])
-        assert app.total_tasks == 0
-        assert app.jobs == {}
-
-
-class TestEventLogLifecycle:
-    def test_close_is_idempotent(self, tmp_path):
-        from repro.engine.event_log import EventLog
-
-        log = EventLog(str(tmp_path / "log.jsonl"))
-        assert not log.closed
-        log.emit("app_start", app_name="x", master="m")
-        log.close()
-        assert log.closed
-        log.close()  # second close is a no-op
-
-    def test_context_manager_closes(self, tmp_path):
-        from repro.engine.event_log import EventLog, load_event_log
-
-        path = str(tmp_path / "log.jsonl")
-        with EventLog(path) as log:
-            log.emit("app_start", app_name="x", master="m")
-        assert log.closed
-        assert load_event_log(path)[0]["event"] == "app_start"
-
-    def test_memory_only_log_open_until_closed(self):
-        from repro.engine.event_log import EventLog
-
-        log = EventLog()  # no backing file, but still an open log
-        assert not log.closed
-        log.emit("app_start", app_name="x", master="m")
-        log.close()
-        assert log.closed
-
-    def test_emit_after_close_raises(self, tmp_path):
-        from repro.engine.errors import EventLogClosedError
-        from repro.engine.event_log import EventLog
-
-        log = EventLog(str(tmp_path / "log.jsonl"))
-        log.emit("app_start", app_name="x", master="m")
-        log.close()
-        with pytest.raises(EventLogClosedError):
-            log.emit("app_end")
-        # reads survive close: the history server renders finished runs
-        assert log.of_kind("app_start")
-
-    def test_record_job_after_close_raises(self):
-        from repro.engine.errors import EventLogClosedError
-        from repro.engine.event_log import EventLog
-        from repro.engine.metrics import JobMetrics
-
-        log = EventLog()
-        log.close()
-        with pytest.raises(EventLogClosedError):
-            log.record_job(JobMetrics(job_id=0))
-
-    def test_spark_context_stop_closes_log(self, tmp_path):
-        path = str(tmp_path / "log.jsonl")
-        sc = SparkContext("simulated[2]", event_log_path=path)
-        sc.parallelize(range(4), 2).count()
-        assert not sc.event_log.closed
-        sc.stop()
-        assert sc.event_log.closed
+        report = TraceReport.from_events([])
+        assert report.jobs == {}
+        assert "application:" not in format_report(report)
 
 
 class TestHistoryErrors:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(HistoryError, match="cannot read"):
-            load_history(str(tmp_path / "nope.jsonl"))
+        with pytest.raises(OSError):
+            load_trace(str(tmp_path / "nope.jsonl"))
 
-    def test_empty_log(self, tmp_path):
+    def test_empty_log(self, tmp_path, capsys):
+        from repro.cli import main
+
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        with pytest.raises(HistoryError, match="empty"):
-            load_history(str(path))
+        assert load_trace(str(path)) == []
+        assert main(["trace", str(path)]) == 1
+        assert "contains no events" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{broken\n")
-        with pytest.raises(HistoryError, match="not JSON-lines"):
-            load_history(str(path))
+        with pytest.raises(ValueError, match="malformed trace line"):
+            load_trace(str(path))
 
     def test_wrong_schema(self, tmp_path):
+        # Not a trace event: nothing to fold, and nothing raises.
         path = tmp_path / "wrong.jsonl"
         path.write_text('{"something": "else"}\n')
-        with pytest.raises(HistoryError, match="not a.*engine event"):
-            load_history(str(path))
+        report = TraceReport.from_events(load_trace(str(path)))
+        assert report.is_empty and report.jobs == {}
 
-    def test_non_dict_event(self):
-        with pytest.raises(HistoryError):
-            summarize_events([42])  # type: ignore[list-item]
+    def test_non_dict_event(self, tmp_path):
+        path = tmp_path / "scalar.jsonl"
+        path.write_text("42\n")
+        with pytest.raises(ValueError, match="not an object"):
+            load_trace(str(path))
 
 
 class TestCliHistory:
     def test_history_subcommand(self, tmp_path, capsys):
+        # The subcommand is gone; `repro trace` prints what it printed.
         from repro.cli import main
 
-        path = str(tmp_path / "log.jsonl")
-        with SparkContext("simulated[2]", event_log_path=path) as sc:
-            sc.parallelize(range(4), 2).count()
-        assert main(["history", path]) == 0
+        path = str(tmp_path / "t.jsonl")
+        _traced(path, lambda sc: sc.parallelize(range(4), 2).count())
+        assert main(["trace", path, "--no-timeline"]) == 0
         out = capsys.readouterr().out
-        assert "jobs: 1" in out
+        assert "jobs: 1   tasks: 2" in out
+        with pytest.raises(SystemExit):
+            main(["history", path])

@@ -128,34 +128,39 @@ class TestStatCounter:
 
 
 class TestEventLog:
+    """The engine's record of what ran: `JobMetrics` always, the trace
+    when a tracer is live (the event log's two successors)."""
+
     def test_jobs_recorded(self, sc):
         sc.parallelize(range(10), 2).map(lambda x: (x % 2, x)).reduce_by_key(
             lambda a, b: a + b
         ).collect()
-        jobs = sc.event_log.of_kind("job_end")
-        stages = sc.event_log.of_kind("stage_end")
-        tasks = sc.event_log.of_kind("task_end")
+        jobs = sc.dag_scheduler.job_metrics
         assert len(jobs) == 1
-        assert len(stages) == 2  # shuffle map + result
+        assert len(jobs[0].stages) == 2  # shuffle map + result
+        tasks = [t for s in jobs[0].stages for t in s.task_metrics]
         assert len(tasks) == 4  # 2 partitions per stage
-        assert all(t["succeeded"] for t in tasks)
+        assert all(t.succeeded for t in tasks)
 
     def test_failed_attempts_logged(self, sc):
         from repro.engine import FaultPlan
 
         sc.fault_plan = FaultPlan(fail_attempts={(-1, 0): 1})
         sc.parallelize(range(4), 2).collect()
-        tasks = sc.event_log.of_kind("task_end")
-        assert any(not t["succeeded"] for t in tasks)
+        tasks = sc.last_job_metrics.stages[0].task_metrics
+        assert any(not t.succeeded for t in tasks)
 
     def test_file_backed_log_roundtrip(self, tmp_path):
-        from repro.engine.event_log import load_event_log
+        from repro.obs import Tracer, load_trace
 
-        path = str(tmp_path / "events.jsonl")
-        with SparkContext("simulated[2]", event_log_path=path) as sc:
+        path = str(tmp_path / "trace.jsonl")
+        tracer = Tracer()
+        with SparkContext("simulated[2]", tracer=tracer) as sc:
             sc.parallelize(range(4), 2).count()
-        events = load_event_log(path)
-        kinds = [e["event"] for e in events]
-        assert kinds[0] == "app_start"
-        assert kinds[-1] == "app_end"
-        assert "job_end" in kinds and "task_end" in kinds
+        tracer.write_jsonl(path)
+        events = [e for e in load_trace(path) if e["ph"] == "X"]
+        assert events[0]["name"] == "engine.context"
+        assert events[0]["args"]["master"] == "simulated[2]"
+        names = [e["name"] for e in events]
+        assert "engine.job" in names and "engine.stage" in names
+        assert {"task[s0,p0]", "task[s0,p1]"} <= set(names)

@@ -243,19 +243,6 @@ class TestContextLifecycle:
             with pytest.raises(ContextStoppedError):
                 op()
 
-    def test_event_log_closed_by_stop_but_readable(self):
-        # stop() closes the event log (LIF002's runtime twin): writes
-        # raise, reads keep serving the history view.
-        from repro.engine.errors import EventLogClosedError
-
-        sc = SparkContext("simulated[2]")
-        sc.parallelize(range(4), 2).count()
-        sc.stop()
-        assert sc.event_log.closed
-        assert sc.event_log.of_kind("app_end")
-        with pytest.raises(EventLogClosedError):
-            sc.event_log.emit("late_event")
-
     def test_context_manager(self):
         with SparkContext("simulated[2]") as sc:
             assert sc.parallelize([1, 2, 3]).count() == 3

@@ -388,11 +388,23 @@ class TestSanitizerPlumbing:
         assert "repro_sanitizer_findings_total" in text
 
     def test_event_log_gets_report(self, tmp_path):
-        log = tmp_path / "events.jsonl"
-        with SparkContext("local", sanitize=True, event_log_path=str(log)) as sc:
-            sc.parallelize(range(4), 2).sum()
-        content = log.read_text()
-        assert "sanitizer_report" in content
+        # A race is only known at stop(); it must still land in the run's
+        # one log — the trace — as a sanitizer.* instant.
+        from repro.obs import Tracer, load_trace
+
+        tracer = Tracer()
+        with SparkContext("threads[2]", sanitize=True, tracer=tracer) as sc:
+            san = sc.sanitizer
+
+            def racy(x):
+                san.record_access("user.shared", write=True, locks=())
+                return x
+
+            sc.parallelize(range(4), 2).map(racy).collect()
+        path = str(tmp_path / "trace.jsonl")
+        tracer.write_jsonl(path)
+        races = [e for e in load_trace(path) if e["name"] == "sanitizer.race"]
+        assert races and "user.shared" in races[0]["args"]["detail"]
 
     def test_context_without_sanitize_has_no_sanitizer(self):
         with SparkContext("local") as sc:

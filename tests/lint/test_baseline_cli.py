@@ -134,7 +134,7 @@ class TestCli:
         out = capsys.readouterr().out
         for rid in ("CAP001", "PCK001", "DET001", "SHF001",
                     "ACC001", "BRD001", "ACT001", "PLN001", "PLN002",
-                    "LIF001", "LIF002", "LIF003", "RES001", "RES002"):
+                    "LIF001", "LIF003", "RES001", "RES002"):
             assert rid in out
 
     def test_stats_flag(self, tmp_path, capsys):

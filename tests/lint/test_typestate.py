@@ -113,47 +113,6 @@ class TestLIF001UseAfterStop:
         assert found == []
 
 
-class TestLIF002WriteAfterClose:
-    def test_fires_on_emit_after_close(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f():\n"
-            "    log = EventLog('x.jsonl')\n"
-            "    log.close()\n"
-            "    log.emit({'event': 'late'})\n"
-        ), rules=("LIF002",))
-        assert len(found) == 1
-        assert found[0].line == 4
-        assert found[0].related[0][1] == 3
-
-    def test_near_miss_close_in_one_branch(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(flag):\n"
-            "    log = EventLog('x.jsonl')\n"
-            "    if flag:\n"
-            "        log.close()\n"
-            "        return\n"
-            "    log.emit({'event': 'ok'})\n"
-        ), rules=("LIF002",))
-        assert found == []
-
-    def test_near_miss_with_block(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f():\n"
-            "    with EventLog('x.jsonl') as log:\n"
-            "        log.emit({'event': 'ok'})\n"
-        ), rules=("LIF002",))
-        assert found == []
-
-    def test_fires_on_record_job_after_with(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(metrics):\n"
-            "    with EventLog('x.jsonl') as log:\n"
-            "        pass\n"
-            "    log.record_job(metrics)\n"
-        ), rules=("LIF002",))
-        assert len(found) == 1
-
-
 class TestLIF003ActionAfterUnpersist:
     def test_fires_on_action_after_unpersist(self, tmp_path):
         found = scan(tmp_path, (
@@ -348,7 +307,7 @@ class TestRuleRegistration:
         from repro.lint.rules import rule_catalogue
 
         catalogue = rule_catalogue()
-        for rid in ("LIF001", "LIF002", "LIF003", "RES001", "RES002"):
+        for rid in ("LIF001", "LIF003", "RES001", "RES002"):
             assert rid in catalogue
 
     def test_pragma_suppresses_flow_finding(self, tmp_path):

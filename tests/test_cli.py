@@ -173,6 +173,58 @@ class TestRun:
         assert "skipped" in out
         assert "3 clusters" in out
 
+    def test_crashed_run_leaves_its_log(self, tmp_path, capsys, monkeypatch):
+        from repro.obs import TraceReport, load_trace, parse_exposition
+
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        ckpt, crash, resumed = (str(tmp_path / n) for n in ("d", "t.jsonl", "r.jsonl"))
+        prom = tmp_path / "m.prom"
+        assert main(["run", "c10k", "--checkpoint-dir", ckpt,
+                     "--fail-after", "CollectPartials",
+                     "--trace-out", crash, "--metrics-out", str(prom)]) == 3
+        assert main(["run", "c10k", "--checkpoint-dir", ckpt, "--resume",
+                     "--trace-out", resumed]) == 0
+        capsys.readouterr()
+
+        def stage_status(path):
+            return {e["args"]["stage"]: e["args"]["status"]
+                    for e in load_trace(path) if e["name"] == "pipeline.stage"}
+
+        ran = stage_status(crash)
+        assert ran["LocalExpand"] == ran["CollectPartials"] == "run"
+        assert "MergePartials" not in ran  # crashed before it
+        assert stage_status(resumed)["CollectPartials"] == "restored"
+        assert len(TraceReport.from_events(load_trace(crash)).jobs) == 1
+        samples = parse_exposition(prom.read_text())
+        assert "repro_task_attempts_total" in samples
+        assert "repro_clusters" not in samples  # no result to report
+        for path in (crash, resumed):
+            assert main(["trace", path, "--no-timeline"]) == 0
+        assert "jobs: 1" in capsys.readouterr().out
+
+    def test_rejected_input_still_writes_trace(self, tmp_path, capsys):
+        path, trace = tmp_path / "bad.txt", tmp_path / "t.jsonl"
+        path.write_text("0.0 1.0\n2.0 nan\n")
+        assert main(["run", str(path), "--eps", "1.0",
+                     "--trace-out", str(trace)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert trace.exists()
+
+    def test_run_sets_the_gauges_cluster_sets(self, points_file, tmp_path, capsys):
+        from repro.obs import parse_exposition
+
+        gauges = {}
+        for command in ("run", "cluster"):
+            prom = tmp_path / f"{command}.prom"
+            assert main([command, points_file, "--partitions", "2",
+                         "--metrics-out", str(prom)]) == 0
+            samples = parse_exposition(prom.read_text())
+            gauges[command] = {
+                name: samples[name] for name in
+                ("repro_clusters", "repro_noise_points", "repro_partial_clusters")
+            }
+        assert gauges["run"] == gauges["cluster"]
+
     def test_run_labels_match_cluster(self, points_file, tmp_path, capsys):
         run_out = tmp_path / "run.txt"
         cluster_out = tmp_path / "cluster.txt"
@@ -360,7 +412,7 @@ class TestProfileFlags:
 
 class TestHistoryErrors:
     def test_missing_file_one_line_error(self, tmp_path, capsys):
-        assert main(["history", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["trace", str(tmp_path / "nope.jsonl")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
@@ -368,7 +420,7 @@ class TestHistoryErrors:
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("definitely not json\n")
-        assert main(["history", str(bad)]) == 1
+        assert main(["trace", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
 
