@@ -3,12 +3,18 @@
 The per-point executor loop issues one kd-tree range query per owned
 point from Python; at Table-I scale the interpreter overhead of those
 traversals dominates executor time.  ``neighbor_mode="batched"`` answers
-all owned queries in one vectorised traversal (leaf-block × query-block
-distance tiles) and replays BFS expansion over the stored CSR rows.
+all owned queries in one vectorised traversal — per kd-tree leaf one
+BLAS product of the active queries against the leaf block, used as a
+filter with an exact re-check of the pairs within rounding of eps²
+(DESIGN.md §6) — and replays BFS expansion over the stored CSR rows.
 
 Claim checked here: on a 100k-point Table-I-style dataset (d=10,
 eps=25, minpts=5) the batched executor phase is at least 2x faster than
-the per-point loop while producing byte-identical labels.
+the per-point loop while producing byte-identical labels.  Measured with
+this module's generator and settings at N = 20 000 (the 100k run takes
+minutes per mode and was not repeated): 2.6x with the einsum distance
+tiles (9.99 s per-point, 3.84 s batched), 5.8x with the product-form
+kernel (9.65 s, 1.66 s).
 """
 
 from __future__ import annotations

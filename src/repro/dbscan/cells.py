@@ -69,7 +69,7 @@ class CellGrid:
     """
 
     def __init__(self, points: np.ndarray, eps: float):
-        if eps <= 0:
+        if not eps > 0:  # NaN too
             raise ValueError(f"eps must be positive, got {eps}")
         points = np.ascontiguousarray(points, dtype=np.float64)  # lint: allow[SCL001] ROADMAP item 3: central driver binning
         if points.ndim != 2:

@@ -37,7 +37,7 @@ class GridIndex:
     by its own cell plus the 3^d neighbouring cells."""
 
     def __init__(self, d: int, eps: float):
-        if eps <= 0:
+        if not eps > 0:  # NaN too
             raise ValueError(f"eps must be positive, got {eps}")
         self.d = d
         self.eps = eps

@@ -133,10 +133,11 @@ class Frame:
     Local ids ``[0, n_own)`` are the partition's own points — row ``k``
     of ``own_points`` is local id ``k`` — and the rest, up to the size of
     ``tree``, are foreign: reachable as SEEDs, never expanded.  ``tree``
-    answers radius queries in its own ids, which ``to_local`` maps into
-    the frame (``None`` when the tree is already built over local ids).
-    The range plan is the rotation ``(g - lo) % n`` of the global index
-    space; the cell plan is ``owned_ids`` followed by ``halo_ids``.
+    answers radius queries in its own ids, which the table ``to_local``
+    (one entry per tree point) maps into the frame — ``None`` when the
+    tree is already built over local ids.  The range plan is the rotation
+    ``(g - lo) % n`` of the global index space; the cell plan is
+    ``owned_ids`` followed by ``halo_ids``.
     """
 
     partition: int
@@ -145,7 +146,7 @@ class Frame:
     tree: KDTree
     own_points: np.ndarray
     n_homes: int                 # distinct partitions foreign ids can belong to
-    to_local: Callable[[np.ndarray], np.ndarray] | None
+    to_local: np.ndarray | None
     to_global: Callable[[np.ndarray], np.ndarray]
     home_of: Callable[[int], int]    # owning partition of a foreign local id
 
@@ -199,7 +200,7 @@ def local_dbscan(
     frame = Frame(
         partition=partition_id, lo=lo, hi=hi, tree=tree,
         own_points=points[lo:hi], n_homes=partitioner.num_partitions - 1,
-        to_local=lambda ids: (ids - lo) % n,
+        to_local=(np.arange(n) - lo) % n,
         to_global=lambda ids: (ids + lo) % n,
         home_of=lambda k: partitioner.partition((k + lo) % n),
     )
@@ -258,18 +259,18 @@ def expand_frame(
     if neighbor_mode == "batched":
         with task_span("task.kdtree_query", n=n_own):
             indptr, indices = tree.query_radius_batch(
-                own_points, eps, max_neighbors
+                own_points, eps, max_neighbors, ids=to_local
             )
-        if to_local is not None:
-            indices = to_local(indices)
         core = np.diff(indptr) >= minpts
         if c is not None:
             c.range_queries += n_own
         if boundary_out is not None:
-            # Rows with a foreign id; cumsum-of-flags handles empty rows,
-            # unlike np.add.reduceat.
-            cs = np.concatenate(([0], np.cumsum(indices >= n_own)))
-            rows = np.flatnonzero(cs[indptr[1:]] > cs[indptr[:-1]])
+            # Rows with a foreign id.  No row is empty here — rows are
+            # untruncated and every point is its own neighbour — which is
+            # what lets one reduceat stand for a per-row max.
+            rows = np.flatnonzero(
+                np.maximum.reduceat(indices, indptr[:-1]) >= n_own
+            )
             boundary_out.update(to_global(rows).tolist())
 
     def row_of(k: int) -> np.ndarray:
@@ -278,7 +279,7 @@ def expand_frame(
             return indices[indptr[k]:indptr[k + 1]]
         row = tree.query_radius(own_points[k], eps, max_neighbors)
         if to_local is not None:
-            row = to_local(row)
+            row = to_local[row]
         core[k] = len(row) >= minpts
         if c is not None:
             c.range_queries += 1

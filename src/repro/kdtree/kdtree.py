@@ -19,6 +19,41 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Pending neighbour hits one query block of the batched kernel may hold
+#: before it is assembled into CSR.  Block rows are sized from the running
+#: hits-per-query mean, so a block's transient memory is this many narrow
+#: chunk entries whatever the density (like `SEED_BLOCK_ROWS` /
+#: `HALO_BLOCK_ROWS`: a constant, not an option).
+QUERY_BLOCK_HITS = 1 << 19
+#: Rows of the first block, before any density has been seen.
+FIRST_BLOCK_ROWS = 512
+#: Row cap of a sized block: bounds a leaf tile (rows x leaf points) when
+#: queries hit nothing, and keeps block-relative query ids 16-bit.
+MAX_BLOCK_ROWS = 1 << 13
+#: Half-width of the exact re-check band around eps², in units of
+#: ``(d + 4) · u · (max|q - c|² + max|b - c|² + eps²)``; the product
+#: form's error stays under 3 such units (DESIGN.md §6).
+BAND_ULPS = 8.0
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+
+
+def _int_dtype(lo: int, hi: int) -> type:
+    """int32 where ``[lo, hi]`` fits, else intp."""
+    i32 = np.iinfo(np.int32)
+    return np.int32 if i32.min <= lo and hi <= i32.max else np.intp
+
+
+def _check_eps(eps: float) -> None:
+    if not eps >= 0:  # also rejects NaN, which every comparison lets through
+        raise ValueError(f"eps must be non-negative, got {eps}")
+
+
+def _exact_hits(block: np.ndarray, q: np.ndarray, eps2: float) -> np.ndarray:
+    """``|block[i] - q[i]|² <= eps2``, the arithmetic every returned
+    neighbour is decided by (``q`` one point or one per block row)."""
+    diff = block - q
+    return np.einsum("ij,ij->i", diff, diff) <= eps2
+
 
 class KDTree:
     """Static kd-tree over an (n, d) float array.
@@ -42,6 +77,10 @@ class KDTree:
             raise ValueError(f"points must be 2-D (n, d), got shape {points.shape}")
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
+        if not np.isfinite(points).all():
+            # One NaN used to cost its own row; as a leaf's centre in the
+            # batched kernel it would silently cost the whole leaf.
+            raise ValueError("points must be finite (NaN or inf found)")
         self.n, self.d = points.shape
         self.leaf_size = leaf_size
         self.points = points
@@ -111,8 +150,7 @@ class KDTree:
         neighbours are collected (the paper's pruned variant); the result
         is then a *subset* of the true neighbourhood.
         """
-        if eps < 0:
-            raise ValueError(f"eps must be non-negative, got {eps}")
+        _check_eps(eps)
         if self.n == 0:
             return np.empty(0, dtype=np.intp)
         q = np.asarray(q, dtype=np.float64)
@@ -127,10 +165,7 @@ class KDTree:
             dim = split_dim[node]
             if dim < 0:  # leaf: vectorised block scan
                 s, e = self._start[node], self._end[node]
-                block = self._pts_perm[s:e]
-                diff = block - q
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                hit = d2 <= eps2
+                hit = _exact_hits(self._pts_perm[s:e], q, eps2)
                 if hit.any():
                     idx = self._perm[s:e][hit]
                     out.append(idx)
@@ -160,44 +195,67 @@ class KDTree:
     # Python-level tree walks per partition.  The batched kernels below
     # answer a whole block of queries in one shared descent: the stack
     # holds (node, active-query-ids) pairs, internal nodes split the
-    # active set with one vectorised plane test, and leaves compute a
-    # query-block × leaf-block distance tile in a single einsum.
+    # active set with one vectorised plane test, and a leaf is one BLAS
+    # product of the active queries against the leaf block.
     #
     # Equivalence contract (tested property-style): for every query row,
     # the returned neighbour list is *element-for-element identical* to
     # `query_radius` — same indices in the same order, including under
     # `max_neighbors` pruning.  Two details make that hold: children are
     # pushed left-then-right exactly as the per-point walk does (so
-    # leaves are visited in the same right-first DFS order), and leaf
-    # distances use the same diff/einsum arithmetic (no ||a||²-2ab+||b||²
-    # expansion, whose rounding differs at the eps boundary).
+    # leaves are visited in the same right-first DFS order), and the
+    # product form ||a||²-2ab+||b||² only *filters*: a pair whose product
+    # distance lies within a rounding band of eps² is decided by
+    # `_exact_hits`, the per-point walk's own arithmetic (DESIGN.md §6).
 
+    @np.errstate(over="raise", invalid="raise")  # no silent inf/nan distances
     def _batch_traverse(
         self,
         Q: np.ndarray,
         eps: float,
         max_neighbors: int | None,
         collect_indices: bool,
-        query_block: int,
+        query_block: int | None,
+        ids: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Shared kernel: per-query neighbour counts, plus (optionally)
-        the neighbour indices as CSR chunks.  Returns ``(counts, indices)``
-        with ``indices`` ordered by (query, leaf-visit order) or None."""
-        nq = Q.shape[0]
-        eps2 = eps * eps
+        the neighbours as CSR chunks — ``ids[tree id]`` where an id table
+        is given.  Returns ``(counts, indices)`` with ``indices`` ordered
+        by (query, leaf-visit order) or None."""
+        nq, d = Q.shape
+        # Python floats: with eps = inf the band edges are inf and nan,
+        # which numpy scalars would compute with a RuntimeWarning.
+        eps2 = float(eps) * float(eps)
+        band = BAND_ULPS * (d + 4) * _UNIT_ROUNDOFF
         counts = np.zeros(nq, dtype=np.intp)
         out_blocks: list[np.ndarray] = []
         split_dim = self._split_dim
         split_val = self._split_val
-        for base in range(0, nq, query_block):
-            block_ids = np.arange(base, min(base + query_block, nq), dtype=np.intp)
-            bs = block_ids.size
+        pts = self._pts_perm
+        if collect_indices:
+            # Emitted ids in permuted order, 32-bit where they fit: the
+            # pending chunks are what a block's memory is made of.
+            ids = self._perm if ids is None else ids[self._perm]
+            ids = ids.astype(_int_dtype(ids.min(), ids.max()))
+        base = done = 0
+        rows = query_block or FIRST_BLOCK_ROWS
+        while base < nq:
+            bs = min(rows, nq - base)
+            Qb = Q[base:base + bs]
+            QbT = np.ascontiguousarray(Qb.T)  # plane tests read one axis
+            bcounts = counts[base:base + bs]
+            # Query operand [q - c, |q - c|², 1]; the ones column is
+            # written once per block, the rest per tile.
+            lhs = np.empty((bs, d + 2))
+            lhs[:, d + 1] = 1.0
             # Per-query "still collecting" flag for max_neighbors pruning.
             alive = np.ones(bs, dtype=bool)
-            # Per-tile hit chunks, query ids kept block-relative.
-            q_chunks: list[np.ndarray] = []
+            # Per-tile hits: ids per hit, (query, count) per active row.
+            q_segs: list[np.ndarray] = []
+            n_segs: list[np.ndarray] = []
             i_chunks: list[np.ndarray] = []
-            stack: list[tuple[int, np.ndarray]] = [(0, np.arange(bs))]
+            row_ids = np.arange(bs)
+            stack: list[tuple[int, np.ndarray]] = [(0, row_ids)]
             while stack:
                 node, active = stack.pop()
                 if max_neighbors is not None:
@@ -205,68 +263,105 @@ class KDTree:
                     if active.size == 0:
                         continue
                 dim = split_dim[node]
-                if dim < 0:  # leaf: one distance tile for all active queries
-                    s, e = self._start[node], self._end[node]
-                    block = self._pts_perm[s:e]
-                    diff = Q[block_ids[active], None, :] - block[None, :, :]
-                    d2 = np.einsum("qbd,qbd->qb", diff, diff)
-                    hit = d2 <= eps2
-                    rows, cols = np.nonzero(hit)
-                    if rows.size:
-                        counts[block_ids[active]] += hit.sum(axis=1)
-                        if collect_indices:
-                            q_chunks.append(active[rows])
-                            i_chunks.append(self._perm[s:e][cols])
-                        if max_neighbors is not None:
-                            full = counts[block_ids[active]] >= max_neighbors
-                            alive[active[full]] = False
+                if dim >= 0:
+                    delta = QbT[dim][active] - split_val[node]
+                    # Push left then right — popped right-first, matching
+                    # the per-point walk's leaf order.
+                    go_left = active[delta <= eps]
+                    go_right = active[delta >= -eps]
+                    if go_left.size:
+                        stack.append((self._left[node], go_left))
+                    if go_right.size:
+                        stack.append((self._right[node], go_right))
                     continue
-                delta = Q[block_ids[active], dim] - split_val[node]
-                # Push left then right — popped right-first, matching the
-                # per-point walk's leaf order.
-                go_left = active[delta <= eps]
-                go_right = active[delta >= -eps]
-                if go_left.size:
-                    stack.append((self._left[node], go_left))
-                if go_right.size:
-                    stack.append((self._right[node], go_right))
-            if not collect_indices or not q_chunks:
-                continue
-            # Assemble this block's CSR segment with a counting scatter.
-            # Every hit of a block query lands in this block's traversal,
-            # so counts[block_ids] are final; `np.nonzero`'s row-major
-            # order means each chunk is query-grouped in leaf-visit
-            # order already — a stable sort is pure overhead (and its
-            # random-access gather is cache-hostile at 10^7+ hits).
-            bcounts = counts[block_ids]
-            bstart = np.zeros(bs + 1, dtype=np.intp)
-            np.cumsum(bcounts, out=bstart[1:])
-            out = np.empty(bstart[-1], dtype=np.intp)
-            fill = np.zeros(bs, dtype=np.intp)
-            for qrel, ichunk in zip(q_chunks, i_chunks):
-                cchunk = np.bincount(qrel, minlength=bs)
-                gstart = np.zeros(bs, dtype=np.intp)
-                np.cumsum(cchunk[:-1], out=gstart[1:])
-                within = np.arange(qrel.size, dtype=np.intp) - gstart[qrel]
-                out[bstart[qrel] + fill[qrel] + within] = ichunk
-                fill += cchunk
-            out_blocks.append(out)
+                # Leaf: one matrix product for all active queries.  Both
+                # sides are centred on a leaf point, so the product form
+                # cancels at the scale of the leaf, not of the
+                # coordinates: d2 = [a, |a|², 1] @ [-2b; 1; |b|²].
+                s, e = self._start[node], self._end[node]
+                block = pts[s:e]
+                Qa = Qb[active]
+                a = lhs[:active.size]
+                centred = a[:, :d]
+                np.subtract(Qa, block[0], out=centred)
+                np.einsum("ij,ij->i", centred, centred, out=a[:, d])
+                b = block - block[0]
+                rhs = np.empty((d + 2, e - s))
+                np.multiply(b.T, -2.0, out=rhs[:d])
+                rhs[d] = 1.0
+                np.einsum("ij,ij->i", b, b, out=rhs[d + 1])
+                d2 = a @ rhs
+                tol = band * (
+                    float(a[:, d].max()) + float(rhs[d + 1].max()) + eps2
+                )
+                hit = d2 <= eps2 + tol
+                nhits = np.count_nonzero(hit)
+                if not nhits:
+                    continue
+                if np.count_nonzero(d2 <= eps2 - tol) != nhits:
+                    # Candidates inside the band: the exact arithmetic
+                    # decides each of them.
+                    r, c = np.nonzero(hit & (d2 > eps2 - tol))
+                    miss = ~_exact_hits(block[c], Qa[r], eps2)
+                    hit[r[miss], c[miss]] = False
+                cnt = hit.sum(axis=1)
+                bcounts[active] += cnt
+                if collect_indices:
+                    # One segment per active row; a hit's column is its
+                    # flat position minus its row's start.
+                    cols = hit.ravel().nonzero()[0]
+                    cols -= np.repeat(row_ids[:active.size] * (e - s), cnt)
+                    q_segs.append(active)
+                    n_segs.append(cnt)
+                    i_chunks.append(ids[s:e][cols])
+                if max_neighbors is not None:
+                    full = bcounts[active] >= max_neighbors
+                    alive[active[full]] = False
+            base += bs
+            if query_block is None:
+                # Size the next block so its pending hits fit the budget.
+                done += int(bcounts.sum())
+                rows = max(1, min(MAX_BLOCK_ROWS,
+                                  QUERY_BLOCK_HITS * base // max(done, 1)))
+            if i_chunks:
+                # A segment's hits are contiguous in tile order and in the
+                # output; a stable sort of the *segments* by query puts
+                # them in (query, leaf-visit) order, and each hit moves by
+                # its segment's displacement.
+                seg_n = np.concatenate(n_segs)
+                order = np.argsort(
+                    np.concatenate(q_segs).astype(np.min_scalar_type(bs - 1)),
+                    kind="stable",  # a radix sort on 16-bit keys
+                )
+                sorted_n = seg_n[order]
+                shift = np.cumsum(seg_n) - seg_n
+                shift[order] -= np.cumsum(sorted_n) - sorted_n
+                hits = np.concatenate(i_chunks)
+                i_chunks.clear()  # the block's peak is hits + pos + one more
+                pos = np.repeat(shift.astype(_int_dtype(0, hits.size)), seg_n)
+                np.subtract(np.arange(pos.size, dtype=pos.dtype), pos, out=pos)
+                out = np.empty_like(hits)
+                out[pos] = hits
+                out_blocks.append(out)
         if not collect_indices:
             return counts, None
         if not out_blocks:
             return counts, np.empty(0, dtype=np.intp)
-        if len(out_blocks) == 1:
-            return counts, out_blocks[0]
-        return counts, np.concatenate(out_blocks)
+        return counts, np.concatenate(out_blocks, dtype=np.intp)
 
-    def _check_batch_args(self, Q: np.ndarray, eps: float) -> np.ndarray:
-        if eps < 0:
-            raise ValueError(f"eps must be non-negative, got {eps}")
+    def _check_batch_args(
+        self, Q: np.ndarray, eps: float, query_block: int | None
+    ) -> np.ndarray:
+        _check_eps(eps)
+        if query_block is not None and query_block < 1:
+            raise ValueError(f"query_block must be >= 1, got {query_block}")
         Q = np.ascontiguousarray(Q, dtype=np.float64)
         if Q.ndim != 2 or (self.n > 0 and Q.shape[1] != self.d):
             raise ValueError(
                 f"queries must be 2-D (m, {self.d}), got shape {Q.shape}"
             )
+        if not np.isfinite(Q).all():
+            raise ValueError("queries must be finite (NaN or inf found)")
         return Q
 
     def query_radius_batch(
@@ -274,22 +369,33 @@ class KDTree:
         Q: np.ndarray,
         eps: float,
         max_neighbors: int | None = None,
-        query_block: int = 512,
+        query_block: int | None = None,
+        ids: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Eps-neighbourhoods of all query rows in one shared traversal.
 
         Returns CSR-style ``(indptr, indices)``: the neighbours of query
         ``k`` are ``indices[indptr[k]:indptr[k+1]]``, element-for-element
-        identical to ``query_radius(Q[k], eps, max_neighbors)``.
-        ``query_block`` bounds the distance-tile size (memory, not
-        results).
+        identical to ``query_radius(Q[k], eps, max_neighbors)`` — or,
+        with an ``ids`` table (one entry per tree point), to ``ids[...]``
+        of it.  ``query_block`` fixes the rows answered per traversal
+        (memory, not results); by default blocks are sized to hold
+        `QUERY_BLOCK_HITS` pending hits.
         """
-        Q = self._check_batch_args(Q, eps)
+        Q = self._check_batch_args(Q, eps, query_block)
+        if ids is not None:
+            ids = np.asarray(ids)
+            if ids.shape != (self.n,):
+                raise ValueError(
+                    f"ids must hold one entry per tree point ({self.n}), "
+                    f"got shape {ids.shape}"
+                )
         nq = Q.shape[0]
         if self.n == 0 or nq == 0:
             return np.zeros(nq + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
         counts, indices = self._batch_traverse(
-            Q, eps, max_neighbors, collect_indices=True, query_block=query_block
+            Q, eps, max_neighbors, collect_indices=True,
+            query_block=query_block, ids=ids,
         )
         if max_neighbors is not None and (counts > max_neighbors).any():
             # Over-collection only within the leaf where the cap tripped;
@@ -304,11 +410,11 @@ class KDTree:
         return indptr, indices
 
     def count_radius_batch(
-        self, Q: np.ndarray, eps: float, query_block: int = 512
+        self, Q: np.ndarray, eps: float, query_block: int | None = None
     ) -> np.ndarray:
         """Neighbourhood sizes of all query rows (the Definition 1 density
         test) without materialising the neighbour lists."""
-        Q = self._check_batch_args(Q, eps)
+        Q = self._check_batch_args(Q, eps, query_block)
         if self.n == 0 or Q.shape[0] == 0:
             return np.zeros(Q.shape[0], dtype=np.intp)
         counts, _ = self._batch_traverse(

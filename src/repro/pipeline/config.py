@@ -108,7 +108,7 @@ class RunConfig:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
             )
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN too: every comparison lets it through
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.minpts < 1:
             raise ValueError(f"minpts must be >= 1, got {self.minpts}")

@@ -53,9 +53,12 @@ class ShuffleExpand(Stage):
         info = sc.parallelize(range(n), cfg.num_partitions).map_partitions(
             neighbourhoods
         )
-        # Both cached RDDs are unpersisted on every exit path (RES001):
+        # Both cached RDDs and every broadcast but the tree's (the runner
+        # releases that one) are unpersisted on every exit path (RES001):
         # the context outlives this stage, so leaked cache entries would
-        # stay resident in the block manager for the whole run.
+        # stay resident in the block manager, and leaked broadcasts in
+        # the broadcast manager and the spill dir, for the whole run.
+        core_b = lab_b = None
         info.cache()
         try:
             core_flags = dict(info.map(lambda rec: (rec[0], rec[2])).collect())
@@ -82,11 +85,14 @@ class ShuffleExpand(Stage):
                         "naive.propagation_round", round=rounds
                     ) as round_sp:
                         lab_b = sc.broadcast(labels)
-                        new_pairs = (
-                            edges.map(lambda e: (e[1], lab_b.value[e[0]]))
-                            .reduce_by_key(min, cfg.num_partitions)
-                            .collect()
-                        )
+                        try:
+                            new_pairs = (
+                                edges.map(lambda e: (e[1], lab_b.value[e[0]]))
+                                .reduce_by_key(min, cfg.num_partitions)
+                                .collect()
+                            )
+                        finally:
+                            lab_b.unpersist()
                         changed = 0
                         for i, incoming in new_pairs:
                             if incoming < labels[i]:
@@ -116,6 +122,10 @@ class ShuffleExpand(Stage):
             )
         finally:
             info.unpersist()
+            if core_b is not None:
+                core_b.unpersist()
+            if lab_b is not None:
+                lab_b.unpersist()
         rounds += 1
         shuffle_bytes = sum(
             tm.shuffle_bytes_written

@@ -102,6 +102,8 @@ class TestCellGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             CellGrid(np.zeros((3, 2)), eps=0.0)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            CellGrid(np.zeros((3, 2)), eps=float("nan"))
         with pytest.raises(ValueError):
             CellGrid(np.zeros(3), eps=1.0)
 

@@ -209,3 +209,14 @@ class TestValidationErrors:
     def test_fit_rejects_1d_points(self):
         with pytest.raises(ValueError):
             SparkDBSCAN(1.0, 5).fit(np.zeros(10))
+
+    def test_nan_eps_rejected_inf_eps_is_one_cluster(self, blobs_small):
+        # nan passed `eps <= 0` (and the kd-tree's `eps < 0`) and silently
+        # labelled every point noise; inf is a legal radius.
+        with pytest.raises(ValueError, match="eps must be positive"):
+            SparkDBSCAN(float("nan"), 5)
+        for mode in ("batched", "per_point"):
+            res = SparkDBSCAN(
+                float("inf"), 5, num_partitions=3, neighbor_mode=mode
+            ).fit(blobs_small.points)
+            assert (res.labels == 0).all()

@@ -5,13 +5,17 @@ expansion over the stored rows and any deviation would change partial
 clusters.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.kdtree import KDTree
+from repro.data import generate_clustered
+from repro.kdtree import BruteForceIndex, KDTree
+from repro.kdtree import kdtree as kdtree_module
 
 point_arrays = arrays(
     np.float64,
@@ -93,6 +97,45 @@ class TestBatchEdgeCases:
         with pytest.raises(ValueError):
             tree.query_radius_batch(np.zeros((2, 2)), -1.0)
 
+    def test_rejects_nan_eps_at_every_entry_point(self):
+        # `nan < 0` is false: nan used to walk the tree and match nothing.
+        tree = KDTree(np.zeros((4, 2)))
+        for call in (
+            lambda: tree.query_radius(np.zeros(2), float("nan")),
+            lambda: tree.query_radius_batch(np.zeros((2, 2)), float("nan")),
+            lambda: tree.count_radius_batch(np.zeros((2, 2)), float("nan")),
+        ):
+            with pytest.raises(ValueError, match="eps must be non-negative"):
+                call()
+
+    def test_infinite_eps_returns_every_point(self):
+        pts = np.random.default_rng(2).uniform(-5, 5, (40, 3))
+        tree = KDTree(pts, leaf_size=4)
+        indptr, indices = tree.query_radius_batch(pts, float("inf"))
+        assert np.diff(indptr).tolist() == [40] * 40
+        for k, row in enumerate(_rows(indptr, indices)):
+            assert np.array_equal(row, tree.query_radius(pts[k], float("inf")))
+        assert tree.count_radius_batch(pts, float("inf")).tolist() == [40] * 40
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points_and_queries(self, bad):
+        # As a leaf's centre a non-finite point would void the whole
+        # leaf's distances, and a NaN query the tolerance of its tile.
+        pts = np.zeros((4, 2))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            KDTree(pts)
+        tree = KDTree(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            tree.query_radius_batch(pts, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            tree.count_radius_batch(pts, 1.0)
+
+    def test_rejects_empty_query_block(self):
+        tree = KDTree(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="query_block"):
+            tree.query_radius_batch(np.zeros((2, 2)), 1.0, query_block=0)
+
     def test_rejects_dimension_mismatch(self):
         tree = KDTree(np.zeros((4, 2)))
         with pytest.raises(ValueError):
@@ -108,3 +151,228 @@ class TestBatchEdgeCases:
         for k in range(37):
             assert np.array_equal(indices[indptr[k]:indptr[k + 1]],
                                   tree.query_radius(Q[k], 2.0))
+
+
+# ---------------------------------------------------------------------------
+# The product-form filter and its exact re-check band (DESIGN.md §6)
+# ---------------------------------------------------------------------------
+
+#: A common offset turns every coordinate into offset + small, the worst
+#: case for the cancellation in |a|² - 2ab + |b|².
+OFFSETS = (0.0, 1e6, 1e8)
+
+
+def _assert_rows_exact(pts, eps, leaf_size=4, **kw):
+    """Batched rows == per-point rows element for element == brute force."""
+    tree = KDTree(pts, leaf_size=leaf_size)
+    brute = BruteForceIndex(pts)
+    indptr, indices = tree.query_radius_batch(pts, eps, **kw)
+    counts = tree.count_radius_batch(pts, eps)
+    for k, row in enumerate(_rows(indptr, indices)):
+        assert np.array_equal(row, tree.query_radius(pts[k], eps))
+        assert np.array_equal(np.sort(row), brute.query_radius(pts[k], eps))
+        assert counts[k] == row.size
+    return indptr, indices
+
+
+def _three_consecutive_floats_with_consecutive_squares():
+    """``x0 < x1 < x2`` adjacent floats whose rounded squares are adjacent
+    floats too: with eps = x1, a pair x0 apart has squared distance
+    ``nextafter(eps², -inf)`` and a pair x2 apart ``nextafter(eps², +inf)``."""
+    x0 = np.float64(1.45)
+    while True:
+        x1 = np.nextafter(x0, np.inf)
+        x2 = np.nextafter(x1, np.inf)
+        if (x1 * x1 == np.nextafter(x0 * x0, np.inf)
+                and x2 * x2 == np.nextafter(x1 * x1, np.inf)):
+            return float(x0), float(x1), float(x2)
+        x0 = x1
+
+
+class TestBandRecheck:
+    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("d,side,eps", [
+        (1, 40, 3.0), (2, 9, 1.0), (2, 9, 5.0), (3, 5, 2.0), (3, 5, 3.0),
+    ])
+    def test_integer_lattice_pairs_at_exactly_eps(self, d, side, eps, offset,
+                                                  monkeypatch):
+        # Integer coordinates (offset + k is exact up to 2**53): every
+        # squared distance is an exact integer and many equal eps²
+        # (3-4-5, 1-2-2 triples) — boundary-inclusive, like query_radius.
+        axes = np.meshgrid(*[np.arange(side, dtype=np.float64)] * d)
+        pts = np.stack([a.ravel() for a in axes], axis=1) + offset
+        _assert_rows_exact(pts, eps)
+        on_boundary = (
+            (pts[:, None, :] - pts[None, :, :]) ** 2
+        ).sum(axis=2) == eps * eps
+        assert on_boundary.any()
+        # ... and it is the exact arithmetic that decides those pairs.
+        checked = _count_rechecks(monkeypatch)
+        KDTree(pts, leaf_size=4).query_radius_batch(pts, eps)
+        assert checked[0] >= on_boundary.sum()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_pairs_one_ulp_either_side_of_eps_squared(self, d):
+        x0, eps, x2 = _three_consecutive_floats_with_consecutive_squares()
+        eps2 = eps * eps
+        assert x0 * x0 == np.nextafter(eps2, -np.inf)
+        assert x2 * x2 == np.nextafter(eps2, np.inf)
+        # Along the first axis: 0, then points x0, eps and x2 away from it.
+        pts = np.zeros((4, d))
+        pts[1:, 0] = [x0, eps, x2]
+        tree = KDTree(pts, leaf_size=2)
+        indptr, indices = _assert_rows_exact(pts, eps, leaf_size=2)
+        assert sorted(indices[indptr[0]:indptr[1]].tolist()) == [0, 1, 2]
+        assert tree.count_radius_batch(pts[:1], eps).tolist() == [3]
+
+    @pytest.mark.parametrize("offset", OFFSETS[1:])
+    def test_near_eps_pairs_under_a_common_offset(self, offset):
+        # Shifted, the pairs above are no longer exactly one ulp from
+        # eps² (offset + x rounds), but they stay within a few ulps of
+        # it, now with the cancellation at its worst.
+        x0, eps, x2 = _three_consecutive_floats_with_consecutive_squares()
+        rng = np.random.default_rng(3)
+        base = rng.integers(-4, 5, (60, 3)).astype(np.float64) * eps
+        jitter = rng.choice([0.0, x0 - eps, x2 - eps], size=60)
+        pts = base + offset
+        pts[:, 0] += jitter
+        _assert_rows_exact(pts, eps)
+        _assert_rows_exact(pts, eps, query_block=7)
+
+    def test_everything_in_the_band_changes_nothing(self, monkeypatch):
+        # With an infinite band every visited pair is decided by the
+        # exact arithmetic; rows must not move, so the filter never
+        # decides a pair the exact test would decide differently.
+        pts = generate_clustered(n=1500, d=10, seed=5).points
+        tree = KDTree(pts)
+        want = tree.query_radius_batch(pts, 25.0)
+        want_capped = tree.query_radius_batch(pts, 25.0, max_neighbors=9)
+        checked = _count_rechecks(monkeypatch)
+        monkeypatch.setattr(kdtree_module, "BAND_ULPS", float("inf"))
+        got = tree.query_radius_batch(pts, 25.0)
+        assert checked[0] >= want[1].size
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
+        for a, b in zip(want_capped,
+                        tree.query_radius_batch(pts, 25.0, max_neighbors=9)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(tree.count_radius_batch(pts, 25.0),
+                              np.diff(want[0]))
+
+    def test_filter_is_the_fast_path_on_clustered_input(self, monkeypatch):
+        # At the real band width no pair of a 5 000 x 10 clustered input
+        # needs the exact arithmetic: the matrix product decides them all.
+        pts = generate_clustered(n=5000, d=10, seed=1).points
+        tree = KDTree(pts)
+        checked = _count_rechecks(monkeypatch)
+        indptr, _ = tree.query_radius_batch(pts, 25.0)
+        assert indptr[-1] > 5000
+        assert checked[0] == 0
+
+    def test_overflow_in_the_product_is_an_error_not_a_wrong_row(self):
+        pts = np.array([[0.0, 0.0], [1e200, 0.0], [1e200, 1.0]])
+        with pytest.raises(FloatingPointError):
+            KDTree(pts, leaf_size=8).query_radius_batch(pts, 2.0)
+
+
+def _count_rechecks(monkeypatch):
+    """Route the kernel's exact re-check through a pair counter."""
+    exact = kdtree_module._exact_hits
+    checked = [0]
+
+    def counting(block, q, eps2):
+        checked[0] += len(block)
+        return exact(block, q, eps2)
+
+    monkeypatch.setattr(kdtree_module, "_exact_hits", counting)
+    return checked
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pts=point_arrays,
+    eps=st.floats(0.0, 80.0),
+    block=st.sampled_from([1, 7, None]),
+    cap=st.one_of(st.none(), st.integers(1, 12)),
+    table_seed=st.one_of(st.none(), st.integers(0, 1000)),
+)
+def test_identity_over_blocks_caps_and_id_table(pts, eps, block, cap, table_seed):
+    """Every row equals `query_radius` — mapped through the id table when
+    one is given — whatever the block size and the neighbour cap."""
+    tree = KDTree(pts, leaf_size=4)
+    table = None
+    if table_seed is not None:
+        # Arbitrary ids (not a permutation, wider than the tree, signed).
+        table = np.random.default_rng(table_seed).integers(
+            -5, 3 * len(pts) + 5, len(pts)
+        )
+    indptr, indices = tree.query_radius_batch(
+        pts, eps, cap, query_block=block, ids=table
+    )
+    assert indices.dtype == np.intp
+    for k, row in enumerate(_rows(indptr, indices)):
+        ref = tree.query_radius(pts[k], eps, cap)
+        assert np.array_equal(row, ref if table is None else table[ref])
+    if cap is None:
+        assert np.array_equal(
+            tree.count_radius_batch(pts, eps, query_block=block), np.diff(indptr)
+        )
+
+
+def test_id_table_wider_than_32_bits_and_misshapen():
+    pts = np.random.default_rng(0).uniform(0, 1, (30, 2))
+    tree = KDTree(pts, leaf_size=4)
+    table = np.arange(30) + 2 ** 40
+    indptr, indices = tree.query_radius_batch(pts, 0.3, ids=table)
+    plain = tree.query_radius_batch(pts, 0.3)[1]
+    assert np.array_equal(indices, table[plain])
+    with pytest.raises(ValueError, match="ids"):
+        tree.query_radius_batch(pts, 0.3, ids=np.arange(29))
+
+
+class TestKernelMemory:
+    """Block transients must not add a third copy of the CSR: peak traced
+    memory stays within two outputs (the blocks plus their final
+    concatenate) and a fixed per-block budget — for the plain query and,
+    under the same bound, for `local_dbscan` with a boundary set, whose
+    frame mapping and boundary reduction used to cost two more O(nnz)
+    int64 temporaries (3.1x the CSR)."""
+
+    #: A block's transients: 12 bytes per pending hit (int32 chunk, its
+    #: concatenated copy or the scattered output, an int32 position)
+    #: plus the tile and operand temporaries.
+    BUDGET = 16 * kdtree_module.QUERY_BLOCK_HITS
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        pts = generate_clustered(n=7000, d=10, seed=2).points
+        tree = KDTree(pts)
+        nnz = int(tree.count_radius_batch(pts, 25.0).sum())
+        assert nnz * 8 >= 8 * 2 ** 20  # the CSR is at least 8 MiB
+        return pts, tree, nnz * 8
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_query_radius_batch(self, dense):
+        pts, tree, out_bytes = dense
+        peak = self._peak(lambda: tree.query_radius_batch(pts, 25.0))
+        assert peak <= 2 * out_bytes + self.BUDGET
+
+    def test_local_dbscan_with_boundary_out(self, dense):
+        from repro.dbscan import local_dbscan
+        from repro.engine.partitioner import IndexRangePartitioner
+
+        pts, tree, out_bytes = dense
+        part = IndexRangePartitioner(len(pts), 1)
+        peak = self._peak(lambda: local_dbscan(
+            0, range(len(pts)), pts, tree, 25.0, 5, part,
+            neighbor_mode="batched", boundary_out=set(),
+        ))
+        assert peak <= 2 * out_bytes + self.BUDGET

@@ -33,6 +33,7 @@ class TestValidation:
         dict(impl="gpu"),
         dict(max_rounds=0),
         dict(startup_overhead=-0.5),
+        dict(eps=float("nan")),              # `nan <= 0` is false
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -127,6 +127,41 @@ def test_naive_plan_releases_its_tree_broadcast():
         )
 
 
+@pytest.mark.parametrize("fail_round", [False, True])
+@pytest.mark.parametrize("master", ["simulated[4]", "processes[2]"])
+def test_naive_fit_on_a_lent_context_releases_every_broadcast(master, fail_round):
+    # ShuffleExpand used to leave ``core_b`` and one ``lab_b`` per round
+    # (rounds + 2 handles, and as many spill files under ``processes``)
+    # behind until sc.stop() — also when a propagation round raises.
+    points = generate_clustered(
+        n=120, num_clusters=3, cluster_std=6.0, seed=7
+    ).points
+    config = RunConfig(eps=20.0, minpts=4, algorithm="naive", num_partitions=2)
+    with SparkContext(master) as sc:
+        clean = _live_broadcasts(sc)
+        assert clean[1:] == ([], [])
+        runner = PipelineRunner(build_plan(config), config)
+        if not fail_round:
+            assert runner.run(points, sc=sc).extras["shuffle_rounds"] >= 2
+        else:
+            real_run_job = sc.run_job
+            jobs = {"n": 0}
+
+            def failing_run_job(*args, **kwargs):
+                jobs["n"] += 1
+                if jobs["n"] == 3:   # info pass, round 1, then round 2
+                    raise RuntimeError("injected job failure")
+                return real_run_job(*args, **kwargs)
+
+            sc.run_job = failing_run_job
+            try:
+                with pytest.raises(RuntimeError, match="injected"):
+                    runner.run(points, sc=sc)
+            finally:
+                sc.run_job = real_run_job
+        assert _live_broadcasts(sc) == clean
+
+
 def test_gid_map_broadcast_is_timed_inside_apply_labels():
     # ``timings.driver_merge`` (the harness's driver_s) and the
     # ``driver.apply_labels`` span cover the gid-map broadcast: its

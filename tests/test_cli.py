@@ -243,6 +243,13 @@ class TestRun:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_nan_eps_one_line_error(self, points_file, capsys):
+        # nan used to pass `eps <= 0` and label every point noise, exit 0.
+        assert main(["run", points_file, "--eps", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "eps" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("partitioning", ["range", "cells"])
     def test_non_finite_points_one_line_error(self, tmp_path, capsys,
                                               partitioning):
