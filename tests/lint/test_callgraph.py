@@ -18,23 +18,7 @@ from repro.lint.callgraph import (
     strongly_connected_components,
 )
 
-
-@pytest.fixture()
-def package(tmp_path):
-    """Write a package of modules and lint it as one project."""
-
-    def _make(files: dict[str, str]):
-        (tmp_path / "pkg").mkdir(exist_ok=True)
-        (tmp_path / "pkg" / "__init__.py").write_text("")
-        for name, source in files.items():
-            (tmp_path / "pkg" / name).write_text(textwrap.dedent(source))
-        return run_lint([str(tmp_path / "pkg")]).findings
-
-    return _make
-
-
-def rules_of(findings):
-    return sorted({f.rule for f in findings})
+from .fixture_sources import rules_of
 
 
 class TestModuleNaming:

@@ -7,27 +7,7 @@ module calling ``groupByKey``, reachable from a ``LocalExpand`` stage —
 invisible to a path allowlist, caught by the call graph.
 """
 
-import textwrap
-
-import pytest
-
-from repro.lint import run_lint
-
-
-@pytest.fixture()
-def package(tmp_path):
-    def _make(files: dict[str, str]):
-        (tmp_path / "pkg").mkdir(exist_ok=True)
-        (tmp_path / "pkg" / "__init__.py").write_text("")
-        for name, source in files.items():
-            (tmp_path / "pkg" / name).write_text(textwrap.dedent(source))
-        return run_lint([str(tmp_path / "pkg")]).findings
-
-    return _make
-
-
-def rules_of(findings):
-    return sorted({f.rule for f in findings})
+from .fixture_sources import rules_of
 
 
 class TestShuffleFreeProof:

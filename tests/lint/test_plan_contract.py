@@ -15,6 +15,8 @@ from repro.lint.plans import (
     stage_contracts,
 )
 
+from .fixture_sources import write_files
+
 STAGES = """
     class Load:
         name = "Load"
@@ -41,20 +43,21 @@ STAGES = """
 """
 
 
+def plan_files(manifest_source: str, stages_source: str = STAGES):
+    return {
+        "pkg/__init__.py": "",
+        "pkg/stages.py": textwrap.dedent(stages_source),
+        "pkg/plans.py": "from .stages import Load, Index, Expand\n"
+                        + textwrap.dedent(manifest_source),
+    }
+
+
 @pytest.fixture()
 def project_of(tmp_path):
-    def _make(manifest_source: str, stages_source: str = STAGES):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir(exist_ok=True)
-        (pkg / "__init__.py").write_text("")
-        (pkg / "stages.py").write_text(textwrap.dedent(stages_source))
-        (pkg / "plans.py").write_text(
-            "from .stages import Load, Index, Expand\n"
-            + textwrap.dedent(manifest_source)
-        )
-        return build_project(
-            [str(pkg / "__init__.py"), str(pkg / "stages.py"), str(pkg / "plans.py")]
-        )
+    def _make(*sources, **kw):
+        files = plan_files(*sources, **kw)
+        write_files(tmp_path, files)
+        return build_project([str(tmp_path / rel) for rel in files])
 
     return _make
 

@@ -11,6 +11,8 @@ import pytest
 
 from repro.lint import lint_file
 
+from .fixture_sources import rules_of
+
 
 @pytest.fixture()
 def lint_source(tmp_path):
@@ -23,10 +25,6 @@ def lint_source(tmp_path):
         return lint_file(str(path))
 
     return _lint
-
-
-def rules_of(findings):
-    return sorted({f.rule for f in findings})
 
 
 class TestCapture:

@@ -14,6 +14,8 @@ import pytest
 
 from repro.lint import run_lint
 
+from .fixture_sources import rules_of
+
 #: Scaffold: one stage class whose ``run`` body is under test, wired
 #: into a manifest so the size-class scope machinery sees it.  The
 #: default plan name ("cell") puts the stage under the SCL003
@@ -38,23 +40,20 @@ SIZE_MANIFEST = {{"{cls}": {{"input": "O(points)", "output": "{out}"}}}}
 """
 
 
+def scaffold(body, cls="Work", plan="cell", out="O(edges)", extra=""):
+    indented = textwrap.indent(textwrap.dedent(body).strip("\n"), " " * 8)
+    return SCAFFOLD.format(cls=cls, plan=plan, out=out, body=indented,
+                           extra=textwrap.dedent(extra))
+
+
 @pytest.fixture()
 def scl_lint(tmp_path):
-    def _lint(body, cls="Work", plan="cell", out="O(edges)", extra=""):
-        indented = textwrap.indent(textwrap.dedent(body).strip("\n"),
-                                   " " * 8)
+    def _lint(body, **kw):
         mod = tmp_path / "mod.py"
-        mod.write_text(SCAFFOLD.format(
-            cls=cls, plan=plan, out=out, body=indented,
-            extra=textwrap.dedent(extra),
-        ))
+        mod.write_text(scaffold(body, **kw))
         return run_lint([str(mod)]).findings
 
     return _lint
-
-
-def rules_of(findings):
-    return sorted({f.rule for f in findings})
 
 
 class TestSCL001:
