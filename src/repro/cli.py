@@ -459,19 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="files or directories to scan (default: src)")
     li.add_argument("--format", choices=("text", "json", "sarif"),
                     default="text", dest="fmt", help="report format")
-    li.add_argument("--baseline", default=None, metavar="FILE",
-                    help="baseline file grandfathering known findings "
-                         "(default: lint-baseline.json when it exists)")
-    li.add_argument("--write-baseline", action="store_true",
-                    help="write the current findings as the new baseline "
-                         "and exit 0")
     li.add_argument("--rules", action="store_true",
                     help="print the rule catalogue and exit")
     li.add_argument("--stats", action="store_true",
-                    help="print per-rule finding counts, call-graph size "
-                         "(nodes/edges/SCCs), CFG size (functions/"
-                         "blocks/edges), and per-size-class value counts "
-                         "after the report")
+                    help="print per-rule finding counts, CFG size "
+                         "(functions/blocks/edges), and per-size-class "
+                         "value counts after the report")
     li.set_defaults(func=cmd_lint)
 
     return parser
@@ -615,33 +608,19 @@ def cmd_perf_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the task-closure static analyzer; exit 1 on new findings."""
-    from repro.lint import (
-        DEFAULT_BASELINE,
-        BaselineError,
-        LintError,
-        render_sarif,
-        rule_catalogue,
-        run_lint,
-        write_baseline,
-    )
+    """Run the task-closure static analyzer: exit 1 on any finding, 2
+    when the input could not be analysed at all."""
+    from repro.lint import LintError, render_sarif, rule_catalogue, run_lint
 
     if args.rules:
         for rid, summary in rule_catalogue().items():
             print(f"{rid}  {summary}")
         return 0
-    baseline = args.baseline if args.baseline is not None else DEFAULT_BASELINE
     try:
-        report = run_lint(args.paths, baseline_path=baseline,
-                          collect_stats=args.stats)
-    except (LintError, BaselineError) as exc:
+        report = run_lint(args.paths, collect_stats=args.stats)
+    except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.write_baseline:
-        write_baseline(baseline, report.findings)
-        print(f"baseline written to {baseline} "
-              f"({len(report.findings)} finding(s))")
-        return 0
+        return 2
     if args.fmt == "json":
         print(report.render_json())
     elif args.fmt == "sarif":

@@ -2,11 +2,10 @@
 
 `repro lint [paths]` funnels through `run_lint`, which parses every
 ``.py`` file, stitches the per-module analyses into one whole-program
-`repro.lint.callgraph.Project`, runs the per-module rule catalogue
-(with the project-widened task-reachable sets) plus the whole-program
-rules (`repro.lint.rules.PROJECT_RULES`), drops findings covered by
-inline allow pragmas, and diffs the rest against the committed
-baseline.
+`repro.lint.callgraph.Project`, runs every checker of the rule table
+(`repro.lint.rules.RULE_TABLE`) once, and drops the findings covered by
+an inline allow pragma.  What is left fails the run: the pragma is the
+only exemption there is.
 
 Allowlist pragma — on the finding's line or the line directly above::
 
@@ -20,9 +19,9 @@ on their trailing line::
     EDGES = (sc.parallelize(pairs)
              .group_by_key())  # lint: allow[SHF001] offline tooling
 
-Multiple rules: ``# lint: allow[DET001,CAP001]``.  Pragmas are the
-intended channel for *intentional* exceptions; whole-rule suppression
-is deliberately not offered.
+Multiple rules: ``# lint: allow[DET001,CAP001]``.  Whole-rule
+suppression is deliberately not offered, and a pragma that suppresses
+nothing is itself an error (tests/lint/test_findings_golden.py).
 """
 
 from __future__ import annotations
@@ -31,19 +30,18 @@ import ast
 import os
 import re
 
-from .baseline import load_baseline, new_findings
 from .callgraph import Project, module_name_for
 from .closures import ModuleAnalysis
+from .dataflow import FixpointDiverged
 from .findings import Finding, LintReport
-from .rules import run_project_rules, run_rules
-from .sizeclass import sizeclass_stats
-from .typestate import flow_stats
+from .rules import run_rules
 
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*allow\[([A-Za-z0-9_,\s]+)\]")
 
 
 class LintError(ValueError):
-    """A path cannot be scanned (missing file, unreadable, bad syntax)."""
+    """The input cannot be analysed (missing file, unreadable, bad
+    syntax, or a function whose dataflow fixpoint diverged)."""
 
 
 def discover_files(paths: list[str]) -> list[str]:
@@ -105,63 +103,44 @@ _SIMPLE_STMTS = (
 )
 
 
-def _module_spans(analysis: ModuleAnalysis) -> list[tuple[int, int]]:
-    """(lineno, end_lineno) of every *simple* module-level statement."""
-    return [
-        (stmt.lineno, getattr(stmt, "end_lineno", stmt.lineno) or stmt.lineno)
-        for stmt in analysis.tree.body
-        if isinstance(stmt, _SIMPLE_STMTS)
-    ]
-
-
-def _allowed_rules(
-    source_lines: list[str], line: int, spans: list[tuple[int, int]]
-) -> set[str]:
-    """Rules allow-listed for a 1-based line: the line itself, the line
-    above, and — when the line falls inside a module-level statement —
-    any line of that statement (or the line above it)."""
-    candidates = {line, line - 1}
-    for start, end in spans:
-        if start <= line <= end:
-            candidates.update(range(start - 1, end + 1))
+def pragma_lines(analysis: ModuleAnalysis, line: int) -> set[int]:
+    """Lines whose pragma covers a finding on 1-based ``line``: the line
+    itself, the line above, and — when the line falls inside a simple
+    module-level statement — any line of that statement (or the line
+    above it)."""
+    lines = {line, line - 1}
+    for stmt in analysis.tree.body:
+        end = getattr(stmt, "end_lineno", None) or stmt.lineno
+        if isinstance(stmt, _SIMPLE_STMTS) and stmt.lineno <= line <= end:
+            lines.update(range(stmt.lineno - 1, end + 1))
             break
-    out: set[str] = set()
-    for lineno in candidates:
-        if 1 <= lineno <= len(source_lines):
-            m = _PRAGMA_RE.search(source_lines[lineno - 1])
-            if m:
-                out.update(r.strip() for r in m.group(1).split(","))
-    return out
+    return lines
+
+
+def pragma_rules(text: str) -> set[str]:
+    """Rule ids allow-listed by the pragma in ``text`` (a source line or
+    a comment token), if any."""
+    m = _PRAGMA_RE.search(text)
+    return {r.strip() for r in m.group(1).split(",")} if m else set()
 
 
 def _collect_findings(project: Project) -> list[Finding]:
-    """Module + project rules, pragma-filtered, in (path, line) order."""
-    # Widen every module's task-reachable set with the cross-module
-    # closure before the per-module rules run, so DET001 and the
-    # reachable-helper capture checks fire through helper modules.
-    task_reach = project.task_reachable_by_module()
-    by_path: dict[str, ModuleAnalysis] = {}
-    findings: list[Finding] = []
-    for name, analysis in project.modules.items():
-        analysis.task_reachable |= task_reach.get(name, set())
-        by_path[analysis.path] = analysis
-    for analysis in project.modules.values():
-        findings.extend(run_rules(analysis))
-    findings.extend(run_project_rules(project))
+    """Every checker's findings, pragma-filtered, in (path, line) order."""
+    by_path = {a.path: a for a in project.modules.values()}
+    try:
+        findings = run_rules(project)
+    except FixpointDiverged as exc:
+        raise LintError(str(exc)) from None
     kept: list[Finding] = []
-    span_cache: dict[str, tuple[list[str], list[tuple[int, int]]]] = {}
+    lines_of: dict[str, list[str]] = {}
     for f in findings:
-        analysis = by_path.get(f.path)
-        if analysis is None:
-            kept.append(f)
-            continue
-        if f.path not in span_cache:
-            span_cache[f.path] = (
-                analysis.source.splitlines(),
-                _module_spans(analysis),
-            )
-        lines, spans = span_cache[f.path]
-        if f.rule not in _allowed_rules(lines, f.line, spans):
+        analysis = by_path[f.path]
+        source = lines_of.setdefault(f.path, analysis.source.splitlines())
+        allowed = set().union(*(
+            pragma_rules(source[n - 1])
+            for n in pragma_lines(analysis, f.line) if 1 <= n <= len(source)
+        ))
+        if f.rule not in allowed:
             kept.append(f)
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return kept
@@ -175,32 +154,18 @@ def lint_file(path: str) -> list[Finding]:
     return _collect_findings(build_project([path]))
 
 
-def run_lint(
-    paths: list[str],
-    baseline_path: str | None = None,
-    collect_stats: bool = False,
-) -> LintReport:
-    """Lint all paths; diff against a baseline when one is given."""
+def run_lint(paths: list[str], collect_stats: bool = False) -> LintReport:
+    """Lint all paths; any finding left after the pragmas is a failure."""
     files = discover_files(paths)
     project = build_project(files)
-    findings = _collect_findings(project)
-    report = LintReport(findings=findings, files_scanned=len(files))
+    report = LintReport(
+        findings=_collect_findings(project), files_scanned=len(files)
+    )
     if collect_stats:
-        nodes, edges, sccs = project.graph_stats()
-        rule_counts: dict[str, int] = {}
-        for f in findings:
-            rule_counts[f.rule] = rule_counts.get(f.rule, 0) + 1
         report.stats = {
-            "rules": dict(sorted(rule_counts.items())),
-            "graph": {"nodes": nodes, "edges": edges, "sccs": sccs},
+            "rules": report.rule_counts,
             "modules": len(project.modules),
-            "cfg": flow_stats(project),
-            "sizes": sizeclass_stats(project),
+            "cfg": project.flow.cfg_stats(),
+            **project.flow.stats,
         }
-    if baseline_path is not None and os.path.exists(baseline_path):
-        baseline = load_baseline(baseline_path)
-        report.baseline_path = baseline_path
-        report.new = new_findings(findings, baseline)
-    else:
-        report.new = list(findings)
     return report

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Iterator
 
-from .closures import ModuleAnalysis, Scope, TaskFunction, raw_dotted
+from .closures import ModuleAnalysis, Scope, TaskFunction, _calls_in, dotted_name
+from .dataflow import FlowContext
 
 # Receiver type tags that mark the application/engine API boundary:
 # method calls on these are lineage operations, never call edges.
@@ -37,9 +37,6 @@ ENGINE_API_TAGS = frozenset({
     "BlockManager", "ShuffleManager",
     "Lock", "File", "Thread", "Socket",
 })
-
-#: node key in the interprocedural graph
-NodeKey = tuple[str, str]   # (module dotted name, qualname)
 
 
 def module_name_for(path: str) -> str:
@@ -75,6 +72,9 @@ class Project:
             for name, analysis in self.modules.items()
         }
         self._inject_cross_module_task_args()
+        self._task_reachable: dict[str, set[ast.AST]] | None = None
+        #: the one flow engine every flow-sensitive rule module runs on
+        self.flow = FlowContext(self)
 
     # -- import absolutization ----------------------------------------------
     @staticmethod
@@ -166,13 +166,6 @@ class Project:
         return None
 
     # -- call-edge resolution ------------------------------------------------
-    def qualname_of(self, analysis: ModuleAnalysis, node: ast.AST) -> str:
-        """Graph qualname for a function node (lambdas keyed by line)."""
-        scope = analysis.scope_of(node)
-        if isinstance(node, ast.Lambda):
-            return f"{scope.name}@{node.lineno}"
-        return scope.name
-
     def resolve_call(
         self, analysis: ModuleAnalysis, scope: Scope, call: ast.Call
     ) -> tuple[str, ast.AST] | None:
@@ -207,7 +200,7 @@ class Project:
                 return (analysis.module_name, target)
             return None
         # module-qualified call: helpers.work(...), pkg.mod.fn(...)
-        dotted = raw_dotted(func)
+        dotted = dotted_name(func)
         if dotted is not None:
             base, rest = dotted.split(".", 1)
             origin = self.abs_aliases.get(analysis.module_name, {}).get(base)
@@ -256,19 +249,12 @@ class Project:
                 )
 
     # -- reachability ---------------------------------------------------------
-    def _callsites(
-        self, analysis: ModuleAnalysis, node: ast.AST
-    ) -> list[ast.Call]:
-        from .closures import _calls_in
-
-        return _calls_in(node)
-
     def _successors(
         self, analysis: ModuleAnalysis, node: ast.AST
     ) -> list[tuple[str, ast.AST]]:
         scope = analysis.scope_of(node)
         out: list[tuple[str, ast.AST]] = []
-        for call in self._callsites(analysis, node):
+        for call in _calls_in(node):
             hit = self.resolve_call(analysis, scope, call)
             if hit is not None:
                 out.append(hit)
@@ -296,12 +282,15 @@ class Project:
         return reached
 
     def task_reachable_by_module(self) -> dict[str, set[ast.AST]]:
-        """Task functions plus everything they call, across modules."""
-        seeds: list[tuple[str, ast.AST]] = []
-        for name, analysis in self.modules.items():
-            for tf in analysis.task_functions + analysis.extra_task_functions:
-                seeds.append((name, tf.node))
-        return self._close(seeds)
+        """Task functions plus everything they call, across modules
+        (computed once per project)."""
+        if self._task_reachable is None:
+            self._task_reachable = self._close([
+                (name, tf.node)
+                for name, analysis in self.modules.items()
+                for tf in analysis.task_functions + analysis.extra_task_functions
+            ])
+        return self._task_reachable
 
     def reachable_from(
         self, entry_classes: set[str]
@@ -324,83 +313,3 @@ class Project:
             for name, analysis in self.modules.items()
             if any(cls in entry_classes for cls in analysis.classes)
         }
-
-    # -- graph statistics -----------------------------------------------------
-    def graph(self) -> tuple[list[NodeKey], dict[NodeKey, set[NodeKey]]]:
-        """The full (module, qualname)-keyed call graph, for stats."""
-        nodes: list[NodeKey] = []
-        node_of: dict[tuple[str, int], NodeKey] = {}
-        items: list[tuple[str, ModuleAnalysis, ast.AST]] = []
-        for name, analysis in self.modules.items():
-            for node in analysis._functions_by_scope:
-                key = (name, self.qualname_of(analysis, node))
-                nodes.append(key)
-                node_of[(name, id(node))] = key
-                items.append((name, analysis, node))
-        edges: dict[NodeKey, set[NodeKey]] = {key: set() for key in nodes}
-        for name, analysis, node in items:
-            src = node_of[(name, id(node))]
-            for tmod, tnode in self._successors(analysis, node):
-                dst = node_of.get((tmod, id(tnode)))
-                if dst is not None:
-                    edges[src].add(dst)
-        return nodes, edges
-
-    def graph_stats(self) -> tuple[int, int, int]:
-        """(nodes, edges, strongly connected components)."""
-        nodes, edges = self.graph()
-        return len(nodes), sum(len(v) for v in edges.values()), \
-            len(strongly_connected_components(nodes, edges))
-
-
-def strongly_connected_components(
-    nodes: list[NodeKey], edges: dict[NodeKey, set[NodeKey]]
-) -> list[list[NodeKey]]:
-    """Tarjan's algorithm, iterative (the call graph can be deep)."""
-    index: dict[NodeKey, int] = {}
-    lowlink: dict[NodeKey, int] = {}
-    on_stack: set[NodeKey] = set()
-    stack: list[NodeKey] = []
-    sccs: list[list[NodeKey]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[NodeKey, Iterator[NodeKey]]] = [
-            (root, iter(sorted(edges.get(root, ()))))
-        ]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(edges.get(w, ())))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                scc: list[NodeKey] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                sccs.append(scc)
-    return sccs

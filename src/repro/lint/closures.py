@@ -12,8 +12,6 @@ source file:
 - the set of *task functions*: lambdas and local defs passed to RDD
   operations (``.map``/``.foreach_partition_with_index``/…) or to
   ``run_job``;
-- the *task-reachable* closure: task functions plus every same-module
-  function they (transitively) call;
 - free-variable (capture) analysis: names a function reads that are
   bound in an enclosing function or module scope, with their inferred
   types;
@@ -197,7 +195,6 @@ class ModuleAnalysis:
         # functions of this module passed to RDD ops elsewhere.
         self.extra_task_functions: list[TaskFunction] = []
         self._find_task_functions()
-        self.task_reachable: set[ast.AST] = self._close_over_calls()
 
     # -- scope construction -------------------------------------------------
     def _build(self, node: ast.AST, scope: Scope, class_name: str) -> None:
@@ -317,7 +314,7 @@ class ModuleAnalysis:
                 self.analysis._record_import(node, scope)
 
             def visit_Assign(self, node: ast.Assign) -> None:
-                tag = self.analysis._expr_type(node.value, scope)
+                tag = self.analysis.expr_type(node.value, scope)
                 for target in node.targets:
                     for name in _target_names(target):
                         scope.locals.add(name)
@@ -330,7 +327,7 @@ class ModuleAnalysis:
                     scope.locals.add(node.target.id)
                     tag = self.analysis._annotation_type(node.annotation)
                     if not tag and node.value is not None:
-                        tag = self.analysis._expr_type(node.value, scope)
+                        tag = self.analysis.expr_type(node.value, scope)
                     if tag:
                         scope.types[node.target.id] = tag
                 self.generic_visit(node)
@@ -350,7 +347,7 @@ class ModuleAnalysis:
             def visit_With(self, node: ast.With) -> None:
                 for item in node.items:
                     if item.optional_vars is not None:
-                        tag = self.analysis._expr_type(item.context_expr, scope)
+                        tag = self.analysis.expr_type(item.context_expr, scope)
                         for name in _target_names(item.optional_vars):
                             scope.locals.add(name)
                             if tag:
@@ -391,7 +388,7 @@ class ModuleAnalysis:
             return name
         return None
 
-    def _expr_type(self, expr: ast.AST, scope: Scope) -> str | None:
+    def expr_type(self, expr: ast.AST, scope: Scope) -> str | None:
         """Heuristic type tag of an expression, or None when unknown."""
         if isinstance(expr, ast.Name):
             tag = scope.lookup_type(expr.id)
@@ -401,7 +398,7 @@ class ModuleAnalysis:
                 return "SparkContext"
             return tag
         if isinstance(expr, ast.Await):
-            return self._expr_type(expr.value, scope)
+            return self.expr_type(expr.value, scope)
         if not isinstance(expr, ast.Call):
             return None
         func = expr.func
@@ -423,7 +420,8 @@ class ModuleAnalysis:
             return None
         if isinstance(func, ast.Attribute):
             attr = func.attr
-            if attr in _CTOR_TYPES and _base_module(func, self.import_aliases) in (
+            root = (dotted_name(func.value) or "").partition(".")[0]
+            if attr in _CTOR_TYPES and self.import_aliases.get(root, root) in (
                 "threading",
                 "socket",
                 "builtins",
@@ -431,7 +429,7 @@ class ModuleAnalysis:
                 "multiprocessing",
             ):
                 return _CTOR_TYPES[attr]
-            recv_type = self._expr_type(func.value, scope)
+            recv_type = self.expr_type(func.value, scope)
             if attr == "broadcast" and recv_type in ("SparkContext", None):
                 # sc.broadcast(...) — only trust a known context receiver
                 return "Broadcast" if recv_type == "SparkContext" else None
@@ -469,7 +467,7 @@ class ModuleAnalysis:
                 return None
             self._ensure_bindings(scope)
             if isinstance(func_node, ast.Lambda):
-                tags = {self._expr_type(func_node.body, scope)}
+                tags = {self.expr_type(func_node.body, scope)}
             else:
                 tags = set()
                 stack: list[ast.AST] = list(getattr(func_node, "body", []))
@@ -479,7 +477,7 @@ class ModuleAnalysis:
                                         ast.Lambda)):
                         continue   # nested scope: its returns are not ours
                     if isinstance(sub, ast.Return) and sub.value is not None:
-                        tags.add(self._expr_type(sub.value, scope))
+                        tags.add(self.expr_type(sub.value, scope))
                     stack.extend(ast.iter_child_nodes(sub))
             tags.discard(None)
             tag = tags.pop() if len(tags) == 1 else None
@@ -488,25 +486,17 @@ class ModuleAnalysis:
         finally:
             self._return_guard.discard(func_node)
 
-    def _receiver_is_rdd(self, call: ast.Call, scope: Scope) -> bool:
+    def receiver_is_rdd(self, call: ast.Call, scope: Scope) -> bool:
         """True when the call's receiver is positively RDD-typed."""
         if not isinstance(call.func, ast.Attribute):
             return False
         recv = call.func.value
-        if self._expr_type(recv, scope) == "RDD":
+        if self.expr_type(recv, scope) == "RDD":
             return True
         # Heuristic of last resort: receivers literally named like RDDs.
         if isinstance(recv, ast.Name) and recv.id.lower().endswith("rdd"):
             return True
         return False
-
-    def receiver_is_rdd(self, call: ast.Call, scope: Scope) -> bool:
-        """Public face of `_receiver_is_rdd` for the project-level rules."""
-        return self._receiver_is_rdd(call, scope)
-
-    def expr_type(self, expr: ast.AST, scope: Scope) -> str | None:
-        """Public face of `_expr_type` for the project-level rules."""
-        return self._expr_type(expr, scope)
 
     # -- task-function extraction -------------------------------------------
     def scope_of(self, node: ast.AST) -> Scope:
@@ -541,7 +531,7 @@ class ModuleAnalysis:
             return
         scope = self.enclosing_scope(call)
         is_rdd_op = attr in RDD_OP_METHODS_DISTINCTIVE or (
-            attr in RDD_OP_METHODS_GENERIC and self._receiver_is_rdd(call, scope)
+            attr in RDD_OP_METHODS_GENERIC and self.receiver_is_rdd(call, scope)
         )
         is_run_job = attr == "run_job" and len(call.args) >= 2
         if not (is_rdd_op or is_run_job):
@@ -568,7 +558,7 @@ class ModuleAnalysis:
                     UnresolvedTaskArg(arg.id, via, line, scope)
                 )
         elif isinstance(arg, ast.Attribute):
-            dotted = raw_dotted(arg)
+            dotted = dotted_name(arg)
             if dotted is not None:
                 self.unresolved_task_args.append(
                     UnresolvedTaskArg(dotted, via, line, scope)
@@ -587,32 +577,6 @@ class ModuleAnalysis:
                     return node
             s = s.parent
         return None
-
-    # -- reachability --------------------------------------------------------
-    def _close_over_calls(self) -> set[ast.AST]:
-        """Task functions plus all same-module functions they call."""
-        reachable: set[ast.AST] = set()
-        frontier = [tf.node for tf in self.task_functions]
-        while frontier:
-            node = frontier.pop()
-            if node in reachable:
-                continue
-            reachable.add(node)
-            scope = self._scope_of_node[node]
-            for call in _calls_in(node):
-                target: ast.AST | None = None
-                if isinstance(call.func, ast.Name):
-                    target = self._resolve_function(call.func.id, scope)
-                elif (
-                    isinstance(call.func, ast.Attribute)
-                    and isinstance(call.func.value, ast.Name)
-                    and call.func.value.id == "self"
-                    and scope.class_name
-                ):
-                    target = self._methods.get((scope.class_name, call.func.attr))
-                if target is not None and target not in reachable:
-                    frontier.append(target)
-        return reachable
 
     # -- capture analysis ----------------------------------------------------
     def captures(self, func_node: ast.AST) -> list[tuple[str, ast.Name, Scope]]:
@@ -645,23 +609,20 @@ class ModuleAnalysis:
         as np``); ``time()`` → ``time.time`` (given ``from time import
         time``).  Returns None for non-name bases (method calls etc.).
         """
-        parts: list[str] = []
-        node = expr
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
+        dotted = dotted_name(expr)
+        if dotted is None:
             return None
-        base = self.import_aliases.get(node.id, node.id)
-        parts.append(base)
-        return ".".join(reversed(parts))
+        base, dot, rest = dotted.partition(".")
+        return self.import_aliases.get(base, base) + dot + rest
 
 
 # -- small AST helpers -------------------------------------------------------
 
-def raw_dotted(expr: ast.AST) -> str | None:
-    """Dotted path exactly as written (``helpers.work``), no alias
-    expansion — the project layer absolutizes the base itself."""
+def dotted_name(expr: ast.AST) -> str | None:
+    """A name-rooted attribute chain exactly as written (``sc``,
+    ``self.sc``, ``helpers.work``), or None for any other expression.
+    No alias expansion — `ModuleAnalysis.resolve_dotted` and the project
+    layer absolutize the base themselves."""
     parts: list[str] = []
     node = expr
     while isinstance(node, ast.Attribute):
@@ -696,15 +657,6 @@ def _tail_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Subscript):
         return _tail_name(node.value)
     return None
-
-
-def _base_module(attr: ast.Attribute, aliases: dict[str, str]) -> str:
-    node: ast.AST = attr.value
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return aliases.get(node.id, node.id)
-    return ""
 
 
 def _contains(outer: ast.AST, inner: ast.AST) -> bool:

@@ -1,11 +1,11 @@
 """Lint findings: the unit of output of the task-closure analyzer.
 
-A `Finding` pins one rule violation to a file/line/symbol.  Its
-``fingerprint`` deliberately excludes line numbers *and* directories
-(only the file's basename participates) so that committed baselines
-survive unrelated edits above the finding and directory reshuffles
-around it; duplicates of the same fingerprint are counted, not
-collapsed (see `repro.lint.baseline`).
+A `Finding` pins one rule violation to a file/line/symbol; every rule
+module builds its findings through a `Reporter`.  The ``fingerprint``
+deliberately excludes line numbers *and* directories (only the file's
+basename participates) so that the identity SARIF consumers track
+survives unrelated edits above the finding and directory reshuffles
+around it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 import json
 import posixpath
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class Finding:
     path: str          # posix-style path as scanned
     line: int
     col: int
-    message: str       # human-readable, line-number free (baseline-stable)
+    message: str       # human-readable, line-number free (fingerprint-stable)
     symbol: str = ""   # enclosing function/scope, "" for module level
     # Secondary sites (acquire/stop/close/persist) as (path, line, message)
     # triples; rendered as SARIF relatedLocations.  Deliberately excluded
@@ -33,8 +34,9 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching: no line numbers, and
-        only the file's basename (directory renames keep it stable)."""
+        """Stable identity (SARIF ``partialFingerprints``): no line
+        numbers, and only the file's basename (directory renames keep
+        it stable)."""
         base = posixpath.basename(self.path.replace("\\", "/"))
         raw = f"{self.rule}|{base}|{self.symbol}|{self.message}"
         return hashlib.sha1(raw.encode()).hexdigest()[:16]
@@ -61,37 +63,62 @@ class Finding:
         }
 
 
+class Reporter:
+    """Collects one checker's findings.  The same site reported twice —
+    a ``finally`` body the CFG duplicates, a nested def that is both
+    inside its parent and a call-graph node of its own — is one
+    finding: the key is the location plus the message."""
+
+    def __init__(self) -> None:
+        self.findings: list[Finding] = []
+        self._seen: set[tuple] = set()
+
+    def report(self, rule: str, path: str, line: int, col: int, message: str,
+               symbol: str = "",
+               related: Iterable[tuple[int, str]] = ()) -> None:
+        """Record a finding; ``related`` sites are (line, message)
+        pairs in the finding's own file."""
+        key = (rule, path, line, col, message)
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        self.findings.append(Finding(
+            rule=rule, path=path, line=line, col=col, message=message,
+            symbol=symbol,
+            related=tuple((path, rline, rmsg) for rline, rmsg in related),
+        ))
+
+
 @dataclass
 class LintReport:
-    """All findings of a run plus the subset new vs. the baseline."""
+    """All findings of a run; any finding is a failure."""
 
     findings: list[Finding] = field(default_factory=list)
-    new: list[Finding] = field(default_factory=list)
-    baseline_path: str | None = None
     files_scanned: int = 0
-    # Optional run statistics (``repro lint --stats``): per-rule finding
-    # counts plus call-graph size.  None unless requested.
+    # Optional run statistics (``repro lint --stats``).  None unless
+    # requested.
     stats: dict | None = None
 
     @property
     def clean(self) -> bool:
-        """True when no finding is new relative to the baseline."""
-        return not self.new
+        return not self.findings
 
-    def render_text(self) -> str:
-        """Human-readable report; new findings are marked."""
-        lines = []
-        new_fps = {f.fingerprint for f in self.new}
+    @property
+    def rule_counts(self) -> dict[str, int]:
+        """{rule id: number of findings}, ids sorted."""
         counts: dict[str, int] = {}
         for f in self.findings:
             counts[f.rule] = counts.get(f.rule, 0) + 1
-            mark = "NEW " if f.fingerprint in new_fps else "    "
-            lines.append(mark + f.render())
-        summary = ", ".join(f"{r}={n}" for r, n in sorted(counts.items())) or "none"
+        return dict(sorted(counts.items()))
+
+    def render_text(self) -> str:
+        """Human-readable report: one line per finding, then a tally."""
+        lines = [f.render() for f in self.findings]
+        counts = self.rule_counts
+        summary = ", ".join(f"{r}={n}" for r, n in counts.items()) or "none"
         lines.append(
             f"{len(self.findings)} finding(s) ({summary}) in "
-            f"{self.files_scanned} file(s); {len(self.new)} new vs baseline"
-            + (f" {self.baseline_path}" if self.baseline_path else " (no baseline)")
+            f"{self.files_scanned} file(s)"
         )
         return "\n".join(lines)
 
@@ -105,12 +132,7 @@ class LintReport:
             lines.extend(f"  {rid:8s} {n}" for rid, n in rules.items())
         else:
             lines.append("  (none)")
-        g = self.stats.get("graph", {})
-        lines.append(
-            f"call graph: {g.get('nodes', 0)} nodes, {g.get('edges', 0)} "
-            f"edges, {g.get('sccs', 0)} SCCs over "
-            f"{self.stats.get('modules', 0)} module(s)"
-        )
+        lines.append(f"modules: {self.stats.get('modules', 0)}")
         c = self.stats.get("cfg")
         if c:
             lines.append(
@@ -134,8 +156,6 @@ class LintReport:
         """Machine-readable report for CI."""
         payload = {
             "findings": [f.to_dict() for f in self.findings],
-            "new": [f.to_dict() for f in self.new],
-            "baseline": self.baseline_path,
             "files_scanned": self.files_scanned,
             "clean": self.clean,
         }

@@ -38,9 +38,9 @@ receivers, resolved reachability); an unknown type stays silent.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .findings import Finding
+from .findings import Finding, Reporter
 from .plans import shuffle_free_stage_classes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -115,29 +115,13 @@ def _walk_body(node: ast.AST) -> Iterable[ast.AST]:
         yield from ast.walk(root)
 
 
-class _Dedup:
-    """Location-keyed dedup: overlapping reachability walks (a nested
-    def is both inside its parent and a graph node) report once."""
-
-    def __init__(self) -> None:
-        self._seen: set[tuple[str, str, int, int]] = set()
-
-    def first(self, rule: str, path: str, line: int, col: int) -> bool:
-        key = (rule, path, line, col)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        return True
-
-
 def check_shuffle_free(project: "Project") -> list[Finding]:
     """SHF001: prove the paper pipeline shuffle-free from the graph."""
     from .callgraph import is_substrate
 
     entries = entry_classes(project)
     reached = project.reachable_from(entries)
-    out: list[Finding] = []
-    dedup = _Dedup()
+    reporter = Reporter()
 
     # (a) wide-dependency APIs in entry-reachable code.
     for _module, node, analysis, scope in _each_reachable(project, reached):
@@ -145,28 +129,17 @@ def check_shuffle_free(project: "Project") -> list[Finding]:
             if not (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)):
                 continue
             attr = sub.func.attr
-            wide = attr in WIDE_DEP_DISTINCTIVE or (
+            if attr in WIDE_DEP_DISTINCTIVE or (
                 attr in WIDE_DEP_GENERIC and analysis.receiver_is_rdd(sub, scope)
-            )
-            if not wide:
-                continue
-            if not dedup.first("SHF001", analysis.path, sub.lineno, sub.col_offset):
-                continue
-            out.append(
-                Finding(
-                    rule="SHF001",
-                    path=analysis.path,
-                    line=sub.lineno,
-                    col=sub.col_offset,
-                    message=(
-                        f".{attr}() introduces a wide dependency (a shuffle "
-                        "stage) and is reachable from the paper pipeline, "
-                        "which is shuffle-free by construction "
-                        "(Algorithms 3-4)"
-                    ),
+            ):
+                reporter.report(
+                    "SHF001", analysis.path, sub.lineno, sub.col_offset,
+                    f".{attr}() introduces a wide dependency (a shuffle "
+                    "stage) and is reachable from the paper pipeline, "
+                    "which is shuffle-free by construction "
+                    "(Algorithms 3-4)",
                     symbol=scope.name,
                 )
-            )
 
     # (b) shuffle-subsystem imports in any module hosting reachable
     # code or defining an entry-point class.
@@ -184,29 +157,18 @@ def check_shuffle_free(project: "Project") -> list[Finding]:
                 ]
             elif isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            for dotted in names:
-                if "shuffle" not in dotted.split("."):
-                    continue
-                if not dedup.first(
-                    "SHF001", analysis.path, node.lineno, node.col_offset
-                ):
-                    continue
-                out.append(
-                    Finding(
-                        rule="SHF001",
-                        path=analysis.path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        message=(
-                            f"import of {dotted!r} in a module hosting "
-                            "paper-pipeline code: the pipeline is "
-                            "shuffle-free by construction (Algorithms 3-4); "
-                            "no shuffle code may enter it"
-                        ),
-                    )
+            dotted = next(
+                (n for n in names if "shuffle" in n.split(".")), None
+            )
+            if dotted is not None:
+                reporter.report(
+                    "SHF001", analysis.path, node.lineno, node.col_offset,
+                    f"import of {dotted!r} in a module hosting "
+                    "paper-pipeline code: the pipeline is "
+                    "shuffle-free by construction (Algorithms 3-4); "
+                    "no shuffle code may enter it",
                 )
-                break
-    return out
+    return reporter.findings
 
 
 def _broadcast_value_root(
@@ -226,125 +188,54 @@ def _broadcast_value_root(
             return None
 
 
-def _task_dataflow(
-    project: "Project",
-    visit: Callable[[object, object, ast.AST, list[Finding], _Dedup], None],
-) -> list[Finding]:
-    """Run a per-node visitor over all task-reachable application code."""
+def check_task_dataflow(project: "Project") -> list[Finding]:
+    """ACC001/BRD001/ACT001 over all task-reachable application code."""
+    reporter = Reporter()
     reached = project.task_reachable_by_module()
-    out: list[Finding] = []
-    dedup = _Dedup()
     for _module, node, analysis, scope in _each_reachable(project, reached):
+
+        def emit(rule: str, at: ast.AST, message: str) -> None:
+            reporter.report(rule, analysis.path, at.lineno, at.col_offset,
+                            message, symbol=scope.name)
+
+        def mutation(at: ast.AST, target: ast.AST, how: str) -> None:
+            root = _broadcast_value_root(target, analysis, scope)
+            if root is not None:
+                emit(
+                    "BRD001", at,
+                    f"{how} {root.id!r}.value in task code: broadcasts "
+                    "are immutable reference data; executor-local writes "
+                    "diverge per attempt and never reach the driver",
+                )
+
         for sub in _walk_body(node):
-            visit(analysis, scope, sub, out, dedup)
-    return out
-
-
-def check_accumulator_reads(project: "Project") -> list[Finding]:
-    """ACC001: ``acc.value`` reads inside task-reachable code."""
-
-    def visit(analysis, scope, sub, out, dedup) -> None:
-        if not (
-            isinstance(sub, ast.Attribute)
-            and sub.attr == "value"
-            and isinstance(sub.ctx, ast.Load)
-            and isinstance(sub.value, ast.Name)
-        ):
-            return
-        if analysis.expr_type(sub.value, scope) != "Accumulator":
-            return
-        if not dedup.first("ACC001", analysis.path, sub.lineno, sub.col_offset):
-            return
-        out.append(
-            Finding(
-                rule="ACC001",
-                path=analysis.path,
-                line=sub.lineno,
-                col=sub.col_offset,
-                message=(
+            if (
+                isinstance(sub, ast.Attribute)
+                and sub.attr == "value"
+                and isinstance(sub.ctx, ast.Load)
+                and isinstance(sub.value, ast.Name)
+                and analysis.expr_type(sub.value, scope) == "Accumulator"
+            ):
+                emit(
+                    "ACC001", sub,
                     f"reads {sub.value.id!r}.value in task code: accumulators "
                     "are write-only on executors (add) and merged on the "
                     "driver; the value here is a partial, attempt-dependent "
-                    "snapshot"
-                ),
-                symbol=scope.name,
-            )
-        )
-
-    return _task_dataflow(project, visit)
-
-
-def check_broadcast_mutations(project: "Project") -> list[Finding]:
-    """BRD001: mutation of a broadcast value inside task code."""
-
-    def emit(analysis, scope, name_node, line, col, how, out, dedup) -> None:
-        if not dedup.first("BRD001", analysis.path, line, col):
-            return
-        out.append(
-            Finding(
-                rule="BRD001",
-                path=analysis.path,
-                line=line,
-                col=col,
-                message=(
-                    f"{how} {name_node.id!r}.value in task code: broadcasts "
-                    "are immutable reference data; executor-local writes "
-                    "diverge per attempt and never reach the driver"
-                ),
-                symbol=scope.name,
-            )
-        )
-
-    def visit(analysis, scope, sub, out, dedup) -> None:
-        if isinstance(sub, (ast.Assign, ast.AugAssign, ast.Delete)):
-            targets = (
-                sub.targets if isinstance(sub, ast.Assign)
-                else [sub.target] if isinstance(sub, ast.AugAssign)
-                else sub.targets
-            )
-            how = "deletes from" if isinstance(sub, ast.Delete) else "assigns into"
-            for target in targets:
-                root = _broadcast_value_root(target, analysis, scope)
-                if root is not None:
-                    emit(analysis, scope, root, sub.lineno, sub.col_offset,
-                         how, out, dedup)
-        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-            if sub.func.attr not in _MUTATOR_METHODS:
-                return
-            root = _broadcast_value_root(sub.func.value, analysis, scope)
-            if root is not None:
-                emit(analysis, scope, root, sub.lineno, sub.col_offset,
-                     f"calls .{sub.func.attr}() on", out, dedup)
-
-    return _task_dataflow(project, visit)
-
-
-def check_rdd_actions(project: "Project") -> list[Finding]:
-    """ACT001: RDD actions invoked inside task-reachable code."""
-
-    def visit(analysis, scope, sub, out, dedup) -> None:
-        if not (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)):
-            return
-        if sub.func.attr not in RDD_ACTIONS:
-            return
-        if not analysis.receiver_is_rdd(sub, scope):
-            return
-        if not dedup.first("ACT001", analysis.path, sub.lineno, sub.col_offset):
-            return
-        out.append(
-            Finding(
-                rule="ACT001",
-                path=analysis.path,
-                line=sub.lineno,
-                col=sub.col_offset,
-                message=(
-                    f".{sub.func.attr}() is an RDD action invoked inside "
-                    "task code: it would nest a job in a task; the lineage "
-                    "handle is driver state (collect on the driver, ship "
-                    "data into the closure instead)"
-                ),
-                symbol=scope.name,
-            )
-        )
-
-    return _task_dataflow(project, visit)
+                    "snapshot",
+                )
+            elif isinstance(sub, (ast.Assign, ast.AugAssign, ast.Delete)):
+                how = "deletes from" if isinstance(sub, ast.Delete) else "assigns into"
+                for target in getattr(sub, "targets", None) or [sub.target]:
+                    mutation(sub, target, how)
+            elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                if sub.func.attr in _MUTATOR_METHODS:
+                    mutation(sub, sub.func.value, f"calls .{sub.func.attr}() on")
+                if sub.func.attr in RDD_ACTIONS and analysis.receiver_is_rdd(sub, scope):
+                    emit(
+                        "ACT001", sub,
+                        f".{sub.func.attr}() is an RDD action invoked inside "
+                        "task code: it would nest a job in a task; the lineage "
+                        "handle is driver state (collect on the driver, ship "
+                        "data into the closure instead)",
+                    )
+    return reporter.findings

@@ -40,7 +40,7 @@ import ast
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .findings import Finding
+from .findings import Finding, Reporter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .callgraph import Project
@@ -77,16 +77,35 @@ class PlanManifest:
     shuffle_free: tuple[str, ...]
 
 
+def _literal_assigns(body: list[ast.stmt]):
+    """(name, value node) of every ``NAME = <expr>`` statement in a
+    module or class body — the one reader under the three tables."""
+    for stmt in body:
+        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)):
+            yield stmt.targets[0].id, stmt.value
+
+
+def _string(node: ast.AST | None) -> str | None:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
 def _string_tuple(node: ast.AST) -> tuple[str, ...] | None:
     """A Tuple/List of string constants, or None when anything else."""
     if not isinstance(node, (ast.Tuple, ast.List)):
         return None
-    out: list[str] = []
-    for elt in node.elts:
-        if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-            return None
-        out.append(elt.value)
-    return tuple(out)
+    out = tuple(_string(elt) for elt in node.elts)
+    return None if None in out else out
+
+
+def _string_items(node: ast.AST):
+    """(key, key node, value node) per string-keyed entry of a Dict."""
+    if isinstance(node, ast.Dict):
+        for key, value in zip(node.keys, node.values):
+            if _string(key) is not None:
+                yield key.value, key, value
 
 
 def stage_contracts(project: "Project") -> dict[str, StageContract]:
@@ -101,24 +120,12 @@ def stage_contracts(project: "Project") -> dict[str, StageContract]:
         for node in analysis.tree.body:
             if not isinstance(node, ast.ClassDef):
                 continue
-            attrs: dict[str, tuple[str, ...]] = {}
-            stage_name = ""
-            for stmt in node.body:
-                if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-                    continue
-                target = stmt.targets[0]
-                if not isinstance(target, ast.Name):
-                    continue
-                if target.id == "name":
-                    if isinstance(stmt.value, ast.Constant) and isinstance(
-                        stmt.value.value, str
-                    ):
-                        stage_name = stmt.value.value
-                elif target.id in ("requires", "provides"):
-                    keys = _string_tuple(stmt.value)
-                    if keys is not None:
-                        attrs[target.id] = keys
-            if not attrs:
+            attrs = dict(_literal_assigns(node.body))
+            keys = {
+                attr: _string_tuple(attrs[attr])
+                for attr in ("requires", "provides") if attr in attrs
+            }
+            if all(v is None for v in keys.values()):
                 continue
             out.setdefault(
                 node.name,
@@ -127,9 +134,9 @@ def stage_contracts(project: "Project") -> dict[str, StageContract]:
                     module=module,
                     path=analysis.path,
                     lineno=node.lineno,
-                    stage_name=stage_name,
-                    requires=attrs.get("requires", ()),
-                    provides=attrs.get("provides", ()),
+                    stage_name=_string(attrs.get("name")) or "",
+                    requires=keys.get("requires") or (),
+                    provides=keys.get("provides") or (),
                 ),
             )
     return out
@@ -139,40 +146,21 @@ def manifests(project: "Project") -> list[PlanManifest]:
     """Every ``STAGE_MANIFEST`` literal in the scanned modules."""
     out: list[PlanManifest] = []
     for module, analysis in project.modules.items():
-        plans: dict[str, list[tuple[str, int]]] = {}
-        shuffle_free: tuple[str, ...] = ()
-        for node in analysis.tree.body:
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if target.id == STAGE_MANIFEST_NAME and isinstance(node.value, ast.Dict):
-                for key, value in zip(node.value.keys, node.value.values):
-                    if not (
-                        isinstance(key, ast.Constant) and isinstance(key.value, str)
-                    ):
-                        continue
-                    if not isinstance(value, (ast.Tuple, ast.List)):
-                        continue
-                    entries: list[tuple[str, int]] = []
-                    for elt in value.elts:
-                        if isinstance(elt, ast.Constant) and isinstance(
-                            elt.value, str
-                        ):
-                            entries.append((elt.value, elt.lineno))
-                    plans[key.value] = entries
-            elif target.id == SHUFFLE_FREE_NAME:
-                keys = _string_tuple(node.value)
-                if keys is not None:
-                    shuffle_free = keys
+        names = dict(_literal_assigns(analysis.tree.body))
+        plans = {
+            plan: [(_string(elt), elt.lineno) for elt in value.elts
+                   if _string(elt) is not None]
+            for plan, _key, value in _string_items(names.get(STAGE_MANIFEST_NAME))
+            if isinstance(value, (ast.Tuple, ast.List))
+        }
         if plans:
             out.append(
                 PlanManifest(
                     module=module,
                     path=analysis.path,
                     plans=plans,
-                    shuffle_free=shuffle_free,
+                    shuffle_free=_string_tuple(
+                        names.get(SHUFFLE_FREE_NAME)) or (),
                 )
             )
     return out
@@ -191,44 +179,23 @@ class SizeManifest:
 def size_manifests(project: "Project") -> list[SizeManifest]:
     """Every ``SIZE_MANIFEST`` literal in the scanned modules.
 
-    Entries are read permissively (non-string keys or classes are kept
-    as ``""``); `check_plan_contracts` reports the malformed ones.
+    Entries are read permissively (non-string classes are kept as
+    ``""``); `check_plan_contracts` reports the malformed ones.
     """
     out: list[SizeManifest] = []
     for module, analysis in project.modules.items():
-        for node in analysis.tree.body:
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            if not (
-                isinstance(target, ast.Name)
-                and target.id == SIZE_MANIFEST_NAME
-                and isinstance(node.value, ast.Dict)
-            ):
-                continue
-            stages: dict[str, tuple[str, str, int]] = {}
-            for key, value in zip(node.value.keys, node.value.values):
-                if not (
-                    isinstance(key, ast.Constant) and isinstance(key.value, str)
-                ):
-                    continue
-                classes = {"input": "", "output": ""}
-                if isinstance(value, ast.Dict):
-                    for k, v in zip(value.keys, value.values):
-                        if (
-                            isinstance(k, ast.Constant)
-                            and k.value in classes
-                            and isinstance(v, ast.Constant)
-                            and isinstance(v.value, str)
-                        ):
-                            classes[k.value] = v.value
-                stages[key.value] = (
-                    classes["input"], classes["output"], key.lineno
-                )
-            if stages:
-                out.append(
-                    SizeManifest(module=module, path=analysis.path, stages=stages)
-                )
+        names = dict(_literal_assigns(analysis.tree.body))
+        stages = {}
+        for cls, key, value in _string_items(names.get(SIZE_MANIFEST_NAME)):
+            classes = {role: _string(v) or ""
+                       for role, _k, v in _string_items(value)}
+            stages[cls] = (
+                classes.get("input", ""), classes.get("output", ""), key.lineno
+            )
+        if stages:
+            out.append(
+                SizeManifest(module=module, path=analysis.path, stages=stages)
+            )
     return out
 
 
@@ -242,21 +209,14 @@ def shuffle_free_stage_classes(project: "Project") -> set[str]:
     return out
 
 
-def check_plan_contracts(
-    project: "Project", rules: tuple[str, ...] = ("PLN001", "PLN002")
-) -> list[Finding]:
-    """Verify every manifest plan's needs/provides chain statically."""
+def check_plan_contracts(project: "Project") -> list[Finding]:
+    """PLN001/PLN002: verify every manifest plan's needs/provides chain
+    statically."""
     contracts = stage_contracts(project)
-    out: list[Finding] = []
+    reporter = Reporter()
 
     def emit(rule: str, path: str, line: int, message: str, plan: str) -> None:
-        if rule in rules:
-            out.append(
-                Finding(
-                    rule=rule, path=path, line=line, col=0,
-                    message=message, symbol=f"plan:{plan}",
-                )
-            )
+        reporter.report(rule, path, line, 0, message, symbol=f"plan:{plan}")
 
     for manifest in manifests(project):
         for plan, entries in manifest.plans.items():
@@ -337,4 +297,4 @@ def check_plan_contracts(
                 f"has no {SIZE_MANIFEST_NAME} entry; declare its driver "
                 "input/output size classes", f"size:{cls}",
             )
-    return out
+    return reporter.findings

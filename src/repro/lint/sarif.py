@@ -10,8 +10,8 @@ can annotate PR diffs:
 - locations use repo-relative POSIX URIs and 1-based line/column
   regions (lint columns are 0-based AST offsets);
 - the linter's own line-free fingerprint rides along as a
-  ``partialFingerprints`` entry, and ``baselineState`` distinguishes
-  findings that are new versus grandfathered by ``lint-baseline.json``;
+  ``partialFingerprints`` entry, so a consumer can track a finding
+  across edits above it;
 - flow findings (LIF*/RES*) carry ``relatedLocations`` pointing back at
   the acquire/stop/close/persist site the message refers to.
 """
@@ -31,7 +31,7 @@ FINGERPRINT_KEY = "reproLint/v1"
 TOOL_NAME = "repro-lint"
 
 
-def _result(finding: Finding, rule_index: dict[str, int], is_new: bool) -> dict:
+def _result(finding: Finding, rule_index: dict[str, int]) -> dict:
     uri = finding.path.replace("\\", "/").lstrip("./")
     related = [
         {
@@ -66,7 +66,6 @@ def _result(finding: Finding, rule_index: dict[str, int], is_new: bool) -> dict:
         ],
         **({"relatedLocations": related} if related else {}),
         "partialFingerprints": {FINGERPRINT_KEY: finding.fingerprint},
-        "baselineState": "new" if is_new else "unchanged",
     }
 
 
@@ -91,7 +90,6 @@ def to_sarif(report: LintReport, catalogue: dict[str, str] | None = None) -> dic
         for rid in ids
     ]
     rule_index = {rid: i for i, rid in enumerate(ids)}
-    new_ids = {id(f) for f in report.new}
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -104,10 +102,7 @@ def to_sarif(report: LintReport, catalogue: dict[str, str] | None = None) -> dic
                     }
                 },
                 "columnKind": "unicodeCodePoints",
-                "results": [
-                    _result(f, rule_index, id(f) in new_ids)
-                    for f in report.findings
-                ],
+                "results": [_result(f, rule_index) for f in report.findings],
             }
         ],
     }

@@ -25,8 +25,9 @@ Sources are the repo's naming contract (``points``/``labels`` are
 O(points); ``digests`` are O(partials)-many O(edges) records; …) plus
 the pure-literal ``SIZE_MANIFEST`` next to ``STAGE_MANIFEST`` in
 `repro.pipeline.plans`, which declares every stage's driver-resident
-input/output classes.  Summaries propagate classes interprocedurally
-over the call graph, memoized and cycle-guarded like typestate's.
+input/output classes.  A callee's summary is its return value's class,
+symbolic in its parameters; the flow engine (`repro.lint.dataflow`)
+memoizes and cycle-guards it.
 
 The analysis is *may* in the repo's house style: a value with no
 positively identified class never fires.  Four rules:
@@ -49,9 +50,9 @@ Scope mirrors the lineage rules: functions reachable from the
 shuffle-free plans' stage classes, minus task-submitted closures
 (executor code is *supposed* to touch points) and the engine
 substrate.  Findings carry related "tainted here" locations and the
-usual line-free messages so baselines survive drift; the known
-central binning/balancing in `repro.dbscan.cells` is baselined with
-scoped pragmas referencing ROADMAP item 3, not silently skipped.
+usual line-free messages; the known central binning/balancing in
+`repro.dbscan.cells` is exempted with scoped pragmas referencing
+ROADMAP item 3, not silently skipped.
 """
 
 from __future__ import annotations
@@ -60,19 +61,21 @@ import ast
 from dataclasses import dataclass, replace
 
 from .callgraph import is_substrate
-from .cfg import CFG, ExceptBind, ForBind, WithEnter, build_cfg
-from .closures import RDD_CHAIN_METHODS, RDD_FACTORY_METHODS, _target_names
-from .dataflow import ForwardAnalysis, solve
-from .findings import Finding
+from .cfg import ExceptBind, ForBind, WithEnter
+from .closures import (
+    RDD_CHAIN_METHODS,
+    RDD_FACTORY_METHODS,
+    _target_names,
+    dotted_name,
+)
+from .dataflow import Callee, FunctionPass, calls_within, parameters
+from .findings import Finding, Reporter
 from .plans import (
     SIZE_CLASSES,
     manifests,
     shuffle_free_stage_classes,
     size_manifests,
 )
-from .typestate import _calls_within, _self_offset, _var_key
-
-SIZECLASS_RULES = ("SCL001", "SCL002", "SCL003", "SCL004")
 
 # -- the lattice ---------------------------------------------------------------
 
@@ -244,66 +247,52 @@ def _is_spark_context(analysis, scope, expr: ast.AST) -> bool:
     plus the same naming contract on attribute chains (``state.sc``)."""
     if analysis.expr_type(expr, scope) == "SparkContext":
         return True
-    key = _var_key(expr)
+    key = dotted_name(expr)
     if key is None:
         return False
     leaf = key.rsplit(".", 1)[-1]
     return leaf == "sc" or leaf.endswith("_sc")
 
 
-# -- interprocedural summaries -------------------------------------------------
-
-@dataclass
-class SizeSummary:
-    """A callee's return-value class, possibly symbolic in its params."""
-
-    ret: SizeVal | None = None
-
-
 # -- the per-function pass -----------------------------------------------------
 
-class _FunctionSizer:
-    """Size-class pass over one function: expression evaluation, the
-    transfer function, and the check walk.
+class SizePass(FunctionPass[dict]):
+    """Size-class pass over one function: the lattice, expression
+    evaluation, the transfer function, and the checks.
+
+    A state maps `dotted_name` keys to ``SizeVal | None``; an explicit
+    ``None`` entry means "assigned, class unknown" and blocks the
+    name-table fallback.  Joins are per-key value joins, so the height
+    is bounded by the lattice height times the number of assigned keys.
 
     ``symbolic=True`` is summary mode: parameters are seeded as
     symbolic values (``deps={param}``) instead of from the name table,
-    so the summary stays valid for every caller.  Attribute reads fall
-    back to the concrete name table in both modes.
+    so the summary — the class of the return value, or None — stays
+    valid for every caller.  Attribute reads fall back to the concrete
+    name table in both modes.
     """
 
-    def __init__(self, cache: "_SizeCache", analysis, func_node,
-                 symbolic: bool = False):
-        self.cache = cache
-        self.analysis = analysis
-        self.func = func_node
-        self.scope = analysis.scope_of(func_node)
-        self.symbolic = symbolic
-        self.seed = self._seed_params()
+    symbolic = False
 
-    # -- seeding ---------------------------------------------------------------
+    # -- lattice ---------------------------------------------------------------
 
-    def _params(self) -> list[str]:
-        args = getattr(self.func, "args", None)
-        if args is None:
-            return []
-        return [a.arg for a in list(args.posonlyargs) + list(args.args)]
-
-    def _seed_params(self) -> dict:
+    def initial_state(self) -> dict:
         seed: dict = {}
-        for p in self._params():
+        for p in parameters(self.func):
             if p in ("self", "cls"):
                 continue
             if self.symbolic:
                 seed[p] = SizeVal(deps=frozenset({p}))
-            else:
-                hit = SIZE_BY_NAME.get(p)
-                if hit is not None:
-                    seed[p] = SizeVal(
-                        storage=hit[0], count=hit[1],
-                        line=getattr(self.func, "lineno", 0),
-                    )
+            elif p in SIZE_BY_NAME:
+                storage, count = SIZE_BY_NAME[p]
+                seed[p] = SizeVal(storage, count, line=self.func.lineno)
         return seed
+
+    def join(self, a: dict, b: dict) -> dict:
+        out = dict(a)
+        for key, val in b.items():
+            out[key] = _join_vals(out[key], val) if key in out else val
+        return out
 
     def _table_val(self, key: str, line: int = 0) -> SizeVal | None:
         leaf = key.rsplit(".", 1)[-1]
@@ -392,14 +381,14 @@ class _FunctionSizer:
                                    deps=base.deps)
                 return None
             if expr.attr == "value":
-                base_key = _var_key(expr.value)
+                base_key = dotted_name(expr.value)
                 if base_key is not None:
                     base = state.get(base_key, _MISSING)
                     if (base is not _MISSING and base is not None
                             and base.tag == "broadcast"):
                         # b.value re-materializes the broadcast payload
                         return replace(base, tag=None, fresh=False)
-        key = _var_key(expr)
+        key = dotted_name(expr)
         if key is None:
             return None
         val = state.get(key, _MISSING)
@@ -531,14 +520,11 @@ class _FunctionSizer:
             recv = self.eval(state, fn.value)
             if recv is not None and fn.attr in ARRAY_PRESERVE_METHODS:
                 return replace(recv, fresh=True, tag=None)
-        resolved = self.cache.resolve(self.analysis, self.scope, call)
-        if resolved is not None:
-            mod, node = resolved
-            if getattr(node, "name", "") in ("__init__", "__post_init__"):
+        callee = self.callee(call)
+        if callee is not None:
+            if callee.func.name in ("__init__", "__post_init__"):
                 return self._ctor_val(state, call)
-            return self._apply_summary(
-                state, call, node, self.cache.summary(mod, node)
-            )
+            return self._apply_summary(state, call, callee)
         # Unresolved CapWords call: constructor heuristic — the object
         # pins at least the storage of what it is handed.
         ctor_name = (
@@ -599,39 +585,21 @@ class _FunctionSizer:
             return None
         return SizeVal(storage, ONE, fresh=True, line=call.lineno, deps=deps)
 
-    def _apply_summary(self, state: dict, call: ast.Call, node,
-                       summary: SizeSummary) -> SizeVal | None:
-        ret = summary.ret
+    def _apply_summary(self, state: dict, call: ast.Call,
+                       callee: Callee) -> SizeVal | None:
+        """The callee's return class with its symbolic parameters
+        replaced by this call's argument classes."""
+        ret = self.callee_summary(callee)
         if ret is None:
             return None
         storage, count = ret.storage, ret.count
         deps: frozenset = frozenset()
-        if ret.deps:
-            offset = _self_offset(node, call)
-            args_obj = getattr(node, "args", None)
-            params = (
-                [a.arg for a in list(args_obj.posonlyargs)
-                 + list(args_obj.args)][offset:]
-                if args_obj is not None else []
-            )
-            by_name: dict[str, ast.AST] = {}
-            for i, a in enumerate(call.args):
-                if isinstance(a, ast.Starred):
-                    continue
-                if i < len(params):
-                    by_name[params[i]] = a
-            for kw in call.keywords:
-                if kw.arg:
-                    by_name[kw.arg] = kw.value
-            for p in ret.deps:
-                arg = by_name.get(p)
-                if arg is None:
-                    continue
-                v = self.eval(state, arg)
-                if v is not None:
-                    storage = _join_rank(storage, v.storage)
-                    count = _join_rank(count, v.count)
-                    deps |= v.deps
+        for p in ret.deps & callee.bound.keys():
+            v = self.eval(state, callee.bound[p])
+            if v is not None:
+                storage = _join_rank(storage, v.storage)
+                count = _join_rank(count, v.count)
+                deps |= v.deps
         if storage is None and count is None and not deps:
             return None
         return SizeVal(storage, count, fresh=True, tag=ret.tag,
@@ -639,7 +607,7 @@ class _FunctionSizer:
 
     # -- the transfer function -------------------------------------------------
 
-    def apply(self, state: dict, instr) -> dict:
+    def transfer(self, state: dict, instr) -> dict:
         out = dict(state)
         if isinstance(instr, ForBind):
             # Per-iteration elements are unknown; an explicit None entry
@@ -672,7 +640,7 @@ class _FunctionSizer:
             self._bind(state, out, instr.target, val, instr.value)
             return out
         if isinstance(instr, ast.AugAssign):
-            key = _var_key(instr.target)
+            key = dotted_name(instr.target)
             if key is not None:
                 cur = state.get(key, _MISSING)
                 if cur is _MISSING:
@@ -681,7 +649,7 @@ class _FunctionSizer:
             return out
         if isinstance(instr, ast.Delete):
             for target in instr.targets:
-                key = _var_key(target)
+                key = dotted_name(target)
                 if key is not None:
                     out[key] = None
             return out
@@ -692,7 +660,7 @@ class _FunctionSizer:
             out[target.id] = val
             return
         if isinstance(target, ast.Attribute):
-            key = _var_key(target)
+            key = dotted_name(target)
             if key is not None:
                 out[key] = val
             return
@@ -720,44 +688,21 @@ class _FunctionSizer:
             for sub in target.elts:
                 self._bind(state, out, sub, val, None)
 
-    # -- the check walk --------------------------------------------------------
+    # -- the checks ------------------------------------------------------------
 
-    def check(self, allowed: set, digest_reduction: bool) -> list[Finding]:
-        cfg = self.cache.cfg(self.func)
-        states = solve(cfg, _SizeAnalysis(self))
-        findings: list[Finding] = []
-        seen: set[tuple] = set()
+    def check(self, allowed: set, digest_reduction: bool,
+              values: dict) -> None:
+        """Report the rules ``allowed`` in this function's scope, and
+        tally its assignments by class into ``values`` (``--stats``)."""
+        self.allowed = allowed
+        self.digest_reduction = digest_reduction
+        for state, instr in self.walk().steps:
+            self._check_instr(state, instr)
+            self._tally(state, instr, values)
 
-        def emit(rule: str, line: int, col: int, message: str,
-                 related: list[tuple[int, str]]) -> None:
-            if rule not in allowed:
-                return
-            key = (rule, line)
-            if key in seen:
-                return
-            seen.add(key)
-            findings.append(Finding(
-                rule=rule,
-                path=self.analysis.path,
-                line=line,
-                col=col,
-                message=message,
-                symbol=self.scope.name,
-                related=tuple(
-                    (self.analysis.path, rline, rmsg)
-                    for rline, rmsg in related
-                ),
-            ))
-
-        for bid in sorted(cfg.blocks):
-            st = states.in_states.get(bid)
-            if st is None:
-                continue
-            for instr in cfg.blocks[bid].instrs:
-                self._check_instr(st, instr, emit, digest_reduction)
-                self.tally(st, instr, self.cache.value_counts)
-                st = self.apply(st, instr)
-        return findings
+    def emit(self, rule, line, col, message, related=()) -> None:
+        if rule in self.allowed:
+            super().emit(rule, line, col, message, related)
 
     def _related(self, val: SizeVal, line: int) -> list[tuple[int, str]]:
         if val.line and val.line != line:
@@ -765,13 +710,12 @@ class _FunctionSizer:
                      f"tainted {_class_name(val.storage or POINTS)} here")]
         return []
 
-    def _check_instr(self, st: dict, instr, emit,
-                     digest_reduction: bool) -> None:
+    def _check_instr(self, st: dict, instr) -> None:
         if isinstance(instr, ForBind):
             it = self.eval(st, instr.iter)
             if (it is not None and it.tag is None
                     and it.count is not None and it.count >= POINTS):
-                emit(
+                self.emit(
                     "SCL002", instr.lineno, 0,
                     f"driver-side loop with {_class_name(it.count)} trip "
                     "count; per-point driver iteration is the merge "
@@ -784,12 +728,11 @@ class _FunctionSizer:
         if isinstance(instr, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
             return
-        for call in _calls_within(instr):
-            self._check_call(st, call, emit, digest_reduction)
-        self._check_assign(st, instr, emit)
+        for call in calls_within(instr):
+            self._check_call(st, call)
+        self._check_assign(st, instr)
 
-    def _check_call(self, st: dict, call: ast.Call, emit,
-                    digest_reduction: bool) -> None:
+    def _check_call(self, st: dict, call: ast.Call) -> None:
         fn = call.func
         if not isinstance(fn, ast.Attribute):
             return
@@ -798,7 +741,7 @@ class _FunctionSizer:
             v = self.eval(st, call.args[0])
             if (v is not None and v.tag is None
                     and v.storage is not None and v.storage >= POINTS):
-                emit(
+                self.emit(
                     "SCL003", call.lineno, 0,
                     f"broadcast of an {_class_name(v.storage)} value in a "
                     "cell/edges plan; every executor would hold the "
@@ -816,8 +759,8 @@ class _FunctionSizer:
         rank = _join_rank(recv.storage, recv.count)
         if rank is None or rank < POINTS:
             return
-        if digest_reduction:
-            emit(
+        if self.digest_reduction:
+            self.emit(
                 "SCL004", call.lineno, 0,
                 f"collect() of an un-digested {_class_name(rank)} RDD; an "
                 "O(edges)/O(partials) digest reduction exists on the size "
@@ -825,14 +768,14 @@ class _FunctionSizer:
                 self._related(recv, call.lineno),
             )
         else:
-            emit(
+            self.emit(
                 "SCL001", call.lineno, 0,
                 f"collect() materializes an {_class_name(rank)} dataset on "
                 "the driver outside the sanctioned stages",
                 self._related(recv, call.lineno),
             )
 
-    def _check_assign(self, st: dict, instr, emit) -> None:
+    def _check_assign(self, st: dict, instr) -> None:
         if isinstance(instr, ast.Assign):
             targets, value = instr.targets, instr.value
         elif isinstance(instr, ast.AnnAssign) and instr.value is not None:
@@ -852,9 +795,9 @@ class _FunctionSizer:
         if val.storage is None or val.storage < POINTS:
             return
         cls = _class_name(val.storage)
-        names = [k for k in (_var_key(t) for t in targets) if k] or ["<target>"]
+        names = [k for k in (dotted_name(t) for t in targets) if k] or ["<target>"]
         if val.fresh:
-            emit(
+            self.emit(
                 "SCL001", instr.lineno, 0,
                 f"driver materializes an {cls} value into {names[0]!r} "
                 "outside the sanctioned stages; distribute or digest it",
@@ -862,7 +805,7 @@ class _FunctionSizer:
             )
         elif any(isinstance(t, (ast.Attribute, ast.Subscript))
                  for t in targets):
-            emit(
+            self.emit(
                 "SCL001", instr.lineno, 0,
                 f"{names[0]!r} retains an {cls} value on the driver "
                 "outside the sanctioned stages; the reference outlives "
@@ -872,7 +815,7 @@ class _FunctionSizer:
 
     # -- stats -----------------------------------------------------------------
 
-    def tally(self, state: dict, instr, counts: dict) -> None:
+    def _tally(self, state: dict, instr, counts: dict) -> None:
         """Per-class value counts for ``--stats`` (assignments only)."""
         if isinstance(instr, ast.Assign):
             value = instr.value
@@ -888,128 +831,25 @@ class _FunctionSizer:
         counts[name] = counts.get(name, 0) + 1
 
 
-class _SizeAnalysis(ForwardAnalysis):
-    """Forward dataflow over `SizeVal` environments.
+    # -- summary extraction ----------------------------------------------------
 
-    State: ``None`` (unreached — identity of join) or a dict mapping
-    `_var_key` strings to ``SizeVal | None``; an explicit ``None``
-    entry means "assigned, class unknown" and blocks the name-table
-    fallback.  Joins are per-key value joins, so the height is bounded
-    by the lattice height times the number of assigned keys.
-    """
-
-    def __init__(self, sizer: _FunctionSizer):
-        self.sizer = sizer
-
-    def initial_state(self):
-        return dict(self.sizer.seed)
-
-    def bottom(self):
-        return None
-
-    def join(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        out = dict(a)
-        for key, val in b.items():
-            out[key] = _join_vals(out[key], val) if key in out else val
-        return out
-
-    def transfer(self, state, instr):
-        if state is None:
-            return None
-        return self.sizer.apply(state, instr)
-
-    def exc_state(self, state, instr):
-        return state
-
-
-# -- the per-project cache -----------------------------------------------------
-
-class _SizeCache:
-    """Per-project cache of CFGs, size summaries, scopes, and findings."""
-
-    def __init__(self, project):
-        self.project = project
-        self._cfgs: dict[int, CFG] = {}
-        self._summaries: dict[int, SizeSummary] = {}
-        self._in_progress: set[int] = set()
-        self._node_owner: dict[int, tuple] = {}
-        self.findings: list[Finding] | None = None
-        self.functions_checked = 0
-        self.value_counts: dict[str, int] = {}
-        for name, analysis in project.modules.items():
-            for node in analysis._functions_by_scope:
-                self._node_owner[id(node)] = (name, analysis)
-        entry = shuffle_free_stage_classes(project)
-        self.scope_all = project.reachable_from(entry) if entry else {}
-        sanctioned = entry & SANCTIONED_STAGES
-        self.scope_sanctioned = (
-            project.reachable_from(sanctioned) if sanctioned else {}
-        )
-        bc_entry = _broadcast_scope_classes(project)
-        self.scope_broadcast = (
-            project.reachable_from(bc_entry) if bc_entry else {}
-        )
-        self.task_reach = project.task_reachable_by_module()
-        self.digest_reduction = any(
-            outp in ("O(edges)", "O(partials)")
-            for size in size_manifests(project)
-            for (_inp, outp, _line) in size.stages.values()
-        )
-
-    def cfg(self, func_node: ast.AST) -> CFG:
-        key = id(func_node)
-        if key not in self._cfgs:
-            self._cfgs[key] = build_cfg(func_node)
-        return self._cfgs[key]
-
-    def resolve(self, analysis, scope, call: ast.Call):
-        hit = self.project.resolve_call(analysis, scope, call)
-        if hit is None:
-            return None
-        mod, node = hit
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return None
-        return mod, node
-
-    def summary(self, module: str, func_node: ast.AST) -> SizeSummary:
-        key = id(func_node)
-        if key in self._summaries:
-            return self._summaries[key]
-        if key in self._in_progress:      # recursion: assume unknown
-            return SizeSummary()
-        self._in_progress.add(key)
-        try:
-            summary = self._compute_summary(module, func_node)
-        finally:
-            self._in_progress.discard(key)
-        self._summaries[key] = summary
-        return summary
-
-    def _compute_summary(self, module: str, func_node: ast.AST) -> SizeSummary:
-        analysis = self.project.modules.get(module)
-        if analysis is None:
-            return SizeSummary()
-        sizer = _FunctionSizer(self, analysis, func_node, symbolic=True)
-        cfg = self.cfg(func_node)
-        states = solve(cfg, _SizeAnalysis(sizer))
+    @classmethod
+    def summarize(cls, flow, analysis, func) -> SizeVal | None:
+        """Join of the classes ``func`` returns, symbolic in its
+        parameters; None when nothing about it is known."""
+        self = cls(flow, analysis, func)
+        self.symbolic = True
         ret = None
-        for bid in sorted(cfg.blocks):
-            st = states.in_states.get(bid)
-            if st is None:
-                continue
-            for instr in cfg.blocks[bid].instrs:
-                if isinstance(instr, ast.Return) and instr.value is not None:
-                    ret = _join_vals(ret, sizer.eval(st, instr.value))
-                st = sizer.apply(st, instr)
+        for state, instr in self.walk().steps:
+            if isinstance(instr, ast.Return) and instr.value is not None:
+                ret = _join_vals(ret, self.eval(state, instr.value))
         if (ret is not None and ret.storage is None and ret.count is None
                 and not ret.deps):
-            ret = None
-        return SizeSummary(ret=ret)
+            return None
+        return ret
 
+
+# -- the project-level driver --------------------------------------------------
 
 def _broadcast_scope_classes(project) -> set[str]:
     """Stage classes of the plans under the broadcast-size contract:
@@ -1022,61 +862,42 @@ def _broadcast_scope_classes(project) -> set[str]:
     return out
 
 
-def _size_cache(project) -> _SizeCache:
-    cache = getattr(project, "_size_cache", None)
-    if cache is None:
-        cache = _SizeCache(project)
-        project._size_cache = cache
-    return cache
-
-
-def _compute_all(project) -> list[Finding]:
-    cache = _size_cache(project)
-    if cache.findings is not None:
-        return cache.findings
-    findings: list[Finding] = []
-    for name, analysis in sorted(project.modules.items()):
-        if is_substrate(name):
+def check_sizeclass(project) -> list[Finding]:
+    """SCL001–SCL004 over the driver-side functions reachable from the
+    shuffle-free plans' stages; leaves the per-class value tally in
+    ``project.flow.stats["sizes"]``."""
+    entry = shuffle_free_stage_classes(project)
+    in_scope = project.reachable_from(entry)
+    sanctioned = project.reachable_from(entry & SANCTIONED_STAGES)
+    broadcast = project.reachable_from(_broadcast_scope_classes(project))
+    tasks = project.task_reachable_by_module()
+    digest_reduction = any(
+        outp in ("O(edges)", "O(partials)")
+        for size in size_manifests(project)
+        for (_inp, outp, _line) in size.stages.values()
+    )
+    reporter = Reporter()
+    values: dict[str, int] = {}
+    checked = 0
+    for analysis, func in project.flow.functions():
+        name = analysis.module_name
+        if (is_substrate(name) or func not in in_scope.get(name, ())
+                or func in tasks.get(name, ())):
             continue
-        in_scope = cache.scope_all.get(name, set())
-        if not in_scope:
-            continue
-        sanctioned = cache.scope_sanctioned.get(name, set())
-        bc_scope = cache.scope_broadcast.get(name, set())
-        tasks = cache.task_reach.get(name, set())
-        for node in analysis._functions_by_scope:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node not in in_scope or node in tasks:
-                continue
-            allowed = {"SCL002", "SCL004"}
-            if node not in sanctioned:
-                allowed.add("SCL001")
-            if node in bc_scope:
-                allowed.add("SCL003")
-            sizer = _FunctionSizer(cache, analysis, node)
-            findings.extend(sizer.check(allowed, cache.digest_reduction))
-            cache.functions_checked += 1
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    cache.findings = findings
-    return findings
-
-
-def check_sizeclass(
-    project, rules: tuple[str, ...] = SIZECLASS_RULES
-) -> list[Finding]:
-    """Run the size-class rules; filter to ``rules``."""
-    return [f for f in _compute_all(project) if f.rule in rules]
-
-
-def sizeclass_stats(project) -> dict:
-    """Per-class value counts for ``repro lint --stats`` (runs the
-    analysis first so every checked assignment is classified)."""
-    _compute_all(project)
-    cache = _size_cache(project)
+        allowed = {"SCL002", "SCL004"}
+        if func not in sanctioned.get(name, ()):
+            allowed.add("SCL001")
+        if func in broadcast.get(name, ()):
+            allowed.add("SCL003")
+        SizePass(project.flow, analysis, func, reporter).check(
+            allowed, digest_reduction, values
+        )
+        checked += 1
     order = {name: rank for rank, name in CLASS_OF_RANK.items()}
-    values = dict(sorted(
-        cache.value_counts.items(),
-        key=lambda kv: (order.get(kv[0], 99), kv[0]),
-    ))
-    return {"functions": cache.functions_checked, "values": values}
+    project.flow.stats["sizes"] = {
+        "functions": checked,
+        "values": dict(sorted(
+            values.items(), key=lambda kv: (order.get(kv[0], 99), kv[0])
+        )),
+    }
+    return reporter.findings

@@ -1,8 +1,7 @@
 """Flow-sensitive lifecycle rules over engine objects (LIF*/RES*).
 
 Tracks abstract lifecycle states of driver-side engine objects through
-each function's CFG (`repro.lint.cfg`) with the forward fixpoint solver
-(`repro.lint.dataflow`):
+each function's CFG on the flow engine (`repro.lint.dataflow`):
 
 - ``SparkContext``/``StreamingContext``: *open* → *stopped* (``stop()``
   or leaving a ``with`` block);
@@ -24,20 +23,12 @@ created context reaches the raise exit (the ``with``-less pattern —
 ``with`` blocks and ``try/finally`` releases are modelled by the CFG's
 cleanup duplication, so they never fire).
 
-Interprocedural layer: calls into same-project functions (resolved via
-`repro.lint.callgraph.Project`) are summarised — which methods a callee
-surely/possibly applies to each parameter, and whether the parameter
-escapes — so ``shutdown(sc)`` followed by ``sc.parallelize(...)`` is a
-use-after-stop, and a helper that unpersists its argument discharges
-RES001 at the call site.
-
-Rules (each finding carries the acquire/transition site as a SARIF
-``relatedLocation``):
-
-- ``LIF001`` use-after-stop (SparkContext/StreamingContext)
-- ``LIF003`` action-after-unpersist (RDD actions, ``Broadcast.value``)
-- ``RES001`` persist/cache with no unpersist on some exit path
-- ``RES002`` lock/context acquired but not released on an exception path
+Interprocedural layer: a call into a same-project function applies the
+callee's `Summary` — which methods it surely/possibly applies to each
+parameter, and whether the parameter escapes — so ``shutdown(sc)``
+followed by ``sc.parallelize(...)`` is a use-after-stop, and a helper
+that unpersists its argument discharges RES001 at the call site.  Each
+finding carries the acquire/transition site as a related location.
 """
 
 from __future__ import annotations
@@ -45,10 +36,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .cfg import CFG, ExceptBind, ForBind, WithEnter, WithExit, build_cfg
-from .closures import ModuleAnalysis, Scope, _loads_in, _target_names
-from .dataflow import ForwardAnalysis, solve
-from .findings import Finding
+from .cfg import ExceptBind, ForBind, WithEnter, WithExit
+from .closures import _loads_in, _target_names, dotted_name
+from .dataflow import (
+    FactAnalysis,
+    FunctionPass,
+    calls_within,
+    explicit_arguments,
+    parameters,
+)
+from .findings import Finding, Reporter
 
 # -- lifecycle tables ---------------------------------------------------------
 
@@ -112,45 +109,31 @@ USES = {
     "broadcast": set(),     # uses are ``.value`` reads, handled separately
 }
 
-#: kind -> LIF rule id for a use of a definitely-dead object
-USE_RULE = {"context": "LIF001", "rdd": "LIF003", "broadcast": "LIF003"}
-
-#: kind -> past-tense transition verb for related-location messages
-DEAD_VERB = {"context": "stopped", "rdd": "unpersisted",
-             "broadcast": "unpersisted"}
-
-TYPESTATE_RULES = ("LIF001", "LIF003", "RES001", "RES002")
+#: kind -> (LIF rule id, what a definitely-dead object is called, the
+#: past-tense transition verb of the related locations)
+USE_RULE = {
+    "context": ("LIF001", "a definitely-stopped SparkContext", "stopped"),
+    "rdd": ("LIF003", "an unpersisted RDD", "unpersisted"),
+    "broadcast": ("LIF003", "an unpersisted Broadcast", "unpersisted"),
+}
 
 
 # -- abstract state -----------------------------------------------------------
 
-#: one abstract fact about a variable: (kind, state, transition line)
-Entry = tuple  # (str, str, int)
-
-
 @dataclass(eq=True)
 class TState:
-    """Lattice value: per-variable entry sets plus the escaped-name set."""
+    """Lattice value: per-variable sets of (kind, state, transition
+    line) facts — keyed by `dotted_name` (``sc``, ``self.sc``) — plus
+    the escaped-name set."""
 
-    vars: dict = field(default_factory=dict)       # key -> frozenset[Entry]
+    vars: dict = field(default_factory=dict)       # key -> frozenset[fact]
     escaped: frozenset = frozenset()
 
-    def copy(self) -> "TState":
-        return TState(vars=dict(self.vars), escaped=self.escaped)
 
-
-def _var_key(expr: ast.AST) -> str | None:
-    """Stable key for a trackable reference: a bare name (``sc``) or a
-    name-rooted attribute chain (``self.sc``, ``state.sc``)."""
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+def _kind_in(entries) -> str | None:
+    """The one resource kind every fact agrees on, else None."""
+    kinds = {k for (k, _s, _line) in entries}
+    return kinds.pop() if len(kinds) == 1 else None
 
 
 def _definitely(entries: frozenset, kind: str) -> bool:
@@ -161,174 +144,112 @@ def _definitely(entries: frozenset, kind: str) -> bool:
     )
 
 
-def _dead_sites(entries: frozenset) -> list[int]:
-    return sorted({line for (_k, _s, line) in entries})
+def _sites(entries: frozenset, what: str) -> list[tuple[int, str]]:
+    return [(line, what) for line in sorted({line for (_k, _s, line) in entries})]
+
+
+def _with_target(item: ast.withitem) -> str | None:
+    target = item.optional_vars
+    return target.id if isinstance(target, ast.Name) else None
 
 
 # -- interprocedural summaries ------------------------------------------------
 
-@dataclass
+#: pseudo-method of a `Summary`: the parameter escapes the callee
+ESCAPES = "<escapes>"
+
+
+@dataclass(frozen=True)
 class Summary:
-    """What a callee does to each of its parameters, by name."""
+    """What a callee does to its parameters: the (parameter, method)
+    pairs it applies on every normally-returning path, and on some."""
 
-    must: dict = field(default_factory=dict)   # param -> frozenset[methods]
-    may: dict = field(default_factory=dict)    # param -> frozenset[methods]
-    escapes: frozenset = frozenset()           # params that escape the callee
+    must: frozenset = frozenset()
+    may: frozenset = frozenset()
 
-
-class _SummaryAnalysis(ForwardAnalysis):
-    """Per-path set of methods applied to each parameter.
-
-    State: ``None`` (top / unreached on this path — identity of join)
-    or a dict param -> frozenset of method names applied so far.  The
-    *may* side is accumulated separately as a plain union during the
-    emission walk; the solver's intersection-join over normal-exit
-    paths yields *must*.
-    """
-
-    def __init__(self, checker: "_FunctionChecker", params: list[str]):
-        self.checker = checker
-        self.params = params
-
-    def initial_state(self):
-        return {p: frozenset() for p in self.params}
-
-    def bottom(self):
-        return None
-
-    def join(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return {p: a[p] & b[p] for p in self.params}
-
-    def transfer(self, state, instr):
-        if state is None:
-            return None
-        methods = self.checker.param_methods(instr, set(self.params))
-        if not methods:
-            return state
-        out = dict(state)
-        for p, ms in methods.items():
-            out[p] = out[p] | ms
-        return out
-
-    def exc_state(self, state, instr):
-        return state
+    def methods(self, param: str) -> set[str]:
+        return {m for p, m in self.may if p == param}
 
 
-# -- the lifecycle analysis ---------------------------------------------------
+# -- the lifecycle pass -------------------------------------------------------
 
-class _LifecycleAnalysis(ForwardAnalysis):
-    def __init__(self, checker: "_FunctionChecker"):
-        self.checker = checker
+class Lifecycle(FunctionPass[TState]):
+    """Typestate over one function: the lattice, the transfer function,
+    the summary extraction, and the checks."""
 
+    NO_EFFECT = Summary()
+
+    # -- lattice --------------------------------------------------------------
     def initial_state(self) -> TState:
-        return TState(escaped=frozenset(self.checker.pre_escaped))
+        # Names read by nested defs/lambdas escape this function's
+        # flow-sensitive view from the start.
+        return TState(escaped=frozenset(
+            name.id
+            for stmt in self.func.body for sub in ast.walk(stmt)
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.Lambda))
+            for name in _loads_in(sub)
+        ))
 
-    def bottom(self) -> TState | None:
-        return None
-
-    def join(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
+    def join(self, a: TState, b: TState) -> TState:
         vars_out = dict(a.vars)
         for key, entries in b.vars.items():
             vars_out[key] = vars_out.get(key, frozenset()) | entries
         return TState(vars=vars_out, escaped=a.escaped | b.escaped)
 
-    def transfer(self, state, instr):
-        if state is None:
-            return None
-        return self.checker.apply(state, instr, exceptional=False)
+    def transfer(self, state: TState, instr) -> TState:
+        return self.apply(state, instr, exceptional=False)
 
-    def exc_state(self, state, instr):
-        if state is None:
-            return None
-        return self.checker.apply(state, instr, exceptional=True)
-
-
-class _FunctionChecker:
-    """Typestate pass over one function: transfer semantics, the check
-    walk, and the summary hooks."""
-
-    def __init__(self, cache: "_FlowCache", analysis: ModuleAnalysis,
-                 func_node: ast.AST):
-        self.cache = cache
-        self.project = cache.project
-        self.analysis = analysis
-        self.func = func_node
-        self.scope: Scope = analysis.scope_of(func_node)
-        # Names read by nested defs/lambdas escape this function's
-        # flow-sensitive view from the start.
-        self.pre_escaped: set[str] = set()
-        for stmt in getattr(func_node, "body", []):
-            for sub in ast.walk(stmt):
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.Lambda)):
-                    self.pre_escaped.update(n.id for n in _loads_in(sub))
+    def exc_state(self, state: TState, instr) -> TState:
+        return self.apply(state, instr, exceptional=True)
 
     # -- kind resolution ------------------------------------------------------
     def _kind_of(self, state: TState, key: str, expr: ast.AST) -> str | None:
-        entries = state.vars.get(key)
-        if entries:
-            kinds = {k for (k, _s, _l) in entries}
-            if len(kinds) == 1:
-                return next(iter(kinds))
-        tag = self.analysis.expr_type(expr, self.scope)
-        return KIND_OF_TAG.get(tag) if tag else None
+        return _kind_in(state.vars.get(key, ())) or KIND_OF_TAG.get(
+            self.analysis.expr_type(expr, self.scope)
+        )
 
     def _fresh_entries(self, value: ast.AST, line: int) -> frozenset | None:
         """Entries for a binding from a constructor/factory call."""
         if not isinstance(value, ast.Call):
             return None
-        tag = self.analysis.expr_type(value, self.scope)
-        kind = KIND_OF_TAG.get(tag) if tag else None
+        kind = KIND_OF_TAG.get(self.analysis.expr_type(value, self.scope))
         if kind is None:
             return None
         return frozenset({(kind, INIT_STATE[kind], line)})
 
     # -- transfer -------------------------------------------------------------
     def apply(self, state: TState, instr, exceptional: bool) -> TState:
-        out = state.copy()
+        out = TState(vars=dict(state.vars), escaped=state.escaped)
         if isinstance(instr, ForBind):
             for name in _target_names(instr.target):
                 out.vars.pop(name, None)
-            return out
-        if isinstance(instr, ExceptBind):
-            if instr.name:
-                out.vars.pop(instr.name, None)
-            return out
-        if isinstance(instr, WithEnter):
-            return self._with_enter(out, instr)
-        if isinstance(instr, WithExit):
-            return self._with_exit(out, instr)
-        if not isinstance(instr, ast.AST):
-            return out
-        if isinstance(instr, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.vars.pop(getattr(instr, "name", ""), None)
-            return out
-        for call in _calls_within(instr):
-            self._apply_call(out, call, exceptional)
-        self._apply_escapes(out, instr)
-        if not exceptional:
-            self._apply_binding(out, instr)
+        elif isinstance(instr, ExceptBind):
+            out.vars.pop(instr.name, None)
+        elif isinstance(instr, WithEnter):
+            self._with_enter(out, instr)
+        elif isinstance(instr, WithExit):
+            self._with_exit(out, instr)
+        elif isinstance(instr, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+            out.vars.pop(instr.name, None)
+        elif isinstance(instr, ast.AST):
+            for call in calls_within(instr):
+                self._apply_call(out, call, exceptional)
+            tracked = _escaping_names(instr, local_aliases=True) & out.vars.keys()
+            out.escaped = out.escaped | tracked
+            if not exceptional:
+                self._apply_binding(out, instr)
         return out
 
-    def _with_enter(self, out: TState, instr: WithEnter) -> TState:
+    def _with_enter(self, out: TState, instr: WithEnter) -> None:
         item = instr.item
-        ctx_key = _var_key(item.context_expr)
-        target = None
-        if item.optional_vars is not None and isinstance(item.optional_vars, ast.Name):
-            target = item.optional_vars.id
+        ctx_key = dotted_name(item.context_expr)
+        target = _with_target(item)
         fresh = self._fresh_entries(item.context_expr, instr.lineno)
         if fresh is not None:
-            key = target or ctx_key
-            if key:
-                out.vars[key] = fresh
+            if target or ctx_key:
+                out.vars[target or ctx_key] = fresh
         elif ctx_key is not None:
             kind = self._kind_of(out, ctx_key, item.context_expr)
             if kind in WITH_ENTER_STATE:
@@ -337,270 +258,168 @@ class _FunctionChecker:
                 )
             if target and ctx_key in out.vars:
                 out.vars[target] = out.vars[ctx_key]
-        return out
 
-    def _with_exit(self, out: TState, instr: WithExit) -> TState:
+    def _with_exit(self, out: TState, instr: WithExit) -> None:
         for item in instr.items:
-            keys = []
-            if item.optional_vars is not None and isinstance(item.optional_vars, ast.Name):
-                keys.append(item.optional_vars.id)
-            ctx_key = _var_key(item.context_expr)
-            if ctx_key is not None:
-                keys.append(ctx_key)
-            for key in keys:
-                entries = out.vars.get(key)
-                if not entries:
-                    continue
-                kinds = {k for (k, _s, _l) in entries}
-                if len(kinds) == 1:
-                    kind = next(iter(kinds))
-                    if kind in WITH_EXIT_STATE:
-                        out.vars[key] = frozenset(
-                            {(kind, WITH_EXIT_STATE[kind], instr.lineno)}
-                        )
-        return out
+            for key in (_with_target(item), dotted_name(item.context_expr)):
+                kind = _kind_in(out.vars.get(key, ()))
+                if kind in WITH_EXIT_STATE:
+                    out.vars[key] = frozenset(
+                        {(kind, WITH_EXIT_STATE[kind], instr.lineno)}
+                    )
 
     def _apply_call(self, out: TState, call: ast.Call, exceptional: bool) -> None:
-        recv_key = None
         if isinstance(call.func, ast.Attribute):
-            recv_key = _var_key(call.func.value)
+            recv_key = dotted_name(call.func.value)
             if recv_key is not None:
                 method = call.func.attr
                 kind = self._kind_of(out, recv_key, call.func.value)
-                if kind is not None:
-                    if method in RELEASE.get(kind, {}):
+                if method in RELEASE.get(kind, {}):
+                    out.vars[recv_key] = frozenset(
+                        {(kind, RELEASE[kind][method], call.lineno)}
+                    )
+                    return
+                if method in ACQUIRE.get(kind, {}):
+                    if not exceptional:
                         out.vars[recv_key] = frozenset(
-                            {(kind, RELEASE[kind][method], call.lineno)}
+                            {(kind, ACQUIRE[kind][method], call.lineno)}
                         )
-                        return
-                    if method in ACQUIRE.get(kind, {}):
-                        if not exceptional:
-                            out.vars[recv_key] = frozenset(
-                                {(kind, ACQUIRE[kind][method], call.lineno)}
-                            )
-                        return
-        # Same-project callee: apply its parameter summary to tracked
-        # arguments; unresolved callees make tracked arguments escape.
-        resolved = self.cache.resolve(self.analysis, self.scope, call)
-        summary = None
-        offset = 0
-        if resolved is not None:
-            mod, node = resolved
-            summary = self.cache.summary(mod, node)
-            offset = _self_offset(node, call)
-        for name, arg in _tracked_args(call, resolved, offset):
-            if arg is None or arg not in out.vars:
+                    return
+        # Same-project callee: apply its summary to the tracked
+        # arguments; an argument no summary accounts for escapes.
+        callee = self.callee(call)
+        summary = self.callee_summary(callee) if callee else self.NO_EFFECT
+        for arg in explicit_arguments(call):
+            key = dotted_name(arg)
+            if key not in out.vars:
                 continue
-            if summary is None or name is None:
-                out.escaped = out.escaped | {arg}
-                continue
-            if name in summary.escapes:
-                out.escaped = out.escaped | {arg}
-            entries = out.vars[arg]
-            kinds = {k for (k, _s, _l) in entries}
-            kind = next(iter(kinds)) if len(kinds) == 1 else None
-            if kind is None:
-                continue
-            must = summary.must.get(name, frozenset())
-            may = summary.may.get(name, frozenset())
-            for m in sorted(may):
-                table = RELEASE.get(kind, {})
-                atable = ACQUIRE.get(kind, {})
-                new_state = table.get(m) or (
-                    None if exceptional else atable.get(m)
+            param = callee.param_of(arg) if callee else None
+            if param is None or (param, ESCAPES) in summary.may:
+                out.escaped = out.escaped | {key}
+            entries = out.vars[key]
+            kind = _kind_in(entries)
+            for m in sorted(summary.methods(param)):
+                new_state = RELEASE.get(kind, {}).get(m) or (
+                    None if exceptional else ACQUIRE.get(kind, {}).get(m)
                 )
                 if new_state is None:
                     continue
                 transitioned = frozenset({(kind, new_state, call.lineno)})
-                if m in must:
+                if (param, m) in summary.must:
                     entries = transitioned
                 else:
                     entries = entries | transitioned
-            out.vars[arg] = entries
-
-    def _apply_escapes(self, out: TState, instr: ast.AST) -> None:
-        values: list[ast.AST] = []
-        if isinstance(instr, ast.Return) and instr.value is not None:
-            values.append(instr.value)
-        for sub in ast.walk(instr):
-            if isinstance(sub, (ast.Yield, ast.YieldFrom)) and sub.value is not None:
-                values.append(sub.value)
-        if isinstance(instr, ast.Assign):
-            if any(
-                isinstance(t, (ast.Attribute, ast.Subscript, ast.Tuple, ast.List))
-                for t in instr.targets
-            ):
-                values.append(instr.value)
-            elif isinstance(instr.value, (ast.Tuple, ast.List, ast.Dict, ast.Set)):
-                values.append(instr.value)
-        names: set[str] = set()
-        for value in values:
-            names |= _value_names(value)
-        tracked = {n for n in names if n in out.vars}
-        if tracked:
-            out.escaped = out.escaped | frozenset(tracked)
+            out.vars[key] = entries
 
     def _apply_binding(self, out: TState, instr: ast.AST) -> None:
-        target_names: list[str] = []
-        value: ast.AST | None = None
-        if isinstance(instr, ast.Assign):
-            value = instr.value
+        if isinstance(instr, ast.Delete):
             for t in instr.targets:
-                if isinstance(t, ast.Name):
-                    target_names.append(t.id)
-                elif isinstance(t, ast.Attribute):
-                    key = _var_key(t)
-                    if key:
-                        target_names.append(key)
-        elif isinstance(instr, ast.AnnAssign) and instr.value is not None:
-            value = instr.value
-            if isinstance(instr.target, ast.Name):
-                target_names.append(instr.target.id)
-            elif isinstance(instr.target, ast.Attribute):
-                key = _var_key(instr.target)
-                if key:
-                    target_names.append(key)
-        elif isinstance(instr, ast.Delete):
-            for t in instr.targets:
-                key = _var_key(t)
-                if key:
-                    out.vars.pop(key, None)
+                out.vars.pop(dotted_name(t), None)
             return
-        if not target_names or value is None:
+        if isinstance(instr, ast.Assign):
+            targets, value = instr.targets, instr.value
+        elif isinstance(instr, ast.AnnAssign) and instr.value is not None:
+            targets, value = [instr.target], instr.value
+        else:
+            return
+        names = [key for key in map(dotted_name, targets) if key]
+        if not names:
             return
         entries = self._binding_entries(out, value)
-        for name in target_names:
+        for name in names:
             if entries is not None:
                 out.vars[name] = entries
             else:
                 out.vars.pop(name, None)
         # Attribute-rooted targets outlive the function; the RES rules
         # must not claim ownership of them (LIF ordering still applies).
-        dotted = [n for n in target_names if "." in n]
-        if dotted:
-            out.escaped = out.escaped | frozenset(dotted)
+        out.escaped = out.escaped | {n for n in names if "." in n}
 
     def _binding_entries(self, state: TState, value: ast.AST) -> frozenset | None:
-        key = _var_key(value)
+        key = dotted_name(value)
         if key is not None:
             return state.vars.get(key)    # alias copies the facts
         if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
-            recv_key = _var_key(value.func.value)
-            method = value.func.attr
+            recv_key = dotted_name(value.func.value)
             if recv_key is not None and (
-                method in ("persist", "cache", "unpersist")
+                value.func.attr in ("persist", "cache", "unpersist")
             ):
                 return state.vars.get(recv_key)   # chain returns receiver
         return self._fresh_entries(value, getattr(value, "lineno", 0))
 
-    # -- summary hooks --------------------------------------------------------
-    def param_methods(self, instr, params: set[str]) -> dict:
-        """{param: methods applied by this instruction} (incl. through
-        resolved callees), plus escape recording via the summary cache."""
-        out: dict[str, frozenset] = {}
-        if isinstance(instr, (WithEnter, WithExit, ForBind, ExceptBind)):
-            if isinstance(instr, WithExit):
-                for item in instr.items:
-                    key = _var_key(item.context_expr)
-                    if key in params:
-                        out[key] = out.get(key, frozenset()) | {"__with_exit__"}
-            return out
+    # -- summary extraction ---------------------------------------------------
+    @classmethod
+    def summarize(cls, flow, analysis, func) -> Summary:
+        """Solve "methods applied so far" per parameter: the
+        intersection-join at the normal exit is *must*, the union over
+        every reached instruction *may*."""
+        params = set(parameters(func))
+        if not params:
+            return cls.NO_EFFECT
+        self = cls(flow, analysis, func)
+        applied = FactAnalysis(
+            lambda instr: self._param_facts(instr, params), must=True
+        )
+        walk = self.walk(applied)
+        return Summary(
+            must=frozenset().union(*walk.normal_exit),
+            may=frozenset().union(
+                *(applied.gen(instr) for _state, instr in walk.steps)
+            ),
+        )
+
+    def _param_facts(self, instr, params: set[str]) -> set[tuple[str, str]]:
+        """The (parameter, method) pairs one instruction applies —
+        directly, or through a resolved callee's summary."""
+        facts: set[tuple[str, str]] = set()
         if not isinstance(instr, ast.AST):
-            return out
-        for call in _calls_within(instr):
+            return facts
+        for call in calls_within(instr):
             if isinstance(call.func, ast.Attribute):
-                key = _var_key(call.func.value)
+                key = dotted_name(call.func.value)
                 if key in params:
-                    out[key] = out.get(key, frozenset()) | {call.func.attr}
+                    facts.add((key, call.func.attr))
                     continue
-            resolved = self.cache.resolve(self.analysis, self.scope, call)
-            summary = None
-            offset = 0
-            if resolved is not None:
-                mod, node = resolved
-                summary = self.cache.summary(mod, node)
-                offset = _self_offset(node, call)
-            for name, arg in _tracked_args(call, resolved, offset):
-                if arg not in params:
+            callee = self.callee(call)
+            summary = self.callee_summary(callee) if callee else self.NO_EFFECT
+            for arg in explicit_arguments(call):
+                key = dotted_name(arg)
+                if key not in params:
                     continue
-                if summary is None or name is None:
-                    out[arg] = out.get(arg, frozenset()) | {"__escape__"}
-                    continue
-                methods = summary.may.get(name, frozenset())
-                if name in summary.escapes:
-                    methods = methods | {"__escape__"}
-                if methods:
-                    out[arg] = out.get(arg, frozenset()) | methods
-        for name in _escaping_names(instr):
-            if name in params:
-                out[name] = out.get(name, frozenset()) | {"__escape__"}
-        return out
+                param = callee.param_of(arg) if callee else None
+                if param is None:
+                    facts.add((key, ESCAPES))
+                facts.update((key, m) for m in summary.methods(param))
+        facts.update(
+            (name, ESCAPES) for name in _escaping_names(instr) & params
+        )
+        return facts
 
-    # -- the check walk -------------------------------------------------------
-    def check(self) -> list[Finding]:
-        cfg = self.cache.cfg(self.func)
-        analysis = _LifecycleAnalysis(self)
-        states = solve(cfg, analysis)
-        findings: list[Finding] = []
-        seen: set[tuple] = set()
+    # -- the checks -----------------------------------------------------------
+    def check(self) -> None:
+        walk = self.walk()
+        for state, instr in walk.steps:
+            if isinstance(instr, ast.AST):
+                self._check_instr(state, instr)
+        for state in walk.normal_exit:
+            self._check_normal_exit(state)
+        for state in walk.raise_exit:
+            self._check_raise_exit(state)
 
-        def emit(rule: str, line: int, col: int, message: str,
-                 related: list[tuple[int, str]]) -> None:
-            key = (rule, line, col, message)
-            if key in seen:
-                return
-            seen.add(key)
-            findings.append(Finding(
-                rule=rule,
-                path=self.analysis.path,
-                line=line,
-                col=col,
-                message=message,
-                symbol=self.scope.name,
-                related=tuple(
-                    (self.analysis.path, rline, rmsg) for rline, rmsg in related
-                ),
-            ))
-
-        for bid in sorted(cfg.blocks):
-            if bid not in states.in_states:
-                continue
-            st = states.in_states[bid]
-            if st is None:
-                continue
-            for instr in cfg.blocks[bid].instrs:
-                self._check_instr(st, instr, emit)
-                st = self.apply(st, instr, exceptional=False)
-
-        exit_st = states.in_states.get(cfg.exit)
-        if exit_st is not None:
-            self._check_normal_exit(exit_st, emit)
-        raise_st = states.in_states.get(cfg.raise_exit)
-        if raise_st is not None:
-            self._check_raise_exit(raise_st, emit)
-        return findings
-
-    def _check_instr(self, st: TState, instr, emit) -> None:
-        if not isinstance(instr, ast.AST):
-            return
-        for call in _calls_within(instr):
+    def _check_instr(self, st: TState, instr: ast.AST) -> None:
+        for call in calls_within(instr):
             if isinstance(call.func, ast.Attribute):
-                recv_key = _var_key(call.func.value)
-                if recv_key is not None:
-                    entries = st.vars.get(recv_key, frozenset())
-                    kinds = {k for (k, _s, _l) in entries}
-                    kind = next(iter(kinds)) if len(kinds) == 1 else None
-                    if (
-                        kind is not None
-                        and call.func.attr in USES.get(kind, set())
-                        and _definitely(entries, kind)
-                    ):
-                        self._emit_use(
-                            emit, kind, recv_key, call.func.attr,
-                            call.lineno, call.col_offset, entries,
-                        )
-                        continue
-            self._check_summary_use(st, call, emit)
+                recv_key = dotted_name(call.func.value)
+                entries = st.vars.get(recv_key, frozenset())
+                kind = _kind_in(entries)
+                if (
+                    call.func.attr in USES.get(kind, ())
+                    and _definitely(entries, kind)
+                ):
+                    self._emit_use(kind, recv_key, call, entries,
+                                   f".{call.func.attr}() called on it")
+                    continue
+            self._check_summary_use(st, call)
         # Broadcast uses are ``.value`` reads, not method calls.
         for sub in ast.walk(instr):
             if (
@@ -608,259 +427,109 @@ class _FunctionChecker:
                 and sub.attr == "value"
                 and isinstance(sub.ctx, ast.Load)
             ):
-                key = _var_key(sub.value)
-                if key is None:
-                    continue
+                key = dotted_name(sub.value)
                 entries = st.vars.get(key, frozenset())
                 if _definitely(entries, "broadcast"):
-                    emit(
+                    self.emit(
                         "LIF003", sub.lineno, sub.col_offset,
                         f"'{key}'.value read after unpersist(); the broadcast "
                         "payload is released on every executor",
-                        [(line, "unpersisted here") for line in _dead_sites(entries)],
+                        _sites(entries, "unpersisted here"),
                     )
 
-    def _check_summary_use(self, st: TState, call: ast.Call, emit) -> None:
-        resolved = self.cache.resolve(self.analysis, self.scope, call)
-        if resolved is None:
+    def _check_summary_use(self, st: TState, call: ast.Call) -> None:
+        callee = self.callee(call)
+        if callee is None:
             return
-        mod, node = resolved
-        summary = self.cache.summary(mod, node)
-        offset = _self_offset(node, call)
-        callee = getattr(node, "name", "<callee>")
-        for name, arg in _tracked_args(call, resolved, offset):
-            if name is None or arg is None:
+        summary = self.callee_summary(callee)
+        for param, arg in callee.bound.items():
+            key = dotted_name(arg)
+            entries = st.vars.get(key, frozenset())
+            kind = _kind_in(entries)
+            if not _definitely(entries, kind):
                 continue
-            entries = st.vars.get(arg, frozenset())
-            kinds = {k for (k, _s, _l) in entries}
-            kind = next(iter(kinds)) if len(kinds) == 1 else None
-            if kind is None or not _definitely(entries, kind):
-                continue
-            used = (summary.may.get(name, frozenset())) & USES.get(kind, set())
+            used = summary.methods(param) & USES.get(kind, set())
             if used:
-                method = sorted(used)[0]
                 self._emit_use(
-                    emit, kind, arg, method, call.lineno, call.col_offset,
-                    entries, via=callee,
+                    kind, key, call, entries,
+                    f"helper '{callee.func.name}' calls .{min(used)}() on it",
                 )
 
-    def _emit_use(self, emit, kind: str, var: str, method: str,
-                  line: int, col: int, entries: frozenset,
-                  via: str | None = None) -> None:
-        verb = DEAD_VERB[kind]
-        related = [(site, f"{verb} here") for site in _dead_sites(entries)]
-        where = f"helper '{via}' calls .{method}() on it" if via else \
-            f".{method}() called on it"
-        noun = {
-            "context": "a definitely-stopped SparkContext",
-            "rdd": "an unpersisted RDD",
-            "broadcast": "an unpersisted Broadcast",
-        }[kind]
-        emit(
-            USE_RULE[kind], line, col,
+    def _emit_use(self, kind: str, var: str, call: ast.Call,
+                  entries: frozenset, where: str) -> None:
+        rule, noun, verb = USE_RULE[kind]
+        self.emit(
+            rule, call.lineno, call.col_offset,
             f"'{var}' is {noun} on every path here, but {where}",
-            related,
+            _sites(entries, f"{verb} here"),
         )
 
-    def _check_normal_exit(self, st: TState, emit) -> None:
+    def _owned(self, st: TState):
+        """(variable, fact) pairs this function is responsible for."""
         for key, entries in sorted(st.vars.items()):
-            if "." in key or key in st.escaped:
-                continue
-            persisted = [(k, s, line) for (k, s, line) in entries
-                         if k == "rdd" and s == "persisted"]
-            for _k, _s, line in sorted(set(persisted)):
-                emit(
+            if "." not in key and key not in st.escaped:
+                for fact in sorted(entries):
+                    yield key, fact
+
+    def _check_normal_exit(self, st: TState) -> None:
+        for key, (kind, state, line) in self._owned(st):
+            if (kind, state) == ("rdd", "persisted"):
+                self.emit(
                     "RES001", line, 0,
                     f"'{key}' is persisted/cached but some exit path leaves "
                     "it resident with no unpersist()",
                     [(line, "persisted here")],
                 )
 
-    def _check_raise_exit(self, st: TState, emit) -> None:
-        for key, entries in sorted(st.vars.items()):
-            if "." in key or key in st.escaped:
-                continue
-            for k, s, line in sorted(set(entries)):
-                if k == "lock" and s == "held":
-                    emit(
-                        "RES002", line, 0,
-                        f"'{key}' is acquired but an exception path escapes "
-                        "without release(); use try/finally or with",
-                        [(line, "acquired here")],
-                    )
-                elif k == "context" and s == "open":
-                    emit(
-                        "RES002", line, 0,
-                        f"'{key}' (SparkContext) is left running on an "
-                        "exception path; stop it in try/finally or use with",
-                        [(line, "created here")],
-                    )
+    def _check_raise_exit(self, st: TState) -> None:
+        for key, (kind, state, line) in self._owned(st):
+            if (kind, state) == ("lock", "held"):
+                self.emit(
+                    "RES002", line, 0,
+                    f"'{key}' is acquired but an exception path escapes "
+                    "without release(); use try/finally or with",
+                    [(line, "acquired here")],
+                )
+            elif (kind, state) == ("context", "open"):
+                self.emit(
+                    "RES002", line, 0,
+                    f"'{key}' (SparkContext) is left running on an "
+                    "exception path; stop it in try/finally or use with",
+                    [(line, "created here")],
+                )
 
 
-# -- project-level driver -----------------------------------------------------
-
-class _FlowCache:
-    """Per-project cache of CFGs, callee summaries, and findings."""
-
-    def __init__(self, project):
-        self.project = project
-        self._cfgs: dict[int, CFG] = {}
-        self._summaries: dict[int, Summary] = {}
-        self._in_progress: set[int] = set()
-        self._node_owner: dict[int, tuple] = {}
-        self.findings: list[Finding] | None = None
-        for name, analysis in project.modules.items():
-            for node in analysis._functions_by_scope:
-                self._node_owner[id(node)] = (name, analysis)
-
-    def cfg(self, func_node: ast.AST) -> CFG:
-        key = id(func_node)
-        if key not in self._cfgs:
-            self._cfgs[key] = build_cfg(func_node)
-        return self._cfgs[key]
-
-    def resolve(self, analysis: ModuleAnalysis, scope: Scope, call: ast.Call):
-        hit = self.project.resolve_call(analysis, scope, call)
-        if hit is None:
-            return None
-        mod, node = hit
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return None
-        return (mod, node)
-
-    def summary(self, module: str, func_node: ast.AST) -> Summary:
-        key = id(func_node)
-        if key in self._summaries:
-            return self._summaries[key]
-        if key in self._in_progress:      # recursion: assume no effect
-            return Summary()
-        self._in_progress.add(key)
-        try:
-            summary = self._compute_summary(module, func_node)
-        finally:
-            self._in_progress.discard(key)
-        self._summaries[key] = summary
-        return summary
-
-    def _compute_summary(self, module: str, func_node: ast.AST) -> Summary:
-        analysis = self.project.modules.get(module)
-        if analysis is None:
-            return Summary()
-        args = getattr(func_node, "args", None)
-        if args is None:
-            return Summary()
-        params = [a.arg for a in list(args.posonlyargs) + list(args.args)]
-        if not params:
-            return Summary()
-        checker = _FunctionChecker(self, analysis, func_node)
-        cfg = self.cfg(func_node)
-        sa = _SummaryAnalysis(checker, params)
-        states = solve(cfg, sa)
-        exit_state = states.in_states.get(cfg.exit)
-        must = {}
-        if isinstance(exit_state, dict):
-            must = {p: ms - {"__escape__", "__with_exit__"}
-                    for p, ms in exit_state.items()}
-        may: dict[str, set] = {p: set() for p in params}
-        escapes: set[str] = set()
-        for bid, st in states.out_states.items():
-            if not isinstance(st, dict):
-                continue
-            for p, ms in st.items():
-                may[p] |= ms
-        for p in params:
-            if "__escape__" in may[p]:
-                escapes.add(p)
-            may[p] -= {"__escape__", "__with_exit__"}
-        return Summary(
-            must={p: frozenset(ms) for p, ms in must.items()},
-            may={p: frozenset(ms) for p, ms in may.items()},
-            escapes=frozenset(escapes),
-        )
-
-    # -- stats ---------------------------------------------------------------
-    def cfg_stats(self) -> dict:
-        functions = len(self._cfgs)
-        blocks = sum(len(c.blocks) for c in self._cfgs.values())
-        edges = sum(c.num_edges for c in self._cfgs.values())
-        exc_edges = sum(c.num_exc_edges for c in self._cfgs.values())
-        return {
-            "functions": functions,
-            "blocks": blocks,
-            "edges": edges,
-            "exc_edges": exc_edges,
-        }
+def check_typestate(project) -> list[Finding]:
+    """LIF001/LIF003/RES001/RES002 over every function of the project."""
+    reporter = Reporter()
+    for analysis, func in project.flow.functions():
+        Lifecycle(project.flow, analysis, func, reporter).check()
+    return reporter.findings
 
 
-def _flow_cache(project) -> _FlowCache:
-    cache = getattr(project, "_flow_cache", None)
-    if cache is None:
-        cache = _FlowCache(project)
-        project._flow_cache = cache
-    return cache
+# -- what escapes -------------------------------------------------------------
 
-
-def _compute_all(project) -> list[Finding]:
-    cache = _flow_cache(project)
-    if cache.findings is not None:
-        return cache.findings
-    findings: list[Finding] = []
-    for _name, analysis in sorted(project.modules.items()):
-        for node in analysis._functions_by_scope:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            checker = _FunctionChecker(cache, analysis, node)
-            findings.extend(checker.check())
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    cache.findings = findings
-    return findings
-
-
-def check_typestate(project, rules: tuple[str, ...] = TYPESTATE_RULES) -> list[Finding]:
-    """Run the flow-sensitive lifecycle rules; filter to ``rules``."""
-    return [f for f in _compute_all(project) if f.rule in rules]
-
-
-def flow_stats(project) -> dict:
-    """CFG size statistics for ``repro lint --stats`` (runs the analysis
-    first so every reachable function's CFG is counted)."""
-    _compute_all(project)
-    return _flow_cache(project).cfg_stats()
-
-
-# -- shared helpers -----------------------------------------------------------
-
-def _calls_within(instr: ast.AST) -> list[ast.Call]:
-    """Calls inside one instruction, excluding nested function bodies."""
-    out: list[ast.Call] = []
-    stack = [instr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            out.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    out.reverse()
-    return out
-
-
-def _escaping_names(instr: ast.AST) -> set[str]:
-    """Names escaping via return/yield/attribute-store in one instruction."""
+def _escaping_names(instr: ast.AST, local_aliases: bool = False) -> set[str]:
+    """Names whose value leaves through one instruction: returned,
+    yielded, or stored into an attribute/subscript.  ``local_aliases``
+    adds what stops being trackable *inside* the function — a value
+    packed into a container literal or unpacked from one."""
     values: list[ast.AST] = []
     if isinstance(instr, ast.Return) and instr.value is not None:
         values.append(instr.value)
     for sub in ast.walk(instr):
         if isinstance(sub, (ast.Yield, ast.YieldFrom)) and sub.value is not None:
             values.append(sub.value)
-    if isinstance(instr, ast.Assign) and any(
-        isinstance(t, (ast.Attribute, ast.Subscript)) for t in instr.targets
-    ):
-        values.append(instr.value)
-    names: set[str] = set()
-    for value in values:
-        names |= _value_names(value)
-    return names
+    if isinstance(instr, ast.Assign):
+        stores = (ast.Attribute, ast.Subscript)
+        if local_aliases:
+            stores += (ast.Tuple, ast.List)
+        if any(isinstance(t, stores) for t in instr.targets) or (
+            local_aliases
+            and isinstance(instr.value, (ast.Tuple, ast.List, ast.Dict, ast.Set))
+        ):
+            values.append(instr.value)
+    return set().union(*map(_value_names, values))
 
 
 def _value_names(expr: ast.AST) -> set[str]:
@@ -870,67 +539,13 @@ def _value_names(expr: ast.AST) -> set[str]:
     if isinstance(expr, ast.Name):
         return {expr.id}
     if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-        out: set[str] = set()
-        for elt in expr.elts:
-            out |= _value_names(elt)
-        return out
-    if isinstance(expr, ast.Dict):
-        out = set()
-        for v in expr.values:
-            out |= _value_names(v)
-        return out
-    if isinstance(expr, ast.IfExp):
-        return _value_names(expr.body) | _value_names(expr.orelse)
-    if isinstance(expr, ast.BoolOp):
-        out = set()
-        for v in expr.values:
-            out |= _value_names(v)
-        return out
-    if isinstance(expr, (ast.Starred, ast.Await)):
-        return _value_names(expr.value)
-    if isinstance(expr, ast.NamedExpr):
-        return _value_names(expr.value)
-    return set()
-
-
-def _self_offset(func_node: ast.AST, call: ast.Call) -> int:
-    """1 when the callee's first parameter is bound by the receiver."""
-    args = getattr(func_node, "args", None)
-    if args is None:
-        return 0
-    params = list(args.posonlyargs) + list(args.args)
-    if params and params[0].arg in ("self", "cls") and isinstance(
-        call.func, ast.Attribute
-    ):
-        return 1
-    return 0
-
-
-def _tracked_args(call: ast.Call, resolved, offset: int):
-    """Yield (param_name | None, arg_var_key | None) for each argument
-    that is a bare name (the only things the typestate tracks)."""
-    params: list[str] = []
-    if resolved is not None:
-        node = resolved[1]
-        args = getattr(node, "args", None)
-        if args is not None:
-            params = [a.arg for a in list(args.posonlyargs) + list(args.args)]
-            params = params[offset:]
-    for i, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred):
-            continue
-        key = _var_key(arg) if isinstance(arg, (ast.Name, ast.Attribute)) else None
-        if key is None:
-            continue
-        name = params[i] if i < len(params) else None
-        yield (name, key)
-    for kw in call.keywords:
-        if kw.arg is None:
-            continue
-        key = _var_key(kw.value) if isinstance(
-            kw.value, (ast.Name, ast.Attribute)
-        ) else None
-        if key is None:
-            continue
-        name = kw.arg if kw.arg in params else None
-        yield (name, key)
+        parts = expr.elts
+    elif isinstance(expr, (ast.Dict, ast.BoolOp)):
+        parts = expr.values
+    elif isinstance(expr, ast.IfExp):
+        parts = [expr.body, expr.orelse]
+    elif isinstance(expr, (ast.Starred, ast.Await, ast.NamedExpr)):
+        parts = [expr.value]
+    else:
+        return set()
+    return set().union(*map(_value_names, parts))

@@ -117,7 +117,7 @@ class WorkerTelemetry:
         """New buffer anchored to this process's clocks, right now."""
         return cls(
             pid=os.getpid(),
-            wall_anchor=time.time(),  # lint: allow[DET001] clock-rebase anchor, not task output
+            wall_anchor=time.time(),  # clock-rebase anchor, not task output
             perf_anchor=time.perf_counter(),
             tid=tid,
         )

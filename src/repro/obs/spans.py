@@ -134,7 +134,7 @@ class Tracer:
         # Wall-clock twin of the origin: worker telemetry created in other
         # processes anchors itself with time.time(), and the difference to
         # this value rebases its spans onto the tracer's timeline.
-        self._origin_wall = time.time()  # lint: allow[DET001] clock-rebase anchor
+        self._origin_wall = time.time()  # clock-rebase anchor
         self._spans: list[Span] = []
         self._lock = threading.Lock()
         self._tls = threading.local()

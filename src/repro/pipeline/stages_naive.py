@@ -122,10 +122,9 @@ class ShuffleExpand(Stage):
             )
         finally:
             info.unpersist()
-            if core_b is not None:
-                core_b.unpersist()
-            if lab_b is not None:
-                lab_b.unpersist()
+            for b in (core_b, lab_b):
+                if b is not None:
+                    b.unpersist()
         rounds += 1
         shuffle_bytes = sum(
             tm.shuffle_bytes_written
