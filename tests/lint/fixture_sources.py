@@ -57,6 +57,8 @@ SHAPES = {
     "package": package_files,
     "project_of": _plan_files,
     "write_text": lambda src: {"mod.py": src},
+    "moved": lambda _tmp, src, *_a: {"mod.py": src},
+    "renamed": lambda _tmp, src, *_a: {"mod.py": src},
     "cfg_of": lambda src: {"mod.py": src},
     "solve_source": lambda src, *_a: {"mod.py": src},
 }

@@ -1,10 +1,11 @@
-"""Baseline fingerprint stability: a committed baseline must survive
-the two most common repo refactors — code moving to different lines,
-and directories being renamed around an unchanged file."""
+"""Fingerprint stability: the identity a finding carries into SARIF
+(``partialFingerprints``) must survive the two most common repo
+refactors — code moving to different lines, and directories being
+renamed around an unchanged file."""
 
 import textwrap
 
-from repro.lint import load_baseline, new_findings, run_lint, write_baseline
+from repro.lint import run_lint
 
 VIOLATION = textwrap.dedent(
     """
@@ -60,162 +61,118 @@ SCL_VIOLATION = textwrap.dedent(
 )
 
 
-def _lint(path):
-    report = run_lint([str(path)])
-    assert report.findings, "fixture must produce a finding"
-    return report.findings
+def _lint(path, rules):
+    findings = [f for f in run_lint([str(path)]).findings if f.rule in rules]
+    assert {f.rule for f in findings} == set(rules), (
+        "fixture must produce its findings"
+    )
+    return sorted(findings, key=lambda f: f.rule)
+
+
+def _fingerprints(findings):
+    return [f.fingerprint for f in findings]
+
+
+def moved(tmp_path, source, pad, rules=("DET001",)):
+    """The source's findings before and after ``pad`` goes above it."""
+    mod = tmp_path / "mod.py"
+    mod.write_text(source)
+    before = _lint(mod, rules)
+    mod.write_text(pad + source)
+    after = _lint(mod, rules)
+    assert [f.line for f in before] != [f.line for f in after]
+    return before, after
+
+
+def renamed(tmp_path, source, old, new, rules=("DET001",)):
+    """The source's findings as ``old`` and as ``new`` (relative paths)."""
+    found = []
+    for rel in (old, new):
+        path = tmp_path / rel
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(source)
+        found.append(_lint(path, rules))
+    return found
 
 
 class TestLineMoves:
     def test_padding_above_keeps_fingerprint(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(VIOLATION)
-        before = _lint(mod)
-        mod.write_text("# comment\n" * 40 + VIOLATION)
-        after = _lint(mod)
-        assert before[0].line != after[0].line
-        assert [f.fingerprint for f in before] == [f.fingerprint for f in after]
+        before, after = moved(tmp_path, VIOLATION, "# comment\n" * 40)
+        assert _fingerprints(before) == _fingerprints(after)
 
     def test_moved_finding_stays_baselined(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(VIOLATION)
-        base = str(tmp_path / "base.json")
-        write_baseline(base, _lint(mod))
-        mod.write_text("\n" * 25 + VIOLATION)
-        report = run_lint([str(mod)], baseline_path=base)
-        assert report.clean, report.render_text()
+        before, after = moved(tmp_path, VIOLATION, "\n" * 25)
+        assert _fingerprints(before) == _fingerprints(after)
 
 
 class TestDirectoryRenames:
     def test_rename_keeps_fingerprint(self, tmp_path):
-        old = tmp_path / "dbscan" / "mod.py"
-        old.parent.mkdir()
-        old.write_text(VIOLATION)
-        new = tmp_path / "clustering" / "mod.py"
-        new.parent.mkdir()
-        new.write_text(VIOLATION)
-        assert [f.fingerprint for f in _lint(old)] == \
-            [f.fingerprint for f in _lint(new)]
+        old, new = renamed(
+            tmp_path, VIOLATION, "dbscan/mod.py", "clustering/mod.py"
+        )
+        assert _fingerprints(old) == _fingerprints(new)
 
     def test_renamed_directory_stays_baselined(self, tmp_path):
-        old = tmp_path / "pipelines" / "mod.py"
-        old.parent.mkdir()
-        old.write_text(VIOLATION)
-        base = str(tmp_path / "base.json")
-        write_baseline(base, _lint(old))
-        # "Rename" the directory: same file name + content, new parent.
-        new = tmp_path / "plans" / "mod.py"
-        new.parent.mkdir()
-        new.write_text(VIOLATION)
-        report = run_lint([str(new)], baseline_path=base)
-        assert report.clean, report.render_text()
+        old, new = renamed(
+            tmp_path, VIOLATION, "pipelines/mod.py", "plans/mod.py"
+        )
+        assert _fingerprints(old) == _fingerprints(new)
 
     def test_basename_change_is_new(self, tmp_path):
         # The file's own name *does* participate: renaming the file
         # itself is a new identity, only its directories are free.
-        mod = tmp_path / "mod.py"
-        mod.write_text(VIOLATION)
-        base = str(tmp_path / "base.json")
-        findings = _lint(mod)
-        write_baseline(base, findings)
-        renamed = tmp_path / "other.py"
-        renamed.write_text(VIOLATION)
-        counts = load_baseline(base)
-        assert new_findings(_lint(renamed), counts)
+        old, new = renamed(tmp_path, VIOLATION, "mod.py", "other.py")
+        assert _fingerprints(old) != _fingerprints(new)
+
+
+FLOW = ("LIF001", "RES002")
 
 
 class TestFlowFindingStability:
     """Same stability guarantees for the flow-sensitive rules (PR 8)."""
 
-    def _flow_lint(self, path):
-        findings = [
-            f for f in run_lint([str(path)]).findings
-            if f.rule in ("LIF001", "RES002")
-        ]
-        assert {f.rule for f in findings} == {"LIF001", "RES002"}
-        return sorted(findings, key=lambda f: f.rule)
-
     def test_padding_above_keeps_flow_fingerprints(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(FLOW_VIOLATION)
-        before = self._flow_lint(mod)
-        mod.write_text("# comment\n" * 40 + FLOW_VIOLATION)
-        after = self._flow_lint(mod)
-        assert [f.line for f in before] != [f.line for f in after]
+        before, after = moved(
+            tmp_path, FLOW_VIOLATION, "# comment\n" * 40, FLOW
+        )
         # related sites moved too — they must not feed the fingerprint
         assert [f.related[0][1] for f in before] != \
             [f.related[0][1] for f in after]
-        assert [f.fingerprint for f in before] == \
-            [f.fingerprint for f in after]
+        assert _fingerprints(before) == _fingerprints(after)
 
     def test_moved_flow_finding_stays_baselined(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(FLOW_VIOLATION)
-        base = str(tmp_path / "base.json")
-        write_baseline(base, run_lint([str(mod)]).findings)
-        mod.write_text("\n" * 25 + FLOW_VIOLATION)
-        report = run_lint([str(mod)], baseline_path=base)
-        assert report.clean, report.render_text()
+        before, after = moved(tmp_path, FLOW_VIOLATION, "\n" * 25, FLOW)
+        assert _fingerprints(before) == _fingerprints(after)
 
     def test_directory_rename_keeps_flow_fingerprints(self, tmp_path):
-        old = tmp_path / "engine" / "mod.py"
-        old.parent.mkdir()
-        old.write_text(FLOW_VIOLATION)
-        new = tmp_path / "core" / "mod.py"
-        new.parent.mkdir()
-        new.write_text(FLOW_VIOLATION)
-        assert [f.fingerprint for f in self._flow_lint(old)] == \
-            [f.fingerprint for f in self._flow_lint(new)]
+        old, new = renamed(
+            tmp_path, FLOW_VIOLATION, "engine/mod.py", "core/mod.py", FLOW
+        )
+        assert _fingerprints(old) == _fingerprints(new)
 
     def test_renamed_directory_stays_baselined_for_flow_rules(self, tmp_path):
-        old = tmp_path / "pipelines" / "mod.py"
-        old.parent.mkdir()
-        old.write_text(FLOW_VIOLATION)
-        base = str(tmp_path / "base.json")
-        write_baseline(base, run_lint([str(old)]).findings)
-        new = tmp_path / "plans" / "mod.py"
-        new.parent.mkdir()
-        new.write_text(FLOW_VIOLATION)
-        report = run_lint([str(new)], baseline_path=base)
-        assert report.clean, report.render_text()
+        old, new = renamed(
+            tmp_path, FLOW_VIOLATION, "pipelines/mod.py", "plans/mod.py", FLOW
+        )
+        assert _fingerprints(old) == _fingerprints(new)
+
+
+SCL = ("SCL001", "SCL002")
 
 
 class TestSizeClassFindingStability:
     """Same stability guarantees for the size-class rules."""
 
-    def _scl_lint(self, path):
-        findings = [
-            f for f in run_lint([str(path)]).findings
-            if f.rule.startswith("SCL")
-        ]
-        assert {f.rule for f in findings} == {"SCL001", "SCL002"}
-        return sorted(findings, key=lambda f: f.rule)
-
     def test_padding_above_keeps_scl_fingerprints(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(SCL_VIOLATION)
-        before = self._scl_lint(mod)
-        mod.write_text("# comment\n" * 40 + SCL_VIOLATION)
-        after = self._scl_lint(mod)
-        assert [f.line for f in before] != [f.line for f in after]
-        assert [f.fingerprint for f in before] == \
-            [f.fingerprint for f in after]
+        before, after = moved(tmp_path, SCL_VIOLATION, "# comment\n" * 40, SCL)
+        assert _fingerprints(before) == _fingerprints(after)
 
     def test_moved_scl_finding_stays_baselined(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(SCL_VIOLATION)
-        base = str(tmp_path / "base.json")
-        write_baseline(base, run_lint([str(mod)]).findings)
-        mod.write_text("\n" * 25 + SCL_VIOLATION)
-        report = run_lint([str(mod)], baseline_path=base)
-        assert report.clean, report.render_text()
+        before, after = moved(tmp_path, SCL_VIOLATION, "\n" * 25, SCL)
+        assert _fingerprints(before) == _fingerprints(after)
 
     def test_directory_rename_keeps_scl_fingerprints(self, tmp_path):
-        old = tmp_path / "dbscan" / "mod.py"
-        old.parent.mkdir()
-        old.write_text(SCL_VIOLATION)
-        new = tmp_path / "clustering" / "mod.py"
-        new.parent.mkdir()
-        new.write_text(SCL_VIOLATION)
-        assert [f.fingerprint for f in self._scl_lint(old)] == \
-            [f.fingerprint for f in self._scl_lint(new)]
+        old, new = renamed(
+            tmp_path, SCL_VIOLATION, "dbscan/mod.py", "clustering/mod.py", SCL
+        )
+        assert _fingerprints(old) == _fingerprints(new)

@@ -1,5 +1,5 @@
 """The interprocedural layer: module naming, cross-module resolution,
-reachability through helper modules, and graph statistics.
+and reachability through helper modules.
 
 These tests build tiny multi-file packages under tmp_path and assert
 that the per-module rules now fire *through* imports: a hazard hidden
@@ -12,11 +12,7 @@ import textwrap
 import pytest
 
 from repro.lint import build_project, run_lint
-from repro.lint.callgraph import (
-    is_substrate,
-    module_name_for,
-    strongly_connected_components,
-)
+from repro.lint.callgraph import is_substrate, module_name_for
 
 from .fixture_sources import rules_of
 
@@ -142,49 +138,3 @@ class TestCrossModuleReachability:
                 """,
         })
         assert findings == []
-
-
-class TestGraphStats:
-    def test_project_graph_counts(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "a.py").write_text(textwrap.dedent("""
-            from .b import g
-
-            def f():
-                return g()
-            """))
-        (pkg / "b.py").write_text(textwrap.dedent("""
-            def g():
-                return 1
-
-            def orphan():
-                return 2
-            """))
-        project = build_project(
-            [str(pkg / "__init__.py"), str(pkg / "a.py"), str(pkg / "b.py")]
-        )
-        nodes, edges, sccs = project.graph_stats()
-        assert nodes == 3
-        assert edges == 1         # f -> g, cross-module
-        assert sccs == 3          # no cycles
-
-    def test_scc_detects_cycle(self):
-        nodes = [("m", "a"), ("m", "b"), ("m", "c")]
-        edges = {
-            ("m", "a"): {("m", "b")},
-            ("m", "b"): {("m", "a")},
-            ("m", "c"): set(),
-        }
-        sccs = strongly_connected_components(nodes, edges)
-        assert sorted(len(c) for c in sccs) == [1, 2]
-
-    def test_scc_deep_chain_is_iterative(self):
-        # A recursion-breaking depth: the iterative Tarjan must not blow
-        # the Python stack on a long call chain.
-        n = 5000
-        nodes = [("m", f"f{i}") for i in range(n)]
-        edges = {("m", f"f{i}"): {("m", f"f{i + 1}")} for i in range(n - 1)}
-        edges[("m", f"f{n - 1}")] = set()
-        assert len(strongly_connected_components(nodes, edges)) == n

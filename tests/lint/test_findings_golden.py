@@ -10,15 +10,20 @@ deliberate behaviour change re-records it and reviews the diff:
     PYTHONPATH=src python -m tests.lint.test_findings_golden
 """
 
+import ast
+import io
 import json
 import os
 import re
 import shutil
 import tempfile
+import tokenize
+from types import SimpleNamespace
 
 import pytest
 
-from repro.lint import run_lint
+from repro.lint import discover_files, run_lint
+from repro.lint.analyzer import pragma_lines, pragma_rules
 
 from .fixture_sources import fixture_sources, write_files
 
@@ -90,6 +95,32 @@ def test_findings_match_the_golden_file(tmp_path, stripped):
     actual = collect(tmp_path, stripped)
     assert actual == json.loads(expected)     # the legible diff first
     assert render(actual) == expected
+
+
+def test_every_pragma_in_src_suppresses_a_finding(stripped):
+    """Pragmas are honest: each ``# lint: allow[RULE]`` comment in
+    ``src`` covers at least one RULE finding of the stripped scan."""
+    findings, root = stripped
+    covered = set()           # (path under src, pragma line, rule)
+    trees = {}
+    for f in findings:
+        rel = os.path.relpath(f.path, root)
+        if rel not in trees:
+            with open(os.path.join("src", rel), encoding="utf-8") as src:
+                trees[rel] = SimpleNamespace(tree=ast.parse(src.read()))
+        covered.update((rel, n, f.rule) for n in pragma_lines(trees[rel], f.line))
+    idle = []
+    for path in discover_files(["src"]):
+        with open(path, encoding="utf-8") as src:
+            tokens = tokenize.generate_tokens(io.StringIO(src.read()).readline)
+            idle += [
+                f"{path}:{tok.start[0]} allow[{rule}]"
+                for tok in tokens if tok.type == tokenize.COMMENT
+                for rule in pragma_rules(tok.string)
+                if (os.path.relpath(path, "src"), tok.start[0], rule)
+                not in covered
+            ]
+    assert idle == [], "pragmas that suppress nothing"
 
 
 if __name__ == "__main__":

@@ -75,19 +75,6 @@ class TestStructure:
             assert result["partialFingerprints"][FINGERPRINT_KEY] == \
                 finding.fingerprint
 
-    def test_baseline_state(self, tmp_path):
-        mod = tmp_path / "bad.py"
-        mod.write_text(VIOLATIONS)
-        from repro.lint import write_baseline
-
-        base = str(tmp_path / "base.json")
-        first = run_lint([str(mod)])
-        write_baseline(base, first.findings[:1])
-        report = run_lint([str(mod)], baseline_path=base)
-        log = to_sarif(report)
-        states = [r["baselineState"] for r in log["runs"][0]["results"]]
-        assert "unchanged" in states and "new" in states
-
     def test_cli_emits_parseable_sarif(self, tmp_path, capsys):
         mod = tmp_path / "bad.py"
         mod.write_text(VIOLATIONS)
@@ -147,9 +134,9 @@ class TestSchemaValidation:
         log, _report = sarif_log
         jsonschema.validate(instance=log, schema=schema)
 
-    def test_self_scan_sarif_validates(self):
+    def test_self_scan_sarif_validates(self, src_report):
         jsonschema = pytest.importorskip("jsonschema")
         with open(SCHEMA_PATH, encoding="utf-8") as f:
             schema = json.load(f)
-        log = to_sarif(run_lint(["src"]))
+        log = to_sarif(src_report)
         jsonschema.validate(instance=log, schema=schema)

@@ -15,6 +15,7 @@ import pytest
 from repro.lint import run_lint
 
 from .fixture_sources import rules_of
+from .test_dataflow import EXC_ONLY_LOOPS
 
 #: Scaffold: one stage class whose ``run`` body is under test, wired
 #: into a manifest so the size-class scope machinery sees it.  The
@@ -244,6 +245,15 @@ class TestInterprocedural:
         assert "SCL001" not in rules_of(findings)
 
 
+class TestConvergence:
+    @pytest.mark.parametrize("shape", sorted(EXC_ONLY_LOOPS))
+    def test_loop_behind_a_silent_exceptional_edge(
+        self, shape, scl_lint, monkeypatch
+    ):
+        monkeypatch.setattr("repro.lint.dataflow.MAX_ITERATIONS", 2000)
+        assert scl_lint(EXC_ONLY_LOOPS[shape]) == []
+
+
 class TestPragmaScoping:
     def test_pragma_suppresses_only_its_line(self, scl_lint):
         # A pragma covers its own line and the line below (standalone
@@ -315,9 +325,8 @@ class TestAcceptanceSeeds:
         shutil.copytree("src/repro", tmp_path / "src" / "repro")
         return tmp_path / "src"
 
-    def test_unseeded_tree_is_clean(self, tree):
-        report = run_lint([str(tree)])
-        assert not [f for f in report.findings if f.rule.startswith("SCL")]
+    def test_unseeded_tree_is_clean(self, src_report):
+        assert not [f for f in src_report.findings if f.rule.startswith("SCL")]
 
     def test_points_collect_in_merge_fires_scl004(self, tree):
         _insert_into(

@@ -12,7 +12,9 @@ import os
 import pytest
 
 from repro.lint.analyzer import build_project, run_lint
-from repro.lint.typestate import check_typestate, flow_stats
+from repro.lint.typestate import check_typestate
+
+from .test_dataflow import EXC_ONLY_LOOPS, as_function
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 
@@ -333,22 +335,29 @@ class TestRuleRegistration:
         assert any(f.rule == "LIF001" for f in report.findings)
 
 
+class TestConvergence:
+    @pytest.mark.parametrize("shape", sorted(EXC_ONLY_LOOPS))
+    def test_loop_behind_a_silent_exceptional_edge(
+        self, shape, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("repro.lint.dataflow.MAX_ITERATIONS", 2000)
+        assert scan(tmp_path, as_function(EXC_ONLY_LOOPS[shape])) == []
+
+
 class TestFlowStats:
     def test_stats_count_cfgs(self, tmp_path):
         path = tmp_path / "fixture.py"
         path.write_text("def f():\n    pass\n\ndef g(x):\n    return x\n")
-        project = build_project([str(path)])
-        stats = flow_stats(project)
+        stats = run_lint([str(path)], collect_stats=True).stats["cfg"]
         assert stats["functions"] == 2
         assert stats["blocks"] >= 6           # entry/exit/raise-exit each
         assert set(stats) == {"functions", "blocks", "edges", "exc_edges"}
 
 
 class TestSelfScan:
-    def test_src_repro_is_clean_under_flow_rules(self):
-        report = run_lint([os.path.join(REPO_ROOT, "src", "repro")])
+    def test_src_repro_is_clean_under_flow_rules(self, src_report):
         flow = [
-            f for f in report.findings
+            f for f in src_report.findings
             if f.rule.startswith(("LIF", "RES"))
         ]
         assert flow == [], "\n".join(f.render() for f in flow)
