@@ -162,9 +162,10 @@ class FactAnalysis(ForwardAnalysis[frozenset]):
 # -- the per-project flow context ---------------------------------------------
 
 def parameters(func: ast.AST) -> list[str]:
-    """The parameter names a call can bind an argument to."""
+    """The parameter names a call can bind an argument to; the last
+    ``len(func.args.kwonlyargs)`` of them by keyword only."""
     args = func.args
-    return [a.arg for a in args.posonlyargs + args.args]
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
 
 
 def explicit_arguments(call: ast.Call) -> list[ast.AST]:
@@ -194,8 +195,9 @@ def _bind(func: ast.AST, call: ast.Call) -> dict[str, ast.AST]:
         call.func, ast.Attribute
     ):
         params = params[1:]             # bound by the receiver
+    positional = params[:len(params) - len(func.args.kwonlyargs)]
     bound = {
-        param: arg for param, arg in zip(params, call.args)
+        param: arg for param, arg in zip(positional, call.args)
         if not isinstance(arg, ast.Starred)
     }
     bound.update(

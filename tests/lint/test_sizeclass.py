@@ -222,6 +222,13 @@ class TestSCL004:
         assert "SCL004" not in rules_of(findings)
 
 
+KWARG_CALL = """
+    twin = dup(xs=state.points)
+    state.cache = twin
+    return None
+"""
+
+
 class TestInterprocedural:
     def test_summary_propagates_param_class(self, scl_lint):
         findings = scl_lint("""
@@ -233,6 +240,19 @@ class TestInterprocedural:
         """)
         (f,) = [f for f in findings if f.rule == "SCL001"]
         assert "'twin'" in f.message
+
+    def test_keyword_only_param_agrees_with_its_positional_twin(self, scl_lint):
+        findings = scl_lint(KWARG_CALL, extra="""
+            def dup(*, xs):
+                return np.array(xs)
+        """)
+        made, kept = [f for f in findings if f.rule == "SCL001"]
+        assert "materializes an O(points)" in made.message
+        assert kept.related[0][1:] == (made.line, "tainted O(points) here")
+        assert findings == scl_lint(KWARG_CALL, extra="""
+            def dup(xs):
+                return np.array(xs)
+        """)
 
     def test_summary_of_small_input_is_near_miss(self, scl_lint):
         findings = scl_lint("""

@@ -19,6 +19,29 @@ from .test_dataflow import EXC_ONLY_LOOPS, as_function
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 
 
+#: Helpers whose parameter is keyword-only; dropping the ``*, `` gives
+#: the positional-or-keyword twin each must agree with.
+KWONLY_STOP = (
+    "def shutdown(*, ctx):\n"
+    "    ctx.stop()\n"
+    "\n"
+    "def f():\n"
+    "    sc = SparkContext()\n"
+    "    shutdown(ctx=sc)\n"
+    "    sc.parallelize([1])\n"
+)
+KWONLY_DROP = (
+    "def drop(*, rdd):\n"
+    "    rdd.unpersist()\n"
+    "\n"
+    "def f(sc):\n"
+    "    r = sc.parallelize(range(10))\n"
+    "    r.persist()\n"
+    "    drop(rdd=r)\n"
+    "    return r.count()\n"
+)
+
+
 def scan(tmp_path, source, rules=None):
     """Lint one fixture module; returns the LIF*/RES* findings."""
     path = tmp_path / "fixture.py"
@@ -87,6 +110,11 @@ class TestLIF001UseAfterStop:
         ), rules=("LIF001",))
         assert len(found) == 1
         assert found[0].line == 7
+
+    def test_keyword_only_helper_stops_like_its_positional_twin(self, tmp_path):
+        found = scan(tmp_path, KWONLY_STOP)
+        assert [(f.rule, f.line) for f in found] == [("LIF001", 7)]
+        assert found == scan(tmp_path, KWONLY_STOP.replace("*, ", ""))
 
     def test_interprocedural_use_through_helper(self, tmp_path):
         found = scan(tmp_path, (
@@ -227,6 +255,16 @@ class TestRES001PersistLeak:
             "    return out\n"
         ), rules=("RES001",))
         assert found == []
+
+
+    def test_keyword_only_helper_releases_like_its_positional_twin(
+        self, tmp_path
+    ):
+        # The helper discharges RES001 by *unpersisting* (so the action
+        # after it is a LIF003), not by making ``r`` escape.
+        found = scan(tmp_path, KWONLY_DROP)
+        assert [(f.rule, f.line) for f in found] == [("LIF003", 8)]
+        assert found == scan(tmp_path, KWONLY_DROP.replace("*, ", ""))
 
 
 class TestRES002HeldOnExceptionPath:
