@@ -20,13 +20,32 @@ VIOLATION = textwrap.dedent(
 )
 
 
+def _report(*lines, message="stable"):
+    reporter = Reporter()
+    for line in lines:
+        reporter.report("DET001", "a.py", line, 0, message)
+    return reporter.findings
+
+
 class TestBaseline:
+    def test_round_trip(self, tmp_path):
+        # Findings survive the JSON report with their identity intact.
+        mod = tmp_path / "mod.py"
+        mod.write_text(VIOLATION)
+        report = run_lint([str(mod)])
+        payload = json.loads(report.render_json())["findings"]
+        assert [(p["rule"], p["line"], p["fingerprint"]) for p in payload] == \
+            [(f.rule, f.line, f.fingerprint) for f in report.findings]
+
+    def test_count_semantics(self):
+        # Two occurrences of one fingerprint are two findings: sites
+        # are folded by location, never by identity.
+        assert len(_report(3, 9)) == 2
+        assert len(_report(3, 3)) == 1
+
     def test_line_moves_do_not_invalidate(self):
-        reporter = Reporter()
-        for line in (10, 200):
-            reporter.report("DET001", "a.py", line, 0, "stable")
-        moved = {f.fingerprint for f in reporter.findings}
-        assert len(reporter.findings) == 2 and len(moved) == 1
+        (before,), (after,) = _report(10), _report(200)
+        assert before.fingerprint == after.fingerprint
 
     def test_missing_baseline_means_all_new(self, tmp_path):
         mod = tmp_path / "mod.py"

@@ -138,3 +138,34 @@ class TestCrossModuleReachability:
                 """,
         })
         assert findings == []
+
+
+class TestGraphStats:
+    def test_project_graph_counts(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "a.py").write_text(textwrap.dedent("""
+            from .b import g
+
+            def f():
+                return g()
+            """))
+        (pkg / "b.py").write_text(textwrap.dedent("""
+            def g():
+                return 1
+
+            def orphan():
+                return 2
+            """))
+        project = build_project(
+            [str(pkg / "__init__.py"), str(pkg / "a.py"), str(pkg / "b.py")]
+        )
+        edges = [
+            (module, func.name, target[0], target[1].name)
+            for module, analysis in project.modules.items()
+            for func in analysis.functions.values()
+            for target in project._successors(analysis, func)
+        ]
+        assert sum(len(a.functions) for a in project.modules.values()) == 3
+        assert edges == [("pkg.a", "f", "pkg.b", "g")]    # cross-module
