@@ -634,6 +634,11 @@ def dotted_name(expr: ast.AST) -> str | None:
     return ".".join(reversed(parts))
 
 
+def by_position(nodes) -> list:
+    """AST nodes in source order."""
+    return sorted(nodes, key=lambda n: (n.lineno, n.col_offset))
+
+
 def _target_names(target: ast.AST) -> list[str]:
     if isinstance(target, ast.Name):
         return [target.id]

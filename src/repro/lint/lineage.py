@@ -40,6 +40,8 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable
 
+from .callgraph import is_substrate
+from .closures import by_position
 from .findings import Finding, Reporter
 from .plans import shuffle_free_stage_classes
 
@@ -93,13 +95,11 @@ def _each_reachable(
 ) -> Iterable[tuple[str, "ast.AST", object, object]]:
     """(module, node, analysis, scope) per reachable application
     function, in a deterministic order."""
-    from .callgraph import is_substrate
-
     for module in sorted(reached):
         if is_substrate(module):
             continue
         analysis = project.modules[module]
-        for node in sorted(reached[module], key=lambda n: (n.lineno, n.col_offset)):
+        for node in by_position(reached[module]):
             yield module, node, analysis, analysis.scope_of(node)
 
 
@@ -117,8 +117,6 @@ def _walk_body(node: ast.AST) -> Iterable[ast.AST]:
 
 def check_shuffle_free(project: "Project") -> list[Finding]:
     """SHF001: prove the paper pipeline shuffle-free from the graph."""
-    from .callgraph import is_substrate
-
     entries = entry_classes(project)
     reached = project.reachable_from(entries)
     reporter = Reporter()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from .closures import _calls_in
+from .closures import _calls_in, by_position
 from .findings import Finding, Reporter
 from .lineage import check_shuffle_free, check_task_dataflow
 from .plans import check_plan_contracts
@@ -90,10 +90,6 @@ NONDET_CALLS = {
 SEEDABLE_CTORS = {"random.Random", "numpy.random.default_rng"}
 
 
-def _by_position(nodes):
-    return sorted(nodes, key=lambda n: (n.lineno, n.col_offset))
-
-
 def check_captures(project: "Project") -> list[Finding]:
     """CAP001/PCK001: the captures of every task function, then of every
     further task-reachable helper."""
@@ -104,7 +100,7 @@ def check_captures(project: "Project") -> list[Finding]:
         for tf in analysis.task_functions + analysis.extra_task_functions:
             tasks.setdefault(tf.node, tf.via)
         reachable = project.task_reachable_by_module().get(name, ())
-        helpers = _by_position(f for f in reachable if f not in tasks)
+        helpers = by_position(f for f in reachable if f not in tasks)
         for func, via in [*tasks.items(), *((f, None) for f in helpers)]:
             where = (
                 f"task function passed to .{via}()" if via is not None
@@ -134,7 +130,7 @@ def check_task_determinism(project: "Project") -> list[Finding]:
     reporter = Reporter()
     for name, reachable in project.task_reachable_by_module().items():
         analysis = project.modules[name]
-        for func in _by_position(reachable):
+        for func in by_position(reachable):
             for call in _calls_in(func):
                 dotted = analysis.resolve_dotted(call.func)
                 if dotted in NONDET_CALLS:

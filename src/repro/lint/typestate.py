@@ -34,6 +34,7 @@ finding carries the acquire/transition site as a related location.
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass, field
 
 from .cfg import ExceptBind, ForBind, WithEnter, WithExit
@@ -268,6 +269,19 @@ class Lifecycle(FunctionPass[TState]):
                         {(kind, WITH_EXIT_STATE[kind], instr.lineno)}
                     )
 
+    def _resolve(self, call: ast.Call):
+        """The call's callee and summary (None and no-effect when it
+        does not resolve), and a (variable key, parameter it binds |
+        None) pair per name-chain argument."""
+        callee = self.callee(call)
+        summary = self.callee_summary(callee) if callee else self.NO_EFFECT
+        passed = [
+            (key, callee.param_of(arg) if callee else None)
+            for arg in explicit_arguments(call)
+            if (key := dotted_name(arg)) is not None
+        ]
+        return callee, summary, passed
+
     def _apply_call(self, out: TState, call: ast.Call, exceptional: bool) -> None:
         if isinstance(call.func, ast.Attribute):
             recv_key = dotted_name(call.func.value)
@@ -287,13 +301,10 @@ class Lifecycle(FunctionPass[TState]):
                     return
         # Same-project callee: apply its summary to the tracked
         # arguments; an argument no summary accounts for escapes.
-        callee = self.callee(call)
-        summary = self.callee_summary(callee) if callee else self.NO_EFFECT
-        for arg in explicit_arguments(call):
-            key = dotted_name(arg)
+        _callee, summary, passed = self._resolve(call)
+        for key, param in passed:
             if key not in out.vars:
                 continue
-            param = callee.param_of(arg) if callee else None
             if param is None or (param, ESCAPES) in summary.may:
                 out.escaped = out.escaped | {key}
             entries = out.vars[key]
@@ -357,15 +368,13 @@ class Lifecycle(FunctionPass[TState]):
         if not params:
             return cls.NO_EFFECT
         self = cls(flow, analysis, func)
-        applied = FactAnalysis(
-            lambda instr: self._param_facts(instr, params), must=True
+        facts = functools.cache(
+            lambda instr: frozenset(self._param_facts(instr, params))
         )
-        walk = self.walk(applied)
+        walk = self.walk(FactAnalysis(facts, must=True))
         return Summary(
             must=frozenset().union(*walk.normal_exit),
-            may=frozenset().union(
-                *(applied.gen(instr) for _state, instr in walk.steps)
-            ),
+            may=frozenset().union(*(facts(instr) for _, instr in walk.steps)),
         )
 
     def _param_facts(self, instr, params: set[str]) -> set[tuple[str, str]]:
@@ -380,13 +389,10 @@ class Lifecycle(FunctionPass[TState]):
                 if key in params:
                     facts.add((key, call.func.attr))
                     continue
-            callee = self.callee(call)
-            summary = self.callee_summary(callee) if callee else self.NO_EFFECT
-            for arg in explicit_arguments(call):
-                key = dotted_name(arg)
+            _callee, summary, passed = self._resolve(call)
+            for key, param in passed:
                 if key not in params:
                     continue
-                param = callee.param_of(arg) if callee else None
                 if param is None:
                     facts.add((key, ESCAPES))
                 facts.update((key, m) for m in summary.methods(param))
@@ -438,12 +444,8 @@ class Lifecycle(FunctionPass[TState]):
                     )
 
     def _check_summary_use(self, st: TState, call: ast.Call) -> None:
-        callee = self.callee(call)
-        if callee is None:
-            return
-        summary = self.callee_summary(callee)
-        for param, arg in callee.bound.items():
-            key = dotted_name(arg)
+        callee, summary, passed = self._resolve(call)
+        for key, param in passed:
             entries = st.vars.get(key, frozenset())
             kind = _kind_in(entries)
             if not _definitely(entries, kind):

@@ -133,9 +133,14 @@ def _fixtures_of(path):
 
 
 def fixture_sources():
-    """(label, {relative path: source}) per fixture, in file order."""
+    """(label, {relative path: source}) per distinct fixture, in file
+    order — a source several tests share goes under its first label."""
+    seen = []
     for path in sorted(glob.glob(os.path.join(HERE, "test_*.py"))):
-        yield from _fixtures_of(path)
+        for label, files in _fixtures_of(path):
+            if files not in seen:
+                seen.append(files)
+                yield label, files
 
 
 if __name__ == "__main__":

@@ -9,9 +9,7 @@ reachability could not see.
 
 import textwrap
 
-import pytest
-
-from repro.lint import build_project, run_lint
+from repro.lint import build_project
 from repro.lint.callgraph import is_substrate, module_name_for
 
 from .fixture_sources import rules_of
