@@ -5,23 +5,21 @@ Section I: with MPI "one failed process causes the whole job to be
 failed".  Here we inject crashes into executor tasks mid-DBSCAN and
 watch the engine retry them through lineage recomputation, with
 exactly-once accumulator semantics keeping the partial clusters
-uncorrupted.  We then do the same at the storage layer: kill an HDFS
-datanode and read through the surviving replicas.
+uncorrupted.
 
     python examples/fault_tolerance_demo.py
 """
 
 import numpy as np
 
-from repro.data import generate_clustered, save_points
+from repro.data import generate_clustered
 from repro.dbscan import SparkDBSCAN, clusterings_equivalent, dbscan_sequential
 from repro.engine import FaultPlan, SparkContext
-from repro.hdfs import MiniHDFS
 
 
 def executor_crash_demo(points: np.ndarray) -> None:
     print("=" * 60)
-    print("1. Executor crashes mid-job (lineage recovery)")
+    print("Executor crashes mid-job (lineage recovery)")
     print("=" * 60)
     reference = dbscan_sequential(points, 25.0, 5)
 
@@ -51,40 +49,9 @@ def executor_crash_demo(points: np.ndarray) -> None:
     assert ok and failures == 3
 
 
-def datanode_crash_demo(points: np.ndarray, tmp: str) -> None:
-    print("=" * 60)
-    print("2. HDFS datanode dies (replication recovery)")
-    print("=" * 60)
-    import os
-
-    local = os.path.join(tmp, "points.txt")
-    save_points(local, points)
-    fs = MiniHDFS(os.path.join(tmp, "hdfs"), block_size=32 * 1024,
-                  replication=2, num_datanodes=3)
-    fs.put_local_file(local, "/points.txt")
-    blocks = len(fs.namenode.get_file("/points.txt").blocks)
-    print(f"stored {blocks} blocks x2 replicas across 3 datanodes")
-
-    fs.kill_datanode(0)
-    print("datanode 0 killed; reading through surviving replicas...")
-    with SparkContext("simulated[4]") as sc:
-        count = sc.from_source(fs.open("/points.txt")).count()
-    print(f"records read after failure: {count} / {len(points)}")
-    assert count == len(points)
-
-    restored = fs.re_replicate()
-    print(f"re-replication created {restored} new replicas; "
-          f"under-replicated blocks now: "
-          f"{len(fs.namenode.under_replicated_blocks())}")
-
-
 def main() -> None:
-    import tempfile
-
     data = generate_clustered(n=3000, num_clusters=5, cluster_std=8.0, seed=13)
     executor_crash_demo(data.points)
-    with tempfile.TemporaryDirectory() as tmp:
-        datanode_crash_demo(data.points, tmp)
 
 
 if __name__ == "__main__":

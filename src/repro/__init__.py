@@ -4,7 +4,6 @@
 Layered public API:
 
 - `repro.engine`    — mini-Spark runtime (RDDs, scheduler, shared variables)
-- `repro.hdfs`      — block-based mini distributed filesystem
 - `repro.mapreduce` — mini Hadoop-MapReduce runtime (Figure 7 baseline)
 - `repro.kdtree`    — from-scratch kd-tree with eps-range queries
 - `repro.data`      — Table I synthetic dataset generators

@@ -1,7 +1,5 @@
-"""Analytical tooling: the Section IV-C cost model and workload-balance
-diagnostics."""
+"""Analytical tooling: the Section IV-C cost model."""
 
-from .balance import BalanceReport, analyze_balance, speedup_ceiling
 from .cost_model import (
     CalibratedCostModel,
     CostModel,
@@ -20,7 +18,4 @@ __all__ = [
     "merge_units",
     "search_time_lower",
     "search_time_upper",
-    "BalanceReport",
-    "analyze_balance",
-    "speedup_ceiling",
 ]

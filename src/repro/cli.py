@@ -2,8 +2,8 @@
 
     python -m repro datasets
     python -m repro generate c10k -o points.txt
-    python -m repro cluster points.txt --eps 25 --minpts 5 --partitions 8
-    python -m repro cluster r10k --algorithm mapreduce
+    python -m repro run points.txt --eps 25 --minpts 5 --partitions 8
+    python -m repro run r10k --algorithm mapreduce
     python -m repro run c10k --checkpoint-dir ckpt --resume
     python -m repro scaling r10k --cores 2 4 8
 """
@@ -53,12 +53,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _write_outputs(args: argparse.Namespace, tracer, registry, done=None) -> None:
-    """The one output tail of `cluster` and `run`.
+    """The output tail of `run`.
 
     ``done`` is ``(labels, wall seconds, partial clusters or None)`` of a
     finished fit: labels and the result gauges need it.  The trace and the
-    metrics are written either way — both commands call this in a
-    ``finally``, so a crashed run still leaves its log behind.
+    metrics are written either way — `run` calls this in a ``finally``,
+    so a crashed run still leaves its log behind.
     """
     if done is not None:
         labels, wall, partials = done
@@ -87,102 +87,26 @@ def _write_outputs(args: argparse.Namespace, tracer, registry, done=None) -> Non
     print(f"metrics written to {args.metrics_out}")
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    """Cluster a dataset/points file with the chosen implementation."""
-    from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
-
-    points = _load_points(args.source)
-    print(f"{points.shape[0]} points, d={points.shape[1]}; "
-          f"algorithm={args.algorithm}, eps={args.eps}, minpts={args.minpts}")
-
-    tracer = Tracer() if args.trace_out else NULL_TRACER
-    registry = MetricsRegistry() if args.metrics_out else None
-
-    if args.sanitize and args.algorithm in ("sequential", "mapreduce"):
-        print(f"error: --sanitize requires a Spark-engine algorithm "
-              f"(spark, spatial, naive), not {args.algorithm!r}", file=sys.stderr)
-        return 1
-    if (args.profile or args.profile_alloc) \
-            and args.algorithm in ("sequential", "mapreduce", "naive"):
-        print(f"error: --profile requires a pipeline algorithm with task "
-              f"profiling (spark, spatial), not {args.algorithm!r}",
-              file=sys.stderr)
-        return 1
-    profile = args.profile or args.profile_alloc
-    if args.merge_mode != "partials" and args.algorithm not in ("spark", "spatial"):
-        print(f"error: --merge-mode edges requires a SEED pipeline "
-              f"(spark, spatial), not {args.algorithm!r}", file=sys.stderr)
-        return 1
-
-    done = None
-    try:
-        if args.algorithm == "sequential":
-            from repro.dbscan import dbscan_sequential
-
-            result = dbscan_sequential(points, args.eps, args.minpts,
-                                       neighbor_mode=args.neighbor_mode,
-                                       tracer=tracer)
-        elif args.algorithm == "spark":
-            from repro.dbscan import SparkDBSCAN
-
-            result = SparkDBSCAN(args.eps, args.minpts,
-                                 num_partitions=args.partitions,
-                                 master=args.master,
-                                 neighbor_mode=args.neighbor_mode,
-                                 merge_mode=args.merge_mode,
-                                 tracer=tracer,
-                                 metrics_registry=registry,
-                                 sanitize=args.sanitize,
-                                 profile=profile,
-                                 profile_alloc=args.profile_alloc).fit(points)
-        elif args.algorithm == "spatial":
-            from repro.dbscan import SpatialSparkDBSCAN
-
-            result = SpatialSparkDBSCAN(args.eps, args.minpts,
-                                        num_partitions=args.partitions,
-                                        master=args.master,
-                                        neighbor_mode=args.neighbor_mode,
-                                        merge_mode=args.merge_mode,
-                                        tracer=tracer,
-                                        metrics_registry=registry,
-                                        sanitize=args.sanitize,
-                                        profile=profile,
-                                        profile_alloc=args.profile_alloc).fit(points)
-        elif args.algorithm == "naive":
-            from repro.dbscan import NaiveSparkDBSCAN
-
-            result = NaiveSparkDBSCAN(args.eps, args.minpts,
-                                      num_partitions=args.partitions,
-                                      master=args.master,
-                                      tracer=tracer,
-                                      sanitize=args.sanitize).fit(points)
-        else:  # mapreduce
-            from repro.dbscan import MapReduceDBSCAN
-
-            result = MapReduceDBSCAN(args.eps, args.minpts,
-                                     num_maps=args.partitions,
-                                     startup_overhead=0.0,
-                                     tracer=tracer).fit(points)
-
-        print(result.summary())
-        t = result.timings
-        print(f"timing: kdtree {t.kdtree_build:.3f}s | executors "
-              f"{t.executor_total:.3f}s total / {t.executor_max:.3f}s max | "
-              f"driver merge {t.driver_merge:.3f}s")
-        done = (result.labels, t.wall, result.num_partial_clusters)
-    finally:
-        _write_outputs(args, tracer, registry, done)
-    return 0
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    """Run a pipeline plan directly, with per-stage checkpoint/resume."""
+    """Cluster a dataset/points file: run the chosen algorithm's pipeline
+    plan, with optional per-stage checkpoint/resume.
+
+    The flag x algorithm rules the pipeline would otherwise ignore are
+    rejected here; every other invalid combination (eps, --merge-mode x
+    algorithm, ...) is `RunConfig`'s one-line ``ValueError``.
+    """
     from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
     from repro.pipeline import PipelineCrash, PipelineRunner, RunConfig, build_plan
 
     if args.sanitize and args.algorithm in ("sequential", "mapreduce"):
         print(f"error: --sanitize requires a Spark-engine algorithm "
               f"(spark, spatial, naive), not {args.algorithm!r}", file=sys.stderr)
+        return 1
+    profile = args.profile or args.profile_alloc
+    if profile and args.algorithm not in ("spark", "spatial"):
+        print(f"error: --profile requires a pipeline algorithm with task "
+              f"profiling (spark, spatial), not {args.algorithm!r}",
+              file=sys.stderr)
         return 1
 
     points = _load_points(args.source)
@@ -204,7 +128,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             impl=args.impl,
             max_rounds=args.max_rounds,
             sanitize=args.sanitize,
-            profile=args.profile or args.profile_alloc,
+            profile=profile,
             profile_alloc=args.profile_alloc,
         )
     except ValueError as exc:
@@ -245,6 +169,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         t = state.timings
         print(f"{num_clusters} clusters, {num_noise} noise points out of "
               f"{labels.shape[0]} (wall {t.wall:.3f}s)")
+        print(f"timing: kdtree {t.kdtree_build:.3f}s | executors "
+              f"{t.executor_total:.3f}s total / {t.executor_max:.3f}s max | "
+              f"driver merge {t.driver_merge:.3f}s")
         if state.partials is not None:
             partials = len(state.partials)
         else:  # edges mode counts them in the merge plan; other plans have none
@@ -299,44 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_generate)
 
-    c = sub.add_parser("cluster", help="cluster a dataset name or points file")
-    c.add_argument("source")
-    c.add_argument("--eps", type=float, default=25.0)
-    c.add_argument("--minpts", type=int, default=5)
-    c.add_argument("--partitions", type=int, default=4)
-    c.add_argument("--algorithm", choices=ALGORITHMS, default="spark")
-    c.add_argument("--master", default=None, metavar="URL",
-                   help="engine master (simulated[k], threads[k], processes[k]); "
-                        "default simulated[partitions]")
-    c.add_argument("--merge-mode", choices=MERGE_MODES, default="partials",
-                   help="how partials reach the driver: whole point lists "
-                        "(partials) or compact digests with a distributed "
-                        "relabel pass (edges); labels are identical")
-    c.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES, default="per_point",
-                   help="executor neighbourhood kernel (batched = vectorised fast path; "
-                        "only spark/spatial/sequential honour it)")
-    c.add_argument("--labels-out", default=None)
-    c.add_argument("--trace-out", default=None, metavar="FILE",
-                   help="write a span trace (Chrome trace-event JSON lines, "
-                        "Perfetto-loadable; render with `repro trace FILE`)")
-    c.add_argument("--metrics-out", default=None, metavar="FILE",
-                   help="write a Prometheus text exposition of run metrics")
-    c.add_argument("--sanitize", action="store_true",
-                   help="enable runtime sanitizers (broadcast write-barrier, "
-                        "accumulator read guard, race detector); Spark-engine "
-                        "algorithms only")
-    c.add_argument("--profile", action="store_true",
-                   help="per-task resource profiling (CPU time, peak RSS) "
-                        "aggregated into --metrics-out; spark/spatial only")
-    c.add_argument("--profile-alloc", action="store_true",
-                   help="additionally track per-task allocation peaks via "
-                        "tracemalloc (slower; implies the tracemalloc "
-                        "overhead on every task)")
-    c.set_defaults(func=cmd_cluster)
-
     r = sub.add_parser(
         "run",
-        help="run a pipeline plan with per-stage checkpoint/resume",
+        aliases=["cluster"],
+        help="cluster a dataset name or points file: run a pipeline plan, "
+             "with optional per-stage checkpoint/resume",
         description="Run one DBSCAN pipeline plan (see DESIGN.md §9). "
                     "With --checkpoint-dir, checkpointable stages persist "
                     "their outputs keyed by the config+data content hash; "
@@ -357,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--max-neighbors", type=int, default=None)
     r.add_argument("--min-cluster-size", type=int, default=0)
     r.add_argument("--leaf-size", type=int, default=64)
-    r.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES, default="per_point")
+    r.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES, default="per_point",
+                   help="executor neighbourhood kernel (batched = vectorised fast path; "
+                        "only spark/spatial/sequential honour it)")
     r.add_argument("--partitioning", choices=("range", "cells"), default="range",
                    help="spark-only: 'cells' swaps in the cell plan "
                         "(partition-local indexes, eps-halo, no broadcast)")
@@ -376,12 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject a crash after the named stage completes "
                         "(checkpoint/resume testing)")
     r.add_argument("--labels-out", default=None)
-    r.add_argument("--trace-out", default=None, metavar="FILE")
-    r.add_argument("--metrics-out", default=None, metavar="FILE")
-    r.add_argument("--sanitize", action="store_true")
+    r.add_argument("--trace-out", default=None, metavar="FILE",
+                   help="write a span trace (Chrome trace-event JSON lines, "
+                        "Perfetto-loadable; render with `repro trace FILE`)")
+    r.add_argument("--metrics-out", default=None, metavar="FILE",
+                   help="write a Prometheus text exposition of run metrics")
+    r.add_argument("--sanitize", action="store_true",
+                   help="enable runtime sanitizers (broadcast write-barrier, "
+                        "accumulator read guard, race detector); Spark-engine "
+                        "algorithms only")
     r.add_argument("--profile", action="store_true",
                    help="per-task resource profiling (CPU time, peak RSS) "
-                        "aggregated into --metrics-out")
+                        "aggregated into --metrics-out; spark/spatial only")
     r.add_argument("--profile-alloc", action="store_true",
                    help="additionally track per-task allocation peaks "
                         "(tracemalloc; implies --profile)")
@@ -415,39 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the headline phase report, print only the "
                          "skew analysis")
     rp.set_defaults(func=cmd_report)
-
-    pf = sub.add_parser(
-        "perf",
-        help="benchmark snapshots and the perf-regression gate",
-    )
-    pfs = pf.add_subparsers(dest="perf_command", required=True)
-    pr = pfs.add_parser("run", help="run a benchmark, write BENCH_<name>.json")
-    pr.add_argument("source")
-    pr.add_argument("-o", "--out", required=True, metavar="FILE")
-    pr.add_argument("--name", default=None,
-                    help="bench name recorded in the file (default: source)")
-    pr.add_argument("--eps", type=float, default=25.0)
-    pr.add_argument("--minpts", type=int, default=5)
-    pr.add_argument("--partitions", type=int, default=4)
-    pr.add_argument("--master", default=None, metavar="URL",
-                    help="engine master; default simulated[partitions]")
-    pr.add_argument("--partitioning", choices=("range", "cells"),
-                    default="range")
-    pr.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES,
-                    default="batched")
-    pr.add_argument("--merge-mode", choices=MERGE_MODES, default="partials")
-    pr.add_argument("--repeat", type=int, default=3,
-                    help="repetitions; time measures take the min (default 3)")
-    pr.add_argument("--trace-out", default=None, metavar="FILE",
-                    help="also write the last repeat's merged trace")
-    pr.set_defaults(func=cmd_perf_run)
-    pd = pfs.add_parser("diff", help="compare two bench files; exit 1 on "
-                                     "regression")
-    pd.add_argument("baseline")
-    pd.add_argument("current")
-    pd.add_argument("--tolerance", type=float, default=0.3,
-                    help="relative regression tolerance (default 0.3)")
-    pd.set_defaults(func=cmd_perf_diff)
 
     li = sub.add_parser(
         "lint",
@@ -511,100 +380,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print()
     print(format_skew_report(report))
     return 0
-
-
-def cmd_perf_run(args: argparse.Namespace) -> int:
-    """Run a benchmark and write a ``BENCH_<name>.json`` snapshot.
-
-    Each repeat runs the full job with tracing and metrics on; time
-    measures take the min over repeats (best-of-N rejects scheduler
-    noise), counts come from the first repeat (the run is
-    deterministic, so they cannot legitimately differ).
-    """
-    import os
-
-    from repro.dbscan import SparkDBSCAN
-    from repro.obs import (
-        MetricsRegistry,
-        TraceReport,
-        Tracer,
-        build_bench,
-        write_bench,
-    )
-
-    points = _load_points(args.source)
-    name = args.name or args.source
-    context = {
-        "dataset": args.source,
-        "n": int(points.shape[0]),
-        "d": int(points.shape[1]),
-        "eps": args.eps,
-        "minpts": args.minpts,
-        "partitions": args.partitions,
-        "partitioning": args.partitioning,
-        "neighbor_mode": args.neighbor_mode,
-        "master": args.master or f"simulated[{args.partitions}]",
-        "scale": os.environ.get("REPRO_SCALE", "default"),
-    }
-    if args.merge_mode != "partials":
-        # Only recorded when non-default so pre-existing baselines keep
-        # their context (a context mismatch hard-fails perf diff).
-        context["merge_mode"] = args.merge_mode
-    print(f"perf run {name!r}: {points.shape[0]} points x{args.repeat} "
-          f"on {context['master']} ({args.partitioning} partitioning, "
-          f"{args.merge_mode} merge)")
-
-    benches = []
-    tracer = None
-    for i in range(args.repeat):
-        tracer = Tracer()
-        registry = MetricsRegistry()
-        SparkDBSCAN(args.eps, args.minpts,
-                    num_partitions=args.partitions,
-                    master=args.master,
-                    neighbor_mode=args.neighbor_mode,
-                    partitioning=args.partitioning,
-                    merge_mode=args.merge_mode,
-                    tracer=tracer,
-                    metrics_registry=registry,
-                    profile=True).fit(points)
-        events = [s.to_event() for s in tracer.spans]
-        report = TraceReport.from_events(events)
-        bench = build_bench(name, context, report, registry)
-        benches.append(bench)
-        print(f"  repeat {i + 1}/{args.repeat}: "
-              f"wall {bench['measures']['wall_s']:.3f}s, executors "
-              f"{bench['measures']['executor_total_s']:.3f}s total")
-
-    merged = benches[0]
-    for b in benches[1:]:
-        for k, v in b["measures"].items():
-            if k in merged["measures"]:
-                merged["measures"][k] = min(merged["measures"][k], v)
-    write_bench(args.out, merged)
-    print(f"bench written to {args.out}")
-    if args.trace_out and tracer is not None:
-        tracer.write_jsonl(args.trace_out)
-        print(f"trace written to {args.trace_out} "
-              f"({len(tracer.spans)} spans; render with `repro report`)")
-    return 0
-
-
-def cmd_perf_diff(args: argparse.Namespace) -> int:
-    """Compare two bench snapshots; exit 1 on regression, 2 if the
-    benches are not comparable (different context)."""
-    from repro.obs import diff_benches, load_bench
-    from repro.obs.perf import format_diff
-
-    try:
-        base = load_bench(args.baseline)
-        cur = load_bench(args.current)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    code, lines = diff_benches(base, cur, tolerance=args.tolerance)
-    print(format_diff(code, lines))
-    return code
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

@@ -1,9 +1,8 @@
 """Point-file I/O in the HDFS input format the paper's driver reads.
 
 One point per line, coordinates space-separated — the line-oriented
-format `repro.hdfs` record readers and `SparkContext.text_file` split
-on.  Round-trips preserve values to 12 significant digits, which is
-far below eps-scale differences.
+format `SparkContext.text_file` splits on.  Round-trips preserve values
+to 12 significant digits, which is far below eps-scale differences.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ DBSCAN algorithm for heavily skewed data".  This generator produces
 that regime: cluster sizes follow a Zipf-like power law (one giant
 cluster, a long tail of small ones) and, optionally, the points arrive
 sorted by cluster so contiguous index ranges carry wildly different
-workloads.  Used by the balance diagnostics and the spatial-partitioner
-ablation to show where plain index partitioning struggles.
+workloads.  Used by the spatial-partitioner ablation to show where plain
+index partitioning struggles.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from .cells import (
     cell_local_dbscan,
 )
 from .params import k_distances, suggest_eps
-from .predict import DBSCANPredictor
 from .partial import (
     NEIGHBOR_MODES,
     SEED_POLICIES,
@@ -37,7 +36,6 @@ from .partial import (
     partials_payload_nbytes,
     partition_digest,
 )
-from .incremental import GridIndex, IncrementalDBSCAN
 from .mapreduce_job import MapReduceDBSCAN, MRDBSCANResult
 from .naive_spark import NaiveSparkDBSCAN, NaiveSparkResult
 from .sequential import core_point_mask, dbscan_sequential
@@ -66,9 +64,6 @@ __all__ = [
     "spatial_order",
     "suggest_eps",
     "k_distances",
-    "IncrementalDBSCAN",
-    "GridIndex",
-    "DBSCANPredictor",
     "ClusteringResult",
     "Timings",
     "dbscan_sequential",

@@ -61,11 +61,11 @@ CELL_LIMIT = 2 ** 62
 class CellGrid:
     """Batch uniform grid over a fixed point set, cell edge = ``eps``.
 
-    The batch counterpart of `GridIndex` (which is mutable and
-    insert-oriented): built once with vectorised binning, it exposes the
-    occupied ``cells`` (lexicographically sorted), their points as one
-    CSR pair — cell ``i`` holds ``order[starts[i]:starts[i + 1]]``,
-    ascending global index — and Chebyshev adjacency between them.
+    The repo's one eps-grid structure, immutable once built: one
+    pass of vectorised binning, then it exposes the occupied ``cells``
+    (lexicographically sorted), their points as one CSR pair — cell
+    ``i`` holds ``order[starts[i]:starts[i + 1]]``, ascending global
+    index — and Chebyshev adjacency between them.
     """
 
     def __init__(self, points: np.ndarray, eps: float):
@@ -116,12 +116,12 @@ class CellGrid:
         occupied cells (coordinates differing by at most 1 everywhere),
         as chunks ``(I, J)`` of cell-row arrays, each pair in one chunk.
 
-        Two strategies, same trade as `GridIndex.neighbors`: a sorted-key
-        join (one `np.searchsorted` and one chunk per offset) when the
-        3^d offset box is smaller than the occupied-cell count; else
-        (3^d explodes at d=10 while real datasets occupy far fewer
-        cells), or when the keys would overflow, a pairwise scan of
-        occupied cells in vectorised blocks, one chunk per block.
+        Two strategies: a sorted-key join (one `np.searchsorted` and one
+        chunk per offset) when the 3^d offset box is smaller than the
+        occupied-cell count; else (3^d explodes at d=10 while real
+        datasets occupy far fewer cells), or when the keys would
+        overflow, a pairwise scan of occupied cells in vectorised
+        blocks, one chunk per block.
         """
         m = self.num_cells
         joined = self.join_keys() if 3 ** self.d <= m else None

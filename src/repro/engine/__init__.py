@@ -49,7 +49,6 @@ from .sanitize import (
     deep_hash,
 )
 from .storage import BlockManager, StorageLevel
-from .streaming import DStream, StreamingContext
 
 __all__ = [
     "SparkContext",
@@ -74,8 +73,6 @@ __all__ = [
     "BlockManager",
     "StorageLevel",
     "StatCounter",
-    "StreamingContext",
-    "DStream",
     "EngineError",
     "TaskError",
     "JobAbortedError",

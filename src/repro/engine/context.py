@@ -117,12 +117,6 @@ class SparkContext:
         source = LocalTextFileSource(path, num_partitions or self.default_parallelism)
         return SourceRDD(self, source)
 
-    def from_source(self, source: Any) -> RDD[Any]:
-        """RDD over any object with ``num_splits()``/``read_split(i)``
-        (e.g. a `repro.hdfs.HdfsFile`)."""
-        self._check_running()
-        return SourceRDD(self, source)
-
     # -- shared variables -------------------------------------------------------
     def broadcast(self, value: T) -> Broadcast[T]:
         """Create a read-only shared variable cached per executor."""

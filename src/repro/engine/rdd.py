@@ -626,8 +626,9 @@ class ParallelCollectionRDD(RDD[T]):
 class SourceRDD(RDD[T]):
     """RDD over any external source exposing ``num_splits()``/``read_split(i)``.
 
-    `MiniHDFS` files plug in here, which is how "read an input file from
-    HDFS and generate RDDs" (Algorithm 2, line 1) is realised.
+    `SparkContext.text_file` plugs a `LocalTextFileSource` in here, which
+    is how "read an input file from HDFS and generate RDDs" (Algorithm 2,
+    line 1) is realised.
     """
 
     def __init__(self, ctx: Any, source: Any):

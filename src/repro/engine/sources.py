@@ -2,8 +2,7 @@
 
 A source exposes ``num_splits()`` and ``read_split(i)``; the engine
 turns each split into one RDD partition.  `LocalTextFileSource` is the
-plain-filesystem analogue of an HDFS file (the real block-based source
-lives in `repro.hdfs`).
+plain-filesystem analogue of an HDFS file.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .dataflow import FlowContext
 # Receiver type tags that mark the application/engine API boundary:
 # method calls on these are lineage operations, never call edges.
 ENGINE_API_TAGS = frozenset({
-    "RDD", "SparkContext", "StreamingContext", "Broadcast", "Accumulator",
+    "RDD", "SparkContext", "Broadcast", "Accumulator",
     "BlockManager", "ShuffleManager",
     "Lock", "File", "Thread", "Socket",
 })

@@ -77,12 +77,11 @@ RDD_CHAIN_METHODS = RDD_OP_METHODS | {
 }
 
 # Context methods creating RDDs.
-RDD_FACTORY_METHODS = {"parallelize", "text_file", "from_source"}
+RDD_FACTORY_METHODS = {"parallelize", "text_file"}
 
 # Constructor / call → inferred type tag.
 _CTOR_TYPES = {
     "SparkContext": "SparkContext",
-    "StreamingContext": "StreamingContext",
     "BlockManager": "BlockManager",
     "ShuffleManager": "ShuffleManager",
     "Lock": "Lock",

@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 # Captured types that are driver state (semantic hazard).
 DRIVER_STATE_TYPES = {
     "SparkContext": "the SparkContext (driver-only: owns the backend and scheduler)",
-    "StreamingContext": "the StreamingContext (driver-only)",
     "RDD": "an RDD (lineage handles live on the driver; ship data, not plans)",
     "BlockManager": "a BlockManager (executor-local storage, never shipped)",
     "ShuffleManager": "the ShuffleManager (driver-side shuffle bookkeeping)",

@@ -3,8 +3,8 @@
 Tracks abstract lifecycle states of driver-side engine objects through
 each function's CFG on the flow engine (`repro.lint.dataflow`):
 
-- ``SparkContext``/``StreamingContext``: *open* → *stopped* (``stop()``
-  or leaving a ``with`` block);
+- ``SparkContext``: *open* → *stopped* (``stop()`` or leaving a ``with``
+  block);
 - ``RDD``: *live* → *persisted* (``persist()``/``cache()``) →
   *unpersisted*;
 - ``Broadcast``: *live* → *unpersisted* (``unpersist()``/``destroy()``);
@@ -53,7 +53,6 @@ from .findings import Finding, Reporter
 #: type tag (from closures' inference) -> resource kind
 KIND_OF_TAG = {
     "SparkContext": "context",
-    "StreamingContext": "context",
     "RDD": "rdd",
     "Broadcast": "broadcast",
     "Lock": "lock",
@@ -99,8 +98,8 @@ DEAD_STATES = {
 #: kind -> methods that *use* the live object (LIF rules fire on these)
 USES = {
     "context": {
-        "parallelize", "text_file", "from_source", "broadcast",
-        "accumulator", "list_accumulator", "run_job",
+        "parallelize", "text_file", "broadcast", "accumulator",
+        "list_accumulator", "run_job",
     },
     "rdd": {
         "collect", "count", "reduce", "take", "take_ordered", "first",

@@ -1,7 +1,7 @@
 """Observability: structured span tracing, a metrics registry, and
 trace-driven reports.
 
-Six pieces (DESIGN.md §7):
+Five pieces (DESIGN.md §7):
 
 - `spans` — `Tracer` / `Span`: nestable timed regions with labels,
   exported as Chrome trace-event JSON lines (Perfetto-loadable).  The
@@ -19,8 +19,6 @@ Six pieces (DESIGN.md §7):
   preserved and timestamps rebased to the driver clock.
 - `profile` — opt-in per-task resource profiling (wall vs CPU, peak
   RSS, tracemalloc allocation peak) aggregated into the registry.
-- `perf` — compact ``BENCH_<name>.json`` snapshots and the regression
-  diff behind the CI perf gate.
 """
 
 from .spans import NULL_TRACER, NullTracer, Span, Tracer, load_trace
@@ -41,7 +39,6 @@ from .report import (
 )
 from .collect import WorkerTelemetry, merge_telemetry, task_span
 from .profile import TaskProfiler, TaskResourceProfile, record_task_profile
-from .perf import build_bench, diff_benches, load_bench, write_bench
 
 __all__ = [
     "NULL_TRACER",
@@ -56,11 +53,8 @@ __all__ = [
     "TraceReport",
     "Tracer",
     "WorkerTelemetry",
-    "build_bench",
-    "diff_benches",
     "format_report",
     "format_skew_report",
-    "load_bench",
     "load_trace",
     "merge_telemetry",
     "parse_exposition",
@@ -69,5 +63,4 @@ __all__ = [
     "record_task_profile",
     "render_timeline",
     "task_span",
-    "write_bench",
 ]

@@ -43,7 +43,6 @@ except ImportError:  # pragma: no cover - not available on Windows
 __all__ = [
     "TaskProfiler",
     "TaskResourceProfile",
-    "max_peak_rss",
     "peak_rss_bytes",
     "record_task_profile",
 ]
@@ -163,11 +162,3 @@ def record_task_profile(
         labels = {"stage": str(stage), "partition": str(partition)}
         if profile.alloc_peak_bytes > gauge.value(**labels):
             gauge.set(profile.alloc_peak_bytes, **labels)
-
-
-def max_peak_rss(registry: Any) -> int:
-    """Largest per-task RSS peak recorded in the registry (0 if none)."""
-    gauge = registry.get("repro_task_peak_rss_bytes")
-    if gauge is None:
-        return 0
-    return int(max(gauge._values.values(), default=0))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import HashPartitioner, SparkContext
 from repro.engine.errors import ShuffleFetchError
+from repro.engine.rdd import SourceRDD
 from repro.engine.shuffle import ShuffleManager, read_reduce_input, write_map_output
 from repro.engine.sources import InMemorySource, LocalTextFileSource
 
@@ -89,6 +90,6 @@ class TestLocalTextFileSource:
 class TestInMemorySource:
     def test_from_source(self, sc):
         src = InMemorySource([[1, 2], [3], []])
-        rdd = sc.from_source(src)
+        rdd = SourceRDD(sc, src)
         assert rdd.num_partitions == 3
         assert rdd.collect() == [1, 2, 3]

@@ -1,8 +1,8 @@
-"""Full-pipeline integration: HDFS file → RDD → parse → SEED DBSCAN → merge.
+"""Full-pipeline integration: file → RDD → parse → SEED DBSCAN → merge.
 
 This is Algorithm 2 end-to-end as the paper describes the deployment:
-data lives in HDFS, the Spark driver reads and transforms it into Point
-RDDs, executors cluster, the driver merges.
+data lives in a file, the Spark driver reads it as line-aligned splits
+and transforms it into Point RDDs, executors cluster, the driver merges.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from repro.dbscan import (
 )
 from repro.engine import LIST_CONCAT, FaultPlan, SparkContext
 from repro.engine.partitioner import IndexRangePartitioner
-from repro.hdfs import MiniHDFS
 from repro.kdtree import KDTree
 
 
@@ -33,16 +32,15 @@ def workload():
 class TestHdfsToClusters:
     def test_full_pipeline(self, workload, tmp_path):
         g, tree, seq = workload
-        # 1. Stage the dataset in HDFS (small blocks to force multiple splits).
-        local = tmp_path / "points.txt"
-        save_points(str(local), g.points)
-        fs = MiniHDFS(str(tmp_path / "hdfs"), block_size=32 * 1024,
-                      replication=2, num_datanodes=3)
-        fs.put_local_file(str(local), "/data/points.txt")
+        # 1. Stage the dataset as a text file.
+        path = tmp_path / "points.txt"
+        save_points(str(path), g.points)
 
         with SparkContext("simulated[4]") as sc:
-            # 2. Read from HDFS and transform into points (Algorithm 2, 1-2).
-            lines = sc.from_source(fs.open("/data/points.txt"))
+            # 2. Read it as several line-aligned splits and transform into
+            # points (Algorithm 2, 1-2).
+            lines = sc.text_file(str(path), num_partitions=7)
+            assert lines.num_partitions == 7
             pts_rdd = lines.map(parse_point_line)
             points = np.vstack(pts_rdd.collect())
             np.testing.assert_allclose(points, g.points, rtol=1e-11)
@@ -53,18 +51,6 @@ class TestHdfsToClusters:
         ok, why = clusterings_equivalent(seq.labels, res.labels, g.points,
                                          25.0, 5, tree=tree)
         assert ok, why
-
-    def test_pipeline_survives_datanode_failure(self, workload, tmp_path):
-        g, _tree, _seq = workload
-        local = tmp_path / "p.txt"
-        save_points(str(local), g.points)
-        fs = MiniHDFS(str(tmp_path / "hdfs"), block_size=16 * 1024,
-                      replication=2, num_datanodes=3)
-        fs.put_local_file(str(local), "/p.txt")
-        fs.kill_datanode(1)
-        with SparkContext("simulated[2]") as sc:
-            lines = sc.from_source(fs.open("/p.txt"))
-            assert lines.count() == g.n
 
 
 class TestExecutorFaultRecovery:

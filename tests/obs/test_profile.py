@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from repro.obs import MetricsRegistry, TaskProfiler, record_task_profile
-from repro.obs.profile import max_peak_rss, peak_rss_bytes
+from repro.obs.profile import peak_rss_bytes
 
 
 class TestPeakRss:
@@ -91,13 +91,3 @@ class TestRecordTaskProfile:
         record_task_profile(reg, self._profile(1), stage=0, partition=1)
         h = reg.get("repro_task_cpu_seconds")
         assert h is not None
-
-    def test_max_peak_rss_across_partitions(self):
-        reg = MetricsRegistry()
-        record_task_profile(reg, self._profile(100), stage=0, partition=0)
-        record_task_profile(reg, self._profile(700), stage=0, partition=1)
-        record_task_profile(reg, self._profile(400), stage=1, partition=0)
-        assert max_peak_rss(reg) == 700
-
-    def test_max_peak_rss_empty_registry(self):
-        assert max_peak_rss(MetricsRegistry()) == 0

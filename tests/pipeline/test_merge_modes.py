@@ -5,9 +5,9 @@ boundary rather than the point count (DESIGN.md §11)."""
 import numpy as np
 import pytest
 
-from repro.data import generate_clustered, generate_skewed
+from repro.data import generate_clustered, generate_skewed, make_dataset
 from repro.dbscan import SparkDBSCAN, SpatialSparkDBSCAN
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, TraceReport, Tracer
 
 EPS, MINPTS = 25.0, 5
 
@@ -90,3 +90,19 @@ class TestMergeTelemetry:
         base_bytes = int(reg_base.get("repro_driver_collect_bytes").value())
         edge_bytes = int(reg_edge.get("repro_driver_collect_bytes").value())
         assert 0 < edge_bytes < base_bytes
+
+    def test_exact_counts_on_c10k(self):
+        """The run is deterministic, so its counts are pinned exactly:
+        c10k at paper size, batched kernel, 4 range partitions.  The
+        broadcast is only serialized (and so only sized) on a process
+        backend."""
+        pts = make_dataset("c10k", scale=1.0).points
+        assert pts.shape == (10_000, 10)
+        tracer = Tracer()
+        result, reg = fit(pts, neighbor_mode="batched", master="processes[2]",
+                          tracer=tracer)
+        report = TraceReport.from_events([s.to_event() for s in tracer.spans])
+        assert result.num_partial_clusters == report.total_partials == 129
+        assert int(reg.get("repro_driver_collect_bytes").value()) == 118_638
+        assert report.broadcast_bytes == 1_693_207
+        assert report.num_executor_spans == 4

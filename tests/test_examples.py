@@ -16,8 +16,6 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 FAST_EXAMPLES = [
     "engine_tour.py",
-    "streaming_clusters.py",
-    "realtime_monitoring.py",
     "fault_tolerance_demo.py",
 ]
 
@@ -46,7 +44,5 @@ def test_expected_examples_present():
         "fault_tolerance_demo.py",
         "scaling_study.py",
         "engine_tour.py",
-        "streaming_clusters.py",
         "parameter_tuning.py",
-        "realtime_monitoring.py",
     } <= set(ALL_EXAMPLES)
