@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Tour of the mini-Spark engine underneath the DBSCAN reproduction.
 
-The paper's algorithm uses a narrow slice of Spark (parallelize,
-foreachPartition, broadcast, accumulator).  The engine implements much
-more; this example shows the rest working: lazy lineage, shuffles,
-caching, joins, and the DAG scheduler's stage construction — the
-Section II-B machinery.
+The paper's algorithm uses a narrow slice of Spark (parallelize, a
+per-partition map, broadcast, accumulator, collect); its two baselines
+add ``flat_map``/``reduce_by_key``.  That is all the engine implements.
+This example shows the three pieces of Section II-B machinery the paper
+discusses: a shuffle boundary, lazy lineage with caching, and the reuse
+of map output across jobs.
 
     python examples/engine_tour.py
 """
@@ -34,29 +35,19 @@ def main() -> None:
 
         print("\n== lazy lineage + caching ==")
         expensive_calls = sc.accumulator()
-        base = sc.parallelize(range(10_000), 4).map(
+        cached = sc.parallelize(range(10_000), 4).map(
             lambda x: (expensive_calls.add(1), x * x)[1]
-        )
-        cached = base.cache()
+        ).cache()
         print("   nothing computed yet:", expensive_calls.value == 0)
-        s1 = cached.sum()
-        s2 = cached.sum()
+        s1 = sum(cached.collect())
+        s2 = sum(cached.collect())
         print(f"   two actions, sums equal: {s1 == s2}; "
-              f"map ran {expensive_calls.value} times (cache hit on 2nd)")
-
-        print("\n== join (composed from shuffles) ==")
-        users = sc.parallelize([(1, "ada"), (2, "grace"), (3, "edsger")], 2)
-        logins = sc.parallelize([(1, "mon"), (1, "tue"), (3, "fri")], 2)
-        joined = sorted(users.join(logins).collect())
-        print("  ", joined)
-
-        print("\n== zip_with_index / distinct / count_by_key ==")
-        letters = sc.parallelize("abbcccddddx", 3)
-        print("   indexed head:", letters.zip_with_index().take(4))
-        print("   distinct:", sorted(letters.distinct().collect()))
-        print("   counts:", dict(sorted(
-            letters.map(lambda ch: (ch, None)).count_by_key().items()
-        )))
+              f"map ran {expensive_calls.value} times; block manager: "
+              f"{sc.block_manager.misses} misses, {sc.block_manager.hits} hits")
+        cached.unpersist()
+        cached.count()
+        print(f"   after unpersist the lineage recomputes: map ran "
+              f"{expensive_calls.value} times")
 
         print("\n== shuffle reuse across jobs ==")
         r = sc.parallelize([(i % 5, 1) for i in range(100)], 4).reduce_by_key(

@@ -159,12 +159,6 @@ class CostModel:
         """S = Ts / Tp."""
         return self.sequential_time() / self.parallel_time(p)
 
-    def executor_only_speedup(self, p: int) -> float:
-        """Speedup counting only executor-side work (Figure 8, left column)."""
-        seq = self.params.n * self.V
-        par = (self.params.n / p) * self.V + self.params.m * self.V + self.params.t_straggling
-        return seq / par
-
 
 @dataclass
 class CalibratedCostModel:

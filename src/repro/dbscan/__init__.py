@@ -22,7 +22,6 @@ from .cells import (
     build_cell_assignment,
     cell_local_dbscan,
 )
-from .params import k_distances, suggest_eps
 from .partial import (
     NEIGHBOR_MODES,
     SEED_POLICIES,
@@ -62,8 +61,6 @@ __all__ = [
     "NaiveSparkResult",
     "SpatialSparkDBSCAN",
     "spatial_order",
-    "suggest_eps",
-    "k_distances",
     "ClusteringResult",
     "Timings",
     "dbscan_sequential",

@@ -33,13 +33,8 @@ from .errors import (
 )
 from .fault import FaultPlan, random_straggler_plan
 from .metrics import JobMetrics, StageMetrics, Stopwatch, TaskMetrics, makespan
-from .partitioner import (
-    HashPartitioner,
-    IndexRangePartitioner,
-    Partitioner,
-    RangePartitioner,
-)
-from .rdd import RDD, StatCounter
+from .partitioner import HashPartitioner, IndexRangePartitioner, Partitioner
+from .rdd import RDD
 from .sanitize import (
     AccumulatorReadError,
     BroadcastMutationError,
@@ -48,7 +43,7 @@ from .sanitize import (
     TrackedLock,
     deep_hash,
 )
-from .storage import BlockManager, StorageLevel
+from .storage import BlockManager
 
 __all__ = [
     "SparkContext",
@@ -61,7 +56,6 @@ __all__ = [
     "LIST_CONCAT",
     "Partitioner",
     "HashPartitioner",
-    "RangePartitioner",
     "IndexRangePartitioner",
     "FaultPlan",
     "random_straggler_plan",
@@ -71,8 +65,6 @@ __all__ = [
     "Stopwatch",
     "makespan",
     "BlockManager",
-    "StorageLevel",
-    "StatCounter",
     "EngineError",
     "TaskError",
     "JobAbortedError",

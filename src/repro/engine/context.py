@@ -2,7 +2,7 @@
 
     with SparkContext("processes[4]") as sc:
         rdd = sc.parallelize(range(1000), 4)
-        total = rdd.map(lambda x: x * x).sum()
+        squares = rdd.map(lambda x: x * x).collect()
 
 Responsibilities (paper Section II-B): owning the backend (executor
 pool), the block manager, shuffle manager, broadcast variables and
@@ -17,7 +17,6 @@ from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .accumulator import (
     INT_SUM,
-    LIST_CONCAT,
     Accumulator,
     AccumulatorParam,
     AccumulatorRegistry,
@@ -67,7 +66,7 @@ class SparkContext:
         self.mode, self.default_parallelism = parse_master(master)
         self._own_spill_dir = spill_dir is None
         self.spill_dir = spill_dir or tempfile.mkdtemp(prefix="minispark-")
-        self.block_manager = BlockManager(spill_dir=self.spill_dir)
+        self.block_manager = BlockManager()
         self.shuffle_manager = ShuffleManager(self.spill_dir)
         self.broadcast_manager = BroadcastManager(
             self.spill_dir if self.mode == "processes" else None,
@@ -135,12 +134,6 @@ class SparkContext:
         """Create an add-only shared variable merged at the driver."""
         self._check_running()
         return self.accumulators.new_accumulator(param)
-
-    def list_accumulator(self) -> Accumulator[list]:
-        """Accumulator collecting lists — the paper's channel for partial
-        clusters (Section IV-B: "we use it to implement bringing back the
-        partial clusters")."""
-        return self.accumulator(LIST_CONCAT)
 
     # -- job execution ------------------------------------------------------------
     def run_job(self, rdd: RDD[T], func: Callable[[int, Iterator[T]], Any]) -> list[Any]:

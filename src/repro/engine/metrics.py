@@ -44,12 +44,6 @@ class StageMetrics:
         return sum(t.run_time for t in self.task_metrics if t.succeeded)
 
     @property
-    def max_task_time(self) -> float:
-        """Slowest successful attempt."""
-        times = [t.run_time for t in self.task_metrics if t.succeeded]
-        return max(times) if times else 0.0
-
-    @property
     def num_tasks(self) -> int:
         """Distinct partitions attempted."""
         return len({t.partition for t in self.task_metrics})
@@ -66,19 +60,6 @@ class StageMetrics:
             if t.succeeded and t.run_time < best.get(t.partition, float("inf")):
                 best[t.partition] = t.run_time
         return [best[p] for p in sorted(best)]
-
-    def imbalance(self) -> float:
-        """Skew ratio: slowest winning task over the mean (1.0 = balanced).
-
-        This is the stage-level number the paper's Fig 8 speedup losses
-        trace back to — a ratio of r means the stage's parallel wall
-        clock is r× what perfectly balanced partitions would give.
-        """
-        durations = self.task_durations()
-        if not durations:
-            return 0.0
-        mean = sum(durations) / len(durations)
-        return max(durations) / mean if mean > 0 else 0.0
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Partitioners: decide which output partition a key belongs to.
 
-These mirror Spark's ``HashPartitioner`` and ``RangePartitioner``.  The
-paper's DBSCAN partitions point *indices* into contiguous ranges
-(Section IV-A: "If the current point's index is beyond the range of the
-current partition it is taken as a SEED"), which is exactly what
-`IndexRangePartitioner` provides.
+`HashPartitioner` is Spark's shuffle default.  The paper's DBSCAN
+partitions point *indices* into contiguous ranges (Section IV-A: "If the
+current point's index is beyond the range of the current partition it is
+taken as a SEED"), which is exactly what `IndexRangePartitioner`
+provides; `LookupPartitioner` is its table-driven twin for the cell plan.
 """
 
 from __future__ import annotations
@@ -39,24 +39,6 @@ class HashPartitioner(Partitioner):
     def partition(self, key: Any) -> int:
         """Output partition for the given key."""
         return hash(key) % self.num_partitions
-
-
-class RangePartitioner(Partitioner):
-    """Partition ordered keys into contiguous ranges given split bounds.
-
-    ``bounds`` has ``num_partitions - 1`` ascending elements; keys <=
-    bounds[i] land in partition i.
-    """
-
-    def __init__(self, bounds: Sequence[Any]):
-        super().__init__(len(bounds) + 1)
-        self.bounds = list(bounds)
-        if any(self.bounds[i] > self.bounds[i + 1] for i in range(len(self.bounds) - 1)):
-            raise ValueError("RangePartitioner bounds must be ascending")
-
-    def partition(self, key: Any) -> int:
-        """Output partition for the given key."""
-        return bisect.bisect_left(self.bounds, key)
 
 
 class LookupPartitioner(Partitioner):

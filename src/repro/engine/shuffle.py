@@ -61,11 +61,6 @@ class ShuffleManager:
         with self._lock:
             self._outputs[(shuffle_id, map_partition)] = paths
 
-    def unregister_map_output(self, shuffle_id: int, map_partition: int) -> None:
-        """Forget one map task's output (e.g. lost executor)."""
-        with self._lock:
-            self._outputs.pop((shuffle_id, map_partition), None)
-
     def map_output_paths(
         self, shuffle_id: int, num_map_partitions: int, reduce_partition: int
     ) -> list[str]:

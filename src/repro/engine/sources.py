@@ -55,17 +55,3 @@ class LocalTextFileSource:
                 lines.append(line.decode("utf-8").rstrip("\n"))
         return lines
 
-
-class InMemorySource:
-    """A pre-partitioned in-memory source, handy for tests."""
-
-    def __init__(self, partitions: list[list]):
-        self._partitions = partitions
-
-    def num_splits(self) -> int:
-        """Number of input splits."""
-        return len(self._partitions)
-
-    def read_split(self, i: int) -> list:
-        """Read one split's records."""
-        return self._partitions[i]

@@ -1,36 +1,23 @@
-"""Block manager: the executor-side cache backing ``rdd.cache()``.
+"""Block manager: the executor-side cache backing ``rdd.persist()``.
 
-Supports two storage levels, like Spark: MEMORY (a dict of materialized
-partition lists) and DISK (pickled partition files in a spill
-directory).  Eviction drops blocks; lineage makes that safe because a
-lost block is recomputed from the parent RDD — the fault-recovery
-mechanism the paper contrasts against MapReduce's replication
-(Section II-B, "Spark reconstructs RDDs via lineage").
+Blocks are materialized partition lists held in memory.  Eviction drops
+blocks; lineage makes that safe because a lost block is recomputed from
+the parent RDD — the fault-recovery mechanism the paper contrasts
+against MapReduce's replication (Section II-B, "Spark reconstructs RDDs
+via lineage").
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
 import threading
-from enum import Enum
 from typing import Any
-
-
-class StorageLevel(Enum):
-    """Where a cached block lives."""
-    MEMORY = "memory"
-    DISK = "disk"
 
 
 class BlockManager:
     """Stores materialized RDD partitions keyed by (rdd_id, partition)."""
 
-    def __init__(self, spill_dir: str | None = None):
+    def __init__(self) -> None:
         self._memory: dict[tuple[int, int], list[Any]] = {}
-        self._disk: dict[tuple[int, int], str] = {}
-        self._spill_dir = spill_dir
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -54,78 +41,43 @@ class BlockManager:
                 locks=("BlockManager._lock",),
             )
 
-    def put(self, rdd_id: int, partition: int, data: list[Any], level: StorageLevel) -> None:
+    def put(self, rdd_id: int, partition: int, data: list[Any]) -> None:
         """Store a materialized partition."""
         key = (rdd_id, partition)
         self._sanitize_touch(key, write=True)
-        if level is StorageLevel.MEMORY:
-            with self._lock:
-                self._memory[key] = data
-        else:
-            spill_dir = self._spill_dir or tempfile.gettempdir()
-            os.makedirs(spill_dir, exist_ok=True)
-            fd, path = tempfile.mkstemp(prefix=f"block-{rdd_id}-{partition}-", dir=spill_dir)
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(data, f, protocol=pickle.HIGHEST_PROTOCOL)
-            with self._lock:
-                self._disk[key] = path
+        with self._lock:
+            self._memory[key] = data
 
     def get(self, rdd_id: int, partition: int) -> list[Any] | None:
         """Fetch a cached partition, or None on a miss."""
         key = (rdd_id, partition)
         self._sanitize_touch(key, write=False)
         with self._lock:
-            if key in self._memory:
+            data = self._memory.get(key)
+            if data is None:
+                self.misses += 1
+            else:
                 self.hits += 1
-                return self._memory[key]
-            path = self._disk.get(key)
-        if path is not None and os.path.exists(path):
-            with open(path, "rb") as f:
-                data = pickle.load(f)
-            self.hits += 1
-            return data
-        self.misses += 1
-        return None
-
-    def contains(self, rdd_id: int, partition: int) -> bool:
-        """True iff the block is cached at any level."""
-        key = (rdd_id, partition)
-        with self._lock:
-            return key in self._memory or key in self._disk
+        return data
 
     def evict(self, rdd_id: int, partition: int | None = None) -> int:
         """Drop cached blocks for an RDD (all partitions if None). Returns count."""
-        dropped = 0
         with self._lock:
-            for key in list(self._memory):
-                if key[0] == rdd_id and (partition is None or key[1] == partition):
-                    del self._memory[key]
-                    dropped += 1
-            for key in list(self._disk):
-                if key[0] == rdd_id and (partition is None or key[1] == partition):
-                    path = self._disk.pop(key)
-                    if os.path.exists(path):
-                        os.unlink(path)
-                    dropped += 1
-        return dropped
+            doomed = [
+                key for key in self._memory
+                if key[0] == rdd_id and (partition is None or key[1] == partition)
+            ]
+            for key in doomed:
+                del self._memory[key]
+        return len(doomed)
 
     def clear(self) -> None:
         """Drop every cached block."""
         with self._lock:
             self._memory.clear()
-            for path in self._disk.values():
-                if os.path.exists(path):
-                    os.unlink(path)
-            self._disk.clear()
 
     @property
     def num_memory_blocks(self) -> int:
-        """Count of memory-resident blocks."""
+        """Count of cached blocks."""
         with self._lock:
             return len(self._memory)
-
-    @property
-    def num_disk_blocks(self) -> int:
-        """Count of disk-spilled blocks."""
-        with self._lock:
-            return len(self._disk)

@@ -26,17 +26,3 @@ class BruteForceIndex:
         q = np.asarray(q, dtype=np.float64)
         d2 = np.einsum("ij,ij->i", self.points - q, self.points - q)
         return np.flatnonzero(d2 <= eps * eps)
-
-    def query_radius_count(self, q: np.ndarray, eps: float) -> int:
-        """Size of the eps-neighbourhood."""
-        return int(self.query_radius(q, eps).size)
-
-    def query_knn(self, q: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the k nearest points to ``q`` (including an exact match)."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        q = np.asarray(q, dtype=np.float64)
-        d2 = np.einsum("ij,ij->i", self.points - q, self.points - q)
-        k = min(k, self.n)
-        idx = np.argpartition(d2, k - 1)[:k]
-        return idx[np.argsort(d2[idx])]

@@ -185,10 +185,6 @@ class KDTree:
             result = result[:max_neighbors]
         return result
 
-    def query_radius_count(self, q: np.ndarray, eps: float) -> int:
-        """Size of the eps-neighbourhood (the density of Definition 1)."""
-        return int(self.query_radius(q, eps).size)
-
     # -- batched queries ---------------------------------------------------------
     #
     # The executor hot loop issues one `query_radius` per BFS pop — n
@@ -421,51 +417,6 @@ class KDTree:
             Q, eps, None, collect_indices=False, query_block=query_block
         )
         return counts
-
-    def query_knn(self, q: np.ndarray, k: int) -> np.ndarray:
-        """The k nearest neighbours of ``q``, nearest first.
-
-        Simple best-first implementation: maintains the current k-th
-        distance as the prune radius.
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if self.n == 0:
-            return np.empty(0, dtype=np.intp)
-        q = np.asarray(q, dtype=np.float64)
-        k = min(k, self.n)
-        best_d2 = np.full(k, np.inf)
-        best_idx = np.full(k, -1, dtype=np.intp)
-        split_dim = self._split_dim
-        split_val = self._split_val
-
-        def visit(node: int) -> None:
-            nonlocal best_d2, best_idx
-            dim = split_dim[node]
-            if dim < 0:
-                s, e = self._start[node], self._end[node]
-                block = self._pts_perm[s:e]
-                diff = block - q
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                cand_d2 = np.concatenate([best_d2, d2])
-                cand_idx = np.concatenate([best_idx, self._perm[s:e]])
-                top = np.argpartition(cand_d2, k - 1)[:k]
-                order = np.argsort(cand_d2[top])
-                best_d2 = cand_d2[top][order]
-                best_idx = cand_idx[top][order]
-                return
-            delta = q[dim] - split_val[node]
-            near, far = (
-                (self._left[node], self._right[node])
-                if delta <= 0
-                else (self._right[node], self._left[node])
-            )
-            visit(near)
-            if delta * delta <= best_d2[k - 1]:
-                visit(far)
-
-        visit(0)
-        return best_idx[best_idx >= 0]
 
     # -- introspection -------------------------------------------------------------
     def depth(self) -> int:

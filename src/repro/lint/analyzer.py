@@ -17,7 +17,7 @@ statement (or directly above it), so multi-line module-level constructs
 on their trailing line::
 
     EDGES = (sc.parallelize(pairs)
-             .group_by_key())  # lint: allow[SHF001] offline tooling
+             .reduce_by_key(min))  # lint: allow[SHF001] offline tooling
 
 Multiple rules: ``# lint: allow[DET001,CAP001]``.  Whole-rule
 suppression is deliberately not offered, and a pragma that suppresses

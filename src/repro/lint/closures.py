@@ -34,47 +34,32 @@ import builtins
 from dataclasses import dataclass, field
 
 # RDD methods whose function argument executes inside tasks.  Generic
-# names ("map", "filter", "foreach", "reduce") only count when the
-# receiver is positively RDD-typed, to avoid flagging e.g.
-# ThreadPoolExecutor.map; the distinctive names always count.
+# names ("map", "foreach") only count when the receiver is positively
+# RDD-typed, to avoid flagging e.g. ThreadPoolExecutor.map; the
+# distinctive names always count.
 RDD_OP_METHODS_DISTINCTIVE = {
     "flat_map",
     "map_partitions",
     "map_partitions_with_index",
-    "foreach_partition",
     "foreach_partition_with_index",
-    "flat_map_values",
-    "key_by",
-    "map_values",
-    "take_ordered",
-    "sort_by",
     "_run",   # repo idiom: RDD._run(func) submits func as the action body
 }
-RDD_OP_METHODS_GENERIC = {"map", "filter", "foreach", "reduce", "fold", "aggregate"}
+RDD_OP_METHODS_GENERIC = {"map", "foreach"}
 RDD_OP_METHODS = RDD_OP_METHODS_DISTINCTIVE | RDD_OP_METHODS_GENERIC
 
 # Methods returning an RDD when invoked on an RDD (for chain typing).
 RDD_CHAIN_METHODS = RDD_OP_METHODS | {
-    "union",
-    "glom",
-    "coalesce",
-    "sample",
     "cache",
     "persist",
     "unpersist",
-    "partition_by",
-    "group_by_key",
     "reduce_by_key",
-    "distinct",
-    "cartesian",
-    "zip_with_index",
-    "keys",
-    "values",
-    "cogroup",
-    "join",
-    "left_outer_join",
-    "subtract_by_key",
 }
+
+# RDD methods that launch a job (actions): fatal inside task code
+# (ACT001), and the uses of a live RDD (LIF003).
+RDD_ACTIONS = frozenset({
+    "collect", "count", "foreach", "foreach_partition_with_index",
+})
 
 # Context methods creating RDDs.
 RDD_FACTORY_METHODS = {"parallelize", "text_file"}
@@ -432,7 +417,7 @@ class ModuleAnalysis:
             if attr == "broadcast" and recv_type in ("SparkContext", None):
                 # sc.broadcast(...) — only trust a known context receiver
                 return "Broadcast" if recv_type == "SparkContext" else None
-            if attr in ("accumulator", "list_accumulator") and recv_type == "SparkContext":
+            if attr == "accumulator" and recv_type == "SparkContext":
                 return "Accumulator"
             if attr in RDD_FACTORY_METHODS and recv_type == "SparkContext":
                 return "RDD"

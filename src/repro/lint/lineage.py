@@ -41,7 +41,7 @@ import ast
 from typing import TYPE_CHECKING, Iterable
 
 from .callgraph import is_substrate
-from .closures import by_position
+from .closures import RDD_ACTIONS, by_position
 from .findings import Finding, Reporter
 from .plans import shuffle_free_stage_classes
 
@@ -57,26 +57,9 @@ BASE_ENTRY_CLASSES = frozenset({
     "CollectPartials",
 })
 
-# RDD APIs introducing a wide dependency (a shuffle stage).  The
-# distinctive names fire on any receiver; ``join`` only on a positively
-# RDD-typed one (os.path.join, str.join are everywhere).  CamelCase
-# aliases cover code written against the PySpark spelling.
-WIDE_DEP_DISTINCTIVE = frozenset({
-    "group_by_key", "reduce_by_key", "partition_by", "sort_by",
-    "distinct", "cogroup", "left_outer_join", "subtract_by_key",
-    "count_by_key",
-    "groupByKey", "reduceByKey", "partitionBy", "sortBy",
-    "leftOuterJoin", "subtractByKey", "countByKey",
-})
-WIDE_DEP_GENERIC = frozenset({"join"})
-
-# RDD APIs that launch a job (actions); fatal inside task code.
-RDD_ACTIONS = frozenset({
-    "collect", "count", "take", "first", "top", "take_ordered",
-    "take_sample", "reduce", "fold", "aggregate", "foreach",
-    "foreach_partition", "foreach_partition_with_index",
-    "count_by_value", "save_as_text_file",
-})
+# RDD APIs introducing a wide dependency (a shuffle stage): exactly the
+# `repro.engine.RDD` methods that build a `ShuffledRDD`.
+WIDE_DEP_METHODS = frozenset({"reduce_by_key"})
 
 # Methods that mutate their receiver in place (BRD001).
 _MUTATOR_METHODS = frozenset({
@@ -127,9 +110,7 @@ def check_shuffle_free(project: "Project") -> list[Finding]:
             if not (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)):
                 continue
             attr = sub.func.attr
-            if attr in WIDE_DEP_DISTINCTIVE or (
-                attr in WIDE_DEP_GENERIC and analysis.receiver_is_rdd(sub, scope)
-            ):
+            if attr in WIDE_DEP_METHODS:
                 reporter.report(
                     "SHF001", analysis.path, sub.lineno, sub.col_offset,
                     f".{attr}() introduces a wide dependency (a shuffle "

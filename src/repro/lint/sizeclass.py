@@ -19,8 +19,8 @@ Transfer functions cover numpy constructors and element-preserving
 ops, slicing/fancy indexing, concatenation, comprehensions (whose
 generators the CFG lowers to real loop blocks, so SCL002 sees their
 trip counts), and the engine APIs: ``sc.parallelize(x)`` wraps ``x``
-lazily, ``rdd.collect()``/``collect_as_map()`` materialize the RDD's
-class on the driver, ``sc.broadcast(x)`` inherits ``x``'s class.
+lazily, ``rdd.collect()`` materializes the RDD's class on the driver,
+``sc.broadcast(x)`` inherits ``x``'s class.
 Sources are the repo's naming contract (``points``/``labels`` are
 O(points); ``digests`` are O(partials)-many O(edges) records; …) plus
 the pure-literal ``SIZE_MANIFEST`` next to ``STAGE_MANIFEST`` in
@@ -210,7 +210,7 @@ ITER_BUILTINS = {
 }
 
 #: Engine actions that materialize an RDD on the driver.
-COLLECT_METHODS = {"collect", "collect_as_map", "collectAsMap"}
+COLLECT_METHODS = {"collect"}
 
 #: Stage classes sanctioned to hold O(points) on the driver: loading,
 #: spatial reorder, index build, and label application (ISSUE scope).
@@ -563,9 +563,7 @@ class SizePass(FunctionPass[dict]):
                 return None
             return SizeVal(rank, rank, fresh=True, line=call.lineno,
                            deps=recv.deps)
-        if fn.attr in RDD_CHAIN_METHODS or fn.attr in (
-            "persist", "cache", "unpersist"
-        ):
+        if fn.attr in RDD_CHAIN_METHODS:
             # Lineage op: the size class rides along, still lazy.
             return None if recv is None else replace(recv, tag="rdd")
         return None

@@ -38,7 +38,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .cfg import ExceptBind, ForBind, WithEnter, WithExit
-from .closures import _loads_in, _target_names, dotted_name
+from .closures import RDD_ACTIONS, _loads_in, _target_names, dotted_name
 from .dataflow import (
     FactAnalysis,
     FunctionPass,
@@ -98,14 +98,9 @@ DEAD_STATES = {
 #: kind -> methods that *use* the live object (LIF rules fire on these)
 USES = {
     "context": {
-        "parallelize", "text_file", "broadcast", "accumulator",
-        "list_accumulator", "run_job",
+        "parallelize", "text_file", "broadcast", "accumulator", "run_job",
     },
-    "rdd": {
-        "collect", "count", "reduce", "take", "take_ordered", "first",
-        "sum", "fold", "aggregate", "foreach", "foreach_partition",
-        "foreach_partition_with_index",
-    },
+    "rdd": RDD_ACTIONS,
     "broadcast": set(),     # uses are ``.value`` reads, handled separately
 }
 

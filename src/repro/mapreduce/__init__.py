@@ -1,13 +1,8 @@
 """Mini Hadoop-MapReduce runtime (the paper's Figure 7 baseline)."""
 
 from .job import JobStats, MapReduceJob
-from .tracker import JobTracker, TaskState, TaskTracker, TrackedTask
 
 __all__ = [
     "MapReduceJob",
     "JobStats",
-    "JobTracker",
-    "TaskTracker",
-    "TrackedTask",
-    "TaskState",
 ]

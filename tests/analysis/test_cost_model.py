@@ -54,13 +54,6 @@ class TestCostModel:
         cap = m.sequential_time() / serial
         assert m.speedup(10**6) <= cap + 1e-9
 
-    def test_executor_only_speedup_higher(self, params):
-        """Figure 8's two columns: executor-only speedup dominates the
-        total-time speedup because driver work does not parallelise."""
-        m = CostModel(params)
-        for p in (4, 8, 16, 32):
-            assert m.executor_only_speedup(p) >= m.speedup(p)
-
     def test_more_partial_clusters_hurt_speedup(self):
         base = WorkloadParams(n=100_000, m=100, K=300)
         heavy = WorkloadParams(n=100_000, m=20_000, K=300)

@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.engine import SparkContext, StorageLevel
+from repro.engine import LIST_CONCAT, SparkContext
 
 
 class TestThreadBackendSafety:
@@ -15,9 +15,9 @@ class TestThreadBackendSafety:
 
     def test_list_accumulator_under_contention(self):
         with SparkContext("threads[8]") as sc:
-            acc = sc.list_accumulator()
-            sc.parallelize(range(160), 16).foreach_partition(
-                lambda it: acc.add([sum(it)])
+            acc = sc.accumulator(LIST_CONCAT)
+            sc.parallelize(range(160), 16).foreach_partition_with_index(
+                lambda _i, it: acc.add([sum(it)])
             )
             assert len(acc.value) == 16
             assert sum(acc.value) == sum(range(160))
@@ -29,7 +29,7 @@ class TestThreadBackendSafety:
             assert sorted(r.collect()) == sorted(x * 2 for x in range(400))
             assert sc.block_manager.num_memory_blocks == 16
             # Second pass served from cache, concurrently.
-            assert r.sum() == sum(x * 2 for x in range(400))
+            assert sum(r.collect()) == sum(x * 2 for x in range(400))
 
     def test_broadcast_read_from_many_threads(self):
         with SparkContext("threads[8]") as sc:
@@ -42,11 +42,11 @@ class TestThreadBackendSafety:
         rendezvous of two tasks would deadlock a serial executor."""
         barrier = threading.Barrier(2, timeout=10)
 
-        def wait_at_barrier(_it):
+        def wait_at_barrier(_i, _it):
             barrier.wait()
 
         with SparkContext("threads[2]") as sc:
-            sc.parallelize(range(2), 2).foreach_partition(wait_at_barrier)
+            sc.parallelize(range(2), 2).foreach_partition_with_index(wait_at_barrier)
         # Reaching here proves both tasks were in flight simultaneously.
 
     def test_concurrent_jobs_from_user_threads(self):
@@ -55,17 +55,10 @@ class TestThreadBackendSafety:
             results: dict[str, int] = {}
 
             def submit(tag, lo, hi):
-                results[tag] = sc.parallelize(range(lo, hi), 4).sum()
+                results[tag] = sum(sc.parallelize(range(lo, hi), 4).collect())
 
             t1 = threading.Thread(target=submit, args=("a", 0, 100))
             t2 = threading.Thread(target=submit, args=("b", 100, 200))
             t1.start(); t2.start(); t1.join(); t2.join()
             assert results["a"] == sum(range(0, 100))
             assert results["b"] == sum(range(100, 200))
-
-    def test_disk_cache_concurrent(self, tmp_path):
-        with SparkContext("threads[8]", spill_dir=str(tmp_path)) as sc:
-            r = sc.parallelize(range(100), 8).persist(StorageLevel.DISK)
-            assert r.count() == 100
-            assert sc.block_manager.num_disk_blocks == 8
-            assert r.count() == 100

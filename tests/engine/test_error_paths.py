@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import HashPartitioner, SparkContext
-from repro.engine.rdd import ReorderedPartitionsRDD, ShuffledRDD, TaskRuntime
+from repro.engine.rdd import ShuffledRDD, TaskRuntime
 from repro.engine.storage import BlockManager
 
 
@@ -22,18 +22,6 @@ class TestShuffledRDDGuards:
         clone = cloudpickle.loads(cloudpickle.dumps(rdd))  # ctx stripped
         with pytest.raises(RuntimeError):
             ShuffledRDD(clone, HashPartitioner(2))
-
-
-class TestReorderedPartitions:
-    def test_valid_permutation(self, sc):
-        base = sc.parallelize(range(6), 3)
-        r = ReorderedPartitionsRDD(base, [2, 0, 1])
-        assert r.glom().collect() == [[4, 5], [0, 1], [2, 3]]
-
-    def test_invalid_permutation_rejected(self, sc):
-        base = sc.parallelize(range(6), 3)
-        with pytest.raises(ValueError):
-            ReorderedPartitionsRDD(base, [0, 0, 1])
 
 
 class TestActionGuards:

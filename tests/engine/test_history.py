@@ -19,7 +19,7 @@ def _traced(path, body, master="simulated[2]"):
 class TestSummarize:
     def _run_app(self, path):
         def body(sc):
-            sc.parallelize(range(8), 2).sum()
+            sc.parallelize(range(8), 2).count()
             sc.parallelize([(i % 2, i) for i in range(8)], 2).reduce_by_key(
                 lambda a, b: a + b
             ).collect()
@@ -71,6 +71,30 @@ class TestSummarize:
         report = TraceReport.from_events([])
         assert report.jobs == {}
         assert "application:" not in format_report(report)
+
+
+class TestEventLog:
+    """The engine's record of what ran: `JobMetrics` always, the trace
+    when a tracer is live (the event log's two successors)."""
+
+    def test_failed_attempts_logged(self, sc):
+        sc.fault_plan = FaultPlan(fail_attempts={(-1, 0): 1})
+        sc.parallelize(range(4), 2).collect()
+        tasks = sc.last_job_metrics.stages[0].task_metrics
+        assert any(not t.succeeded for t in tasks)
+
+    def test_file_backed_log_roundtrip(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        tracer = Tracer()
+        with SparkContext("simulated[2]", tracer=tracer) as sc:
+            sc.parallelize(range(4), 2).count()
+        tracer.write_jsonl(path)
+        events = [e for e in load_trace(path) if e["ph"] == "X"]
+        assert events[0]["name"] == "engine.context"
+        assert events[0]["args"]["master"] == "simulated[2]"
+        names = [e["name"] for e in events]
+        assert "engine.job" in names and "engine.stage" in names
+        assert {"task[s0,p0]", "task[s0,p1]"} <= set(names)
 
 
 class TestHistoryErrors:

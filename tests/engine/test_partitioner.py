@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import HashPartitioner, IndexRangePartitioner, RangePartitioner
+from repro.engine import HashPartitioner, IndexRangePartitioner
 
 
 class TestHashPartitioner:
@@ -27,21 +27,6 @@ class TestHashPartitioner:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             HashPartitioner(0)
-
-
-class TestRangePartitioner:
-    def test_bounds(self):
-        p = RangePartitioner([10, 20, 30])
-        assert p.num_partitions == 4
-        assert p.partition(5) == 0
-        assert p.partition(10) == 0
-        assert p.partition(11) == 1
-        assert p.partition(25) == 2
-        assert p.partition(31) == 3
-
-    def test_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError):
-            RangePartitioner([3, 1])
 
 
 class TestIndexRangePartitioner:
@@ -87,7 +72,11 @@ class TestIndexRangePartitioner:
         with SparkContext("local[1]") as sc:
             for n, p in [(10, 3), (100, 7), (13, 5), (5, 5), (8, 3)]:
                 part = IndexRangePartitioner(n, p)
-                chunks = sc.parallelize(range(n), p).glom().collect()
+                chunks = (
+                    sc.parallelize(range(n), p)
+                    .map_partitions(lambda it: [list(it)])
+                    .collect()
+                )
                 for i, chunk in enumerate(chunks):
                     lo, hi = part.range_of(i)
                     assert chunk == list(range(lo, hi))

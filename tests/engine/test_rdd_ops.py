@@ -4,7 +4,7 @@ import operator
 
 import pytest
 
-from repro.engine import HashPartitioner, SparkContext
+from repro.engine import LIST_CONCAT, HashPartitioner, SparkContext
 
 
 class TestBasicTransformations:
@@ -12,10 +12,6 @@ class TestBasicTransformations:
         assert sc.parallelize(range(20), 4).map(lambda x: x * 3).collect() == [
             x * 3 for x in range(20)
         ]
-
-    def test_filter(self, sc):
-        got = sc.parallelize(range(50), 4).filter(lambda x: x % 7 == 0).collect()
-        assert got == [x for x in range(50) if x % 7 == 0]
 
     def test_flat_map(self, sc):
         got = sc.parallelize(["a b", "c", "d e f"], 2).flat_map(str.split).collect()
@@ -25,7 +21,7 @@ class TestBasicTransformations:
         got = (
             sc.parallelize(range(30), 5)
             .map(lambda x: x + 1)
-            .filter(lambda x: x % 2 == 0)
+            .flat_map(lambda x: [x] if x % 2 == 0 else [])
             .map(lambda x: x // 2)
             .collect()
         )
@@ -43,33 +39,6 @@ class TestBasicTransformations:
         )
         assert got == [(0, [0, 1]), (1, [2, 3]), (2, [4, 5]), (3, [6, 7])]
 
-    def test_glom(self, sc):
-        assert sc.parallelize(range(6), 2).glom().collect() == [[0, 1, 2], [3, 4, 5]]
-
-    def test_union(self, sc):
-        a = sc.parallelize([1, 2], 2)
-        b = sc.parallelize([3, 4, 5], 2)
-        u = a.union(b)
-        assert u.collect() == [1, 2, 3, 4, 5]
-        assert u.num_partitions == 4
-
-    def test_zip_with_index(self, sc):
-        got = sc.parallelize("abcdefg", 3).zip_with_index().collect()
-        assert got == [(c, i) for i, c in enumerate("abcdefg")]
-
-    def test_key_by(self, sc):
-        got = sc.parallelize([10, 25, 31], 2).key_by(lambda x: x % 10).collect()
-        assert got == [(0, 10), (5, 25), (1, 31)]
-
-    def test_coalesce(self, sc):
-        r = sc.parallelize(range(20), 10).coalesce(3)
-        assert r.num_partitions == 3
-        assert sorted(r.collect()) == list(range(20))
-
-    def test_coalesce_rejects_nonpositive(self, sc):
-        with pytest.raises(ValueError):
-            sc.parallelize(range(4), 2).coalesce(0)
-
 
 class TestShuffleTransformations:
     def test_reduce_by_key(self, sc):
@@ -81,46 +50,40 @@ class TestShuffleTransformations:
         got = dict(sc.parallelize([("x", 7)], 2).reduce_by_key(operator.add).collect())
         assert got == {"x": 7}
 
-    def test_group_by_key(self, sc):
-        data = [(i % 3, i) for i in range(15)]
-        got = dict(sc.parallelize(data, 4).group_by_key().collect())
-        assert {k: sorted(v) for k, v in got.items()} == {
-            0: [0, 3, 6, 9, 12],
-            1: [1, 4, 7, 10, 13],
-            2: [2, 5, 8, 11, 14],
-        }
-
-    def test_distinct(self, sc):
-        got = sorted(sc.parallelize([1, 2, 2, 3, 3, 3, 1], 3).distinct().collect())
-        assert got == [1, 2, 3]
-
-    def test_partition_by_respects_partitioner(self, sc):
+    def test_reduce_by_key_respects_partitioner(self, sc):
         data = [(i, str(i)) for i in range(16)]
         p = HashPartitioner(4)
-        chunks = sc.parallelize(data, 4).partition_by(p).glom().collect()
+        chunks = (
+            sc.parallelize(data, 2)
+            .reduce_by_key(operator.add, num_partitions=4)
+            .map_partitions(lambda it: [list(it)])
+            .collect()
+        )
+        assert sorted(kv for chunk in chunks for kv in chunk) == data
         for pid, chunk in enumerate(chunks):
             for k, _v in chunk:
                 assert p.partition(k) == pid
 
-    def test_join(self, sc):
-        left = sc.parallelize([("a", 1), ("b", 2), ("a", 3)], 2)
-        right = sc.parallelize([("a", "x"), ("c", "y")], 2)
-        got = sorted(left.join(right).collect())
-        assert got == [("a", (1, "x")), ("a", (3, "x"))]
-
-    def test_map_values_after_shuffle(self, sc):
+    def test_map_after_shuffle(self, sc):
         data = [("k", i) for i in range(10)]
         got = (
             sc.parallelize(data, 3)
             .reduce_by_key(operator.add)
-            .map_values(lambda v: v * 2)
+            .map(lambda kv: (kv[0], kv[1] * 2))
             .collect()
         )
         assert got == [("k", 90)]
 
-    def test_count_by_key(self, sc):
-        data = [("a", 0)] * 3 + [("b", 0)] * 2
-        assert sc.parallelize(data, 2).count_by_key() == {"a": 3, "b": 2}
+    def test_reduce_by_key_job_records_both_stages(self, sc):
+        sc.parallelize(range(10), 2).map(lambda x: (x % 2, x)).reduce_by_key(
+            lambda a, b: a + b
+        ).collect()
+        jobs = sc.dag_scheduler.job_metrics
+        assert len(jobs) == 1
+        assert len(jobs[0].stages) == 2  # shuffle map + result
+        tasks = [t for s in jobs[0].stages for t in s.task_metrics]
+        assert len(tasks) == 4  # 2 partitions per stage
+        assert all(t.succeeded for t in tasks)
 
 
 class TestActions:
@@ -130,55 +93,17 @@ class TestActions:
     def test_count_empty_partitions(self, sc):
         assert sc.parallelize([1], 4).count() == 1
 
-    def test_reduce(self, sc):
-        assert sc.parallelize(range(1, 11), 3).reduce(operator.mul) == 3628800
-
-    def test_reduce_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.parallelize([], 2).reduce(operator.add)
-
-    def test_reduce_with_empty_partitions(self, sc):
-        assert sc.parallelize([5], 4).reduce(operator.add) == 5
-
-    def test_sum(self, sc):
-        assert sc.parallelize(range(100), 8).sum() == 4950
-
-    def test_take_and_first(self, sc):
-        r = sc.parallelize(range(50), 5)
-        assert r.take(3) == [0, 1, 2]
-        assert r.first() == 0
-
-    def test_first_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.parallelize([], 2).first()
-
     def test_foreach_with_accumulator(self, sc):
         acc = sc.accumulator()
         sc.parallelize(range(10), 4).foreach(lambda x: acc.add(x))
         assert acc.value == 45
 
     def test_foreach_partition_with_index_sees_all(self, sc):
-        acc = sc.list_accumulator()
+        acc = sc.accumulator(LIST_CONCAT)
         sc.parallelize(range(9), 3).foreach_partition_with_index(
             lambda i, it: acc.add([(i, sum(it))])
         )
         assert sorted(acc.value) == [(0, 3), (1, 12), (2, 21)]
-
-    def test_collect_as_map(self, sc):
-        assert sc.parallelize([(1, "a"), (2, "b")], 2).collect_as_map() == {
-            1: "a",
-            2: "b",
-        }
-
-    def test_save_as_text_file(self, sc, tmp_path):
-        out = tmp_path / "out"
-        sc.parallelize(range(6), 3).save_as_text_file(str(out))
-        parts = sorted(p.name for p in out.iterdir())
-        assert parts == ["part-00000", "part-00001", "part-00002"]
-        lines = []
-        for p in sorted(out.iterdir()):
-            lines.extend(p.read_text().split())
-        assert lines == [str(i) for i in range(6)]
 
 
 class TestLaziness:

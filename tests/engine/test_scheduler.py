@@ -9,7 +9,7 @@ from repro.engine import FaultPlan, JobAbortedError, SparkContext
 
 class TestStageConstruction:
     def test_narrow_only_job_has_one_stage(self, sc):
-        sc.parallelize(range(10), 2).map(lambda x: x).filter(bool).collect()
+        sc.parallelize(range(10), 2).map(lambda x: x).flat_map(lambda x: [x, x]).collect()
         assert len(sc.last_job_metrics.stages) == 1
 
     def test_shuffle_job_has_two_stages(self, sc):
@@ -40,15 +40,15 @@ class TestStageConstruction:
         assert second_stages == 1  # map side skipped
 
     def test_diamond_lineage(self, sc):
-        """An RDD used by two branches of the same job computes correctly."""
-        base = sc.parallelize(range(10), 2)
+        """An RDD two lineages branch off computes correctly under both."""
+        base = sc.parallelize(range(10), 2).map(lambda x: x + 1)
         left = base.map(lambda x: x * 2)
         right = base.map(lambda x: x * 3)
-        got = left.union(right).sum()
-        assert got == sum(x * 2 for x in range(10)) + sum(x * 3 for x in range(10))
+        assert left.collect() == [(x + 1) * 2 for x in range(10)]
+        assert right.collect() == [(x + 1) * 3 for x in range(10)]
 
     def test_result_order_matches_partition_order(self, sc):
-        chunks = sc.parallelize(range(12), 4).glom().collect()
+        chunks = sc.parallelize(range(12), 4).map_partitions(lambda it: [list(it)]).collect()
         assert chunks == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
 
 

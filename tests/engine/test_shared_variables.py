@@ -63,9 +63,9 @@ class TestAccumulator:
 
     def test_list_concat_collects_partials(self, sc):
         """The paper's usage: bring partial results back via accumulator."""
-        acc = sc.list_accumulator()
-        sc.parallelize(range(20), 4).foreach_partition(
-            lambda it: acc.add([list(it)])
+        acc = sc.accumulator(LIST_CONCAT)
+        sc.parallelize(range(20), 4).foreach_partition_with_index(
+            lambda _i, it: acc.add([list(it)])
         )
         chunks = sorted(acc.value)
         assert chunks == [

@@ -6,7 +6,7 @@ from repro.engine import HashPartitioner, SparkContext
 from repro.engine.errors import ShuffleFetchError
 from repro.engine.rdd import SourceRDD
 from repro.engine.shuffle import ShuffleManager, read_reduce_input, write_map_output
-from repro.engine.sources import InMemorySource, LocalTextFileSource
+from repro.engine.sources import LocalTextFileSource
 
 
 class TestShuffleFiles:
@@ -85,6 +85,19 @@ class TestLocalTextFileSource:
         src = LocalTextFileSource(path, 10)
         got = [line for i in range(10) for line in src.read_split(i)]
         assert got == ["ab"]
+
+
+class InMemorySource:
+    """Local fake for `SourceRDD`: pre-partitioned in-memory splits."""
+
+    def __init__(self, partitions):
+        self._partitions = partitions
+
+    def num_splits(self):
+        return len(self._partitions)
+
+    def read_split(self, i):
+        return self._partitions[i]
 
 
 class TestInMemorySource:

@@ -1,55 +1,47 @@
-"""Block manager: cache levels, eviction, lineage recomputation."""
+"""Block manager: caching, eviction, lineage recomputation."""
 
-from repro.engine import SparkContext, StorageLevel
 from repro.engine.storage import BlockManager
 
 
 class TestBlockManager:
-    def test_memory_roundtrip(self, tmp_path):
-        bm = BlockManager(str(tmp_path))
-        bm.put(1, 0, [1, 2, 3], StorageLevel.MEMORY)
+    def test_memory_roundtrip(self):
+        bm = BlockManager()
+        bm.put(1, 0, [1, 2, 3])
         assert bm.get(1, 0) == [1, 2, 3]
         assert bm.num_memory_blocks == 1
 
-    def test_disk_roundtrip(self, tmp_path):
-        bm = BlockManager(str(tmp_path))
-        bm.put(1, 0, ["a", "b"], StorageLevel.DISK)
-        assert bm.get(1, 0) == ["a", "b"]
-        assert bm.num_disk_blocks == 1
-        assert bm.num_memory_blocks == 0
-
-    def test_miss_returns_none(self, tmp_path):
-        bm = BlockManager(str(tmp_path))
+    def test_miss_returns_none(self):
+        bm = BlockManager()
         assert bm.get(9, 9) is None
         assert bm.misses == 1
 
-    def test_evict_partition(self, tmp_path):
-        bm = BlockManager(str(tmp_path))
-        bm.put(1, 0, [1], StorageLevel.MEMORY)
-        bm.put(1, 1, [2], StorageLevel.MEMORY)
+    def test_evict_partition(self):
+        bm = BlockManager()
+        bm.put(1, 0, [1])
+        bm.put(1, 1, [2])
         assert bm.evict(1, 0) == 1
         assert bm.get(1, 0) is None
         assert bm.get(1, 1) == [2]
 
-    def test_evict_whole_rdd(self, tmp_path):
-        bm = BlockManager(str(tmp_path))
-        bm.put(1, 0, [1], StorageLevel.MEMORY)
-        bm.put(1, 1, [2], StorageLevel.DISK)
-        bm.put(2, 0, [3], StorageLevel.MEMORY)
+    def test_evict_whole_rdd(self):
+        bm = BlockManager()
+        bm.put(1, 0, [1])
+        bm.put(1, 1, [2])
+        bm.put(2, 0, [3])
         assert bm.evict(1) == 2
         assert bm.get(2, 0) == [3]
 
-    def test_hit_counters(self, tmp_path):
-        bm = BlockManager(str(tmp_path))
-        bm.put(1, 0, [1], StorageLevel.MEMORY)
+    def test_hit_counters(self):
+        bm = BlockManager()
+        bm.put(1, 0, [1])
         bm.get(1, 0)
         bm.get(1, 0)
         assert bm.hits == 2
 
-    def test_clear_removes_everything(self, tmp_path):
-        bm = BlockManager(str(tmp_path))
-        bm.put(1, 0, [1], StorageLevel.MEMORY)
-        bm.put(2, 0, [2], StorageLevel.DISK)
+    def test_clear_removes_everything(self):
+        bm = BlockManager()
+        bm.put(1, 0, [1])
+        bm.put(2, 0, [2])
         bm.clear()
         assert bm.get(1, 0) is None
         assert bm.get(2, 0) is None
@@ -67,9 +59,3 @@ class TestLineageRecovery:
         sc.block_manager.evict(r.rdd_id)
         assert r.collect() == [x * 2 for x in range(6)]
         assert acc.value == 12  # recomputed from the parent
-
-    def test_disk_persisted_rdd(self, sc):
-        r = sc.parallelize(range(8), 2).map(lambda x: -x).persist(StorageLevel.DISK)
-        assert r.collect() == [-x for x in range(8)]
-        assert sc.block_manager.num_disk_blocks == 2
-        assert r.collect() == [-x for x in range(8)]

@@ -105,39 +105,6 @@ class TestRangeQueries:
         with pytest.raises(ValueError):
             t.query_radius(uniform_points[0], -1.0)
 
-    def test_count_matches_size(self, uniform_points):
-        t = KDTree(uniform_points)
-        q = uniform_points[3]
-        assert t.query_radius_count(q, 20.0) == t.query_radius(q, 20.0).size
-
-
-class TestKNN:
-    def test_matches_brute_force(self, clustered_points):
-        t = KDTree(clustered_points, leaf_size=16)
-        bf = BruteForceIndex(clustered_points)
-        rng = np.random.default_rng(9)
-        for i in rng.integers(0, len(clustered_points), 20):
-            a = t.query_knn(clustered_points[i], 10)
-            b = bf.query_knn(clustered_points[i], 10)
-            # Distances must agree (ties may permute indices).
-            da = np.linalg.norm(clustered_points[a] - clustered_points[i], axis=1)
-            db = np.linalg.norm(clustered_points[b] - clustered_points[i], axis=1)
-            np.testing.assert_allclose(da, db)
-
-    def test_nearest_is_self(self, uniform_points):
-        t = KDTree(uniform_points)
-        assert t.query_knn(uniform_points[42], 1).tolist() == [42]
-
-    def test_k_larger_than_n(self):
-        pts = np.random.default_rng(0).uniform(0, 1, (5, 3))
-        t = KDTree(pts)
-        assert sorted(t.query_knn(pts[0], 50).tolist()) == list(range(5))
-
-    def test_k_nonpositive_rejected(self, uniform_points):
-        t = KDTree(uniform_points)
-        with pytest.raises(ValueError):
-            t.query_knn(uniform_points[0], 0)
-
 
 class TestPruning:
     """The paper's 'kd-tree with pruning branches' (Section V-E)."""

@@ -26,17 +26,6 @@ def test_range_query_matches_brute_force(pts, eps, qi, leaf):
 
 
 @settings(max_examples=30, deadline=None)
-@given(pts=point_arrays, k=st.integers(1, 15), qi=st.integers(0, 10_000))
-def test_knn_distances_match_brute_force(pts, k, qi):
-    t = KDTree(pts, leaf_size=8)
-    bf = BruteForceIndex(pts)
-    q = pts[qi % len(pts)]
-    da = np.sort(np.linalg.norm(pts[t.query_knn(q, k)] - q, axis=1))
-    db = np.sort(np.linalg.norm(pts[bf.query_knn(q, k)] - q, axis=1))
-    np.testing.assert_allclose(da, db, rtol=1e-9, atol=1e-9)
-
-
-@settings(max_examples=30, deadline=None)
 @given(pts=point_arrays, eps=st.floats(0.0, 50.0))
 def test_self_always_in_own_neighborhood(pts, eps):
     t = KDTree(pts)

@@ -3,7 +3,7 @@ the task-dataflow trio ACC001/BRD001/ACT001 (positive and negative
 fixtures for each).
 
 The headline case is the ISSUE's seeded violation: a helper in a *new*
-module calling ``groupByKey``, reachable from a ``LocalExpand`` stage —
+module calling ``reduce_by_key``, reachable from a ``LocalExpand`` stage —
 invisible to a path allowlist, caught by the call graph.
 """
 
@@ -13,12 +13,12 @@ from .fixture_sources import rules_of
 class TestShuffleFreeProof:
     def test_seeded_groupbykey_behind_helper(self, package):
         # The acceptance-criteria fixture: LocalExpand -> helper module
-        # -> groupByKey.  No allowlist mentions helpers.py; the lineage
+        # -> reduce_by_key.  No allowlist mentions helpers.py; the lineage
         # proof still finds it.
         findings = package({
             "helpers.py": """
                 def regroup(rdd):
-                    return rdd.groupByKey()
+                    return rdd.reduce_by_key(min)
                 """,
             "stages.py": """
                 from .helpers import regroup
@@ -31,7 +31,7 @@ class TestShuffleFreeProof:
         hits = [f for f in findings if f.rule == "SHF001"]
         assert hits, findings
         assert any(
-            f.path.endswith("helpers.py") and "groupByKey" in f.message
+            f.path.endswith("helpers.py") and "reduce_by_key" in f.message
             for f in hits
         )
 
@@ -40,7 +40,7 @@ class TestShuffleFreeProof:
         findings = package({
             "helpers.py": """
                 def regroup(rdd):
-                    return rdd.groupByKey()
+                    return rdd.reduce_by_key(min)
                 """,
             "stages.py": """
                 class LocalExpand:
@@ -54,7 +54,7 @@ class TestShuffleFreeProof:
         findings = package({
             "inner.py": """
                 def shuffle_sort(rdd):
-                    return rdd.sort_by(lambda kv: kv[0])
+                    return rdd.reduce_by_key(max)
                 """,
             "outer.py": """
                 from .inner import shuffle_sort

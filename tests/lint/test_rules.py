@@ -70,7 +70,7 @@ class TestCapture:
         findings = lint_source(
             """
             def job(sc, eps, minpts):
-                return sc.parallelize(range(9)).filter(
+                return sc.parallelize(range(9)).map(
                     lambda x: x > eps and x < minpts
                 ).collect()
             """
@@ -306,7 +306,7 @@ class TestPragma:
                 def run(self, rdd):
                     x = 1  # lint: allow[SHF001] unrelated line
                     y = x + 1
-                    return rdd.group_by_key()
+                    return rdd.reduce_by_key(min)
             """,
             name="stage.py",
         )

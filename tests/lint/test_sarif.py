@@ -22,7 +22,7 @@ VIOLATIONS = textwrap.dedent(
 
     class LocalExpand:
         def run(self, rdd):
-            return rdd.group_by_key()
+            return rdd.reduce_by_key(min)
     """
 )
 

