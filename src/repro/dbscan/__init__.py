@@ -39,7 +39,7 @@ from .mapreduce_job import MapReduceDBSCAN, MRDBSCANResult
 from .naive_spark import NaiveSparkDBSCAN, NaiveSparkResult
 from .sequential import core_point_mask, dbscan_sequential
 from .spark_job import SparkDBSCAN, SparkDBSCANResult
-from .spatial import SpatialSparkDBSCAN, spatial_order
+from .spatial import SpatialSparkDBSCAN
 from .validation import (
     adjusted_rand_index,
     clusterings_equivalent,
@@ -60,7 +60,6 @@ __all__ = [
     "NaiveSparkDBSCAN",
     "NaiveSparkResult",
     "SpatialSparkDBSCAN",
-    "spatial_order",
     "ClusteringResult",
     "Timings",
     "dbscan_sequential",

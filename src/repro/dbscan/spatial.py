@@ -14,31 +14,17 @@ spatial cells.  Consequences measured in the ablation benches: far
 fewer cross-partition SEEDs and partial clusters, cheaper driver-side
 merging.
 
-As a plan composition this is literally the Spark plan plus a
-`SpatialReorder` stage after `LoadPoints` and a permutation-undoing
-`RelabelFilter` tail (the ``spatial`` row of
-`repro.pipeline.STAGE_MANIFEST`).
+The tree that defines the order is the fit's index (`KDTree.rebase`).
+As a plan composition this is the Spark plan with `SpatialReorder` in
+`BuildIndex`'s place and a permutation-undoing `RelabelFilter` tail (the
+``spatial`` row of `repro.pipeline.STAGE_MANIFEST`).
 """
 
 from __future__ import annotations
 
 import warnings
 
-import numpy as np
-
-from ..kdtree import KDTree
 from .spark_job import SparkDBSCAN, SparkDBSCANResult
-
-
-def spatial_order(points: np.ndarray, leaf_size: int = 64) -> np.ndarray:
-    """Permutation putting spatially-near points at nearby indices.
-
-    Uses the kd-tree build permutation: leaves are contiguous blocks of
-    mutually-close points, visited in space-partition order.
-    """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    tree = KDTree(points, leaf_size=leaf_size)
-    return tree._perm.copy()
 
 
 class SpatialSparkDBSCAN(SparkDBSCAN):
@@ -60,15 +46,14 @@ class SpatialSparkDBSCAN(SparkDBSCAN):
         """Run the clustering over the given points.
 
         A caller-provided ``tree`` is deprecated here and ignored: the
-        kd-tree must be built over the *reordered* points, so a tree in
-        caller order cannot be reused (the pre-refactor implementation
-        silently discarded it; now it warns).
+        fit re-bases its tree in place, which a lent tree (in caller
+        order, possibly shared) must not be.
         """
         if tree is not None:
             warnings.warn(
-                "SpatialSparkDBSCAN.fit() ignores a prebuilt tree: the "
-                "index must be rebuilt over the spatially-reordered "
-                "points; drop the argument",
+                "SpatialSparkDBSCAN.fit() ignores a prebuilt tree: it "
+                "re-bases the index it builds onto leaf order; drop the "
+                "argument",
                 DeprecationWarning,
                 stacklevel=2,
             )

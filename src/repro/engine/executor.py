@@ -48,6 +48,11 @@ class Task:
     profile: bool = False
     profile_alloc: bool = False
 
+    def __getstate__(self) -> dict[str, Any]:
+        # Only the pickle is narrowed: retries and speculative duplicates
+        # are `dataclasses.replace` copies of the driver's whole task.
+        return {**self.__dict__, "rdd": self.rdd.for_split(self.partition)}
+
 
 @dataclass
 class TaskOutcome:

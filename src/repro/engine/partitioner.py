@@ -92,10 +92,8 @@ class IndexRangePartitioner(Partitioner):
             raise ValueError(f"n must be non-negative, got {n}")
         self.n = n
         base, extra = divmod(n, num_partitions)
-        starts = [0]
-        for i in range(num_partitions):
-            starts.append(starts[-1] + base + (1 if i < extra else 0))
-        self._starts = starts  # length p + 1; _starts[p] == n
+        # length p + 1; _starts[p] == n
+        self._starts = [i * base + min(i, extra) for i in range(num_partitions + 1)]
 
     def range_of(self, partition: int) -> tuple[int, int]:
         """Return the half-open index range ``[start, end)`` of a partition."""

@@ -15,11 +15,13 @@ transformations here.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import threading
+from collections.abc import Sequence
 from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar
 
-from .partitioner import HashPartitioner, Partitioner
+from .partitioner import HashPartitioner, IndexRangePartitioner, Partitioner
 from .storage import BlockManager
 
 T = TypeVar("T")
@@ -89,8 +91,16 @@ class RDD(Generic[T]):
         state["ctx"] = None
         return state
 
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
+    def for_split(self, split: int) -> "RDD[T]":
+        """What a task for ``split`` ships: this lineage (same ``rdd_id``,
+        so cached blocks match) down to that split's source data, or to a
+        shuffle — the reduce side reads bucket files, not its parent."""
+        shipped = copy.copy(self)
+        shipped.deps = [
+            NarrowDependency(dep.parent.for_split(split))
+            for dep in self.deps if isinstance(dep, NarrowDependency)
+        ]
+        return shipped
 
     # -- structure ---------------------------------------------------------
     @property
@@ -201,20 +211,22 @@ class RDD(Generic[T]):
 
 
 class ParallelCollectionRDD(RDD[T]):
-    """Source RDD over an in-memory sequence, sliced into partitions."""
+    """Source RDD over an in-memory sequence, sliced into the index ranges
+    of `IndexRangePartitioner` (the SEED test reads the same ranges)."""
 
     def __init__(self, ctx: Any, data: Iterable[T], num_partitions: int):
-        items = list(data)
-        if num_partitions <= 0:
-            raise ValueError(f"num_partitions must be positive, got {num_partitions}")
+        # Sliced as it is, a range stays O(1) per split, also on the wire.
+        items = data if isinstance(data, Sequence) else list(data)
+        ranges = IndexRangePartitioner(len(items), num_partitions)
         super().__init__(ctx, [], num_partitions)
-        base, extra = divmod(len(items), num_partitions)
-        self._slices: list[list[T]] = []
-        start = 0
-        for i in range(num_partitions):
-            size = base + (1 if i < extra else 0)
-            self._slices.append(items[start : start + size])
-            start += size
+        self._slices: dict[int, Sequence[T]] = {
+            i: items[slice(*ranges.range_of(i))] for i in range(num_partitions)
+        }
+
+    def for_split(self, split: int) -> "RDD[T]":
+        shipped = super().for_split(split)
+        shipped._slices = {split: self._slices[split]}
+        return shipped
 
     def compute(self, split: int, runtime: TaskRuntime) -> Iterator[T]:
         """Compute one partition of this RDD."""
@@ -246,12 +258,11 @@ class MapPartitionsRDD(RDD[U]):
 
     def __init__(self, parent: RDD[T], f: Callable[[int, Iterator[T]], Iterable[U]]):
         super().__init__(parent.ctx, [NarrowDependency(parent)], parent.num_partitions)
-        self._parent = parent
         self._f = f
 
     def compute(self, split: int, runtime: TaskRuntime) -> Iterator[U]:
         """Compute one partition of this RDD."""
-        return iter(self._f(split, self._parent.iterator(split, runtime)))
+        return iter(self._f(split, self.deps[0].parent.iterator(split, runtime)))
 
 
 class ShuffledRDD(RDD[tuple[K, V]]):

@@ -140,6 +140,16 @@ class KDTree:
         self._right[node] = self._build(start + mid, end)
         return node
 
+    def rebase(self) -> np.ndarray:
+        """Renumber the points by leaf order, in place, and return ``perm``:
+        point ``k`` is now the old point ``perm[k]``.  Leaf order is what
+        the blocks are stored in, so the node table stands and ``points``
+        becomes that one array — in memory and in the pickle."""
+        perm = self._perm
+        self.points = self._pts_perm
+        self._perm = np.arange(self.n, dtype=np.intp)
+        return perm
+
     # -- queries -----------------------------------------------------------------
     def query_radius(
         self, q: np.ndarray, eps: float, max_neighbors: int | None = None

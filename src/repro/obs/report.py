@@ -43,7 +43,6 @@ __all__ = [
 #: ``cat="driver"`` counts; this ordering is only used for display.
 DRIVER_PHASE_ORDER = (
     "driver.load",
-    "driver.spatial_reorder",
     "driver.kdtree_build",
     "driver.setup",
     "driver.broadcast",

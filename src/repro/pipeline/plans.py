@@ -10,8 +10,8 @@ heads and two merge tails:
 ==============  ==========================================================
 ``spark``       LoadPoints → BuildIndex → PartitionPlan → BroadcastModel →
                 LocalExpand → (tail)
-``spatial``     the same head with a SpatialReorder stage after LoadPoints
-                (RelabelFilter then undoes the permutation)
+``spatial``     the same head with SpatialReorder, which also builds the
+                index, for BuildIndex (RelabelFilter undoes the permutation)
 ``cell``        LoadPoints → CellPartition → LocalIndexExpand → (tail) —
                 cell partitions with local indexes and an eps-halo; no
                 BuildIndex, no BroadcastModel (``partitioning="cells"``)
@@ -76,9 +76,8 @@ STAGE_MANIFEST = {
         "LocalExpand", "CollectPartials", "MergePartials", "RelabelFilter",
     ),
     "spatial": (
-        "LoadPoints", "SpatialReorder", "BuildIndex", "PartitionPlan",
-        "BroadcastModel", "LocalExpand", "CollectPartials", "MergePartials",
-        "RelabelFilter",
+        "LoadPoints", "SpatialReorder", "PartitionPlan", "BroadcastModel",
+        "LocalExpand", "CollectPartials", "MergePartials", "RelabelFilter",
     ),
     "cell": (
         "LoadPoints", "CellPartition", "LocalIndexExpand", "CellCollect",
@@ -90,9 +89,9 @@ STAGE_MANIFEST = {
         "RelabelFilter",
     ),
     "spatial_edges": (
-        "LoadPoints", "SpatialReorder", "BuildIndex", "PartitionPlan",
-        "BroadcastModel", "LocalExpand", "CollectEdges", "MergeEdges",
-        "ApplyGidMap", "RelabelFilter",
+        "LoadPoints", "SpatialReorder", "PartitionPlan", "BroadcastModel",
+        "LocalExpand", "CollectEdges", "MergeEdges", "ApplyGidMap",
+        "RelabelFilter",
     ),
     "cell_edges": (
         "LoadPoints", "CellPartition", "LocalIndexExpand", "CollectEdges",

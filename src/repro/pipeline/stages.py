@@ -10,14 +10,15 @@ re-running it *and everything upstream of it*.
 
 Every plan composition produces byte-identical labels, partials and
 OpCounters to the monolithic ``fit`` methods the stages replaced.  What
-several stages do alike is one body each: the executor job
-(`ship_expansions`), the accumulator drain (`drain_accumulator`), the
-counters, label and outcome checkpoint codecs (`counters_doc` /
-`restore_counters`, `LabelStage`, `OutcomeStage`).
+several stages do alike is one body each: the tree build
+(`build_index`), the executor job (`ship_expansions`), the accumulator
+drain (`drain_accumulator`), the counters, label and outcome checkpoint
+codecs (`counters_doc` / `restore_counters`, `LabelStage`,
+`OutcomeStage`).
 The span names emitted here (``driver.kdtree_build``, ``driver.setup``,
 ``driver.accumulator_drain``, ``driver.merge``, ``driver.relabel``,
-``driver.spatial_reorder``, ``executor.partition_expand``) are the same
-vocabulary `repro.obs.TraceReport` already understands.
+``executor.partition_expand``) are the same vocabulary
+`repro.obs.TraceReport` already understands.
 
 This module is executor-path code and lives under the SHF001
 shuffle-free contract; the shuffle-based baselines get their own stage
@@ -147,48 +148,42 @@ class LoadPoints(Stage):
             sp.annotate(n=state.n, d=int(points.shape[1]))
 
 
-class SpatialReorder(Stage):
-    """Permute points into kd-tree leaf order (the paper's future work).
+def build_index(state: PipelineState) -> None:
+    """Build the fit's one kd-tree over ``state.points`` on the driver."""
+    with state.tracer.span("driver.kdtree_build", cat="driver") as sp:
+        t0 = time.perf_counter()
+        state.tree = KDTree(state.points, leaf_size=state.config.leaf_size)
+        state.timings.kdtree_build = time.perf_counter() - t0
+        sp.annotate(n=state.n, leaf_size=state.config.leaf_size)
 
-    Downstream stages then see spatially-compact index ranges; the final
-    `RelabelFilter` undoes the permutation so callers never observe it.
+
+class SpatialReorder(Stage):
+    """Renumber points into kd-tree leaf order (the paper's future work).
+
+    The tree that defines the order is the fit's index, re-based onto it;
+    downstream stages see spatially-compact index ranges and the final
+    `RelabelFilter` undoes the permutation.  Not checkpointable: on tied
+    inputs a tree rebuilt over the reordered points is not this tree, so
+    a resumed run derives both as the cold run did — always, because the
+    spatial plans list ``perm`` among their outputs.
     """
 
     name = "SpatialReorder"
     requires = ("points",)
-    provides = ("perm",)
-    checkpointable = True
+    provides = ("perm", "tree")
 
     def run(self, state: PipelineState) -> None:
-        from ..dbscan.spatial import spatial_order
-
-        with state.tracer.span("driver.spatial_reorder", cat="driver") as sp:
-            t0 = time.perf_counter()
-            perm = spatial_order(state.points, leaf_size=state.config.leaf_size)
-            reorder_time = time.perf_counter() - t0
-            state.perm = perm
-            state.points = state.points[perm]
-            sp.annotate(n=state.n, leaf_size=state.config.leaf_size)
-        state.timings.setup += reorder_time
-
-    def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        store.save_npz(self.name, perm=state.perm)
-
-    def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        perm = store.load_npz(self.name)["perm"]
-        state.perm = perm
-        state.points = state.points[perm]
+        build_index(state)
+        state.perm = state.tree.rebase()
+        state.points = state.tree.points
 
 
 class BuildIndex(Stage):
     """Build the global kd-tree on the driver (Algorithm 2 line 2).
 
     A prebuilt tree lent by the caller (``fit(..., tree=...)``) short-
-    circuits the build, mirroring the pre-refactor fast path used by the
-    scaling benchmarks.  In the spatial plans the tree is built over the
-    *reordered* points: `SpatialReorder` sits before this stage and
-    always executes, because those plans list ``perm`` among their
-    outputs.
+    circuits the build: the scaling benchmarks sweep partition counts
+    over one tree.
     """
 
     name = "BuildIndex"
@@ -196,13 +191,8 @@ class BuildIndex(Stage):
     provides = ("tree",)
 
     def run(self, state: PipelineState) -> None:
-        if state.tree is not None:
-            return
-        with state.tracer.span("driver.kdtree_build", cat="driver") as sp:
-            t0 = time.perf_counter()
-            state.tree = KDTree(state.points, leaf_size=state.config.leaf_size)
-            state.timings.kdtree_build = time.perf_counter() - t0
-            sp.annotate(n=state.n, leaf_size=state.config.leaf_size)
+        if state.tree is None:
+            build_index(state)
 
 
 class PartitionPlan(Stage):
@@ -678,11 +668,10 @@ class ApplyGidMap(OutcomeStage):
 class RelabelFilter(LabelStage):
     """Finalise labels: undo any spatial permutation, remap kept partials.
 
-    For the plain (index-partitioned) plans this is the identity tail;
-    for the spatial plans it is the pre-refactor ``driver.relabel`` step.
-    The ``perm`` (and, in partials mode, ``partials``) it then reads are
-    declared as the spatial plans' ``outputs``, which is what keeps their
-    producers from being skipped on a resume.
+    For the plain (index-partitioned) plans this is the identity tail.
+    The ``perm`` (and, in partials mode, ``partials``) it reads in the
+    spatial plans are declared as their ``outputs``, which is what keeps
+    the producers from being skipped on a resume.
     """
 
     name = "RelabelFilter"

@@ -8,14 +8,13 @@ from repro.dbscan import (
     SpatialSparkDBSCAN,
     clusterings_equivalent,
     dbscan_sequential,
-    spatial_order,
 )
+from repro.kdtree import KDTree
 
 
 @pytest.fixture(scope="module")
 def data():
     from repro.data import generate_clustered
-    from repro.kdtree import KDTree
 
     g = generate_clustered(n=2000, num_clusters=5, cluster_std=8.0, seed=3)
     return g, KDTree(g.points)
@@ -24,15 +23,17 @@ def data():
 class TestSpatialOrder:
     def test_is_permutation(self, data):
         g, _ = data
-        perm = spatial_order(g.points)
+        perm = KDTree(g.points).rebase()
         assert sorted(perm.tolist()) == list(range(g.n))
 
     def test_neighbors_become_index_local(self, data):
         """After reordering, consecutive indices are spatially closer than
         random pairs on average."""
         g, _ = data
-        perm = spatial_order(g.points)
-        pts = g.points[perm]
+        tree = KDTree(g.points)
+        perm = tree.rebase()
+        pts = tree.points
+        assert np.array_equal(pts, g.points[perm])
         consecutive = np.linalg.norm(pts[1:] - pts[:-1], axis=1).mean()
         rng = np.random.default_rng(0)
         i, j = rng.integers(0, g.n, 500), rng.integers(0, g.n, 500)

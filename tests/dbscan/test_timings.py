@@ -1,8 +1,10 @@
 """Timings/result dataclass semantics used by every figure."""
 
 import numpy as np
+import pytest
 
-from repro.dbscan import NOISE, ClusteringResult, Timings
+from repro.dbscan import NOISE, ClusteringResult, SpatialSparkDBSCAN, Timings
+from repro.obs import Tracer
 
 
 class TestTimings:
@@ -18,6 +20,35 @@ class TestTimings:
         t = Timings()
         assert t.driver_time == 0.0
         assert t.executor_task_durations == []
+
+
+    @pytest.mark.parametrize("merge_mode", ["partials", "edges"])
+    def test_spatial_fit_books_its_one_build_as_build(
+        self, blobs_small, merge_mode, monkeypatch
+    ):
+        """The reorder *is* the tree build: one ``driver.kdtree_build``
+        span, and ``kdtree_build`` (Fig 5's numerator) covers every
+        second the fit spends constructing a tree."""
+        import time
+
+        from repro.kdtree import KDTree
+
+        init, constructing = KDTree.__init__, []
+
+        def timed_init(self, *args, **kwargs):
+            t0 = time.perf_counter()
+            init(self, *args, **kwargs)
+            constructing.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(KDTree, "__init__", timed_init)
+        tracer = Tracer()
+        t = SpatialSparkDBSCAN(
+            25.0, 5, num_partitions=4, merge_mode=merge_mode, tracer=tracer,
+        ).fit(blobs_small.points).timings
+        builds = [s for s in tracer.spans if s.name == "driver.kdtree_build"]
+        assert len(builds) == 1
+        assert sum(constructing) <= t.kdtree_build <= builds[0].duration
+        assert t.driver_time == t.kdtree_build + t.setup + t.driver_merge
 
 
 class TestClusteringResult:

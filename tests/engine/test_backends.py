@@ -96,3 +96,63 @@ class TestProcessBackendBoundaries:
         with SparkContext("processes[2]") as sc:
             with pytest.raises(JobAbortedError):
                 sc.parallelize([1], 1).map(die).collect()
+
+    def test_task_ships_its_own_split_only(self):
+        """A task used to pickle every split's data — p× the bytes per
+        task, p²× per job; it carries its own, also as a retry copy."""
+        import dataclasses
+
+        import cloudpickle
+
+        from repro.engine.executor import Task
+        from repro.engine.rdd import TaskRuntime
+        from repro.engine.storage import BlockManager
+
+        def task_for(other_len, split=1):
+            payloads = [list(range(other_len)) for _ in range(4)]
+            payloads[split] = list(range(1000))
+            rdd = sc.parallelize(payloads, 4).map(sum)
+            return Task(job_id=0, stage_id=0, partition=split, attempt=0,
+                        rdd=rdd, kind="result", func=lambda _i, it: list(it))
+
+        with SparkContext("local") as sc:
+            small, big = task_for(10), task_for(100_000)
+            retry = dataclasses.replace(big, attempt=1)
+            base = len(cloudpickle.dumps(small))
+            for task in (big, retry):
+                blob = cloudpickle.dumps(task)
+                assert len(blob) <= base + 64
+                shipped = cloudpickle.loads(blob)
+                assert shipped.rdd.rdd_id == task.rdd.rdd_id  # cache key kept
+                got = shipped.rdd.iterator(1, TaskRuntime(BlockManager()))
+                assert list(got) == [sum(range(1000))]
+            # The driver's own task still reaches every split.
+            assert big.rdd.collect()[0] == sum(range(100_000))
+
+    def test_range_splits_stay_ranges(self):
+        """`BroadcastModel` parallelizes ``range(n)``: O(1) per split on
+        the driver and on the wire, not n boxed ints."""
+        import cloudpickle
+
+        from repro.engine.executor import Task
+
+        with SparkContext("local") as sc:
+            rdd = sc.parallelize(range(4_000_000), 4)
+            task = Task(job_id=0, stage_id=0, partition=3, attempt=0,
+                        rdd=rdd, kind="result", func=lambda _i, it: next(it))
+            assert len(cloudpickle.dumps(task)) < 4096
+            firsts = sc.run_job(rdd, lambda _i, it: next(it))
+            assert firsts == [0, 1_000_000, 2_000_000, 3_000_000]
+
+    def test_retry_and_cache_miss_recompute_from_the_shipped_split(self):
+        """Job 2 may land on a worker that never cached the split (the
+        ApplyGidMap case): it recomputes through the shipped lineage."""
+        from repro.engine import FaultPlan
+
+        with SparkContext("processes[2]") as sc:
+            sc.fault_plan = FaultPlan(fail_attempts={(-1, 2): 1})
+            sums = sc.parallelize([[i, i + 1] for i in range(6)], 6) \
+                .map(sum).persist()
+            expected = [2 * i + 1 for i in range(6)]
+            assert sums.collect() == expected
+            assert sums.map(lambda x: x).collect() == expected

@@ -81,6 +81,23 @@ class TestTraceReport:
         assert r.shuffle_bytes_written == 100
         assert r.shuffle_bytes_read == 60
 
+    def test_fig5_fraction_of_a_spatial_fit_counts_its_whole_build(
+        self, blobs_small
+    ):
+        """The spatial plan's reorder is its tree build; a trace that
+        booked it elsewhere would report half of Fig 5's numerator."""
+        from repro.dbscan import SpatialSparkDBSCAN
+
+        tracer = Tracer()
+        timings = SpatialSparkDBSCAN(
+            25.0, 5, num_partitions=4, tracer=tracer,
+        ).fit(blobs_small.points).timings
+        r = TraceReport.from_tracer(tracer)
+        assert r.kdtree_build_s >= timings.kdtree_build > 0
+        assert 0 < r.kdtree_fraction < 1
+        # No second driver phase holds tree-building time.
+        assert "driver.spatial_reorder" not in r.driver_phases
+
     def test_empty_trace(self):
         r = TraceReport.from_events([])
         assert r.wall_s == 0.0

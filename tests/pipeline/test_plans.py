@@ -20,7 +20,7 @@ from repro.pipeline.plans import (
 HEADS = {
     "spark": ("LoadPoints", "BuildIndex", "PartitionPlan", "BroadcastModel",
               "LocalExpand"),
-    "spatial": ("LoadPoints", "SpatialReorder", "BuildIndex", "PartitionPlan",
+    "spatial": ("LoadPoints", "SpatialReorder", "PartitionPlan",
                 "BroadcastModel", "LocalExpand"),
     "cell": ("LoadPoints", "CellPartition", "LocalIndexExpand"),
 }

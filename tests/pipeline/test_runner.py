@@ -21,6 +21,8 @@ from repro.pipeline import (
     RunConfig,
     build_plan,
 )
+from repro.pipeline.plans import STAGE_MANIFEST
+from tests.oracle import dbscan_violation
 
 EPS, MINPTS = 25.0, 5
 
@@ -30,7 +32,23 @@ def data():
     return generate_clustered(n=400, num_clusters=3, cluster_std=8.0, seed=3).points
 
 
-def make_config(algorithm, **kw):
+@pytest.fixture(scope="module")
+def tied():
+    """Half of a lattice of step eps, every point twice (10 clusters and
+    noise): pairs at exactly eps, zero distances, and leaf splits through
+    ties — where a tree rebuilt over reordered points is *not* the
+    re-based tree."""
+    rng = np.random.default_rng(11)
+    axes = np.meshgrid(*[np.arange(16) * EPS] * 2)
+    grid = np.stack([a.ravel() for a in axes], axis=1)
+    kept = np.repeat(grid[rng.random(len(grid)) < 0.5], 2, axis=0)
+    return kept[rng.permutation(len(kept))]
+
+
+def make_config(plan, **kw):
+    algorithm, edges, _ = plan.partition("_edges")
+    if edges:
+        kw["merge_mode"] = "edges"
     kw.setdefault("num_partitions", 3)
     if algorithm == "mapreduce":
         kw.setdefault("startup_overhead", 0.0)
@@ -92,33 +110,52 @@ class TestNonFiniteInputRejected:
         assert state.labels.shape == (len(data),)
 
 
-#: (algorithm, stage to crash after, stages that must be skipped on resume)
+#: (plan, stage to crash after, stages that must be skipped on resume,
+#: input fixture).  The spatial plans also crash after *every* stage on
+#: tied input: their tree is never checkpointed, so a resumed run must
+#: re-derive exactly the tree (and order) the cold run clustered under.
 CRASH_MATRIX = [
     ("spark", "CollectPartials",
-     {"BuildIndex", "PartitionPlan", "BroadcastModel", "LocalExpand"}),
+     {"BuildIndex", "PartitionPlan", "BroadcastModel", "LocalExpand"}, "data"),
     ("spatial", "CollectPartials",
-     {"BuildIndex", "PartitionPlan", "BroadcastModel", "LocalExpand"}),
-    ("naive", "ShuffleExpand", {"BuildIndex"}),
-    ("mapreduce", "LocalExpand", {"BuildIndex", "PartitionPlan"}),
-    ("sequential", "SequentialExpand", {"BuildIndex"}),
+     {"PartitionPlan", "BroadcastModel", "LocalExpand"}, "data"),
+    ("naive", "ShuffleExpand", {"BuildIndex"}, "data"),
+    ("mapreduce", "LocalExpand", {"BuildIndex", "PartitionPlan"}, "data"),
+    ("sequential", "SequentialExpand", {"BuildIndex"}, "data"),
+] + [
+    (plan, stage, set(), "tied")
+    for plan in ("spatial", "spatial_edges") for stage in STAGE_MANIFEST[plan]
+]
+CRASH_IDS = [
+    f"{plan}-{stage}-" + (f"skipped{i}" if points == "data" else points)
+    for i, (plan, stage, _, points) in enumerate(CRASH_MATRIX)
 ]
 
 
 class TestCrashResume:
-    @pytest.mark.parametrize("algorithm,kill_after,skipped", CRASH_MATRIX)
+    @pytest.mark.parametrize(
+        "plan,kill_after,skipped,points", CRASH_MATRIX, ids=CRASH_IDS
+    )
     def test_resume_matches_uninterrupted(
-        self, algorithm, kill_after, skipped, data, tmp_path
+        self, plan, kill_after, skipped, points, request, tmp_path
     ):
-        config = make_config(algorithm)
-        reference = run_plan(config, data)
+        points = request.getfixturevalue(points)
+        config = make_config(plan)
+        reference = run_plan(config, points)
+        assert dbscan_violation(points, reference.labels, EPS, MINPTS) is None
 
         with pytest.raises(PipelineCrash):
-            run_plan(config, data, checkpoint_dir=str(tmp_path),
+            run_plan(config, points, checkpoint_dir=str(tmp_path),
                      fail_after=kill_after)
 
-        resumed = run_plan(config, data, checkpoint_dir=str(tmp_path),
+        resumed = run_plan(config, points, checkpoint_dir=str(tmp_path),
                            resume=True)
-        assert resumed.stage_status[kill_after] == "restored"
+        killed = next(
+            s for s in build_plan(config).stages if s.name == kill_after
+        )
+        assert resumed.stage_status[kill_after] == (
+            "restored" if killed.checkpointable else "run"
+        )
         for name in skipped:
             assert resumed.stage_status[name] == "skipped"
         assert np.array_equal(resumed.labels, reference.labels)
