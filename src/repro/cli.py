@@ -252,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--min-cluster-size", type=int, default=0)
     r.add_argument("--leaf-size", type=int, default=64)
     r.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES, default="per_point",
-                   help="executor neighbourhood kernel (batched = vectorised fast path; "
-                        "only spark/spatial/sequential honour it)")
+                   help="accepted for compatibility: spark/spatial run the one "
+                        "batched kernel under both values; only sequential "
+                        "still queries per point under per_point")
     r.add_argument("--partitioning", choices=("range", "cells"), default="range",
                    help="spark-only: 'cells' swaps in the cell plan "
                         "(partition-local indexes, eps-halo, no broadcast)")

@@ -34,12 +34,10 @@ from ..obs.collect import task_span
 
 SEED_POLICIES = ("all", "one_per_partition")
 
-#: Where the expansion kernel takes its neighbour rows from (DESIGN.md §6):
-#:
-#: - ``"per_point"``: one kd-tree walk when the BFS first visits a point
-#:   (the paper's loop; the only mode whose memory is not O(nnz)).
-#: - ``"batched"``: every owned point's neighbourhood from one vectorised
-#:   kernel call (`KDTree.query_radius_batch`), kept as CSR arrays.
+#: Accepted ``neighbor_mode`` values.  Both run the same code here: the
+#: kernel has one row source, `KDTree.query_radius_batch` (DESIGN.md §6).
+#: Only the sequential plan still queries per point under ``"per_point"``;
+#: the field stays because the frozen benchmark passes and reads it.
 NEIGHBOR_MODES = ("per_point", "batched")
 
 
@@ -175,13 +173,12 @@ def local_dbscan(
     Pass an `OpCounters` to collect the Section III-B operation counts
     (range queries, queue adds/removes, hashtable puts/lookups).
 
-    ``neighbor_mode="batched"`` precomputes every owned point's
-    eps-neighbourhood with one `KDTree.query_radius_batch` call and
-    expands over the stored CSR rows; ``"per_point"`` queries each point
-    when the expansion first visits it.  The partial clusters — members,
-    member order, borders, seeds — and the counters are identical.
+    ``neighbor_mode`` is validated and otherwise ignored: both accepted
+    values run the same code — every owned point's eps-neighbourhood
+    comes from one `KDTree.query_radius_batch` call and the expansion
+    walks the stored CSR rows (nnz x 8 bytes per task).
 
-    ``boundary_out``, when given, collects every *queried* owned point
+    ``boundary_out``, when given, collects every owned point
     that has at least one foreign neighbour within eps.  Intersected
     with a partial cluster's members it yields exactly the points some
     other partition can see as a SEED (eps-symmetry) — the export set
@@ -225,17 +222,18 @@ def expand_frame(
 ) -> list[PartialCluster]:
     """The BFS/SEED expansion (Algorithm 2 with Algorithm 3's SEED rule).
 
-    Expands from the owned local ids in ``order``.  The paper's queue
-    holds neighbour ids; this one holds whole neighbour *rows*.  A row
-    never repeats an id and the FIFO pops a row's ids contiguously, so
-    dropping a row's already-assigned ids in one numpy pass at its pop
-    and walking the rest visits, assigns, seeds and enqueues in exactly
-    the order of the per-id loop.  The per-id work left is O(members +
-    seeds), not O(neighbours), and the Section III-B counts follow from
-    the row sizes.
+    Expands from the owned local ids in ``order``, over the rows of one
+    `query_radius_batch` call (``neighbor_mode`` is only validated).  The
+    paper's queue holds neighbour ids; this one holds whole neighbour
+    *rows*.  A row never repeats an id and the FIFO pops a row's ids
+    contiguously, so dropping a row's already-assigned ids in one numpy
+    pass at its pop and walking the rest visits, assigns, seeds and
+    enqueues in exactly the order of the per-id loop — the tree's storage
+    order within a row.  The per-id work left is O(members + seeds), not
+    O(neighbours), and the Section III-B counts follow from the row sizes.
 
     ``state`` is the paper's Hashtable over the frame: an owned id is
-    unseen, visited (queried, in no cluster yet) or assigned; a foreign
+    unseen, visited (met, in no cluster yet) or assigned; a foreign
     id is assigned while it is a seed of the cluster being built.
     """
     if seed_policy not in SEED_POLICIES:
@@ -248,44 +246,28 @@ def expand_frame(
         )
     if boundary_out is not None and max_neighbors is not None:
         raise ValueError("boundary_out requires max_neighbors=None (see local_dbscan)")
-    own_points, tree = frame.own_points, frame.tree
-    to_local, to_global = frame.to_local, frame.to_global
+    own_points, tree, to_global = frame.own_points, frame.tree, frame.to_global
     n_own = len(own_points)
     if n_own == 0:
         return []
     c = counters
-    core = np.zeros(n_own, dtype=bool)
-    indptr = indices = None
-    if neighbor_mode == "batched":
-        with task_span("task.kdtree_query", n=n_own):
-            indptr, indices = tree.query_radius_batch(
-                own_points, eps, max_neighbors, ids=to_local
-            )
-        core = np.diff(indptr) >= minpts
-        if c is not None:
-            c.range_queries += n_own
-        if boundary_out is not None:
-            # Rows with a foreign id.  No row is empty here — rows are
-            # untruncated and every point is its own neighbour — which is
-            # what lets one reduceat stand for a per-row max.
-            rows = np.flatnonzero(
-                np.maximum.reduceat(indices, indptr[:-1]) >= n_own
-            )
-            boundary_out.update(to_global(rows).tolist())
-
-    def row_of(k: int) -> np.ndarray:
-        """Owned id ``k``'s neighbour row, fetched on its first visit."""
-        if indptr is not None:
-            return indices[indptr[k]:indptr[k + 1]]
-        row = tree.query_radius(own_points[k], eps, max_neighbors)
-        if to_local is not None:
-            row = to_local[row]
-        core[k] = len(row) >= minpts
-        if c is not None:
-            c.range_queries += 1
-        if boundary_out is not None and row.size and row.max() >= n_own:
-            boundary_out.add(int(to_global(k)))
-        return row
+    stats: dict[str, int] = {}
+    with task_span("task.kdtree_query", n=n_own) as qsp:
+        indptr, indices = tree.query_radius_batch(
+            own_points, eps, max_neighbors, ids=frame.to_local, stats=stats
+        )
+        qsp.annotate(**stats)
+    core = np.diff(indptr) >= minpts
+    if c is not None:
+        c.range_queries += n_own
+    if boundary_out is not None:
+        # Rows with a foreign id.  No row is empty here — rows are
+        # untruncated and every point is its own neighbour — which is
+        # what lets one reduceat stand for a per-row max.
+        rows = np.flatnonzero(
+            np.maximum.reduceat(indices, indptr[:-1]) >= n_own
+        )
+        boundary_out.update(to_global(rows).tolist())
 
     UNSEEN, VISITED, ASSIGNED = 0, 1, 2
     state = np.zeros(len(tree.points), dtype=np.uint8)
@@ -297,15 +279,15 @@ def expand_frame(
         if state[k]:  # Algorithm 2 line 5: already in hashtable
             continue
         state[k] = VISITED
-        row = row_of(k)
         if c is not None:
             c.hashtable_puts += 1
-        if len(row) < minpts:
+        if not core[k]:
             continue  # noise unless claimed later as a border point
         state[k] = ASSIGNED
         members, seeds = [k], []
         homes_taken: set[int] = set()
         visits = skipped = 0
+        row = indices[indptr[k]:indptr[k + 1]]
         adds = len(row)
         queue = deque((row,))
         while queue:
@@ -318,8 +300,8 @@ def expand_frame(
                     # Own point: classic expansion (Algorithm 2 ll. 13–22).
                     if state[p] == UNSEEN:
                         visits += 1
-                        grown = row_of(p)
-                        if len(grown) >= minpts:
+                        if core[p]:
+                            grown = indices[indptr[p]:indptr[p + 1]]
                             adds += len(grown)
                             queue.append(grown)
                     members.append(p)

@@ -49,8 +49,9 @@ def dbscan_sequential(
     construction (used when timing query cost separately).
 
     ``neighbor_mode="batched"`` precomputes all n neighbourhoods with one
-    `KDTree.query_radius_batch` call before expanding; labels are
-    identical to the per-point mode.
+    `KDTree.query_radius_batch` call before expanding, ``"per_point"``
+    queries at first visit; labels are identical.  Only this plan (the
+    in-tree reference) still has the two code paths (DESIGN.md §6).
     """
     config = RunConfig(
         eps=eps,

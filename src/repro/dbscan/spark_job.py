@@ -69,10 +69,10 @@ class SparkDBSCAN:
     max_neighbors:
         Optional kd-tree pruning cap (the paper's r1m branch-pruning).
     neighbor_mode:
-        ``"per_point"`` (one kd-tree walk per BFS pop, the paper's loop)
-        or ``"batched"`` (executors precompute all owned neighbourhoods
-        with one vectorised kernel call, then expand over CSR rows).
-        Results are identical; batched is the fast path (DESIGN.md §6).
+        ``"per_point"`` or ``"batched"``: validated, without effect here.
+        Both values run the same code — executors answer all owned
+        neighbourhoods with one vectorised kernel call, then expand over
+        CSR rows (DESIGN.md §6) — and the frozen benchmark passes it.
     min_cluster_size:
         Drop partial clusters smaller than this before merging (the
         paper's r1m small-cluster filter).

@@ -30,6 +30,11 @@ FIRST_BLOCK_ROWS = 512
 #: Row cap of a sized block: bounds a leaf tile (rows x leaf points) when
 #: queries hit nothing, and keeps block-relative query ids 16-bit.
 MAX_BLOCK_ROWS = 1 << 13
+#: Distance cells (active queries x subtree points) at or under which the
+#: batched walk stops descending and answers the whole subtree as one
+#: tile: a tile costs ~40 us before its first flop, so it is sized by its
+#: work, not by the leaves (DESIGN.md §6 has the sweep).  Not an option.
+TILE_CELLS = 1 << 15
 #: Half-width of the exact re-check band around eps², in units of
 #: ``(d + 4) · u · (max|q - c|² + max|b - c|² + eps²)``; the product
 #: form's error stays under 3 such units (DESIGN.md §6).
@@ -184,10 +189,11 @@ class KDTree:
                         break
                 continue
             delta = q[dim] - split_val[node]
-            if delta <= eps:
-                stack.append(self._left[node])
+            # Right then left: leaves pop in storage order (the contract).
             if delta >= -eps:
                 stack.append(self._right[node])
+            if delta <= eps:
+                stack.append(self._left[node])
         if not out:
             return np.empty(0, dtype=np.intp)
         result = np.concatenate(out)
@@ -197,22 +203,23 @@ class KDTree:
 
     # -- batched queries ---------------------------------------------------------
     #
-    # The executor hot loop issues one `query_radius` per BFS pop — n
-    # Python-level tree walks per partition.  The batched kernels below
-    # answer a whole block of queries in one shared descent: the stack
-    # holds (node, active-query-ids) pairs, internal nodes split the
-    # active set with one vectorised plane test, and a leaf is one BLAS
-    # product of the active queries against the leaf block.
+    # The kernels below answer a whole block of queries in one shared
+    # descent: the stack holds (node, extent, active-query-ids) entries,
+    # internal nodes split the active set with one vectorised plane test,
+    # and once ``active x subtree points`` fits `TILE_CELLS` the subtree's
+    # contiguous block is one BLAS product against the active queries (a
+    # leaf is just where descent bottoms out).  Extents follow from the
+    # median split, so none is stored for internal nodes.
     #
-    # Equivalence contract (tested property-style): for every query row,
-    # the returned neighbour list is *element-for-element identical* to
-    # `query_radius` — same indices in the same order, including under
-    # `max_neighbors` pruning.  Two details make that hold: children are
-    # pushed left-then-right exactly as the per-point walk does (so
-    # leaves are visited in the same right-first DFS order), and the
-    # product form ||a||²-2ab+||b||² only *filters*: a pair whose product
-    # distance lies within a rounding band of eps² is decided by
-    # `_exact_hits`, the per-point walk's own arithmetic (DESIGN.md §6).
+    # Equivalence contract (tested property-style): every row is
+    # *element-for-element identical* to `query_radius` — the row's hits
+    # in storage order, under `max_neighbors` the first k of them.  Both
+    # walks push right-then-left, so a row meets its blocks in storage
+    # order; a point the scalar walk prunes by a plane test is never an
+    # exact hit, so a subtree tile finds what the leaf scans would; and
+    # the product form ||a||²-2ab+||b||² only *filters*: a pair within a
+    # rounding band of eps² is decided by `_exact_hits`, the scalar
+    # walk's own arithmetic (DESIGN.md §6).
 
     @np.errstate(over="raise", invalid="raise")  # no silent inf/nan distances
     def _batch_traverse(
@@ -223,12 +230,14 @@ class KDTree:
         collect_indices: bool,
         query_block: int | None,
         ids: np.ndarray | None = None,
+        stats: dict[str, int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Shared kernel: per-query neighbour counts, plus (optionally)
         the neighbours as CSR chunks — ``ids[tree id]`` where an id table
         is given.  Returns ``(counts, indices)`` with ``indices`` ordered
-        by (query, leaf-visit order) or None."""
+        by (query, storage order) or None."""
         nq, d = Q.shape
+        tiles = tile_rows = 0
         # Python floats: with eps = inf the band edges are inf and nan,
         # which numpy scalars would compute with a RuntimeWarning.
         eps2 = float(eps) * float(eps)
@@ -261,30 +270,32 @@ class KDTree:
             n_segs: list[np.ndarray] = []
             i_chunks: list[np.ndarray] = []
             row_ids = np.arange(bs)
-            stack: list[tuple[int, np.ndarray]] = [(0, row_ids)]
+            stack = [(0, 0, self.n, row_ids)]
             while stack:
-                node, active = stack.pop()
+                node, s, e, active = stack.pop()
                 if max_neighbors is not None:
                     active = active[alive[active]]
                     if active.size == 0:
                         continue
                 dim = split_dim[node]
-                if dim >= 0:
+                if dim >= 0 and active.size * (e - s) > TILE_CELLS:
                     delta = QbT[dim][active] - split_val[node]
-                    # Push left then right — popped right-first, matching
-                    # the per-point walk's leaf order.
+                    mid = s + (e - s) // 2  # the build's median split
                     go_left = active[delta <= eps]
                     go_right = active[delta >= -eps]
-                    if go_left.size:
-                        stack.append((self._left[node], go_left))
+                    # Push right then left — popped left-first, so a row
+                    # meets its tiles in storage order.
                     if go_right.size:
-                        stack.append((self._right[node], go_right))
+                        stack.append((self._right[node], mid, e, go_right))
+                    if go_left.size:
+                        stack.append((self._left[node], s, mid, go_left))
                     continue
-                # Leaf: one matrix product for all active queries.  Both
-                # sides are centred on a leaf point, so the product form
-                # cancels at the scale of the leaf, not of the
+                # Tile: one matrix product for all active queries.  Both
+                # sides are centred on a block point, so the product form
+                # cancels at the scale of the block, not of the
                 # coordinates: d2 = [a, |a|², 1] @ [-2b; 1; |b|²].
-                s, e = self._start[node], self._end[node]
+                tiles += 1
+                tile_rows += active.size
                 block = pts[s:e]
                 Qa = Qb[active]
                 a = lhs[:active.size]
@@ -332,7 +343,7 @@ class KDTree:
             if i_chunks:
                 # A segment's hits are contiguous in tile order and in the
                 # output; a stable sort of the *segments* by query puts
-                # them in (query, leaf-visit) order, and each hit moves by
+                # them in (query, storage) order, and each hit moves by
                 # its segment's displacement.
                 seg_n = np.concatenate(n_segs)
                 order = np.argsort(
@@ -349,6 +360,8 @@ class KDTree:
                 out = np.empty_like(hits)
                 out[pos] = hits
                 out_blocks.append(out)
+        if stats is not None:
+            stats.update(tiles=tiles, rows=tile_rows)
         if not collect_indices:
             return counts, None
         if not out_blocks:
@@ -377,6 +390,7 @@ class KDTree:
         max_neighbors: int | None = None,
         query_block: int | None = None,
         ids: np.ndarray | None = None,
+        stats: dict[str, int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Eps-neighbourhoods of all query rows in one shared traversal.
 
@@ -386,7 +400,8 @@ class KDTree:
         with an ``ids`` table (one entry per tree point), to ``ids[...]``
         of it.  ``query_block`` fixes the rows answered per traversal
         (memory, not results); by default blocks are sized to hold
-        `QUERY_BLOCK_HITS` pending hits.
+        `QUERY_BLOCK_HITS` pending hits.  A ``stats`` dict receives
+        ``tiles`` (products run) and ``rows`` (active rows summed over them).
         """
         Q = self._check_batch_args(Q, eps, query_block)
         if ids is not None:
@@ -401,10 +416,10 @@ class KDTree:
             return np.zeros(nq + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
         counts, indices = self._batch_traverse(
             Q, eps, max_neighbors, collect_indices=True,
-            query_block=query_block, ids=ids,
+            query_block=query_block, ids=ids, stats=stats,
         )
         if max_neighbors is not None and (counts > max_neighbors).any():
-            # Over-collection only within the leaf where the cap tripped;
+            # Over-collection only within the tile where the cap tripped;
             # trim each row to its first max_neighbors hits.
             lengths = np.minimum(counts, max_neighbors)
             starts = np.concatenate([[0], np.cumsum(counts)[:-1]])

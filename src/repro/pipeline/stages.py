@@ -276,6 +276,8 @@ class LocalExpand(Stage):
                 bsp.annotate(n=len(t.points))
             counters = OpCounters() if collect_counters else None
             boundary: set[int] | None = set() if track_boundary else None
+            # `mode` stays for the trace schema and selects nothing; the
+            # nested task.kdtree_query span carries the kernel's tiles/rows.
             with task_span(
                 "task.expand", partition=pid, mode=neighbor_mode,
             ) as esp:

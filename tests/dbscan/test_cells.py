@@ -360,18 +360,14 @@ class TestCellLocalDBSCAN:
                 assert tree.query_radius(pts[c.members[0]], 25.0).size >= 5
 
     def test_batched_equals_per_point(self):
+        """Cell frame: both accepted values give the same partials (one
+        row source, DESIGN.md §6; the range frame is in
+        test_neighbor_mode.py)."""
         pts, a, payloads = self.payloads()
         for payload in payloads:
-            batched = cell_local_dbscan(payload, 25.0, 5,
-                                        neighbor_mode="batched")
-            per_point = cell_local_dbscan(payload, 25.0, 5,
-                                          neighbor_mode="per_point")
-            assert [c.members for c in batched] == \
-                [c.members for c in per_point]
-            assert [c.seeds for c in batched] == \
-                [c.seeds for c in per_point]
-            assert [c.borders for c in batched] == \
-                [c.borders for c in per_point]
+            assert cell_local_dbscan(
+                payload, 25.0, 5, neighbor_mode="batched"
+            ) == cell_local_dbscan(payload, 25.0, 5, neighbor_mode="per_point")
 
     def test_empty_partition(self):
         pts, a, payloads = self.payloads(partitions=3)

@@ -1,16 +1,20 @@
 """Golden record of the executor expansion, taken from the four-loop code.
 
-Mode-vs-mode identity tests pass when both neighbour modes drift
-together; this file pins the kernel to what the pre-collapse loops
-(`_expand`, `_expand_batched`, `_expand_counted`, `_expand_cells`)
-produced on one fixed input — one range frame and one cell frame, both
-neighbour modes, both seed policies: per-partial ``members`` and
-``seeds`` in order, sorted ``borders``, and the `OpCounters` dict.
+This file pins the kernel to what the pre-collapse loops (`_expand`,
+`_expand_batched`, `_expand_counted`, `_expand_cells`) produced on one
+fixed input — one range frame and one cell frame, both accepted
+``neighbor_mode`` values, both seed policies: per-partial ``members``
+and ``seeds`` in order, sorted ``borders``, and the `OpCounters` dict.
 
-``expansion_golden.json`` was written by running this module as a script
-(``PYTHONPATH=src python tests/dbscan/test_expansion_golden.py``) at
-commit 02e70a8; rerunning it rewrites the file from whatever code is on
-the path, so only do that to record a deliberate change of the answer.
+``expansion_golden.json`` was first written at commit 02e70a8 by running
+this module as a script (``PYTHONPATH=src python
+tests/dbscan/test_expansion_golden.py``).  It was re-recorded once, when
+neighbour rows went from leaf-visit order to the tree's storage order:
+ids inside ``members`` and ``seeds`` moved, and under
+``one_per_partition`` the first-met seed of a home (with it
+``seeds_skipped``); `set_view` of the 02e70a8 file and of the new one
+are equal.  The script refuses to rewrite the file when that view
+differs from the file it would replace, so a re-record stays order-only.
 """
 
 import json
@@ -86,6 +90,46 @@ def _dump(doc: dict) -> str:
     return "{\n" + ",\n".join(rows) + "\n}\n"
 
 
+def _homes() -> dict[str, np.ndarray]:
+    """Owning partition of every golden point, per frame."""
+    pts = golden_points()
+    part = IndexRangePartitioner(len(pts), PARTITIONS)
+    cells = np.empty(len(pts), dtype=np.int64)
+    for pid, owned in enumerate(
+            build_cell_assignment(pts, EPS, PARTITIONS).owned):
+        cells[owned] = pid
+    ranges = np.array([part.partition(i) for i in range(len(pts))])
+    return {"range": ranges, "cell": cells}
+
+
+def set_view(doc: dict) -> dict:
+    """The record minus the order ids were met in: per partial its founder
+    (``members[0]``), member set, borders and seed set, plus the counter
+    dict.  Under ``one_per_partition`` *which* foreign point stands for a
+    home is the first one met — and the ones passed over are re-met and
+    re-skipped, the chosen one is not — so there the view keeps the homes
+    seeded and leaves ``seeds_skipped`` out."""
+    homes = _homes()
+    view = {}
+    for key, rec in doc.items():
+        frame, _, _, policy = key.split("/")
+        capped = policy == "one_per_partition"
+        partials = []
+        for c in rec["partials"]:
+            seeds = c["seeds"]
+            if capped:
+                seeds = homes[frame][seeds].tolist()
+                assert len(set(seeds)) == len(seeds), key
+            partials.append({
+                "founder": c["members"][0], "members": sorted(c["members"]),
+                "borders": c["borders"], "seeds": sorted(seeds),
+            })
+        counters = {name: count for name, count in rec["counters"].items()
+                    if not (capped and name == "seeds_skipped")}
+        view[key] = {"partials": partials, "counters": counters}
+    return view
+
+
 def test_kernel_reproduces_the_golden_record_byte_for_byte():
     assert _dump(expand_frames()) == GOLDEN.read_text()
 
@@ -118,6 +162,50 @@ def test_golden_modes_agree_with_each_other(frame):
             assert a == b
 
 
+def set_view_diff(was: dict, now: dict) -> list[str]:
+    """One line per (record, field) on which two set-level views differ."""
+    lines = []
+    for key in sorted(was.keys() | now.keys()):
+        a, b = was.get(key), now.get(key)
+        if a is None or b is None:
+            lines.append(f"{key}: only in the {'new' if a is None else 'old'} record")
+            continue
+        if a["counters"] != b["counters"]:
+            lines.append(f"{key}: counters {a['counters']} -> {b['counters']}")
+        if len(a["partials"]) != len(b["partials"]):
+            lines.append(f"{key}: {len(a['partials'])} -> "
+                         f"{len(b['partials'])} partials")
+        for i, (ca, cb) in enumerate(zip(a["partials"], b["partials"])):
+            lines += [f"{key} #{i}: {name} {ca[name]} -> {cb[name]}"
+                      for name in ca if ca[name] != cb[name]]
+    return lines
+
+
+def test_set_view_ignores_order_and_nothing_else():
+    golden = json.loads(GOLDEN.read_text())
+    key = "range/p1/batched/all"
+    was = set_view(golden)
+    first = golden[key]["partials"][0]
+    first["members"][1:] = first["members"][:0:-1]
+    first["seeds"].reverse()
+    assert set_view_diff(was, set_view(golden)) == []
+    first["members"].reverse()               # another founder
+    first["seeds"].pop()
+    golden[key]["counters"]["queue_adds"] += 1
+    moved = set_view_diff(was, set_view(golden))
+    assert [line.split(": ")[1].split()[0] for line in moved] == [
+        "counters", "founder", "seeds"]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(_dump(expand_frames()))
-    print(f"wrote {GOLDEN}")
+    # Rewrites the record only when nothing but the order of ids inside
+    # ``members`` / ``seeds`` moved; anything else is printed, not recorded
+    # (delete the file by hand to record a deliberate change of the answer).
+    doc = _dump(expand_frames())
+    was = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else json.loads(doc)
+    moved = set_view_diff(set_view(was), set_view(json.loads(doc)))
+    if moved:
+        print("\n".join(moved))
+        raise SystemExit(f"{len(moved)} set-level differences: {GOLDEN} kept")
+    GOLDEN.write_text(doc)
+    print(f"wrote {GOLDEN} (set-level view unchanged)")

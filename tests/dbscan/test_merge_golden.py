@@ -14,7 +14,11 @@ stages wrote for one run of the same input in each merge mode.
 ``merge_golden.json`` was written by running this module as a script
 (``PYTHONPATH=src python tests/dbscan/test_merge_golden.py``) at commit
 bfeea70; rerunning it rewrites the file from whatever code is on the
-path, so only do that to record a deliberate change of the answer.
+path, so only do that to record a deliberate change of the answer.  It
+was re-recorded once, when neighbour rows went to kd-tree storage order:
+the ``CollectPartials`` / ``CollectEdges`` documents list the same
+members, seeds and exports in another order, and every merge record and
+the other three documents stayed byte-identical.
 """
 
 import json

@@ -1,4 +1,4 @@
-"""Every plan × kernel × merge mode against the independent oracle.
+"""Every plan × merge mode against the independent oracle.
 
 `test_properties.py` compares plans with `dbscan_sequential`, which
 shares `repro.dbscan`'s conventions; `tests/oracle.py` shares nothing
@@ -22,21 +22,18 @@ PLANS = {
     "spatial": (SpatialSparkDBSCAN, "range"),
     "cells": (SparkDBSCAN, "cells"),
 }
-KERNELS = ("batched", "per_point")
 MERGES = ("partials", "edges")
 
 
 def assert_every_plan_accepted(pts, eps, minpts, partitions, tie=TIE):
     for plan, (estimator, partitioning) in PLANS.items():
-        for kernel in KERNELS:
-            for merge in MERGES:
-                labels = estimator(
-                    eps, minpts, num_partitions=partitions,
-                    partitioning=partitioning, neighbor_mode=kernel,
-                    merge_mode=merge,
-                ).fit(pts).labels
-                why = dbscan_violation(pts, labels, eps, minpts, tie)
-                assert why is None, (plan, kernel, merge, why)
+        for merge in MERGES:
+            labels = estimator(
+                eps, minpts, num_partitions=partitions,
+                partitioning=partitioning, merge_mode=merge,
+            ).fit(pts).labels
+            why = dbscan_violation(pts, labels, eps, minpts, tie)
+            assert why is None, (plan, merge, why)
 
 
 @st.composite

@@ -177,4 +177,9 @@ class TestDbscanLabelsUnaffected:
         assert np.array_equal(plain.labels, full.labels)
         worker_names = {s.name for s in tracer.spans if s.cat == "worker"}
         assert "task.expand" in worker_names
-        assert "task.kdtree_query" in worker_names
+        queries = [s for s in tracer.spans if s.name == "task.kdtree_query"]
+        assert len(queries) == 4
+        for s in queries:
+            # The tile count the kernel ran, and the rows they covered.
+            assert s.labels["tiles"] >= 1
+            assert s.labels["rows"] >= s.labels["n"] > 0

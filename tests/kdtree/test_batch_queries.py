@@ -1,8 +1,8 @@
 """Batched neighbourhood kernels: `query_radius_batch` must be
 element-for-element identical to per-point `query_radius` — same
-indices, same order — because the batched executor path replays BFS
-expansion over the stored rows and any deviation would change partial
-clusters.
+indices, same (storage) order, wherever the tile rule stops the descent
+— because the executors expand over the stored rows and the scalar walk
+is the reference they are checked against.
 """
 
 import tracemalloc
@@ -189,6 +189,16 @@ def _three_consecutive_floats_with_consecutive_squares():
         x0 = x1
 
 
+def _near_eps_cloud(offset):
+    """Lattice multiples of eps under a common offset, first coordinates
+    nudged so pairs sit within a few ulps of eps²: ``(points, eps)``."""
+    x0, eps, x2 = _three_consecutive_floats_with_consecutive_squares()
+    rng = np.random.default_rng(3)
+    pts = rng.integers(-4, 5, (60, 3)).astype(np.float64) * eps + offset
+    pts[:, 0] += rng.choice([0.0, x0 - eps, x2 - eps], size=60)
+    return pts, eps
+
+
 class TestBandRecheck:
     @pytest.mark.parametrize("offset", OFFSETS)
     @pytest.mark.parametrize("d,side,eps", [
@@ -230,12 +240,7 @@ class TestBandRecheck:
         # Shifted, the pairs above are no longer exactly one ulp from
         # eps² (offset + x rounds), but they stay within a few ulps of
         # it, now with the cancellation at its worst.
-        x0, eps, x2 = _three_consecutive_floats_with_consecutive_squares()
-        rng = np.random.default_rng(3)
-        base = rng.integers(-4, 5, (60, 3)).astype(np.float64) * eps
-        jitter = rng.choice([0.0, x0 - eps, x2 - eps], size=60)
-        pts = base + offset
-        pts[:, 0] += jitter
+        pts, eps = _near_eps_cloud(offset)
         _assert_rows_exact(pts, eps)
         _assert_rows_exact(pts, eps, query_block=7)
 
@@ -286,6 +291,83 @@ def _count_rechecks(monkeypatch):
 
     monkeypatch.setattr(kdtree_module, "_exact_hits", counting)
     return checked
+
+
+# ---------------------------------------------------------------------------
+# The tile rule (DESIGN.md §6): where descent stops is a cost decision only
+# ---------------------------------------------------------------------------
+
+def _duplicate_cloud():
+    rng = np.random.default_rng(7)
+    return 4, rng.uniform(-10, 10, (9, 3))[rng.integers(0, 9, 70)], 6.0
+
+
+#: name -> (leaf_size, points, a finite eps with partial neighbourhoods)
+TILE_CLOUDS = {
+    "uniform_d3": lambda: (
+        4, np.random.default_rng(11).uniform(-10, 10, (90, 3)), 6.0),
+    "oversized_duplicate_leaves": _duplicate_cloud,
+    "fewer_points_than_a_leaf": lambda: (
+        64, np.random.default_rng(12).uniform(-1, 1, (10, 2)), 0.7),
+    "d1": lambda: (4, np.random.default_rng(13).uniform(0, 50, (80, 1)), 3.0),
+    "near_eps_offset_1e6": lambda: (4, *_near_eps_cloud(OFFSETS[1])),
+    "near_eps_offset_1e8": lambda: (4, *_near_eps_cloud(OFFSETS[2])),
+}
+
+
+@pytest.mark.parametrize(
+    "tile_cells", [1, kdtree_module.TILE_CELLS, 1 << 62],
+    ids=["to_the_leaves", "default", "root_tile"])
+@pytest.mark.parametrize("cloud", sorted(TILE_CLOUDS))
+def test_rows_do_not_depend_on_the_tile_budget(cloud, tile_cells, monkeypatch):
+    """From one tile per leaf to one tile over the whole tree (brute
+    force): every row equals `query_radius` element for element — which
+    is the row's hits in storage order, capped rows a prefix of it — and
+    brute force as a set, whatever the block, the cap or the id table."""
+    leaf, pts, mid_eps = TILE_CLOUDS[cloud]()
+    monkeypatch.setattr(kdtree_module, "TILE_CELLS", tile_cells)
+    tree = KDTree(pts, leaf_size=leaf)
+    brute = BruteForceIndex(pts)
+    slot = np.argsort(tree._perm)  # point -> position in storage order
+    table = np.random.default_rng(5).integers(-5, 3 * len(pts), len(pts))
+    for eps in (0.0, mid_eps, float("inf")):
+        full = [tree.query_radius(q, eps) for q in pts]
+        for q, row in zip(pts, full):
+            assert (np.diff(slot[row]) > 0).all()
+            assert np.array_equal(np.sort(row), brute.query_radius(q, eps))
+        for block in (1, 7, None):
+            assert np.array_equal(
+                tree.count_radius_batch(pts, eps, query_block=block),
+                [len(row) for row in full])
+            for cap in (None, 0, 1, 3):
+                want = [tree.query_radius(q, eps, cap) for q in pts]
+                for row, ref in zip(full, want):
+                    assert np.array_equal(ref, row[:cap])
+                for ids in (None, table):
+                    indptr, indices = tree.query_radius_batch(
+                        pts, eps, cap, query_block=block, ids=ids)
+                    for got, ref in zip(_rows(indptr, indices), want):
+                        assert np.array_equal(
+                            got, ref if ids is None else ids[ref])
+
+
+def test_tile_budget_changes_the_tile_count_not_the_rows(monkeypatch):
+    """The ``stats`` out-parameter sees the rule at work: fewer, taller
+    tiles as the budget grows, one per block at the root."""
+    pts = generate_clustered(n=1500, d=10, seed=5).points
+    tree = KDTree(pts)
+    seen = []
+    for tile_cells in (1, kdtree_module.TILE_CELLS, 1 << 62):
+        monkeypatch.setattr(kdtree_module, "TILE_CELLS", tile_cells)
+        stats = {}
+        seen.append((tree.query_radius_batch(pts, 25.0, stats=stats), stats))
+    (rows, leaves), (_, default), (_, root) = seen
+    for other, _ in seen[1:]:
+        assert np.array_equal(rows[0], other[0])
+        assert np.array_equal(rows[1], other[1])
+    assert leaves["tiles"] > default["tiles"] > root["tiles"]
+    assert root["rows"] == len(pts)          # every query in exactly one tile
+    assert leaves["rows"] > default["rows"] > root["rows"]
 
 
 @settings(max_examples=40, deadline=None)
