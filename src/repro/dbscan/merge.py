@@ -8,9 +8,10 @@ merge).
 - ``"union_find"`` (default): connected components of the
   seed-containment graph — arbitrary merge chains (A→B→C) included.
   One implementation, `union_find_merge`, joins seeds against an *owner
-  table* (point, owning cluster, core there?); `merge_union_find` and
-  `merge_edges` only build that table, from collected member lists or
-  from digests.
+  table* (point, owning cluster, core there?) a point-sorted block at a
+  time and unions only the pairs of clusters not already in one
+  component; `merge_union_find` and `merge_edges` only build that
+  table, from collected member lists or from digests.
 - ``"paper"``: a literal single pass of Algorithm 4 — for each
   unfinished cluster, dig its seeds, absorb each master, mark statuses.
   Seeds of absorbed masters are *not* re-followed, so long chains can
@@ -25,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .core import NOISE
-from .partial import PartialCluster, PartitionDigest
+from .partial import PartialCluster, PartitionDigest, member_ids
 
 MERGE_STRATEGIES = ("union_find", "paper")
 
@@ -42,7 +43,8 @@ MERGE_MODES = ("partials", "edges")
 
 #: Seeds joined against the owner table at a time: the join's
 #: temporaries are this long, not O(seeds) — joined in one piece they
-#: cost the paper-default benchmark +38 % driver RSS.
+#: cost the paper-default benchmark +68 % driver RSS (53 -> 89 MiB,
+#: seeds held as int64 arrays) and double its `driver_s`.
 SEED_BLOCK_ROWS = 8192
 
 
@@ -114,12 +116,31 @@ class EdgeMergePlan:
     groups: list[list[int]] = field(default_factory=list)
 
 
+def _seed_blocks(seeds, walk: np.ndarray):
+    """The clusters' seeds along ``walk``, `SEED_BLOCK_ROWS` at a time,
+    each block a list of ``(cluster, seed slice)`` pairs.  A cluster's
+    seeds are taken as an int64 array once (``np.asarray`` — any int
+    sequence will do) and sliced, never boxed."""
+    parts, room = [], SEED_BLOCK_ROWS
+    for ci in walk.tolist():
+        rest = np.asarray(seeds[ci], dtype=np.int64)
+        while len(rest) >= room:
+            yield parts + [(ci, rest[:room])]
+            rest, parts, room = rest[room:], [], SEED_BLOCK_ROWS
+        if len(rest):
+            parts.append((ci, rest))
+            room -= len(rest)
+    if parts:
+        yield parts
+
+
 def union_find_merge(
-    clusters: list[tuple[tuple[int, int], int, int, list[int]]],
+    clusters: list[tuple[tuple[int, int], int, int, np.ndarray]],
     owner_point: np.ndarray,
     owner_cluster: np.ndarray,
     owner_core: np.ndarray,
     min_cluster_size: int = 0,
+    stats: dict[str, int] | None = None,
 ) -> EdgeMergePlan:
     """Connected components over core seed⋈owner hits — the driver merge.
 
@@ -130,10 +151,21 @@ def union_find_merge(
     two clusters (a border row is a legal overlap, not an edge); a seed
     with no row is a cross-partition border point, claimed by the first
     cluster to reach it in ascending founder order — never arrival
-    order, which varies across backends.  Seeds are joined against the
-    point-sorted table `SEED_BLOCK_ROWS` at a time and only a block's
-    distinct (source, owner) pairs reach the `UnionFind`: no Python loop
-    scales with seeds or table rows.
+    order, which varies across backends.
+
+    Seeds are joined against the point-sorted table `SEED_BLOCK_ROWS` at
+    a time.  A block is first sorted on ``point * rows + position``: the
+    probe then walks the table with ascending needles, and equal points
+    stay in founder-walk order, so "first occurrence" in the claims fold
+    is still the lowest founder.  Both ends of every core hit are mapped
+    through ``comp``, each cluster's current component, and only the
+    distinct pairs joining two components reach the `UnionFind` (of the
+    paper-default benchmark's 68 277 distinct pairs, 1 973 merge
+    anything).  ``num_edges`` counts every core hit, *before* that
+    filter.  No Python loop scales with seeds or table rows.
+
+    ``stats``, when given, receives ``seed_blocks`` (blocks joined) and
+    ``live_pairs`` (pairs that survived the component filter).
     """
     m = len(clusters)
     cids, founders, sizes, seeds = zip(*clusters) if m else ((), (), (), ())
@@ -148,32 +180,44 @@ def union_find_merge(
 
     walk = kept[np.argsort(np.array(founders, dtype=np.int64)[kept],
                            kind="stable")]
-    counts = np.fromiter(map(len, seeds), np.int64, m)
-    ends = np.cumsum(counts[walk])
-    total = int(ends[-1]) if len(walk) else 0
-    flat = chain.from_iterable(seeds[ci] for ci in walk.tolist())
     uf = UnionFind(m)
-    num_edges = 0
+    comp = np.arange(m)
+    num_edges = seed_blocks = live_pairs = 0
     claim_point = claim_src = np.empty(0, dtype=np.int64)
-    for start in range(0, total, SEED_BLOCK_ROWS):
-        s = np.fromiter(flat, np.int64, min(SEED_BLOCK_ROWS, total - start))
-        src = walk[np.searchsorted(
-            ends, np.arange(start, start + len(s)), side="right"
-        )]
+    for parts in _seed_blocks(seeds, walk):
+        seed_blocks += 1
+        sources, slices = zip(*parts)
+        s = np.concatenate(slices)
+        src = np.repeat(sources, list(map(len, slices)))
+        if s.max() > np.iinfo(np.int64).max // len(s):
+            raise OverflowError(f"seed {int(s.max())} is no point index")
+        key = s * len(s) + np.arange(len(s))
+        key.sort()
+        s, position = np.divmod(key, len(s))
+        src = src[position]
         pos = np.searchsorted(t_point[:-1], s)
         owned = t_point[pos] == s
         hit = pos[owned]
         core = t_core[hit]
-        num_edges += int(np.count_nonzero(core))
-        pairs = np.unique(src[owned][core] * m + t_cluster[hit][core])
-        for a, b in zip((pairs // m).tolist(), (pairs % m).tolist()):
-            uf.union(a, b)
+        a, b = comp[src[owned][core]], comp[t_cluster[hit][core]]
+        num_edges += len(a)
+        live = a != b
+        pairs = np.unique(a[live] * m + b[live])
+        live_pairs += len(pairs)
+        for x, y in zip((pairs // m).tolist(), (pairs % m).tolist()):
+            uf.union(x, y)
+        if len(pairs):
+            comp = np.array(uf.parent)
+            while not np.array_equal(comp, comp[comp]):  # pointer jumping
+                comp = comp[comp]
         # np.unique keeps first occurrences and earlier blocks come
         # first in the concatenation: the founder-order tie-break.
         claim_point, first = np.unique(
             np.concatenate([claim_point, s[~owned]]), return_index=True
         )
         claim_src = np.concatenate([claim_src, src[~owned]])[first]
+    if stats is not None:
+        stats.update(seed_blocks=seed_blocks, live_pairs=live_pairs)
 
     # Gids number the components by first appearance in the order passed.
     gid_at = np.full(m, -1, dtype=np.int64)
@@ -190,7 +234,7 @@ def union_find_merge(
         gid_of=gid_of,
         claims=dict(zip(claim_point.tolist(), gid_at[claim_src].tolist())),
         num_partials=m,
-        num_seeds=int(counts.sum()),
+        num_seeds=sum(map(len, seeds)),
         num_edges=num_edges,
         num_merges=len(kept) - len(groups),
         num_global_clusters=len(groups),
@@ -198,18 +242,17 @@ def union_find_merge(
     )
 
 
-def merge_union_find(partials: list[PartialCluster], n: int) -> MergeOutcome:
+def merge_union_find(
+    partials: list[PartialCluster], n: int,
+    stats: dict[str, int] | None = None,
+) -> MergeOutcome:
     """`union_find_merge` over collected partials, labels applied here.
 
     The owner table is every member, core unless in ``borders`` —
     O(points), which is why only ``merge_mode="partials"`` builds it.
     Gids follow the list as passed; the pipeline founder-sorts it.
     """
-    n_members = [len(c.members) for c in partials]
-    point = np.fromiter(
-        chain.from_iterable(c.members for c in partials),
-        np.int64, sum(n_members),
-    )
+    point = member_ids(partials)
     borders = np.fromiter(
         chain.from_iterable(c.borders for c in partials), np.int64
     )
@@ -217,8 +260,11 @@ def merge_union_find(partials: list[PartialCluster], n: int) -> MergeOutcome:
         [(c.cid, c.members[0] if c.members else i, c.size, c.seeds)
          for i, c in enumerate(partials)],
         owner_point=point,
-        owner_cluster=np.repeat(np.arange(len(partials)), n_members),
+        owner_cluster=np.repeat(
+            np.arange(len(partials)), [len(c.members) for c in partials]
+        ),
         owner_core=~np.isin(point, borders),
+        stats=stats,
     )
     return MergeOutcome(
         apply_gid_map(partials, plan, n), plan.num_merges,
@@ -229,6 +275,7 @@ def merge_union_find(partials: list[PartialCluster], n: int) -> MergeOutcome:
 def merge_edges(
     digests: list[PartitionDigest],
     min_cluster_size: int = 0,
+    stats: dict[str, int] | None = None,
 ) -> EdgeMergePlan:
     """`union_find_merge` over digests: O(edges + partials), no point
     lists.
@@ -252,7 +299,7 @@ def merge_edges(
     ).reshape(-1, 3)
     return union_find_merge(
         clusters, table[:, 0], table[:, 1], table[:, 2].astype(bool),
-        min_cluster_size,
+        min_cluster_size, stats,
     )
 
 
@@ -263,14 +310,12 @@ def member_labels(
     ships: the member ids of the clusters ``gid_of`` keeps, back to
     back, then each such cluster's gid and member count — 8 B a point;
     the driver repeats the gids."""
-    kept = [(c.members, gid) for c in partials
-            if (gid := gid_of.get(c.cid)) is not None]
-    sizes = np.array([len(members) for members, _ in kept], np.int64)
-    ids = np.fromiter(
-        chain.from_iterable(members for members, _ in kept),
-        np.int64, int(sizes.sum()),
+    kept = [c for c in partials if c.cid in gid_of]
+    return (
+        member_ids(kept),
+        np.array([gid_of[c.cid] for c in kept], np.int64),
+        np.array([len(c.members) for c in kept], np.int64),
     )
-    return ids, np.array([gid for _, gid in kept], np.int64), sizes
 
 
 def apply_gid_map(
@@ -325,6 +370,8 @@ def merge_paper(partials: list[PartialCluster], n: int) -> MergeOutcome:
     """
     for c in partials:
         c.status = "unfinished"
+    # Python ints once, not a numpy scalar per step of the walks below.
+    seeds = [c.seeds.tolist() for c in partials]
     owner = _member_owner_map(partials)
     absorbed: set[int] = set()
     _absorber: dict[int, int] = {}  # absorbed partial -> its absorbing cluster
@@ -334,7 +381,7 @@ def merge_paper(partials: list[PartialCluster], n: int) -> MergeOutcome:
     for ci, c in enumerate(partials):
         if ci in absorbed or c.status != "unfinished":  # Algorithm 4 line 2
             continue
-        for s in c.seeds:  # lines 3–8: only the *current* cluster's own
+        for s in seeds[ci]:  # lines 3–8: only the *current* cluster's own
             # seeds are dug; seeds of absorbed masters are never followed
             # (the single-pass limitation).
             oi = owner.get(s)
@@ -369,7 +416,7 @@ def merge_paper(partials: list[PartialCluster], n: int) -> MergeOutcome:
     # Border seeds, as in union-find merging.
     for ci, group in zip(sorted(merged_into), groups):
         for pi in group:
-            for s in partials[pi].seeds:
+            for s in seeds[pi]:
                 if s not in owner and labels[s] == NOISE:
                     labels[s] = gid_of[ci]
     # The single-pass limitation, quantified: a core-seed edge between two
@@ -380,8 +427,8 @@ def merge_paper(partials: list[PartialCluster], n: int) -> MergeOutcome:
         for pi in group:
             partial_gid[pi] = gid_of[ci]
     overlapping: set[int] = set()
-    for pi, c in enumerate(partials):
-        for s in c.seeds:
+    for pi in range(len(partials)):
+        for s in seeds[pi]:
             oi = owner.get(s)
             if (
                 oi is not None
@@ -403,6 +450,7 @@ def merge_partials(
     n: int,
     strategy: str = "union_find",
     min_cluster_size: int = 0,
+    stats: dict[str, int] | None = None,
 ) -> MergeOutcome:
     """Merge partial clusters into global labels.
 
@@ -410,14 +458,17 @@ def merge_partials(
     the paper's r1m trick ("we filter out those partial clusters whose
     size is too small", Section V-E).  ``MergeOutcome.groups`` always
     indexes the ``partials`` list *as passed in*, filtered or not.
+    ``stats`` is `union_find_merge`'s (the paper strategy leaves it
+    empty).
     """
     if strategy not in MERGE_STRATEGIES:
         raise ValueError(
             f"strategy must be one of {MERGE_STRATEGIES}, got {strategy!r}"
         )
     kept = [ci for ci, c in enumerate(partials) if c.size >= min_cluster_size]
-    merge = merge_union_find if strategy == "union_find" else merge_paper
-    outcome = merge([partials[ci] for ci in kept], n)
+    sub = [partials[ci] for ci in kept]
+    outcome = (merge_union_find(sub, n, stats) if strategy == "union_find"
+               else merge_paper(sub, n))
     # The strategies numbered the filtered list; translate each group
     # back to indices into the caller's original list.
     outcome.groups = [[kept[ci] for ci in g] for g in outcome.groups]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import pickle
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -72,8 +73,11 @@ class PartialCluster:
     """One locally-built cluster, as shipped through the accumulator.
 
     ``members`` are regular elements (indices inside the partition's
-    range); ``seeds`` are foreign indices.  ``status`` mirrors the
-    paper's unfinished/finished merge bookkeeping (Figure 4).
+    range); ``seeds`` are foreign indices — an int64 array from the
+    kernel through the accumulator into the driver merge (any int
+    sequence passed in is converted), 8 B a seed where a list of boxed
+    ints held ~36.  ``status`` mirrors the paper's unfinished/finished
+    merge bookkeeping (Figure 4).
 
     ``borders`` is the subset of ``members`` that are *not* core points.
     The driver's merge needs it: density-connectivity only passes
@@ -89,9 +93,12 @@ class PartialCluster:
     lo: int                      # partition index range [lo, hi)
     hi: int
     members: list[int] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=list)
+    seeds: np.ndarray = ()
     borders: set[int] = field(default_factory=set)
     status: str = "unfinished"
+
+    def __post_init__(self) -> None:
+        self.seeds = np.asarray(self.seeds, dtype=np.int64)
 
     def is_core_member(self, index: int) -> bool:
         """True iff ``index`` is a member and a core point."""
@@ -329,7 +336,7 @@ def expand_frame(
             partition=frame.partition, local_id=len(partials),
             lo=frame.lo, hi=frame.hi,
             members=to_global(joined).tolist(),
-            seeds=to_global(placed).tolist(),
+            seeds=to_global(placed),
             borders=set(to_global(joined[~core[joined]]).tolist()),
         ))
     return partials
@@ -396,8 +403,9 @@ class LocalExpansion:
 class PartitionDigest:
     """The compact merge input one partition ships to the driver.
 
-    ``seeds[k]`` lists the foreign points ``summaries[k]`` reached
-    (outgoing half-edges); ``exports`` holds ``(point, local_id,
+    ``seeds[k]`` is the int64 array of foreign points ``summaries[k]``
+    reached (outgoing half-edges, `PartialCluster.seeds` passed through
+    unboxed); ``exports`` holds ``(point, local_id,
     is_core)`` for every boundary member — the incoming half-edges.  By
     eps-symmetry a point is a SEED of some other partition iff it has a
     foreign neighbour, so joining seeds against exports recovers exactly
@@ -406,14 +414,22 @@ class PartitionDigest:
 
     partition: int
     summaries: list[PartialSummary]
-    seeds: list[list[int]]
+    seeds: list[np.ndarray]
     exports: list[tuple[int, int, bool]]
+
+
+def member_ids(partials: list[PartialCluster]) -> np.ndarray:
+    """The clusters' member ids back to back, as one int64 array."""
+    return np.fromiter(
+        chain.from_iterable(c.members for c in partials), np.int64,
+        sum(len(c.members) for c in partials),
+    )
 
 
 def partition_digest(exp: LocalExpansion) -> PartitionDigest:
     """Distill one partition's expansion into its merge digest."""
     summaries: list[PartialSummary] = []
-    seeds: list[list[int]] = []
+    seeds: list[np.ndarray] = []
     exports: list[tuple[int, int, bool]] = []
     for c in exp.partials:
         summaries.append(
@@ -426,7 +442,7 @@ def partition_digest(exp: LocalExpansion) -> PartitionDigest:
                 n_borders=len(c.borders),
             )
         )
-        seeds.append([int(s) for s in c.seeds])
+        seeds.append(c.seeds)
         for m in c.members:
             if m in exp.boundary:
                 exports.append((int(m), c.local_id, m not in c.borders))
@@ -444,9 +460,16 @@ def digest_from_partials(partials: list[PartialCluster]) -> list[PartitionDigest
     seed/export join.  (The executor-side export set is a superset —
     boundary members nobody seeded — which the join simply never probes.)
     """
-    targets: set[int] = set()
-    for c in partials:
-        targets.update(c.seeds)
+    if not partials:
+        return []
+    members = member_ids(partials)
+    # kind="table": ids span at most the point count, and the sort
+    # method loses to the set walk it replaced where members outnumber
+    # seeds.
+    targets = set(members[
+        np.isin(members, np.concatenate([c.seeds for c in partials]),
+                kind="table")
+    ].tolist())
     by_partition: dict[int, list[PartialCluster]] = {}
     for c in partials:
         by_partition.setdefault(c.partition, []).append(c)
@@ -476,7 +499,7 @@ def partials_payload_nbytes(partials: list[PartialCluster]) -> int:
     return sum(
         len(pickle.dumps(
             (c.partition, c.local_id, c.lo, c.hi, list(c.members),
-             list(c.seeds), sorted(c.borders), c.status),
+             c.seeds.tolist(), sorted(c.borders), c.status),
             protocol=4,
         ))
         for c in partials
@@ -495,7 +518,7 @@ def digest_payload_nbytes(digests: list[PartitionDigest]) -> int:
                 d.partition,
                 [(s.partition, s.local_id, s.founder, s.n_members,
                   s.n_seeds, s.n_borders) for s in d.summaries],
-                [[int(x) for x in ss] for ss in d.seeds],
+                [ss.tolist() for ss in d.seeds],
                 [(int(p), int(l), bool(core)) for (p, l, core) in d.exports],
             ),
             protocol=4,

@@ -433,7 +433,7 @@ class CollectPartials(Stage):
                     "lo": c.lo,
                     "hi": c.hi,
                     "members": c.members,
-                    "seeds": c.seeds,
+                    "seeds": c.seeds.tolist(),
                     "borders": sorted(c.borders),
                     "status": c.status,
                 }
@@ -448,7 +448,7 @@ class CollectPartials(Stage):
             PartialCluster(
                 partition=d["partition"], local_id=d["local_id"],
                 lo=d["lo"], hi=d["hi"], members=list(d["members"]),
-                seeds=list(d["seeds"]), borders=set(d["borders"]),
+                seeds=d["seeds"], borders=set(d["borders"]),
                 status=d["status"],
             )
             for d in doc["partials"]
@@ -466,6 +466,7 @@ class MergePartials(OutcomeStage):
     def run(self, state: PipelineState) -> None:
         cfg = state.config
         partials = state.partials
+        stats: dict[str, int] = {}
         with state.tracer.span("driver.merge", cat="driver") as sp:
             t0 = time.perf_counter()
             outcome = merge_partials(
@@ -473,6 +474,7 @@ class MergePartials(OutcomeStage):
                 state.n,
                 strategy=cfg.merge_strategy,
                 min_cluster_size=cfg.min_cluster_size,
+                stats=stats,
             )
             state.timings.driver_merge = time.perf_counter() - t0
             sp.annotate(
@@ -482,6 +484,7 @@ class MergePartials(OutcomeStage):
                 num_merges=outcome.num_merges,
                 num_global_clusters=outcome.num_global_clusters,
                 overlapping_points=outcome.overlapping_points,
+                **stats,
             )
         state.outcome = outcome
         if state.metrics_registry is not None:
@@ -531,7 +534,7 @@ class CollectEdges(Stage):
                          s.n_seeds, s.n_borders]
                         for s in d.summaries
                     ],
-                    "seeds": d.seeds,
+                    "seeds": [ss.tolist() for ss in d.seeds],
                     "exports": [[p, l, bool(core)] for p, l, core in d.exports],
                 }
                 for d in state.extras["digest"]
@@ -549,7 +552,7 @@ class CollectEdges(Stage):
                                    n_members=m, n_seeds=s, n_borders=b)
                     for p, l, f, m, s, b in d["summaries"]
                 ],
-                seeds=[list(ss) for ss in d["seeds"]],
+                seeds=[np.asarray(ss, np.int64) for ss in d["seeds"]],
                 exports=[(p, l, bool(core)) for p, l, core in d["exports"]],
             )
             for d in doc["digests"]
@@ -568,10 +571,11 @@ class MergeEdges(Stage):
     def run(self, state: PipelineState) -> None:
         cfg = state.config
         digests = state.extras["digest"]
+        stats: dict[str, int] = {}
         with state.tracer.span("driver.merge", cat="driver") as sp:
             t0 = time.perf_counter()
             plan = merge_edges(
-                digests, min_cluster_size=cfg.min_cluster_size
+                digests, min_cluster_size=cfg.min_cluster_size, stats=stats
             )
             state.timings.driver_merge = time.perf_counter() - t0
             sp.annotate(
@@ -583,6 +587,7 @@ class MergeEdges(Stage):
                 num_merges=plan.num_merges,
                 num_global_clusters=plan.num_global_clusters,
                 overlapping_points=0,
+                **stats,
             )
         state.extras["merge_plan"] = plan
         if state.metrics_registry is not None:
@@ -696,9 +701,9 @@ class RelabelFilter(LabelStage):
     @staticmethod
     def _remap_partials(partials: list[PartialCluster], perm: np.ndarray) -> None:
         for c in partials:
-            c.members = [int(perm[m]) for m in c.members]
-            c.seeds = [int(perm[s]) for s in c.seeds]
-            c.borders = {int(perm[b]) for b in c.borders}
+            c.members = perm[c.members].tolist()
+            c.seeds = perm[c.seeds]
+            c.borders = set(perm[list(c.borders)].tolist())
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
         super().load(state, store)

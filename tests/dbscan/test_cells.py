@@ -18,6 +18,7 @@ from repro.dbscan.cells import (
     cell_local_dbscan,
 )
 from repro.kdtree import KDTree
+from tests.dbscan.test_properties import plain
 
 
 def brute_adjacent_pairs(cells: np.ndarray) -> set[tuple[int, int]]:
@@ -365,9 +366,10 @@ class TestCellLocalDBSCAN:
         test_neighbor_mode.py)."""
         pts, a, payloads = self.payloads()
         for payload in payloads:
-            assert cell_local_dbscan(
+            assert plain(cell_local_dbscan(
                 payload, 25.0, 5, neighbor_mode="batched"
-            ) == cell_local_dbscan(payload, 25.0, 5, neighbor_mode="per_point")
+            )) == plain(cell_local_dbscan(
+                payload, 25.0, 5, neighbor_mode="per_point"))
 
     def test_empty_partition(self):
         pts, a, payloads = self.payloads(partitions=3)

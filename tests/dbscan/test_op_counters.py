@@ -80,7 +80,7 @@ class TestInstrumentedPathEquivalence:
             assert len(plain) == len(counted)
             for a, b in zip(plain, counted):
                 assert a.members == b.members
-                assert a.seeds == b.seeds
+                assert a.seeds.tolist() == b.seeds.tolist()
 
 
 class TestMerge:

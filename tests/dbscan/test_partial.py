@@ -31,7 +31,7 @@ class TestLocalClustering:
         partials = local_dbscan(0, range(0, 10), pts, tree, 1.5, 2, part)
         # Point 9's eps-neighbourhood reaches 10 (and 10's reach stops there
         # because foreign points are never expanded).
-        assert partials[0].seeds == [10]
+        assert partials[0].seeds.tolist() == [10]
 
     def test_all_policy_records_every_foreign_neighbor(self):
         pts = _line_points(20)

@@ -36,6 +36,12 @@ def seed_block(rows):
     return mock.patch.object(merge_module, "SEED_BLOCK_ROWS", rows)
 
 
+def plain(partials):
+    """Partials as values ``==`` can compare: every field, the int64
+    seed array as a list."""
+    return [{**vars(c), "seeds": c.seeds.tolist()} for c in partials]
+
+
 @st.composite
 def point_clouds(draw):
     """Small 2-D clouds with clumps, to get interesting cluster structure."""
@@ -163,10 +169,13 @@ def core_inputs(partials):
     return clusters, owners
 
 
-def array_merge(clusters, owners, min_cluster_size=0):
+def owner_arrays(owners):
     table = np.array(owners, dtype=np.int64).reshape(-1, 3)
-    return union_find_merge(clusters, table[:, 0], table[:, 1],
-                            table[:, 2].astype(bool), min_cluster_size)
+    return table[:, 0], table[:, 1], table[:, 2].astype(bool)
+
+
+def array_merge(clusters, owners, min_cluster_size=0):
+    return union_find_merge(clusters, *owner_arrays(owners), min_cluster_size)
 
 
 @settings(max_examples=30, deadline=None)
@@ -230,6 +239,12 @@ BLOCK_CASES = {
          _cluster(2, 5, [6, 7, 8, 500])],
         [(40, 0, True), (41, 0, False), (20, 1, True), (21, 1, True),
          (22, 1, True), (5, 2, True)], 0),
+    # Both claimants of 500 fit any block of 7 or more, the lower founder
+    # listed second and 500 neither end of either seed list: the point
+    # sort must keep founder-walk order among equal points.
+    "a contested border seed whose lower founder comes later in the block": (
+        [_cluster(0, 40, [900, 500, 3]), _cluster(1, 5, [700, 500, 1])],
+        [(40, 0, True), (5, 1, True)], 0),
     "an empty owner table": (
         [_cluster(0, 3, [9, 8, 7]), _cluster(1, 1, [8, 3])], [], 0),
     "zero kept clusters": (
@@ -262,6 +277,72 @@ def test_contested_claim_goes_to_the_lower_founder_across_blocks():
     assert plan.claims[500] == plan.gid_of[(2, 0)] != plan.gid_of[(0, 0)]
 
 
+def test_contested_claim_goes_to_the_lower_founder_within_a_block():
+    clusters, owners, _ = BLOCK_CASES[
+        "a contested border seed whose lower founder comes later in the block"]
+    plan = array_merge(clusters, owners)
+    assert plan.claims[500] == plan.gid_of[(1, 0)] != plan.gid_of[(0, 0)]
+
+
+@pytest.mark.parametrize("block", SEED_BLOCKS)
+def test_a_chain_linked_one_block_at_a_time_is_one_group(block):
+    """Cluster k reaches only cluster k + 1, seven seeds a cluster, so
+    under a block of 7 (or 1) every block brings one link between two
+    components the filter has never seen together."""
+    m = 40
+    clusters = [
+        _cluster(k, 1000 * (m - k),
+                 [5001 + 7 * k + j for j in range(3)]
+                 + [1000 * (m - k - 1)] * (k < m - 1)
+                 + [9001 + 7 * k + j for j in range(3)])
+        for k in range(m)
+    ]
+    owners = [(1000 * (m - k), k, True) for k in range(m)]
+    gid_of, claims, num_edges = loop_merge(clusters, owners)
+    stats = {}
+    with seed_block(block):
+        plan = union_find_merge(clusters, *owner_arrays(owners), stats=stats)
+    assert plan.groups == [list(range(m))]
+    assert (plan.gid_of, plan.claims, plan.num_edges) == (
+        gid_of, claims, num_edges)
+    assert (plan.num_merges, stats["live_pairs"]) == (m - 1, m - 1)
+    assert stats["seed_blocks"] == -(-(7 * m - 1) // block)
+
+
+@pytest.mark.parametrize("block", SEED_BLOCKS)
+def test_num_edges_counts_the_hits_the_component_filter_drops(block):
+    """Two clusters seeding fifty of each other's core points: one pair
+    is live (two when both directions share a block), the other hits
+    are filtered — and still counted."""
+    clusters = [_cluster(0, 0, range(100, 150)), _cluster(1, 100, range(50))]
+    owners = ([(k, 0, True) for k in range(50)]
+              + [(100 + k, 1, True) for k in range(50)])
+    stats = {}
+    with seed_block(block):
+        plan = union_find_merge(clusters, *owner_arrays(owners), stats=stats)
+    assert plan.num_edges == loop_merge(clusters, owners)[2] == 100
+    assert plan.num_merges == 1
+    assert stats["live_pairs"] == (2 if block >= 100 else 1)
+
+
+def test_a_seed_too_large_for_the_point_sort_key_is_refused():
+    with pytest.raises(OverflowError):
+        array_merge([_cluster(0, 0, [2**62, 1])], [])
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_seed_sequences_of_any_int_type_give_the_same_plan(case):
+    clusters, owners, size = BLOCK_CASES[case]
+    plans = [
+        vars(array_merge(
+            [(cid, founder, n, as_seeds(seeds))
+             for cid, founder, n, seeds in clusters], owners, size))
+        for as_seeds in (list, lambda s: np.array(s, np.int64),
+                         lambda s: np.array(s, np.int32))
+    ]
+    assert plans[0] == plans[1] == plans[2]
+
+
 def _paper_shaped_partials(seeds_per_cluster):
     """2 048 six-member partials over 12 288 points, every seed a core
     member of another partial — the shape of `paper_r100k_p32`, where
@@ -285,9 +366,9 @@ def _paper_shaped_partials(seeds_per_cluster):
 def test_merge_memory_is_independent_of_the_seed_total(seeds_per_cluster):
     """The join runs in `SEED_BLOCK_ROWS` blocks, so what the merge
     allocates is O(owner table + partials), not O(seeds).  Both adapters
-    peak at 2.0 MiB here at either size; joined in one piece (the block
-    constant patched to 10**9) they peak at 35 MiB with 160 seeds per
-    cluster and 68 MiB with 320."""
+    peak at 1.8 to 2.2 MiB here at either size; joined in one piece (the
+    block constant patched to 10**9) they peak at 48 MiB with 160 seeds
+    per cluster and 93 MiB with 320."""
     n, partials = _paper_shaped_partials(seeds_per_cluster)
     assert len(partials) >= 2000
     assert sum(len(c.seeds) for c in partials) >= 300_000 * seeds_per_cluster // 160

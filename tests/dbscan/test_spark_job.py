@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.dbscan import SparkDBSCAN, clusterings_equivalent, dbscan_sequential
+from repro.dbscan import (
+    SparkDBSCAN,
+    SpatialSparkDBSCAN,
+    clusterings_equivalent,
+    dbscan_sequential,
+)
 from repro.engine import SparkContext
 
 
@@ -110,6 +115,20 @@ class TestPartialClusterStats:
         for c in res.partials:
             assert all(c.lo <= m < c.hi for m in c.members)
             assert all(not (c.lo <= s < c.hi) for s in c.seeds)
+
+    @pytest.mark.parametrize("master", [None, "threads[2]", "processes[2]"])
+    @pytest.mark.parametrize("plan", ["range", "spatial", "cells"])
+    def test_seeds_reach_the_driver_as_int64_arrays(self, plan, master,
+                                                    blobs_medium_module):
+        """No list of boxed ints between the kernel and the merge,
+        whichever frame built the partials and whatever shipped them."""
+        make = SpatialSparkDBSCAN if plan == "spatial" else SparkDBSCAN
+        kwargs = {"partitioning": "cells"} if plan == "cells" else {}
+        res = make(25.0, 5, num_partitions=4, keep_partials=True,
+                   master=master, **kwargs).fit(blobs_medium_module.points)
+        assert sum(len(c.seeds) for c in res.partials) > 0
+        for c in res.partials:
+            assert isinstance(c.seeds, np.ndarray) and c.seeds.dtype == np.int64
 
     def test_partials_not_kept_by_default(self, blobs_medium_module,
                                           blobs_medium_tree_module):

@@ -54,7 +54,7 @@ class TestFigure4Story:
     def test_partial_clusters_carry_cross_partition_seeds(self):
         partials = self.result.partials
         assert partials is not None
-        with_seeds = [c for c in partials if c.seeds]
+        with_seeds = [c for c in partials if len(c.seeds)]
         assert with_seeds, "the chain must produce cross-partition SEEDs"
         for c in with_seeds:
             for s in c.seeds:

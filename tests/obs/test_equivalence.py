@@ -11,6 +11,7 @@ from repro.dbscan import (
     SpatialSparkDBSCAN,
     dbscan_sequential,
 )
+from repro.dbscan.merge import SEED_BLOCK_ROWS
 from repro.obs import MetricsRegistry, TraceReport, Tracer
 
 EPS, MINPTS = 25.0, 5
@@ -72,6 +73,17 @@ class TestTraceAgreesWithResult:
         assert report.driver_phases.keys() >= {
             "driver.kdtree_build", "driver.setup", "driver.merge",
         }
+
+    @pytest.mark.parametrize("merge_mode", ["partials", "edges"])
+    def test_merge_span_carries_the_join_stats(self, blobs_small, merge_mode):
+        tracer = Tracer()
+        res = SparkDBSCAN(EPS, MINPTS, num_partitions=4, tracer=tracer,
+                          merge_mode=merge_mode).fit(blobs_small.points)
+        stats = TraceReport.from_tracer(tracer).merge_stats
+        # One block holds this fit's seeds; every merge took a live pair.
+        assert 0 < res.num_seeds <= SEED_BLOCK_ROWS
+        assert stats["seed_blocks"] == 1
+        assert stats["live_pairs"] >= res.num_merges > 0
 
     def test_external_context_tracer_is_adopted(self, blobs_small):
         from repro.engine import SparkContext

@@ -53,7 +53,7 @@ class TestFrontendEqualsPlan:
         assert [key(c) for c in state.partials] == [key(c) for c in result.partials]
         for a, b in zip(state.partials, result.partials):
             assert a.members == b.members
-            assert a.seeds == b.seeds
+            assert a.seeds.tolist() == b.seeds.tolist()
             assert a.borders == b.borders
 
     def test_spatial(self, points):
