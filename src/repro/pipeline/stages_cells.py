@@ -6,7 +6,8 @@ dataset size at driver memory.  The ``cell`` plan replaces that model
 with the MR-DBSCAN / dDBGSCAN shape (`repro.dbscan.cells`):
 
 - `CellPartition` bins points into eps-aligned grid cells, packs whole
-  cells into balanced partitions (greedy LPT over per-cell counts), and
+  super-cells into balanced partitions (greedy LPT over summed counts,
+  side chosen by `repro.dbscan.cells.pack_cells`), and
   computes each partition's **eps-halo**: the foreign points within eps
   of one of its cells' bounding boxes.
 - `LocalIndexExpand` ships each partition its `CellPayload` (owned +
@@ -70,6 +71,8 @@ class CellPartition(Stage):
             state.timings.setup += time.perf_counter() - t0
             sp.annotate(
                 num_cells=assignment.num_cells,
+                super_side=assignment.super_side,
+                num_super_cells=assignment.num_super_cells,
                 halo_points=assignment.halo_points_total,
             )
         self._install(state, assignment)
@@ -96,9 +99,13 @@ class CellPartition(Stage):
             "n": a.n,
             "num_partitions": a.num_partitions,
             "num_cells": a.num_cells,
+            "super_side": a.super_side,
+            "num_super_cells": a.num_super_cells,
         })
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
+        # Checkpoints written before super-cell packing lack the side:
+        # their plan packed single eps-cells.
         doc = store.load_json(self.name)
         arrays = store.load_npz(self.name)
 
@@ -114,6 +121,8 @@ class CellPartition(Stage):
             owned=split("owned"),
             halo=split("halo"),
             halo_home=split("halo_home"),
+            super_side=doc.get("super_side", 1),
+            num_super_cells=doc.get("num_super_cells", doc["num_cells"]),
         )
         self._install(state, assignment)
 

@@ -12,10 +12,13 @@ from repro.data import generate_clustered, generate_skewed
 from repro.dbscan import cells as cells_mod
 from repro.dbscan.cells import (
     HALO_SLACK,
+    SUPER_SIDES,
+    SUPER_TOLERANCE,
     CellGrid,
     balance_cells,
     build_cell_assignment,
     cell_local_dbscan,
+    pack_cells,
 )
 from repro.kdtree import KDTree
 from tests.dbscan.test_properties import plain
@@ -41,10 +44,12 @@ def pair_set(grid: CellGrid) -> set[tuple[int, int]]:
 
 def reference_assignment(points, eps, num_partitions):
     """The per-pair planner `build_cell_assignment` replaced, kept as the
-    reference: one Python step per adjacent cell pair, a (partitions, n)
+    reference for everything downstream of the packing: it takes the
+    planner's cell -> partition map (`pack_cells`) and recomputes the
+    halo with one Python step per adjacent cell pair, a (partitions, n)
     bool mask, adjacency by brute force."""
     grid = CellGrid(points, eps)
-    cell_pid = balance_cells(grid.counts, num_partitions)
+    cell_pid, _, _ = pack_cells(grid.cells, grid.counts, num_partitions)
     point_pid = cell_pid[grid.cell_of_point]
     halo_mask = np.zeros((num_partitions, grid.n), dtype=bool)
     eps2 = (eps * eps) * (1.0 + HALO_SLACK)
@@ -182,6 +187,65 @@ class TestBalanceCells:
         assert (balance_cells(np.array([3, 1, 2]), 1) == 0).all()
 
 
+def check_packing(points, eps, num_partitions) -> int:
+    """`pack_cells` keeps its rule on this input; returns the side k."""
+    grid = CellGrid(points, eps)
+    pid, k, num_super = pack_cells(grid.cells, grid.counts, num_partitions)
+    assert pid.dtype == np.int64 and len(pid) == grid.num_cells
+    assert set(pid.tolist()) <= set(range(num_partitions))
+    _, group = np.unique(grid.cells // k, axis=0, return_inverse=True)
+    group = group.ravel()
+    assert num_super == len(np.unique(group))
+    # Every super-cell lands whole in one partition.
+    first = np.zeros(num_super, dtype=np.int64)
+    first[group] = pid
+    np.testing.assert_array_equal(first[group], pid)
+    # The coarsest side within the tolerance wins; past every side the
+    # packing is plain eps-cell LPT.
+    bound = SUPER_TOLERANCE * grid.n / num_partitions
+    for side in SUPER_SIDES:
+        _, g = np.unique(grid.cells // side, axis=0, return_inverse=True)
+        sums = np.bincount(g.ravel(), weights=grid.counts)
+        loads = np.bincount(balance_cells(sums, num_partitions), weights=sums)
+        if side > k or k == 1:
+            assert num_partitions == 1 or grid.n == 0 or loads.max() > bound
+    if k == 1:
+        np.testing.assert_array_equal(
+            pid, balance_cells(grid.counts, num_partitions))
+    else:
+        assert k in SUPER_SIDES
+        loads = np.bincount(pid, weights=grid.counts)
+        assert loads.max() <= bound
+    return k
+
+
+class TestPackCells:
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("partitions", [1, 2, 4, 7])
+    def test_rule_on_random_inputs(self, d, partitions):
+        rng = np.random.default_rng(100 * d + partitions)
+        pts = rng.normal(0.0, 6.0 if d < 10 else 1.2, (260, d))
+        k = check_packing(pts, 2.0, partitions)
+        assert (k == 1) == (partitions == 1 or (d, partitions) == (1, 7))
+
+    def test_tiny_inputs_fall_back_to_single_cells(self):
+        rng = np.random.default_rng(24)
+        pts = rng.uniform(0.0, 10.0, (50, 2))
+        assert check_packing(pts, 1.0, 7) == 1
+        assert build_cell_assignment(pts, 1.0, 7).super_side == 1
+
+    def test_deterministic_across_calls(self):
+        pts = generate_clustered(400, d=3, seed=25).points
+        grid = CellGrid(pts, 10.0)
+        a = pack_cells(grid.cells, grid.counts, 3)
+        b = pack_cells(grid.cells.copy(), grid.counts.copy(), 3)
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a[1:] == b[1:]
+        x, y = (build_cell_assignment(pts, 10.0, 3) for _ in range(2))
+        for got, want in zip(x.owned + x.halo, y.owned + y.halo):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestHalo:
     @pytest.mark.parametrize("data", [
         generate_clustered(300, seed=5),
@@ -266,6 +330,7 @@ class TestPlannerMatchesReference:
         pts = np.array([[0.5], [1.5], [2.5], [2.6]])
         a = assert_matches_reference(pts, 1.0, 6)
         assert sum(len(o) > 0 for o in a.owned) == 3
+        assert (a.super_side, a.num_super_cells) == (1, 3)
 
     @pytest.mark.parametrize("d", [1, 2, 10])
     def test_empty_input(self, d):
@@ -311,7 +376,9 @@ class TestPlannerMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2 ** 20, f"planner peak {peak / 2 ** 20:.1f} MiB"
-        assert (a.num_cells, a.halo_points_total) == (8043, 30533)
+        assert (a.num_cells, a.halo_points_total) == (8043, 1962)
+        assert (a.super_side, a.num_super_cells) == (16, 610)
+        assert check_packing(pts, 2.0, 4) == 16
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,6 +400,7 @@ def test_planner_equals_reference_property(seed, n, d, partitions, eps,
     pts = rng.uniform(-4, 4, (n, d)) * (1.0 if d < 10 else 0.3)
     if snap:
         pts = np.round(pts / (eps / 2)) * (eps / 2)
+    check_packing(pts, eps, partitions)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cells_mod, "HALO_BLOCK_ROWS", block)
         assert_matches_reference(pts, eps, partitions)

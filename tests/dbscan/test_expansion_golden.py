@@ -15,6 +15,14 @@ ids inside ``members`` and ``seeds`` moved, and under
 ``seeds_skipped``); `set_view` of the 02e70a8 file and of the new one
 are equal.  The script refuses to rewrite the file when that view
 differs from the file it would replace, so a re-record stays order-only.
+
+The twelve ``cell/...`` records were recorded afresh (file deleted, script
+run) once, when `build_cell_assignment` began packing super-cells: this
+input now packs side-4 super-cells, so cell ownership moved — 21 partials
+became 10, the core members over the three partitions stayed the same,
+the merged labels
+under ``seed_policy="all"`` stayed identical — and the twelve ``range/...``
+records were left byte-identical.
 """
 
 import json

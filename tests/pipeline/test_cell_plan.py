@@ -8,15 +8,29 @@ across partitions — so `CellCollect`'s founder sort reproduces the
 range plan's global numbering exactly.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.data import generate_clustered, generate_skewed
 from repro.dbscan import SparkDBSCAN
+from repro.dbscan import cells as cells_mod
+from repro.dbscan.cells import build_cell_assignment
+from repro.kdtree import KDTree
 from repro.obs import MetricsRegistry, Tracer
-from repro.pipeline import PipelineCrash
+from repro.pipeline import (
+    CellPartition,
+    CheckpointStore,
+    PipelineCrash,
+    PipelineState,
+)
 
 EPS, MINPTS = 25.0, 5
+
+#: `skewed_cells_edges` at its benchmark size (n = 15 000), minus the seed.
+SKEWED_BENCH = dict(n=15000, d=2, num_clusters=10, zipf_exponent=1.2,
+                    cluster_std=20, noise_fraction=0.05, shuffle=False)
 
 DATASETS = {
     "quest": lambda: generate_clustered(500, num_clusters=4,
@@ -96,6 +110,16 @@ class TestNoBroadcast:
         base = fit(points, num_partitions=2)
         assert np.array_equal(base.labels, cell.labels)
 
+    def test_partition_span_names_the_packing(self):
+        points = DATASETS["quest"]().points
+        tracer = Tracer()
+        fit(points, partitioning="cells", tracer=tracer)
+        (span,) = [s for s in tracer.spans if s.name == "driver.cell_partition"]
+        a = build_cell_assignment(points, EPS, 4)
+        assert a.super_side > 1
+        assert span.labels["super_side"] == a.super_side
+        assert span.labels["num_super_cells"] == a.num_super_cells
+
     def test_halo_telemetry_exported(self):
         points = DATASETS["skew"]().points
         reg = MetricsRegistry()
@@ -121,6 +145,40 @@ class TestCheckpointResume:
             fit(points, partitioning="cells", checkpoint_dir=ckpt,
                 fail_after=crash_after)
         resumed = fit(points, partitioning="cells", checkpoint_dir=ckpt,
+                      resume=True)
+        assert np.array_equal(direct.labels, resumed.labels)
+
+    def test_checkpoint_without_super_side_loads_as_single_cells(
+            self, tmp_path):
+        """A `CellPartition` artifact written before super-cell packing
+        has no ``super_side``: it loads as a single-eps-cell plan, array
+        for array, and a resume runs on its ownership."""
+        points = DATASETS["quest"]().points
+        ckpt = tmp_path / "ckpt"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cells_mod, "SUPER_SIDES", ())  # the k = 1 plan
+            old = build_cell_assignment(points, EPS, 4)
+            direct = fit(points, partitioning="cells")
+            with pytest.raises(PipelineCrash):
+                fit(points, partitioning="cells", checkpoint_dir=str(ckpt),
+                    fail_after="CellPartition")
+        (artifact,) = ckpt.glob("*/CellPartition.json")
+        doc = json.loads(artifact.read_text())
+        assert doc.pop("super_side") == 1
+        assert doc.pop("num_super_cells") == old.num_cells
+        artifact.write_text(json.dumps(doc))
+
+        run_key = json.loads(
+            (artifact.parent / "manifest.json").read_text())["run_key"]
+        config = SparkDBSCAN(EPS, MINPTS, partitioning="cells").config
+        state = PipelineState(config=config, tracer=Tracer())
+        CellPartition().load(state, CheckpointStore(str(ckpt), run_key))
+        a = state.extras["cell_assignment"]
+        assert (a.super_side, a.num_super_cells) == (1, old.num_cells)
+        for got, want in zip(a.owned + a.halo + a.halo_home,
+                             old.owned + old.halo + old.halo_home):
+            assert np.array_equal(got, want)
+        resumed = fit(points, partitioning="cells", checkpoint_dir=str(ckpt),
                       resume=True)
         assert np.array_equal(direct.labels, resumed.labels)
 
@@ -172,15 +230,40 @@ class TestBorderTieBreak:
         for labels in runs:
             assert np.array_equal(runs[0], labels)
         cell = runs[0]
-        # The contested point gets exactly one cluster's label — here
-        # the cluster around 2.9, whose partition owns 2.0's cell and
-        # claims it as a border member during its own expansion.
-        assert cell[4] == cell[5]
+        # The contested point gets exactly one cluster's label: that of
+        # its one core neighbour (1.1 or 2.9) in the partition the
+        # planner's packing rule gives 2.0 — that partition's expansion
+        # claims it as a border member.
+        home = build_cell_assignment(self.POINTS, 1.0, 2).to_partitioner()
+        local = [c for c in (3, 5) if home.partition(c) == home.partition(4)]
+        assert len(local) == 1
+        assert cell[4] == cell[local[0]]
         # Everything *un*contested is byte-identical to the range plan.
-        # The contested point itself may differ: the range split packs
-        # 2.0 with cluster A's points, the cell split with cluster B's,
-        # and a border point reachable from two clusters legitimately
-        # belongs to whichever claims it first (classic DBSCAN
-        # order-dependence, scoped here to exactly this point).
+        # The contested point itself may differ: a border point
+        # reachable from two clusters legitimately belongs to whichever
+        # claims it first (classic DBSCAN order-dependence, scoped here
+        # to exactly this point).
         rest = np.arange(len(base)) != 4
         assert np.array_equal(base[rest], cell[rest])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_skewed_benchmark_differs_only_at_contested_borders(self, seed):
+        """The `skewed_cells_edges` input (super-cell side 16): every label
+        that differs from the range plan is a non-core point with cores
+        of two or more clusters within eps, and there are some."""
+        eps = 2.0
+        points = generate_skewed(seed=seed, **SKEWED_BENCH).points
+        kw = dict(num_partitions=4, merge_mode="edges",
+                  neighbor_mode="batched")
+        base = SparkDBSCAN(eps, MINPTS, **kw).fit(points).labels
+        cell = SparkDBSCAN(eps, MINPTS, partitioning="cells",
+                           **kw).fit(points).labels
+        tree = KDTree(points)
+        core = tree.count_radius_batch(points, eps) >= MINPTS
+        assert np.array_equal(base[core], cell[core])
+        moved = np.flatnonzero(base != cell)
+        assert 0 < len(moved) < 100
+        for i in moved:
+            ball = tree.query_radius(points[i], eps)
+            assert not core[i]
+            assert len(set(base[ball[core[ball]]].tolist())) >= 2
