@@ -15,9 +15,9 @@ is worthless.  Three configurations of the same job:
   getrusage high-water reads bracketing every task).
 
 A `MetricsRegistry` is deliberately *not* part of this ablation: a
-registry makes the one expansion kernel also tally the Section III-B
-`OpCounters` (per row, in the same loop — a few percent of
-`local_dbscan`, DESIGN.md §6), which is operation counting, not
+registry makes the one expansion kernel also report the Section III-B
+`OpCounters` (closed forms of its arrays, DESIGN.md §6) and ships them
+through a second accumulator, which is operation counting, not
 span/profile overhead.
 
 Rounds are interleaved with the configuration order rotated every

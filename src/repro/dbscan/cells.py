@@ -343,12 +343,14 @@ def cell_local_dbscan(
     neighbor_mode: str = "batched",
     counters: OpCounters | None = None,
     boundary_out: set[int] | None = None,
+    stats: dict[str, int] | None = None,
 ) -> list[PartialCluster]:
     """SEED expansion over one cell partition's (owned + halo) points.
 
-    Builds a kd-tree over the local payload only, expands owned points
-    (in ascending global index, like `local_dbscan` over a range), and
-    records reached halo points as SEEDs for the driver merge.  The halo
+    Builds a kd-tree over the local payload only (`cell_frame`), expands
+    owned points (in ascending global index, like `local_dbscan` over a
+    range), and records reached halo points as SEEDs for the driver
+    merge.  The halo
     makes every owned point's eps-neighbourhood complete locally, so
     core status and memberships match the global-tree computation
     exactly.  ``lo``/``hi`` on the emitted partials are 0: cell
@@ -361,6 +363,16 @@ def cell_local_dbscan(
     slightly (HALO_SLACK), which only widens this set; the seed/export
     join never probes the extras.
     """
+    return expand_frame(
+        cell_frame(payload, leaf_size), eps, minpts, seed_policy=seed_policy,
+        max_neighbors=max_neighbors, neighbor_mode=neighbor_mode,
+        counters=counters, boundary_out=boundary_out, stats=stats,
+    )
+
+
+def cell_frame(payload: CellPayload, leaf_size: int = 64) -> Frame:
+    """The cell plan's frame: ``owned_ids`` then ``halo_ids``, indexed by
+    a kd-tree built over exactly those points."""
     n_own = int(len(payload.owned_ids))
     if len(payload.halo_ids):
         local_points = np.vstack([payload.owned_points, payload.halo_points])
@@ -371,16 +383,11 @@ def cell_local_dbscan(
         tree = KDTree(local_points, leaf_size=leaf_size)
     global_ids = np.concatenate([payload.owned_ids, payload.halo_ids])
     halo_home = payload.halo_home
-    frame = Frame(
+    return Frame(
         partition=payload.partition, lo=0, hi=0, tree=tree,
-        own_points=local_points[:n_own], n_homes=len(np.unique(halo_home)),
-        to_local=None, to_global=global_ids.__getitem__,
-        home_of=lambda k: int(halo_home[k - n_own]),
-    )
-    return expand_frame(
-        frame, range(n_own), eps, minpts, seed_policy=seed_policy,
-        max_neighbors=max_neighbors, neighbor_mode=neighbor_mode,
-        counters=counters, boundary_out=boundary_out,
+        own_points=local_points[:n_own], to_local=None,
+        to_global=global_ids.__getitem__,
+        home_of=lambda ids: halo_home[ids - n_own],
     )
 
 
@@ -390,6 +397,7 @@ __all__ = [
     "CellPayload",
     "balance_cells",
     "build_cell_assignment",
+    "cell_frame",
     "cell_local_dbscan",
     "pack_cells",
 ]

@@ -6,7 +6,8 @@ broadcast variable) lets it see foreign neighbours, but instead of
 expanding them it records them as **SEEDs** — markers that let the
 driver discover which partial clusters belong to the same global
 cluster.  No executor⇄executor communication ever happens: that is the
-paper's central design point.
+paper's central design point.  (The expansion is label propagation,
+not the paper's BFS; same partial clusters, no queue — DESIGN.md §6.)
 
 Seed policies (DESIGN.md §4):
 
@@ -15,14 +16,14 @@ Seed policies (DESIGN.md §4):
   cross-partition density edge is witnessed, and every cross-partition
   border point is retained).
 - ``"one_per_partition"``: the literal reading of Algorithm 3 — at most
-  one seed per foreign partition per partial cluster.  Cheaper, but can
-  drop cross-partition border points (Ablation A quantifies this).
+  one seed per foreign partition per partial cluster, the lowest id.
+  Cheaper, but can drop cross-partition border points (Ablation A
+  quantifies this).
 """
 
 from __future__ import annotations
 
 import pickle
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable
@@ -51,6 +52,8 @@ class OpCounters:
     number of remove operations according to the condition in Line 9
     (while loop will not terminate until it is empty)."  That invariant
     (``queue_adds == queue_removes`` at completion) is checked in tests.
+    The kernel has no queue: it computes what the paper's BFS would have
+    counted in closed form from its arrays (DESIGN.md §6, "Counting").
     """
 
     range_queries: int = 0       # kd-tree eps-neighbourhood lookups
@@ -59,7 +62,7 @@ class OpCounters:
     hashtable_puts: int = 0      # visited/assignment writes (Line 11)
     hashtable_lookups: int = 0   # containsKey (Lines 5, 7, 17)
     seeds_placed: int = 0
-    seeds_skipped: int = 0       # suppressed by the one-per-partition cap
+    seeds_skipped: int = 0       # (cluster, seed) pairs the one-per-partition cap drops
 
     def merge(self, other: "OpCounters") -> "OpCounters":
         """Merge another instance into this one; returns self."""
@@ -150,10 +153,9 @@ class Frame:
     hi: int
     tree: KDTree
     own_points: np.ndarray
-    n_homes: int                 # distinct partitions foreign ids can belong to
     to_local: np.ndarray | None
     to_global: Callable[[np.ndarray], np.ndarray]
-    home_of: Callable[[int], int]    # owning partition of a foreign local id
+    home_of: Callable[[np.ndarray], np.ndarray]  # owning partition of foreign ids
 
 
 def local_dbscan(
@@ -169,6 +171,7 @@ def local_dbscan(
     counters: OpCounters | None = None,
     neighbor_mode: str = "per_point",
     boundary_out: set[int] | None = None,
+    stats: dict[str, int] | None = None,
 ) -> list[PartialCluster]:
     """Build the partial clusters of one partition (Algorithm 2 lines 4–29).
 
@@ -178,12 +181,13 @@ def local_dbscan(
     partition that are members of no partial cluster anywhere).
 
     Pass an `OpCounters` to collect the Section III-B operation counts
-    (range queries, queue adds/removes, hashtable puts/lookups).
+    (range queries, queue adds/removes, hashtable puts/lookups), and a
+    ``stats`` dict to receive the kernel's propagation ``rounds``.
 
     ``neighbor_mode`` is validated and otherwise ignored: both accepted
     values run the same code — every owned point's eps-neighbourhood
     comes from one `KDTree.query_radius_batch` call and the expansion
-    walks the stored CSR rows (nnz x 8 bytes per task).
+    works on the stored CSR rows (nnz x 8 bytes per task).
 
     ``boundary_out``, when given, collects every owned point
     that has at least one foreign neighbour within eps.  Intersected
@@ -192,32 +196,42 @@ def local_dbscan(
     of the edge-based merge (DESIGN.md §11).  Requires
     ``max_neighbors=None``: truncation breaks the symmetry argument.
     """
+    given = np.fromiter(own_indices, dtype=np.int64)
     lo, hi = partitioner.range_of(partition_id)
-    n = points.shape[0]
-    order = np.fromiter(own_indices, dtype=np.int64)
-    stray = order[(order < lo) | (order >= hi)]
+    stray = given[(given < lo) | (given >= hi)]
     if stray.size:
         raise ValueError(
             f"index {int(stray[0])} handed to partition {partition_id} whose "
             f"range is [{lo}, {hi}) — partitioning is inconsistent"
         )
-    frame = Frame(
-        partition=partition_id, lo=lo, hi=hi, tree=tree,
-        own_points=points[lo:hi], n_homes=partitioner.num_partitions - 1,
-        to_local=(np.arange(n) - lo) % n,
-        to_global=lambda ids: (ids + lo) % n,
-        home_of=lambda k: partitioner.partition((k + lo) % n),
-    )
     return expand_frame(
-        frame, (order - lo).tolist(), eps, minpts, seed_policy=seed_policy,
-        max_neighbors=max_neighbors, neighbor_mode=neighbor_mode,
-        counters=counters, boundary_out=boundary_out,
+        range_frame(partition_id, points, tree, partitioner), eps, minpts,
+        seed_policy=seed_policy, max_neighbors=max_neighbors,
+        neighbor_mode=neighbor_mode, counters=counters,
+        boundary_out=boundary_out, stats=stats,
+    )
+
+
+def range_frame(partition_id: int, points: np.ndarray, tree: KDTree,
+                partitioner: IndexRangePartitioner) -> Frame:
+    """The range plan's frame: the rotation ``(g - lo) % n``."""
+    lo, hi = partitioner.range_of(partition_id)
+    n = points.shape[0]
+
+    def home_of(ids: np.ndarray) -> np.ndarray:
+        ends = [partitioner.range_of(q)[1]
+                for q in range(partitioner.num_partitions)]
+        return np.searchsorted(ends, (ids + lo) % n, side="right")
+
+    return Frame(
+        partition=partition_id, lo=lo, hi=hi, tree=tree,
+        own_points=points[lo:hi], to_local=(np.arange(n) - lo) % n,
+        to_global=lambda ids: (ids + lo) % n, home_of=home_of,
     )
 
 
 def expand_frame(
     frame: Frame,
-    order: Iterable[int],
     eps: float,
     minpts: int,
     *,
@@ -226,22 +240,19 @@ def expand_frame(
     neighbor_mode: str,
     counters: OpCounters | None,
     boundary_out: set[int] | None,
+    stats: dict[str, int] | None = None,
 ) -> list[PartialCluster]:
-    """The BFS/SEED expansion (Algorithm 2 with Algorithm 3's SEED rule).
+    """The SEED expansion (Algorithm 2 with Algorithm 3's SEED rule),
+    without a queue (DESIGN.md §6, "The loop").
 
-    Expands from the owned local ids in ``order``, over the rows of one
-    `query_radius_batch` call (``neighbor_mode`` is only validated).  The
-    paper's queue holds neighbour ids; this one holds whole neighbour
-    *rows*.  A row never repeats an id and the FIFO pops a row's ids
-    contiguously, so dropping a row's already-assigned ids in one numpy
-    pass at its pop and walking the rest visits, assigns, seeds and
-    enqueues in exactly the order of the per-id loop — the tree's storage
-    order within a row.  The per-id work left is O(members + seeds), not
-    O(neighbours), and the Section III-B counts follow from the row sizes.
-
-    ``state`` is the paper's Hashtable over the frame: an owned id is
-    unseen, visited (met, in no cluster yet) or assigned; a foreign
-    id is assigned while it is a seed of the cluster being built.
+    Over the rows of one `query_radius_batch` call (``neighbor_mode`` is
+    only validated): clusters are the components of the core points,
+    each founded by its smallest core id as the paper's BFS over the
+    owned ids in ascending order would have; a border joins the
+    lowest-founder cluster in its row; a cluster's seeds are the distinct
+    foreign ids on its core rows (``"one_per_partition"``: the lowest per
+    home).  A partial lists its founder, then its other members in
+    ascending id.  ``stats`` receives the propagation ``rounds``.
     """
     if seed_policy not in SEED_POLICIES:
         raise ValueError(
@@ -257,16 +268,15 @@ def expand_frame(
     n_own = len(own_points)
     if n_own == 0:
         return []
-    c = counters
-    stats: dict[str, int] = {}
+    query_stats: dict[str, int] = {}
     with task_span("task.kdtree_query", n=n_own) as qsp:
         indptr, indices = tree.query_radius_batch(
-            own_points, eps, max_neighbors, ids=frame.to_local, stats=stats
+            own_points, eps, max_neighbors, ids=frame.to_local,
+            stats=query_stats,
         )
-        qsp.annotate(**stats)
-    core = np.diff(indptr) >= minpts
-    if c is not None:
-        c.range_queries += n_own
+        qsp.annotate(**query_stats)
+    degree = np.diff(indptr)
+    core = degree >= minpts
     if boundary_out is not None:
         # Rows with a foreign id.  No row is empty here — rows are
         # untruncated and every point is its own neighbour — which is
@@ -276,70 +286,115 @@ def expand_frame(
         )
         boundary_out.update(to_global(rows).tolist())
 
-    UNSEEN, VISITED, ASSIGNED = 0, 1, 2
-    state = np.zeros(len(tree.points), dtype=np.uint8)
-    capped = seed_policy == "one_per_partition"
-    partials: list[PartialCluster] = []
-    for k in order:
-        if c is not None:
-            c.hashtable_lookups += 1
-        if state[k]:  # Algorithm 2 line 5: already in hashtable
-            continue
-        state[k] = VISITED
-        if c is not None:
-            c.hashtable_puts += 1
-        if not core[k]:
-            continue  # noise unless claimed later as a border point
-        state[k] = ASSIGNED
-        members, seeds = [k], []
-        homes_taken: set[int] = set()
-        visits = skipped = 0
-        row = indices[indptr[k]:indptr[k + 1]]
-        adds = len(row)
-        queue = deque((row,))
-        while queue:
-            row = queue.popleft()
-            if c is not None:
-                c.queue_removes += len(row)
-                c.hashtable_lookups += 2 * int(np.count_nonzero(row < n_own))
-            for p in row[state[row] < ASSIGNED].tolist():
-                if p < n_own:
-                    # Own point: classic expansion (Algorithm 2 ll. 13–22).
-                    if state[p] == UNSEEN:
-                        visits += 1
-                        if core[p]:
-                            grown = indices[indptr[p]:indptr[p + 1]]
-                            adds += len(grown)
-                            queue.append(grown)
-                    members.append(p)
-                else:
-                    # Foreign point: SEED placement (Algorithm 3).  Never
-                    # expanded — its home executor computes its row.
-                    if capped:
-                        # Algorithm 3 line 11: one seed per foreign home.
-                        if (len(homes_taken) == frame.n_homes
-                                or (home := frame.home_of(p)) in homes_taken):
-                            skipped += 1
-                            continue
-                        homes_taken.add(home)
-                    seeds.append(p)
-                state[p] = ASSIGNED
-        if c is not None:
-            c.hashtable_puts += visits + len(members)
-            c.queue_adds += adds
-            c.seeds_placed += len(seeds)
-            c.seeds_skipped += skipped
-        joined = np.asarray(members)
-        placed = np.asarray(seeds, dtype=np.int64)
-        state[placed] = UNSEEN  # foreign marks last for one cluster
-        partials.append(PartialCluster(
-            partition=frame.partition, local_id=len(partials),
-            lo=frame.lo, hi=frame.hi,
-            members=to_global(joined).tolist(),
-            seeds=to_global(placed),
-            borders=set(to_global(joined[~core[joined]]).tolist()),
+    n_tree = len(tree.points)
+    owner, rounds = _founders(indptr, indices, core, n_tree,
+                              symmetric=max_neighbors is None)
+    if stats is not None:
+        stats["rounds"] = rounds
+
+    # Members grouped by founder, the founder first and the rest in
+    # ascending id: one sort of (founder, rank) keys, rank 0 the founder.
+    ids = np.flatnonzero(owner < n_own)
+    group = owner[ids].astype(np.int64)
+    key = group * (n_own + 1) + np.where(ids == group, 0, ids + 1)
+    key.sort()
+    group, rank = np.divmod(key, n_own + 1)
+    members = np.where(rank == 0, group, rank - 1)
+    starts = np.flatnonzero(rank == 0)
+
+    # Seeds: the distinct (founder, foreign id) pairs on core rows, by one
+    # sort of founder * n_tree + id.
+    key_type = np.int32 if n_own * n_tree < 2**31 else np.int64
+    key = np.repeat(np.where(core, owner, n_own).astype(key_type), degree)
+    hit = key < n_own
+    hit &= indices >= n_own
+    key = key[hit]
+    key *= n_tree
+    np.add(key, indices[hit], out=key, casting="unsafe")
+    del hit
+    foreign_hits = len(key)
+    key.sort()  # not np.unique: numpy 2.x hashes there, 10x slower here
+    key = key[np.diff(key, prepend=-1) != 0]
+    seed_founder, seeds = np.divmod(key, n_tree)
+    reachable = len(seeds)
+    if seed_policy == "one_per_partition":
+        # Algorithm 3 line 11 as a filter: the lowest frame id per
+        # (cluster, home partition) stays.
+        homes = frame.home_of(seeds)
+        pair = (seed_founder.astype(np.int64) * (int(homes.max(initial=0)) + 1)
+                + homes)
+        first = np.sort(np.unique(pair, return_index=True)[1])
+        seed_founder, seeds = seed_founder[first], seeds[first]
+    if counters is not None:
+        # The Section III-B counts of the paper's BFS, in closed form.
+        core_hits = int(degree[core].sum())
+        counters.merge(OpCounters(
+            range_queries=n_own, queue_adds=core_hits, queue_removes=core_hits,
+            hashtable_puts=n_own + len(members),
+            hashtable_lookups=n_own + 2 * (core_hits - foreign_hits),
+            seeds_placed=len(seeds), seeds_skipped=reachable - len(seeds),
         ))
-    return partials
+    return _partials(frame, members, starts, ~core[members], seeds,
+                     np.searchsorted(seed_founder, group[starts]))
+
+
+def _founders(indptr: np.ndarray, indices: np.ndarray, core: np.ndarray,
+              n_tree: int, *, symmetric: bool) -> tuple[np.ndarray, int]:
+    """Each owned point's cluster founder (``n_own``: noise) by min-label
+    propagation, and the rounds it took.  Core ids start as their own
+    label, every other id as the sentinel ``n_own``; a round hooks each
+    core row's root under its row minimum and pointer-jumps.  The last
+    round's row minima are the borders' claims.  Truncated rows
+    (``symmetric=False``) also hook a listed core's root under the
+    listing row's label, so components are undirected."""
+    n_own = len(core)
+    label = np.full(n_tree + 1, n_own, dtype=np.int32)
+    own = label[:n_own]
+    cores = np.flatnonzero(core)
+    own[cores] = cores
+    if not len(cores):
+        return own, 0
+    starts = indptr[:-1]
+    rounds = 0
+    while True:
+        rounds += 1
+        seen = label[indices]
+        low = np.minimum.reduceat(seen, starts)
+        pull = core & (low < own)
+        roots, under = own[pull], low[pull]
+        if not symmetric:
+            row_label = np.repeat(own, np.diff(indptr))
+            push = (seen < n_own) & (seen > row_label)
+            roots = np.concatenate([roots, seen[push]])
+            under = np.concatenate([under, row_label[push]])
+        if not len(roots):
+            return np.where(core, own, low), rounds
+        np.minimum.at(label, roots, under)
+        while not np.array_equal(up := label[own], own):
+            own[:] = up
+
+
+def _partials(frame: Frame, members: np.ndarray, starts: np.ndarray,
+              border: np.ndarray, seeds: np.ndarray,
+              seed_starts: np.ndarray) -> list[PartialCluster]:
+    """Slice the task's member and seed arrays into partial clusters,
+    mapping both to global ids in one `to_global` call."""
+    ids = frame.to_global(np.concatenate([members, seeds]))
+    member_ids, seed_ids = ids[:len(members)], ids[len(members):]
+    cuts = np.append(starts, len(members))
+    seed_cuts = np.append(seed_starts, len(seeds)).tolist()
+    border_cuts = np.append(0, np.cumsum(border))[cuts].tolist()
+    listed, border_ids = member_ids.tolist(), member_ids[border].tolist()
+    cuts = cuts.tolist()
+    return [
+        PartialCluster(
+            partition=frame.partition, local_id=i, lo=frame.lo, hi=frame.hi,
+            members=listed[cuts[i]:cuts[i + 1]],
+            seeds=seed_ids[seed_cuts[i]:seed_cuts[i + 1]],
+            borders=set(border_ids[border_cuts[i]:border_cuts[i + 1]]),
+        )
+        for i in range(len(starts))
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -276,6 +276,7 @@ class LocalExpand(Stage):
                 bsp.annotate(n=len(t.points))
             counters = OpCounters() if collect_counters else None
             boundary: set[int] | None = set() if track_boundary else None
+            stats: dict[str, int] = {}
             # `mode` stays for the trace schema and selects nothing; the
             # nested task.kdtree_query span carries the kernel's tiles/rows.
             with task_span(
@@ -285,9 +286,10 @@ class LocalExpand(Stage):
                     pid, it, t.points, t, eps, minpts, partitioner,
                     seed_policy=seed_policy, max_neighbors=max_neighbors,
                     neighbor_mode=neighbor_mode, counters=counters,
-                    boundary_out=boundary,
+                    boundary_out=boundary, stats=stats,
                 )
-                esp.annotate(partials=len(result))
+                esp.annotate(partials=len(result),
+                             rounds=stats.get("rounds", 0))
             yield LocalExpansion(
                 partition=pid, partials=result,
                 boundary=boundary or set(), counters=counters,

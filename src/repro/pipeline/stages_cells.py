@@ -181,16 +181,18 @@ class LocalIndexExpand(Stage):
             result = []
             with task_span("task.expand", partition=pid,
                            mode=neighbor_mode) as esp:
-                n_own = n_halo = 0
+                n_own = n_halo = rounds = 0
                 for payload in it:
                     n_own += len(payload.owned_ids)
                     n_halo += len(payload.halo_ids)
+                    stats: dict[str, int] = {}
                     result.extend(cell_local_dbscan(
                         payload, eps, minpts, leaf_size=leaf_size,
                         seed_policy=seed_policy, max_neighbors=max_neighbors,
                         neighbor_mode=neighbor_mode, counters=counters,
-                        boundary_out=boundary,
+                        boundary_out=boundary, stats=stats,
                     ))
+                    rounds = max(rounds, stats.get("rounds", 0))
                 if track_boundary:
                     # A partition may aggregate several payloads whose
                     # partials restart local_id at 0; renumber so the
@@ -198,7 +200,7 @@ class LocalIndexExpand(Stage):
                     for k, c in enumerate(result):
                         c.local_id = k
                 esp.annotate(partials=len(result), n_own=n_own,
-                             n_halo=n_halo)
+                             n_halo=n_halo, rounds=rounds)
             yield LocalExpansion(
                 partition=pid, partials=result,
                 boundary=boundary or set(), counters=counters,

@@ -23,6 +23,15 @@ became 10, the core members over the three partitions stayed the same,
 the merged labels
 under ``seed_policy="all"`` stayed identical — and the twelve ``range/...``
 records were left byte-identical.
+
+All 24 records were re-recorded through the script once more, when label
+propagation replaced the BFS: a partial now lists its founder first and
+its other members in ascending id, and its seeds in ascending frame id.
+Under ``one_per_partition`` the lowest id of a home stands for it rather
+than the first met, and ``seeds_skipped`` counts the distinct dropped
+(cluster, foreign id) pairs rather than re-meetings.  The set view was
+unchanged on all 24 records, so every ``.../all`` counter dict and every
+capped counter but ``seeds_skipped`` is as before.
 """
 
 import json
@@ -114,9 +123,9 @@ def set_view(doc: dict) -> dict:
     """The record minus the order ids were met in: per partial its founder
     (``members[0]``), member set, borders and seed set, plus the counter
     dict.  Under ``one_per_partition`` *which* foreign point stands for a
-    home is the first one met — and the ones passed over are re-met and
-    re-skipped, the chosen one is not — so there the view keeps the homes
-    seeded and leaves ``seeds_skipped`` out."""
+    home, and so ``seeds_skipped``, has changed with the kernel (first
+    met, then lowest id), so there the view keeps the homes seeded and
+    leaves ``seeds_skipped`` out."""
     homes = _homes()
     view = {}
     for key, rec in doc.items():

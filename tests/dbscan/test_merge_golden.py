@@ -18,7 +18,12 @@ path, so only do that to record a deliberate change of the answer.  It
 was re-recorded once, when neighbour rows went to kd-tree storage order:
 the ``CollectPartials`` / ``CollectEdges`` documents list the same
 members, seeds and exports in another order, and every merge record and
-the other three documents stayed byte-identical.
+the other three documents stayed byte-identical.  It was re-recorded a
+second time, the same way, when label propagation replaced the expansion
+BFS (members founder first, then ascending; seeds ascending): per
+partial the same fields, founder, member set and seed set, per digest
+the same summaries, seed sets and export set, and everything else
+byte-identical.
 """
 
 import json
