@@ -17,6 +17,8 @@ exact neighbourhoods for bounded work.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 #: Pending neighbour hits one query block of the batched kernel may hold
@@ -32,14 +34,17 @@ FIRST_BLOCK_ROWS = 512
 MAX_BLOCK_ROWS = 1 << 13
 #: Distance cells (active queries x subtree points) at or under which the
 #: batched walk stops descending and answers the whole subtree as one
-#: tile: a tile costs ~40 us before its first flop, so it is sized by its
+#: tile: a tile costs ~14 us before its first flop, so it is sized by its
 #: work, not by the leaves (DESIGN.md §6 has the sweep).  Not an option.
 TILE_CELLS = 1 << 15
 #: Half-width of the exact re-check band around eps², in units of
-#: ``(d + 4) · u · (max|q - c|² + max|b - c|² + eps²)``; the product
+#: ``(d + 4) · u · (max|q - c|² + max|p - c|² + eps²)``; the product
 #: form's error stays under 3 such units (DESIGN.md §6).
 BAND_ULPS = 8.0
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+#: Tree -> `KDTree._operand`, per process: off the instance, so neither the
+#: pickle nor the sanitizer's hash sees it (a thread race derives it twice).
+_OPERANDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _int_dtype(lo: int, hi: int) -> type:
@@ -73,7 +78,8 @@ class KDTree:
 
     Notes
     -----
-    Queries return indices into the *original* point order.
+    Queries return indices into the *original* point order.  Batched
+    queries add (d + 2) · 8 B per point in each querying process, never pickled.
     """
 
     def __init__(self, points: np.ndarray, leaf_size: int = 64):
@@ -209,7 +215,9 @@ class KDTree:
     # and once ``active x subtree points`` fits `TILE_CELLS` the subtree's
     # contiguous block is one BLAS product against the active queries (a
     # leaf is just where descent bottoms out).  Extents follow from the
-    # median split, so none is stored for internal nodes.
+    # median split, so none is stored for internal nodes.  The product's
+    # tree side is built once per process (`_operand`), its query side once
+    # per block: a tile is one gather and one product.
     #
     # Equivalence contract (tested property-style): every row is
     # *element-for-element identical* to `query_radius` — the row's hits
@@ -220,6 +228,21 @@ class KDTree:
     # the product form ||a||²-2ab+||b||² only *filters*: a pair within a
     # rounding band of eps² is decided by `_exact_hits`, the scalar
     # walk's own arithmetic (DESIGN.md §6).
+
+    def _operand(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(c, R, max|p - c|²)``: the box centre and the tree side
+        ``R = [(p - c)ᵀ; 1; |p - c|²]`` in storage order, derived once."""
+        op = _OPERANDS.get(self)
+        if op is None:
+            R = np.empty((self.d + 2, self.n))
+            P = R[:-2]
+            P[:] = self._pts_perm.T  # row-wise extrema are the fast ones
+            c = (P.min(axis=1) + P.max(axis=1)) / 2
+            P -= c[:, None]
+            R[-2] = 1.0
+            np.einsum("ij,ij->j", P, P, out=R[-1])
+            op = _OPERANDS[self] = (c, R, float(R[-1].max()))
+        return op
 
     @np.errstate(over="raise", invalid="raise")  # no silent inf/nan distances
     def _batch_traverse(
@@ -237,7 +260,7 @@ class KDTree:
         is given.  Returns ``(counts, indices)`` with ``indices`` ordered
         by (query, storage order) or None."""
         nq, d = Q.shape
-        tiles = tile_rows = 0
+        tiles = tile_rows = rechecks = 0
         # Python floats: with eps = inf the band edges are inf and nan,
         # which numpy scalars would compute with a RuntimeWarning.
         eps2 = float(eps) * float(eps)
@@ -246,7 +269,7 @@ class KDTree:
         out_blocks: list[np.ndarray] = []
         split_dim = self._split_dim
         split_val = self._split_val
-        pts = self._pts_perm
+        centre, R, pmax = self._operand()
         if collect_indices:
             # Emitted ids in permuted order, 32-bit where they fit: the
             # pending chunks are what a block's memory is made of.
@@ -259,18 +282,19 @@ class KDTree:
             Qb = Q[base:base + bs]
             QbT = np.ascontiguousarray(Qb.T)  # plane tests read one axis
             bcounts = counts[base:base + bs]
-            # Query operand [q - c, |q - c|², 1]; the ones column is
-            # written once per block, the rest per tile.
-            lhs = np.empty((bs, d + 2))
-            lhs[:, d + 1] = 1.0
+            # Query side L = [-2(q - c), |q - c|², 1] and one band
+            # half-width for every pair of the block.
+            a = Qb - centre
+            L = np.column_stack((-2.0 * a, np.einsum("ij,ij->i", a, a), np.ones(bs)))
+            tol = band * (float(L[:, d].max()) + pmax + eps2)
             # Per-query "still collecting" flag for max_neighbors pruning.
             alive = np.ones(bs, dtype=bool)
             # Per-tile hits: ids per hit, (query, count) per active row.
             q_segs: list[np.ndarray] = []
             n_segs: list[np.ndarray] = []
             i_chunks: list[np.ndarray] = []
-            row_ids = np.arange(bs)
-            stack = [(0, 0, self.n, row_ids)]
+            row_ids = np.arange(bs + 1)
+            stack = [(0, 0, self.n, row_ids[:bs])]
             while stack:
                 node, s, e, active = stack.pop()
                 if max_neighbors is not None:
@@ -290,47 +314,32 @@ class KDTree:
                     if go_left.size:
                         stack.append((self._left[node], s, mid, go_left))
                     continue
-                # Tile: one matrix product for all active queries.  Both
-                # sides are centred on a block point, so the product form
-                # cancels at the scale of the block, not of the
-                # coordinates: d2 = [a, |a|², 1] @ [-2b; 1; |b|²].
+                # Tile: one gather and one product for all active queries,
+                # d2 = |a|² - 2a·b + |b|²; hits are row-major flat positions.
                 tiles += 1
                 tile_rows += active.size
-                block = pts[s:e]
-                Qa = Qb[active]
-                a = lhs[:active.size]
-                centred = a[:, :d]
-                np.subtract(Qa, block[0], out=centred)
-                np.einsum("ij,ij->i", centred, centred, out=a[:, d])
-                b = block - block[0]
-                rhs = np.empty((d + 2, e - s))
-                np.multiply(b.T, -2.0, out=rhs[:d])
-                rhs[d] = 1.0
-                np.einsum("ij,ij->i", b, b, out=rhs[d + 1])
-                d2 = a @ rhs
-                tol = band * (
-                    float(a[:, d].max()) + float(rhs[d + 1].max()) + eps2
-                )
-                hit = d2 <= eps2 + tol
-                nhits = np.count_nonzero(hit)
-                if not nhits:
+                d2 = L[active] @ R[:, s:e]
+                flat = np.flatnonzero(d2 <= eps2 + tol)
+                if not flat.size:
                     continue
-                if np.count_nonzero(d2 <= eps2 - tol) != nhits:
-                    # Candidates inside the band: the exact arithmetic
-                    # decides each of them.
-                    r, c = np.nonzero(hit & (d2 > eps2 - tol))
-                    miss = ~_exact_hits(block[c], Qa[r], eps2)
-                    hit[r[miss], c[miss]] = False
-                cnt = hit.sum(axis=1)
+                near = d2.ravel()[flat] > eps2 - tol
+                if near.any():
+                    # Band candidates: the exact arithmetic decides each.
+                    r, c = np.divmod(flat[near], e - s)
+                    rechecks += r.size
+                    near[near] = ~_exact_hits(
+                        self._pts_perm[s + c], Qb[active[r]], eps2)
+                    flat = flat[~near]
+                ends = np.searchsorted(flat, row_ids[:active.size + 1] * (e - s))
+                cnt = ends[1:] - ends[:-1]
                 bcounts[active] += cnt
                 if collect_indices:
                     # One segment per active row; a hit's column is its
                     # flat position minus its row's start.
-                    cols = hit.ravel().nonzero()[0]
-                    cols -= np.repeat(row_ids[:active.size] * (e - s), cnt)
+                    flat -= np.repeat(row_ids[:active.size] * (e - s), cnt)
                     q_segs.append(active)
                     n_segs.append(cnt)
-                    i_chunks.append(ids[s:e][cols])
+                    i_chunks.append(ids[s:e][flat])
                 if max_neighbors is not None:
                     full = bcounts[active] >= max_neighbors
                     alive[active[full]] = False
@@ -361,7 +370,7 @@ class KDTree:
                 out[pos] = hits
                 out_blocks.append(out)
         if stats is not None:
-            stats.update(tiles=tiles, rows=tile_rows)
+            stats.update(tiles=tiles, rows=tile_rows, rechecks=rechecks)
         if not collect_indices:
             return counts, None
         if not out_blocks:
@@ -401,7 +410,8 @@ class KDTree:
         of it.  ``query_block`` fixes the rows answered per traversal
         (memory, not results); by default blocks are sized to hold
         `QUERY_BLOCK_HITS` pending hits.  A ``stats`` dict receives
-        ``tiles`` (products run) and ``rows`` (active rows summed over them).
+        ``tiles`` (products run), ``rows`` (active rows summed over them)
+        and ``rechecks`` (band pairs `_exact_hits` decided).
         """
         Q = self._check_batch_args(Q, eps, query_block)
         if ids is not None:

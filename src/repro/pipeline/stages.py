@@ -278,7 +278,8 @@ class LocalExpand(Stage):
             boundary: set[int] | None = set() if track_boundary else None
             stats: dict[str, int] = {}
             # `mode` stays for the trace schema and selects nothing; the
-            # nested task.kdtree_query span carries the kernel's tiles/rows.
+            # nested task.kdtree_query span carries the kernel's tiles,
+            # rows and rechecks.
             with task_span(
                 "task.expand", partition=pid, mode=neighbor_mode,
             ) as esp:

@@ -180,6 +180,8 @@ class TestDbscanLabelsUnaffected:
         queries = [s for s in tracer.spans if s.name == "task.kdtree_query"]
         assert len(queries) == 4
         for s in queries:
-            # The tile count the kernel ran, and the rows they covered.
+            # The tile count the kernel ran, the rows they covered and
+            # the band pairs the exact arithmetic decided (none here).
             assert s.labels["tiles"] >= 1
             assert s.labels["rows"] >= s.labels["n"] > 0
+            assert s.labels["rechecks"] == 0

@@ -5,7 +5,12 @@ indices, same (storage) order, wherever the tile rule stops the descent
 is the reference they are checked against.
 """
 
+import gc
+import pickle
+import sys
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.data import generate_clustered
+from repro.engine.sanitize import deep_hash
 from repro.kdtree import BruteForceIndex, KDTree
 from repro.kdtree import kdtree as kdtree_module
 
@@ -204,8 +210,7 @@ class TestBandRecheck:
     @pytest.mark.parametrize("d,side,eps", [
         (1, 40, 3.0), (2, 9, 1.0), (2, 9, 5.0), (3, 5, 2.0), (3, 5, 3.0),
     ])
-    def test_integer_lattice_pairs_at_exactly_eps(self, d, side, eps, offset,
-                                                  monkeypatch):
+    def test_integer_lattice_pairs_at_exactly_eps(self, d, side, eps, offset):
         # Integer coordinates (offset + k is exact up to 2**53): every
         # squared distance is an exact integer and many equal eps²
         # (3-4-5, 1-2-2 triples) — boundary-inclusive, like query_radius.
@@ -217,9 +222,9 @@ class TestBandRecheck:
         ).sum(axis=2) == eps * eps
         assert on_boundary.any()
         # ... and it is the exact arithmetic that decides those pairs.
-        checked = _count_rechecks(monkeypatch)
-        KDTree(pts, leaf_size=4).query_radius_batch(pts, eps)
-        assert checked[0] >= on_boundary.sum()
+        stats = {}
+        KDTree(pts, leaf_size=4).query_radius_batch(pts, eps, stats=stats)
+        assert stats["rechecks"] >= on_boundary.sum() > 0
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_pairs_one_ulp_either_side_of_eps_squared(self, d):
@@ -252,10 +257,10 @@ class TestBandRecheck:
         tree = KDTree(pts)
         want = tree.query_radius_batch(pts, 25.0)
         want_capped = tree.query_radius_batch(pts, 25.0, max_neighbors=9)
-        checked = _count_rechecks(monkeypatch)
         monkeypatch.setattr(kdtree_module, "BAND_ULPS", float("inf"))
-        got = tree.query_radius_batch(pts, 25.0)
-        assert checked[0] >= want[1].size
+        stats = {}
+        got = tree.query_radius_batch(pts, 25.0, stats=stats)
+        assert stats["rechecks"] >= want[1].size
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
         for a, b in zip(want_capped,
@@ -264,33 +269,33 @@ class TestBandRecheck:
         assert np.array_equal(tree.count_radius_batch(pts, 25.0),
                               np.diff(want[0]))
 
-    def test_filter_is_the_fast_path_on_clustered_input(self, monkeypatch):
+    def test_filter_is_the_fast_path_on_clustered_input(self):
         # At the real band width no pair of a 5 000 x 10 clustered input
         # needs the exact arithmetic: the matrix product decides them all.
         pts = generate_clustered(n=5000, d=10, seed=1).points
-        tree = KDTree(pts)
-        checked = _count_rechecks(monkeypatch)
-        indptr, _ = tree.query_radius_batch(pts, 25.0)
+        stats = {}
+        indptr, _ = KDTree(pts).query_radius_batch(pts, 25.0, stats=stats)
         assert indptr[-1] > 5000
-        assert checked[0] == 0
+        assert stats["rechecks"] == 0
+
+    def test_high_dynamic_range_is_decided_by_the_recheck(self):
+        # Tight clusters spread over a 10⁶ box at an offset of 10⁸: the
+        # band scales with (tree diameter / eps)², so nearly every
+        # candidate pair is re-checked, and rows stay exact.
+        rng = np.random.default_rng(4)
+        centres = rng.uniform(0.0, 1e6, (40, 3))
+        pts = centres[rng.integers(0, 40, 400)] + rng.normal(0, 1e-3, (400, 3))
+        pts += 1e8
+        _assert_rows_exact(pts, 1e-2)
+        stats = {}
+        indptr, _ = KDTree(pts, leaf_size=4).query_radius_batch(
+            pts, 1e-2, stats=stats)
+        assert stats["rechecks"] >= indptr[-1] > len(pts)  # 4 524 = every hit
 
     def test_overflow_in_the_product_is_an_error_not_a_wrong_row(self):
         pts = np.array([[0.0, 0.0], [1e200, 0.0], [1e200, 1.0]])
         with pytest.raises(FloatingPointError):
             KDTree(pts, leaf_size=8).query_radius_batch(pts, 2.0)
-
-
-def _count_rechecks(monkeypatch):
-    """Route the kernel's exact re-check through a pair counter."""
-    exact = kdtree_module._exact_hits
-    checked = [0]
-
-    def counting(block, q, eps2):
-        checked[0] += len(block)
-        return exact(block, q, eps2)
-
-    monkeypatch.setattr(kdtree_module, "_exact_hits", counting)
-    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +417,67 @@ def test_id_table_wider_than_32_bits_and_misshapen():
         tree.query_radius_batch(pts, 0.3, ids=np.arange(29))
 
 
+class TestTreeOperand:
+    """The product's tree side is derived per process on a tree's first
+    batched query and held off the instance: a broadcast tree's pickle and
+    sanitizer hash must not see it, and a tree loaded from either side of
+    that first query answers the same."""
+
+    @pytest.fixture(scope="class")
+    def cloud(self):
+        return generate_clustered(n=600, d=4, seed=3).points
+
+    def test_query_leaves_pickle_and_hash_unchanged(self, cloud):
+        tree = KDTree(cloud)
+        blob, digest = pickle.dumps(tree), deep_hash(tree)
+        tree.query_radius_batch(cloud, 25.0)
+        assert tree in kdtree_module._OPERANDS
+        assert pickle.dumps(tree) == blob
+        assert deep_hash(tree) == digest
+        # The map holds the tree weakly: the operand goes with it.
+        ref = weakref.ref(tree)
+        del tree
+        gc.collect()
+        assert ref() is None
+
+    def test_trees_pickled_before_and_after_a_query_answer_alike(self, cloud):
+        tree = KDTree(cloud)
+        before = pickle.dumps(tree)
+        want = tree.query_radius_batch(cloud, 25.0)
+        for blob in (before, pickle.dumps(tree)):
+            clone = pickle.loads(blob)
+            assert clone not in kdtree_module._OPERANDS
+            for a, b in zip(want, clone.query_radius_batch(cloud, 25.0)):
+                assert np.array_equal(a, b)
+
+    def test_threads_racing_on_a_fresh_tree_answer_alike(self, cloud):
+        # No lock: a race derives the operand twice, and every answer
+        # must still be the serial one.
+        want = KDTree(cloud).query_radius_batch(cloud, 25.0, query_block=64)
+        tree = KDTree(cloud)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(tree.query_radius_batch, cloud, 25.0,
+                                       query_block=64) for _ in range(8)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            for a, b in zip(want, got):
+                assert np.array_equal(a, b)
+
+
 class TestKernelMemory:
     """Block transients must not add a third copy of the CSR: peak traced
     memory stays within two outputs (the blocks plus their final
-    concatenate) and a fixed per-block budget — for the plain query and,
-    under the same bound, for `local_dbscan` with a boundary set, whose
-    frame mapping and boundary reduction used to cost two more O(nnz)
-    int64 temporaries (3.1x the CSR)."""
+    concatenate), a fixed per-block budget and the tree's product operand,
+    ``(d + 2) · 8 · n`` bytes, which a fresh tree derives inside the traced
+    window — for the plain query and, under the same bound, for
+    `local_dbscan` with a boundary set, whose frame mapping and boundary
+    reduction used to cost two more O(nnz) int64 temporaries (3.1x the
+    CSR)."""
 
     #: A block's transients: 12 bytes per pending hit (int32 chunk, its
     #: concatenated copy or the scattered output, an int32 position)
@@ -428,10 +487,10 @@ class TestKernelMemory:
     @pytest.fixture(scope="class")
     def dense(self):
         pts = generate_clustered(n=7000, d=10, seed=2).points
-        tree = KDTree(pts)
-        nnz = int(tree.count_radius_batch(pts, 25.0).sum())
+        nnz = int(KDTree(pts).count_radius_batch(pts, 25.0).sum())
         assert nnz * 8 >= 8 * 2 ** 20  # the CSR is at least 8 MiB
-        return pts, tree, nnz * 8
+        n, d = pts.shape
+        return pts, 2 * nnz * 8 + self.BUDGET + (d + 2) * 8 * n
 
     @staticmethod
     def _peak(fn):
@@ -443,18 +502,19 @@ class TestKernelMemory:
             tracemalloc.stop()
 
     def test_query_radius_batch(self, dense):
-        pts, tree, out_bytes = dense
-        peak = self._peak(lambda: tree.query_radius_batch(pts, 25.0))
-        assert peak <= 2 * out_bytes + self.BUDGET
+        pts, bound = dense
+        tree = KDTree(pts)
+        assert self._peak(lambda: tree.query_radius_batch(pts, 25.0)) <= bound
 
     def test_local_dbscan_with_boundary_out(self, dense):
         from repro.dbscan import local_dbscan
         from repro.engine.partitioner import IndexRangePartitioner
 
-        pts, tree, out_bytes = dense
+        pts, bound = dense
+        tree = KDTree(pts)
         part = IndexRangePartitioner(len(pts), 1)
         peak = self._peak(lambda: local_dbscan(
             0, range(len(pts)), pts, tree, 25.0, 5, part,
             neighbor_mode="batched", boundary_out=set(),
         ))
-        assert peak <= 2 * out_bytes + self.BUDGET
+        assert peak <= bound
