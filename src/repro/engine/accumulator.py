@@ -66,17 +66,16 @@ class Accumulator(Generic[T]):
 
     @property
     def value(self) -> T:
-        """The current value (driver-only; guarded under ``--sanitize``).
+        """The current value (driver-only).
 
-        On the processes backend an executor read already fails (the
-        registry never ships).  On shared-memory backends it would
-        silently observe half-merged driver state — the sanitizer turns
-        that into a deterministic `AccumulatorReadError`.
+        A read inside a task raises `AccumulatorReadError` on every
+        backend: on shared-memory backends it would otherwise observe
+        half-merged driver state, on processes a registry-less copy.
         """
         from . import task_context
 
         ctx = task_context.get()
-        if ctx is not None and ctx.sanitize:
+        if ctx is not None:
             from .sanitize import AccumulatorReadError
 
             raise AccumulatorReadError(

@@ -83,7 +83,8 @@ class Broadcast(Generic[T]):
             return cached
         if self._path is None:
             raise RuntimeError(
-                f"broadcast {self.bid} not in cache and has no backing file"
+                f"broadcast {self.bid} was unpersisted: not in cache and "
+                "no backing file"
             )
         with open(self._path, "rb") as f:
             value = pickle.load(f)
@@ -138,6 +139,7 @@ class Broadcast(Generic[T]):
             _local_cache.pop(self.bid, None)
         if self._path is not None and os.path.exists(self._path):
             os.unlink(self._path)
+        self._path = None
         if self._manager is not None:
             self._manager.forget(self)
 

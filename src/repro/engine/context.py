@@ -24,7 +24,8 @@ from .accumulator import (
 from .backends import make_backend, parse_master
 from .broadcast import Broadcast, BroadcastManager
 from .dag_scheduler import DAGScheduler
-from .errors import ContextStoppedError
+from . import task_context
+from .errors import NESTED_ACTION, ContextStoppedError, EngineError
 from ..obs.spans import NULL_TRACER, Tracer
 from .fault import FaultPlan
 from .metrics import JobMetrics
@@ -139,6 +140,8 @@ class SparkContext:
     def run_job(self, rdd: RDD[T], func: Callable[[int, Iterator[T]], Any]) -> list[Any]:
         """Execute an action over the RDD; returns per-partition results."""
         self._check_running()
+        if task_context.get() is not None:
+            raise EngineError(NESTED_ACTION)
         return self.dag_scheduler.run_job(rdd, func, fault_plan=self.fault_plan)
 
     @property

@@ -62,3 +62,11 @@ class InjectedFault(EngineError):
 
 class ContextStoppedError(EngineError):
     """An operation was attempted on a stopped SparkContext."""
+
+
+#: Why an RDD action inside a task is refused (an `EngineError`): the
+#: lineage handle is driver state, so a job cannot nest in a task.
+NESTED_ACTION = (
+    "RDD action inside a task: a job cannot nest in a task; collect on "
+    "the driver and ship the data into the closure instead"
+)

@@ -21,6 +21,8 @@ import threading
 from collections.abc import Sequence
 from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar
 
+from . import task_context
+from .errors import NESTED_ACTION, EngineError
 from .partitioner import HashPartitioner, IndexRangePartitioner, Partitioner
 from .storage import BlockManager
 
@@ -183,9 +185,13 @@ class RDD(Generic[T]):
 
     # -- actions (eager) ------------------------------------------------------
     def _run(self, func: Callable[[int, Iterator[T]], U]) -> list[U]:
-        if self.ctx is None:
-            raise RuntimeError("actions can only be invoked on the driver")
-        return self.ctx.run_job(self, func)
+        if self.ctx is not None:
+            return self.ctx.run_job(self, func)
+        # A pickled copy has no context: inside a task (the processes
+        # backend ships them) the action would nest a job.
+        if task_context.get() is not None:
+            raise EngineError(NESTED_ACTION)
+        raise RuntimeError("actions can only be invoked on the driver")
 
     def collect(self) -> list[T]:
         """Materialize every element on the driver, in partition order."""

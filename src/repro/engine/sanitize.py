@@ -1,7 +1,9 @@
 """Runtime sanitizers: machine-check the engine's shared-variable rules.
 
 Enabled with ``SparkContext(..., sanitize=True)`` (CLI ``--sanitize``).
-Three checkers, mirroring the static rules in `repro.lint`:
+Two checkers, each the only guard for its hazard — `repro lint` keeps
+to the rules that prove the shuffle-free pipeline and its driver bound
+(DESIGN.md §8.5):
 
 - **Broadcast write-barrier** — every broadcast value is deep-hashed at
   broadcast time; every task that touches it re-hashes at task end and
@@ -11,10 +13,6 @@ Three checkers, mirroring the static rules in `repro.lint`:
   hash-seed randomization; verification therefore also works on the
   processes backend, where the worker's cached value must be re-checked
   per task, not just when it is first materialized from disk.
-- **Accumulator read guard** — reading ``Accumulator.value`` inside a
-  task raises `AccumulatorReadError`: accumulators are write-only on
-  executors (the driver merges exactly-once), and a mid-flight read on
-  the threads backend silently observes half-merged driver state.
 - **Race / lock-order detector** (shared-memory backends) — an
   Eraser-style lockset algorithm over recorded shared-engine-state
   touches (broadcast cache, block manager, plus anything tasks declare
@@ -27,6 +25,10 @@ Three checkers, mirroring the static rules in `repro.lint`:
 Sanitizer violations are *fatal*: the task scheduler aborts the job on
 the first one instead of burning the retry budget — a mutated broadcast
 stays mutated, so retries cannot succeed and would only mask the bug.
+`AccumulatorReadError` is fatal the same way, but it needs no sanitizer:
+`Accumulator.value` raises it inside any task on every backend
+(accumulators are write-only on executors; the driver merges
+exactly-once).
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Whole-program static analysis (``repro lint``).
 
-Machine-checks the invariants the engine's correctness story rests on
-(DESIGN.md §8; §8.2 is the rule catalogue, `repro.lint.rules.RULE_TABLE`
-its executable form).  Scope and call-graph rules run over the
-interprocedural `Project`; the flow-sensitive ones — lifecycle
-typestate (`repro.lint.typestate`) and the driver size-class proof
-(`repro.lint.sizeclass`) — are domains of the one flow engine
-(`repro.lint.cfg` → `repro.lint.dataflow`).  A violation is a
+Proves the paper's central property — a shuffle-free pipeline whose
+driver merge never holds O(points) — from the source, plus one
+persist-leak rule kept for the leaks it caught (DESIGN.md §8; §8.2 is
+the eight-rule catalogue, `repro.lint.rules.RULE_TABLE` its executable
+form).  Task-code hazards are the engine's to refuse at run time
+(§8.5).  The shuffle-free proof (`repro.lint.lineage`) and the plan
+contracts (`repro.lint.plans`) run over the interprocedural `Project`;
+the persist-leak rule (`repro.lint.typestate`) and the driver
+size-class proof (`repro.lint.sizeclass`) are domains of the one flow
+engine (`repro.lint.cfg` → `repro.lint.dataflow`).  A violation is a
 `Finding`, any finding fails the run, and the only exemption is an
 inline ``# lint: allow[RULE]`` pragma on the offending line.
 

@@ -9,7 +9,7 @@ only exemption there is.
 
 Allowlist pragma — on the finding's line or the line directly above::
 
-    t0 = time.time()  # lint: allow[DET001] driver-side wall clock
+    grid = CellGrid(points, eps)  # lint: allow[SCL001] central binning
 
 For *module-level* statements the pragma may sit on any line of the
 statement (or directly above it), so multi-line module-level constructs
@@ -19,7 +19,7 @@ on their trailing line::
     EDGES = (sc.parallelize(pairs)
              .reduce_by_key(min))  # lint: allow[SHF001] offline tooling
 
-Multiple rules: ``# lint: allow[DET001,CAP001]``.  Whole-rule
+Multiple rules: ``# lint: allow[SCL001,SCL002]``.  Whole-rule
 suppression is deliberately not offered, and a pragma that suppresses
 nothing is itself an error (tests/lint/test_findings_golden.py).
 """

@@ -8,18 +8,19 @@ constructor-typed receivers, and package ``__init__`` re-exports — and
 exposes the two reachability queries the rules are built on:
 
 - **task reachability** (`task_reachable_by_module`): every function
-  transitively callable from a task closure, across module boundaries,
-  so CAP001/PCK001/DET001 fire through helper modules;
+  transitively callable from a task closure, across module boundaries —
+  executor code, which the SCL proof of the driver leaves out
+  (`repro.lint.sizeclass`);
 - **entry reachability** (`reachable_from`): every function transitively
   callable from a set of entry-point classes — the raw material of the
-  SHF001 lineage proof (`repro.lint.lineage`).
+  SHF001 lineage proof (`repro.lint.lineage`) and of the SCL scope.
 
 The engine package is the *substrate boundary*: modules with an
 ``engine`` path component implement the RDD machinery itself (including
 the shuffle subsystem the naive baseline uses), so reachability never
-crosses from application code into them.  Calls on engine-API-typed
-receivers (`RDD`, `SparkContext`, `Broadcast`, `Accumulator`) are
-*lineage operations* interpreted by the dataflow rules, not call edges.
+crosses from application code into them.  Calls on engine-typed
+receivers (`closures.ENGINE_TYPES`: `RDD`, `SparkContext`, ...) are
+*lineage operations* interpreted by the rules, not call edges.
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ from __future__ import annotations
 import ast
 import os
 
-from .closures import ModuleAnalysis, Scope, TaskFunction, _calls_in, dotted_name
+from .closures import (
+    ENGINE_TYPES,
+    ModuleAnalysis,
+    Scope,
+    TaskFunction,
+    _calls_in,
+    dotted_name,
+)
 from .dataflow import FlowContext
-
-# Receiver type tags that mark the application/engine API boundary:
-# method calls on these are lineage operations, never call edges.
-ENGINE_API_TAGS = frozenset({
-    "RDD", "SparkContext", "Broadcast", "Accumulator",
-    "BlockManager", "ShuffleManager",
-    "Lock", "File", "Thread", "Socket",
-})
 
 
 def module_name_for(path: str) -> str:
@@ -209,9 +209,9 @@ class Project:
                 if hit is not None and hit[2] is not None:
                     return (hit[0], hit[2])
         # constructor-typed receiver: runner = PipelineRunner(...);
-        # runner.run(...) — engine-API receivers are lineage ops, not edges.
+        # runner.run(...) — engine receivers are lineage ops, not edges.
         recv_type = analysis.expr_type(func.value, scope)
-        if recv_type is not None and recv_type not in ENGINE_API_TAGS:
+        if recv_type is not None and recv_type not in ENGINE_TYPES:
             owner = self.find_class(analysis, recv_type)
             if owner is not None:
                 mod, methods = owner
@@ -225,8 +225,8 @@ class Project:
         """Resolve names passed to RDD ops that weren't same-module defs.
 
         An imported helper handed to ``.map`` becomes a task function of
-        its defining module (`extra_task_functions`), so capture and
-        determinism rules see it exactly like a locally-defined one.
+        its defining module (`extra_task_functions`), so task
+        reachability sees it exactly like a locally-defined one.
         """
         for analysis in self.modules.values():
             aliases = self.abs_aliases.get(analysis.module_name, {})

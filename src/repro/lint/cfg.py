@@ -39,8 +39,9 @@ Construction rules (DESIGN.md §8.6):
   handler entry plus the unwound path to the raise exit.
 
 The graph is purely structural: it knows nothing about types or
-resources.  `repro.lint.dataflow` runs fixpoints over it and
-`repro.lint.typestate` supplies the lifecycle semantics.
+resources.  `repro.lint.dataflow` runs fixpoints over it, and
+`repro.lint.typestate` and `repro.lint.sizeclass` supply the
+semantics.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def may_raise(instr: Instr) -> bool:
 
     Synthetic markers never raise on their own (`WithExit` runs
     ``__exit__``, but a raising ``__exit__`` is out of scope for the
-    lifecycle rules — treating it as non-raising only loses exception
-    paths *after* the release, which is the safe direction).
+    flow rules — treating it as non-raising only loses exception paths
+    *after* the release, which is the safe direction).
     """
     if isinstance(instr, (ForBind, WithEnter, WithExit, ExceptBind)):
         return False

@@ -1,20 +1,17 @@
-"""AST scope & closure analysis underpinning the task-closure linter.
+"""Per-module scope analysis underpinning the whole-program analyzer.
 
-The engine's correctness story (retry/speculation safety, cloudpickle
-shipping to the processes backend) hinges on what functions handed to
-RDD operations *capture* and *call*.  This module computes, for one
-source file:
+The SCL size-class proof looks only at driver code, so the analyzer
+must know which functions run in tasks, and the call graph behind
+SHF001 and SCL needs each module's scopes, types and imports.  This
+module computes, for one source file:
 
-- a scope tree (module / def / lambda) with per-scope local names and a
-  heuristic type environment (``sc = SparkContext(...)`` binds ``sc``
-  to ``SparkContext``; ``b = sc.broadcast(x)`` binds ``b`` to
+- a scope tree (module / def / lambda) with a heuristic type
+  environment (``sc = SparkContext(...)`` binds ``sc`` to
+  ``SparkContext``; ``b = sc.broadcast(x)`` binds ``b`` to
   ``Broadcast``; chains like ``sc.parallelize(...).map(f)`` stay RDD);
 - the set of *task functions*: lambdas and local defs passed to RDD
   operations (``.map``/``.foreach_partition_with_index``/…) or to
   ``run_job``;
-- free-variable (capture) analysis: names a function reads that are
-  bound in an enclosing function or module scope, with their inferred
-  types;
 - the raw material the whole-program layer (`repro.lint.callgraph`)
   builds on: a function table keyed by qualname, a class/method table,
   import bindings that keep their relative-import level, and the task
@@ -24,7 +21,7 @@ source file:
 Everything here is a heuristic over a single file — cross-module
 resolution lives in `repro.lint.callgraph.Project` — and the
 heuristics are tuned to this repo's idioms and err toward silence on
-unknown types (rules only fire on *positively identified* hazards).
+unknown types (rules only fire on *positively identified* facts).
 """
 
 from __future__ import annotations
@@ -55,31 +52,16 @@ RDD_CHAIN_METHODS = RDD_OP_METHODS | {
     "reduce_by_key",
 }
 
-# RDD methods that launch a job (actions): fatal inside task code
-# (ACT001), and the uses of a live RDD (LIF003).
-RDD_ACTIONS = frozenset({
-    "collect", "count", "foreach", "foreach_partition_with_index",
-})
-
 # Context methods creating RDDs.
 RDD_FACTORY_METHODS = {"parallelize", "text_file"}
 
-# Constructor / call → inferred type tag.
-_CTOR_TYPES = {
-    "SparkContext": "SparkContext",
-    "BlockManager": "BlockManager",
-    "ShuffleManager": "ShuffleManager",
-    "Lock": "Lock",
-    "RLock": "Lock",
-    "Condition": "Lock",
-    "Semaphore": "Lock",
-    "BoundedSemaphore": "Lock",
-    "Event": "Lock",
-    "Barrier": "Lock",
-    "Thread": "Thread",
-    "open": "File",
-    "socket": "Socket",
-}
+# The engine classes the type heuristic names: a constructor call or an
+# annotation ending in one of these is typed as that class, and method
+# calls on such a receiver are lineage operations, not call-graph edges.
+ENGINE_TYPES = frozenset({
+    "SparkContext", "RDD", "Broadcast", "Accumulator",
+    "BlockManager", "ShuffleManager",
+})
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
@@ -91,8 +73,6 @@ class Scope:
     node: ast.AST
     name: str                       # dotted-ish display name
     parent: "Scope | None"
-    locals: set[str] = field(default_factory=set)
-    globals_decl: set[str] = field(default_factory=set)
     types: dict[str, str] = field(default_factory=dict)   # name -> type tag
     children: list["Scope"] = field(default_factory=list)
     class_name: str = ""            # enclosing class, for self-call resolution
@@ -107,15 +87,6 @@ class Scope:
         while scope is not None:
             if name in scope.types:
                 return scope.types[name]
-            scope = scope.parent
-        return None
-
-    def binding_scope(self, name: str) -> "Scope | None":
-        """Nearest enclosing scope (including self) declaring ``name``."""
-        scope: Scope | None = self
-        while scope is not None:
-            if name in scope.locals:
-                return scope
             scope = scope.parent
         return None
 
@@ -187,9 +158,8 @@ class ModuleAnalysis:
 
     def _dispatch(self, node: ast.AST, scope: Scope, class_name: str) -> None:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            self._record_import(node, scope)
+            self._record_import(node)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope.locals.add(node.name)
             display = node.name if scope.is_module else f"{scope.name}.{node.name}"
             if class_name:
                 display = f"{class_name}.{node.name}"
@@ -207,7 +177,6 @@ class ModuleAnalysis:
         elif isinstance(node, ast.Lambda):
             self._build_lambda(node, scope)
         elif isinstance(node, ast.ClassDef):
-            scope.locals.add(node.name)
             self.classes.setdefault(node.name, {})
             self._build(node, scope, class_name=node.name)
         else:
@@ -231,17 +200,15 @@ class ModuleAnalysis:
             + ([args.vararg] if args.vararg else [])
             + ([args.kwarg] if args.kwarg else [])
         ):
-            scope.locals.add(a.arg)
             if a.annotation is not None:
                 tag = self._annotation_type(a.annotation)
                 if tag:
                     scope.types[a.arg] = tag
 
-    def _record_import(self, node: ast.AST, scope: Scope) -> None:
+    def _record_import(self, node: ast.AST) -> None:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
-                scope.locals.add(local)
                 origin = alias.name if alias.asname else alias.name.split(".")[0]
                 self.import_aliases[local] = origin
                 self.import_bindings[local] = (
@@ -253,7 +220,6 @@ class ModuleAnalysis:
             module = node.module or ""
             for alias in node.names:
                 local = alias.asname or alias.name
-                scope.locals.add(local)
                 self.import_aliases[local] = (
                     f"{module}.{alias.name}" if module else alias.name
                 )
@@ -267,48 +233,35 @@ class ModuleAnalysis:
         self._collect_bindings(scope.node, scope)
 
     def _collect_bindings(self, func: ast.AST, scope: Scope) -> None:
-        """Locals + heuristic types for one function scope (non-nested part)."""
+        """Imports + heuristic types for one function scope (non-nested
+        part)."""
 
         class Collector(ast.NodeVisitor):
             def __init__(self, analysis: "ModuleAnalysis"):
                 self.analysis = analysis
 
             # Do not descend into nested scopes — they bind their own.
-            def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+            def visit_FunctionDef(self, node: ast.AST) -> None:
                 pass
 
-            visit_AsyncFunctionDef = visit_FunctionDef
-
-            def visit_Lambda(self, node: ast.Lambda) -> None:
-                pass
-
-            def visit_ClassDef(self, node: ast.ClassDef) -> None:
-                scope.locals.add(node.name)
-
-            def visit_Global(self, node: ast.Global) -> None:
-                scope.globals_decl.update(node.names)
-
-            def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
-                scope.globals_decl.update(node.names)
+            visit_AsyncFunctionDef = visit_Lambda = visit_ClassDef = visit_FunctionDef
 
             def visit_Import(self, node: ast.Import) -> None:
-                self.analysis._record_import(node, scope)
+                self.analysis._record_import(node)
 
             def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-                self.analysis._record_import(node, scope)
+                self.analysis._record_import(node)
 
             def visit_Assign(self, node: ast.Assign) -> None:
                 tag = self.analysis.expr_type(node.value, scope)
-                for target in node.targets:
-                    for name in _target_names(target):
-                        scope.locals.add(name)
-                        if tag:
+                if tag:
+                    for target in node.targets:
+                        for name in _target_names(target):
                             scope.types[name] = tag
                 self.generic_visit(node)
 
             def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
                 if isinstance(node.target, ast.Name):
-                    scope.locals.add(node.target.id)
                     tag = self.analysis._annotation_type(node.annotation)
                     if not tag and node.value is not None:
                         tag = self.analysis.expr_type(node.value, scope)
@@ -316,47 +269,16 @@ class ModuleAnalysis:
                         scope.types[node.target.id] = tag
                 self.generic_visit(node)
 
-            def visit_AugAssign(self, node: ast.AugAssign) -> None:
-                for name in _target_names(node.target):
-                    scope.locals.add(name)
-                self.generic_visit(node)
-
-            def visit_For(self, node: ast.For) -> None:
-                for name in _target_names(node.target):
-                    scope.locals.add(name)
-                self.generic_visit(node)
-
-            visit_AsyncFor = visit_For
-
             def visit_With(self, node: ast.With) -> None:
                 for item in node.items:
                     if item.optional_vars is not None:
                         tag = self.analysis.expr_type(item.context_expr, scope)
-                        for name in _target_names(item.optional_vars):
-                            scope.locals.add(name)
-                            if tag:
+                        if tag:
+                            for name in _target_names(item.optional_vars):
                                 scope.types[name] = tag
                 self.generic_visit(node)
 
             visit_AsyncWith = visit_With
-
-            def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-                if node.name:
-                    scope.locals.add(node.name)
-                self.generic_visit(node)
-
-            def visit_comprehension(self, node: ast.comprehension) -> None:
-                # Comprehension targets live in a nested scope in py3;
-                # registering them as locals here only prevents false
-                # capture reports, never causes one.
-                for name in _target_names(node.target):
-                    scope.locals.add(name)
-                self.generic_visit(node)
-
-            def visit_NamedExpr(self, node: ast.NamedExpr) -> None:
-                if isinstance(node.target, ast.Name):
-                    scope.locals.add(node.target.id)
-                self.generic_visit(node)
 
         collector = Collector(self)
         body = [func.body] if isinstance(func, ast.Lambda) else getattr(func, "body", [])
@@ -366,11 +288,7 @@ class ModuleAnalysis:
     # -- type inference ------------------------------------------------------
     def _annotation_type(self, annotation: ast.AST) -> str | None:
         name = _tail_name(annotation)
-        if name in _CTOR_TYPES:
-            return _CTOR_TYPES[name]
-        if name in ("RDD", "Broadcast", "Accumulator"):
-            return name
-        return None
+        return name if name in ENGINE_TYPES else None
 
     def expr_type(self, expr: ast.AST, scope: Scope) -> str | None:
         """Heuristic type tag of an expression, or None when unknown."""
@@ -389,8 +307,8 @@ class ModuleAnalysis:
         if isinstance(func, ast.Name):
             resolved = self.import_aliases.get(func.id, func.id)
             tail = resolved.split(".")[-1]
-            if tail in _CTOR_TYPES:
-                return _CTOR_TYPES[tail]
+            if tail in ENGINE_TYPES:
+                return tail
             # Call-return typing: ``make_rdd(sc).map(f)`` — the chain
             # starts at whatever the same-module function returns.
             target = self._resolve_function(func.id, scope)
@@ -404,15 +322,6 @@ class ModuleAnalysis:
             return None
         if isinstance(func, ast.Attribute):
             attr = func.attr
-            root = (dotted_name(func.value) or "").partition(".")[0]
-            if attr in _CTOR_TYPES and self.import_aliases.get(root, root) in (
-                "threading",
-                "socket",
-                "builtins",
-                "io",
-                "multiprocessing",
-            ):
-                return _CTOR_TYPES[attr]
             recv_type = self.expr_type(func.value, scope)
             if attr == "broadcast" and recv_type in ("SparkContext", None):
                 # sc.broadcast(...) — only trust a known context receiver
@@ -562,30 +471,6 @@ class ModuleAnalysis:
             s = s.parent
         return None
 
-    # -- capture analysis ----------------------------------------------------
-    def captures(self, func_node: ast.AST) -> list[tuple[str, ast.Name, Scope]]:
-        """Free variables of a function: (name, first-load node, binding scope).
-
-        Only names bound in an *enclosing* scope are returned; builtins
-        and genuinely-global unknowns are skipped.
-        """
-        scope = self._scope_of_node[func_node]
-        own = scope.locals | scope.globals_decl
-        nested_locals = _all_nested_locals(scope)
-        seen: dict[str, ast.Name] = {}
-        for name_node in _loads_in(func_node):
-            nid = name_node.id
-            if nid in own or nid in nested_locals or nid in _BUILTIN_NAMES:
-                continue
-            if nid not in seen:
-                seen[nid] = name_node
-        out: list[tuple[str, ast.Name, Scope]] = []
-        for nid, node in seen.items():
-            binder = scope.parent.binding_scope(nid) if scope.parent else None
-            if binder is not None:
-                out.append((nid, node, binder))
-        return out
-
     def resolve_dotted(self, expr: ast.AST) -> str | None:
         """Dotted call-target path with import aliases expanded.
 
@@ -681,16 +566,4 @@ def _loads_in(func_node: ast.AST) -> list[ast.Name]:
         for sub in ast.walk(n):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 out.append(sub)
-    return out
-
-
-def _all_nested_locals(scope: Scope) -> set[str]:
-    """Locals of nested scopes — names a nested def binds are not captures
-    of the outer function *through* this function."""
-    out: set[str] = set()
-    stack = list(scope.children)
-    while stack:
-        s = stack.pop()
-        out |= s.locals
-        stack.extend(s.children)
     return out

@@ -1,4 +1,4 @@
-"""Lint findings: the unit of output of the task-closure analyzer.
+"""Lint findings: the unit of output of the static analyzer.
 
 A `Finding` pins one rule violation to a file/line/symbol; every rule
 module builds its findings through a `Reporter`.  The ``fingerprint``
@@ -21,13 +21,13 @@ from typing import Iterable
 class Finding:
     """One rule violation at a concrete source location."""
 
-    rule: str          # rule id, e.g. "CAP001"
+    rule: str          # rule id, e.g. "SHF001"
     path: str          # posix-style path as scanned
     line: int
     col: int
     message: str       # human-readable, line-number free (fingerprint-stable)
     symbol: str = ""   # enclosing function/scope, "" for module level
-    # Secondary sites (acquire/stop/close/persist) as (path, line, message)
+    # Secondary sites (a persist, a taint source) as (path, line, message)
     # triples; rendered as SARIF relatedLocations.  Deliberately excluded
     # from the fingerprint: line numbers drift with unrelated edits.
     related: tuple = ()

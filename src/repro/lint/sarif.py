@@ -12,8 +12,8 @@ can annotate PR diffs:
 - the linter's own line-free fingerprint rides along as a
   ``partialFingerprints`` entry, so a consumer can track a finding
   across edits above it;
-- flow findings (LIF*/RES*) carry ``relatedLocations`` pointing back at
-  the acquire/stop/close/persist site the message refers to.
+- flow findings (RES001, SCL*) carry ``relatedLocations`` pointing back
+  at the persist site or taint source the message refers to.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def to_sarif(report: LintReport, catalogue: dict[str, str] | None = None) -> dic
 
         catalogue = rule_catalogue()
     # The whole catalogue, not just the fired rules: rule descriptors
-    # are the machine-readable half of the 17-rule parity contract.
+    # are the machine-readable half of the catalogue parity contract.
     ids = sorted(set(catalogue) | {f.rule for f in report.findings})
     rules = [
         {

@@ -1,34 +1,24 @@
-"""Flow-sensitive lifecycle rules over engine objects (LIF*/RES*).
+"""Flow-sensitive persist/cache leak rule (RES001).
 
-Tracks abstract lifecycle states of driver-side engine objects through
-each function's CFG on the flow engine (`repro.lint.dataflow`):
-
-- ``SparkContext``: *open* → *stopped* (``stop()`` or leaving a ``with``
-  block);
-- ``RDD``: *live* → *persisted* (``persist()``/``cache()``) →
-  *unpersisted*;
-- ``Broadcast``: *live* → *unpersisted* (``unpersist()``/``destroy()``);
-- ``TrackedLock`` and the ``threading`` lock family: *released* ⇄
-  *held* (``acquire()``/``release()`` or ``with``).
-
-A variable's abstract value is the *set* of (state, site) pairs over
-all paths reaching a program point; the join is set union.  The
-use-after rules fire only when the set is non-empty and every entry is
-dead — i.e. the object is stopped/closed/unpersisted on **all** paths
-(a release in just one branch joins to a mixed set and stays silent).
-The leak rules are may-analyses over the CFG's two exit blocks: RES001
-fires when a *persisted* entry survives to the normal exit without the
-RDD escaping the function, RES002 when a *held* lock or *open* locally
-created context reaches the raise exit (the ``with``-less pattern —
-``with`` blocks and ``try/finally`` releases are modelled by the CFG's
-cleanup duplication, so they never fire).
+Tracks every RDD variable through its function's CFG on the flow engine
+(`repro.lint.dataflow`): *live* → *persisted* (``persist()``/
+``cache()``) → *unpersisted* (``unpersist()``).  A variable's abstract
+value is the *set* of (state, site) facts over all paths reaching a
+program point; the join is set union.  RES001 is a may-analysis over
+the CFG's normal exit: it fires when a *persisted* fact survives there
+for an RDD that never escaped the function (returned, yielded, stored
+into an attribute, read by a nested def, or handed to a call no summary
+accounts for).  ``try/finally`` releases are modelled by the CFG's
+cleanup duplication, so they never fire.
 
 Interprocedural layer: a call into a same-project function applies the
 callee's `Summary` — which methods it surely/possibly applies to each
-parameter, and whether the parameter escapes — so ``shutdown(sc)``
-followed by ``sc.parallelize(...)`` is a use-after-stop, and a helper
-that unpersists its argument discharges RES001 at the call site.  Each
-finding carries the acquire/transition site as a related location.
+parameter, and whether the parameter escapes — so a helper that
+unpersists its argument discharges RES001 at the call site.  Each
+finding carries the persist site as a related location.
+
+Use after stop or unpersist is the engine's to refuse at run time
+(DESIGN.md §8.5), not this module's.
 """
 
 from __future__ import annotations
@@ -37,8 +27,8 @@ import ast
 import functools
 from dataclasses import dataclass, field
 
-from .cfg import ExceptBind, ForBind, WithEnter, WithExit
-from .closures import RDD_ACTIONS, _loads_in, _target_names, dotted_name
+from .cfg import ExceptBind, ForBind
+from .closures import _loads_in, _target_names, dotted_name
 from .dataflow import (
     FactAnalysis,
     FunctionPass,
@@ -48,104 +38,21 @@ from .dataflow import (
 )
 from .findings import Finding, Reporter
 
-# -- lifecycle tables ---------------------------------------------------------
+#: method -> state it moves an RDD to.  A release is assumed done when
+#: its instruction raises mid-flight; an acquire is not.
+RELEASE = {"unpersist": "unpersisted"}
+ACQUIRE = {"persist": "persisted", "cache": "persisted"}
+TRANSITIONS = {**RELEASE, **ACQUIRE}
 
-#: type tag (from closures' inference) -> resource kind
-KIND_OF_TAG = {
-    "SparkContext": "context",
-    "RDD": "rdd",
-    "Broadcast": "broadcast",
-    "Lock": "lock",
-}
-
-#: kind -> state a fresh constructor call starts in
-INIT_STATE = {
-    "context": "open",
-    "rdd": "live",
-    "broadcast": "live",
-    "lock": "released",
-}
-
-#: kind -> {method: state} transitions that *release* (safe to assume
-#: done when the instruction raises mid-flight)
-RELEASE = {
-    "context": {"stop": "stopped"},
-    "rdd": {"unpersist": "unpersisted"},
-    "broadcast": {"unpersist": "unpersisted", "destroy": "unpersisted"},
-    "lock": {"release": "released"},
-}
-
-#: kind -> {method: state} transitions that *acquire* (assumed NOT done
-#: when the instruction raises)
-ACQUIRE = {
-    "rdd": {"persist": "persisted", "cache": "persisted"},
-    "lock": {"acquire": "held"},
-}
-
-#: kind -> state applied when a ``with`` block over the object exits
-WITH_EXIT_STATE = {"context": "stopped", "lock": "released"}
-
-#: kind -> state applied when a ``with`` block over the object enters
-WITH_ENTER_STATE = {"lock": "held"}
-
-#: kind -> states in which the object is dead for its use-set
-DEAD_STATES = {
-    "context": {"stopped"},
-    "rdd": {"unpersisted"},
-    "broadcast": {"unpersisted"},
-}
-
-#: kind -> methods that *use* the live object (LIF rules fire on these)
-USES = {
-    "context": {
-        "parallelize", "text_file", "broadcast", "accumulator", "run_job",
-    },
-    "rdd": RDD_ACTIONS,
-    "broadcast": set(),     # uses are ``.value`` reads, handled separately
-}
-
-#: kind -> (LIF rule id, what a definitely-dead object is called, the
-#: past-tense transition verb of the related locations)
-USE_RULE = {
-    "context": ("LIF001", "a definitely-stopped SparkContext", "stopped"),
-    "rdd": ("LIF003", "an unpersisted RDD", "unpersisted"),
-    "broadcast": ("LIF003", "an unpersisted Broadcast", "unpersisted"),
-}
-
-
-# -- abstract state -----------------------------------------------------------
 
 @dataclass(eq=True)
 class TState:
-    """Lattice value: per-variable sets of (kind, state, transition
-    line) facts — keyed by `dotted_name` (``sc``, ``self.sc``) — plus
-    the escaped-name set."""
+    """Lattice value: per-variable sets of (state, transition line)
+    facts — keyed by `dotted_name` (``r``, ``self.r``) — plus the
+    escaped-name set."""
 
     vars: dict = field(default_factory=dict)       # key -> frozenset[fact]
     escaped: frozenset = frozenset()
-
-
-def _kind_in(entries) -> str | None:
-    """The one resource kind every fact agrees on, else None."""
-    kinds = {k for (k, _s, _line) in entries}
-    return kinds.pop() if len(kinds) == 1 else None
-
-
-def _definitely(entries: frozenset, kind: str) -> bool:
-    """True when every fact says the object is dead for ``kind``."""
-    dead = DEAD_STATES.get(kind, set())
-    return bool(entries) and all(
-        k == kind and s in dead for (k, s, _line) in entries
-    )
-
-
-def _sites(entries: frozenset, what: str) -> list[tuple[int, str]]:
-    return [(line, what) for line in sorted({line for (_k, _s, line) in entries})]
-
-
-def _with_target(item: ast.withitem) -> str | None:
-    target = item.optional_vars
-    return target.id if isinstance(target, ast.Name) else None
 
 
 # -- interprocedural summaries ------------------------------------------------
@@ -169,8 +76,8 @@ class Summary:
 # -- the lifecycle pass -------------------------------------------------------
 
 class Lifecycle(FunctionPass[TState]):
-    """Typestate over one function: the lattice, the transfer function,
-    the summary extraction, and the checks."""
+    """RDD persistence over one function: the lattice, the transfer
+    function, the summary extraction, and the leak check."""
 
     NO_EFFECT = Summary()
 
@@ -198,21 +105,6 @@ class Lifecycle(FunctionPass[TState]):
     def exc_state(self, state: TState, instr) -> TState:
         return self.apply(state, instr, exceptional=True)
 
-    # -- kind resolution ------------------------------------------------------
-    def _kind_of(self, state: TState, key: str, expr: ast.AST) -> str | None:
-        return _kind_in(state.vars.get(key, ())) or KIND_OF_TAG.get(
-            self.analysis.expr_type(expr, self.scope)
-        )
-
-    def _fresh_entries(self, value: ast.AST, line: int) -> frozenset | None:
-        """Entries for a binding from a constructor/factory call."""
-        if not isinstance(value, ast.Call):
-            return None
-        kind = KIND_OF_TAG.get(self.analysis.expr_type(value, self.scope))
-        if kind is None:
-            return None
-        return frozenset({(kind, INIT_STATE[kind], line)})
-
     # -- transfer -------------------------------------------------------------
     def apply(self, state: TState, instr, exceptional: bool) -> TState:
         out = TState(vars=dict(state.vars), escaped=state.escaped)
@@ -221,10 +113,6 @@ class Lifecycle(FunctionPass[TState]):
                 out.vars.pop(name, None)
         elif isinstance(instr, ExceptBind):
             out.vars.pop(instr.name, None)
-        elif isinstance(instr, WithEnter):
-            self._with_enter(out, instr)
-        elif isinstance(instr, WithExit):
-            self._with_exit(out, instr)
         elif isinstance(instr, (ast.FunctionDef, ast.AsyncFunctionDef,
                                 ast.ClassDef)):
             out.vars.pop(instr.name, None)
@@ -237,31 +125,12 @@ class Lifecycle(FunctionPass[TState]):
                 self._apply_binding(out, instr)
         return out
 
-    def _with_enter(self, out: TState, instr: WithEnter) -> None:
-        item = instr.item
-        ctx_key = dotted_name(item.context_expr)
-        target = _with_target(item)
-        fresh = self._fresh_entries(item.context_expr, instr.lineno)
-        if fresh is not None:
-            if target or ctx_key:
-                out.vars[target or ctx_key] = fresh
-        elif ctx_key is not None:
-            kind = self._kind_of(out, ctx_key, item.context_expr)
-            if kind in WITH_ENTER_STATE:
-                out.vars[ctx_key] = frozenset(
-                    {(kind, WITH_ENTER_STATE[kind], instr.lineno)}
-                )
-            if target and ctx_key in out.vars:
-                out.vars[target] = out.vars[ctx_key]
-
-    def _with_exit(self, out: TState, instr: WithExit) -> None:
-        for item in instr.items:
-            for key in (_with_target(item), dotted_name(item.context_expr)):
-                kind = _kind_in(out.vars.get(key, ()))
-                if kind in WITH_EXIT_STATE:
-                    out.vars[key] = frozenset(
-                        {(kind, WITH_EXIT_STATE[kind], instr.lineno)}
-                    )
+    def _fresh_entries(self, value: ast.AST, line: int) -> frozenset | None:
+        """Facts for a binding from an RDD-returning call."""
+        if (isinstance(value, ast.Call)
+                and self.analysis.expr_type(value, self.scope) == "RDD"):
+            return frozenset({("live", line)})
+        return None
 
     def _resolve(self, call: ast.Call):
         """The call's callee and summary (None and no-effect when it
@@ -277,22 +146,18 @@ class Lifecycle(FunctionPass[TState]):
         return callee, summary, passed
 
     def _apply_call(self, out: TState, call: ast.Call, exceptional: bool) -> None:
-        if isinstance(call.func, ast.Attribute):
-            recv_key = dotted_name(call.func.value)
-            if recv_key is not None:
-                method = call.func.attr
-                kind = self._kind_of(out, recv_key, call.func.value)
-                if method in RELEASE.get(kind, {}):
-                    out.vars[recv_key] = frozenset(
-                        {(kind, RELEASE[kind][method], call.lineno)}
+        func = call.func
+        if isinstance(func, ast.Attribute) and func.attr in TRANSITIONS:
+            key = dotted_name(func.value)
+            if key is not None and (
+                key in out.vars
+                or self.analysis.expr_type(func.value, self.scope) == "RDD"
+            ):
+                if func.attr in RELEASE or not exceptional:
+                    out.vars[key] = frozenset(
+                        {(TRANSITIONS[func.attr], call.lineno)}
                     )
-                    return
-                if method in ACQUIRE.get(kind, {}):
-                    if not exceptional:
-                        out.vars[recv_key] = frozenset(
-                            {(kind, ACQUIRE[kind][method], call.lineno)}
-                        )
-                    return
+                return
         # Same-project callee: apply its summary to the tracked
         # arguments; an argument no summary accounts for escapes.
         _callee, summary, passed = self._resolve(call)
@@ -302,14 +167,13 @@ class Lifecycle(FunctionPass[TState]):
             if param is None or (param, ESCAPES) in summary.may:
                 out.escaped = out.escaped | {key}
             entries = out.vars[key]
-            kind = _kind_in(entries)
             for m in sorted(summary.methods(param)):
-                new_state = RELEASE.get(kind, {}).get(m) or (
-                    None if exceptional else ACQUIRE.get(kind, {}).get(m)
+                new_state = RELEASE.get(m) or (
+                    None if exceptional else ACQUIRE.get(m)
                 )
                 if new_state is None:
                     continue
-                transitioned = frozenset({(kind, new_state, call.lineno)})
+                transitioned = frozenset({(new_state, call.lineno)})
                 if (param, m) in summary.must:
                     entries = transitioned
                 else:
@@ -336,8 +200,8 @@ class Lifecycle(FunctionPass[TState]):
                 out.vars[name] = entries
             else:
                 out.vars.pop(name, None)
-        # Attribute-rooted targets outlive the function; the RES rules
-        # must not claim ownership of them (LIF ordering still applies).
+        # Attribute-rooted targets outlive the function; RES001 must
+        # not claim ownership of them.
         out.escaped = out.escaped | {n for n in names if "." in n}
 
     def _binding_entries(self, state: TState, value: ast.AST) -> frozenset | None:
@@ -346,9 +210,7 @@ class Lifecycle(FunctionPass[TState]):
             return state.vars.get(key)    # alias copies the facts
         if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
             recv_key = dotted_name(value.func.value)
-            if recv_key is not None and (
-                value.func.attr in ("persist", "cache", "unpersist")
-            ):
+            if recv_key is not None and value.func.attr in TRANSITIONS:
                 return state.vars.get(recv_key)   # chain returns receiver
         return self._fresh_entries(value, getattr(value, "lineno", 0))
 
@@ -395,112 +257,53 @@ class Lifecycle(FunctionPass[TState]):
         )
         return facts
 
-    # -- the checks -----------------------------------------------------------
+    # -- the check ------------------------------------------------------------
     def check(self) -> None:
-        walk = self.walk()
-        for state, instr in walk.steps:
-            if isinstance(instr, ast.AST):
-                self._check_instr(state, instr)
-        for state in walk.normal_exit:
-            self._check_normal_exit(state)
-        for state in walk.raise_exit:
-            self._check_raise_exit(state)
-
-    def _check_instr(self, st: TState, instr: ast.AST) -> None:
-        for call in calls_within(instr):
-            if isinstance(call.func, ast.Attribute):
-                recv_key = dotted_name(call.func.value)
-                entries = st.vars.get(recv_key, frozenset())
-                kind = _kind_in(entries)
-                if (
-                    call.func.attr in USES.get(kind, ())
-                    and _definitely(entries, kind)
-                ):
-                    self._emit_use(kind, recv_key, call, entries,
-                                   f".{call.func.attr}() called on it")
+        for st in self.walk().normal_exit:
+            for key, entries in sorted(st.vars.items()):
+                if "." in key or key in st.escaped:
                     continue
-            self._check_summary_use(st, call)
-        # Broadcast uses are ``.value`` reads, not method calls.
-        for sub in ast.walk(instr):
-            if (
-                isinstance(sub, ast.Attribute)
-                and sub.attr == "value"
-                and isinstance(sub.ctx, ast.Load)
-            ):
-                key = dotted_name(sub.value)
-                entries = st.vars.get(key, frozenset())
-                if _definitely(entries, "broadcast"):
-                    self.emit(
-                        "LIF003", sub.lineno, sub.col_offset,
-                        f"'{key}'.value read after unpersist(); the broadcast "
-                        "payload is released on every executor",
-                        _sites(entries, "unpersisted here"),
-                    )
-
-    def _check_summary_use(self, st: TState, call: ast.Call) -> None:
-        callee, summary, passed = self._resolve(call)
-        for key, param in passed:
-            entries = st.vars.get(key, frozenset())
-            kind = _kind_in(entries)
-            if not _definitely(entries, kind):
-                continue
-            used = summary.methods(param) & USES.get(kind, set())
-            if used:
-                self._emit_use(
-                    kind, key, call, entries,
-                    f"helper '{callee.func.name}' calls .{min(used)}() on it",
-                )
-
-    def _emit_use(self, kind: str, var: str, call: ast.Call,
-                  entries: frozenset, where: str) -> None:
-        rule, noun, verb = USE_RULE[kind]
-        self.emit(
-            rule, call.lineno, call.col_offset,
-            f"'{var}' is {noun} on every path here, but {where}",
-            _sites(entries, f"{verb} here"),
-        )
-
-    def _owned(self, st: TState):
-        """(variable, fact) pairs this function is responsible for."""
-        for key, entries in sorted(st.vars.items()):
-            if "." not in key and key not in st.escaped:
-                for fact in sorted(entries):
-                    yield key, fact
-
-    def _check_normal_exit(self, st: TState) -> None:
-        for key, (kind, state, line) in self._owned(st):
-            if (kind, state) == ("rdd", "persisted"):
-                self.emit(
-                    "RES001", line, 0,
-                    f"'{key}' is persisted/cached but some exit path leaves "
-                    "it resident with no unpersist()",
-                    [(line, "persisted here")],
-                )
-
-    def _check_raise_exit(self, st: TState) -> None:
-        for key, (kind, state, line) in self._owned(st):
-            if (kind, state) == ("lock", "held"):
-                self.emit(
-                    "RES002", line, 0,
-                    f"'{key}' is acquired but an exception path escapes "
-                    "without release(); use try/finally or with",
-                    [(line, "acquired here")],
-                )
-            elif (kind, state) == ("context", "open"):
-                self.emit(
-                    "RES002", line, 0,
-                    f"'{key}' (SparkContext) is left running on an "
-                    "exception path; stop it in try/finally or use with",
-                    [(line, "created here")],
-                )
+                for state, line in sorted(entries):
+                    if state == "persisted":
+                        self.emit(
+                            "RES001", line, 0,
+                            f"'{key}' is persisted/cached but some exit "
+                            "path leaves it resident with no unpersist()",
+                            [(line, "persisted here")],
+                        )
 
 
 def check_typestate(project) -> list[Finding]:
-    """LIF001/LIF003/RES001/RES002 over every function of the project."""
+    """RES001 over every function that can reach an acquire."""
     reporter = Reporter()
-    for analysis, func in project.flow.functions():
+    for analysis, func in _acquiring(project):
         Lifecycle(project.flow, analysis, func, reporter).check()
     return reporter.findings
+
+
+def _acquiring(project) -> list:
+    """The ``(analysis, func)`` pairs of ``project.flow.functions()``
+    that call persist()/cache() themselves or through resolved callees —
+    the only chain a `Summary` carries an acquire along, so no other
+    walk can end with a persisted fact."""
+    functions = list(project.flow.functions())
+    callers: dict[ast.AST, list[ast.AST]] = {}
+    stack = []
+    for analysis, func in functions:
+        scope = analysis.scope_of(func)
+        for call in (c for stmt in func.body for c in calls_within(stmt)):
+            if isinstance(call.func, ast.Attribute) and call.func.attr in ACQUIRE:
+                stack.append(func)
+            hit = project.resolve_call(analysis, scope, call)
+            if hit is not None:
+                callers.setdefault(hit[1], []).append(func)
+    reached = set(stack)
+    while stack:
+        for caller in callers.get(stack.pop(), ()):
+            if caller not in reached:
+                reached.add(caller)
+                stack.append(caller)
+    return [(a, f) for a, f in functions if f in reached]
 
 
 # -- what escapes -------------------------------------------------------------

@@ -22,8 +22,8 @@ next to the span telemetry:
   else (the user's own tracemalloc session) is never stopped.
 
 Everything here measures the *environment* of a task, not its inputs;
-none of it feeds task output, so the clock reads are lint-exempt (see
-the scoped DET001 allowances).
+none of it feeds task output, so its clock reads cannot make a retried
+or speculative attempt's labels differ.
 """
 
 from __future__ import annotations

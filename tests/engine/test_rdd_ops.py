@@ -152,8 +152,8 @@ class TestContextLifecycle:
         sc.stop()
 
     def test_stopped_context_rejects_every_entry_point(self):
-        # The runtime twin of lint rule LIF001: every driver API the
-        # analyzer treats as a "use" raises once the context is stopped.
+        # The only guard against use after stop: every driver API raises
+        # once the context is stopped.
         from repro.engine import ContextStoppedError
 
         sc = SparkContext("simulated[2]")

@@ -58,9 +58,7 @@ def test_lint_vocabulary_names_only_what_the_engine_defines():
         "closures.RDD_CHAIN_METHODS": closures.RDD_CHAIN_METHODS,
         "closures.RDD_FACTORY_METHODS": closures.RDD_FACTORY_METHODS,
         "lineage.WIDE_DEP_METHODS": lineage.WIDE_DEP_METHODS,
-        "lineage.RDD_ACTIONS": lineage.RDD_ACTIONS,
-        "typestate.USES[context]": typestate.USES["context"],
-        "typestate.USES[rdd]": typestate.USES["rdd"],
+        "typestate.TRANSITIONS": typestate.TRANSITIONS,
         "sizeclass.COLLECT_METHODS": sizeclass.COLLECT_METHODS,
     }
     unknown = {

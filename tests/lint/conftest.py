@@ -9,10 +9,10 @@ from repro.lint import run_lint
 from .fixture_sources import package_files, write_files
 
 #: Wall-clock budget of one whole-source scan (project build, CFG
-#: corpus, typestate and size-class fixpoints).  It takes ~3 s locally;
-#: the ~50x headroom is for shared CI runners, so only an accidentally
-#: super-linear analysis trips it — as a test failure, not as a slowly
-#: rotting gate.
+#: corpus, typestate and size-class fixpoints).  It takes ~0.7 s on a
+#: 2-core Xeon; the ~200x headroom is for shared CI runners, so only an
+#: accidentally super-linear analysis trips it — as a test failure, not
+#: as a slowly rotting gate.
 SELF_SCAN_BUDGET_S = 150
 
 

@@ -10,12 +10,20 @@ from repro.cli import main
 from repro.lint import run_lint
 from repro.lint.findings import Reporter
 
+# One scope-rule finding (SHF001) and one flow-rule finding (RES001).
 VIOLATION = textwrap.dedent(
     """
-    import time
-
-    def job(rdd):
-        return rdd.map(lambda x: (x, time.time())).collect()
+    class LocalExpand:
+        def run(self, rdd):
+            return rdd.reduce_by_key(min)
+    """
+)
+FLOW_VIOLATION = textwrap.dedent(
+    """
+    def job(sc):
+        rdd = sc.parallelize(range(10))
+        rdd.persist()
+        return rdd.count()
     """
 )
 
@@ -23,7 +31,7 @@ VIOLATION = textwrap.dedent(
 def _report(*lines, message="stable"):
     reporter = Reporter()
     for line in lines:
-        reporter.report("DET001", "a.py", line, 0, message)
+        reporter.report("SHF001", "a.py", line, 0, message)
     return reporter.findings
 
 
@@ -66,7 +74,7 @@ class TestCli:
         mod = tmp_path / "bad.py"
         mod.write_text(VIOLATION)
         assert main(["lint", str(mod)]) == 1
-        assert "DET001" in capsys.readouterr().out
+        assert "SHF001" in capsys.readouterr().out
 
     def test_json_format(self, tmp_path, capsys):
         mod = tmp_path / "bad.py"
@@ -74,7 +82,7 @@ class TestCli:
         assert main(["lint", str(mod), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["clean"] is False
-        assert payload["findings"][0]["rule"] == "DET001"
+        assert payload["findings"][0]["rule"] == "SHF001"
 
     def test_missing_path_one_line_error(self, tmp_path, capsys):
         assert main(["lint", str(tmp_path / "nope.py")]) == 2
@@ -94,7 +102,7 @@ class TestCli:
     ):
         monkeypatch.setattr("repro.lint.dataflow.MAX_ITERATIONS", 1)
         mod = tmp_path / "loop.py"
-        mod.write_text("def spin(xs):\n    for x in xs:\n        pass\n")
+        mod.write_text("def spin(xs):\n    for x in xs:\n        x.cache()\n")
         assert main(["lint", str(mod)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "loop.py:spin" in err
@@ -103,9 +111,8 @@ class TestCli:
     def test_rules_catalogue(self, capsys):
         assert main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
-        for rid in ("CAP001", "PCK001", "DET001", "SHF001",
-                    "ACC001", "BRD001", "ACT001", "PLN001", "PLN002",
-                    "LIF001", "LIF003", "RES001", "RES002"):
+        for rid in ("SHF001", "PLN001", "PLN002", "RES001",
+                    "SCL001", "SCL002", "SCL003", "SCL004"):
             assert rid in out
 
     def test_stats_flag(self, tmp_path, capsys):
@@ -113,15 +120,15 @@ class TestCli:
         mod.write_text(VIOLATION)
         assert main(["lint", str(mod), "--stats"]) == 1
         captured = capsys.readouterr()
-        assert "DET001" in captured.err
+        assert "SHF001" in captured.err
         assert "modules: 1" in captured.err
 
     def test_stats_in_json_payload(self, tmp_path, capsys):
         mod = tmp_path / "bad.py"
-        mod.write_text(VIOLATION)
+        mod.write_text(FLOW_VIOLATION)
         assert main(["lint", str(mod), "--format", "json", "--stats"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["stats"]["rules"] == {"DET001": 1}
+        assert payload["stats"]["rules"] == {"RES001": 1}
         assert payload["stats"]["modules"] == 1
         cfg = payload["stats"]["cfg"]
         assert cfg["functions"] >= 1
@@ -137,17 +144,12 @@ class TestCli:
         assert "blocks" in err and "exceptional" in err
 
     def test_new_flow_finding_exits_one(self, tmp_path, capsys):
-        # Exit-code contract for the flow rules: a LIF001 fails the run
+        # Exit-code contract for the flow rules: a RES001 fails the run
         # exactly like a scope-rule finding.
         mod = tmp_path / "flow.py"
-        mod.write_text(
-            "def f():\n"
-            "    sc = SparkContext()\n"
-            "    sc.stop()\n"
-            "    sc.parallelize([1])\n"
-        )
+        mod.write_text(FLOW_VIOLATION)
         assert main(["lint", str(mod)]) == 1
-        assert "LIF001" in capsys.readouterr().out
+        assert "RES001" in capsys.readouterr().out
 
     def test_repo_gate(self, src_report):
         """The committed CI gate: src/ has no finding at all."""

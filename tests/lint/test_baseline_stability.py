@@ -9,30 +9,21 @@ from repro.lint import run_lint
 
 VIOLATION = textwrap.dedent(
     """
-    import time
-
-    def job(rdd):
-        return rdd.map(lambda x: (x, time.time())).collect()
+    class LocalExpand:
+        def run(self, rdd):
+            return rdd.reduce_by_key(min)
     """
 )
 
-# One flow-sensitive (LIF001) and one leak (RES002) finding: their
-# fingerprints must be just as line- and directory-free as the scope
-# rules', even though the *related* site (stop/acquire line) moves.
+# A flow-sensitive leak (RES001): its fingerprint must be just as line-
+# and directory-free as the scope rules', even though the *related*
+# site (the persist line) moves.
 FLOW_VIOLATION = textwrap.dedent(
     """
-    import threading
-
-    def use_after_stop():
-        sc = SparkContext()
-        sc.stop()
-        sc.parallelize([1])
-
-    def leaky_lock(work):
-        mu = threading.Lock()
-        mu.acquire()
-        work()
-        mu.release()
+    def leaky(sc):
+        rdd = sc.parallelize(range(10))
+        rdd.persist()
+        return rdd.count()
     """
 )
 
@@ -73,7 +64,7 @@ def _fingerprints(findings):
     return [f.fingerprint for f in findings]
 
 
-def moved(tmp_path, source, pad, rules=("DET001",)):
+def moved(tmp_path, source, pad, rules=("SHF001",)):
     """The source's findings before and after ``pad`` goes above it."""
     mod = tmp_path / "mod.py"
     mod.write_text(source)
@@ -84,7 +75,7 @@ def moved(tmp_path, source, pad, rules=("DET001",)):
     return before, after
 
 
-def renamed(tmp_path, source, old, new, rules=("DET001",)):
+def renamed(tmp_path, source, old, new, rules=("SHF001",)):
     """The source's findings as ``old`` and as ``new`` (relative paths)."""
     found = []
     for rel in (old, new):
@@ -125,7 +116,7 @@ class TestDirectoryRenames:
         assert _fingerprints(old) != _fingerprints(new)
 
 
-FLOW = ("LIF001", "RES002")
+FLOW = ("RES001",)
 
 
 class TestFlowFindingStability:

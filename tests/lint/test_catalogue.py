@@ -1,6 +1,6 @@
 """One catalogue, four mirrors: the registered rules, the ``--rules``
 CLI listing, the SARIF rule descriptors, and the rule tables in
-README.md / DESIGN.md must all agree on the same seventeen rule ids.
+README.md / DESIGN.md must all agree on the same eight rule ids.
 A rule added to any one of them without the others fails here.
 """
 
@@ -10,18 +10,9 @@ from repro.cli import main
 from repro.lint import rule_catalogue, run_lint, to_sarif
 
 CATALOGUE = [
-    "ACC001",
-    "ACT001",
-    "BRD001",
-    "CAP001",
-    "DET001",
-    "LIF001",
-    "LIF003",
-    "PCK001",
     "PLN001",
     "PLN002",
     "RES001",
-    "RES002",
     "SCL001",
     "SCL002",
     "SCL003",
@@ -33,8 +24,7 @@ RULE_ID = re.compile(r"\b[A-Z]{3}\d{3}\b")
 
 
 class TestCatalogueParity:
-    def test_registry_is_the_pinned_eighteen(self):
-        # seventeen since LIF002 went with the EventLog; the id is kept
+    def test_registry_is_the_pinned_eight(self):
         assert sorted(rule_catalogue()) == CATALOGUE
 
     def test_every_rule_has_a_summary(self):
@@ -58,8 +48,8 @@ class TestCatalogueParity:
     def test_readme_documents_every_rule(self):
         with open("README.md", encoding="utf-8") as f:
             text = f.read()
-        assert "seventeen-rule" in text, "README must count the catalogue"
-        assert "eighteen-rule" not in text
+        assert "eight-rule" in text, "README must count the catalogue"
+        assert "seventeen-rule" not in text
         missing = [rid for rid in CATALOGUE if rid not in RULE_ID.findall(text)]
         assert not missing, f"README.md does not mention: {missing}"
 

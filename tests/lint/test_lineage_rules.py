@@ -1,10 +1,8 @@
-"""The static RDD-lineage rules: SHF001 as a reachability proof, plus
-the task-dataflow trio ACC001/BRD001/ACT001 (positive and negative
-fixtures for each).
+"""SHF001 as a reachability proof over the whole program.
 
-The headline case is the ISSUE's seeded violation: a helper in a *new*
-module calling ``reduce_by_key``, reachable from a ``LocalExpand`` stage —
-invisible to a path allowlist, caught by the call graph.
+The headline case is a helper in a *new* module calling
+``reduce_by_key``, reachable from a ``LocalExpand`` stage — invisible to
+a path allowlist, caught by the call graph.
 """
 
 from .fixture_sources import rules_of
@@ -97,120 +95,3 @@ class TestShuffleFreeProof:
             and "shuffle" in f.message
             for f in findings
         )
-
-
-class TestAccumulatorReads:
-    def test_value_read_in_task(self, package):
-        findings = package({
-            "job.py": """
-                def job(sc):
-                    acc = sc.accumulator(0)
-                    rdd = sc.parallelize(range(10))
-
-                    def work(x):
-                        acc.add(1)
-                        return acc.value
-
-                    return rdd.map(work).collect()
-                """,
-        })
-        assert any(
-            f.rule == "ACC001" and "'acc'" in f.message for f in findings
-        )
-
-    def test_driver_side_read_is_fine(self, package):
-        findings = package({
-            "job.py": """
-                def job(sc):
-                    acc = sc.accumulator(0)
-                    rdd = sc.parallelize(range(10))
-
-                    def work(x):
-                        acc.add(1)
-                        return x
-
-                    out = rdd.map(work).collect()
-                    return out, acc.value
-                """,
-        })
-        assert "ACC001" not in rules_of(findings)
-
-
-class TestBroadcastMutations:
-    def test_subscript_assignment_in_task(self, package):
-        findings = package({
-            "job.py": """
-                def job(sc):
-                    b = sc.broadcast({})
-                    rdd = sc.parallelize(range(10))
-
-                    def work(x):
-                        b.value[x] = x
-                        return x
-
-                    return rdd.map(work).collect()
-                """,
-        })
-        assert any(
-            f.rule == "BRD001" and "'b'" in f.message for f in findings
-        )
-
-    def test_mutator_method_in_task(self, package):
-        findings = package({
-            "job.py": """
-                def job(sc):
-                    b = sc.broadcast([])
-                    rdd = sc.parallelize(range(10))
-
-                    def work(x):
-                        b.value.append(x)
-                        return x
-
-                    return rdd.map(work).collect()
-                """,
-        })
-        assert any(
-            f.rule == "BRD001" and ".append()" in f.message for f in findings
-        )
-
-    def test_reading_broadcast_is_fine(self, package):
-        # Reading b.value in a task is the whole point of a broadcast.
-        findings = package({
-            "job.py": """
-                def job(sc):
-                    b = sc.broadcast({1: "a"})
-                    rdd = sc.parallelize(range(10))
-                    return rdd.map(lambda x: b.value.get(x)).collect()
-                """,
-        })
-        assert "BRD001" not in rules_of(findings)
-
-
-class TestRddActions:
-    def test_action_inside_task(self, package):
-        findings = package({
-            "job.py": """
-                def job(sc):
-                    rdd = sc.parallelize(range(10))
-                    other = sc.parallelize(range(10))
-
-                    def work(x):
-                        return x + other.count()
-
-                    return rdd.map(work).collect()
-                """,
-        })
-        assert any(
-            f.rule == "ACT001" and ".count()" in f.message for f in findings
-        )
-
-    def test_driver_side_action_is_fine(self, package):
-        findings = package({
-            "job.py": """
-                def job(sc):
-                    rdd = sc.parallelize(range(10))
-                    out = rdd.map(lambda x: x + 1).collect()
-                    return len(out), rdd.count()
-                """,
-        })
-        assert "ACT001" not in rules_of(findings)

@@ -15,10 +15,7 @@ from repro.lint.sarif import FINGERPRINT_KEY, SARIF_SCHEMA, TOOL_NAME
 
 VIOLATIONS = textwrap.dedent(
     """
-    import time
-
-    def job(rdd):
-        return rdd.map(lambda x: (x, time.time())).collect()
+    from repro.engine.shuffle import ShuffleManager
 
     class LocalExpand:
         def run(self, rdd):
@@ -28,10 +25,10 @@ VIOLATIONS = textwrap.dedent(
 
 FLOW_VIOLATION = textwrap.dedent(
     """
-    def use_after_stop():
-        sc = SparkContext()
-        sc.stop()
-        sc.parallelize([1])
+    def leaky(sc):
+        rdd = sc.parallelize(range(10))
+        rdd.persist()
+        return rdd.count()
     """
 )
 
@@ -98,14 +95,14 @@ class TestRelatedLocations:
         mod = tmp_path / "flow.py"
         mod.write_text(FLOW_VIOLATION)
         report = run_lint([str(mod)])
-        finding = next(f for f in report.findings if f.rule == "LIF001")
+        finding = next(f for f in report.findings if f.rule == "RES001")
         assert finding.related, "flow finding must carry related sites"
         return to_sarif(report), finding
 
     def test_flow_finding_carries_related_locations(self, tmp_path):
         log, finding = self._flow_log(tmp_path)
         result = next(
-            r for r in log["runs"][0]["results"] if r["ruleId"] == "LIF001"
+            r for r in log["runs"][0]["results"] if r["ruleId"] == "RES001"
         )
         related = result["relatedLocations"]
         assert len(related) == len(finding.related)

@@ -1,10 +1,9 @@
-"""Tests for the flow-sensitive lifecycle rules (`repro.lint.typestate`).
+"""Tests for the flow-sensitive persist-leak rule (`repro.lint.typestate`).
 
-Every rule gets at least one seeded fixture that fires and one
-near-miss that must stay silent (branch-local release followed by a
-join of states, ``try/finally`` release, ``with`` blocks, escaping
-values).  A final gate runs the real self-scan: ``src/repro`` must be
-clean under LIF*/RES* with zero pragmas.
+RES001 gets seeded fixtures that fire and near-misses that must stay
+silent (a ``try/finally`` release, escaping values, a helper that
+releases).  A final gate runs the real self-scan: ``src/repro`` must be
+clean under RES001 with zero pragmas.
 """
 
 import os
@@ -12,7 +11,8 @@ import os
 import pytest
 
 from repro.lint.analyzer import build_project, run_lint
-from repro.lint.typestate import check_typestate
+from repro.lint.findings import Reporter
+from repro.lint.typestate import Lifecycle, check_typestate
 
 from .test_dataflow import EXC_ONLY_LOOPS, as_function
 
@@ -21,172 +21,31 @@ REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 
 #: Helpers whose parameter is keyword-only; dropping the ``*, `` gives
 #: the positional-or-keyword twin each must agree with.
-KWONLY_STOP = (
-    "def shutdown(*, ctx):\n"
-    "    ctx.stop()\n"
-    "\n"
-    "def f():\n"
-    "    sc = SparkContext()\n"
-    "    shutdown(ctx=sc)\n"
-    "    sc.parallelize([1])\n"
-)
 KWONLY_DROP = (
     "def drop(*, rdd):\n"
     "    rdd.unpersist()\n"
+    "\n"
+    "def touch(*, rdd):\n"
+    "    return rdd.count()\n"
     "\n"
     "def f(sc):\n"
     "    r = sc.parallelize(range(10))\n"
     "    r.persist()\n"
     "    drop(rdd=r)\n"
     "    return r.count()\n"
+    "\n"
+    "def g(sc):\n"
+    "    r = sc.parallelize(range(10))\n"
+    "    r.persist()\n"
+    "    return touch(rdd=r)\n"
 )
 
 
-def scan(tmp_path, source, rules=None):
-    """Lint one fixture module; returns the LIF*/RES* findings."""
+def scan(tmp_path, source):
+    """Lint one fixture module; returns its RES001 findings."""
     path = tmp_path / "fixture.py"
     path.write_text(source)
-    project = build_project([str(path)])
-    findings = check_typestate(project)
-    if rules is not None:
-        findings = [f for f in findings if f.rule in rules]
-    return findings
-
-
-class TestLIF001UseAfterStop:
-    def test_fires_on_straight_line_use_after_stop(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f():\n"
-            "    sc = SparkContext()\n"
-            "    sc.stop()\n"
-            "    sc.parallelize([1])\n"
-        ), rules=("LIF001",))
-        assert len(found) == 1
-        f = found[0]
-        assert f.rule == "LIF001"
-        assert f.line == 4
-        assert "sc" in f.message
-        assert f.related and f.related[0][1] == 3   # the stop() site
-
-    def test_near_miss_stop_in_one_branch_joins_silent(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(flag):\n"
-            "    sc = SparkContext()\n"
-            "    try:\n"
-            "        if flag:\n"
-            "            sc.stop()\n"
-            "        sc.parallelize([1])\n"   # join: stopped on one path only
-            "    finally:\n"
-            "        sc.stop()\n"
-        ), rules=("LIF001",))
-        assert found == []
-
-    def test_near_miss_with_block_use_inside(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f():\n"
-            "    with SparkContext() as sc:\n"
-            "        sc.parallelize([1])\n"
-        ), rules=("LIF001",))
-        assert found == []
-
-    def test_fires_on_use_after_with_block(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f():\n"
-            "    with SparkContext() as sc:\n"
-            "        pass\n"
-            "    sc.parallelize([1])\n"      # sc stopped by __exit__
-        ), rules=("LIF001",))
-        assert len(found) == 1
-
-    def test_interprocedural_stop_through_helper(self, tmp_path):
-        found = scan(tmp_path, (
-            "def shutdown(ctx):\n"
-            "    ctx.stop()\n"
-            "\n"
-            "def f():\n"
-            "    sc = SparkContext()\n"
-            "    shutdown(sc)\n"
-            "    sc.parallelize([1])\n"
-        ), rules=("LIF001",))
-        assert len(found) == 1
-        assert found[0].line == 7
-
-    def test_keyword_only_helper_stops_like_its_positional_twin(self, tmp_path):
-        found = scan(tmp_path, KWONLY_STOP)
-        assert [(f.rule, f.line) for f in found] == [("LIF001", 7)]
-        assert found == scan(tmp_path, KWONLY_STOP.replace("*, ", ""))
-
-    def test_interprocedural_use_through_helper(self, tmp_path):
-        found = scan(tmp_path, (
-            "def submit(ctx, data):\n"
-            "    return ctx.parallelize(data)\n"
-            "\n"
-            "def f():\n"
-            "    sc = SparkContext()\n"
-            "    sc.stop()\n"
-            "    submit(sc, [1])\n"
-        ), rules=("LIF001",))
-        assert len(found) == 1
-        assert "submit" in found[0].message
-
-    def test_near_miss_helper_stop_in_one_branch(self, tmp_path):
-        found = scan(tmp_path, (
-            "def maybe_shutdown(ctx, flag):\n"
-            "    if flag:\n"
-            "        ctx.stop()\n"
-            "\n"
-            "def f(flag):\n"
-            "    sc = SparkContext()\n"
-            "    maybe_shutdown(sc, flag)\n"
-            "    sc.parallelize([1])\n"      # may-stop, not must-stop
-        ), rules=("LIF001",))
-        assert found == []
-
-
-class TestLIF003ActionAfterUnpersist:
-    def test_fires_on_action_after_unpersist(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(sc):\n"
-            "    r = sc.parallelize(range(10))\n"
-            "    r.persist()\n"
-            "    r.count()\n"
-            "    r.unpersist()\n"
-            "    r.collect()\n"
-        ), rules=("LIF003",))
-        assert len(found) == 1
-        assert found[0].line == 6
-        assert found[0].related[0][1] == 5
-
-    def test_near_miss_unpersist_in_one_branch(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(sc, flag):\n"
-            "    r = sc.parallelize(range(10))\n"
-            "    r.persist()\n"
-            "    if flag:\n"
-            "        r.unpersist()\n"
-            "    r.count()\n"                 # join of persisted+unpersisted
-            "    r.unpersist()\n"
-        ), rules=("LIF003",))
-        assert found == []
-
-    def test_near_miss_transformations_allowed_after_unpersist(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(sc):\n"
-            "    r = sc.parallelize(range(10))\n"
-            "    r.unpersist()\n"
-            "    r2 = r.map(str)\n"           # lineage is still valid
-        ), rules=("LIF003",))
-        assert found == []
-
-    def test_fires_on_broadcast_value_after_unpersist(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(sc):\n"
-            "    b = sc.broadcast({1: 2})\n"
-            "    b.unpersist()\n"
-            "    return b.value\n"
-        ), rules=("LIF003",))
-        assert len(found) == 1
-        assert ".value" in found[0].message
+    return check_typestate(build_project([str(path)]))
 
 
 class TestRES001PersistLeak:
@@ -196,7 +55,7 @@ class TestRES001PersistLeak:
             "    r = sc.parallelize(range(10))\n"
             "    r.persist()\n"
             "    return r.count()\n"
-        ), rules=("RES001",))
+        ))
         assert len(found) == 1
         assert found[0].line == 3             # primary = the persist site
 
@@ -209,7 +68,7 @@ class TestRES001PersistLeak:
             "        r.unpersist()\n"
             "        return 0\n"
             "    return r.count()\n"          # leaks on the else path
-        ), rules=("RES001",))
+        ))
         assert len(found) == 1
 
     def test_near_miss_try_finally_release(self, tmp_path):
@@ -221,7 +80,7 @@ class TestRES001PersistLeak:
             "        return r.count()\n"
             "    finally:\n"
             "        r.unpersist()\n"
-        ), rules=("RES001",))
+        ))
         assert found == []
 
     def test_near_miss_returned_rdd_escapes(self, tmp_path):
@@ -230,7 +89,7 @@ class TestRES001PersistLeak:
             "    r = sc.parallelize(range(10))\n"
             "    r.persist()\n"
             "    return r\n"                  # caller owns it now
-        ), rules=("RES001",))
+        ))
         assert found == []
 
     def test_near_miss_attribute_stored_rdd_escapes(self, tmp_path):
@@ -239,7 +98,7 @@ class TestRES001PersistLeak:
             "    r = sc.parallelize(range(10))\n"
             "    r.persist()\n"
             "    self.hot = r\n"              # outlives the function
-        ), rules=("RES001",))
+        ))
         assert found == []
 
     def test_interprocedural_release_through_helper(self, tmp_path):
@@ -253,124 +112,62 @@ class TestRES001PersistLeak:
             "    out = r.count()\n"
             "    drop(r)\n"
             "    return out\n"
-        ), rules=("RES001",))
+        ))
         assert found == []
 
+
+    def test_helper_releasing_on_one_branch_still_leaks(self, tmp_path):
+        found = scan(tmp_path, (
+            "def maybe_drop(rdd, flag):\n"
+            "    if flag:\n"
+            "        rdd.unpersist()\n"
+            "\n"
+            "def f(sc, flag):\n"
+            "    r = sc.parallelize(range(10))\n"
+            "    r.persist()\n"
+            "    maybe_drop(r, flag)\n"      # may-release, not must-release
+            "    return r.count()\n"
+        ))
+        assert [f.line for f in found] == [7]
 
     def test_keyword_only_helper_releases_like_its_positional_twin(
         self, tmp_path
     ):
-        # The helper discharges RES001 by *unpersisting* (so the action
-        # after it is a LIF003), not by making ``r`` escape.
+        # ``drop`` discharges RES001 by *unpersisting* its argument, not
+        # by making ``r`` escape: the bound ``touch`` leaves ``g``'s RDD
+        # resident, so the binding itself is what both twins agree on.
         found = scan(tmp_path, KWONLY_DROP)
-        assert [(f.rule, f.line) for f in found] == [("LIF003", 8)]
+        assert [(f.rule, f.line) for f in found] == [("RES001", 15)]
         assert found == scan(tmp_path, KWONLY_DROP.replace("*, ", ""))
 
 
-class TestRES002HeldOnExceptionPath:
-    def test_fires_on_lock_held_across_raising_call(self, tmp_path):
-        found = scan(tmp_path, (
-            "import threading\n"
-            "def f(work):\n"
-            "    mu = threading.Lock()\n"
-            "    mu.acquire()\n"
-            "    work()\n"
-            "    mu.release()\n"
-        ), rules=("RES002",))
-        assert len(found) == 1
-        assert found[0].line == 4             # primary = the acquire site
-
-    def test_near_miss_try_finally_release(self, tmp_path):
-        found = scan(tmp_path, (
-            "import threading\n"
-            "def f(work):\n"
-            "    mu = threading.Lock()\n"
-            "    mu.acquire()\n"
-            "    try:\n"
-            "        work()\n"
-            "    finally:\n"
-            "        mu.release()\n"
-        ), rules=("RES002",))
-        assert found == []
-
-    def test_near_miss_with_lock(self, tmp_path):
-        found = scan(tmp_path, (
-            "import threading\n"
-            "def f(work):\n"
-            "    mu = threading.Lock()\n"
-            "    with mu:\n"
-            "        work()\n"
-        ), rules=("RES002",))
-        assert found == []
-
-    def test_fires_on_context_left_running(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(points):\n"
-            "    sc = SparkContext()\n"
-            "    out = sc.parallelize(points).collect()\n"  # may raise
-            "    sc.stop()\n"
-            "    return out\n"
-        ), rules=("RES002",))
-        assert len(found) == 1
-        assert "SparkContext" in found[0].message
-
-    def test_near_miss_context_with_block(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(points):\n"
-            "    with SparkContext() as sc:\n"
-            "        return sc.parallelize(points).collect()\n"
-        ), rules=("RES002",))
-        assert found == []
-
-    def test_near_miss_context_try_finally(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(points):\n"
-            "    sc = SparkContext()\n"
-            "    try:\n"
-            "        return sc.parallelize(points).collect()\n"
-            "    finally:\n"
-            "        sc.stop()\n"
-        ), rules=("RES002",))
-        assert found == []
-
-    def test_near_miss_attribute_context_not_owned(self, tmp_path):
-        found = scan(tmp_path, (
-            "def f(self):\n"
-            "    self.sc = SparkContext()\n"   # outlives the function
-            "    self.sc.parallelize([1]).collect()\n"
-        ), rules=("RES002",))
-        assert found == []
-
-
 class TestRuleRegistration:
-    def test_all_five_rules_in_catalogue(self):
+    def test_res001_in_catalogue(self):
         from repro.lint.rules import rule_catalogue
 
-        catalogue = rule_catalogue()
-        for rid in ("LIF001", "LIF003", "RES001", "RES002"):
-            assert rid in catalogue
+        assert "RES001" in rule_catalogue()
 
     def test_pragma_suppresses_flow_finding(self, tmp_path):
         path = tmp_path / "fixture.py"
         path.write_text(
-            "def f():\n"
-            "    sc = SparkContext()\n"
-            "    sc.stop()\n"
-            "    sc.parallelize([1])  # lint: allow[LIF001] seeded\n"
+            "def f(sc):\n"
+            "    r = sc.parallelize([1])\n"
+            "    r.persist()  # lint: allow[RES001] seeded\n"
+            "    return r.count()\n"
         )
         report = run_lint([str(path)])
-        assert [f for f in report.findings if f.rule == "LIF001"] == []
+        assert [f for f in report.findings if f.rule == "RES001"] == []
 
     def test_findings_flow_through_run_lint(self, tmp_path):
         path = tmp_path / "fixture.py"
         path.write_text(
-            "def f():\n"
-            "    sc = SparkContext()\n"
-            "    sc.stop()\n"
-            "    sc.parallelize([1])\n"
+            "def f(sc):\n"
+            "    r = sc.parallelize([1])\n"
+            "    r.persist()\n"
+            "    return r.count()\n"
         )
         report = run_lint([str(path)])
-        assert any(f.rule == "LIF001" for f in report.findings)
+        assert any(f.rule == "RES001" for f in report.findings)
 
 
 class TestConvergence:
@@ -378,14 +175,28 @@ class TestConvergence:
     def test_loop_behind_a_silent_exceptional_edge(
         self, shape, tmp_path, monkeypatch
     ):
+        # Walked directly: "minimal" has no acquire, so check_typestate
+        # would never solve it.
         monkeypatch.setattr("repro.lint.dataflow.MAX_ITERATIONS", 2000)
-        assert scan(tmp_path, as_function(EXC_ONLY_LOOPS[shape])) == []
+        path = tmp_path / "fixture.py"
+        path.write_text(as_function(EXC_ONLY_LOOPS[shape]))
+        project = build_project([str(path)])
+        ((analysis, func),) = project.flow.functions()
+        reporter = Reporter()
+        Lifecycle(project.flow, analysis, func, reporter).check()
+        assert reporter.findings == []
 
 
 class TestFlowStats:
     def test_stats_count_cfgs(self, tmp_path):
+        # Only functions that can reach a persist()/cache() are walked
+        # for RES001, so ``h`` gets no CFG.
         path = tmp_path / "fixture.py"
-        path.write_text("def f():\n    pass\n\ndef g(x):\n    return x\n")
+        path.write_text(
+            "def f(r):\n    r.cache()\n\n"
+            "def g(r):\n    f(r)\n    return r\n\n"
+            "def h(x):\n    return x\n"
+        )
         stats = run_lint([str(path)], collect_stats=True).stats["cfg"]
         assert stats["functions"] == 2
         assert stats["blocks"] >= 6           # entry/exit/raise-exit each
@@ -394,15 +205,12 @@ class TestFlowStats:
 
 class TestSelfScan:
     def test_src_repro_is_clean_under_flow_rules(self, src_report):
-        flow = [
-            f for f in src_report.findings
-            if f.rule.startswith(("LIF", "RES"))
-        ]
+        flow = [f for f in src_report.findings if f.rule == "RES001"]
         assert flow == [], "\n".join(f.render() for f in flow)
 
     def test_no_flow_pragmas_in_src(self):
         # The self-scan must be clean *without* suppressions: any
-        # lint: allow[LIF*/RES*] pragma in src/repro needs a reviewed
+        # lint: allow[RES001] pragma in src/repro needs a reviewed
         # justification and a mention here.
         hits = []
         src = os.path.join(REPO_ROOT, "src", "repro")
@@ -413,6 +221,6 @@ class TestSelfScan:
                 path = os.path.join(root, name)
                 with open(path, encoding="utf-8") as fh:
                     for lineno, line in enumerate(fh, 1):
-                        if "lint: allow[LIF" in line or "lint: allow[RES" in line:
+                        if "lint: allow[RES" in line:
                             hits.append(f"{path}:{lineno}")
         assert hits == []
