@@ -37,7 +37,7 @@ from ..obs.collect import task_span
 SEED_POLICIES = ("all", "one_per_partition")
 
 #: Accepted ``neighbor_mode`` values.  Both run the same code here: the
-#: kernel has one row source, `KDTree.query_radius_batch` (DESIGN.md §6).
+#: kernel has one row source, `KDTree.query_radius_segments` (DESIGN.md §6).
 #: Only the sequential plan still queries per point under ``"per_point"``;
 #: the field stays because the frozen benchmark passes and reads it.
 NEIGHBOR_MODES = ("per_point", "batched")
@@ -186,8 +186,8 @@ def local_dbscan(
 
     ``neighbor_mode`` is validated and otherwise ignored: both accepted
     values run the same code — every owned point's eps-neighbourhood
-    comes from one `KDTree.query_radius_batch` call and the expansion
-    works on the stored CSR rows (nnz x 8 bytes per task).
+    comes from one `KDTree.query_radius_segments` call and the expansion
+    reads the hits in the kernel's tile order (nnz x 8 bytes per task).
 
     ``boundary_out``, when given, collects every owned point
     that has at least one foreign neighbour within eps.  Intersected
@@ -245,8 +245,8 @@ def expand_frame(
     """The SEED expansion (Algorithm 2 with Algorithm 3's SEED rule),
     without a queue (DESIGN.md §6, "The loop").
 
-    Over the rows of one `query_radius_batch` call (``neighbor_mode`` is
-    only validated): clusters are the components of the core points,
+    Over the rows of one `query_radius_segments` call (``neighbor_mode``
+    is only validated): clusters are the components of the core points,
     each founded by its smallest core id as the paper's BFS over the
     owned ids in ascending order would have; a border joins the
     lowest-founder cluster in its row; a cluster's seeds are the distinct
@@ -270,24 +270,22 @@ def expand_frame(
         return []
     query_stats: dict[str, int] = {}
     with task_span("task.kdtree_query", n=n_own) as qsp:
-        indptr, indices = tree.query_radius_batch(
+        degree, seg_q, seg_n, hits = tree.query_radius_segments(
             own_points, eps, max_neighbors, ids=frame.to_local,
             stats=query_stats,
         )
         qsp.annotate(**query_stats)
-    degree = np.diff(indptr)
     core = degree >= minpts
-    if boundary_out is not None:
-        # Rows with a foreign id.  No row is empty here — rows are
-        # untruncated and every point is its own neighbour — which is
-        # what lets one reduceat stand for a per-row max.
-        rows = np.flatnonzero(
-            np.maximum.reduceat(indices, indptr[:-1]) >= n_own
-        )
-        boundary_out.update(to_global(rows).tolist())
+    # Hits stay in tile order: a row is read through its (non-empty)
+    # segments, each reduced by one reduceat and folded per query.
+    seg_start = np.cumsum(seg_n) - seg_n
+    if boundary_out is not None:  # rows with a segment whose max is foreign
+        foreign = np.zeros(n_own, dtype=bool)
+        foreign[seg_q[np.maximum.reduceat(hits, seg_start) >= n_own]] = True
+        boundary_out.update(to_global(np.flatnonzero(foreign)).tolist())
 
     n_tree = len(tree.points)
-    owner, rounds = _founders(indptr, indices, core, n_tree,
+    owner, rounds = _founders(seg_q, seg_start, seg_n, hits, core, n_tree,
                               symmetric=max_neighbors is None)
     if stats is not None:
         stats["rounds"] = rounds
@@ -305,12 +303,12 @@ def expand_frame(
     # Seeds: the distinct (founder, foreign id) pairs on core rows, by one
     # sort of founder * n_tree + id.
     key_type = np.int32 if n_own * n_tree < 2**31 else np.int64
-    key = np.repeat(np.where(core, owner, n_own).astype(key_type), degree)
+    key = np.repeat(np.where(core, owner, n_own).astype(key_type)[seg_q], seg_n)
     hit = key < n_own
-    hit &= indices >= n_own
+    hit &= hits >= n_own
     key = key[hit]
     key *= n_tree
-    np.add(key, indices[hit], out=key, casting="unsafe")
+    np.add(key, hits[hit], out=key, casting="unsafe")
     del hit
     foreign_hits = len(key)
     key.sort()  # not np.unique: numpy 2.x hashes there, 10x slower here
@@ -338,15 +336,16 @@ def expand_frame(
                      np.searchsorted(seed_founder, group[starts]))
 
 
-def _founders(indptr: np.ndarray, indices: np.ndarray, core: np.ndarray,
-              n_tree: int, *, symmetric: bool) -> tuple[np.ndarray, int]:
+def _founders(seg_q: np.ndarray, seg_start: np.ndarray, seg_n: np.ndarray,
+              hits: np.ndarray, core: np.ndarray, n_tree: int, *,
+              symmetric: bool) -> tuple[np.ndarray, int]:
     """Each owned point's cluster founder (``n_own``: noise) by min-label
     propagation, and the rounds it took.  Core ids start as their own
     label, every other id as the sentinel ``n_own``; a round hooks each
-    core row's root under its row minimum and pointer-jumps.  The last
-    round's row minima are the borders' claims.  Truncated rows
-    (``symmetric=False``) also hook a listed core's root under the
-    listing row's label, so components are undirected."""
+    core row's root under its row minimum (over its segments) and
+    pointer-jumps.  The last round's row minima are the borders' claims.
+    Truncated rows (``symmetric=False``) also hook a listed core's root
+    under the listing row's label, so components are undirected."""
     n_own = len(core)
     label = np.full(n_tree + 1, n_own, dtype=np.int32)
     own = label[:n_own]
@@ -354,16 +353,18 @@ def _founders(indptr: np.ndarray, indices: np.ndarray, core: np.ndarray,
     own[cores] = cores
     if not len(cores):
         return own, 0
-    starts = indptr[:-1]
+    seen = np.empty(len(hits), dtype=np.int32)  # one gather buffer for all rounds
+    low = np.empty(n_own, dtype=np.int32)
     rounds = 0
     while True:
         rounds += 1
-        seen = label[indices]
-        low = np.minimum.reduceat(seen, starts)
+        np.take(label, hits, out=seen, mode="clip")  # clip: unbuffered
+        low.fill(n_own)
+        np.minimum.at(low, seg_q, np.minimum.reduceat(seen, seg_start))
         pull = core & (low < own)
         roots, under = own[pull], low[pull]
         if not symmetric:
-            row_label = np.repeat(own, np.diff(indptr))
+            row_label = np.repeat(own[seg_q], seg_n)
             push = (seen < n_own) & (seen > row_label)
             roots = np.concatenate([roots, seen[push]])
             under = np.concatenate([under, row_label[push]])

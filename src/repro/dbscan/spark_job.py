@@ -72,7 +72,8 @@ class SparkDBSCAN:
         ``"per_point"`` or ``"batched"``: validated, without effect here.
         Both values run the same code — executors answer all owned
         neighbourhoods with one vectorised kernel call, then expand over
-        CSR rows (DESIGN.md §6) — and the frozen benchmark passes it.
+        its hits in tile order (DESIGN.md §6) — and the frozen benchmark
+        passes it.
     min_cluster_size:
         Drop partial clusters smaller than this before merging (the
         paper's r1m small-cluster filter).

@@ -9,6 +9,11 @@ optimization guides: vectorise the hot loop, keep memory contiguous).
 Complexities match the paper's Section IV-C citations: O(n log n)
 construction, range search between O(log n) and O(n^(1-1/d) + k).
 
+The build reorders a column-major ``(d, n)`` copy with the permutation.
+The batched kernel yields hits in tile order, one segment per (tile,
+row); `query_radius_batch` alone assembles CSR.  A pickle carries the
+coordinates once (DESIGN.md §6).
+
 The ``max_neighbors`` query cap implements the paper's
 "kd-tree with pruning branches" used for the 1m-point runs
 (Section V-E): descent stops once enough neighbours are found, trading
@@ -18,11 +23,12 @@ exact neighbourhoods for bounded work.
 from __future__ import annotations
 
 import weakref
+from typing import Iterator
 
 import numpy as np
 
 #: Pending neighbour hits one query block of the batched kernel may hold
-#: before it is assembled into CSR.  Block rows are sized from the running
+#: before it is handed out.  Block rows are sized from the running
 #: hits-per-query mean, so a block's transient memory is this many narrow
 #: chunk entries whatever the density (like `SEED_BLOCK_ROWS` /
 #: `HALO_BLOCK_ROWS`: a constant, not an option).
@@ -63,6 +69,26 @@ def _exact_hits(block: np.ndarray, q: np.ndarray, eps2: float) -> np.ndarray:
     neighbour is decided by (``q`` one point or one per block row)."""
     diff = block - q
     return np.einsum("ij,ij->i", diff, diff) <= eps2
+
+
+def _in_query_order(rows: int, seg_q: np.ndarray, seg_n: np.ndarray,
+                    hits: np.ndarray) -> np.ndarray:
+    """One block's hits moved from tile order to (query, storage) order.
+    A segment's hits are contiguous in both; a stable sort of the
+    *segments* by query orders them, and each hit moves by its segment's
+    displacement."""
+    order = np.argsort(
+        seg_q.astype(np.min_scalar_type(rows - 1)),
+        kind="stable",  # a radix sort on 16-bit keys
+    )
+    sorted_n = seg_n[order]
+    shift = np.cumsum(seg_n) - seg_n
+    shift[order] -= np.cumsum(sorted_n) - sorted_n
+    pos = np.repeat(shift.astype(_int_dtype(0, hits.size)), seg_n)
+    np.subtract(np.arange(pos.size, dtype=pos.dtype), pos, out=pos)
+    out = np.empty_like(hits)
+    out[pos] = hits
+    return out
 
 
 class KDTree:
@@ -108,10 +134,26 @@ class KDTree:
 
         self._perm = np.arange(self.n, dtype=np.intp)
         if self.n > 0:
-            self._build(0, self.n)
+            # Freed before the gather below; a copy, as for d = 1 points.T
+            # is contiguous and a view would reorder the caller's array.
+            self._build(points.T.copy(), 0, self.n)
         # Contiguous copies in permuted order make leaf scans cache-friendly.
         self._pts_perm = points[self._perm] if self.n else points
         self.num_nodes = len(self._split_dim)
+
+    def __getstate__(self) -> dict:
+        # ``points`` is ``_pts_perm`` scattered through ``_perm`` (or,
+        # after rebase(), the same array): the coordinates travel once.
+        state = self.__dict__.copy()
+        if self.points is not self._pts_perm:
+            del state["points"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "points" not in state:
+            self.points = np.empty_like(self._pts_perm)
+            self.points[self._perm] = self._pts_perm
 
     # -- construction ---------------------------------------------------------
     def _add_node(self) -> int:
@@ -123,32 +165,34 @@ class KDTree:
         self._end.append(0)
         return len(self._split_dim) - 1
 
-    def _build(self, start: int, end: int) -> int:
-        """Build the subtree over perm[start:end]; returns its node id."""
+    def _build(self, work: np.ndarray, start: int, end: int) -> int:
+        """Build the subtree over perm[start:end]; returns its node id.
+        ``work[:, start:end]``, those points column-major, is reordered
+        with perm: spans are row reductions, the split axis one row."""
         node = self._add_node()
         count = end - start
         if count <= self.leaf_size:
             self._start[node] = start
             self._end[node] = end
             return node
-        block = self.points[self._perm[start:end]]
+        block = work[:, start:end]
         # Split on the widest dimension — better balance than cycling when
         # clusters make some dimensions much more spread than others.
-        spans = block.max(axis=0) - block.min(axis=0)
-        dim = int(np.argmax(spans))
+        spans = block.max(axis=1) - block.min(axis=1)
+        dim = int(spans.argmax())
         if spans[dim] == 0.0:
             # All points identical: keep as an (oversized) leaf.
             self._start[node] = start
             self._end[node] = end
             return node
         mid = count // 2
-        order = np.argpartition(block[:, dim], mid)
+        order = block[dim].argpartition(mid)
         self._perm[start:end] = self._perm[start:end][order]
-        split_val = float(self.points[self._perm[start + mid], dim])
+        block[:] = block[:, order]
         self._split_dim[node] = dim
-        self._split_val[node] = split_val
-        self._left[node] = self._build(start, start + mid)
-        self._right[node] = self._build(start + mid, end)
+        self._split_val[node] = float(block[dim, mid])
+        self._left[node] = self._build(work, start, start + mid)
+        self._right[node] = self._build(work, start + mid, end)
         return node
 
     def rebase(self) -> np.ndarray:
@@ -244,142 +288,20 @@ class KDTree:
             op = _OPERANDS[self] = (c, R, float(R[-1].max()))
         return op
 
-    @np.errstate(over="raise", invalid="raise")  # no silent inf/nan distances
     def _batch_traverse(
         self,
         Q: np.ndarray,
         eps: float,
         max_neighbors: int | None,
-        collect_indices: bool,
         query_block: int | None,
-        ids: np.ndarray | None = None,
-        stats: dict[str, int] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Shared kernel: per-query neighbour counts, plus (optionally)
-        the neighbours as CSR chunks — ``ids[tree id]`` where an id table
-        is given.  Returns ``(counts, indices)`` with ``indices`` ordered
-        by (query, storage order) or None."""
-        nq, d = Q.shape
-        tiles = tile_rows = rechecks = 0
-        # Python floats: with eps = inf the band edges are inf and nan,
-        # which numpy scalars would compute with a RuntimeWarning.
-        eps2 = float(eps) * float(eps)
-        band = BAND_ULPS * (d + 4) * _UNIT_ROUNDOFF
-        counts = np.zeros(nq, dtype=np.intp)
-        out_blocks: list[np.ndarray] = []
-        split_dim = self._split_dim
-        split_val = self._split_val
-        centre, R, pmax = self._operand()
-        if collect_indices:
-            # Emitted ids in permuted order, 32-bit where they fit: the
-            # pending chunks are what a block's memory is made of.
-            ids = self._perm if ids is None else ids[self._perm]
-            ids = ids.astype(_int_dtype(ids.min(), ids.max()))
-        base = done = 0
-        rows = query_block or FIRST_BLOCK_ROWS
-        while base < nq:
-            bs = min(rows, nq - base)
-            Qb = Q[base:base + bs]
-            QbT = np.ascontiguousarray(Qb.T)  # plane tests read one axis
-            bcounts = counts[base:base + bs]
-            # Query side L = [-2(q - c), |q - c|², 1] and one band
-            # half-width for every pair of the block.
-            a = Qb - centre
-            L = np.column_stack((-2.0 * a, np.einsum("ij,ij->i", a, a), np.ones(bs)))
-            tol = band * (float(L[:, d].max()) + pmax + eps2)
-            # Per-query "still collecting" flag for max_neighbors pruning.
-            alive = np.ones(bs, dtype=bool)
-            # Per-tile hits: ids per hit, (query, count) per active row.
-            q_segs: list[np.ndarray] = []
-            n_segs: list[np.ndarray] = []
-            i_chunks: list[np.ndarray] = []
-            row_ids = np.arange(bs + 1)
-            stack = [(0, 0, self.n, row_ids[:bs])]
-            while stack:
-                node, s, e, active = stack.pop()
-                if max_neighbors is not None:
-                    active = active[alive[active]]
-                    if active.size == 0:
-                        continue
-                dim = split_dim[node]
-                if dim >= 0 and active.size * (e - s) > TILE_CELLS:
-                    delta = QbT[dim][active] - split_val[node]
-                    mid = s + (e - s) // 2  # the build's median split
-                    go_left = active[delta <= eps]
-                    go_right = active[delta >= -eps]
-                    # Push right then left — popped left-first, so a row
-                    # meets its tiles in storage order.
-                    if go_right.size:
-                        stack.append((self._right[node], mid, e, go_right))
-                    if go_left.size:
-                        stack.append((self._left[node], s, mid, go_left))
-                    continue
-                # Tile: one gather and one product for all active queries,
-                # d2 = |a|² - 2a·b + |b|²; hits are row-major flat positions.
-                tiles += 1
-                tile_rows += active.size
-                d2 = L[active] @ R[:, s:e]
-                flat = np.flatnonzero(d2 <= eps2 + tol)
-                if not flat.size:
-                    continue
-                near = d2.ravel()[flat] > eps2 - tol
-                if near.any():
-                    # Band candidates: the exact arithmetic decides each.
-                    r, c = np.divmod(flat[near], e - s)
-                    rechecks += r.size
-                    near[near] = ~_exact_hits(
-                        self._pts_perm[s + c], Qb[active[r]], eps2)
-                    flat = flat[~near]
-                ends = np.searchsorted(flat, row_ids[:active.size + 1] * (e - s))
-                cnt = ends[1:] - ends[:-1]
-                bcounts[active] += cnt
-                if collect_indices:
-                    # One segment per active row; a hit's column is its
-                    # flat position minus its row's start.
-                    flat -= np.repeat(row_ids[:active.size] * (e - s), cnt)
-                    q_segs.append(active)
-                    n_segs.append(cnt)
-                    i_chunks.append(ids[s:e][flat])
-                if max_neighbors is not None:
-                    full = bcounts[active] >= max_neighbors
-                    alive[active[full]] = False
-            base += bs
-            if query_block is None:
-                # Size the next block so its pending hits fit the budget.
-                done += int(bcounts.sum())
-                rows = max(1, min(MAX_BLOCK_ROWS,
-                                  QUERY_BLOCK_HITS * base // max(done, 1)))
-            if i_chunks:
-                # A segment's hits are contiguous in tile order and in the
-                # output; a stable sort of the *segments* by query puts
-                # them in (query, storage) order, and each hit moves by
-                # its segment's displacement.
-                seg_n = np.concatenate(n_segs)
-                order = np.argsort(
-                    np.concatenate(q_segs).astype(np.min_scalar_type(bs - 1)),
-                    kind="stable",  # a radix sort on 16-bit keys
-                )
-                sorted_n = seg_n[order]
-                shift = np.cumsum(seg_n) - seg_n
-                shift[order] -= np.cumsum(sorted_n) - sorted_n
-                hits = np.concatenate(i_chunks)
-                i_chunks.clear()  # the block's peak is hits + pos + one more
-                pos = np.repeat(shift.astype(_int_dtype(0, hits.size)), seg_n)
-                np.subtract(np.arange(pos.size, dtype=pos.dtype), pos, out=pos)
-                out = np.empty_like(hits)
-                out[pos] = hits
-                out_blocks.append(out)
-        if stats is not None:
-            stats.update(tiles=tiles, rows=tile_rows, rechecks=rechecks)
-        if not collect_indices:
-            return counts, None
-        if not out_blocks:
-            return counts, np.empty(0, dtype=np.intp)
-        return counts, np.concatenate(out_blocks, dtype=np.intp)
-
-    def _check_batch_args(
-        self, Q: np.ndarray, eps: float, query_block: int | None
-    ) -> np.ndarray:
+        ids: np.ndarray | None,
+        stats: dict[str, int] | None,
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The one kernel, checking its arguments on the first ``next``:
+        per query block, its first row, its rows' hit counts and its hits
+        (``ids[tree id]``) in tile order, cut into non-empty segments of
+        ``seg_n[j]`` hits of block row ``seg_q[j]``.  A row meets its hits
+        in storage order; under ``max_neighbors`` it keeps the first k."""
         _check_eps(eps)
         if query_block is not None and query_block < 1:
             raise ValueError(f"query_block must be >= 1, got {query_block}")
@@ -390,7 +312,118 @@ class KDTree:
             )
         if not np.isfinite(Q).all():
             raise ValueError("queries must be finite (NaN or inf found)")
-        return Q
+        if ids is not None and np.shape(ids) != (self.n,):
+            raise ValueError(
+                f"ids must hold one entry per tree point ({self.n}), "
+                f"got shape {np.shape(ids)}"
+            )
+        if self.n == 0 or len(Q) == 0:
+            none = np.empty(0, dtype=np.intp)
+            yield 0, np.zeros(len(Q), dtype=np.intp), none, none, none
+            return
+        nq, d = Q.shape
+        tiles = tile_rows = rechecks = 0
+        # Python floats: with eps = inf the band edges are inf and nan,
+        # which numpy scalars would compute with a RuntimeWarning.
+        eps2 = float(eps) * float(eps)
+        band = BAND_ULPS * (d + 4) * _UNIT_ROUNDOFF
+        split_dim = self._split_dim
+        split_val = self._split_val
+        centre, R, pmax = self._operand()
+        # Emitted ids in permuted order, 32-bit where they fit: the
+        # pending chunks are what a block's memory is made of.
+        ids = self._perm if ids is None else np.asarray(ids)[self._perm]
+        ids = ids.astype(_int_dtype(ids.min(), ids.max()))
+        base = done = 0
+        rows = query_block or FIRST_BLOCK_ROWS
+        while base < nq:
+            bs = min(rows, nq - base)
+            Qb = Q[base:base + bs]
+            QbT = np.ascontiguousarray(Qb.T)  # plane tests read one axis
+            counts = np.zeros(bs, dtype=np.intp)
+            # Per-query "still collecting" flag for max_neighbors pruning.
+            alive = np.ones(bs, dtype=bool)
+            # Per tile: its active rows, their hit counts, the hits.
+            row_ids = np.arange(bs + 1)
+            q_segs, n_segs, i_chunks = [row_ids[:0]], [row_ids[:0]], [ids[:0]]
+            stack = [(0, 0, self.n, row_ids[:bs])]
+            with np.errstate(over="raise", invalid="raise"):  # no silent inf/nan
+                # Query side L = [-2(q - c), |q - c|², 1] and one band
+                # half-width for every pair of the block.
+                a = Qb - centre
+                L = np.column_stack(
+                    (-2.0 * a, np.einsum("ij,ij->i", a, a), np.ones(bs)))
+                tol = band * (float(L[:, d].max()) + pmax + eps2)
+                while stack:
+                    node, s, e, active = stack.pop()
+                    if max_neighbors is not None:
+                        active = active[alive[active]]
+                        if active.size == 0:
+                            continue
+                    dim = split_dim[node]
+                    if dim >= 0 and active.size * (e - s) > TILE_CELLS:
+                        delta = QbT[dim][active] - split_val[node]
+                        mid = s + (e - s) // 2  # the build's median split
+                        go_left = active[delta <= eps]
+                        go_right = active[delta >= -eps]
+                        # Push right then left — popped left-first, so a
+                        # row meets its tiles in storage order.
+                        if go_right.size:
+                            stack.append((self._right[node], mid, e, go_right))
+                        if go_left.size:
+                            stack.append((self._left[node], s, mid, go_left))
+                        continue
+                    # Tile: one gather and one product for all active
+                    # queries, d2 = |a|² - 2a·b + |b|²; hits are row-major
+                    # flat positions.
+                    tiles += 1
+                    tile_rows += active.size
+                    d2 = L[active] @ R[:, s:e]
+                    flat = np.flatnonzero(d2 <= eps2 + tol)
+                    if not flat.size:
+                        continue
+                    near = d2.ravel()[flat] > eps2 - tol
+                    if near.any():
+                        # Band candidates: the exact arithmetic decides each.
+                        r, c = np.divmod(flat[near], e - s)
+                        rechecks += r.size
+                        near[near] = ~_exact_hits(
+                            self._pts_perm[s + c], Qb[active[r]], eps2)
+                        flat = flat[~near]
+                    ends = np.searchsorted(flat, row_ids[:active.size + 1] * (e - s))
+                    cnt = ends[1:] - ends[:-1]
+                    if max_neighbors is not None:
+                        # A row's earlier tiles held its earlier hits: it
+                        # keeps this tile's first ones up to the cap.
+                        room = max_neighbors - counts[active]
+                        full = cnt >= room
+                        if full.any():
+                            keep = np.minimum(cnt, room)
+                            rank = np.arange(flat.size) - np.repeat(ends[:-1], cnt)
+                            flat = flat[rank < np.repeat(keep, cnt)]
+                            cnt = keep
+                            alive[active[full]] = False
+                    counts[active] += cnt
+                    # One segment per active row; a hit's column is its
+                    # flat position minus its row's start.
+                    flat -= np.repeat(row_ids[:active.size] * (e - s), cnt)
+                    q_segs.append(active)
+                    n_segs.append(cnt)
+                    i_chunks.append(ids[s:e][flat])
+            seg_n = np.concatenate(n_segs)
+            keep = seg_n > 0
+            hits = np.concatenate(i_chunks)
+            i_chunks.clear()  # a block's peak is its hits and their sort
+            yield base, counts, np.concatenate(q_segs)[keep], seg_n[keep], hits
+            del hits  # not held through the next block's walk
+            base += bs
+            if query_block is None:
+                # Size the next block so its pending hits fit the budget.
+                done += int(counts.sum())
+                rows = max(1, min(MAX_BLOCK_ROWS,
+                                  QUERY_BLOCK_HITS * base // max(done, 1)))
+        if stats is not None:
+            stats.update(tiles=tiles, rows=tile_rows, rechecks=rechecks)
 
     def query_radius_batch(
         self,
@@ -413,45 +446,39 @@ class KDTree:
         ``tiles`` (products run), ``rows`` (active rows summed over them)
         and ``rechecks`` (band pairs `_exact_hits` decided).
         """
-        Q = self._check_batch_args(Q, eps, query_block)
-        if ids is not None:
-            ids = np.asarray(ids)
-            if ids.shape != (self.n,):
-                raise ValueError(
-                    f"ids must hold one entry per tree point ({self.n}), "
-                    f"got shape {ids.shape}"
-                )
-        nq = Q.shape[0]
-        if self.n == 0 or nq == 0:
-            return np.zeros(nq + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
-        counts, indices = self._batch_traverse(
-            Q, eps, max_neighbors, collect_indices=True,
-            query_block=query_block, ids=ids, stats=stats,
-        )
-        if max_neighbors is not None and (counts > max_neighbors).any():
-            # Over-collection only within the tile where the cap tripped;
-            # trim each row to its first max_neighbors hits.
-            lengths = np.minimum(counts, max_neighbors)
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            pos = np.arange(indices.size) - np.repeat(starts, counts)
-            indices = indices[pos < np.repeat(lengths, counts)]
-            counts = lengths
-        indptr = np.zeros(nq + 1, dtype=np.intp)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, indices
+        counts, out = [np.zeros(1, dtype=np.intp)], []
+        for _, bcounts, seg_q, seg_n, hits in self._batch_traverse(
+                Q, eps, max_neighbors, query_block, ids, stats):
+            counts.append(bcounts)
+            out.append(_in_query_order(len(bcounts), seg_q, seg_n, hits))
+        return np.cumsum(np.concatenate(counts)), np.concatenate(out, dtype=np.intp)
+
+    def query_radius_segments(
+        self,
+        Q: np.ndarray,
+        eps: float,
+        max_neighbors: int | None = None,
+        ids: np.ndarray | None = None,
+        stats: dict[str, int] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of `query_radius_batch` as the kernel finds them, with
+        no CSR assembled: ``(counts, seg_q, seg_n, hits)``, ``hits`` cut
+        into non-empty segments of ``seg_n[j]`` neighbours of query
+        ``seg_q[j]``.  A query's segments, in the order they come, are its
+        row; for readers of a row's set or minimum."""
+        base, counts, seg_q, seg_n, hits = zip(*self._batch_traverse(
+            Q, eps, max_neighbors, None, ids, stats))
+        return (np.concatenate(counts),
+                np.concatenate([q + b for b, q in zip(base, seg_q)]),
+                np.concatenate(seg_n), np.concatenate(hits, dtype=np.intp))
 
     def count_radius_batch(
         self, Q: np.ndarray, eps: float, query_block: int | None = None
     ) -> np.ndarray:
         """Neighbourhood sizes of all query rows (the Definition 1 density
-        test) without materialising the neighbour lists."""
-        Q = self._check_batch_args(Q, eps, query_block)
-        if self.n == 0 or Q.shape[0] == 0:
-            return np.zeros(Q.shape[0], dtype=np.intp)
-        counts, _ = self._batch_traverse(
-            Q, eps, None, collect_indices=False, query_block=query_block
-        )
-        return counts
+        test): the same walk, one block's hits held at a time."""
+        return np.concatenate([block[1] for block in self._batch_traverse(
+            Q, eps, None, query_block, None, None)])
 
     # -- introspection -------------------------------------------------------------
     def depth(self) -> int:

@@ -25,9 +25,10 @@ from repro.dbscan.cells import build_cell_assignment, cell_frame
 from repro.dbscan.partial import OpCounters, expand_frame, range_frame
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
+from repro.kdtree import kdtree as kdtree_module
 from repro.obs import Tracer
 from tests.dbscan.test_partial import _line_points
-from tests.dbscan.test_properties import point_clouds
+from tests.dbscan.test_properties import plain, point_clouds
 
 POLICIES = ("all", "one_per_partition")
 KINDS = ("range", "cell")
@@ -257,6 +258,40 @@ def test_truncated_rows_give_undirected_components(max_neighbors):
                        max_neighbors=max_neighbors, neighbor_mode="batched",
                        counters=None, boundary_out=None)
     assert {c.members[0]: set(c.members) for c in got} == want
+
+
+@pytest.mark.parametrize("max_neighbors", [None, 0, 1, 3])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_expansion_ignores_how_rows_are_cut_into_segments(
+        kind, policy, max_neighbors, monkeypatch):
+    """The kernel hands the expansion its hits in tile order, one segment
+    per (tile, row).  From one tile per leaf to one tile over the whole
+    tree the segments differ; the partials, the counters, the boundary
+    set and the propagation rounds must not."""
+    pts = generate_clustered(n=500, num_clusters=3, cluster_std=8.0,
+                             seed=11).points
+    frames, _ = frames_of(kind, pts, 3, 25.0)
+    runs, segments = [], []
+    for tile_cells in (1, kdtree_module.TILE_CELLS, 1 << 62):
+        monkeypatch.setattr(kdtree_module, "TILE_CELLS", tile_cells)
+        segments.append(len(frames[0].tree.query_radius_segments(
+            frames[0].own_points, 25.0, ids=frames[0].to_local)[1]))
+        run = []
+        for frame in frames:
+            counters, stats = OpCounters(), {}
+            boundary = set() if max_neighbors is None else None
+            got = expand_frame(
+                frame, 25.0, 5, seed_policy=policy,
+                max_neighbors=max_neighbors, neighbor_mode="batched",
+                counters=counters, boundary_out=boundary, stats=stats,
+            )
+            run.append((plain(got), counters, boundary, stats["rounds"]))
+        runs.append(run)
+    assert runs[0] == runs[1] == runs[2]
+    # ... though the rows really were cut differently.
+    assert segments[0] >= segments[1] >= segments[2]
+    assert segments[0] > segments[2]
 
 
 def _expand_rounds(pts, eps, p=1):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbscan import SparkDBSCAN, SpatialSparkDBSCAN
+from repro.engine.sanitize import deep_hash
 from repro.kdtree import KDTree
 from tests.dbscan.test_oracle import duplicate_heavy_clouds, lattice_subsets
 
@@ -91,15 +92,24 @@ def test_empty_tree_rebases():
     assert_queries_agree(tree, rebuilt, 1.0, as_sets=False)
 
 
-def test_rebased_pickle_holds_the_coordinates_once():
+@pytest.mark.parametrize("rebased", [False, True], ids=["built", "rebased"])
+def test_pickle_holds_the_coordinates_once(rebased):
+    # A built tree's ``points`` is a scatter of ``_pts_perm`` through
+    # ``_perm``; a rebased tree's *is* ``_pts_perm``.  Either way the
+    # coordinates travel once, and the clone is what was pickled, down
+    # to the sanitizer's hash of its ``__dict__``.
     pts = np.random.default_rng(5).uniform(0, 100, (1000, 10))
     tree = KDTree(pts)
-    before = len(pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL))
-    tree.rebase()
+    if rebased:
+        tree.rebase()
     blob = pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL)
-    assert len(blob) <= 0.55 * before
+    assert len(blob) < 1.2 * pts.nbytes
     clone = pickle.loads(blob)
-    assert clone.points is clone._pts_perm
+    assert (clone.points is clone._pts_perm) == rebased
+    assert clone.points.flags.c_contiguous
+    assert np.array_equal(clone.points, tree.points)
+    assert pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL) == blob
+    assert deep_hash(clone) == deep_hash(tree)
     assert np.array_equal(
         clone.query_radius(pts[0], 30.0), tree.query_radius(pts[0], 30.0)
     )

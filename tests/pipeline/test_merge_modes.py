@@ -95,7 +95,8 @@ class TestMergeTelemetry:
         """The run is deterministic, so its counts are pinned exactly:
         c10k at paper size, batched kernel, 4 range partitions.  The
         broadcast is only serialized (and so only sized) on a process
-        backend."""
+        backend, and the tree carries its coordinates once
+        (`KDTree.__getstate__`)."""
         pts = make_dataset("c10k", scale=1.0).points
         assert pts.shape == (10_000, 10)
         tracer = Tracer()
@@ -104,5 +105,5 @@ class TestMergeTelemetry:
         report = TraceReport.from_events([s.to_event() for s in tracer.spans])
         assert result.num_partial_clusters == report.total_partials == 129
         assert int(reg.get("repro_driver_collect_bytes").value()) == 118_638
-        assert report.broadcast_bytes == 1_693_207
+        assert report.broadcast_bytes == 893_161
         assert report.num_executor_spans == 4
