@@ -1,24 +1,20 @@
-"""Ablation — telemetry overhead: tracing and profiling must be ~free.
+"""Ablation — telemetry overhead: tracing and metrics must be ~free.
 
-The worker-telemetry layer (task spans, resource profiling) rides the
-executor hot path, so its cost budget is explicit: tracing + profiling
-must stay within a few percent of the plain run, and the clustering
-must be byte-identical — observability that changes the observed system
-is worthless.  Three configurations of the same job:
+The worker-telemetry layer (task spans) rides the executor hot path, so
+its cost budget is explicit: a traced and an observed run must stay
+within a few percent of the plain run, and the clustering must be
+byte-identical — observability that changes the observed system is
+worthless.  Three configurations of the same job:
 
-- **plain**    — NULL_TRACER, no profiling (the production fast path:
+- **plain**    — NULL_TRACER, no registry (the production fast path:
   one thread-local read per instrumentation site);
 - **traced**   — a live Tracer: per-task `WorkerTelemetry` buffers,
   sub-phase spans (`task.expand`, `task.kdtree_query`, ...) recorded in
   the workers and merged into the driver trace;
-- **profiled** — traced plus per-task resource profiling (CPU clock +
-  getrusage high-water reads bracketing every task).
-
-A `MetricsRegistry` is deliberately *not* part of this ablation: a
-registry makes the one expansion kernel also report the Section III-B
-`OpCounters` (closed forms of its arrays, DESIGN.md §6) and ships them
-through a second accumulator, which is operation counting, not
-span/profile overhead.
+- **observed** — traced plus a `MetricsRegistry`: every attempt's
+  `TaskMetrics` (run and CPU seconds, peak RSS) and the Section III-B
+  `OpCounters` folded in — what `benchmarks/perf/worker.py`'s
+  `observed_wall` runs.
 
 Rounds are interleaved with the configuration order rotated every
 round (running the same config in the same slot every time bakes
@@ -36,13 +32,13 @@ import numpy as np
 
 from repro.data import EPS, MINPTS, make_dataset
 from repro.dbscan import SparkDBSCAN
-from repro.obs import NULL_TRACER, Tracer, TraceReport
+from repro.obs import NULL_TRACER, MetricsRegistry, Tracer, TraceReport
 
 from _harness import print_table, save_results
 
 PARTITIONS = 4
 ROUNDS = 5
-#: Relative budget for traced/profiled vs plain, on best-of-N walls.
+#: Relative budget for traced/observed vs plain, on best-of-N walls.
 #: The design budget is 5%; the assertion allows 3x that because the
 #: run-to-run noise floor of the whole job on shared hardware is ±10%+
 #: (identical configs differ by that much back to back) — the budget
@@ -52,10 +48,10 @@ ROUNDS = 5
 OVERHEAD_BUDGET = 0.15
 
 
-def _fit(points, tracer, profile):
+def _fit(points, tracer, registry):
     model = SparkDBSCAN(
         EPS, MINPTS, num_partitions=PARTITIONS, neighbor_mode="batched",
-        tracer=tracer, profile=profile,
+        tracer=tracer, metrics_registry=registry,
     )
     t0 = time.perf_counter()
     res = model.fit(points)
@@ -66,9 +62,9 @@ def test_ablation_telemetry_overhead(benchmark):
     g = make_dataset("c100k")
 
     configs = [
-        ("plain", lambda: (NULL_TRACER, False)),
-        ("traced", lambda: (Tracer(), False)),
-        ("profiled", lambda: (Tracer(), True)),
+        ("plain", lambda: (NULL_TRACER, None)),
+        ("traced", lambda: (Tracer(), None)),
+        ("observed", lambda: (Tracer(), MetricsRegistry())),
     ]
 
     walls: dict[str, float] = {name: float("inf") for name, _ in configs}
@@ -78,11 +74,11 @@ def test_ablation_telemetry_overhead(benchmark):
         # Rotate who goes first so ordering bias cancels across rounds.
         order = configs[r % len(configs):] + configs[:r % len(configs)]
         for name, make in order:
-            tracer, profile = make()
-            wall, res = _fit(g.points, tracer, profile)
+            tracer, registry = make()
+            wall, res = _fit(g.points, tracer, registry)
             walls[name] = min(walls[name], wall)
             labels[name] = res.labels
-            if name == "profiled":
+            if name == "observed":
                 last_tracer = tracer
 
     rows, payload = [], []
@@ -102,23 +98,23 @@ def test_ablation_telemetry_overhead(benchmark):
 
     # Observability must not change the answer: labels byte-identical.
     assert np.array_equal(labels["plain"], labels["traced"])
-    assert np.array_equal(labels["plain"], labels["profiled"])
+    assert np.array_equal(labels["plain"], labels["observed"])
 
     # ...and must not meaningfully change the cost.
-    for name in ("traced", "profiled"):
+    for name in ("traced", "observed"):
         overhead = walls[name] / walls["plain"] - 1.0
         assert overhead < OVERHEAD_BUDGET, (
             f"{name} run is {overhead:+.1%} over plain "
             f"(budget {OVERHEAD_BUDGET:.0%})"
         )
 
-    # The profiled run actually collected worker telemetry.
+    # The observed run actually collected worker telemetry.
     assert last_tracer is not None
     report = TraceReport.from_tracer(last_tracer)
     assert report.worker_phase_s, "no worker spans captured"
     assert "task.expand" in report.worker_phase_s
 
     benchmark.pedantic(
-        lambda: _fit(g.points[:5000], Tracer(), True),
+        lambda: _fit(g.points[:5000], Tracer(), MetricsRegistry()),
         rounds=2, iterations=1,
     )

@@ -102,12 +102,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: --sanitize requires a Spark-engine algorithm "
               f"(spark, spatial, naive), not {args.algorithm!r}", file=sys.stderr)
         return 1
-    profile = args.profile or args.profile_alloc
-    if profile and args.algorithm not in ("spark", "spatial"):
-        print(f"error: --profile requires a pipeline algorithm with task "
-              f"profiling (spark, spatial), not {args.algorithm!r}",
-              file=sys.stderr)
-        return 1
 
     points = _load_points(args.source)
     try:
@@ -128,8 +122,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             impl=args.impl,
             max_rounds=args.max_rounds,
             sanitize=args.sanitize,
-            profile=profile,
-            profile_alloc=args.profile_alloc,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -277,17 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a span trace (Chrome trace-event JSON lines, "
                         "Perfetto-loadable; render with `repro trace FILE`)")
     r.add_argument("--metrics-out", default=None, metavar="FILE",
-                   help="write a Prometheus text exposition of run metrics")
+                   help="write a Prometheus text exposition of run metrics "
+                        "(task attempts, run and CPU seconds, peak RSS, ...)")
     r.add_argument("--sanitize", action="store_true",
-                   help="enable runtime sanitizers (broadcast write-barrier, "
-                        "accumulator read guard, race detector); Spark-engine "
-                        "algorithms only")
-    r.add_argument("--profile", action="store_true",
-                   help="per-task resource profiling (CPU time, peak RSS) "
-                        "aggregated into --metrics-out; spark/spatial only")
-    r.add_argument("--profile-alloc", action="store_true",
-                   help="additionally track per-task allocation peaks "
-                        "(tracemalloc; implies --profile)")
+                   help="enable the broadcast write-barrier (a task that "
+                        "mutates a broadcast value fails the job); "
+                        "Spark-engine algorithms only")
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser("scaling", help="Figure 8-style speedup sweep")

@@ -99,9 +99,11 @@ class SparkDBSCAN:
         §7).  Defaults to the no-op `NULL_TRACER`; labels are identical
         either way.
     metrics_registry:
-        `repro.obs.MetricsRegistry` receiving task metrics and the
-        executors' `OpCounters` (collected through a second accumulator
-        only when a registry is present).
+        `repro.obs.MetricsRegistry` receiving every task attempt's
+        `TaskMetrics` (attempts, run and CPU seconds, peak worker RSS,
+        shuffle bytes) and the executors' `OpCounters` (closed forms of
+        the expansion's arrays, shipped through a second accumulator only
+        when a registry is present).  Labels are identical either way.
     checkpoint_dir, resume, fail_after:
         Per-stage checkpointing (DESIGN.md §9): with ``checkpoint_dir``
         set, checkpointable stages persist their outputs keyed by the
@@ -133,8 +135,6 @@ class SparkDBSCAN:
         tracer: Tracer | None = None,
         metrics_registry=None,
         sanitize: bool = False,
-        profile: bool = False,
-        profile_alloc: bool = False,
         checkpoint_dir: str | None = None,
         resume: bool = False,
         fail_after: str | None = None,
@@ -155,8 +155,6 @@ class SparkDBSCAN:
             partitioning=partitioning,
             merge_mode=merge_mode,
             sanitize=sanitize,
-            profile=profile,
-            profile_alloc=profile_alloc,
         )
         self.tracer = tracer or NULL_TRACER
         self.metrics_registry = metrics_registry

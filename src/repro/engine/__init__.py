@@ -32,15 +32,13 @@ from .errors import (
     TaskError,
 )
 from .fault import FaultPlan, random_straggler_plan
-from .metrics import JobMetrics, StageMetrics, Stopwatch, TaskMetrics, makespan
+from .metrics import JobMetrics, StageMetrics, TaskMetrics, makespan
 from .partitioner import HashPartitioner, IndexRangePartitioner, Partitioner
 from .rdd import RDD
 from .sanitize import (
     AccumulatorReadError,
     BroadcastMutationError,
-    Sanitizer,
     SanitizerError,
-    TrackedLock,
     deep_hash,
 )
 from .storage import BlockManager
@@ -62,7 +60,6 @@ __all__ = [
     "JobMetrics",
     "StageMetrics",
     "TaskMetrics",
-    "Stopwatch",
     "makespan",
     "BlockManager",
     "EngineError",
@@ -74,7 +71,5 @@ __all__ = [
     "SanitizerError",
     "BroadcastMutationError",
     "AccumulatorReadError",
-    "Sanitizer",
-    "TrackedLock",
     "deep_hash",
 ]

@@ -104,18 +104,11 @@ class Broadcast(Generic[T]):
         """
         if getattr(self, "_expected_hash", None) is None:
             return
-        from . import sanitize, task_context
+        from . import task_context
 
         ctx = task_context.get()
         if ctx is not None and ctx.sanitize:
             ctx.note_broadcast(self, value)
-            san = sanitize.current()
-            if san is not None:
-                san.record_access(
-                    f"broadcast:{self.bid}",
-                    write=False,
-                    locks=("broadcast._cache_lock",),
-                )
 
     def verify(self, value: T, task: str) -> None:
         """Re-hash ``value`` against the broadcast-time hash.
@@ -146,9 +139,9 @@ class Broadcast(Generic[T]):
     def __getstate__(self) -> dict[str, Any]:
         # Never ship the value itself through task serialization: that is
         # exactly the anti-pattern broadcast variables exist to avoid.
-        # The expected hash *must* travel with the handle: worker
-        # processes have no driver sanitizer, so the write-barrier there
-        # rests entirely on the hash baked into the handle.
+        # The expected hash *must* travel with the handle: the
+        # write-barrier in a worker process rests entirely on the hash
+        # baked into the handle.
         return {
             "bid": self.bid,
             "_path": self._path,

@@ -30,9 +30,6 @@ from ..obs.spans import NULL_TRACER, Tracer
 from .fault import FaultPlan
 from .metrics import JobMetrics
 from .rdd import RDD, ParallelCollectionRDD, SourceRDD
-from .sanitize import Sanitizer
-from .sanitize import activate as sanitizer_activate
-from .sanitize import deactivate as sanitizer_deactivate
 from .shuffle import ShuffleManager
 from .sources import LocalTextFileSource
 from .storage import BlockManager
@@ -54,16 +51,12 @@ class SparkContext:
         tracer: Tracer = NULL_TRACER,
         metrics_registry: Any = None,
         sanitize: bool = False,
-        profile: bool = False,
-        profile_alloc: bool = False,
     ):
         self.master = master
         self.app_name = app_name
         self.tracer = tracer
         self.metrics_registry = metrics_registry
         self.sanitize = sanitize
-        self.profile = profile
-        self.profile_alloc = profile_alloc
         self.mode, self.default_parallelism = parse_master(master)
         self._own_spill_dir = spill_dir is None
         self.spill_dir = spill_dir or tempfile.mkdtemp(prefix="minispark-")
@@ -81,11 +74,9 @@ class SparkContext:
             speculation=speculation,
             speculation_multiplier=speculation_multiplier,
             tracer=tracer,
-            # Worker telemetry rides on any observability sink being live;
-            # profiling is its own opt-in (it reads process-global clocks).
-            collect_telemetry=tracer.enabled or metrics_registry is not None,
-            profile=profile,
-            profile_alloc=profile_alloc,
+            # Worker span buffers are only worth filling for a tracer;
+            # per-attempt CPU and RSS ride on `TaskMetrics` regardless.
+            collect_telemetry=tracer.enabled,
         )
         self.dag_scheduler = DAGScheduler(
             self.task_scheduler,
@@ -97,10 +88,6 @@ class SparkContext:
         )
         self.fault_plan = FaultPlan()  # injected faults/stragglers for tests
         tracer.instant("engine.context", cat="engine", app_name=app_name, master=master)
-        self.sanitizer: Sanitizer | None = None
-        if sanitize:
-            self.sanitizer = Sanitizer(tracer=tracer, metrics_registry=metrics_registry)
-            sanitizer_activate(self.sanitizer)
         self._stopped = False
 
     # -- RDD creation ---------------------------------------------------------
@@ -157,9 +144,6 @@ class SparkContext:
         if self._stopped:
             return
         self._stopped = True
-        if self.sanitizer is not None:
-            self.sanitizer.finalize()
-            sanitizer_deactivate(self.sanitizer)
         self.backend.shutdown()
         self.broadcast_manager.stop()
         self.block_manager.clear()

@@ -158,11 +158,7 @@ class DAGScheduler:
                 outcomes = self._run_result_stage(
                     job_id, result_stage, func, plan, metrics
                 )
-            metrics.scheduling_time = 0.0  # refined below
             metrics.wall_time = time.perf_counter() - t0
-            metrics.scheduling_time = metrics.wall_time - sum(
-                s.total_task_time for s in metrics.stages
-            )
             job_span.annotate(
                 num_stages=len(metrics.stages),
                 total_task_time=round(metrics.total_executor_time, 6),
@@ -240,7 +236,7 @@ class DAGScheduler:
 
     def _record(self, job_id: int, sm: StageMetrics, outcome: TaskOutcome) -> None:
         """The one place a task attempt fans out: always into `JobMetrics`,
-        into the trace and the registry only when one is live."""
+        into this job's trace and registry only when one is live."""
         tm = outcome.metrics
         if tm is not None:
             sm.task_metrics.append(tm)
@@ -268,19 +264,24 @@ class DAGScheduler:
                 record_task_metrics(self.metrics_registry, tm)
         if outcome.telemetry is not None:
             # Worker-side sub-phase spans: rebase onto the driver clock,
-            # preserve the worker pid, fold buffered metric deltas in.
+            # preserve the worker pid.
             from ..obs.collect import merge_telemetry
 
-            merge_telemetry(
-                self.tracer, outcome.telemetry, self.metrics_registry
+            merge_telemetry(self.tracer, outcome.telemetry)
+        if outcome.fatal:
+            # A violation belongs to the context whose job ran the task;
+            # the task scheduler re-raises it right after this returns.
+            self.tracer.instant(
+                "sanitizer.violation", cat="sanitizer", detail=outcome.error,
+                error_type=outcome.error_type, stage_id=outcome.stage_id,
+                partition=outcome.partition,
             )
-        if outcome.profile is not None and self.metrics_registry is not None:
-            from ..obs.profile import record_task_profile
-
-            record_task_profile(
-                self.metrics_registry, outcome.profile,
-                stage=outcome.stage_id, partition=outcome.partition,
-            )
+            if self.metrics_registry is not None:
+                self.metrics_registry.counter(
+                    "repro_sanitizer_findings_total",
+                    "Findings reported by the runtime sanitizers.",
+                    labelnames=("kind",),
+                ).inc(1, kind="violation")
         if outcome.succeeded:
             self.accumulators.apply_task_updates(
                 job_id, outcome.stage_id, outcome.partition, outcome.acc_updates

@@ -21,7 +21,7 @@ from typing import Any, Callable
 from . import task_context
 from .errors import TaskError
 from .fault import FaultPlan
-from .metrics import TaskMetrics
+from .metrics import TaskMetrics, peak_rss_bytes
 from .rdd import RDD, TaskRuntime
 from .storage import BlockManager
 
@@ -42,11 +42,9 @@ class Task:
     shuffle_inputs: dict[tuple[int, int], list[str]] = field(default_factory=dict)
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
     sanitize: bool = False
-    # Stamped by the TaskScheduler from run-level settings: ship a
-    # WorkerTelemetry buffer back / profile resources / trace allocations.
+    # Stamped by the TaskScheduler when a tracer is live: ship a
+    # WorkerTelemetry buffer back with the outcome.
     collect_telemetry: bool = False
-    profile: bool = False
-    profile_alloc: bool = False
 
     def __getstate__(self) -> dict[str, Any]:
         # Only the pickle is narrowed: retries and speculative duplicates
@@ -70,10 +68,9 @@ class TaskOutcome:
     # job immediately, re-raising the error type named here.
     fatal: bool = False
     error_type: str = ""
-    # Worker-side observability payloads, shipped back across the
-    # process boundary and merged by the DAG scheduler.
+    # Worker-side span buffer, shipped back across the process boundary
+    # and merged into the trace by the DAG scheduler.
     telemetry: Any = None  # repro.obs.collect.WorkerTelemetry | None
-    profile: Any = None    # repro.obs.profile.TaskResourceProfile | None
 
 
 def run_task(
@@ -84,10 +81,13 @@ def run_task(
 ) -> TaskOutcome:
     """Execute one task attempt; never raises — failures become outcomes.
 
-    ``deserialize_s`` / ``deserialize_nbytes`` let a process-backend
-    entry point report how long unpickling the task took; the time is
-    grafted in as a ``task.deserialize`` span *before* the telemetry
-    anchor (negative start), since the work predates the buffer.
+    Every attempt, failed or not, comes back with its `TaskMetrics`:
+    run and CPU seconds over the same window and the worker's peak RSS
+    after it.  ``deserialize_s`` / ``deserialize_nbytes`` let a
+    process-backend entry point report how long unpickling the task
+    took; the time is grafted in as a ``task.deserialize`` span *before*
+    the telemetry anchor (negative start), since the work predates the
+    buffer.
     """
     metrics = TaskMetrics(task.stage_id, task.partition, task.attempt)
     metrics.worker_pid = os.getpid()
@@ -103,16 +103,13 @@ def run_task(
                 "task.deserialize", start=-deserialize_s, dur=deserialize_s,
                 nbytes=deserialize_nbytes,
             )
-    profiler = None
-    if task.profile:
-        from ..obs.profile import TaskProfiler
-
-        profiler = TaskProfiler(alloc=task.profile_alloc)
-        profiler.start()
     ctx = task_context.TaskContext(
         task.stage_id, task.partition, task.attempt, metrics,
         sanitize=task.sanitize, telemetry=telemetry,
     )
+    failure: BaseException | None = None
+    value: Any = None
+    map_paths: dict[int, str] = {}
     start = time.perf_counter()
     cpu_start = time.process_time()
     try:
@@ -125,7 +122,6 @@ def run_task(
             if task.kind == "result":
                 assert task.func is not None
                 value = task.func(task.partition, task.rdd.iterator(task.partition, runtime))
-                map_paths: dict[int, str] = {}
             elif task.kind == "shuffle_map":
                 from .shuffle import write_map_output
 
@@ -138,22 +134,25 @@ def run_task(
                     task.partitioner,
                 )
                 metrics.shuffle_bytes_written = nbytes
-                value = None
             else:  # pragma: no cover - guarded by construction
                 raise ValueError(f"unknown task kind {task.kind!r}")
             # Broadcast write-barrier: re-hash every broadcast this task
             # touched, *inside* the context so a mutation fails the task.
             ctx.verify_broadcasts()
-        metrics.run_time = time.perf_counter() - start
-        metrics.cpu_time = time.process_time() - cpu_start
-        metrics.succeeded = True
-        if telemetry is not None:
-            telemetry.add_span(
-                "task.run", start=start - telemetry.perf_anchor,
-                dur=metrics.run_time, cpu_s=metrics.cpu_time,
-                stage=task.stage_id, partition=task.partition,
-                attempt=task.attempt,
-            )
+    except BaseException as exc:  # noqa: BLE001 - report, scheduler decides
+        failure = exc
+    metrics.run_time = time.perf_counter() - start
+    metrics.cpu_time = time.process_time() - cpu_start
+    metrics.peak_rss = peak_rss_bytes()
+    metrics.succeeded = failure is None
+    if telemetry is not None:
+        telemetry.add_span(
+            "task.run", start=start - telemetry.perf_anchor,
+            dur=metrics.run_time, cpu_s=metrics.cpu_time,
+            stage=task.stage_id, partition=task.partition,
+            attempt=task.attempt, **({} if failure is None else {"failed": True}),
+        )
+    if failure is None:
         return TaskOutcome(
             task.stage_id,
             task.partition,
@@ -164,33 +163,20 @@ def run_task(
             acc_updates=dict(ctx.acc_updates),
             map_output_paths=map_paths,
             telemetry=telemetry,
-            profile=profiler.stop() if profiler is not None else None,
         )
-    except BaseException as exc:  # noqa: BLE001 - report, scheduler decides
-        metrics.run_time = time.perf_counter() - start
-        metrics.cpu_time = time.process_time() - cpu_start
-        err = TaskError(task.stage_id, task.partition, task.attempt, exc)
-        from .sanitize import SanitizerError
+    from .sanitize import SanitizerError
 
-        if telemetry is not None:
-            telemetry.add_span(
-                "task.run", start=start - telemetry.perf_anchor,
-                dur=metrics.run_time, cpu_s=metrics.cpu_time,
-                stage=task.stage_id, partition=task.partition,
-                attempt=task.attempt, failed=True,
-            )
-        return TaskOutcome(
-            task.stage_id,
-            task.partition,
-            task.attempt,
-            succeeded=False,
-            error=str(err),
-            metrics=metrics,
-            fatal=isinstance(exc, SanitizerError),
-            error_type=type(exc).__name__,
-            telemetry=telemetry,
-            profile=profiler.stop() if profiler is not None else None,
-        )
+    return TaskOutcome(
+        task.stage_id,
+        task.partition,
+        task.attempt,
+        succeeded=False,
+        error=str(TaskError(task.stage_id, task.partition, task.attempt, failure)),
+        metrics=metrics,
+        fatal=isinstance(failure, SanitizerError),
+        error_type=type(failure).__name__,
+        telemetry=telemetry,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +227,6 @@ def process_entry(blob: bytes) -> bytes:
             error=f"task result not serializable: {exc!r}",
             metrics=outcome.metrics,
             telemetry=outcome.telemetry,
-            profile=outcome.profile,
         )
         t1 = time.perf_counter()
         payload = cloudpickle.dumps(fallback)

@@ -10,8 +10,28 @@ given number of slots (simulated parallel wall-clock), which is how the
 
 from __future__ import annotations
 
-import time
+import sys
 from dataclasses import dataclass, field
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - not available on Windows
+    resource = None  # type: ignore[assignment]
+
+
+def peak_rss_bytes() -> int:
+    """Process peak resident set size in bytes (0 where unsupported).
+
+    ``getrusage``'s high-water mark is monotonic per process, so only
+    the first attempt to touch a new peak moves it: aggregate with max,
+    never sum.  Linux reports KiB, macOS bytes.
+    """
+    if resource is None:
+        return 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform != "darwin":
+        peak *= 1024
+    return int(peak)
 
 
 @dataclass
@@ -23,9 +43,8 @@ class TaskMetrics:
     attempt: int = 0
     run_time: float = 0.0          # seconds spent executing user code
     cpu_time: float = 0.0          # process_time delta over the same window
+    peak_rss: int = 0              # worker's peak_rss_bytes() after the attempt
     worker_pid: int = 0            # OS pid the attempt ran in
-    records_read: int = 0
-    records_written: int = 0
     shuffle_bytes_written: int = 0
     shuffle_bytes_read: int = 0
     succeeded: bool = False
@@ -69,7 +88,6 @@ class JobMetrics:
     job_id: int
     stages: list[StageMetrics] = field(default_factory=list)
     wall_time: float = 0.0          # real wall-clock of the action
-    scheduling_time: float = 0.0    # driver-side DAG/scheduling overhead
 
     @property
     def total_executor_time(self) -> float:
@@ -111,18 +129,3 @@ def makespan(durations: list[float], slots: int) -> float:
         i = loads.index(min(loads))
         loads[i] += d
     return max(loads)
-
-
-class Stopwatch:
-    """Tiny context-manager stopwatch used throughout the benchmarks."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.elapsed += time.perf_counter() - self._start

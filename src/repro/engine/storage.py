@@ -22,38 +22,15 @@ class BlockManager:
         self.hits = 0
         self.misses = 0
 
-    def _sanitize_touch(self, key: tuple[int, int], write: bool) -> None:
-        """Feed the race detector when a sanitized task touches a block.
-
-        Every internal access happens under ``self._lock``, so the lock
-        name is passed explicitly — correct engine code never shrinks
-        the candidate lockset to empty.
-        """
-        from . import sanitize, task_context
-
-        if task_context.get() is None:
-            return
-        san = sanitize.current()
-        if san is not None:
-            san.record_access(
-                f"block:{key[0]}.{key[1]}",
-                write=write,
-                locks=("BlockManager._lock",),
-            )
-
     def put(self, rdd_id: int, partition: int, data: list[Any]) -> None:
         """Store a materialized partition."""
-        key = (rdd_id, partition)
-        self._sanitize_touch(key, write=True)
         with self._lock:
-            self._memory[key] = data
+            self._memory[(rdd_id, partition)] = data
 
     def get(self, rdd_id: int, partition: int) -> list[Any] | None:
         """Fetch a cached partition, or None on a miss."""
-        key = (rdd_id, partition)
-        self._sanitize_touch(key, write=False)
         with self._lock:
-            data = self._memory.get(key)
+            data = self._memory.get((rdd_id, partition))
             if data is None:
                 self.misses += 1
             else:

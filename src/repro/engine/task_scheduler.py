@@ -35,17 +35,9 @@ def _raise_sanitizer(outcome: TaskOutcome) -> None:
     mutated), so the job aborts on the first one instead of burning the
     retry budget.  The original error type is reconstructed from the
     outcome so callers can catch e.g. `BroadcastMutationError` even when
-    the task ran in a worker process.
+    the task ran in a worker process.  The violation already reached
+    this job's trace and registry through `DAGScheduler._record`.
     """
-    san = sanitize.current()
-    if san is not None:
-        san.report(
-            "violation",
-            outcome.error,
-            error_type=outcome.error_type,
-            stage_id=outcome.stage_id,
-            partition=outcome.partition,
-        )
     exc_type = sanitize.FATAL_ERROR_TYPES.get(
         outcome.error_type, sanitize.SanitizerError
     )
@@ -62,8 +54,6 @@ class TaskScheduler:
         speculation_multiplier: float = 2.0,
         tracer: Tracer = NULL_TRACER,
         collect_telemetry: bool = False,
-        profile: bool = False,
-        profile_alloc: bool = False,
     ):
         if max_task_failures < 1:
             raise ValueError("max_task_failures must be >= 1")
@@ -76,8 +66,6 @@ class TaskScheduler:
         self.speculative_launches = 0
         self.tracer = tracer
         self.collect_telemetry = collect_telemetry
-        self.profile = profile
-        self.profile_alloc = profile_alloc
 
     def run_task_set(
         self,
@@ -89,16 +77,11 @@ class TaskScheduler:
         ``on_outcome`` observes every attempt (success or failure) — the
         DAG scheduler uses it to record metrics for all attempts.
         """
-        if self.collect_telemetry or self.profile:
-            # Stamp run-level observability settings onto every task here,
-            # once — retries go through dataclasses.replace and inherit them.
+        if self.collect_telemetry:
+            # Stamp the run-level setting onto every task here, once —
+            # retries go through dataclasses.replace and inherit it.
             tasks = [
-                dataclasses.replace(
-                    t, collect_telemetry=self.collect_telemetry,
-                    profile=self.profile,
-                    profile_alloc=self.profile_alloc,
-                )
-                for t in tasks
+                dataclasses.replace(t, collect_telemetry=True) for t in tasks
             ]
         by_partition = {t.partition: t for t in tasks}
         completed: dict[int, TaskOutcome] = {}

@@ -1,14 +1,15 @@
 """Observability: structured span tracing, a metrics registry, and
 trace-driven reports.
 
-Five pieces (DESIGN.md §7):
+Four pieces (DESIGN.md §7):
 
 - `spans` — `Tracer` / `Span`: nestable timed regions with labels,
   exported as Chrome trace-event JSON lines (Perfetto-loadable).  The
   module singleton `NULL_TRACER` is the zero-overhead default.
 - `registry` — `MetricsRegistry` of labelled Counter/Gauge/Histogram
-  instruments with Prometheus text exposition; `TaskMetrics` and
-  `OpCounters` bridge in via `record_task_metrics`/`record_op_counters`.
+  instruments with Prometheus text exposition; `TaskMetrics` (run and
+  CPU seconds, peak RSS, shuffle bytes per attempt) and `OpCounters`
+  bridge in via `record_task_metrics`/`record_op_counters`.
 - `report` — computes the paper's headline splits (Fig 5 kd-tree
   fraction, Fig 6 driver/executor time and partial-cluster counts,
   merge stats) directly from a trace, plus skew/straggler diagnostics
@@ -17,8 +18,6 @@ Five pieces (DESIGN.md §7):
   buffer created inside executor workers, shipped back on the
   `TaskOutcome`, and merged into the driver tracer with worker pids
   preserved and timestamps rebased to the driver clock.
-- `profile` — opt-in per-task resource profiling (wall vs CPU, peak
-  RSS, tracemalloc allocation peak) aggregated into the registry.
 """
 
 from .spans import NULL_TRACER, NullTracer, Span, Tracer, load_trace
@@ -38,7 +37,6 @@ from .report import (
     render_timeline,
 )
 from .collect import WorkerTelemetry, merge_telemetry, task_span
-from .profile import TaskProfiler, TaskResourceProfile, record_task_profile
 
 __all__ = [
     "NULL_TRACER",
@@ -48,8 +46,6 @@ __all__ = [
     "MetricsRegistry",
     "NullTracer",
     "Span",
-    "TaskProfiler",
-    "TaskResourceProfile",
     "TraceReport",
     "Tracer",
     "WorkerTelemetry",
@@ -60,7 +56,6 @@ __all__ = [
     "parse_exposition",
     "record_op_counters",
     "record_task_metrics",
-    "record_task_profile",
     "render_timeline",
     "task_span",
 ]

@@ -1,4 +1,4 @@
-"""Worker-side telemetry: task spans and metric deltas shipped cross-process.
+"""Worker-side telemetry: task spans shipped cross-process.
 
 After PR 2 the span layer stopped at the scheduler boundary: under the
 ``processes`` backend every task ran as one opaque block, because the
@@ -98,8 +98,7 @@ class WorkerTelemetry:
     """Picklable per-task telemetry buffer created inside the worker.
 
     Carries the worker's pid, the two clock anchors (see module
-    docstring), the recorded sub-phase spans, and buffered counter
-    deltas destined for the driver's metrics registry.
+    docstring) and the recorded sub-phase spans.
     """
 
     pid: int
@@ -107,10 +106,6 @@ class WorkerTelemetry:
     perf_anchor: float      # perf_counter() at creation — same-process rebase
     tid: str = "worker"
     spans: list[WorkerSpan] = field(default_factory=list)
-    # (metric name, help text, amount, labels) — folded into counters.
-    metric_deltas: list[tuple[str, str, float, dict[str, Any]]] = field(
-        default_factory=list
-    )
 
     @classmethod
     def create(cls, tid: str = "worker") -> "WorkerTelemetry":
@@ -121,10 +116,6 @@ class WorkerTelemetry:
             perf_anchor=time.perf_counter(),
             tid=tid,
         )
-
-    def now(self) -> float:
-        """Seconds since the anchor (this process only)."""
-        return time.perf_counter() - self.perf_anchor
 
     def span(self, name: str, **labels: Any) -> _WorkerSpanHandle:
         """Open a timed sub-phase; use as a context manager."""
@@ -147,18 +138,6 @@ class WorkerTelemetry:
                           labels=labels)
         self.spans.append(span)
         return span
-
-    def inc(self, name: str, amount: float = 1.0, help: str = "",
-            **labels: Any) -> None:
-        """Buffer a counter increment to apply at the driver registry."""
-        self.metric_deltas.append((name, help, float(amount), labels))
-
-    def phase_totals(self) -> dict[str, float]:
-        """Summed duration per span name."""
-        totals: dict[str, float] = {}
-        for s in self.spans:
-            totals[s.name] = totals.get(s.name, 0.0) + s.dur
-        return totals
 
 
 def current_telemetry() -> WorkerTelemetry | None:
@@ -187,17 +166,10 @@ def task_span(name: str, **labels: Any):
     return telemetry.span(name, **labels)
 
 
-def merge_telemetry(
-    tracer: Tracer,
-    telemetry: WorkerTelemetry,
-    registry: Any = None,
-) -> None:
-    """Fold one task's worker telemetry into the driver-side stores.
-
-    Spans are grafted into ``tracer`` rebased to its timeline with the
-    worker pid preserved (see module docstring for the two-anchor
-    scheme); buffered metric deltas are folded into ``registry``.
-    """
+def merge_telemetry(tracer: Tracer, telemetry: WorkerTelemetry) -> None:
+    """Graft one task's worker spans into the driver tracer, rebased to
+    its timeline with the worker pid preserved (see module docstring for
+    the two-anchor scheme)."""
     if tracer.enabled and telemetry.spans:
         if telemetry.pid == os.getpid():
             base = telemetry.perf_anchor - tracer._origin
@@ -209,8 +181,3 @@ def merge_telemetry(
                 start=base + ws.start, pid=telemetry.pid, cpu_s=ws.cpu_s,
                 **ws.labels,
             )
-    if registry is not None:
-        for name, help_text, amount, labels in telemetry.metric_deltas:
-            registry.counter(
-                name, help_text, tuple(sorted(labels))
-            ).inc(amount, **labels)

@@ -276,7 +276,12 @@ class MetricsRegistry:
 
 
 def record_task_metrics(registry: MetricsRegistry, tm: TaskMetrics) -> None:
-    """Fold one task attempt's `TaskMetrics` into the registry."""
+    """Fold one task attempt's `TaskMetrics` into the registry.
+
+    Times are histograms per stage (distribution matters for skew); the
+    peak-RSS gauge keeps the max per (stage, partition) over attempts —
+    RSS is a process high-water mark and summing it would double-count.
+    """
     outcome = "succeeded" if tm.succeeded else "failed"
     registry.counter(
         "repro_task_attempts_total", "Task attempts by stage and outcome.",
@@ -285,6 +290,18 @@ def record_task_metrics(registry: MetricsRegistry, tm: TaskMetrics) -> None:
     registry.histogram(
         "repro_task_run_seconds", "Task attempt run time.", ("stage",),
     ).observe(tm.run_time, stage=tm.stage_id)
+    registry.histogram(
+        "repro_task_cpu_seconds", "CPU seconds per task attempt.", ("stage",),
+    ).observe(tm.cpu_time, stage=tm.stage_id)
+    if tm.peak_rss:
+        gauge = registry.gauge(
+            "repro_task_peak_rss_bytes",
+            "Peak worker RSS observed after a task (bytes, max-aggregated).",
+            ("stage", "partition"),
+        )
+        cell = {"stage": tm.stage_id, "partition": tm.partition}
+        if tm.peak_rss > gauge.value(**cell):
+            gauge.set(tm.peak_rss, **cell)
     if tm.shuffle_bytes_written:
         registry.counter(
             "repro_shuffle_bytes_written_total",

@@ -85,10 +85,6 @@ class RunConfig:
     #: checkpoint artifacts) differ.
     merge_mode: str = "partials"
     sanitize: bool = False
-    # Runtime-only observability knobs (like master/sanitize, excluded
-    # from the content hash: they never change the answer).
-    profile: bool = False
-    profile_alloc: bool = False
     # sequential only
     impl: str = "array"
     # naive only

@@ -92,8 +92,6 @@ class PipelineState:
                 tracer=self.tracer,
                 metrics_registry=self.metrics_registry,
                 sanitize=self.config.sanitize,
-                profile=self.config.profile,
-                profile_alloc=self.config.profile_alloc,
             )
             self.own_sc = True
         return self.sc

@@ -16,6 +16,7 @@ from repro.engine import (
     JobAbortedError,
     SparkContext,
 )
+from repro.obs import MetricsRegistry, Tracer
 
 MASTERS = ["simulated[2]", "threads[2]", "processes[2]"]
 
@@ -84,3 +85,23 @@ def test_engine_refuses_the_hazard(hazard, master):
         with pytest.raises(error) as caught:
             job(sc)
     assert names in str(caught.value)
+
+
+@pytest.mark.parametrize("master", MASTERS)
+def test_fatal_hazard_is_reported_by_the_context_that_ran_it(master):
+    """A task's fatal violation is reported to its own job's trace and
+    registry, never to another (sanitized) context alive in the process."""
+    mine, bystander = Tracer(), Tracer()
+    mine_reg, bystander_reg = MetricsRegistry(), MetricsRegistry()
+    with SparkContext(master, tracer=mine, metrics_registry=mine_reg) as sc:
+        with SparkContext("local", sanitize=True, tracer=bystander,
+                          metrics_registry=bystander_reg):
+            with pytest.raises(AccumulatorReadError):
+                accumulator_read_in_task(sc)
+    violations = [s for s in mine.spans if s.name == "sanitizer.violation"]
+    assert violations
+    assert violations[0].labels["error_type"] == "AccumulatorReadError"
+    findings = mine_reg.get("repro_sanitizer_findings_total")
+    assert findings.value(kind="violation") == len(violations)
+    assert not [s for s in bystander.spans if s.cat == "sanitizer"]
+    assert bystander_reg.get("repro_sanitizer_findings_total") is None

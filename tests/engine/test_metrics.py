@@ -1,9 +1,14 @@
-"""Metrics aggregation and the measured-makespan model."""
+"""Metrics aggregation, the peak-RSS read and the measured-makespan model."""
 
 import pytest
 
-from repro.engine import Stopwatch, makespan
-from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics
+from repro.engine import makespan
+from repro.engine.metrics import (
+    JobMetrics,
+    StageMetrics,
+    TaskMetrics,
+    peak_rss_bytes,
+)
 
 
 class TestMakespan:
@@ -95,29 +100,8 @@ class TestJobMetrics:
         assert jm.total_executor_time == pytest.approx(1.5)
 
 
-class TestStopwatch:
-    def test_measures_elapsed(self):
-        import time
-
-        with Stopwatch() as sw:
-            time.sleep(0.01)
-        assert sw.elapsed >= 0.01
-
-    def test_accumulates_across_uses(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        first = sw.elapsed
-        with sw:
-            pass
-        assert sw.elapsed >= first
-
-    def test_unused_stopwatch_is_zero(self):
-        assert Stopwatch().elapsed == 0.0
-
-    def test_exception_inside_block_still_accumulates(self):
-        sw = Stopwatch()
-        with pytest.raises(RuntimeError):
-            with sw:
-                raise RuntimeError("boom")
-        assert sw.elapsed > 0.0
+class TestPeakRss:
+    def test_positive_on_posix(self):
+        # On Linux/macOS resource.getrusage is available and any Python
+        # process has a multi-megabyte high-water mark.
+        assert peak_rss_bytes() > 1024 * 1024

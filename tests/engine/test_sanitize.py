@@ -1,9 +1,9 @@
-"""Runtime sanitizers: each seeded violation must be caught.
+"""Runtime sanitizer: each seeded violation must be caught.
 
 Covers the broadcast write-barrier (threads *and* processes — the
 rehydrated handle must carry the expected hash so the worker's cached
-value is re-verified per task), the accumulator read guard, the race /
-lock-order detector, and the structural deep hash they rest on.
+value is re-verified per task), the accumulator read guard, and the
+structural deep hash the barrier rests on.
 """
 
 import pickle
@@ -15,18 +15,13 @@ from repro.engine import (
     AccumulatorReadError,
     BroadcastMutationError,
     SparkContext,
-    TrackedLock,
     deep_hash,
 )
 from repro.engine.broadcast import _reset_process_cache
 from repro.engine.executor import Task, run_task
-from repro.engine.sanitize import (
-    FATAL_ERROR_TYPES,
-    RaceDetector,
-    Sanitizer,
-    SanitizerError,
-)
+from repro.engine.sanitize import FATAL_ERROR_TYPES, SanitizerError
 from repro.engine.storage import BlockManager
+from repro.obs import MetricsRegistry, Tracer
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +128,10 @@ class TestBroadcastBarrier:
                 sc.parallelize(range(4), 2).map(poke).collect()
 
     def test_violation_recorded_by_sanitizer(self):
-        sc = SparkContext("local", sanitize=True)
-        try:
+        # The violation lands in the run's one log and its registry.
+        tracer, registry = Tracer(), MetricsRegistry()
+        with SparkContext("local", sanitize=True, tracer=tracer,
+                          metrics_registry=registry) as sc:
             b = sc.broadcast([1])
 
             def mutate(x):
@@ -143,11 +140,12 @@ class TestBroadcastBarrier:
 
             with pytest.raises(BroadcastMutationError):
                 sc.parallelize(range(2), 2).map(mutate).collect()
-            assert sc.sanitizer is not None
-            kinds = [f.kind for f in sc.sanitizer.findings]
-            assert "violation" in kinds
-        finally:
-            sc.stop()
+        (violation,) = [s for s in tracer.spans if s.cat == "sanitizer"]
+        assert violation.name == "sanitizer.violation"
+        assert violation.labels["error_type"] == "BroadcastMutationError"
+        assert "was mutated" in violation.labels["detail"]
+        findings = registry.get("repro_sanitizer_findings_total")
+        assert findings.value(kind="violation") == 1
 
     def test_setstate_preserves_hash(self, tmp_path):
         """The satellite bugfix: a pickled handle keeps the expected
@@ -255,157 +253,3 @@ class TestFatalAbort:
         assert FATAL_ERROR_TYPES["AccumulatorReadError"] is AccumulatorReadError
         for cls in FATAL_ERROR_TYPES.values():
             assert issubclass(cls, SanitizerError)
-
-
-# ---------------------------------------------------------------------------
-# Race / lock-order detector
-# ---------------------------------------------------------------------------
-
-class TestRaceDetector:
-    def test_unlocked_cross_task_write_flagged(self):
-        det = RaceDetector()
-        det.record_access("engine.counter", "task-a", write=True, locks=())
-        det.record_access("engine.counter", "task-b", write=False, locks=())
-        races = [f for f in det.findings() if f.kind == "race"]
-        assert len(races) == 1
-        assert "engine.counter" in races[0].detail
-
-    def test_common_lock_suppresses(self):
-        det = RaceDetector()
-        det.record_access("state", "task-a", write=True, locks=("mu",))
-        det.record_access("state", "task-b", write=True, locks=("mu",))
-        assert not det.findings()
-
-    def test_lockset_intersection(self):
-        # Locksets {a, mu} and {b, mu} intersect to {mu}: protected.
-        det = RaceDetector()
-        det.record_access("state", "t1", write=True, locks=("a", "mu"))
-        det.record_access("state", "t2", write=True, locks=("b", "mu"))
-        assert not det.findings()
-        # A third access without mu empties the candidate set.
-        det.record_access("state", "t3", write=False, locks=("b",))
-        assert [f.kind for f in det.findings()] == ["race"]
-
-    def test_single_task_never_flagged(self):
-        det = RaceDetector()
-        det.record_access("state", "t1", write=True, locks=())
-        det.record_access("state", "t1", write=True, locks=())
-        assert not det.findings()
-
-    def test_read_only_sharing_never_flagged(self):
-        det = RaceDetector()
-        det.record_access("state", "t1", write=False, locks=())
-        det.record_access("state", "t2", write=False, locks=())
-        assert not det.findings()
-
-    def test_lock_order_cycle_flagged(self):
-        det = RaceDetector()
-        det.acquire("A")
-        det.acquire("B")   # A -> B
-        det.release("B")
-        det.release("A")
-        det.acquire("B")
-        det.acquire("A")   # B -> A: cycle
-        det.release("A")
-        det.release("B")
-        cycles = [f for f in det.findings() if f.kind == "lock_cycle"]
-        assert len(cycles) == 1
-        assert "A" in cycles[0].detail and "B" in cycles[0].detail
-
-    def test_consistent_order_no_cycle(self):
-        det = RaceDetector()
-        for _ in range(2):
-            det.acquire("A")
-            det.acquire("B")
-            det.release("B")
-            det.release("A")
-        assert not det.findings()
-
-    def test_tracked_lock_feeds_detector(self):
-        det = RaceDetector()
-        lock_a = TrackedLock("A", detector=det)
-        lock_b = TrackedLock("B", detector=det)
-        with lock_a:
-            with lock_b:
-                pass
-        with lock_b:
-            with lock_a:
-                pass
-        assert any(f.kind == "lock_cycle" for f in det.findings())
-
-    def test_threads_backend_seeded_race(self):
-        """An unsynchronized shared dict mutated across tasks is flagged
-        at context stop, without failing the job (races are reported,
-        not raised — the schedule may or may not have corrupted data)."""
-        shared: dict[int, int] = {}
-        sc = SparkContext("threads[4]", sanitize=True)
-        try:
-            san = sc.sanitizer
-            assert san is not None
-
-            def racy(x):
-                san.record_access("user.shared_dict", write=True, locks=())
-                shared[x] = x
-                return x
-
-            sc.parallelize(range(8), 4).map(racy).collect()
-            findings = san.finalize()
-            assert any(
-                f.kind == "race" and "user.shared_dict" in f.detail
-                for f in findings
-            )
-        finally:
-            sc.stop()
-
-    def test_clean_sanitized_engine_run_reports_nothing(self):
-        """Engine-internal instrumentation (block manager, broadcast
-        cache) must not self-report: every internal touch carries its
-        guarding lock."""
-        sc = SparkContext("threads[4]", sanitize=True)
-        try:
-            b = sc.broadcast(list(range(32)))
-            rdd = sc.parallelize(range(64), 8).map(lambda x: b.value[x % 32]).cache()
-            rdd.collect()
-            rdd.collect()  # cache hits touch the block manager again
-            findings = sc.sanitizer.finalize()
-            assert findings == []
-        finally:
-            sc.stop()
-
-
-# ---------------------------------------------------------------------------
-# Sanitizer plumbing
-# ---------------------------------------------------------------------------
-
-class TestSanitizerPlumbing:
-    def test_findings_emitted_as_metrics(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        san = Sanitizer(metrics_registry=registry)
-        san.report("race", "seeded", key="k")
-        text = registry.exposition()
-        assert "repro_sanitizer_findings_total" in text
-
-    def test_event_log_gets_report(self, tmp_path):
-        # A race is only known at stop(); it must still land in the run's
-        # one log — the trace — as a sanitizer.* instant.
-        from repro.obs import Tracer, load_trace
-
-        tracer = Tracer()
-        with SparkContext("threads[2]", sanitize=True, tracer=tracer) as sc:
-            san = sc.sanitizer
-
-            def racy(x):
-                san.record_access("user.shared", write=True, locks=())
-                return x
-
-            sc.parallelize(range(4), 2).map(racy).collect()
-        path = str(tmp_path / "trace.jsonl")
-        tracer.write_jsonl(path)
-        races = [e for e in load_trace(path) if e["name"] == "sanitizer.race"]
-        assert races and "user.shared" in races[0]["args"]["detail"]
-
-    def test_context_without_sanitize_has_no_sanitizer(self):
-        with SparkContext("local") as sc:
-            assert sc.sanitizer is None

@@ -116,52 +116,68 @@ class TestTelemetryCollectionPolicy:
             ).collect()
         assert all(got)
 
-    def test_registry_alone_enables_collection(self):
-        # Metric deltas need the buffer even when spans go nowhere.
+    def test_registry_alone_collects_no_worker_spans(self):
+        # Span buffers are only worth filling for a tracer: per-attempt
+        # CPU and RSS reach the registry through TaskMetrics.
         reg = MetricsRegistry()
         with SparkContext("threads[2]", metrics_registry=reg) as sc:
-            def count(pid, it):
+            def probe(pid, it):
                 from repro.obs.collect import current_telemetry
 
-                t = current_telemetry()
-                assert t is not None
-                n = len(list(it))
-                t.inc("repro_probe_total", n, help="Probe.")
-                return [n]
+                return [current_telemetry() is None for _ in it]
 
-            sc.parallelize(range(10), 2).map_partitions_with_index(
-                count
+            got = sc.parallelize(range(4), 2).map_partitions_with_index(
+                probe
             ).collect()
-        assert reg.get("repro_probe_total").value() == pytest.approx(10.0)
+        assert all(got)
+        assert reg.get("repro_task_cpu_seconds").count(stage=0) == 2
+
+
+def _rss_job(sc):
+    sc.parallelize(range(8), 2).map(lambda x: x + 1).collect()
 
 
 class TestProfilingThroughTheEngine:
+    @pytest.mark.parametrize("master", ["simulated[2]", "threads[2]",
+                                        "processes[2]"])
+    def test_every_attempt_records_peak_rss(self, master):
+        with SparkContext(master) as sc:
+            _rss_job(sc)
+            (stage,) = sc.last_job_metrics.stages
+        assert len(stage.task_metrics) == 2
+        for tm in stage.task_metrics:
+            assert tm.peak_rss > 1024 * 1024
+            assert tm.cpu_time >= 0.0
+
     def test_profiles_land_in_registry(self):
         reg = MetricsRegistry()
-        with SparkContext("threads[2]", metrics_registry=reg,
-                          profile=True) as sc:
-            sc.parallelize(range(8), 2).map(lambda x: x + 1).collect()
-        assert reg.get("repro_task_cpu_seconds") is not None
+        with SparkContext("threads[2]", metrics_registry=reg) as sc:
+            _rss_job(sc)
+        assert reg.get("repro_task_cpu_seconds").count(stage=0) == 2
         rss = reg.get("repro_task_peak_rss_bytes")
         assert rss is not None
-        assert max(rss._values.values()) > 1024 * 1024
+        assert min(rss.value(stage=0, partition=p) for p in (0, 1)) > 1024 * 1024
 
-    def test_alloc_profile_across_processes(self):
+    def test_retried_attempts_keep_the_max_rss(self):
+        from repro.engine import FaultPlan
+
         reg = MetricsRegistry()
-        with SparkContext("processes[2]", metrics_registry=reg,
-                          profile=True, profile_alloc=True) as sc:
-            got = sc.parallelize(range(4), 2).map(
-                lambda x: len(bytes(200_000))
-            ).collect()
-        assert got == [200_000] * 4
-        alloc = reg.get("repro_task_alloc_peak_bytes")
-        assert alloc is not None
-        assert max(alloc._values.values()) > 100_000
+        with SparkContext("simulated[2]", metrics_registry=reg) as sc:
+            sc.fault_plan = FaultPlan(fail_attempts={(-1, 1): 2})
+            _rss_job(sc)
+            (stage,) = sc.last_job_metrics.stages
+        attempts = [tm for tm in stage.task_metrics if tm.partition == 1]
+        assert [tm.succeeded for tm in attempts] == [False, False, True]
+        assert all(tm.peak_rss > 0 for tm in attempts)
+        rss = reg.get("repro_task_peak_rss_bytes")
+        assert rss.value(stage=0, partition=1) == max(tm.peak_rss for tm in attempts)
 
 
 class TestDbscanLabelsUnaffected:
     @pytest.mark.parametrize("master", MASTERS)
     def test_traced_profiled_labels_byte_identical(self, master):
+        # "profiled": a registry is live, so every attempt's CPU and
+        # peak RSS are folded into it.
         from repro.data import generate_clustered
         from repro.dbscan import SparkDBSCAN
 
@@ -173,8 +189,9 @@ class TestDbscanLabelsUnaffected:
         reg = MetricsRegistry()
         full = SparkDBSCAN(25.0, 5, num_partitions=4, master=master,
                            neighbor_mode="batched", tracer=tracer,
-                           metrics_registry=reg, profile=True).fit(pts)
+                           metrics_registry=reg).fit(pts)
         assert np.array_equal(plain.labels, full.labels)
+        assert reg.get("repro_task_peak_rss_bytes") is not None
         worker_names = {s.name for s in tracer.spans if s.cat == "worker"}
         assert "task.expand" in worker_names
         queries = [s for s in tracer.spans if s.name == "task.kdtree_query"]

@@ -1,10 +1,11 @@
 """Sanitized runs must change *nothing* but the checking.
 
 The acceptance bar for ``--sanitize``: a full SparkDBSCAN run under the
-sanitizers produces labels byte-identical to the unsanitized run — and
-stays byte-identical under fault injection, speculation, and retries
-(retry determinism: recomputation via lineage is a pure function of the
-partition).
+broadcast write-barrier produces labels byte-identical to the
+unsanitized run — and stays byte-identical under fault injection,
+speculation, and retries (retry determinism: recomputation via lineage
+is a pure function of the partition) — and its trace carries no
+``sanitizer.*`` event.
 """
 
 import numpy as np
@@ -14,6 +15,11 @@ from repro.data import generate_clustered
 from repro.dbscan import NaiveSparkDBSCAN, SparkDBSCAN, SpatialSparkDBSCAN
 from repro.engine import FaultPlan, SparkContext
 from repro.kdtree import KDTree
+from repro.obs import Tracer
+
+
+def sanitizer_events(tracer):
+    return [s.name for s in tracer.spans if s.name.startswith("sanitizer.")]
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +77,10 @@ class TestSanitizedEqualsPlain:
 
     def test_no_findings_on_clean_run(self, workload):
         g, tree = workload
-        with SparkContext("threads[4]", sanitize=True) as sc:
+        tracer = Tracer()
+        with SparkContext("threads[4]", sanitize=True, tracer=tracer) as sc:
             SparkDBSCAN(25.0, 5, num_partitions=4).fit(g.points, sc=sc, tree=tree)
-            assert sc.sanitizer.finalize() == []
+        assert tracer.spans and sanitizer_events(tracer) == []
 
 
 class TestRetryDeterminism:
@@ -98,16 +105,17 @@ class TestRetryDeterminism:
             for speculation in (False, True):
                 labels = {}
                 for sanitize in (False, True):
+                    tracer = Tracer()
                     with SparkContext(
-                        "simulated[4]", sanitize=sanitize, speculation=speculation
+                        "simulated[4]", sanitize=sanitize, speculation=speculation,
+                        tracer=tracer,
                     ) as sc:
                         sc.fault_plan = make_plan()
                         res = SparkDBSCAN(25.0, 5, num_partitions=4).fit(
                             g.points, sc=sc, tree=tree
                         )
-                        labels[sanitize] = res.labels
-                        if sanitize:
-                            assert sc.sanitizer.finalize() == []
+                    labels[sanitize] = res.labels
+                    assert sanitizer_events(tracer) == []
                 assert labels[True].tobytes() == labels[False].tobytes(), (
                     f"sanitize changed labels under plan={make_plan()} "
                     f"speculation={speculation}"

@@ -1,11 +1,11 @@
-"""Worker telemetry: buffers, the clock rebase, and the driver merge."""
+"""Worker telemetry: span buffers, the clock rebase, and the driver merge."""
 
 import os
 import pickle
 
 import pytest
 
-from repro.obs import MetricsRegistry, Tracer, WorkerTelemetry, merge_telemetry
+from repro.obs import Tracer, WorkerTelemetry, merge_telemetry
 from repro.obs.collect import current_telemetry, task_span
 from repro.obs.spans import _NULL_HANDLE
 
@@ -15,7 +15,7 @@ class TestWorkerTelemetry:
         t = WorkerTelemetry.create(tid="task-s0p1")
         assert t.pid == os.getpid()
         assert t.tid == "task-s0p1"
-        assert t.spans == [] and t.metric_deltas == []
+        assert t.spans == []
 
     def test_span_context_manager_records_phase(self):
         t = WorkerTelemetry.create()
@@ -34,20 +34,13 @@ class TestWorkerTelemetry:
         t = WorkerTelemetry.create()
         s = t.add_span("task.deserialize", start=-0.25, dur=0.25, nbytes=10)
         assert s.start == -0.25
-        assert t.phase_totals() == {"task.deserialize": 0.25}
+        assert t.spans == [s]
 
     def test_pickle_roundtrip_preserves_everything(self):
         t = WorkerTelemetry.create(tid="task-s1p2")
         t.add_span("task.run", start=0.0, dur=1.5, cpu_s=1.2, partition=2)
-        t.inc("repro_widgets_total", 3, help="Widgets.", kind="a")
         back = pickle.loads(pickle.dumps(t))
         assert back == t
-
-    def test_phase_totals_sums_repeated_names(self):
-        t = WorkerTelemetry.create()
-        t.add_span("task.expand", start=0.0, dur=1.0)
-        t.add_span("task.expand", start=1.0, dur=0.5)
-        assert t.phase_totals() == {"task.expand": 1.5}
 
 
 class TestMergeRebase:
@@ -82,27 +75,6 @@ class TestMergeRebase:
         merge_telemetry(tracer, t)
         (span,) = tracer.spans
         assert span.start == pytest.approx(4.0)
-
-    def test_metric_deltas_fold_into_registry(self):
-        tracer = Tracer()
-        reg = MetricsRegistry()
-        t = WorkerTelemetry.create()
-        t.inc("repro_things_total", 2, help="Things.", kind="a")
-        t.inc("repro_things_total", 3, help="Things.", kind="a")
-        merge_telemetry(tracer, t, reg)
-        counter = reg.get("repro_things_total")
-        assert counter.value(kind="a") == pytest.approx(5.0)
-
-    def test_disabled_tracer_still_folds_metrics(self):
-        from repro.obs import NULL_TRACER
-
-        reg = MetricsRegistry()
-        t = WorkerTelemetry.create()
-        t.add_span("task.run", start=0.0, dur=1.0)
-        t.inc("repro_things_total", 1, help="Things.")
-        merge_telemetry(NULL_TRACER, t, reg)
-        assert NULL_TRACER.spans == []
-        assert reg.get("repro_things_total").value() == pytest.approx(1.0)
 
 
 class TestTaskSpanOutsideTask:

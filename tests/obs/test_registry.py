@@ -153,6 +153,28 @@ class TestBridges:
         assert reg.get("repro_shuffle_bytes_written_total").value(stage=0) == 100
         assert reg.get("repro_shuffle_bytes_read_total").value(stage=0) == 40
 
+    def test_cpu_histogram_observes_each_attempt(self):
+        reg = MetricsRegistry()
+        record_task_metrics(reg, TaskMetrics(0, 0, 0, cpu_time=0.3))
+        record_task_metrics(reg, TaskMetrics(0, 1, 0, cpu_time=0.1))
+        cpu = reg.get("repro_task_cpu_seconds")
+        assert cpu.count(stage=0) == 2
+        assert cpu.sum(stage=0) == pytest.approx(0.4)
+
+    def test_peak_rss_gauge_keeps_the_max_not_the_sum(self):
+        # RSS is a process high-water mark: summing a partition's
+        # attempts would overstate memory; the gauge keeps the max.
+        reg = MetricsRegistry()
+        for attempt, rss in enumerate((100, 300, 200)):
+            record_task_metrics(reg, TaskMetrics(0, 1, attempt, peak_rss=rss))
+        gauge = reg.get("repro_task_peak_rss_bytes")
+        assert gauge.value(stage=0, partition=1) == 300
+
+    def test_unmeasured_rss_leaves_no_gauge(self):
+        reg = MetricsRegistry()
+        record_task_metrics(reg, TaskMetrics(0, 0, 0))
+        assert reg.get("repro_task_peak_rss_bytes") is None
+
     def test_record_op_counters_skips_zero_cells(self):
         reg = MetricsRegistry()
         oc = OpCounters()

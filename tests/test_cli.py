@@ -274,13 +274,11 @@ class TestRun:
         assert len(err.strip().splitlines()) == 1
 
     def test_profile_rejected_for_naive(self, points_file, capsys):
-        # Only the spark/spatial plans profile tasks; the flag must not be
-        # dropped silently elsewhere.
-        assert main(["run", points_file, "--algorithm", "naive",
-                     "--profile"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "profile" in err
-        assert len(err.strip().splitlines()) == 1
+        # There is no --profile: CPU and RSS are always on TaskMetrics.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", points_file, "--algorithm", "naive", "--profile"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
 
 class TestReportAndPerf:
@@ -341,19 +339,26 @@ class TestProfileFlags:
     def test_cluster_profile_writes_task_metrics(
         self, points_file, tmp_path, capsys
     ):
+        # Per-attempt CPU and peak RSS live on TaskMetrics: a plain run
+        # with --metrics-out exposes them, no flag needed.
         from repro.obs import parse_exposition
 
         prom = tmp_path / "m.prom"
         assert main(["cluster", points_file, "--partitions", "2",
-                     "--profile", "--metrics-out", str(prom)]) == 0
+                     "--metrics-out", str(prom)]) == 0
         samples = parse_exposition(prom.read_text())
         assert "repro_task_cpu_seconds_count" in samples
-        assert "repro_task_peak_rss_bytes" in samples
+        rss = samples["repro_task_peak_rss_bytes"]
+        assert {labels["partition"] for labels, _ in rss} == {"0", "1"}
+        assert min(value for _, value in rss) > 0
 
     def test_profile_rejected_for_sequential(self, points_file, capsys):
-        assert main(["cluster", points_file, "--algorithm", "sequential",
-                     "--profile"]) == 1
-        assert "profile" in capsys.readouterr().err
+        # The profile flags are gone: argparse refuses them outright.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["cluster", points_file, "--algorithm", "sequential",
+                  "--profile-alloc"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cluster_master_processes(self, points_file, tmp_path, capsys):
         import os
@@ -368,15 +373,6 @@ class TestProfileFlags:
         worker_pids = {e["pid"] for e in events
                        if e.get("cat") == "worker" and e.get("pid")}
         assert worker_pids and os.getpid() not in worker_pids
-
-    def test_run_profile_flag(self, points_file, tmp_path, capsys):
-        from repro.obs import parse_exposition
-
-        prom = tmp_path / "m.prom"
-        assert main(["run", points_file, "--partitions", "2",
-                     "--profile-alloc", "--metrics-out", str(prom)]) == 0
-        samples = parse_exposition(prom.read_text())
-        assert "repro_task_alloc_peak_bytes" in samples
 
 
 class TestHistoryErrors:
