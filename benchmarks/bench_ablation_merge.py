@@ -79,12 +79,15 @@ def test_ablation_merge_chains(benchmark):
 
 
 def test_ablation_merge_on_real_data(benchmark):
-    """On dense clusters both strategies agree — and we time them."""
+    """On dense clusters both strategies agree — and we time them.
+
+    The fit runs the paper strategy so that the kept partials carry full
+    seeds: Algorithm 4 is a single pass over them, and the union-find
+    default ships only up-pointing seeds (DESIGN.md §11)."""
     g = make_dataset("r10k")
     tree = KDTree(g.points)
-    res = SparkDBSCAN(EPS, MINPTS, num_partitions=8, keep_partials=True).fit(
-        g.points, tree=tree
-    )
+    res = SparkDBSCAN(EPS, MINPTS, num_partitions=8, keep_partials=True,
+                      merge_strategy="paper").fit(g.points, tree=tree)
     partials = res.partials
     assert partials is not None
 

@@ -4,7 +4,10 @@ recording every foreign neighbour.
 DESIGN.md §4: the literal cap can orphan cross-partition *border*
 points; the exact policy ("all") matches sequential DBSCAN bit-for-bit
 on cluster structure.  This bench quantifies the trade: seed volume
-(accumulator payload) against points misclassified as noise.
+(accumulator payload) against points misclassified as noise.  Under
+"all" a task ships only its up-pointing seeds plus orphan rows
+(DESIGN.md §11), so ``seeds(all)`` is about half of what the policy
+reaches; the cap ships its seeds in every direction.
 """
 
 from __future__ import annotations

@@ -344,6 +344,7 @@ def cell_local_dbscan(
     counters: OpCounters | None = None,
     boundary_out: set[int] | None = None,
     stats: dict[str, int] | None = None,
+    orphans_out: list[np.ndarray] | None = None,
 ) -> list[PartialCluster]:
     """SEED expansion over one cell partition's (owned + halo) points.
 
@@ -361,12 +362,14 @@ def cell_local_dbscan(
     points with ≥1 halo neighbour within eps — the export candidates of
     the edge-based merge (DESIGN.md §11).  The eps-halo over-approximates
     slightly (HALO_SLACK), which only widens this set; the seed/export
-    join never probes the extras.
+    join never probes the extras.  ``orphans_out`` is `local_dbscan`'s:
+    the halo makes an orphan's row complete too.
     """
     return expand_frame(
         cell_frame(payload, leaf_size), eps, minpts, seed_policy=seed_policy,
         max_neighbors=max_neighbors, neighbor_mode=neighbor_mode,
         counters=counters, boundary_out=boundary_out, stats=stats,
+        orphans_out=orphans_out,
     )
 
 
@@ -388,6 +391,7 @@ def cell_frame(payload: CellPayload, leaf_size: int = 64) -> Frame:
         own_points=local_points[:n_own], to_local=None,
         to_global=global_ids.__getitem__,
         home_of=lambda ids: halo_home[ids - n_own],
+        above=lambda ids: halo_home[ids - n_own] > payload.partition,
     )
 
 

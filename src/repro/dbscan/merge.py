@@ -26,7 +26,13 @@ from itertools import chain
 import numpy as np
 
 from .core import NOISE
-from .partial import PartialCluster, PartitionDigest, member_ids
+from .partial import (
+    NO_ORPHANS,
+    PartialCluster,
+    PartitionDigest,
+    member_ids,
+    orphan_table,
+)
 
 MERGE_STRATEGIES = ("union_find", "paper")
 
@@ -141,6 +147,7 @@ def union_find_merge(
     owner_core: np.ndarray,
     min_cluster_size: int = 0,
     stats: dict[str, int] | None = None,
+    orphans: np.ndarray = NO_ORPHANS,
 ) -> EdgeMergePlan:
     """Connected components over core seed⋈owner hits — the driver merge.
 
@@ -151,7 +158,10 @@ def union_find_merge(
     two clusters (a border row is a legal overlap, not an edge); a seed
     with no row is a cross-partition border point, claimed by the first
     cluster to reach it in ascending founder order — never arrival
-    order, which varies across backends.
+    order, which varies across backends.  An ``orphans`` row
+    ``(point, neighbour)`` whose neighbour has a core row names one more
+    claimant of ``point``: up-pointing seeds name its claimants from
+    lower partitions, its rows those from higher ones.
 
     Seeds are joined against the point-sorted table `SEED_BLOCK_ROWS` at
     a time.  A block is first sorted on ``point * rows + position``: the
@@ -218,6 +228,19 @@ def union_find_merge(
         claim_src = np.concatenate([claim_src, src[~owned]])[first]
     if stats is not None:
         stats.update(seed_blocks=seed_blocks, live_pairs=live_pairs)
+    if len(orphans):
+        point, nbr = orphans[:, 0], orphans[:, 1]
+        pos = np.searchsorted(t_point[:-1], nbr)
+        hit = np.flatnonzero(t_point[pos] == nbr)
+        hit = hit[t_core[pos[hit]]]
+        # The lowest founder-walk rank per point is the tie-break again.
+        rank = np.empty(m, dtype=np.int64)
+        rank[walk] = np.arange(len(walk))
+        point = np.concatenate([claim_point, point[hit]])
+        src = np.concatenate([claim_src, t_cluster[pos[hit]]])
+        order = np.lexsort((rank[src], point))
+        first = order[np.diff(point[order], prepend=-1) != 0]
+        claim_point, claim_src = point[first], src[first]
 
     # Gids number the components by first appearance in the order passed.
     gid_at = np.full(m, -1, dtype=np.int64)
@@ -245,8 +268,10 @@ def union_find_merge(
 def merge_union_find(
     partials: list[PartialCluster], n: int,
     stats: dict[str, int] | None = None,
+    orphans: np.ndarray = NO_ORPHANS,
 ) -> MergeOutcome:
-    """`union_find_merge` over collected partials, labels applied here.
+    """`union_find_merge` over collected partials (and the tasks' orphan
+    rows), labels applied here.
 
     The owner table is every member, core unless in ``borders`` —
     O(points), which is why only ``merge_mode="partials"`` builds it.
@@ -265,6 +290,7 @@ def merge_union_find(
         ),
         owner_core=~np.isin(point, borders),
         stats=stats,
+        orphans=orphans,
     )
     return MergeOutcome(
         apply_gid_map(partials, plan, n), plan.num_merges,
@@ -284,7 +310,8 @@ def merge_edges(
     order and the owner table is the boundary exports.  By eps-symmetry
     a member some other partition reaches as a SEED is always exported,
     so the join finds the rows it would find among all members and the
-    plan labels byte-identically to `merge_union_find`'s.
+    plan labels byte-identically to `merge_union_find`'s.  An orphan's
+    claimants are cores with it on their rows, so they are exported too.
     """
     clusters = sorted(
         ((summ.cid, summ.founder, summ.size, seed_list) for d in digests
@@ -300,6 +327,7 @@ def merge_edges(
     return union_find_merge(
         clusters, table[:, 0], table[:, 1], table[:, 2].astype(bool),
         min_cluster_size, stats,
+        orphan_table([d.orphans for d in digests]),
     )
 
 
@@ -451,6 +479,7 @@ def merge_partials(
     strategy: str = "union_find",
     min_cluster_size: int = 0,
     stats: dict[str, int] | None = None,
+    orphans: np.ndarray = NO_ORPHANS,
 ) -> MergeOutcome:
     """Merge partial clusters into global labels.
 
@@ -459,16 +488,20 @@ def merge_partials(
     size is too small", Section V-E).  ``MergeOutcome.groups`` always
     indexes the ``partials`` list *as passed in*, filtered or not.
     ``stats`` is `union_find_merge`'s (the paper strategy leaves it
-    empty).
+    empty).  ``orphans`` is the tasks' orphan table, which comes with
+    up-pointing seeds only — never for the paper strategy, Algorithm 4
+    over full seeds.
     """
     if strategy not in MERGE_STRATEGIES:
         raise ValueError(
             f"strategy must be one of {MERGE_STRATEGIES}, got {strategy!r}"
         )
+    if strategy == "paper" and len(orphans):
+        raise ValueError("the paper strategy merges full seeds, not orphan rows")
     kept = [ci for ci, c in enumerate(partials) if c.size >= min_cluster_size]
     sub = [partials[ci] for ci in kept]
-    outcome = (merge_union_find(sub, n, stats) if strategy == "union_find"
-               else merge_paper(sub, n))
+    outcome = (merge_union_find(sub, n, stats, orphans)
+               if strategy == "union_find" else merge_paper(sub, n))
     # The strategies numbered the filtered list; translate each group
     # back to indices into the caller's original list.
     outcome.groups = [[kept[ci] for ci in g] for g in outcome.groups]

@@ -19,6 +19,14 @@ Seed policies (DESIGN.md §4):
   one seed per foreign partition per partial cluster, the lowest id.
   Cheaper, but can drop cross-partition border points (Ablation A
   quantifies this).
+
+Under ``"all"`` with untruncated rows every cross-partition core pair is
+seen from both sides, so the pipeline asks for ``orphans_out``: a task
+then ships only the seeds whose home partition is above its own, plus
+its *orphan rows* — for each point no local cluster holds, its
+neighbours homed above — from which the driver finds the claimants the
+dropped seeds would have named (DESIGN.md §11, "Witness each pair
+once").
 """
 
 from __future__ import annotations
@@ -41,6 +49,11 @@ SEED_POLICIES = ("all", "one_per_partition")
 #: Only the sequential plan still queries per point under ``"per_point"``;
 #: the field stays because the frozen benchmark passes and reads it.
 NEIGHBOR_MODES = ("per_point", "batched")
+
+#: An empty orphan table (``(orphan, neighbour homed above)`` rows),
+#: shared and therefore read-only.
+NO_ORPHANS = np.empty((0, 2), dtype=np.int64)
+NO_ORPHANS.flags.writeable = False
 
 
 @dataclass
@@ -89,6 +102,11 @@ class PartialCluster:
     shared by two clusters is legal in DBSCAN and does not join them).
     The paper's Algorithm 4 overlooks this distinction — see DESIGN.md
     §4.
+
+    ``down_seeds`` counts the seeds the task reached in lower partitions
+    but did not ship (``orphans_out``: their owners witness the same
+    pairs); ``size`` includes them, so ``min_cluster_size`` filters on
+    what the cluster reached, whatever was shipped.
     """
 
     partition: int
@@ -99,6 +117,7 @@ class PartialCluster:
     seeds: np.ndarray = ()
     borders: set[int] = field(default_factory=set)
     status: str = "unfinished"
+    down_seeds: int = 0
 
     def __post_init__(self) -> None:
         self.seeds = np.asarray(self.seeds, dtype=np.int64)
@@ -114,8 +133,8 @@ class PartialCluster:
 
     @property
     def size(self) -> int:
-        """Total number of elements."""
-        return len(self.members) + len(self.seeds)
+        """Total number of elements, unshipped seeds included."""
+        return len(self.members) + len(self.seeds) + self.down_seeds
 
     def owns(self, index: int) -> bool:
         """True iff ``index`` falls inside this partition's range.
@@ -145,7 +164,9 @@ class Frame:
     (one entry per tree point) maps into the frame — ``None`` when the
     tree is already built over local ids.  The range plan is the rotation
     ``(g - lo) % n`` of the global index space; the cell plan is
-    ``owned_ids`` followed by ``halo_ids``.
+    ``owned_ids`` followed by ``halo_ids``.  ``above`` tells which foreign
+    ids are homed in a higher partition: under the rotation, those below
+    ``n - lo``.
     """
 
     partition: int
@@ -156,6 +177,7 @@ class Frame:
     to_local: np.ndarray | None
     to_global: Callable[[np.ndarray], np.ndarray]
     home_of: Callable[[np.ndarray], np.ndarray]  # owning partition of foreign ids
+    above: Callable[[np.ndarray], np.ndarray]    # foreign ids homed higher up
 
 
 def local_dbscan(
@@ -172,6 +194,7 @@ def local_dbscan(
     neighbor_mode: str = "per_point",
     boundary_out: set[int] | None = None,
     stats: dict[str, int] | None = None,
+    orphans_out: list[np.ndarray] | None = None,
 ) -> list[PartialCluster]:
     """Build the partial clusters of one partition (Algorithm 2 lines 4–29).
 
@@ -195,6 +218,11 @@ def local_dbscan(
     other partition can see as a SEED (eps-symmetry) — the export set
     of the edge-based merge (DESIGN.md §11).  Requires
     ``max_neighbors=None``: truncation breaks the symmetry argument.
+
+    ``orphans_out``, when given, receives the partition's orphan rows
+    (`expand_frame`), and the partials then carry only their
+    up-pointing seeds.  Requires ``seed_policy="all"`` and
+    ``max_neighbors=None``.
     """
     given = np.fromiter(own_indices, dtype=np.int64)
     lo, hi = partitioner.range_of(partition_id)
@@ -208,7 +236,7 @@ def local_dbscan(
         range_frame(partition_id, points, tree, partitioner), eps, minpts,
         seed_policy=seed_policy, max_neighbors=max_neighbors,
         neighbor_mode=neighbor_mode, counters=counters,
-        boundary_out=boundary_out, stats=stats,
+        boundary_out=boundary_out, stats=stats, orphans_out=orphans_out,
     )
 
 
@@ -227,6 +255,7 @@ def range_frame(partition_id: int, points: np.ndarray, tree: KDTree,
         partition=partition_id, lo=lo, hi=hi, tree=tree,
         own_points=points[lo:hi], to_local=(np.arange(n) - lo) % n,
         to_global=lambda ids: (ids + lo) % n, home_of=home_of,
+        above=lambda ids: ids < n - lo,
     )
 
 
@@ -241,6 +270,7 @@ def expand_frame(
     counters: OpCounters | None,
     boundary_out: set[int] | None,
     stats: dict[str, int] | None = None,
+    orphans_out: list[np.ndarray] | None = None,
 ) -> list[PartialCluster]:
     """The SEED expansion (Algorithm 2 with Algorithm 3's SEED rule),
     without a queue (DESIGN.md §6, "The loop").
@@ -253,6 +283,13 @@ def expand_frame(
     foreign ids on its core rows (``"one_per_partition"``: the lowest per
     home).  A partial lists its founder, then its other members in
     ascending id.  ``stats`` receives the propagation ``rounds``.
+
+    With ``orphans_out`` a partial keeps only the seeds whose home
+    partition is above ``frame.partition`` and counts the rest in
+    ``down_seeds``; ``orphans_out`` receives one ``(k, 2)`` array of
+    sorted ``(orphan, neighbour)`` global id pairs, an orphan being an
+    owned point no local cluster holds and its neighbours those homed
+    above (DESIGN.md §11).
     """
     if seed_policy not in SEED_POLICIES:
         raise ValueError(
@@ -264,6 +301,12 @@ def expand_frame(
         )
     if boundary_out is not None and max_neighbors is not None:
         raise ValueError("boundary_out requires max_neighbors=None (see local_dbscan)")
+    if orphans_out is not None and (seed_policy != "all"
+                                    or max_neighbors is not None):
+        raise ValueError(
+            "orphans_out requires seed_policy='all' and max_neighbors=None: "
+            "only then is every cross-partition pair seen from both sides"
+        )
     own_points, tree, to_global = frame.own_points, frame.tree, frame.to_global
     n_own = len(own_points)
     if n_own == 0:
@@ -332,8 +375,46 @@ def expand_frame(
             hashtable_lookups=n_own + 2 * (core_hits - foreign_hits),
             seeds_placed=len(seeds), seeds_skipped=reachable - len(seeds),
         ))
+    founders = group[starts]
+    down = np.zeros(len(starts), dtype=np.int64)
+    if orphans_out is not None:
+        # A cross-partition core pair is on both cores' rows: the lower
+        # partition's task alone witnesses it.
+        up = frame.above(seeds)
+        down = np.bincount(np.searchsorted(founders, seed_founder[~up]),
+                           minlength=len(starts))
+        seed_founder, seeds = seed_founder[up], seeds[up]
+        orphans_out.append(
+            _orphan_rows(frame, owner, degree, seg_q, seg_start, seg_n, hits))
     return _partials(frame, members, starts, ~core[members], seeds,
-                     np.searchsorted(seed_founder, group[starts]))
+                     np.searchsorted(seed_founder, founders), down)
+
+
+def _orphan_rows(frame: Frame, owner: np.ndarray, degree: np.ndarray,
+                 seg_q: np.ndarray, seg_start: np.ndarray, seg_n: np.ndarray,
+                 hits: np.ndarray) -> np.ndarray:
+    """``(orphan, neighbour)`` global id pairs in ascending order: the
+    ids homed in a higher partition on the row of every owned point whose
+    founder is the sentinel — not core, and no core in its own partition.
+    The claimants below reach such a point with their up-pointing seeds;
+    these rows name the ones above.  A row holds fewer than minpts ids;
+    one holding only the point itself (isolated noise) is skipped up
+    front."""
+    n_own = len(owner)
+    lone = (owner == n_own) & (degree > 1)
+    if not lone.any():
+        return NO_ORPHANS
+    pick = lone[seg_q]
+    lens = seg_n[pick]
+    at = np.arange(lens.sum()) + np.repeat(
+        seg_start[pick] - np.cumsum(lens) + lens, lens)
+    nbr = hits[at]
+    up = nbr >= n_own
+    up[up] = frame.above(nbr[up])
+    orphan = frame.to_global(np.repeat(seg_q[pick], lens)[up])
+    nbr = frame.to_global(nbr[up])
+    order = np.lexsort((nbr, orphan))
+    return np.column_stack([orphan[order], nbr[order]])
 
 
 def _founders(seg_q: np.ndarray, seg_start: np.ndarray, seg_n: np.ndarray,
@@ -376,8 +457,8 @@ def _founders(seg_q: np.ndarray, seg_start: np.ndarray, seg_n: np.ndarray,
 
 
 def _partials(frame: Frame, members: np.ndarray, starts: np.ndarray,
-              border: np.ndarray, seeds: np.ndarray,
-              seed_starts: np.ndarray) -> list[PartialCluster]:
+              border: np.ndarray, seeds: np.ndarray, seed_starts: np.ndarray,
+              down: np.ndarray) -> list[PartialCluster]:
     """Slice the task's member and seed arrays into partial clusters,
     mapping both to global ids in one `to_global` call."""
     ids = frame.to_global(np.concatenate([members, seeds]))
@@ -386,13 +467,14 @@ def _partials(frame: Frame, members: np.ndarray, starts: np.ndarray,
     seed_cuts = np.append(seed_starts, len(seeds)).tolist()
     border_cuts = np.append(0, np.cumsum(border))[cuts].tolist()
     listed, border_ids = member_ids.tolist(), member_ids[border].tolist()
-    cuts = cuts.tolist()
+    cuts, down = cuts.tolist(), down.tolist()
     return [
         PartialCluster(
             partition=frame.partition, local_id=i, lo=frame.lo, hi=frame.hi,
             members=listed[cuts[i]:cuts[i + 1]],
             seeds=seed_ids[seed_cuts[i]:seed_cuts[i + 1]],
             borders=set(border_ids[border_cuts[i]:border_cuts[i + 1]]),
+            down_seeds=down[i],
         )
         for i in range(len(starts))
     ]
@@ -439,6 +521,11 @@ class PartialSummary:
         return self.n_members + self.n_seeds
 
 
+def orphan_table(rows: list[np.ndarray]) -> np.ndarray:
+    """Orphan row arrays (``orphans_out``) as one ``(k, 2)`` table."""
+    return np.concatenate(rows) if rows else NO_ORPHANS
+
+
 @dataclass
 class LocalExpansion:
     """One partition's expansion output, retained executor-side.
@@ -446,13 +533,15 @@ class LocalExpansion:
     Cached in the lineage (never collected): job 1 derives the digest
     from it, job 2 applies the broadcast gid map to its members.
     ``boundary`` is the queried-points-with-foreign-neighbours set from
-    ``local_dbscan(boundary_out=...)``.
+    ``local_dbscan(boundary_out=...)``, ``orphans`` the partition's
+    orphan table (`expand_frame`; empty when full seeds were kept).
     """
 
     partition: int
     partials: list[PartialCluster]
     boundary: set[int]
     counters: OpCounters | None = None
+    orphans: np.ndarray = field(default_factory=NO_ORPHANS.copy)
 
 
 @dataclass
@@ -465,13 +554,15 @@ class PartitionDigest:
     is_core)`` for every boundary member — the incoming half-edges.  By
     eps-symmetry a point is a SEED of some other partition iff it has a
     foreign neighbour, so joining seeds against exports recovers exactly
-    the owner-map edges the partial-mode merge walks.
+    the owner-map edges the partial-mode merge walks.  ``orphans`` is
+    the partition's orphan table, passed through.
     """
 
     partition: int
     summaries: list[PartialSummary]
     seeds: list[np.ndarray]
     exports: list[tuple[int, int, bool]]
+    orphans: np.ndarray = field(default_factory=NO_ORPHANS.copy)
 
 
 def member_ids(partials: list[PartialCluster]) -> np.ndarray:
@@ -494,7 +585,7 @@ def partition_digest(exp: LocalExpansion) -> PartitionDigest:
                 local_id=c.local_id,
                 founder=c.members[0],
                 n_members=len(c.members),
-                n_seeds=len(c.seeds),
+                n_seeds=len(c.seeds) + c.down_seeds,
                 n_borders=len(c.borders),
             )
         )
@@ -503,7 +594,8 @@ def partition_digest(exp: LocalExpansion) -> PartitionDigest:
             if m in exp.boundary:
                 exports.append((int(m), c.local_id, m not in c.borders))
     return PartitionDigest(
-        partition=exp.partition, summaries=summaries, seeds=seeds, exports=exports
+        partition=exp.partition, summaries=summaries, seeds=seeds,
+        exports=exports, orphans=exp.orphans,
     )
 
 
@@ -515,6 +607,7 @@ def digest_from_partials(partials: list[PartialCluster]) -> list[PartitionDigest
     union-of-all-seeds — every point that actually participates in a
     seed/export join.  (The executor-side export set is a superset —
     boundary members nobody seeded — which the join simply never probes.)
+    The digests carry no orphan rows, so pass full-seed partials.
     """
     if not partials:
         return []
@@ -540,7 +633,8 @@ def digest_from_partials(partials: list[PartialCluster]) -> list[PartitionDigest
     return digests
 
 
-def partials_payload_nbytes(partials: list[PartialCluster]) -> int:
+def partials_payload_nbytes(partials: list[PartialCluster],
+                            orphans: np.ndarray = NO_ORPHANS) -> int:
     """Canonical driver-collect size of the partial-mode payload.
 
     Pickles a plain-tuple rendering (sorted borders, fixed protocol),
@@ -549,17 +643,18 @@ def partials_payload_nbytes(partials: list[PartialCluster]) -> int:
     let the memo deduplicate objects shared *across* items (e.g.
     interned status strings), and how much is shared depends on whether
     partials were unpickled per-partition or created in-process.  The
-    sum feeds the ``repro_driver_collect_bytes`` gauge the perf gate
+    orphan table, when there is one, counts as one more item.  The sum
+    feeds the ``repro_driver_collect_bytes`` gauge the perf gate
     compares exactly.
     """
     return sum(
         len(pickle.dumps(
             (c.partition, c.local_id, c.lo, c.hi, list(c.members),
-             c.seeds.tolist(), sorted(c.borders), c.status),
+             c.seeds.tolist(), sorted(c.borders), c.status, c.down_seeds),
             protocol=4,
         ))
         for c in partials
-    )
+    ) + (len(pickle.dumps(orphans.tolist(), protocol=4)) if len(orphans) else 0)
 
 
 def digest_payload_nbytes(digests: list[PartitionDigest]) -> int:
@@ -576,6 +671,7 @@ def digest_payload_nbytes(digests: list[PartitionDigest]) -> int:
                   s.n_seeds, s.n_borders) for s in d.summaries],
                 [ss.tolist() for ss in d.seeds],
                 [(int(p), int(l), bool(core)) for (p, l, core) in d.exports],
+                d.orphans.tolist(),
             ),
             protocol=4,
         ))

@@ -80,7 +80,10 @@ class SparkDBSCAN:
     leaf_size:
         kd-tree leaf size.
     keep_partials:
-        Retain partial clusters on the result for inspection.
+        Retain partial clusters on the result for inspection.  Under
+        `RunConfig.witness_once` (the defaults) they carry only their
+        up-pointing seeds; the orphan rows that complete them are not
+        kept.
     partitioning:
         ``"range"`` (default): the paper's contiguous index slicing with
         a whole-tree broadcast.  ``"cells"``: eps-grid cell partitions

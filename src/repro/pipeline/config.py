@@ -172,6 +172,18 @@ class RunConfig:
             )
 
     @property
+    def witness_once(self) -> bool:
+        """Whether the SEED tasks ship only up-pointing seeds plus orphan
+        rows (DESIGN.md §11, "Witness each pair once").  Exact only when
+        every cross-partition pair is on both rows (all seeds, untruncated
+        rows), every cluster is kept (a filtered cluster's members would
+        need rows of their own), and the merge is the union-find closure
+        (Algorithm 4 is a single pass over full seeds)."""
+        return (self.seed_policy == "all" and self.max_neighbors is None
+                and self.min_cluster_size == 0
+                and self.merge_strategy == "union_find")
+
+    @property
     def resolved_master(self) -> str:
         """Engine master URL, defaulting to the serial simulated backend."""
         return self.master or f"simulated[{self.num_partitions}]"

@@ -50,6 +50,7 @@ from ..dbscan.partial import (
     PartitionDigest,
     digest_payload_nbytes,
     local_dbscan,
+    orphan_table,
     partials_payload_nbytes,
     partition_digest,
 )
@@ -267,6 +268,7 @@ class LocalExpand(Stage):
         tree_b = state.tree_b
         collect_counters = state.counters_acc is not None
         track_boundary = cfg.merge_mode == "edges"
+        witness_once = cfg.witness_once
 
         def expand(pid: int, it):
             # Worker sub-phase spans: no-ops unless the run collects
@@ -276,6 +278,7 @@ class LocalExpand(Stage):
                 bsp.annotate(n=len(t.points))
             counters = OpCounters() if collect_counters else None
             boundary: set[int] | None = set() if track_boundary else None
+            orphans: list | None = [] if witness_once else None
             stats: dict[str, int] = {}
             # `mode` stays for the trace schema and selects nothing; the
             # nested task.kdtree_query span carries the kernel's tiles,
@@ -287,13 +290,14 @@ class LocalExpand(Stage):
                     pid, it, t.points, t, eps, minpts, partitioner,
                     seed_policy=seed_policy, max_neighbors=max_neighbors,
                     neighbor_mode=neighbor_mode, counters=counters,
-                    boundary_out=boundary, stats=stats,
+                    boundary_out=boundary, stats=stats, orphans_out=orphans,
                 )
                 esp.annotate(partials=len(result),
                              rounds=stats.get("rounds", 0))
             yield LocalExpansion(
                 partition=pid, partials=result,
                 boundary=boundary or set(), counters=counters,
+                orphans=orphan_table(orphans or []),
             )
 
         ship_expansions(state, state.indices.map_partitions_with_index(expand))
@@ -303,12 +307,13 @@ def ship_expansions(state: PipelineState, expansions) -> None:
     """The executor job shared by the range and cell plans.
 
     ``expansions`` is the stage's lazy RDD of one `LocalExpansion` per
-    partition.  With ``merge_mode="partials"`` the partial clusters ship
-    to the driver through the accumulator as each task finishes
-    (Algorithm 2 lines 26-28); with ``"edges"`` only each partition's
-    digest does, and the expansions stay cached in the lineage for
-    `ApplyGidMap` — which reuses them, or deterministically recomputes
-    them on a cache miss under the processes backend.
+    partition.  With ``merge_mode="partials"`` each task's partial
+    clusters and orphan table ship to the driver through the accumulator
+    as the task finishes (Algorithm 2 lines 26-28); with ``"edges"``
+    only each partition's digest does, and the expansions stay cached in
+    the lineage for `ApplyGidMap` — which reuses them, or
+    deterministically recomputes them on a cache miss under the
+    processes backend.
     """
     acc, counters_acc = state.acc, state.counters_acc
     edges = state.config.merge_mode == "edges"
@@ -320,7 +325,8 @@ def ship_expansions(state: PipelineState, expansions) -> None:
         # Counters ship only from this action, so a cache miss in
         # ApplyGidMap's job cannot double-count.
         for exp in it:
-            acc.add([partition_digest(exp)] if edges else exp.partials)
+            acc.add([partition_digest(exp) if edges
+                     else (pid, exp.partials, exp.orphans)])
             if counters_acc is not None:
                 counters_acc.add([(pid, exp.counters)])
 
@@ -406,8 +412,17 @@ def restore_counters(state: PipelineState, doc: list | None) -> None:
     )
 
 
+def _flatten(shipped: list) -> tuple[list[PartialCluster], np.ndarray]:
+    """Partials-mode ``(partition, partials, orphans)`` shipments as the
+    founder-sorted partial list and one orphan table."""
+    partials = [c for _, ps, _ in shipped for c in ps]
+    partials.sort(key=lambda c: c.members[0])
+    return partials, orphan_table([o for _, _, o in shipped])
+
+
 class CollectPartials(Stage):
-    """Drain the accumulator: partial clusters (and OpCounters) to driver.
+    """Drain the accumulator: partial clusters, the tasks' orphan rows
+    (``extras["orphans"]``) and OpCounters to the driver.
 
     The collected list is founder-sorted (by ``members[0]``, globally
     unique): gid numbering downstream follows it.
@@ -419,12 +434,15 @@ class CollectPartials(Stage):
     checkpointable = True
 
     def run(self, state: PipelineState) -> None:
-        state.partials = drain_accumulator(
+        shipped = drain_accumulator(
             state,
-            sort_key=lambda c: c.members[0],
-            payload_nbytes=partials_payload_nbytes,
-            counts_of=lambda c: (c.partition, 1, len(c.seeds)),
+            sort_key=lambda s: s[0],
+            payload_nbytes=lambda items: partials_payload_nbytes(
+                *_flatten(items)),
+            counts_of=lambda s: (s[0], len(s[1]),
+                                 sum(len(c.seeds) for c in s[1])),
         )
+        state.partials, state.extras["orphans"] = _flatten(shipped)
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
         store.save_json(self.name, {
@@ -439,9 +457,11 @@ class CollectPartials(Stage):
                     "seeds": c.seeds.tolist(),
                     "borders": sorted(c.borders),
                     "status": c.status,
+                    "down_seeds": c.down_seeds,
                 }
                 for c in state.partials
             ],
+            "orphans": state.extras["orphans"].tolist(),
             "counters": counters_doc(state),
         })
 
@@ -452,10 +472,12 @@ class CollectPartials(Stage):
                 partition=d["partition"], local_id=d["local_id"],
                 lo=d["lo"], hi=d["hi"], members=list(d["members"]),
                 seeds=d["seeds"], borders=set(d["borders"]),
-                status=d["status"],
+                status=d["status"], down_seeds=d["down_seeds"],
             )
             for d in doc["partials"]
         ]
+        state.extras["orphans"] = np.array(
+            doc["orphans"], dtype=np.int64).reshape(-1, 2)
         restore_counters(state, doc["counters"])
 
 
@@ -468,7 +490,7 @@ class MergePartials(OutcomeStage):
 
     def run(self, state: PipelineState) -> None:
         cfg = state.config
-        partials = state.partials
+        partials, orphans = state.partials, state.extras["orphans"]
         stats: dict[str, int] = {}
         with state.tracer.span("driver.merge", cat="driver") as sp:
             t0 = time.perf_counter()
@@ -478,12 +500,14 @@ class MergePartials(OutcomeStage):
                 strategy=cfg.merge_strategy,
                 min_cluster_size=cfg.min_cluster_size,
                 stats=stats,
+                orphans=orphans,
             )
             state.timings.driver_merge = time.perf_counter() - t0
             sp.annotate(
                 strategy=cfg.merge_strategy,
                 num_partials=len(partials),
                 num_seeds=sum(len(c.seeds) for c in partials),
+                orphan_rows=len(orphans),
                 num_merges=outcome.num_merges,
                 num_global_clusters=outcome.num_global_clusters,
                 overlapping_points=outcome.overlapping_points,
@@ -539,6 +563,7 @@ class CollectEdges(Stage):
                     ],
                     "seeds": [ss.tolist() for ss in d.seeds],
                     "exports": [[p, l, bool(core)] for p, l, core in d.exports],
+                    "orphans": d.orphans.tolist(),
                 }
                 for d in state.extras["digest"]
             ],
@@ -557,6 +582,7 @@ class CollectEdges(Stage):
                 ],
                 seeds=[np.asarray(ss, np.int64) for ss in d["seeds"]],
                 exports=[(p, l, bool(core)) for p, l, core in d["exports"]],
+                orphans=np.array(d["orphans"], dtype=np.int64).reshape(-1, 2),
             )
             for d in doc["digests"]
         ]
@@ -586,6 +612,7 @@ class MergeEdges(Stage):
                 merge_mode="edges",
                 num_partials=plan.num_partials,
                 num_seeds=plan.num_seeds,
+                orphan_rows=sum(len(d.orphans) for d in digests),
                 num_edges=plan.num_edges,
                 num_merges=plan.num_merges,
                 num_global_clusters=plan.num_global_clusters,

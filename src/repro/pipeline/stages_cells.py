@@ -40,7 +40,7 @@ import time
 import numpy as np
 
 from ..dbscan.cells import CellAssignment, build_cell_assignment, cell_local_dbscan
-from ..dbscan.partial import LocalExpansion, OpCounters
+from ..dbscan.partial import LocalExpansion, OpCounters, orphan_table
 from ..obs.collect import task_span
 from .checkpoint import CheckpointStore
 from .stages import CollectPartials, Stage, open_accumulators, ship_expansions
@@ -174,10 +174,12 @@ class LocalIndexExpand(Stage):
         max_neighbors, neighbor_mode = cfg.max_neighbors, cfg.neighbor_mode
         collect_counters = state.counters_acc is not None
         track_boundary = cfg.merge_mode == "edges"
+        witness_once = cfg.witness_once
 
         def expand(pid: int, it):
             counters = OpCounters() if collect_counters else None
             boundary: set[int] | None = set() if track_boundary else None
+            orphans: list | None = [] if witness_once else None
             result = []
             with task_span("task.expand", partition=pid,
                            mode=neighbor_mode) as esp:
@@ -191,6 +193,7 @@ class LocalIndexExpand(Stage):
                         seed_policy=seed_policy, max_neighbors=max_neighbors,
                         neighbor_mode=neighbor_mode, counters=counters,
                         boundary_out=boundary, stats=stats,
+                        orphans_out=orphans,
                     ))
                     rounds = max(rounds, stats.get("rounds", 0))
                 if track_boundary:
@@ -204,6 +207,7 @@ class LocalIndexExpand(Stage):
             yield LocalExpansion(
                 partition=pid, partials=result,
                 boundary=boundary or set(), counters=counters,
+                orphans=orphan_table(orphans or []),
             )
 
         ship_expansions(state, state.indices.map_partitions_with_index(expand))

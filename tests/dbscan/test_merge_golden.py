@@ -23,7 +23,18 @@ second time, the same way, when label propagation replaced the expansion
 BFS (members founder first, then ascending; seeds ascending): per
 partial the same fields, founder, member set and seed set, per digest
 the same summaries, seed sets and export set, and everything else
-byte-identical.
+byte-identical.  It was re-recorded a third time when the pipeline began
+shipping only up-pointing seeds plus orphan rows (DESIGN.md §11,
+"Witness each pair once"): in the ``CollectPartials`` / ``CollectEdges``
+documents every partial's and digest's seeds became exactly the old
+seeds whose home partition is above its own, ``down_seeds`` counts the
+rest (so the summaries' ``n_seeds`` are unchanged), members, borders and
+exports are equal, and the new ``orphans`` table equals the brute-force
+set of (point in no partial, eps-neighbour homed in a higher partition)
+pairs; in
+``MergeEdges`` only ``num_seeds`` (1261 -> 642) and ``num_edges`` (1255
+-> 638) moved.  The ``merge_partials`` / ``merge_edges`` records and the
+other two documents stayed byte-identical.
 """
 
 import json
