@@ -10,18 +10,20 @@ B3 sweeps the *wire format* instead (DESIGN.md §11): shipping whole
 partial clusters vs shipping edge digests, over 100k–1M-point datasets,
 comparing the bytes the driver collects and the driver merge time.  The
 union-find merge is the same function either way (`union_find_merge`);
-what differs is the owner table it joins seeds against — every member,
-or only the boundary exports.
+what differs is the record it is given — the full `ClusterTable`
+(every member is an owner row) or its projection (boundary members).
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from repro.data import EPS, MINPTS, make_dataset
 from repro.dbscan import (
+    ClusterTable,
     PartialCluster,
     SparkDBSCAN,
     SpatialSparkDBSCAN,
@@ -121,12 +123,13 @@ def test_ablation_merge_payload_sweep(benchmark):
 
     One spatially-partitioned clustering per dataset produces the
     partial clusters; both wire formats then feed the one union-find
-    core from the same partials: `merge_union_find` builds its owner
-    table from whole member lists (O(points)) and applies the labels,
-    `merge_edges` builds it from the digests' exports (O(boundary)) and
-    `apply_gid_map` follows — so the time difference is the table's
-    size, not a second algorithm.  Bytes are the canonical collect
-    payloads the `repro_driver_collect_bytes` gauge reports.
+    core from the same record: `merge_union_find` joins against every
+    member (O(points)) and applies the labels, `merge_edges` against the
+    projection's boundary members (O(boundary)) and `apply_gid_map`
+    follows — so the time difference is the owner table's size, not a
+    second algorithm.  Bytes are the canonical collect payloads the
+    `repro_driver_collect_bytes` gauge reports: one projection per
+    partition, as the tasks ship them.
     """
     rows, payload = [], []
     last_digests = None
@@ -137,14 +140,17 @@ def test_ablation_merge_payload_sweep(benchmark):
             EPS, MINPTS, num_partitions=cores, keep_partials=True,
             neighbor_mode="batched",
         ).fit(g.points)
-        partials = sorted(res.partials, key=lambda c: c.members[0])
+        partials = ClusterTable.concat(
+            [ClusterTable.from_partials(res.partials)])
 
         t0 = time.perf_counter()
         ref = merge_union_find(partials, g.n)
         t_partials = time.perf_counter() - t0
         bytes_partials = partials_payload_nbytes(partials)
 
-        digests = digest_from_partials(partials)
+        digest = digest_from_partials(partials)
+        digests = [replace(digest.take(np.flatnonzero(digest.partition == p)),
+                           task=p) for p in range(cores)]
         last_digests = digests
         t0 = time.perf_counter()
         plan = merge_edges(digests)

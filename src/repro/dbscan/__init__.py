@@ -25,15 +25,12 @@ from .cells import (
 from .partial import (
     NEIGHBOR_MODES,
     SEED_POLICIES,
-    LocalExpansion,
+    ClusterTable,
     PartialCluster,
-    PartialSummary,
-    PartitionDigest,
     digest_from_partials,
     digest_payload_nbytes,
     local_dbscan,
     partials_payload_nbytes,
-    partition_digest,
 )
 from .mapreduce_job import MapReduceDBSCAN, MRDBSCANResult
 from .naive_spark import NaiveSparkDBSCAN, NaiveSparkResult
@@ -66,6 +63,7 @@ __all__ = [
     "core_point_mask",
     "SparkDBSCAN",
     "SparkDBSCANResult",
+    "ClusterTable",
     "PartialCluster",
     "local_dbscan",
     "SEED_POLICIES",
@@ -81,10 +79,6 @@ __all__ = [
     "merge_paper",
     "merge_edges",
     "apply_gid_map",
-    "LocalExpansion",
-    "PartialSummary",
-    "PartitionDigest",
-    "partition_digest",
     "digest_from_partials",
     "partials_payload_nbytes",
     "digest_payload_nbytes",

@@ -30,7 +30,7 @@ the dDBGSCAN family show the production shape, built here:
 
 Determinism contract (tests/pipeline/test_cell_plan.py): partitions
 scan their owned points in ascending global index, and the collect
-stage sorts partials by founder index, so the merged labels are
+stage sorts partial clusters by founder index, so the merged labels are
 byte-identical to `SparkDBSCAN` whenever border assignment is
 unambiguous (see DESIGN.md §10 for the tie-break rule when it is not).
 """
@@ -46,7 +46,7 @@ import numpy as np
 
 from ..kdtree import KDTree
 from ..obs.collect import task_span
-from .partial import Frame, OpCounters, PartialCluster, expand_frame
+from .partial import ClusterTable, Frame, OpCounters, expand_frame
 
 #: Relative slack on the eps comparison used by the halo filter only.
 #: ``floor(x / eps)`` and ``cell * eps`` round differently, so a point at
@@ -345,7 +345,7 @@ def cell_local_dbscan(
     boundary_out: set[int] | None = None,
     stats: dict[str, int] | None = None,
     orphans_out: list[np.ndarray] | None = None,
-) -> list[PartialCluster]:
+) -> ClusterTable:
     """SEED expansion over one cell partition's (owned + halo) points.
 
     Builds a kd-tree over the local payload only (`cell_frame`), expands
@@ -354,16 +354,17 @@ def cell_local_dbscan(
     merge.  The halo
     makes every owned point's eps-neighbourhood complete locally, so
     core status and memberships match the global-tree computation
-    exactly.  ``lo``/``hi`` on the emitted partials are 0: cell
+    exactly.  ``lo``/``hi`` in the returned `ClusterTable` are 0: cell
     partitions are not contiguous ranges (`PartialCluster.owns` is a
     range check and does not apply).
 
     ``boundary_out``, when given, collects *global* ids of queried owned
-    points with ≥1 halo neighbour within eps — the export candidates of
-    the edge-based merge (DESIGN.md §11).  The eps-halo over-approximates
-    slightly (HALO_SLACK), which only widens this set; the seed/export
-    join never probes the extras.  ``orphans_out`` is `local_dbscan`'s:
-    the halo makes an orphan's row complete too.
+    points with ≥1 halo neighbour within eps — the members
+    `ClusterTable.project` keeps for the edge-based merge (DESIGN.md
+    §11).  The eps-halo over-approximates slightly (HALO_SLACK), which
+    only widens this set; the seed/owner join never probes the extras.
+    ``orphans_out`` is `local_dbscan`'s: the halo makes an orphan's row
+    complete too.
     """
     return expand_frame(
         cell_frame(payload, leaf_size), eps, minpts, seed_policy=seed_policy,

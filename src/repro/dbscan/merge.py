@@ -7,11 +7,12 @@ merge).
 
 - ``"union_find"`` (default): connected components of the
   seed-containment graph — arbitrary merge chains (A→B→C) included.
-  One implementation, `union_find_merge`, joins seeds against an *owner
-  table* (point, owning cluster, core there?) a point-sorted block at a
-  time and unions only the pairs of clusters not already in one
-  component; `merge_union_find` and `merge_edges` only build that
-  table, from collected member lists or from digests.
+  One implementation, `union_find_merge`, joins a `ClusterTable`'s
+  seeds against its member rows — the *owner table* (point, owning
+  cluster, core there?) — a point-sorted block at a time and unions
+  only the pairs of clusters not already in one component;
+  `merge_union_find` and `merge_edges` differ only in the table they
+  pass: full records (every member) or projections (boundary members).
 - ``"paper"``: a literal single pass of Algorithm 4 — for each
   unfinished cluster, dig its seeds, absorb each master, mark statuses.
   Seeds of absorbed masters are *not* re-followed, so long chains can
@@ -21,18 +22,12 @@ merge).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 
 from .core import NOISE
-from .partial import (
-    NO_ORPHANS,
-    PartialCluster,
-    PartitionDigest,
-    member_ids,
-    orphan_table,
-)
+from .partial import ClusterTable, PartialCluster, as_table, stack
 
 MERGE_STRATEGIES = ("union_find", "paper")
 
@@ -41,9 +36,9 @@ MERGE_STRATEGIES = ("union_find", "paper")
 #: - ``"partials"``: executors ship whole member/seed point lists; the
 #:   owner table is every member — O(points) collect + merge — and the
 #:   driver applies the labels (`apply_gid_map`).
-#: - ``"edges"``: executors ship `PartitionDigest`s (summaries, seed
-#:   half-edges, boundary exports); the owner table is the exports —
-#:   O(edges + partials) — and labels are applied by a second
+#: - ``"edges"``: executors ship `ClusterTable.project`ions (counts,
+#:   seed half-edges, boundary members); the owner table is the boundary
+#:   members — O(edges + partials) — and labels are applied by a second
 #:   distributed pass (`member_labels` per task).
 MERGE_MODES = ("partials", "edges")
 
@@ -108,8 +103,8 @@ class EdgeMergePlan:
     ``claims`` resolves the only other points that get a label:
     cross-partition border seeds owned by nobody — a dict of O(boundary)
     size, not O(points).  ``groups`` indexes the clusters as passed to
-    `union_find_merge`: the collected list for `merge_union_find`,
-    canonical (founder-sorted) order for `merge_edges`.
+    `union_find_merge`: the table's rows for `merge_union_find`, the
+    projections' canonical (founder-sorted) order for `merge_edges`.
     """
 
     gid_of: dict[tuple[int, int], int]
@@ -122,83 +117,103 @@ class EdgeMergePlan:
     groups: list[list[int]] = field(default_factory=list)
 
 
-def _seed_blocks(seeds, walk: np.ndarray):
-    """The clusters' seeds along ``walk``, `SEED_BLOCK_ROWS` at a time,
-    each block a list of ``(cluster, seed slice)`` pairs.  A cluster's
-    seeds are taken as an int64 array once (``np.asarray`` — any int
-    sequence will do) and sliced, never boxed."""
-    parts, room = [], SEED_BLOCK_ROWS
-    for ci in walk.tolist():
-        rest = np.asarray(seeds[ci], dtype=np.int64)
-        while len(rest) >= room:
-            yield parts + [(ci, rest[:room])]
-            rest, parts, room = rest[room:], [], SEED_BLOCK_ROWS
-        if len(rest):
-            parts.append((ci, rest))
-            room -= len(rest)
-    if parts:
-        yield parts
+def _seed_blocks(seeds: list[np.ndarray], source: np.ndarray,
+                 start: np.ndarray, count: np.ndarray, walk: np.ndarray):
+    """The seeds of the clusters ``walk``, in that order, as
+    ``(cluster, seed)`` array pairs `SEED_BLOCK_ROWS` long (the last
+    shorter).  Cluster ``k``'s seeds are
+    ``seeds[source[k]][start[k]:start[k] + count[k]]``, read in place a
+    block at a time, so no temporary is O(seeds)."""
+    counts = count[walk]
+    ends = np.cumsum(counts)
+    base = start[walk] - (ends - counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for a in range(0, total, SEED_BLOCK_ROWS):
+        q = np.arange(a, min(a + SEED_BLOCK_ROWS, total))
+        k = np.searchsorted(ends, q, side="right")
+        at, of = base[k] + q, source[walk[k]]
+        if len(seeds) == 1:
+            yield walk[k], seeds[0][at]
+            continue
+        s = np.empty(len(q), dtype=np.int64)
+        for i in np.unique(of).tolist():
+            hit = of == i
+            s[hit] = seeds[i][at[hit]]
+        yield walk[k], s
 
 
 def union_find_merge(
-    clusters: list[tuple[tuple[int, int], int, int, np.ndarray]],
-    owner_point: np.ndarray,
-    owner_cluster: np.ndarray,
-    owner_core: np.ndarray,
+    tables: ClusterTable | list[ClusterTable],
     min_cluster_size: int = 0,
     stats: dict[str, int] | None = None,
-    orphans: np.ndarray = NO_ORPHANS,
 ) -> EdgeMergePlan:
     """Connected components over core seed⋈owner hits — the driver merge.
 
-    ``clusters`` are ``(cid, founder, size, seeds)`` rows in gid-numbering
-    order; the owner table is three parallel arrays, ``owner_cluster``
-    indexing ``clusters``.  Clusters under ``min_cluster_size`` are
-    dropped from both.  A seed whose point has a *core* row links the
-    two clusters (a border row is a legal overlap, not an edge); a seed
-    with no row is a cross-partition border point, claimed by the first
-    cluster to reach it in ascending founder order — never arrival
-    order, which varies across backends.  An ``orphans`` row
-    ``(point, neighbour)`` whose neighbour has a core row names one more
-    claimant of ``point``: up-pointing seeds name its claimants from
-    lower partitions, its rows those from higher ones.
+    The clusters are one table's rows, in that order, or a list of the
+    tasks' tables in `ClusterTable.concat`'s founder-sorted order — the
+    same clusters, but each task's seed column is read in place, never
+    stacked.  Gids are numbered in that order and ``groups`` indexes it.
+    The owner table is the member rows — every member of a full record,
+    the boundary members of a projection — each core unless flagged
+    ``border``.  Clusters under ``min_cluster_size``
+    (`ClusterTable.sizes`) are dropped from both.  A seed whose point
+    has a *core* row links the two clusters (a border row is a legal
+    overlap, not an edge); a seed with no row is a cross-partition
+    border point, claimed by the first cluster to reach it in ascending
+    founder order — never arrival order, which varies across backends.
+    An orphan row ``(point, neighbour)`` whose neighbour has a core row
+    names one more claimant of ``point``: up-pointing seeds name its
+    claimants from lower partitions, its rows those from higher ones.
 
     Seeds are joined against the point-sorted table `SEED_BLOCK_ROWS` at
-    a time.  A block is first sorted on ``point * rows + position``: the
-    probe then walks the table with ascending needles, and equal points
-    stay in founder-walk order, so "first occurrence" in the claims fold
-    is still the lowest founder.  Both ends of every core hit are mapped
-    through ``comp``, each cluster's current component, and only the
-    distinct pairs joining two components reach the `UnionFind` (of the
-    paper-default benchmark's 68 277 distinct pairs, 1 973 merge
-    anything).  ``num_edges`` counts every core hit, *before* that
-    filter.  No Python loop scales with seeds or table rows.
+    a time, in founder-walk order.  A block is first sorted on ``point *
+    rows + position``: the probe then walks the table with ascending
+    needles, and equal points stay in founder-walk order, so "first
+    occurrence" in the claims fold is still the lowest founder.  Both
+    ends of every core hit are mapped through ``comp``, each cluster's
+    current component, and only the distinct pairs joining two
+    components reach the `UnionFind` (of the paper-default benchmark's
+    68 277 distinct pairs, 1 973 merge anything).  ``num_edges`` counts
+    every core hit, *before* that filter.  No Python loop scales with
+    seeds or table rows, and nothing the merge allocates is O(seeds).
 
     ``stats``, when given, receives ``seed_blocks`` (blocks joined) and
     ``live_pairs`` (pairs that survived the component filter).
     """
-    m = len(clusters)
-    cids, founders, sizes, seeds = zip(*clusters) if m else ((), (), (), ())
-    keep = np.array(sizes, dtype=np.int64) >= min_cluster_size
+    one = isinstance(tables, ClusterTable)
+    tables = [tables] if one else list(tables) or [ClusterTable.concat([])]
+    founder = stack(tables, "founder")
+    m = len(founder)
+    # ``order`` lists the stacked rows in gid-numbering order and
+    # ``place`` inverts it: every per-cluster array below is in that order.
+    order = np.arange(m) if one else np.argsort(founder, kind="stable")
+    place = np.empty(m, dtype=np.int64)
+    place[order] = np.arange(m)
+    sizes = np.concatenate([t.sizes for t in tables])[order]
+    source = np.repeat(np.arange(len(tables)), list(map(len, tables)))[order]
+    start = np.concatenate([t.seed_ptr[:-1] for t in tables])[order]
+    count = np.concatenate([np.diff(t.seed_ptr) for t in tables])[order]
+
+    keep = sizes >= min_cluster_size
     kept = np.flatnonzero(keep)
+    owner_cluster = place[np.repeat(np.arange(m), np.concatenate(
+        [np.diff(t.member_ptr) for t in tables]))]
+    members = stack(tables, "members")
     rows = np.flatnonzero(keep[owner_cluster])
-    rows = rows[np.argsort(owner_point[rows], kind="stable")]
-    t_cluster, t_core = owner_cluster[rows], owner_core[rows]
+    rows = rows[np.argsort(members[rows], kind="stable")]
+    t_cluster, t_core = owner_cluster[rows], ~stack(tables, "border")[rows]
     # One past the end holds no point, so a probe that runs off the
     # table (or finds it empty) reads a miss instead of raising.
-    t_point = np.append(owner_point[rows], -1)
+    t_point = np.append(members[rows], -1)
 
-    walk = kept[np.argsort(np.array(founders, dtype=np.int64)[kept],
-                           kind="stable")]
+    walk = kept[np.argsort(founder[order][kept], kind="stable")]
     uf = UnionFind(m)
     comp = np.arange(m)
     num_edges = seed_blocks = live_pairs = 0
     claim_point = claim_src = np.empty(0, dtype=np.int64)
-    for parts in _seed_blocks(seeds, walk):
+    for src, s in _seed_blocks([t.seeds for t in tables], source, start,
+                               count, walk):
         seed_blocks += 1
-        sources, slices = zip(*parts)
-        s = np.concatenate(slices)
-        src = np.repeat(sources, list(map(len, slices)))
         if s.max() > np.iinfo(np.int64).max // len(s):
             raise OverflowError(f"seed {int(s.max())} is no point index")
         key = s * len(s) + np.arange(len(s))
@@ -228,6 +243,7 @@ def union_find_merge(
         claim_src = np.concatenate([claim_src, src[~owned]])[first]
     if stats is not None:
         stats.update(seed_blocks=seed_blocks, live_pairs=live_pairs)
+    orphans = stack(tables, "orphans")
     if len(orphans):
         point, nbr = orphans[:, 0], orphans[:, 1]
         pos = np.searchsorted(t_point[:-1], nbr)
@@ -238,26 +254,26 @@ def union_find_merge(
         rank[walk] = np.arange(len(walk))
         point = np.concatenate([claim_point, point[hit]])
         src = np.concatenate([claim_src, t_cluster[pos[hit]]])
-        order = np.lexsort((rank[src], point))
-        first = order[np.diff(point[order], prepend=-1) != 0]
+        by_rank = np.lexsort((rank[src], point))
+        first = by_rank[np.diff(point[by_rank], prepend=-1) != 0]
         claim_point, claim_src = point[first], src[first]
 
-    # Gids number the components by first appearance in the order passed.
+    # Gids number the components by first appearance in that order.
+    _, first, gid = np.unique(comp[kept], return_index=True,
+                              return_inverse=True)
+    gid = np.argsort(np.argsort(first))[gid]
     gid_at = np.full(m, -1, dtype=np.int64)
-    gid_of: dict[tuple[int, int], int] = {}
-    root_to_gid: dict[int, int] = {}
-    groups: list[list[int]] = []
-    for ci in kept.tolist():
-        gid = root_to_gid.setdefault(uf.find(ci), len(groups))
-        if gid == len(groups):
-            groups.append([])
-        groups[gid].append(ci)
-        gid_of[cids[ci]] = gid_at[ci] = gid
+    gid_at[kept] = gid
+    by_gid = np.argsort(gid, kind="stable")
+    groups = [g.tolist() for g in np.split(
+        kept[by_gid], np.flatnonzero(np.diff(gid[by_gid])) + 1) if len(g)]
+    cids = zip(stack(tables, "partition")[order][kept].tolist(),
+               stack(tables, "local_id")[order][kept].tolist())
     return EdgeMergePlan(
-        gid_of=gid_of,
+        gid_of=dict(zip(cids, gid.tolist())),
         claims=dict(zip(claim_point.tolist(), gid_at[claim_src].tolist())),
         num_partials=m,
-        num_seeds=sum(map(len, seeds)),
+        num_seeds=int(count.sum()),
         num_edges=num_edges,
         num_merges=len(kept) - len(groups),
         num_global_clusters=len(groups),
@@ -266,91 +282,54 @@ def union_find_merge(
 
 
 def merge_union_find(
-    partials: list[PartialCluster], n: int,
+    partials: ClusterTable | list[PartialCluster], n: int,
     stats: dict[str, int] | None = None,
-    orphans: np.ndarray = NO_ORPHANS,
 ) -> MergeOutcome:
-    """`union_find_merge` over collected partials (and the tasks' orphan
-    rows), labels applied here.
-
-    The owner table is every member, core unless in ``borders`` —
-    O(points), which is why only ``merge_mode="partials"`` builds it.
-    Gids follow the list as passed; the pipeline founder-sorts it.
-    """
-    point = member_ids(partials)
-    borders = np.fromiter(
-        chain.from_iterable(c.borders for c in partials), np.int64
-    )
-    plan = union_find_merge(
-        [(c.cid, c.members[0] if c.members else i, c.size, c.seeds)
-         for i, c in enumerate(partials)],
-        owner_point=point,
-        owner_cluster=np.repeat(
-            np.arange(len(partials)), [len(c.members) for c in partials]
-        ),
-        owner_core=~np.isin(point, borders),
-        stats=stats,
-        orphans=orphans,
-    )
-    return MergeOutcome(
-        apply_gid_map(partials, plan, n), plan.num_merges,
-        plan.num_global_clusters, groups=plan.groups,
-    )
+    """`union_find_merge` over collected partials — a `ClusterTable` or
+    a hand-built `PartialCluster` list — labels applied here.  The owner
+    table is every member: O(points), which is why only
+    ``merge_mode="partials"`` collects full records.  Gids follow the
+    clusters as passed; the pipeline founder-sorts them."""
+    return merge_partials(partials, n, stats=stats)
 
 
 def merge_edges(
-    digests: list[PartitionDigest],
+    digests: ClusterTable | list[ClusterTable],
     min_cluster_size: int = 0,
     stats: dict[str, int] | None = None,
 ) -> EdgeMergePlan:
-    """`union_find_merge` over digests: O(edges + partials), no point
-    lists.
-
-    Clusters are the flattened summaries in founder-sorted (canonical)
-    order and the owner table is the boundary exports.  By eps-symmetry
-    a member some other partition reaches as a SEED is always exported,
-    so the join finds the rows it would find among all members and the
-    plan labels byte-identically to `merge_union_find`'s.  An orphan's
-    claimants are cores with it on their rows, so they are exported too.
-    """
-    clusters = sorted(
-        ((summ.cid, summ.founder, summ.size, seed_list) for d in digests
-         for summ, seed_list in zip(d.summaries, d.seeds)),
-        key=lambda row: row[1],
-    )
-    index_of = {row[0]: i for i, row in enumerate(clusters)}
-    table = np.array(
-        [(point, index_of[d.partition, local_id], is_core)
-         for d in digests for point, local_id, is_core in d.exports],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    return union_find_merge(
-        clusters, table[:, 0], table[:, 1], table[:, 2].astype(bool),
-        min_cluster_size, stats,
-        orphan_table([d.orphans for d in digests]),
-    )
+    """`union_find_merge` over the tasks' projections
+    (`ClusterTable.project`), or one concatenation of them
+    (`digest_from_partials`), in founder (canonical) order: O(edges +
+    partials), no point lists.  The owner table is the boundary members.
+    By eps-symmetry a member another partition reaches as a SEED is on
+    the boundary, and so is each core that claims an orphan, so the plan
+    labels byte-identically to `merge_union_find`'s."""
+    if isinstance(digests, ClusterTable):
+        digests = [digests]
+    return union_find_merge(digests, min_cluster_size, stats)
 
 
 def member_labels(
-    partials: list[PartialCluster], gid_of: dict[tuple[int, int], int]
+    partials: ClusterTable | list[PartialCluster],
+    gid_of: dict[tuple[int, int], int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`apply_gid_map`'s per-partition half, what an `ApplyGidMap` task
     ships: the member ids of the clusters ``gid_of`` keeps, back to
     back, then each such cluster's gid and member count — 8 B a point;
     the driver repeats the gids."""
-    kept = [c for c in partials if c.cid in gid_of]
-    return (
-        member_ids(kept),
-        np.array([gid_of[c.cid] for c in kept], np.int64),
-        np.array([len(c.members) for c in kept], np.int64),
-    )
+    t = as_table(partials)
+    gids = np.fromiter(
+        map(gid_of.get, zip(t.partition.tolist(), t.local_id.tolist()),
+            repeat(-1)),
+        np.int64, len(t))
+    kept = gids >= 0
+    counts = np.diff(t.member_ptr)
+    return t.members[np.repeat(kept, counts)], gids[kept], counts[kept]
 
 
-def apply_gid_map(
-    partials: list[PartialCluster],
-    plan: EdgeMergePlan,
-    n: int,
-) -> np.ndarray:
+def apply_gid_map(partials: ClusterTable | list[PartialCluster],
+                  plan: EdgeMergePlan, n: int) -> np.ndarray:
     """The label application: members take their cluster's gid, the
     plan's claimed border seeds theirs, everything else is noise.
     ``merge_mode="edges"`` runs the `member_labels` half executor-side
@@ -474,35 +453,38 @@ def merge_paper(partials: list[PartialCluster], n: int) -> MergeOutcome:
 
 
 def merge_partials(
-    partials: list[PartialCluster],
+    partials: ClusterTable | list[PartialCluster],
     n: int,
     strategy: str = "union_find",
     min_cluster_size: int = 0,
     stats: dict[str, int] | None = None,
-    orphans: np.ndarray = NO_ORPHANS,
 ) -> MergeOutcome:
-    """Merge partial clusters into global labels.
+    """Merge partial clusters — a `ClusterTable` or a hand-built
+    `PartialCluster` list — into global labels.
 
     ``min_cluster_size`` filters tiny *partial* clusters before merging —
     the paper's r1m trick ("we filter out those partial clusters whose
     size is too small", Section V-E).  ``MergeOutcome.groups`` always
-    indexes the ``partials`` list *as passed in*, filtered or not.
-    ``stats`` is `union_find_merge`'s (the paper strategy leaves it
-    empty).  ``orphans`` is the tasks' orphan table, which comes with
-    up-pointing seeds only — never for the paper strategy, Algorithm 4
-    over full seeds.
+    indexes the clusters *as passed in*, filtered or not.  ``stats`` is
+    `union_find_merge`'s (the paper strategy leaves it empty).
+    A table's orphan rows come with up-pointing seeds only — never for
+    the paper strategy, Algorithm 4 over full seeds.
     """
     if strategy not in MERGE_STRATEGIES:
         raise ValueError(
             f"strategy must be one of {MERGE_STRATEGIES}, got {strategy!r}"
         )
-    if strategy == "paper" and len(orphans):
+    if strategy == "union_find":
+        table = as_table(partials)
+        plan = union_find_merge(table, min_cluster_size, stats)
+        return MergeOutcome(apply_gid_map(table, plan, n), plan.num_merges,
+                            plan.num_global_clusters, groups=plan.groups)
+    if isinstance(partials, ClusterTable) and len(partials.orphans):
         raise ValueError("the paper strategy merges full seeds, not orphan rows")
+    partials = list(partials)
     kept = [ci for ci, c in enumerate(partials) if c.size >= min_cluster_size]
-    sub = [partials[ci] for ci in kept]
-    outcome = (merge_union_find(sub, n, stats, orphans)
-               if strategy == "union_find" else merge_paper(sub, n))
-    # The strategies numbered the filtered list; translate each group
-    # back to indices into the caller's original list.
+    outcome = merge_paper([partials[ci] for ci in kept], n)
+    # The pass numbered the filtered list; translate each group back to
+    # indices into the caller's original list.
     outcome.groups = [[kept[ci] for ci in g] for g in outcome.groups]
     return outcome

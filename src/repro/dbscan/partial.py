@@ -32,9 +32,9 @@ once").
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Iterable
+from dataclasses import dataclass, field, replace
+from itertools import chain, compress
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -86,14 +86,14 @@ class OpCounters:
 
 @dataclass
 class PartialCluster:
-    """One locally-built cluster, as shipped through the accumulator.
+    """One partial cluster: a view of a `ClusterTable` row, or built by
+    hand (tests, Algorithm 4 literal).  Nothing on the run path builds
+    one; the public merge functions take a list of them (`as_table`).
 
     ``members`` are regular elements (indices inside the partition's
-    range); ``seeds`` are foreign indices — an int64 array from the
-    kernel through the accumulator into the driver merge (any int
-    sequence passed in is converted), 8 B a seed where a list of boxed
-    ints held ~36.  ``status`` mirrors the paper's unfinished/finished
-    merge bookkeeping (Figure 4).
+    range); ``seeds`` are foreign indices as an int64 array (any int
+    sequence passed in is converted).  ``status`` mirrors the paper's
+    unfinished/finished merge bookkeeping (Figure 4).
 
     ``borders`` is the subset of ``members`` that are *not* core points.
     The driver's merge needs it: density-connectivity only passes
@@ -195,13 +195,14 @@ def local_dbscan(
     boundary_out: set[int] | None = None,
     stats: dict[str, int] | None = None,
     orphans_out: list[np.ndarray] | None = None,
-) -> list[PartialCluster]:
+) -> ClusterTable:
     """Build the partial clusters of one partition (Algorithm 2 lines 4–29).
 
     ``own_indices`` is the iterator the executor receives for its
     partition; every index must fall inside the partition's range.
-    Returns the partial clusters; noise is implicit (points of this
-    partition that are members of no partial cluster anywhere).
+    Returns the partition's partial clusters as one `ClusterTable`;
+    noise is implicit (points of this partition that are members of no
+    partial cluster anywhere).
 
     Pass an `OpCounters` to collect the Section III-B operation counts
     (range queries, queue adds/removes, hashtable puts/lookups), and a
@@ -213,16 +214,17 @@ def local_dbscan(
     reads the hits in the kernel's tile order (nnz x 8 bytes per task).
 
     ``boundary_out``, when given, collects every owned point
-    that has at least one foreign neighbour within eps.  Intersected
-    with a partial cluster's members it yields exactly the points some
-    other partition can see as a SEED (eps-symmetry) — the export set
-    of the edge-based merge (DESIGN.md §11).  Requires
-    ``max_neighbors=None``: truncation breaks the symmetry argument.
+    that has at least one foreign neighbour within eps, and the table
+    then flags its members among them (``boundary``).  Those are exactly
+    the members some other partition can see as a SEED (eps-symmetry) —
+    what `ClusterTable.project` keeps for the edge-based merge (DESIGN.md
+    §11).  Requires ``max_neighbors=None``: truncation breaks the
+    symmetry argument.
 
     ``orphans_out``, when given, receives the partition's orphan rows
-    (`expand_frame`), and the partials then carry only their
-    up-pointing seeds.  Requires ``seed_policy="all"`` and
-    ``max_neighbors=None``.
+    (`expand_frame`, also the table's ``orphans``), and the partials
+    then carry only their up-pointing seeds.  Requires
+    ``seed_policy="all"`` and ``max_neighbors=None``.
     """
     given = np.fromiter(own_indices, dtype=np.int64)
     lo, hi = partitioner.range_of(partition_id)
@@ -271,7 +273,7 @@ def expand_frame(
     boundary_out: set[int] | None,
     stats: dict[str, int] | None = None,
     orphans_out: list[np.ndarray] | None = None,
-) -> list[PartialCluster]:
+) -> ClusterTable:
     """The SEED expansion (Algorithm 2 with Algorithm 3's SEED rule),
     without a queue (DESIGN.md §6, "The loop").
 
@@ -281,15 +283,16 @@ def expand_frame(
     owned ids in ascending order would have; a border joins the
     lowest-founder cluster in its row; a cluster's seeds are the distinct
     foreign ids on its core rows (``"one_per_partition"``: the lowest per
-    home).  A partial lists its founder, then its other members in
-    ascending id.  ``stats`` receives the propagation ``rounds``.
+    home).  The `ClusterTable` lists each partial's founder, then its
+    other members in ascending id.  ``stats`` receives the propagation
+    ``rounds``.
 
     With ``orphans_out`` a partial keeps only the seeds whose home
     partition is above ``frame.partition`` and counts the rest in
-    ``down_seeds``; ``orphans_out`` receives one ``(k, 2)`` array of
-    sorted ``(orphan, neighbour)`` global id pairs, an orphan being an
-    owned point no local cluster holds and its neighbours those homed
-    above (DESIGN.md §11).
+    ``down_seeds``; ``orphans_out`` (and the table's ``orphans``)
+    receives one ``(k, 2)`` array of sorted ``(orphan, neighbour)``
+    global id pairs, an orphan being an owned point no local cluster
+    holds and its neighbours those homed above (DESIGN.md §11).
     """
     if seed_policy not in SEED_POLICIES:
         raise ValueError(
@@ -310,7 +313,9 @@ def expand_frame(
     own_points, tree, to_global = frame.own_points, frame.tree, frame.to_global
     n_own = len(own_points)
     if n_own == 0:
-        return []
+        none = np.empty(0, dtype=np.int64)
+        return _table(frame, none, none, none == 0, none, none, none,
+                      None if boundary_out is None else none == 0, NO_ORPHANS)
     query_stats: dict[str, int] = {}
     with task_span("task.kdtree_query", n=n_own) as qsp:
         degree, seg_q, seg_n, hits = tree.query_radius_segments(
@@ -322,6 +327,7 @@ def expand_frame(
     # Hits stay in tile order: a row is read through its (non-empty)
     # segments, each reduced by one reduceat and folded per query.
     seg_start = np.cumsum(seg_n) - seg_n
+    foreign = None
     if boundary_out is not None:  # rows with a segment whose max is foreign
         foreign = np.zeros(n_own, dtype=bool)
         foreign[seg_q[np.maximum.reduceat(hits, seg_start) >= n_own]] = True
@@ -377,6 +383,7 @@ def expand_frame(
         ))
     founders = group[starts]
     down = np.zeros(len(starts), dtype=np.int64)
+    orphans = NO_ORPHANS
     if orphans_out is not None:
         # A cross-partition core pair is on both cores' rows: the lower
         # partition's task alone witnesses it.
@@ -384,10 +391,12 @@ def expand_frame(
         down = np.bincount(np.searchsorted(founders, seed_founder[~up]),
                            minlength=len(starts))
         seed_founder, seeds = seed_founder[up], seeds[up]
-        orphans_out.append(
-            _orphan_rows(frame, owner, degree, seg_q, seg_start, seg_n, hits))
-    return _partials(frame, members, starts, ~core[members], seeds,
-                     np.searchsorted(seed_founder, founders), down)
+        orphans = _orphan_rows(frame, owner, degree, seg_q, seg_start, seg_n,
+                               hits)
+        orphans_out.append(orphans)
+    return _table(frame, members, starts, ~core[members], seeds,
+                  np.searchsorted(seed_founder, founders), down,
+                  None if foreign is None else foreign[members], orphans)
 
 
 def _orphan_rows(frame: Frame, owner: np.ndarray, degree: np.ndarray,
@@ -456,224 +465,307 @@ def _founders(seg_q: np.ndarray, seg_start: np.ndarray, seg_n: np.ndarray,
             own[:] = up
 
 
-def _partials(frame: Frame, members: np.ndarray, starts: np.ndarray,
-              border: np.ndarray, seeds: np.ndarray, seed_starts: np.ndarray,
-              down: np.ndarray) -> list[PartialCluster]:
-    """Slice the task's member and seed arrays into partial clusters,
-    mapping both to global ids in one `to_global` call."""
-    ids = frame.to_global(np.concatenate([members, seeds]))
-    member_ids, seed_ids = ids[:len(members)], ids[len(members):]
-    cuts = np.append(starts, len(members))
-    seed_cuts = np.append(seed_starts, len(seeds)).tolist()
-    border_cuts = np.append(0, np.cumsum(border))[cuts].tolist()
-    listed, border_ids = member_ids.tolist(), member_ids[border].tolist()
-    cuts, down = cuts.tolist(), down.tolist()
-    return [
-        PartialCluster(
-            partition=frame.partition, local_id=i, lo=frame.lo, hi=frame.hi,
-            members=listed[cuts[i]:cuts[i + 1]],
-            seeds=seed_ids[seed_cuts[i]:seed_cuts[i + 1]],
-            borders=set(border_ids[border_cuts[i]:border_cuts[i + 1]]),
-            down_seeds=down[i],
-        )
-        for i in range(len(starts))
-    ]
-
-
-# --------------------------------------------------------------------------
-# Edge-based merge representation (DESIGN.md §11).
-#
-# In ``merge_mode="edges"`` the executor keeps its partial clusters local
-# and ships only a `PartitionDigest`: point-free summaries, the seed lists
-# (the outgoing half-edges), and the *export* table — boundary members
-# another partition can reach, keyed so the driver can join seeds against
-# them.  Collected bytes scale with the cross-partition surface, not with
-# the number of points.
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class PartialSummary:
-    """Point-free description of one partial cluster.
-
-    ``founder`` is ``members[0]`` — the cluster's first-expanded point.
-    Founders are globally unique (every point is a member of at most one
-    partial cluster), so sorting summaries by founder reproduces the
-    canonical order `CollectPartials` gives the full partial list, which
-    is what keeps gid numbering identical across merge modes.
-    """
-
-    partition: int
-    local_id: int
-    founder: int
-    n_members: int
-    n_seeds: int
-    n_borders: int
-
-    @property
-    def cid(self) -> tuple[int, int]:
-        """Globally-unique cluster id: (partition, local id)."""
-        return (self.partition, self.local_id)
-
-    @property
-    def size(self) -> int:
-        """Total number of elements — matches `PartialCluster.size`."""
-        return self.n_members + self.n_seeds
-
-
-def orphan_table(rows: list[np.ndarray]) -> np.ndarray:
-    """Orphan row arrays (``orphans_out``) as one ``(k, 2)`` table."""
-    return np.concatenate(rows) if rows else NO_ORPHANS
-
-
-@dataclass
-class LocalExpansion:
-    """One partition's expansion output, retained executor-side.
-
-    Cached in the lineage (never collected): job 1 derives the digest
-    from it, job 2 applies the broadcast gid map to its members.
-    ``boundary`` is the queried-points-with-foreign-neighbours set from
-    ``local_dbscan(boundary_out=...)``, ``orphans`` the partition's
-    orphan table (`expand_frame`; empty when full seeds were kept).
-    """
-
-    partition: int
-    partials: list[PartialCluster]
-    boundary: set[int]
-    counters: OpCounters | None = None
-    orphans: np.ndarray = field(default_factory=NO_ORPHANS.copy)
-
-
-@dataclass
-class PartitionDigest:
-    """The compact merge input one partition ships to the driver.
-
-    ``seeds[k]`` is the int64 array of foreign points ``summaries[k]``
-    reached (outgoing half-edges, `PartialCluster.seeds` passed through
-    unboxed); ``exports`` holds ``(point, local_id,
-    is_core)`` for every boundary member — the incoming half-edges.  By
-    eps-symmetry a point is a SEED of some other partition iff it has a
-    foreign neighbour, so joining seeds against exports recovers exactly
-    the owner-map edges the partial-mode merge walks.  ``orphans`` is
-    the partition's orphan table, passed through.
-    """
-
-    partition: int
-    summaries: list[PartialSummary]
-    seeds: list[np.ndarray]
-    exports: list[tuple[int, int, bool]]
-    orphans: np.ndarray = field(default_factory=NO_ORPHANS.copy)
-
-
-def member_ids(partials: list[PartialCluster]) -> np.ndarray:
-    """The clusters' member ids back to back, as one int64 array."""
-    return np.fromiter(
-        chain.from_iterable(c.members for c in partials), np.int64,
-        sum(len(c.members) for c in partials),
+def _table(frame: Frame, members: np.ndarray, starts: np.ndarray,
+           border: np.ndarray, seeds: np.ndarray, seed_starts: np.ndarray,
+           down: np.ndarray, boundary: np.ndarray | None,
+           orphans: np.ndarray) -> "ClusterTable":
+    """The task's record: its member and seed arrays as CSR columns,
+    both mapped to global ids in one `to_global` call."""
+    ids = frame.to_global(np.concatenate([members, seeds])).astype(
+        np.int64, copy=False)
+    m = len(starts)
+    member_ptr = np.append(starts, len(members))
+    member_ids = ids[:len(members)]
+    return ClusterTable(
+        task=frame.partition,
+        partition=np.full(m, frame.partition, dtype=np.int64),
+        local_id=np.arange(m, dtype=np.int64),
+        lo=np.full(m, frame.lo, dtype=np.int64),
+        hi=np.full(m, frame.hi, dtype=np.int64),
+        founder=member_ids[starts],
+        member_count=np.diff(member_ptr),
+        border_count=np.diff(np.append(0, np.cumsum(border))[member_ptr]),
+        down_seeds=down,
+        member_ptr=member_ptr, members=member_ids, border=border,
+        seed_ptr=np.append(seed_starts, len(seeds)).astype(np.int64),
+        seeds=ids[len(members):], orphans=orphans, boundary=boundary,
     )
 
 
-def partition_digest(exp: LocalExpansion) -> PartitionDigest:
-    """Distill one partition's expansion into its merge digest."""
-    summaries: list[PartialSummary] = []
-    seeds: list[np.ndarray] = []
-    exports: list[tuple[int, int, bool]] = []
-    for c in exp.partials:
-        summaries.append(
-            PartialSummary(
-                partition=c.partition,
-                local_id=c.local_id,
-                founder=c.members[0],
-                n_members=len(c.members),
-                n_seeds=len(c.seeds) + c.down_seeds,
-                n_borders=len(c.borders),
-            )
+def stack(tables: list["ClusterTable"], f: str) -> np.ndarray:
+    """Column ``f`` of the tables back to back; one table's is not copied."""
+    parts = [getattr(t, f) for t in tables]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _ptr(counts: np.ndarray) -> np.ndarray:
+    """CSR pointers over per-row counts."""
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _csr_take(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(new_ptr, flat)``: the CSR pointers of ``rows`` in that order,
+    and the positions of their entries in the old flat array."""
+    counts = np.diff(ptr)[rows]
+    new_ptr = _ptr(counts)
+    flat = np.arange(new_ptr[-1]) + np.repeat(ptr[:-1][rows] - new_ptr[:-1],
+                                              counts)
+    return new_ptr, flat
+
+
+#: Per-cluster columns of a `ClusterTable`, and the per-member ones
+#: every table has (``boundary`` is optional).
+CLUSTER_COLUMNS = ("partition", "local_id", "lo", "hi", "founder",
+                   "member_count", "border_count", "down_seeds")
+MEMBER_COLUMNS = ("members", "border")
+
+
+@dataclass(eq=False)
+class ClusterTable:
+    """Partial clusters as columns: the one record that flows from the
+    expansion kernel through the accumulator, the collect checkpoint
+    and the merge to label application (DESIGN.md §6, "Output").
+
+    Per cluster ``k``: ``partition`` and ``local_id`` (its cid),
+    ``lo``/``hi`` (the range plan's partition range, 0 on the cell
+    plan), ``founder`` (its smallest core id), ``member_count`` and
+    ``border_count`` (what it holds, whatever a projection dropped) and
+    ``down_seeds`` (seeds reached below but not shipped).  Members are
+    CSR — ``members[member_ptr[k]:member_ptr[k + 1]]``, founder first,
+    the rest ascending — with a ``border`` flag each and, when the task
+    tracked it (``boundary_out``), a ``boundary`` flag: the member has a
+    foreign neighbour.  Seeds are CSR the same way, ascending per
+    cluster.  ``orphans`` is the orphan table, ``task`` the partition
+    whose task built the table (-1 when it spans tasks).
+
+    `project` keeps only the boundary members — the edges mode's wire
+    format.  Indexing or iterating builds `PartialCluster` views; nothing
+    on the run path does.
+    """
+
+    task: int
+    partition: np.ndarray
+    local_id: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    founder: np.ndarray
+    member_count: np.ndarray
+    border_count: np.ndarray
+    down_seeds: np.ndarray
+    member_ptr: np.ndarray
+    members: np.ndarray
+    border: np.ndarray
+    seed_ptr: np.ndarray
+    seeds: np.ndarray
+    orphans: np.ndarray = field(default_factory=lambda: NO_ORPHANS)
+    boundary: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.founder)
+
+    def __getitem__(self, k: int) -> PartialCluster:
+        k = range(len(self))[k]
+        a, b = self.member_ptr[k:k + 2].tolist()
+        members = self.members[a:b]
+        return PartialCluster(
+            partition=int(self.partition[k]), local_id=int(self.local_id[k]),
+            lo=int(self.lo[k]), hi=int(self.hi[k]), members=members.tolist(),
+            seeds=self.seeds[self.seed_ptr[k]:self.seed_ptr[k + 1]].copy(),
+            borders=set(members[self.border[a:b]].tolist()),
+            down_seeds=int(self.down_seeds[k]),
         )
-        seeds.append(c.seeds)
-        for m in c.members:
-            if m in exp.boundary:
-                exports.append((int(m), c.local_id, m not in c.borders))
-    return PartitionDigest(
-        partition=exp.partition, summaries=summaries, seeds=seeds,
-        exports=exports, orphans=exp.orphans,
-    )
+
+    def __iter__(self) -> Iterator[PartialCluster]:
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """`PartialCluster.size` per cluster: members, shipped seeds and
+        unshipped ones."""
+        return self.member_count + np.diff(self.seed_ptr) + self.down_seeds
+
+    @classmethod
+    def from_partials(cls, partials: Iterable[PartialCluster]) -> "ClusterTable":
+        """A hand-built partial list as a record, in list order; a
+        member-less cluster's founder is -1."""
+        partials = list(partials)
+        member_lists = [list(c.members) for c in partials]
+        counts = np.array(list(map(len, member_lists)), dtype=np.int64)
+        members = np.fromiter(chain.from_iterable(member_lists), np.int64,
+                              int(counts.sum()))
+        seeds = [np.asarray(c.seeds, dtype=np.int64) for c in partials]
+
+        def column(values) -> np.ndarray:
+            return np.array(list(values), dtype=np.int64)
+
+        return cls(
+            task=-1,
+            **{f: column(getattr(c, f) for c in partials)
+               for f in ("partition", "local_id", "lo", "hi", "down_seeds")},
+            founder=column(ms[0] if ms else -1 for ms in member_lists),
+            member_count=counts,
+            border_count=column(len(c.borders) for c in partials),
+            member_ptr=_ptr(counts), members=members,
+            border=np.fromiter(
+                (m in c.borders for c, ms in zip(partials, member_lists)
+                 for m in ms), bool, len(members)),
+            seed_ptr=_ptr(np.array(list(map(len, seeds)), dtype=np.int64)),
+            seeds=np.concatenate(seeds) if seeds else np.empty(0, np.int64),
+        )
+
+    @classmethod
+    def concat(cls, tables: Iterable["ClusterTable"]) -> "ClusterTable":
+        """The tables' clusters, founder-sorted — the canonical order gid
+        numbering follows — and their orphan tables in the order given."""
+        tables = list(tables) or [cls.from_partials([])]
+        first = tables[0]
+        if len(tables) == 1 and (np.diff(first.founder) > 0).all():
+            return first
+        stacked = cls(
+            task=first.task if len(tables) == 1 else -1,
+            **{f: stack(tables, f) for f in CLUSTER_COLUMNS + MEMBER_COLUMNS
+               + ("seeds", "orphans")},
+            member_ptr=_ptr(np.concatenate(
+                [np.diff(t.member_ptr) for t in tables])),
+            seed_ptr=_ptr(np.concatenate([np.diff(t.seed_ptr) for t in tables])),
+            boundary=(None if any(t.boundary is None for t in tables)
+                      else stack(tables, "boundary")),
+        )
+        return stacked.take(np.argsort(stacked.founder, kind="stable"))
+
+    def take(self, rows: np.ndarray) -> "ClusterTable":
+        """The clusters ``rows``, in that order (the orphans stay)."""
+        member_ptr, at = _csr_take(self.member_ptr, rows)
+        seed_ptr, seed_at = _csr_take(self.seed_ptr, rows)
+        return replace(
+            self, **{f: getattr(self, f)[rows] for f in CLUSTER_COLUMNS},
+            **{f: getattr(self, f)[at] for f in MEMBER_COLUMNS},
+            member_ptr=member_ptr,
+            boundary=None if self.boundary is None else self.boundary[at],
+            seed_ptr=seed_ptr, seeds=self.seeds[seed_at],
+        )
+
+    def project(self) -> "ClusterTable":
+        """The edges mode's record: only the boundary members — by
+        eps-symmetry every member another partition can reach as a seed —
+        with every count, seed and orphan row kept (DESIGN.md §11)."""
+        keep = self.boundary
+        if keep is None:
+            raise ValueError("project() needs the boundary flags "
+                             "(expand with boundary_out)")
+        return replace(
+            self, member_ptr=_ptr(np.diff(
+                np.append(0, np.cumsum(keep))[self.member_ptr])),
+            members=self.members[keep], border=self.border[keep],
+            boundary=None,
+        )
+
+    @staticmethod
+    def to_arrays(tables: list["ClusterTable"]) -> dict[str, np.ndarray]:
+        """Tables as flat npz columns: each field concatenated, with its
+        per-table lengths under ``<field>_len``; inverse `from_arrays`."""
+        arrays = {"task": np.array([t.task for t in tables], dtype=np.int64)}
+        for f in TABLE_ARRAYS:
+            parts = [getattr(t, f) for t in tables]
+            if any(p is None for p in parts):
+                continue
+            arrays[f] = np.concatenate(parts)
+            arrays[f + "_len"] = np.array(list(map(len, parts)), np.int64)
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> list["ClusterTable"]:
+        """Inverse of `to_arrays`."""
+        split = {f: np.split(arrays[f], np.cumsum(arrays[f + "_len"])[:-1])
+                 for f in TABLE_ARRAYS if f in arrays}
+        return [cls(task=int(task), **{f: parts[i] for f, parts in split.items()})
+                for i, task in enumerate(arrays["task"].tolist())]
 
 
-def digest_from_partials(partials: list[PartialCluster]) -> list[PartitionDigest]:
-    """Digests equivalent to what the executors would have emitted.
+#: The array fields of a `ClusterTable`, as `to_arrays` stores them.
+TABLE_ARRAYS = (CLUSTER_COLUMNS + ("member_ptr",) + MEMBER_COLUMNS
+                + ("boundary", "seed_ptr", "seeds", "orphans"))
+
+
+def as_table(partials: ClusterTable | Iterable[PartialCluster]) -> ClusterTable:
+    """The public merge entry points' one coercion: a `ClusterTable`
+    passes through, a hand-built `PartialCluster` list becomes one in
+    list order."""
+    return (partials if isinstance(partials, ClusterTable)
+            else ClusterTable.from_partials(partials))
+
+
+def digest_from_partials(
+        partials: ClusterTable | list[PartialCluster]) -> ClusterTable:
+    """The projection the executors would have shipped in edges mode,
+    concatenated in founder order: `merge_edges`'s input.
 
     Reference path for tests and benchmarks: without the executors'
-    boundary sets, the export table is reconstructed as members ∩
-    union-of-all-seeds — every point that actually participates in a
-    seed/export join.  (The executor-side export set is a superset —
-    boundary members nobody seeded — which the join simply never probes.)
-    The digests carry no orphan rows, so pass full-seed partials.
+    boundary flags, a member is kept iff some cluster lists it as a
+    seed — every point that actually participates in a seed/owner join.
+    (The executor-side boundary is a superset — boundary members nobody
+    seeded — which the join simply never probes.)  The projection
+    carries no orphan rows, so pass full-seed partials.
     """
-    if not partials:
-        return []
-    members = member_ids(partials)
-    # kind="table": ids span at most the point count, and the sort
-    # method loses to the set walk it replaced where members outnumber
-    # seeds.
-    targets = set(members[
-        np.isin(members, np.concatenate([c.seeds for c in partials]),
-                kind="table")
-    ].tolist())
-    by_partition: dict[int, list[PartialCluster]] = {}
-    for c in partials:
-        by_partition.setdefault(c.partition, []).append(c)
-    digests = []
-    for pid in sorted(by_partition):
-        exp = LocalExpansion(
-            partition=pid,
-            partials=by_partition[pid],
-            boundary={m for c in by_partition[pid] for m in c.members if m in targets},
-        )
-        digests.append(partition_digest(exp))
-    return digests
+    table = ClusterTable.concat([as_table(partials)])
+    # kind="table": ids span at most the point count.
+    return replace(table, orphans=NO_ORPHANS, boundary=np.isin(
+        table.members, table.seeds, kind="table")).project()
 
 
-def partials_payload_nbytes(partials: list[PartialCluster],
+def partials_payload_nbytes(partials: ClusterTable,
                             orphans: np.ndarray = NO_ORPHANS) -> int:
     """Canonical driver-collect size of the partial-mode payload.
 
-    Pickles a plain-tuple rendering (sorted borders, fixed protocol),
-    one item at a time, so the byte count is deterministic across
-    backends and Python versions — pickling the whole list at once would
-    let the memo deduplicate objects shared *across* items (e.g.
-    interned status strings), and how much is shared depends on whether
-    partials were unpickled per-partition or created in-process.  The
-    orphan table, when there is one, counts as one more item.  The sum
-    feeds the ``repro_driver_collect_bytes`` gauge the perf gate
+    Pickles a plain-tuple rendering of each cluster of the record (its
+    `PartialCluster` fields, sorted borders, fixed protocol), one
+    cluster at a time, so the byte count is deterministic across
+    backends and Python versions and independent of how the record is
+    laid out.  The orphan table, when given, counts as one more item.
+    The sum feeds the ``repro_driver_collect_bytes`` gauge the perf gate
     compares exactly.
     """
+    members, border = partials.members.tolist(), partials.border.tolist()
+    seeds = partials.seeds.tolist()
+    mp, sp = partials.member_ptr.tolist(), partials.seed_ptr.tolist()
+    rows = zip(partials.partition.tolist(), partials.local_id.tolist(),
+               partials.lo.tolist(), partials.hi.tolist(),
+               partials.down_seeds.tolist())
     return sum(
         len(pickle.dumps(
-            (c.partition, c.local_id, c.lo, c.hi, list(c.members),
-             c.seeds.tolist(), sorted(c.borders), c.status, c.down_seeds),
+            (p, lid, lo, hi, members[mp[k]:mp[k + 1]],
+             seeds[sp[k]:sp[k + 1]],
+             sorted(compress(members[mp[k]:mp[k + 1]],
+                             border[mp[k]:mp[k + 1]])),
+             "unfinished", down),
             protocol=4,
         ))
-        for c in partials
+        for k, (p, lid, lo, hi, down) in enumerate(rows)
     ) + (len(pickle.dumps(orphans.tolist(), protocol=4)) if len(orphans) else 0)
 
 
-def digest_payload_nbytes(digests: list[PartitionDigest]) -> int:
-    """Canonical driver-collect size of the edge-mode payload.
-
-    Per-digest pickling, summed, for the same backend-invariance reason
-    as :func:`partials_payload_nbytes`.
-    """
-    return sum(
-        len(pickle.dumps(
-            (
-                d.partition,
-                [(s.partition, s.local_id, s.founder, s.n_members,
-                  s.n_seeds, s.n_borders) for s in d.summaries],
-                [ss.tolist() for ss in d.seeds],
-                [(int(p), int(l), bool(core)) for (p, l, core) in d.exports],
-                d.orphans.tolist(),
-            ),
+def digest_payload_nbytes(digests: list[ClusterTable]) -> int:
+    """Canonical driver-collect size of the edge-mode payload: per
+    projection, its summaries ``(partition, local_id, founder, members,
+    seeds, borders)``, seed lists, exports ``(point, local_id, core?)``
+    and orphan rows, pickled as for :func:`partials_payload_nbytes`."""
+    total = 0
+    for t in digests:
+        seeds, sp = t.seeds.tolist(), t.seed_ptr.tolist()
+        summaries = list(zip(
+            t.partition.tolist(), t.local_id.tolist(), t.founder.tolist(),
+            t.member_count.tolist(), (t.sizes - t.member_count).tolist(),
+            t.border_count.tolist()))
+        exports = list(zip(
+            t.members.tolist(),
+            np.repeat(t.local_id, np.diff(t.member_ptr)).tolist(),
+            (~t.border).tolist()))
+        total += len(pickle.dumps(
+            (t.task, summaries,
+             [seeds[sp[k]:sp[k + 1]] for k in range(len(t))],
+             exports, t.orphans.tolist()),
             protocol=4,
         ))
-        for d in digests
-    )
+    return total

@@ -37,7 +37,8 @@ from .partial import PartialCluster
 
 @dataclass
 class SparkDBSCANResult(ClusteringResult):
-    """ClusteringResult plus the collected partial clusters (optional).
+    """ClusteringResult plus the collected partial clusters (optional,
+    as `PartialCluster` views of the collected `ClusterTable`).
 
     ``perm`` is set by `SpatialSparkDBSCAN`: the spatial reordering that
     was applied before partitioning (``perm[k]`` is the original index of
@@ -213,11 +214,10 @@ class SparkDBSCAN:
         state = self._fit_state(points, sc=sc, tree=tree)
         partials = state.partials
         if partials is not None:
-            num_partials = len(partials)
-            num_seeds = sum(len(c.seeds) for c in partials)
+            num_partials, num_seeds = len(partials), len(partials.seeds)
         else:
-            # merge_mode="edges": no partials ever reach the driver; the
-            # counts come from the digest summaries via MergeEdges.
+            # merge_mode="edges": no full records reach the driver; the
+            # counts come from the projections via MergeEdges.
             plan = state.extras["merge_plan"]
             num_partials, num_seeds = plan.num_partials, plan.num_seeds
         return SparkDBSCANResult(
@@ -226,6 +226,7 @@ class SparkDBSCAN:
             num_partial_clusters=num_partials,
             num_seeds=num_seeds,
             num_merges=state.outcome.num_merges,
-            partials=(partials or []) if self.config.keep_partials else None,
+            partials=(list(partials or []) if self.config.keep_partials
+                      else None),
             perm=state.perm,
         )

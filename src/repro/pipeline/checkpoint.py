@@ -4,8 +4,9 @@ Layout::
 
     <checkpoint-dir>/
       <run-key>/                 # RunConfig.content_hash(points), truncated
-        manifest.json            # config summary + completed stages
-        CollectPartials.json     # one or two artifact files per stage
+        manifest.json            # format, config summary, completed stages
+        CollectPartials.npz      # one or two artifact files per stage
+        CollectPartials.json
         MergePartials.npz
         MergePartials.json
         ...
@@ -16,7 +17,10 @@ directory lookup: a changed ``eps`` or different points land in a fresh,
 empty run directory and every stage re-runs.  The manifest only lists
 stages whose artifacts were *completely* written (files first, manifest
 updated last, atomically via rename), so a crash mid-write can never
-produce a resumable-but-corrupt stage.
+produce a resumable-but-corrupt stage.  The manifest also records the
+artifacts' `FORMAT`; one of another format — or of none, as written
+before the format was recorded — is ignored, so a stage whose documents
+changed shape runs cold instead of failing to load.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ import os
 from typing import Any
 
 import numpy as np
+
+#: The artifacts' format.  Bump it whenever a stage's documents change
+#: shape without the run key changing: 1 is the collect stages'
+#: `ClusterTable` npz columns.
+FORMAT = 1
 
 
 class CheckpointError(Exception):
@@ -60,15 +69,18 @@ class CheckpointStore:
                 manifest = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable manifest {path!r}: {exc}") from exc
-        if manifest.get("run_key") != self.run_key:
-            # A truncated-key collision or a hand-edited directory; treat
-            # as cold rather than resuming someone else's artifacts.
+        if (manifest.get("run_key") != self.run_key
+                or manifest.get("format") != FORMAT):
+            # A truncated-key collision, a hand-edited directory or
+            # documents this code cannot read; treat as cold rather than
+            # resuming someone else's artifacts.
             return
         self._stages = manifest.get("stages", {})
 
     def _write_manifest(self) -> None:
         manifest = {
             "run_key": self.run_key,
+            "format": FORMAT,
             "config": self._config_summary,
             "stages": self._stages,
         }

@@ -11,9 +11,10 @@ re-running it *and everything upstream of it*.
 Every plan composition produces byte-identical labels, partials and
 OpCounters to the monolithic ``fit`` methods the stages replaced.  What
 several stages do alike is one body each: the tree build
-(`build_index`), the executor job (`ship_expansions`), the accumulator
-drain (`drain_accumulator`), the counters, label and outcome checkpoint
-codecs (`counters_doc` / `restore_counters`, `LabelStage`,
+(`build_index`), the executor job (`ship_expansions`), the collect
+stages' drain and checkpoint codec (`CollectStage`: one `ClusterTable`
+per task, npz columns plus a JSON header), the counters, label and
+outcome codecs (`counters_doc` / `restore_counters`, `LabelStage`,
 `OutcomeStage`).
 The span names emitted here (``driver.kdtree_build``, ``driver.setup``,
 ``driver.accumulator_drain``, ``driver.merge``, ``driver.relabel``,
@@ -43,16 +44,11 @@ from ..dbscan.merge import (
     merge_partials,
 )
 from ..dbscan.partial import (
-    LocalExpansion,
+    ClusterTable,
     OpCounters,
-    PartialCluster,
-    PartialSummary,
-    PartitionDigest,
     digest_payload_nbytes,
     local_dbscan,
-    orphan_table,
     partials_payload_nbytes,
-    partition_digest,
 )
 from ..obs.collect import task_span
 from .checkpoint import CheckpointStore
@@ -251,8 +247,8 @@ class LocalExpand(Stage):
     """Run local DBSCAN with SEED placement on every partition (ll. 4-29).
 
     What reaches the driver follows ``merge_mode`` (see
-    `ship_expansions`): whole partial clusters, or — with ``"edges"`` —
-    only each partition's `PartitionDigest` (DESIGN.md §11).
+    `ship_expansions`): each task's whole `ClusterTable`, or — with
+    ``"edges"`` — only its projection (DESIGN.md §11).
     """
 
     name = "LocalExpand"
@@ -277,8 +273,6 @@ class LocalExpand(Stage):
                 t = tree_b.value
                 bsp.annotate(n=len(t.points))
             counters = OpCounters() if collect_counters else None
-            boundary: set[int] | None = set() if track_boundary else None
-            orphans: list | None = [] if witness_once else None
             stats: dict[str, int] = {}
             # `mode` stays for the trace schema and selects nothing; the
             # nested task.kdtree_query span carries the kernel's tiles,
@@ -286,19 +280,16 @@ class LocalExpand(Stage):
             with task_span(
                 "task.expand", partition=pid, mode=neighbor_mode,
             ) as esp:
-                result = local_dbscan(
+                table = local_dbscan(
                     pid, it, t.points, t, eps, minpts, partitioner,
                     seed_policy=seed_policy, max_neighbors=max_neighbors,
                     neighbor_mode=neighbor_mode, counters=counters,
-                    boundary_out=boundary, stats=stats, orphans_out=orphans,
+                    boundary_out=set() if track_boundary else None,
+                    stats=stats, orphans_out=[] if witness_once else None,
                 )
-                esp.annotate(partials=len(result),
+                esp.annotate(partials=len(table),
                              rounds=stats.get("rounds", 0))
-            yield LocalExpansion(
-                partition=pid, partials=result,
-                boundary=boundary or set(), counters=counters,
-                orphans=orphan_table(orphans or []),
-            )
+            yield table, counters
 
         ship_expansions(state, state.indices.map_partitions_with_index(expand))
 
@@ -306,12 +297,12 @@ class LocalExpand(Stage):
 def ship_expansions(state: PipelineState, expansions) -> None:
     """The executor job shared by the range and cell plans.
 
-    ``expansions`` is the stage's lazy RDD of one `LocalExpansion` per
-    partition.  With ``merge_mode="partials"`` each task's partial
-    clusters and orphan table ship to the driver through the accumulator
-    as the task finishes (Algorithm 2 lines 26-28); with ``"edges"``
-    only each partition's digest does, and the expansions stay cached in
-    the lineage for `ApplyGidMap` — which reuses them, or
+    ``expansions`` is the stage's lazy RDD of one ``(ClusterTable,
+    OpCounters | None)`` pair per partition.  With
+    ``merge_mode="partials"`` each task's table ships to the driver
+    through the accumulator as the task finishes (Algorithm 2 lines
+    26-28); with ``"edges"`` only its projection does, and the tables
+    stay cached in the lineage for `ApplyGidMap` — which reuses them, or
     deterministically recomputes them on a cache miss under the
     processes backend.
     """
@@ -324,11 +315,10 @@ def ship_expansions(state: PipelineState, expansions) -> None:
     def ship(pid: int, it) -> None:
         # Counters ship only from this action, so a cache miss in
         # ApplyGidMap's job cannot double-count.
-        for exp in it:
-            acc.add([partition_digest(exp) if edges
-                     else (pid, exp.partials, exp.orphans)])
+        for table, counters in it:
+            acc.add([table.project() if edges else table])
             if counters_acc is not None:
-                counters_acc.add([(pid, exp.counters)])
+                counters_acc.add([(pid, counters)])
 
     expansions.foreach_partition_with_index(ship)
 
@@ -338,32 +328,32 @@ def ship_expansions(state: PipelineState, expansions) -> None:
     state.timings.executor_max = max(durations) if durations else 0.0
 
 
-def drain_accumulator(
-    state: PipelineState, sort_key, payload_nbytes, counts_of
-) -> list:
+def drain_accumulator(state: PipelineState, stage: "CollectStage") -> None:
     """The collect stages' body: accumulator (and OpCounters) to driver.
 
-    Returns what the executors shipped in ``sort_key`` order — the
+    Hands ``stage.install`` the tasks' tables in partition order — the
     accumulator's own order follows task *completion* under the
     threads/processes backends, and nothing downstream may depend on
-    which executor finished first.  ``payload_nbytes`` sizes the list
-    for the ``repro_driver_collect_bytes`` gauge; ``counts_of(item)`` is
-    its ``(partition, partials, seeds)``, for the per-partition expansion
-    spans grafted onto the driver trace (with one partition per core,
-    the paper's setup, their max is the executor wall).
+    which executor finished first.  ``stage.payload_nbytes`` sizes what
+    was installed for the ``repro_driver_collect_bytes`` gauge; the
+    tables' cluster and seed counts
+    go on the per-partition expansion spans grafted onto the driver
+    trace (with one partition per core, the paper's setup, their max is
+    the executor wall).
     """
     tracer, registry = state.tracer, state.metrics_registry
     num_partitions = state.config.num_partitions
     partials_per, seeds_per = [0] * num_partitions, [0] * num_partitions
     with tracer.span("driver.accumulator_drain", cat="driver") as sp:
-        items = sorted(state.acc.value, key=sort_key)
+        items = sorted(state.acc.value, key=lambda t: t.task)
         if tracer.enabled:
-            for pid, num_partials, num_seeds in map(counts_of, items):
-                partials_per[pid] += num_partials
-                seeds_per[pid] += num_seeds
+            for t in items:
+                partials_per[t.task] += len(t)
+                seeds_per[t.task] += len(t.seeds)
             sp.annotate(num_partials=sum(partials_per))
+        stage.install(state, items)
         if registry is not None:
-            nbytes = payload_nbytes(items)
+            nbytes = stage.payload_nbytes(state)
             registry.gauge(
                 "repro_driver_collect_bytes",
                 "Canonical pickled size of the merge payload collected "
@@ -382,7 +372,6 @@ def drain_accumulator(
         list(state.counters_acc.value)
         if state.counters_acc is not None else None,
     )
-    return items
 
 
 def install_counters(state: PipelineState, counters: list | None) -> None:
@@ -412,73 +401,47 @@ def restore_counters(state: PipelineState, doc: list | None) -> None:
     )
 
 
-def _flatten(shipped: list) -> tuple[list[PartialCluster], np.ndarray]:
-    """Partials-mode ``(partition, partials, orphans)`` shipments as the
-    founder-sorted partial list and one orphan table."""
-    partials = [c for _, ps, _ in shipped for c in ps]
-    partials.sort(key=lambda c: c.members[0])
-    return partials, orphan_table([o for _, _, o in shipped])
+class CollectStage(Stage):
+    """Drain the accumulator — one `ClusterTable` per task — and the
+    OpCounters to the driver; save and restore what was collected
+    through one codec: the tables' npz columns
+    (`ClusterTable.to_arrays`) and a JSON header with ``n`` and the
+    counters.  Subclasses say what the tables become (`install`), which
+    tables that is (`collected`) and their canonical pickled size
+    (`payload_nbytes`)."""
+
+    checkpointable = True
+
+    def save(self, state: PipelineState, store: CheckpointStore) -> None:
+        store.save_npz(self.name, **ClusterTable.to_arrays(self.collected(state)))
+        store.save_json(self.name, {"n": state.n,
+                                    "counters": counters_doc(state)})
+
+    def load(self, state: PipelineState, store: CheckpointStore) -> None:
+        self.install(state, ClusterTable.from_arrays(store.load_npz(self.name)))
+        restore_counters(state, store.load_json(self.name)["counters"])
 
 
-class CollectPartials(Stage):
-    """Drain the accumulator: partial clusters, the tasks' orphan rows
-    (``extras["orphans"]``) and OpCounters to the driver.
-
-    The collected list is founder-sorted (by ``members[0]``, globally
-    unique): gid numbering downstream follows it.
-    """
+class CollectPartials(CollectStage):
+    """Collect the tasks' full records into ``state.partials``: one
+    founder-sorted `ClusterTable` (founders are globally unique; gid
+    numbering downstream follows them) with every task's orphan rows."""
 
     name = "CollectPartials"
     requires = ("expanded", "engine")
     provides = ("partials",)
-    checkpointable = True
 
     def run(self, state: PipelineState) -> None:
-        shipped = drain_accumulator(
-            state,
-            sort_key=lambda s: s[0],
-            payload_nbytes=lambda items: partials_payload_nbytes(
-                *_flatten(items)),
-            counts_of=lambda s: (s[0], len(s[1]),
-                                 sum(len(c.seeds) for c in s[1])),
-        )
-        state.partials, state.extras["orphans"] = _flatten(shipped)
+        drain_accumulator(state, self)
 
-    def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        store.save_json(self.name, {
-            "n": state.n,
-            "partials": [
-                {
-                    "partition": c.partition,
-                    "local_id": c.local_id,
-                    "lo": c.lo,
-                    "hi": c.hi,
-                    "members": c.members,
-                    "seeds": c.seeds.tolist(),
-                    "borders": sorted(c.borders),
-                    "status": c.status,
-                    "down_seeds": c.down_seeds,
-                }
-                for c in state.partials
-            ],
-            "orphans": state.extras["orphans"].tolist(),
-            "counters": counters_doc(state),
-        })
+    def payload_nbytes(self, state: PipelineState) -> int:
+        return partials_payload_nbytes(state.partials, state.partials.orphans)
 
-    def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        doc = store.load_json(self.name)
-        state.partials = [
-            PartialCluster(
-                partition=d["partition"], local_id=d["local_id"],
-                lo=d["lo"], hi=d["hi"], members=list(d["members"]),
-                seeds=d["seeds"], borders=set(d["borders"]),
-                status=d["status"], down_seeds=d["down_seeds"],
-            )
-            for d in doc["partials"]
-        ]
-        state.extras["orphans"] = np.array(
-            doc["orphans"], dtype=np.int64).reshape(-1, 2)
-        restore_counters(state, doc["counters"])
+    def install(self, state: PipelineState, tables: list[ClusterTable]) -> None:
+        state.partials = ClusterTable.concat(tables)
+
+    def collected(self, state: PipelineState) -> list[ClusterTable]:
+        return [state.partials]
 
 
 class MergePartials(OutcomeStage):
@@ -490,7 +453,7 @@ class MergePartials(OutcomeStage):
 
     def run(self, state: PipelineState) -> None:
         cfg = state.config
-        partials, orphans = state.partials, state.extras["orphans"]
+        partials = state.partials
         stats: dict[str, int] = {}
         with state.tracer.span("driver.merge", cat="driver") as sp:
             t0 = time.perf_counter()
@@ -500,14 +463,13 @@ class MergePartials(OutcomeStage):
                 strategy=cfg.merge_strategy,
                 min_cluster_size=cfg.min_cluster_size,
                 stats=stats,
-                orphans=orphans,
             )
             state.timings.driver_merge = time.perf_counter() - t0
             sp.annotate(
                 strategy=cfg.merge_strategy,
                 num_partials=len(partials),
-                num_seeds=sum(len(c.seeds) for c in partials),
-                orphan_rows=len(orphans),
+                num_seeds=len(partials.seeds),
+                orphan_rows=len(partials.orphans),
                 num_merges=outcome.num_merges,
                 num_global_clusters=outcome.num_global_clusters,
                 overlapping_points=outcome.overlapping_points,
@@ -527,66 +489,28 @@ class MergePartials(OutcomeStage):
 # edge-based merge tail (merge_mode="edges", DESIGN.md §11)
 # ---------------------------------------------------------------------------
 
-class CollectEdges(Stage):
-    """Drain the accumulator: partition digests (and OpCounters) to driver.
-
-    O(edges + partials) bytes cross to the driver — summaries, seed
-    half-edges, and boundary exports — never the member point lists,
+class CollectEdges(CollectStage):
+    """Collect the tasks' projections (``extras["digest"]``, partition
+    order): O(edges + partials) bytes cross to the driver — counts, seed
+    half-edges and boundary members — never the member point lists,
     which stay cached executor-side for `ApplyGidMap`.
     """
 
     name = "CollectEdges"
     requires = ("expanded", "engine")
     provides = ("digest",)
-    checkpointable = True
 
     def run(self, state: PipelineState) -> None:
-        state.extras["digest"] = drain_accumulator(
-            state,
-            sort_key=lambda d: d.partition,
-            payload_nbytes=digest_payload_nbytes,
-            counts_of=lambda d: (
-                d.partition, len(d.summaries), sum(map(len, d.seeds))
-            ),
-        )
+        drain_accumulator(state, self)
 
-    def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        store.save_json(self.name, {
-            "n": state.n,
-            "digests": [
-                {
-                    "partition": d.partition,
-                    "summaries": [
-                        [s.partition, s.local_id, s.founder, s.n_members,
-                         s.n_seeds, s.n_borders]
-                        for s in d.summaries
-                    ],
-                    "seeds": [ss.tolist() for ss in d.seeds],
-                    "exports": [[p, l, bool(core)] for p, l, core in d.exports],
-                    "orphans": d.orphans.tolist(),
-                }
-                for d in state.extras["digest"]
-            ],
-            "counters": counters_doc(state),
-        })
+    def payload_nbytes(self, state: PipelineState) -> int:
+        return digest_payload_nbytes(state.extras["digest"])
 
-    def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        doc = store.load_json(self.name)
-        state.extras["digest"] = [
-            PartitionDigest(
-                partition=d["partition"],
-                summaries=[
-                    PartialSummary(partition=p, local_id=l, founder=f,
-                                   n_members=m, n_seeds=s, n_borders=b)
-                    for p, l, f, m, s, b in d["summaries"]
-                ],
-                seeds=[np.asarray(ss, np.int64) for ss in d["seeds"]],
-                exports=[(p, l, bool(core)) for p, l, core in d["exports"]],
-                orphans=np.array(d["orphans"], dtype=np.int64).reshape(-1, 2),
-            )
-            for d in doc["digests"]
-        ]
-        restore_counters(state, doc["counters"])
+    def install(self, state: PipelineState, tables: list[ClusterTable]) -> None:
+        state.extras["digest"] = tables
+
+    def collected(self, state: PipelineState) -> list[ClusterTable]:
+        return state.extras["digest"]
 
 
 class MergeEdges(Stage):
@@ -680,7 +604,7 @@ class ApplyGidMap(OutcomeStage):
                 def apply_partition(pid: int, it) -> None:
                     gid_of = gid_b.value
                     label_acc.add(
-                        [member_labels(exp.partials, gid_of) for exp in it]
+                        [member_labels(table, gid_of) for table, _ in it]
                     )
 
                 expanded.foreach_partition_with_index(apply_partition)
@@ -729,11 +653,10 @@ class RelabelFilter(LabelStage):
                 self._remap_partials(state.partials, perm)
 
     @staticmethod
-    def _remap_partials(partials: list[PartialCluster], perm: np.ndarray) -> None:
-        for c in partials:
-            c.members = perm[c.members].tolist()
-            c.seeds = perm[c.seeds]
-            c.borders = set(perm[list(c.borders)].tolist())
+    def _remap_partials(table: ClusterTable, perm: np.ndarray) -> None:
+        table.members = perm[table.members]
+        table.seeds = perm[table.seeds]
+        table.founder = perm[table.founder]
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
         super().load(state, store)

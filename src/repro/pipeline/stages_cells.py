@@ -18,12 +18,12 @@ with the MR-DBSCAN / dDBGSCAN shape (`repro.dbscan.cells`):
   module; ``tests/pipeline/test_cell_plan.py`` pins that with the
   broadcast-nbytes telemetry.
 - `CellCollect` drains the accumulator exactly like `CollectPartials`,
-  whose founder sort (``members[0]``) matters most here: cell ownership
-  is not contiguous, so the accumulator's partition order differs from
-  the range plan's, but every partial's founder is the smallest core
-  point it covers — sorting restores the global numbering order and the
-  downstream union-find merge yields labels byte-identical to
-  `SparkDBSCAN` (DESIGN.md §10).
+  whose founder sort (`ClusterTable.concat`) matters most here: cell
+  ownership is not contiguous, so the accumulator's partition order
+  differs from the range plan's, but every partial's founder is the
+  smallest core point it covers — sorting restores the global numbering
+  order and the downstream union-find merge yields labels
+  byte-identical to `SparkDBSCAN` (DESIGN.md §10).
 
 The unchanged `MergePartials` + `RelabelFilter` tail completes the
 plan; halo SEEDs feed the same core-seed-containment union-find.
@@ -40,7 +40,7 @@ import time
 import numpy as np
 
 from ..dbscan.cells import CellAssignment, build_cell_assignment, cell_local_dbscan
-from ..dbscan.partial import LocalExpansion, OpCounters, orphan_table
+from ..dbscan.partial import OpCounters
 from ..obs.collect import task_span
 from .checkpoint import CheckpointStore
 from .stages import CollectPartials, Stage, open_accumulators, ship_expansions
@@ -177,38 +177,29 @@ class LocalIndexExpand(Stage):
         witness_once = cfg.witness_once
 
         def expand(pid: int, it):
+            # `payloads` returns one per partition and parallelize slices
+            # them one a partition, so a table's row is its local id.
+            payloads = list(it)
+            if len(payloads) != 1:
+                raise ValueError(f"partition {pid} received {len(payloads)} "
+                                 "cell payloads, expected exactly one")
+            (payload,) = payloads
             counters = OpCounters() if collect_counters else None
-            boundary: set[int] | None = set() if track_boundary else None
-            orphans: list | None = [] if witness_once else None
-            result = []
+            stats: dict[str, int] = {}
             with task_span("task.expand", partition=pid,
                            mode=neighbor_mode) as esp:
-                n_own = n_halo = rounds = 0
-                for payload in it:
-                    n_own += len(payload.owned_ids)
-                    n_halo += len(payload.halo_ids)
-                    stats: dict[str, int] = {}
-                    result.extend(cell_local_dbscan(
-                        payload, eps, minpts, leaf_size=leaf_size,
-                        seed_policy=seed_policy, max_neighbors=max_neighbors,
-                        neighbor_mode=neighbor_mode, counters=counters,
-                        boundary_out=boundary, stats=stats,
-                        orphans_out=orphans,
-                    ))
-                    rounds = max(rounds, stats.get("rounds", 0))
-                if track_boundary:
-                    # A partition may aggregate several payloads whose
-                    # partials restart local_id at 0; renumber so the
-                    # (partition, local_id) cid is unique in the digest.
-                    for k, c in enumerate(result):
-                        c.local_id = k
-                esp.annotate(partials=len(result), n_own=n_own,
-                             n_halo=n_halo, rounds=rounds)
-            yield LocalExpansion(
-                partition=pid, partials=result,
-                boundary=boundary or set(), counters=counters,
-                orphans=orphan_table(orphans or []),
-            )
+                table = cell_local_dbscan(
+                    payload, eps, minpts, leaf_size=leaf_size,
+                    seed_policy=seed_policy, max_neighbors=max_neighbors,
+                    neighbor_mode=neighbor_mode, counters=counters,
+                    boundary_out=set() if track_boundary else None,
+                    stats=stats, orphans_out=[] if witness_once else None,
+                )
+                esp.annotate(partials=len(table),
+                             n_own=len(payload.owned_ids),
+                             n_halo=len(payload.halo_ids),
+                             rounds=stats.get("rounds", 0))
+            yield table, counters
 
         ship_expansions(state, state.indices.map_partitions_with_index(expand))
 
@@ -216,10 +207,10 @@ class LocalIndexExpand(Stage):
 class CellCollect(CollectPartials):
     """`CollectPartials`, which founder-sorts (see the module docstring).
 
-    Cell ownership is not contiguous, so partials arrive grouped by
-    partition in an order unrelated to their point ids; the founder sort
-    (now the base class's canonical order, since accumulator arrival is
-    completion-ordered on the parallel backends too) makes the list —
+    Cell ownership is not contiguous, so the tasks' tables arrive in an
+    order unrelated to their point ids; the founder sort (the base
+    class's canonical order, since accumulator arrival is
+    completion-ordered on the parallel backends too) makes the record —
     and therefore global cluster numbering and every downstream artifact
     — deterministic and identical to the range plan's.  Kept as its own
     class so the cell plan's manifest names its collect step.
@@ -228,7 +219,6 @@ class CellCollect(CollectPartials):
     name = "CollectPartials"
     requires = ("expanded", "engine")
     provides = ("partials",)
-    checkpointable = True
 
 
 __all__ = ["CellCollect", "CellPartition", "LocalIndexExpand"]

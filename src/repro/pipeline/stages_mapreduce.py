@@ -21,7 +21,7 @@ import numpy as np
 from ..kdtree import KDTree
 from ..mapreduce import JobStats, MapReduceJob
 from ..dbscan.merge import merge_partials
-from ..dbscan.partial import local_dbscan
+from ..dbscan.partial import ClusterTable, local_dbscan
 from .checkpoint import CheckpointStore
 from .stages import LabelStage, Stage
 from .state import PipelineState
@@ -94,8 +94,8 @@ class MRLocalExpand(Stage):
 
         merged_info: dict[str, int] = {}
 
-        def reduce_merge(_key, partial_lists):
-            partials = [c for chunk in partial_lists for c in chunk]
+        def reduce_merge(_key, tables):
+            partials = ClusterTable.concat(tables)
             outcome = merge_partials(partials, n)
             merged_info["num_partials"] = len(partials)
             merged_info["num_merges"] = outcome.num_merges

@@ -53,11 +53,11 @@ class PipelineState:
     own_sc: bool = False
     tree_b: Any = None                       # broadcast handle
     indices: Any = None                      # RDD of point indices
-    acc: Any = None                          # partials accumulator
+    acc: Any = None                          # per-task ClusterTable accumulator
     counters_acc: Any = None                 # OpCounters accumulator
 
     # outputs
-    partials: list | None = None
+    partials: Any = None                     # collected ClusterTable
     counters: list | None = None             # [(partition, OpCounters)]
     outcome: Any = None                      # MergeOutcome
     labels: "np.ndarray | None" = None

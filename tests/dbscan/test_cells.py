@@ -444,7 +444,7 @@ class TestCellLocalDBSCAN:
         empty = payloads[0]
         empty.owned_ids = empty.owned_ids[:0]
         empty.owned_points = empty.owned_points[:0]
-        assert cell_local_dbscan(empty, 25.0, 5) == []
+        assert len(cell_local_dbscan(empty, 25.0, 5)) == 0
 
     def test_validation(self):
         _, _, payloads = self.payloads(n=50)

@@ -1,10 +1,10 @@
-"""Edge-based merging (DESIGN.md §11): `merge_edges` over digests must
-agree with `merge_union_find` over the founder-sorted partials exactly —
-same gids, same claims, same labels — while never touching a member
-list on the driver.  Both are adapters over `union_find_merge`, so what
-these tests compare is the two owner tables (boundary exports vs all
-members); `test_merge_golden.py` and the per-seed loop in
-`test_properties.py` pin the shared core itself."""
+"""Edge-based merging (DESIGN.md §11): `merge_edges` over projections
+must agree with `merge_union_find` over the founder-sorted partials
+exactly — same gids, same claims, same labels — while never touching a
+member list on the driver.  Both pass a `ClusterTable` to
+`union_find_merge`, so what these tests compare is the two owner tables
+(boundary members vs all members); `test_merge_golden.py` and the
+per-seed loop in `test_properties.py` pin the shared core itself."""
 
 import numpy as np
 import pytest
@@ -27,6 +27,13 @@ def pc(partition, local_id, lo, hi, members, seeds=(), borders=()):
     return c
 
 
+def exports(table):
+    """A projection's owner rows: ``(point, local_id, is_core)``."""
+    return list(zip(table.members.tolist(),
+                    np.repeat(table.local_id, np.diff(table.member_ptr)).tolist(),
+                    (~table.border).tolist()))
+
+
 def edge_labels(partials, n, min_cluster_size=0):
     plan = merge_edges(digest_from_partials(partials),
                        min_cluster_size=min_cluster_size)
@@ -37,26 +44,26 @@ class TestDigestFromPartials:
     def test_exports_are_seed_targeted_members(self):
         a = pc(0, 0, 0, 10, [0, 1, 2], seeds=[10])
         b = pc(1, 0, 10, 20, [10, 11], seeds=[2])
-        digests = digest_from_partials([a, b])
-        assert [d.partition for d in digests] == [0, 1]
-        # 2 is a member of a and a seed of b -> exported by partition 0;
-        # 10 symmetrically by partition 1.  Interior members never ship.
-        assert [(p, l) for (p, l, _) in digests[0].exports] == [(2, 0)]
-        assert [(p, l) for (p, l, _) in digests[1].exports] == [(10, 0)]
+        digest = digest_from_partials([a, b])
+        assert digest.partition.tolist() == [0, 1]
+        # 2 is a member of a and a seed of b -> kept for partition 0;
+        # 10 symmetrically for partition 1.  Interior members never ship.
+        assert digest.member_ptr.tolist() == [0, 1, 2]
+        assert [(p, l) for (p, l, _) in exports(digest)] == [(2, 0), (10, 0)]
 
     def test_border_member_exports_non_core(self):
         a = pc(0, 0, 0, 10, [0, 1], seeds=[10])
         b = pc(1, 0, 10, 20, [10, 11], borders=[10])
-        digests = digest_from_partials([a, b])
-        (point, _, is_core), = digests[1].exports
+        (point, _, is_core), = exports(digest_from_partials([a, b]))
         assert point == 10 and not is_core
 
     def test_summaries_carry_sizes_not_lists(self):
         a = pc(0, 0, 0, 10, [0, 1, 2], seeds=[10, 11], borders=[2])
-        (d,) = digest_from_partials([a])
-        (s,) = d.summaries
-        assert (s.founder, s.n_members, s.n_seeds, s.n_borders) == (0, 3, 2, 1)
-        assert s.size == a.size
+        d = digest_from_partials([a])
+        assert len(d.members) == 0
+        assert (d.founder.tolist(), d.member_count.tolist(),
+                d.border_count.tolist()) == ([0], [3], [1])
+        assert d.sizes.tolist() == [a.size] == [5]
 
 
 class TestPaperFigure4:
@@ -122,6 +129,7 @@ class TestChainsAndBorders:
 
     def test_empty_digests(self):
         plan = merge_edges([])
+        assert vars(merge_edges(digest_from_partials([]))) == vars(plan)
         assert plan.num_global_clusters == 0
         assert plan.gid_of == {} and plan.claims == {}
         labels = apply_gid_map([], plan, 10)
@@ -186,7 +194,8 @@ class TestDigestOrderInvariance:
         a = pc(0, 0, 0, 10, [0, 1, 2], seeds=[10])
         b = pc(1, 0, 10, 20, [10, 11], seeds=[20, 25])
         c = pc(2, 0, 20, 30, [20, 21, 22])
-        digests = digest_from_partials([a, b, c])
+        digest = digest_from_partials([a, b, c])
+        digests = [digest.take(np.array([k])) for k in range(3)]
         fwd = merge_edges(list(digests))
         rev = merge_edges(list(reversed(digests)))
         assert fwd.gid_of == rev.gid_of

@@ -35,6 +35,19 @@ pairs; in
 ``MergeEdges`` only ``num_seeds`` (1261 -> 642) and ``num_edges`` (1255
 -> 638) moved.  The ``merge_partials`` / ``merge_edges`` records and the
 other two documents stayed byte-identical.
+
+It was re-recorded a fourth time when both collect stages began saving
+their `ClusterTable` records as npz columns under a JSON header of
+``n`` and the counters: the two collect records are now that header
+plus the npz columns (``<stage>.npz``).  Read back through
+`ClusterTable.from_arrays` and compared with the JSON documents they
+replace: per partial cluster the same cid, founder, ``lo``/``hi``,
+member set, border set, seed set and ``down_seeds`` (65 clusters, in the
+same founder order, members and seeds even in the same order), the
+same orphan table (6 rows); per partition the same summaries, seed
+sets, export set and orphan table.  Every ``merge_partials`` /
+``merge_edges`` record and the ``MergePartials`` / ``MergeEdges`` /
+``ApplyGidMap`` documents stayed byte-identical.
 """
 
 import json
@@ -114,7 +127,8 @@ def merge_records() -> dict:
 
 
 def checkpoint_documents() -> dict:
-    """The tail stages' JSON artifacts, as text, for one run per mode."""
+    """The tail stages' JSON artifacts, as text, for one run per mode,
+    and the collect stages' npz columns as lists."""
     pts = golden_points()
     out = {}
     for mode, stages in TAIL_DOCS.items():
@@ -124,6 +138,10 @@ def checkpoint_documents() -> dict:
             (run_dir,) = Path(root).iterdir()
             for stage in stages:
                 out[f"checkpoint/{stage}"] = (run_dir / f"{stage}.json").read_text()
+                if stage.startswith("Collect"):
+                    with np.load(run_dir / f"{stage}.npz") as arrays:
+                        out[f"checkpoint/{stage}.npz"] = {
+                            k: arrays[k].tolist() for k in arrays.files}
     return out
 
 

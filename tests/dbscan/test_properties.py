@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.dbscan import (
     NOISE,
+    ClusterTable,
     PartialCluster,
     SparkDBSCAN,
     UnionFind,
@@ -25,8 +26,10 @@ from repro.dbscan import (
     union_find_merge,
 )
 from repro.dbscan import merge as merge_module
+from repro.dbscan.partial import TABLE_ARRAYS
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
+from tests.dbscan.test_witness_once import FRAMES, chained_inputs, expansions
 
 #: The production block, and two that split any non-trivial seed list.
 SEED_BLOCKS = (1, 7, merge_module.SEED_BLOCK_ROWS)
@@ -136,10 +139,10 @@ def _collected_partials(pts, p, eps, minpts, tree):
     return partials
 
 
-def loop_merge(clusters, owners, min_cluster_size=0):
+def loop_merge(clusters, owners, min_cluster_size=0, orphans=()):
     """Per-seed reference for `union_find_merge`: one dict lookup and one
-    ``union`` per seed, the loop the array core replaced.  Returns
-    ``(gid_of, claims, num_edges)``."""
+    ``union`` per seed, the loop the array core replaced, and one lookup
+    per orphan row.  Returns ``(gid_of, claims, num_edges)``."""
     kept = [ci for ci, row in enumerate(clusters) if row[2] >= min_cluster_size]
     table = {p: (ci, core) for p, ci, core in owners if ci in kept}
     uf = UnionFind(len(clusters))
@@ -153,52 +156,115 @@ def loop_merge(clusters, owners, min_cluster_size=0):
     gids, gid_of, claims = {}, {}, {}
     for ci in kept:
         gid_of[clusters[ci][0]] = gids.setdefault(uf.find(ci), len(gids))
+    reached: dict[int, list[int]] = {}  # cluster -> orphans on its core rows
+    for point, nbr in orphans:
+        oi, core = table.get(nbr, (None, False))
+        if core:
+            reached.setdefault(oi, []).append(point)
     for ci in sorted(kept, key=lambda i: clusters[i][1]):
-        for s in clusters[ci][3]:
-            if s not in table:
-                claims.setdefault(s, gid_of[clusters[ci][0]])
+        unowned = [s for s in clusters[ci][3] if s not in table]
+        for s in unowned + reached.get(ci, []):
+            claims.setdefault(s, gid_of[clusters[ci][0]])
     return gid_of, claims, num_edges
 
 
 def core_inputs(partials):
-    """`union_find_merge`'s arguments for collected partials, the owner
-    table as ``(point, cluster, is_core)`` triples."""
+    """`loop_merge`'s arguments for collected partials: ``(cid, founder,
+    size, seeds)`` rows and the owner table as ``(point, cluster,
+    is_core)`` triples."""
     clusters = [(c.cid, c.members[0], c.size, c.seeds) for c in partials]
     owners = [(m, ci, m not in c.borders)
               for ci, c in enumerate(partials) for m in c.members]
     return clusters, owners
 
 
-def owner_arrays(owners):
-    table = np.array(owners, dtype=np.int64).reshape(-1, 3)
-    return table[:, 0], table[:, 1], table[:, 2].astype(bool)
+def core_table(clusters, owners):
+    """`union_find_merge`'s input for `loop_merge`'s: the owner triples
+    become the clusters' member rows, and ``down_seeds`` is whatever
+    makes `ClusterTable.sizes` the row's size."""
+    rows = sorted(owners, key=lambda row: row[1])
+    counts = np.bincount([ci for _, ci, _ in rows],
+                         minlength=len(clusters)).astype(np.int64)
+    seeds = [np.asarray(row[3], dtype=np.int64) for row in clusters]
+    num_seeds = np.array([len(x) for x in seeds], dtype=np.int64)
+    sizes = np.array([row[2] for row in clusters], dtype=np.int64)
+    border = np.array([not core for _, _, core in rows], dtype=bool)
+    zeros = np.zeros(len(clusters), dtype=np.int64)
+    return ClusterTable(
+        task=-1,
+        partition=np.array([row[0][0] for row in clusters], dtype=np.int64),
+        local_id=np.array([row[0][1] for row in clusters], dtype=np.int64),
+        lo=zeros, hi=zeros,
+        founder=np.array([row[1] for row in clusters], dtype=np.int64),
+        member_count=counts,
+        border_count=np.bincount([ci for _, ci, core in rows if not core],
+                                 minlength=len(clusters)).astype(np.int64),
+        down_seeds=sizes - counts - num_seeds,
+        member_ptr=np.append(0, np.cumsum(counts)),
+        members=np.array([p for p, _, _ in rows], dtype=np.int64),
+        border=border,
+        seed_ptr=np.append(0, np.cumsum(num_seeds)),
+        seeds=np.concatenate(seeds) if seeds else np.empty(0, np.int64),
+    )
 
 
 def array_merge(clusters, owners, min_cluster_size=0):
-    return union_find_merge(clusters, *owner_arrays(owners), min_cluster_size)
+    return union_find_merge(core_table(clusters, owners), min_cluster_size)
 
 
-@settings(max_examples=30, deadline=None)
-@given(pts=point_clouds(), p=st.integers(1, 6), eps=st.floats(0.5, 8.0),
-       minpts=st.integers(2, 6), block=st.sampled_from(SEED_BLOCKS))
-def test_edge_merge_equivalent_to_partials_merge(pts, p, eps, minpts, block):
-    """DESIGN.md §11's contract as a property: merging digests and
-    re-applying the gid map is byte-identical to merging whole partials
-    — and, both being adapters over one core, to the per-seed loop,
-    whatever the seed block."""
-    tree = KDTree(pts, leaf_size=8)
-    partials = _collected_partials(pts, p, eps, minpts, tree)
+@settings(max_examples=40, deadline=None)
+@given(pts=st.one_of(point_clouds(), chained_inputs()), p=st.integers(1, 6),
+       eps=st.floats(0.5, 8.0), minpts=st.integers(2, 6),
+       block=st.sampled_from(SEED_BLOCKS), frame=st.sampled_from(FRAMES),
+       witness=st.booleans())
+def test_edge_merge_equivalent_to_partials_merge(pts, p, eps, minpts, block,
+                                                 frame, witness):
+    """DESIGN.md §11's contract as a property: merging the tasks'
+    projections and re-applying the gid map is byte-identical to merging
+    their whole records — and, both passing one core a table, to the
+    per-seed loop — whatever the seed block, in the range and the cell
+    frame, with full seeds or up-pointing seeds plus orphan rows."""
+    n = len(pts)
+    tables = expansions(frame, pts, eps, minpts, p, witness)
+    table = ClusterTable.concat(tables)
     with seed_block(block):
-        ref = merge_union_find(partials, len(pts))
-        plan = merge_edges(digest_from_partials(partials))
-    labels = apply_gid_map(partials, plan, len(pts))
+        ref = merge_union_find(table, n)
+        plan = merge_edges([t.project() for t in tables])
+    labels = apply_gid_map(table, plan, n)
     np.testing.assert_array_equal(labels, ref.labels)
     assert plan.num_merges == ref.num_merges
     assert plan.num_global_clusters == ref.num_global_clusters
     assert plan.groups == ref.groups
-    gid_of, claims, num_edges = loop_merge(*core_inputs(partials))
+    gid_of, claims, num_edges = loop_merge(*core_inputs(table),
+                                           orphans=table.orphans.tolist())
     assert list(plan.gid_of.items()) == list(gid_of.items())
     assert (plan.claims, plan.num_edges) == (claims, num_edges)
+
+
+def view_columns(table):
+    """The record's columns its `PartialCluster` views carry: all but
+    the orphan table and the boundary flags."""
+    return {f: getattr(table, f).tolist() for f in TABLE_ARRAYS
+            if f not in ("orphans", "boundary")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(pts=st.one_of(point_clouds(), chained_inputs()), p=st.integers(1, 6),
+       eps=st.floats(0.5, 8.0), minpts=st.integers(2, 6),
+       frame=st.sampled_from(FRAMES), witness=st.booleans())
+def test_record_views_round_trip(pts, p, eps, minpts, frame, witness):
+    """Record -> `PartialCluster` views -> record loses nothing, for each
+    task's table and for their founder-sorted concatenation; and, over
+    full seeds (the reference projection keeps no orphan rows), the
+    tasks' projections plan exactly the merge `digest_from_partials`
+    plans over the views."""
+    tables = expansions(frame, pts, eps, minpts, p, witness)
+    table = ClusterTable.concat(tables)
+    for t in tables + [table]:
+        assert view_columns(ClusterTable.from_partials(t)) == view_columns(t)
+    if not witness:
+        assert vars(merge_edges([t.project() for t in tables])) == vars(
+            merge_edges(digest_from_partials(list(table))))
 
 
 @settings(max_examples=20, deadline=None)
@@ -301,7 +367,7 @@ def test_a_chain_linked_one_block_at_a_time_is_one_group(block):
     gid_of, claims, num_edges = loop_merge(clusters, owners)
     stats = {}
     with seed_block(block):
-        plan = union_find_merge(clusters, *owner_arrays(owners), stats=stats)
+        plan = union_find_merge(core_table(clusters, owners), stats=stats)
     assert plan.groups == [list(range(m))]
     assert (plan.gid_of, plan.claims, plan.num_edges) == (
         gid_of, claims, num_edges)
@@ -319,7 +385,7 @@ def test_num_edges_counts_the_hits_the_component_filter_drops(block):
               + [(100 + k, 1, True) for k in range(50)])
     stats = {}
     with seed_block(block):
-        plan = union_find_merge(clusters, *owner_arrays(owners), stats=stats)
+        plan = union_find_merge(core_table(clusters, owners), stats=stats)
     assert plan.num_edges == loop_merge(clusters, owners)[2] == 100
     assert plan.num_merges == 1
     assert stats["live_pairs"] == (2 if block >= 100 else 1)
@@ -332,11 +398,17 @@ def test_a_seed_too_large_for_the_point_sort_key_is_refused():
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_seed_sequences_of_any_int_type_give_the_same_plan(case):
+    """Hand-built partials may hold seeds as any int sequence: the one
+    coercion to a record (`ClusterTable.from_partials`) makes them int64."""
     clusters, owners, size = BLOCK_CASES[case]
     plans = [
-        vars(array_merge(
-            [(cid, founder, n, as_seeds(seeds))
-             for cid, founder, n, seeds in clusters], owners, size))
+        vars(union_find_merge(ClusterTable.from_partials(
+            PartialCluster(
+                cid[0], cid[1], 0, 0,
+                members=[p for p, ci, _ in owners if ci == k],
+                seeds=as_seeds(seeds),
+                borders={p for p, ci, core in owners if ci == k and not core})
+            for k, (cid, _, _, seeds) in enumerate(clusters)), size))
         for as_seeds in (list, lambda s: np.array(s, np.int64),
                          lambda s: np.array(s, np.int32))
     ]
@@ -364,16 +436,22 @@ def _paper_shaped_partials(seeds_per_cluster):
 
 @pytest.mark.parametrize("seeds_per_cluster", [160, 320])
 def test_merge_memory_is_independent_of_the_seed_total(seeds_per_cluster):
-    """The join runs in `SEED_BLOCK_ROWS` blocks, so what the merge
-    allocates is O(owner table + partials), not O(seeds).  Both adapters
-    peak at 1.8 to 2.2 MiB here at either size; joined in one piece (the
-    block constant patched to 10**9) they peak at 48 MiB with 160 seeds
-    per cluster and 93 MiB with 320."""
+    """The join runs in `SEED_BLOCK_ROWS` blocks, gathered a block at a
+    time from the seed columns in place, so what the merge allocates is
+    O(owner table + partials), not O(seeds).  Both merges get what the
+    run path hands them — the collected record, and one projection per
+    task (32 here, founders interleaved across them) — and peak at 1.9
+    to 2.1 MiB at either size; joined in one piece (the block constant
+    patched to 10**9) they peak at 58 to 61 MiB with 160 seeds per
+    cluster and 113 to 118 MiB with 320."""
     n, partials = _paper_shaped_partials(seeds_per_cluster)
     assert len(partials) >= 2000
     assert sum(len(c.seeds) for c in partials) >= 300_000 * seeds_per_cluster // 160
-    digests = digest_from_partials(partials)
-    for merge in (lambda: merge_union_find(partials, n),
+    table = ClusterTable.from_partials(partials)
+    digest = digest_from_partials(table)
+    digests = [digest.take(np.flatnonzero(digest.partition == p))
+               for p in range(32)]
+    for merge in (lambda: merge_union_find(table, n),
                   lambda: merge_edges(digests)):
         tracemalloc.start()
         try:

@@ -11,6 +11,7 @@ inputs built to have orphans and contested borders, in the range and
 the cell frame.
 """
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from repro.dbscan import (
     NOISE,
-    LocalExpansion,
+    ClusterTable,
     SparkDBSCAN,
     SpatialSparkDBSCAN,
     apply_gid_map,
@@ -30,9 +31,8 @@ from repro.dbscan import (
     local_dbscan,
     merge_edges,
     merge_partials,
-    partition_digest,
 )
-from repro.dbscan.partial import orphan_table
+from repro.dbscan.partial import NO_ORPHANS
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
 from repro.obs import Tracer, TraceReport
@@ -66,8 +66,8 @@ FIXED = chained_points(7, 3, 30, 24), 2.0, 5, 8
 
 
 def expansions(frame, pts, eps, minpts, p, witness):
-    """One `LocalExpansion` per partition of the range or the cell
-    frame, with its boundary set and — when ``witness`` — orphan table."""
+    """One `ClusterTable` per partition of the range or the cell frame,
+    with its boundary flags and — when ``witness`` — orphan table."""
     if frame == "range":
         tree = KDTree(pts, leaf_size=8)
         part = IndexRangePartitioner(len(pts), p)
@@ -76,26 +76,19 @@ def expansions(frame, pts, eps, minpts, p, witness):
     else:
         calls = [partial(cell_local_dbscan, payload, eps, minpts, leaf_size=8)
                  for payload in build_cell_assignment(pts, eps, p).payloads(pts)]
-    out = []
-    for pid, call in enumerate(calls):
-        boundary, orphans = set(), [] if witness else None
-        partials = call(boundary_out=boundary, orphans_out=orphans)
-        out.append(LocalExpansion(pid, partials, boundary,
-                                  orphans=orphan_table(orphans or [])))
-    return out
+    return [call(boundary_out=set(), orphans_out=[] if witness else None)
+            for call in calls]
 
 
-def merged(exps, n):
-    """Both merge paths over one run's expansions, as the driver runs
-    them: founder-sorted partials with the orphan table, and digests."""
-    partials = sorted((c for e in exps for c in e.partials),
-                      key=lambda c: c.members[0])
-    orphans = orphan_table([e.orphans for e in exps])
-    outcome = merge_partials(partials, n, orphans=orphans)
-    plan = merge_edges([partition_digest(e) for e in exps])
-    np.testing.assert_array_equal(apply_gid_map(partials, plan, n),
+def merged(tables, n):
+    """Both merge paths over one run's tables, as the driver runs them:
+    the founder-sorted record with every orphan row, and projections."""
+    table = ClusterTable.concat(tables)
+    outcome = merge_partials(table, n)
+    plan = merge_edges([t.project() for t in tables])
+    np.testing.assert_array_equal(apply_gid_map(table, plan, n),
                                   outcome.labels)
-    return partials, orphans, outcome, plan
+    return list(table), table.orphans, outcome, plan
 
 
 def assert_same_merge(pts, frame, eps, minpts, p):
@@ -154,9 +147,8 @@ def test_the_fixed_input_has_claimed_and_contested_orphans(frame):
     assert sum(len(c) >= 1 for c in claimants.values()) >= 5
     assert any(len(c) >= 2 for c in claimants.values())
     assert {int(o) for o in orphans[:, 0]} <= set(claimants)
-    halved = sorted((c for e in expansions(frame, pts, eps, minpts, p, True)
-                     for c in e.partials), key=lambda c: c.members[0])
-    blind = merge_partials(halved, len(pts)).labels
+    halved = ClusterTable.concat(expansions(frame, pts, eps, minpts, p, True))
+    blind = merge_partials(replace(halved, orphans=NO_ORPHANS), len(pts)).labels
     assert (blind != NOISE).sum() < (ref.labels != NOISE).sum()
 
 
@@ -174,7 +166,7 @@ def test_orphan_rows_are_the_upper_neighbours_of_points_no_partial_holds():
         held = {m for c in full for m in c.members}
         expect = sorted([o, j] for o in range(lo, hi) if o not in held
                         for j in near[o] if j >= hi)
-        assert orphan_table(rows).tolist() == expect
+        assert half.orphans.tolist() == rows[0].tolist() == expect
         for a, b in zip(full, half):
             assert (a.members, a.borders) == (b.members, b.borders)
             up = [s for s in a.seeds.tolist() if s >= hi]
@@ -194,8 +186,9 @@ def test_orphan_rows_need_every_pair_on_both_rows(kw):
 
 def test_the_paper_strategy_refuses_orphan_rows():
     with pytest.raises(ValueError, match="paper"):
-        merge_partials([], 0, strategy="paper",
-                       orphans=np.array([[0, 1]], dtype=np.int64))
+        merge_partials(replace(ClusterTable.from_partials([]),
+                               orphans=np.array([[0, 1]], dtype=np.int64)),
+                       0, strategy="paper")
 
 
 @pytest.mark.parametrize("kw,halved", [

@@ -10,6 +10,7 @@ import pytest
 
 from repro.data import generate_clustered, parse_point_line, save_points
 from repro.dbscan import (
+    ClusterTable,
     SparkDBSCAN,
     clusterings_equivalent,
     dbscan_sequential,
@@ -100,10 +101,11 @@ class TestManualAlgorithm2Assembly:
 
             def executor_side(pid, it):
                 t = tree_b.value
-                acc.add(local_dbscan(pid, it, t.points, t, 25.0, 5, partitioner))
+                acc.add([local_dbscan(pid, it, t.points, t, 25.0, 5,
+                                      partitioner)])
 
             sc.parallelize(range(n), p).foreach_partition_with_index(executor_side)
-            outcome = merge_partials(list(acc.value), n)
+            outcome = merge_partials(ClusterTable.concat(acc.value), n)
 
         ok, why = clusterings_equivalent(seq.labels, outcome.labels, g.points,
                                          25.0, 5, tree=tree)

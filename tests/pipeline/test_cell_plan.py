@@ -17,6 +17,7 @@ from repro.data import generate_clustered, generate_skewed
 from repro.dbscan import SparkDBSCAN
 from repro.dbscan import cells as cells_mod
 from repro.dbscan.cells import build_cell_assignment
+from repro.engine.errors import JobAbortedError
 from repro.kdtree import KDTree
 from repro.obs import MetricsRegistry, Tracer
 from repro.pipeline import (
@@ -73,6 +74,18 @@ class TestByteIdentity:
         founders = [c.members[0] for c in cell.partials]
         assert founders == sorted(founders)
         assert cell.num_partial_clusters == len(cell.partials)
+
+
+    def test_a_task_takes_exactly_one_payload(self, monkeypatch):
+        """A cell task's table rows are its local ids only because each
+        task gets one payload; a plan that hands one task none (or two)
+        fails loudly instead of numbering clusters twice."""
+        points = DATASETS["quest"]().points
+        payloads = cells_mod.CellAssignment.payloads
+        monkeypatch.setattr(cells_mod.CellAssignment, "payloads",
+                            lambda self, pts: payloads(self, pts)[:-1])
+        with pytest.raises(JobAbortedError, match="expected exactly one"):
+            fit(points, partitioning="cells")
 
 
 class TestNoBroadcast:

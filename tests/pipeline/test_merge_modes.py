@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import generate_clustered, generate_skewed, make_dataset
-from repro.dbscan import SparkDBSCAN, SpatialSparkDBSCAN
+from repro.dbscan import PartialCluster, SparkDBSCAN, SpatialSparkDBSCAN
 from repro.obs import MetricsRegistry, TraceReport, Tracer
 
 EPS, MINPTS = 25.0, 5
@@ -23,6 +23,30 @@ def fit(points, frontend=SparkDBSCAN, **kw):
     reg = MetricsRegistry()
     result = frontend(EPS, MINPTS, metrics_registry=reg, **kw).fit(points)
     return result, reg
+
+
+@pytest.mark.parametrize("merge_mode", ["partials", "edges"])
+@pytest.mark.parametrize("frontend,extra", [
+    (SparkDBSCAN, {}),
+    (SpatialSparkDBSCAN, {}),
+    (SparkDBSCAN, {"partitioning": "cells"}),
+], ids=["spark", "spatial", "cell"])
+def test_the_run_path_builds_no_partial_cluster(points, frontend, extra,
+                                                merge_mode, tmp_path,
+                                                monkeypatch):
+    """One `ClusterTable` per task carries every cluster from the kernel
+    through the accumulator, the collect checkpoint, the merge and the
+    label application: a traced, metered, checkpointed fit never builds
+    a `PartialCluster` view."""
+    base, _ = fit(points, frontend, merge_mode=merge_mode, **extra)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a PartialCluster was built on the run path")
+
+    monkeypatch.setattr(PartialCluster, "__init__", refuse)
+    got, _ = fit(points, frontend, merge_mode=merge_mode, tracer=Tracer(),
+                 checkpoint_dir=str(tmp_path), **extra)
+    np.testing.assert_array_equal(got.labels, base.labels)
 
 
 class TestLabelEquivalence:

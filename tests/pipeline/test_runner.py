@@ -6,6 +6,8 @@ run, without re-executing (or even starting the engine for) the stages
 upstream of the restored one.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,41 @@ class TestCrashResume:
         )
         for name in skipped:
             assert resumed.stage_status[name] == "skipped"
+        assert np.array_equal(resumed.labels, reference.labels)
+
+    def test_a_collect_document_of_another_format_runs_cold(self, data,
+                                                            tmp_path):
+        """A checkpoint whose manifest records no format — here the
+        `CollectPartials` JSON document written before ``down_seeds``
+        and orphan rows existed — is never loaded: the stage runs cold
+        and the labels are the uninterrupted run's."""
+        config = make_config("spark")
+        reference = run_plan(config, data)
+        with pytest.raises(PipelineCrash):
+            run_plan(config, data, checkpoint_dir=str(tmp_path),
+                     fail_after="CollectPartials")
+        (run_dir,) = tmp_path.iterdir()
+        for artifact in run_dir.glob("CollectPartials.*"):
+            artifact.unlink()
+        (run_dir / "CollectPartials.json").write_text(json.dumps({
+            "n": len(data),
+            "partials": [
+                {"partition": c.partition, "local_id": c.local_id,
+                 "lo": c.lo, "hi": c.hi, "members": c.members,
+                 "seeds": c.seeds.tolist(), "borders": sorted(c.borders),
+                 "status": c.status}
+                for c in reference.partials
+            ],
+            "counters": None,
+        }))
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest.pop("format", None)
+        manifest["stages"]["CollectPartials"] = {
+            "files": ["CollectPartials.json"]}
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        resumed = run_plan(config, data, checkpoint_dir=str(tmp_path),
+                           resume=True)
+        assert resumed.stage_status["CollectPartials"] == "run"
         assert np.array_equal(resumed.labels, reference.labels)
 
     def test_resume_never_starts_engine(self, data, tmp_path):
