@@ -170,8 +170,9 @@ COUNT_BY_NAME = {
 
 #: numpy callables whose result class is the join of their array
 #: arguments: elementwise, reordering, masking, and concatenation.
-#: ``bincount``/``lexsort`` are deliberately absent — their output is
-#: sized by the value range, not the input length.
+#: ``bincount`` is deliberately absent — its output is sized by the
+#: value range, not the input length.  ``lexsort`` returns one index
+#: per key row and has a rule of its own (`SizePass._lexsort_keys`).
 NUMPY_PRESERVE = {
     "abs",
     "argsort",
@@ -426,6 +427,27 @@ class SizePass(FunctionPass[dict]):
                            line=expr.lineno, deps=idx_val.deps)
         return None  # scalar element: unknown
 
+    def _lexsort_keys(self, state: dict, keys: ast.AST) -> SizeVal | None:
+        """Class of ``np.lexsort``'s keys, one index per key row: the
+        join over the arrays the keys are cut from, through the
+        transposes, slices and column picks that keep every row
+        (``x.T[::-1]``, ``(x[:, 1], x[:, 0])``)."""
+        if isinstance(keys, (ast.Tuple, ast.List)):
+            val = None
+            for elt in keys.elts:
+                if isinstance(elt, ast.Starred):
+                    elt = elt.value
+                val = _join_vals(val, self._lexsort_keys(state, elt))
+            return val
+        if isinstance(keys, ast.Attribute) and keys.attr == "T":
+            return self._lexsort_keys(state, keys.value)
+        if isinstance(keys, ast.Subscript):
+            sl = keys.slice
+            parts = sl.elts if isinstance(sl, ast.Tuple) else [sl]
+            if any(isinstance(part, ast.Slice) for part in parts):
+                return self._lexsort_keys(state, keys.value)
+        return self.eval(state, keys)
+
     def _eval_comp(self, state: dict, comp: ast.AST) -> SizeVal | None:
         count = None
         deps: frozenset = frozenset()
@@ -512,7 +534,12 @@ class SizePass(FunctionPass[dict]):
                 for a in call.args:
                     val = _join_vals(val, self.eval(state, a))
                 return _preserved(val)
-            return None  # other numpy (bincount, lexsort, …): unknown
+            if leaf == "lexsort" and call.args:
+                keys = self._lexsort_keys(state, call.args[0])
+                if keys is None:
+                    return None
+                return _preserved(replace(keys, count=keys.storage))
+            return None  # other numpy (bincount, …): unknown
         if isinstance(fn, ast.Attribute):
             engine_val = self._eval_engine_call(state, call, fn)
             if engine_val is not _MISSING:

@@ -104,8 +104,6 @@ class CellPartition(Stage):
         })
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        # Checkpoints written before super-cell packing lack the side:
-        # their plan packed single eps-cells.
         doc = store.load_json(self.name)
         arrays = store.load_npz(self.name)
 
@@ -121,8 +119,8 @@ class CellPartition(Stage):
             owned=split("owned"),
             halo=split("halo"),
             halo_home=split("halo_home"),
-            super_side=doc.get("super_side", 1),
-            num_super_cells=doc.get("num_super_cells", doc["num_cells"]),
+            super_side=doc["super_side"],
+            num_super_cells=doc["num_super_cells"],
         )
         self._install(state, assignment)
 

@@ -165,6 +165,101 @@ class TestCellGrid:
         assert pair_set(grid) == brute_adjacent_pairs(grid.cells)
 
 
+def unique_grouping(points, eps):
+    """The grouping `CellGrid` replaced, kept as its oracle:
+    ``np.unique(axis=0)`` (a comparison sort over row bytes) plus a
+    stable argsort of the inverse.  Returns ``(cells, counts, starts,
+    order, cell_of_point)``."""
+    coords = np.floor(points / eps).astype(np.int64)
+    cells, inverse = np.unique(coords, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    counts = np.bincount(inverse, minlength=len(cells)).astype(np.int64)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    return cells, counts, starts, order, inverse
+
+
+def unique_packing(cells, counts, num_partitions):
+    """`pack_cells` with the ``np.unique(axis=0)`` super-cell grouping
+    it replaced, kept as its oracle."""
+    if num_partitions > 1 and len(counts):
+        bound = SUPER_TOLERANCE * int(counts.sum()) / num_partitions
+        for k in SUPER_SIDES:
+            _, group = np.unique(cells // k, axis=0, return_inverse=True)
+            group = group.ravel()
+            sums = np.bincount(group, weights=counts).astype(np.int64)
+            pid = balance_cells(sums, num_partitions)
+            if np.bincount(pid, weights=sums).max() <= bound:
+                return pid[group], k, len(sums)
+    return balance_cells(counts, num_partitions), 1, len(counts)
+
+
+def assert_grouping_matches_unique(points, eps, partitions=(1, 2, 3, 5)):
+    grid = CellGrid(points, eps)
+    want = unique_grouping(points, eps)
+    for name, w in zip(("cells", "counts", "starts", "order",
+                        "cell_of_point"), want):
+        got = getattr(grid, name)
+        assert got.dtype == np.int64 and got.shape == w.shape, name
+        np.testing.assert_array_equal(got, w, err_msg=name)
+    assert grid.num_cells == len(want[0])
+    for p in partitions:
+        pid, k, num_super = pack_cells(grid.cells, grid.counts, p)
+        want_pid, want_k, want_super = unique_packing(want[0], want[1], p)
+        np.testing.assert_array_equal(pid, want_pid)
+        assert (k, num_super) == (want_k, want_super)
+
+
+class TestLexsortGrouping:
+    """`CellGrid` and `pack_cells` group rows with one stable lexsort;
+    every output equals the ``np.unique(axis=0)`` grouping's."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty(self, d):
+        assert_grouping_matches_unique(np.empty((0, d)), 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_single_point(self, d):
+        assert_grouping_matches_unique(np.full((1, d), -2.5), 1.0)
+
+    def test_one_dimension(self):
+        rng = np.random.default_rng(5)
+        assert_grouping_matches_unique(rng.normal(0.0, 30.0, (300, 1)), 1.0)
+
+    def test_all_duplicates(self):
+        assert_grouping_matches_unique(np.full((40, 3), 7.25), 0.5)
+
+    def test_zero_width_rows_form_one_cell(self):
+        grid = CellGrid(np.empty((3, 0)), 1.0)
+        assert grid.cells.shape == (1, 0)
+        np.testing.assert_array_equal(grid.cell_of_point, [0, 0, 0])
+        np.testing.assert_array_equal(grid.order, [0, 1, 2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(0, 300),
+        d=st.integers(1, 4),
+        shape=st.sampled_from(["spread", "duplicated", "huge"]),
+        eps=st.sampled_from([0.3, 1.0, 4.0]),
+    )
+    def test_matches_unique_property(self, seed, n, d, shape, eps):
+        """Negative coordinates throughout; ``duplicated`` draws from a
+        pool of at most five points; ``huge`` puts ``floor(x / eps)``
+        near +-2**61, where float spacing makes many rows collide."""
+        rng = np.random.default_rng(seed)
+        if shape == "spread":
+            pts = rng.uniform(-40.0, 40.0, (n, d))
+        elif shape == "duplicated":
+            pool = rng.uniform(-5.0, 5.0, (int(rng.integers(1, 6)), d))
+            pts = pool[rng.integers(0, len(pool), n)]
+        else:
+            eps = 1.0
+            side = rng.choice([-1.0, 1.0], d) * 2.0 ** 61
+            pts = side + rng.integers(-4096, 4096, (n, d)).astype(float)
+        assert_grouping_matches_unique(pts, eps)
+
+
 class TestBalanceCells:
     def test_deterministic_and_complete(self):
         rng = np.random.default_rng(3)

@@ -109,18 +109,33 @@ def test_every_pragma_in_src_suppresses_a_finding(stripped):
             with open(os.path.join("src", rel), encoding="utf-8") as src:
                 trees[rel] = SimpleNamespace(tree=ast.parse(src.read()))
         covered.update((rel, n, f.rule) for n in pragma_lines(trees[rel], f.line))
-    idle = []
+    idle = [
+        f"{path}:{line} allow[{rule}]" for path, line, rule in src_pragmas()
+        if (os.path.relpath(path, "src"), line, rule) not in covered
+    ]
+    assert idle == [], "pragmas that suppress nothing"
+
+
+#: SCL pragmas ``src`` may carry.  A ratchet: it may only fall (ROADMAP
+#: item 3 takes it to 0), so a rewrite of the driver-side binning cannot
+#: buy its way past the size-class proof with new exemptions.
+SCL_PRAGMA_CEILING = 10
+
+
+def src_pragmas():
+    """``(path, line, rule)`` for every allow-pragma comment in ``src``."""
     for path in discover_files(["src"]):
         with open(path, encoding="utf-8") as src:
             tokens = tokenize.generate_tokens(io.StringIO(src.read()).readline)
-            idle += [
-                f"{path}:{tok.start[0]} allow[{rule}]"
-                for tok in tokens if tok.type == tokenize.COMMENT
-                for rule in pragma_rules(tok.string)
-                if (os.path.relpath(path, "src"), tok.start[0], rule)
-                not in covered
-            ]
-    assert idle == [], "pragmas that suppress nothing"
+            for tok in tokens:
+                if tok.type == tokenize.COMMENT:
+                    for rule in pragma_rules(tok.string):
+                        yield path, tok.start[0], rule
+
+
+def test_scl_pragmas_in_src_only_fall():
+    scl = [p for p in src_pragmas() if p[2].startswith("SCL")]
+    assert len(scl) <= SCL_PRAGMA_CEILING, scl
 
 
 if __name__ == "__main__":

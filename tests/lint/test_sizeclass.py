@@ -109,6 +109,40 @@ class TestSCL001:
         """, cls="MergePartials")
         assert "SCL001" not in rules_of(findings)
 
+    @pytest.mark.parametrize("keys", [
+        "state.points.T[::-1]",
+        "(state.points[:, 1], state.points[:, 0])",
+        "[*state.points.T]",
+    ])
+    def test_lexsort_of_points_keys_retained_fires(self, scl_lint, keys):
+        # np.lexsort returns one index per key row, whatever form the
+        # keys take: keeping it on `self` keeps an O(points) array.
+        findings = scl_lint(f"""
+            self.order = np.lexsort({keys})
+            return None
+        """)
+        (f,) = [f for f in findings if f.rule == "SCL001"]
+        assert "materializes an O(points)" in f.message
+        assert "'self.order'" in f.message
+
+    def test_lexsort_through_a_helper_fires(self, scl_lint):
+        findings = scl_lint("""
+            self.order = lex_order(state.points)
+            return None
+        """, extra="""
+            def lex_order(rows):
+                return np.lexsort(rows.T[::-1])
+        """)
+        (f,) = [f for f in findings if f.rule == "SCL001"]
+        assert "'self.order'" in f.message
+
+    def test_lexsort_of_cells_keys_is_near_miss(self, scl_lint):
+        findings = scl_lint("""
+            self.order = np.lexsort(state.cells.T[::-1])
+            return None
+        """)
+        assert "SCL001" not in rules_of(findings)
+
     def test_lazy_rdd_handle_is_near_miss(self, scl_lint):
         # The RDD wraps O(points) but the driver holds only the handle.
         findings = scl_lint("""
@@ -375,7 +409,7 @@ class TestAcceptanceSeeds:
         # CSR `order` grouping brings back exactly that site's finding.
         cells = tree / "repro" / "dbscan" / "cells.py"
         src = cells.read_text()
-        target = 'kind="stable")  # lint: allow[SCL001] ROADMAP item 3'
+        target = '_lex_order(coords)  # lint: allow[SCL001] ROADMAP item 3'
         assert target in src
         line = next(
             s for s in src.splitlines() if target in s
@@ -387,3 +421,4 @@ class TestAcceptanceSeeds:
         assert {f.line for f in scl} == {scl[0].line}, (
             "other pragma'd sites must stay suppressed"
         )
+        assert "'self.order'" in scl[0].message

@@ -8,8 +8,6 @@ across partitions — so `CellCollect`'s founder sort reproduces the
 range plan's global numbering exactly.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -20,12 +18,7 @@ from repro.dbscan.cells import build_cell_assignment
 from repro.engine.errors import JobAbortedError
 from repro.kdtree import KDTree
 from repro.obs import MetricsRegistry, Tracer
-from repro.pipeline import (
-    CellPartition,
-    CheckpointStore,
-    PipelineCrash,
-    PipelineState,
-)
+from repro.pipeline import PipelineCrash
 
 EPS, MINPTS = 25.0, 5
 
@@ -158,40 +151,6 @@ class TestCheckpointResume:
             fit(points, partitioning="cells", checkpoint_dir=ckpt,
                 fail_after=crash_after)
         resumed = fit(points, partitioning="cells", checkpoint_dir=ckpt,
-                      resume=True)
-        assert np.array_equal(direct.labels, resumed.labels)
-
-    def test_checkpoint_without_super_side_loads_as_single_cells(
-            self, tmp_path):
-        """A `CellPartition` artifact written before super-cell packing
-        has no ``super_side``: it loads as a single-eps-cell plan, array
-        for array, and a resume runs on its ownership."""
-        points = DATASETS["quest"]().points
-        ckpt = tmp_path / "ckpt"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cells_mod, "SUPER_SIDES", ())  # the k = 1 plan
-            old = build_cell_assignment(points, EPS, 4)
-            direct = fit(points, partitioning="cells")
-            with pytest.raises(PipelineCrash):
-                fit(points, partitioning="cells", checkpoint_dir=str(ckpt),
-                    fail_after="CellPartition")
-        (artifact,) = ckpt.glob("*/CellPartition.json")
-        doc = json.loads(artifact.read_text())
-        assert doc.pop("super_side") == 1
-        assert doc.pop("num_super_cells") == old.num_cells
-        artifact.write_text(json.dumps(doc))
-
-        run_key = json.loads(
-            (artifact.parent / "manifest.json").read_text())["run_key"]
-        config = SparkDBSCAN(EPS, MINPTS, partitioning="cells").config
-        state = PipelineState(config=config, tracer=Tracer())
-        CellPartition().load(state, CheckpointStore(str(ckpt), run_key))
-        a = state.extras["cell_assignment"]
-        assert (a.super_side, a.num_super_cells) == (1, old.num_cells)
-        for got, want in zip(a.owned + a.halo + a.halo_home,
-                             old.owned + old.halo + old.halo_home):
-            assert np.array_equal(got, want)
-        resumed = fit(points, partitioning="cells", checkpoint_dir=str(ckpt),
                       resume=True)
         assert np.array_equal(direct.labels, resumed.labels)
 

@@ -197,6 +197,31 @@ class TestCrashResume:
         assert resumed.stage_status["CollectPartials"] == "run"
         assert np.array_equal(resumed.labels, reference.labels)
 
+    def test_a_cell_plan_document_of_another_format_runs_cold(self, data,
+                                                              tmp_path):
+        """The same for the cell plan: a `CellPartition` document written
+        before super-cell packing (no ``super_side`` / ``num_super_cells``)
+        under a manifest that records no format is never loaded, so
+        `CellPartition.load` can read both keys unconditionally."""
+        config = make_config("spark", partitioning="cells")
+        reference = run_plan(config, data)
+        with pytest.raises(PipelineCrash):
+            run_plan(config, data, checkpoint_dir=str(tmp_path),
+                     fail_after="CellPartition")
+        (run_dir,) = tmp_path.iterdir()
+        artifact = run_dir / "CellPartition.json"
+        doc = json.loads(artifact.read_text())
+        del doc["super_side"], doc["num_super_cells"]
+        artifact.write_text(json.dumps(doc))
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert "CellPartition" in manifest["stages"]
+        manifest.pop("format", None)
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        resumed = run_plan(config, data, checkpoint_dir=str(tmp_path),
+                           resume=True)
+        assert resumed.stage_status["CellPartition"] == "run"
+        assert np.array_equal(resumed.labels, reference.labels)
+
     def test_resume_never_starts_engine(self, data, tmp_path):
         config = make_config("spark")
         with pytest.raises(PipelineCrash):
