@@ -7,7 +7,6 @@ from .merge import (
     MERGE_STRATEGIES,
     EdgeMergePlan,
     MergeOutcome,
-    UnionFind,
     apply_gid_map,
     merge_edges,
     merge_paper,
@@ -72,7 +71,6 @@ __all__ = [
     "MERGE_STRATEGIES",
     "MergeOutcome",
     "EdgeMergePlan",
-    "UnionFind",
     "merge_partials",
     "merge_union_find",
     "union_find_merge",

@@ -9,10 +9,11 @@ merge).
   seed-containment graph — arbitrary merge chains (A→B→C) included.
   One implementation, `union_find_merge`, joins a `ClusterTable`'s
   seeds against its member rows — the *owner table* (point, owning
-  cluster, core there?) — a point-sorted block at a time and unions
-  only the pairs of clusters not already in one component;
-  `merge_union_find` and `merge_edges` differ only in the table they
-  pass: full records (every member) or projections (boundary members).
+  cluster, core there?) — a block at a time and hooks only the pairs
+  of clusters not already in one component; `merge_union_find` and
+  `merge_edges` differ only in the table they pass — full records
+  (every member) or projections (boundary members) — and so in the
+  probe: a per-point code array, or the point-sorted table.
 - ``"paper"``: a literal single pass of Algorithm 4 — for each
   unfinished cluster, dig its seeds, absorb each master, mark statuses.
   Seeds of absorbed masters are *not* re-followed, so long chains can
@@ -27,7 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .core import NOISE
-from .partial import ClusterTable, PartialCluster, as_table, stack
+from .partial import ClusterTable, PartialCluster, as_table, heads, stack
 
 MERGE_STRATEGIES = ("union_find", "paper")
 
@@ -47,36 +48,6 @@ MERGE_MODES = ("partials", "edges")
 #: cost the paper-default benchmark +68 % driver RSS (53 -> 89 MiB,
 #: seeds held as int64 arrays) and double its `driver_s`.
 SEED_BLOCK_ROWS = 8192
-
-
-class UnionFind:
-    """Weighted quick-union with path halving."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.components = n
-
-    def find(self, x: int) -> int:
-        """Union-find root of the given element."""
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Join two components; True if they were previously disjoint."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.components -= 1
-        return True
 
 
 @dataclass
@@ -126,26 +97,89 @@ def _seed_blocks(seeds: list[np.ndarray], source: np.ndarray,
     block at a time, so no temporary is O(seeds)."""
     counts = count[walk]
     ends = np.cumsum(counts)
-    base = start[walk] - (ends - counts)
+    first = ends - counts  # each cluster's first position in the walk
+    shift = start[walk] - first  # ... and in its seed column
+    in_place = len(seeds) == 1 and not shift.any()
     total = int(ends[-1]) if len(ends) else 0
     for a in range(0, total, SEED_BLOCK_ROWS):
-        q = np.arange(a, min(a + SEED_BLOCK_ROWS, total))
-        k = np.searchsorted(ends, q, side="right")
-        at, of = base[k] + q, source[walk[k]]
-        if len(seeds) == 1:
-            yield walk[k], seeds[0][at]
+        b = min(a + SEED_BLOCK_ROWS, total)
+        # The clusters the block spans, each cut to its part inside it.
+        k = slice(np.searchsorted(ends, a, side="right"),
+                  np.searchsorted(ends, b - 1, side="right") + 1)
+        cut = np.minimum(ends[k], b) - np.maximum(first[k], a)
+        src = np.repeat(walk[k], cut)
+        if in_place:  # the walk is the column's own order
+            yield src, seeds[0][a:b]
             continue
-        s = np.empty(len(q), dtype=np.int64)
+        at = np.repeat(shift[k], cut) + np.arange(a, b)
+        if len(seeds) == 1:
+            yield src, seeds[0][at]
+            continue
+        of = source[src]
+        s = np.empty(b - a, dtype=np.int64)
         for i in np.unique(of).tolist():
             hit = of == i
             s[hit] = seeds[i][at[hit]]
-        yield walk[k], s
+        yield src, s
+
+
+def _refuse_foreign(ids: np.ndarray, n: int | None) -> None:
+    """A seed or orphan id must be a point: in ``[0, n)``, or at least
+    non-negative when ``n`` is unknown (edges mode)."""
+    lo, hi = int(ids.min(initial=0)), int(ids.max(initial=0))
+    if lo < 0 or (n is not None and hi >= n):
+        bound = "" if n is None else f" in [0, {n})"
+        raise ValueError(f"id {lo if lo < 0 else hi} is no point{bound}")
+
+
+def _point_codes(point: np.ndarray, code: np.ndarray, n: int):
+    """Partials mode's probe: one code per point, ``code`` of the
+    point's first owner row or -1 with none — 8 B a point (16 B while
+    built), which only a caller already holding O(points) may spend."""
+    rows = np.arange(len(point))
+    row = np.full(n, len(point), dtype=np.int64)
+    row[point] = rows
+    # A point held by two rows: the first row wins, whichever write won.
+    lost = np.flatnonzero(row[point] != rows)
+    np.minimum.at(row, point[lost], lost)
+    return np.append(code, -1)[row].__getitem__
+
+
+def _table_probe(point: np.ndarray, code: np.ndarray):
+    """Edges mode's probe: a binary search in the point-sorted owner
+    table, O(rows) — nothing sized by the id range."""
+    by_point = np.argsort(point, kind="stable")
+    # One past the end holds no point, so a probe that runs off the
+    # table (or finds it empty) reads a miss instead of raising.
+    point = np.append(point[by_point], -1)
+    code = np.append(code[by_point], -1)
+
+    def probe(x: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(point[:-1], x)
+        return np.where(point[pos] == x, code[pos], -1)
+    return probe
+
+
+def _hook(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the components of roots ``a[i]`` and ``b[i]``: each pair
+    hooks its larger root under its smaller, ``comp`` is pointer-jumped
+    flat, and the pairs still spanning two components go again."""
+    while len(a):
+        np.minimum.at(comp, np.maximum(a, b), np.minimum(a, b))
+        up = comp[comp]
+        while not np.array_equal(up, comp):
+            comp, up = up, up[up]
+        a, b = comp[a], comp[b]
+        live = a != b
+        a, b = a[live], b[live]
+    return comp
 
 
 def union_find_merge(
     tables: ClusterTable | list[ClusterTable],
     min_cluster_size: int = 0,
     stats: dict[str, int] | None = None,
+    _n: int | None = None,
 ) -> EdgeMergePlan:
     """Connected components over core seed⋈owner hits — the driver merge.
 
@@ -164,18 +198,24 @@ def union_find_merge(
     An orphan row ``(point, neighbour)`` whose neighbour has a core row
     names one more claimant of ``point``: up-pointing seeds name its
     claimants from lower partitions, its rows those from higher ones.
+    A seed or orphan id outside the points raises ``ValueError``.
 
-    Seeds are joined against the point-sorted table `SEED_BLOCK_ROWS` at
-    a time, in founder-walk order.  A block is first sorted on ``point *
-    rows + position``: the probe then walks the table with ascending
-    needles, and equal points stay in founder-walk order, so "first
-    occurrence" in the claims fold is still the lowest founder.  Both
-    ends of every core hit are mapped through ``comp``, each cluster's
-    current component, and only the distinct pairs joining two
-    components reach the `UnionFind` (of the paper-default benchmark's
-    68 277 distinct pairs, 1 973 merge anything).  ``num_edges`` counts
-    every core hit, *before* that filter.  No Python loop scales with
-    seeds or table rows, and nothing the merge allocates is O(seeds).
+    A probe turns each seed into its point's *code*: the cluster of its
+    first owner row if that row is core, -2 if it is a border row, -1
+    if no row holds it.  With ``_n``, the point count — passed only by
+    `merge_partials`, whose caller already holds O(points) — the probe
+    is one gather from a per-point code array (`_point_codes`); without
+    it, a binary search in the point-sorted table (`_table_probe`), so
+    `merge_edges` allocates nothing sized by the points.  Seeds are
+    probed `SEED_BLOCK_ROWS` at a time in founder-walk order, unsorted,
+    so "first occurrence" in the claims fold is the lowest founder.
+    Both ends of every core hit are mapped through ``comp``, each
+    cluster's component root, and the distinct pairs joining two
+    components are hooked (`_hook`): the paper-default benchmark's
+    183 095 seeds over 2 030 partials leave 2 258 such pairs, and
+    1 973 of them merge anything.  ``num_edges`` counts every core hit,
+    *before* that filter.  No Python loop scales with seeds or table
+    rows, and nothing the merge allocates is O(seeds).
 
     ``stats``, when given, receives ``seed_blocks`` (blocks joined) and
     ``live_pairs`` (pairs that survived the component filter).
@@ -198,65 +238,56 @@ def union_find_merge(
     kept = np.flatnonzero(keep)
     owner_cluster = place[np.repeat(np.arange(m), np.concatenate(
         [np.diff(t.member_ptr) for t in tables]))]
-    members = stack(tables, "members")
     rows = np.flatnonzero(keep[owner_cluster])
-    rows = rows[np.argsort(members[rows], kind="stable")]
-    t_cluster, t_core = owner_cluster[rows], ~stack(tables, "border")[rows]
-    # One past the end holds no point, so a probe that runs off the
-    # table (or finds it empty) reads a miss instead of raising.
-    t_point = np.append(members[rows], -1)
+    point = stack(tables, "members")[rows]
+    row_code = np.where(stack(tables, "border")[rows], -2, owner_cluster[rows])
+    probe = (_table_probe(point, row_code) if _n is None
+             else _point_codes(point, row_code, _n))
 
     walk = kept[np.argsort(founder[order][kept], kind="stable")]
-    uf = UnionFind(m)
     comp = np.arange(m)
     num_edges = seed_blocks = live_pairs = 0
     claim_point = claim_src = np.empty(0, dtype=np.int64)
     for src, s in _seed_blocks([t.seeds for t in tables], source, start,
                                count, walk):
         seed_blocks += 1
-        if s.max() > np.iinfo(np.int64).max // len(s):
-            raise OverflowError(f"seed {int(s.max())} is no point index")
-        key = s * len(s) + np.arange(len(s))
-        key.sort()
-        s, position = np.divmod(key, len(s))
-        src = src[position]
-        pos = np.searchsorted(t_point[:-1], s)
-        owned = t_point[pos] == s
-        hit = pos[owned]
-        core = t_core[hit]
-        a, b = comp[src[owned][core]], comp[t_cluster[hit][core]]
-        num_edges += len(a)
-        live = a != b
-        pairs = np.unique(a[live] * m + b[live])
-        live_pairs += len(pairs)
-        for x, y in zip((pairs // m).tolist(), (pairs % m).tolist()):
-            uf.union(x, y)
-        if len(pairs):
-            comp = np.array(uf.parent)
-            while not np.array_equal(comp, comp[comp]):  # pointer jumping
-                comp = comp[comp]
+        _refuse_foreign(s, _n)
+        code = probe(s)
+        core = code >= 0
+        num_edges += int(np.count_nonzero(core))
+        # A negative code wraps onto some cluster; ``core`` masks it out.
+        a, b = comp[src], comp.take(code, mode="wrap")
+        live = core & (a != b)
+        if live.any():
+            pairs = np.sort(a[live] * m + b[live])  # np.unique hashes: slower
+            pairs = pairs[heads(pairs)]
+            live_pairs += len(pairs)
+            a = pairs // m
+            comp = _hook(comp, a, pairs - a * m)
         # np.unique keeps first occurrences and earlier blocks come
         # first in the concatenation: the founder-order tie-break.
-        claim_point, first = np.unique(
-            np.concatenate([claim_point, s[~owned]]), return_index=True
-        )
-        claim_src = np.concatenate([claim_src, src[~owned]])[first]
+        miss = code == -1
+        if miss.any():
+            claim_point, first = np.unique(
+                np.concatenate([claim_point, s[miss]]), return_index=True
+            )
+            claim_src = np.concatenate([claim_src, src[miss]])[first]
     if stats is not None:
         stats.update(seed_blocks=seed_blocks, live_pairs=live_pairs)
     orphans = stack(tables, "orphans")
     if len(orphans):
-        point, nbr = orphans[:, 0], orphans[:, 1]
-        pos = np.searchsorted(t_point[:-1], nbr)
-        hit = np.flatnonzero(t_point[pos] == nbr)
-        hit = hit[t_core[pos[hit]]]
+        _refuse_foreign(orphans, _n)
+        code = probe(orphans[:, 1])
+        hit = code >= 0
         # The lowest founder-walk rank per point is the tie-break again.
         rank = np.empty(m, dtype=np.int64)
         rank[walk] = np.arange(len(walk))
-        point = np.concatenate([claim_point, point[hit]])
-        src = np.concatenate([claim_src, t_cluster[pos[hit]]])
+        point = np.concatenate([claim_point, orphans[hit, 0]])
+        src = np.concatenate([claim_src, code[hit]])
         by_rank = np.lexsort((rank[src], point))
-        first = by_rank[np.diff(point[by_rank], prepend=-1) != 0]
-        claim_point, claim_src = point[first], src[first]
+        point, src = point[by_rank], src[by_rank]
+        head = heads(point)
+        claim_point, claim_src = point[head], src[head]
 
     # Gids number the components by first appearance in that order.
     _, first, gid = np.unique(comp[kept], return_index=True,
@@ -288,8 +319,9 @@ def merge_union_find(
     """`union_find_merge` over collected partials — a `ClusterTable` or
     a hand-built `PartialCluster` list — labels applied here.  The owner
     table is every member: O(points), which is why only
-    ``merge_mode="partials"`` collects full records.  Gids follow the
-    clusters as passed; the pipeline founder-sorts them."""
+    ``merge_mode="partials"`` collects full records, and why its probe
+    may be one code per point.  Gids follow the clusters as passed; the
+    pipeline founder-sorts them."""
     return merge_partials(partials, n, stats=stats)
 
 
@@ -476,7 +508,7 @@ def merge_partials(
         )
     if strategy == "union_find":
         table = as_table(partials)
-        plan = union_find_merge(table, min_cluster_size, stats)
+        plan = union_find_merge(table, min_cluster_size, stats, _n=n)
         return MergeOutcome(apply_gid_map(table, plan, n), plan.num_merges,
                             plan.num_global_clusters, groups=plan.groups)
     if isinstance(partials, ClusterTable) and len(partials.orphans):

@@ -345,7 +345,8 @@ def expand_frame(
     group = owner[ids].astype(np.int64)
     key = group * (n_own + 1) + np.where(ids == group, 0, ids + 1)
     key.sort()
-    group, rank = np.divmod(key, n_own + 1)
+    group = key // (n_own + 1)
+    rank = key - group * (n_own + 1)
     members = np.where(rank == 0, group, rank - 1)
     starts = np.flatnonzero(rank == 0)
 
@@ -361,8 +362,9 @@ def expand_frame(
     del hit
     foreign_hits = len(key)
     key.sort()  # not np.unique: numpy 2.x hashes there, 10x slower here
-    key = key[np.diff(key, prepend=-1) != 0]
-    seed_founder, seeds = np.divmod(key, n_tree)
+    key = key[heads(key)]
+    seed_founder = key // n_tree
+    seeds = key - seed_founder * n_tree
     reachable = len(seeds)
     if seed_policy == "one_per_partition":
         # Algorithm 3 line 11 as a filter: the lowest frame id per
@@ -496,6 +498,14 @@ def stack(tables: list["ClusterTable"], f: str) -> np.ndarray:
     """Column ``f`` of the tables back to back; one table's is not copied."""
     parts = [getattr(t, f) for t in tables]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def heads(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal sorted ``keys``:
+    one adjacent comparison, not `np.diff`'s prepended copy."""
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return head
 
 
 def _ptr(counts: np.ndarray) -> np.ndarray:

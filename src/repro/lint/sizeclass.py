@@ -161,8 +161,10 @@ SIZE_BY_NAME = {
 
 #: Count-only classes for *attribute* reads (``state.n``, ``grid.n``):
 #: an O(1) scalar whose magnitude is the dataset size.  Deliberately
-#: never applied to bare parameters — ``UnionFind(n)`` takes a
-#: partial-universe count, ``state.n`` is the paper's n.
+#: never applied to bare parameters — a bare ``n`` may count a smaller
+#: universe, ``state.n`` is the paper's n — so the analyzer cannot size
+#: the merge's per-point code array (`merge._point_codes`, from its
+#: ``n`` argument); a `tracemalloc` test keeps it out of the edges merge.
 COUNT_BY_NAME = {
     "n": POINTS,
     "num_points": POINTS,

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import generate_clustered, generate_scattered
-from repro.dbscan import PartialCluster, SparkDBSCAN, UnionFind
+from repro.dbscan import PartialCluster, SparkDBSCAN
 from repro.dbscan.cells import build_cell_assignment, cell_frame
 from repro.dbscan.partial import OpCounters, expand_frame, range_frame
 from repro.engine.partitioner import IndexRangePartitioner
@@ -28,6 +28,7 @@ from repro.kdtree import KDTree
 from repro.kdtree import kdtree as kdtree_module
 from repro.obs import Tracer
 from tests.dbscan.test_partial import _line_points
+from tests.dbscan.test_properties import UnionFind
 from tests.dbscan.test_properties import plain, point_clouds
 
 POLICIES = ("all", "one_per_partition")

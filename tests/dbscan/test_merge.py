@@ -6,11 +6,11 @@ import pytest
 from repro.dbscan import (
     NOISE,
     PartialCluster,
-    UnionFind,
     merge_paper,
     merge_partials,
     merge_union_find,
 )
+from tests.dbscan.test_properties import UnionFind
 
 
 def pc(partition, local_id, lo, hi, members, seeds=()):

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbscan import (
+    MERGE_MODES,
     NOISE,
     ClusterTable,
+    MapReduceDBSCAN,
     PartialCluster,
     SparkDBSCAN,
-    UnionFind,
     apply_gid_map,
     clusterings_equivalent,
     dbscan_sequential,
@@ -26,6 +27,7 @@ from repro.dbscan import (
     union_find_merge,
 )
 from repro.dbscan import merge as merge_module
+from repro.dbscan.partial import as_table
 from repro.dbscan.partial import TABLE_ARRAYS
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
@@ -35,8 +37,23 @@ from tests.dbscan.test_witness_once import FRAMES, chained_inputs, expansions
 SEED_BLOCKS = (1, 7, merge_module.SEED_BLOCK_ROWS)
 
 
+#: The merge's two probes: a per-point code array, as `merge_partials`
+#: runs it (given the point count), and the point-sorted owner table, as
+#: `merge_edges` runs it.
+PROBES = ("codes", "sorted")
+
+
 def seed_block(rows):
     return mock.patch.object(merge_module, "SEED_BLOCK_ROWS", rows)
+
+
+def probe_merge(table, probe, min_cluster_size=0, stats=None):
+    """`union_find_merge` over one table through the given probe; the
+    codes get the smallest point count that holds every id."""
+    n = 1 + int(max(table.members.max(initial=0), table.seeds.max(initial=0),
+                    table.orphans.max(initial=0)))
+    return union_find_merge(table, min_cluster_size, stats,
+                            _n=n if probe == "codes" else None)
 
 
 def plain(partials):
@@ -139,6 +156,37 @@ def _collected_partials(pts, p, eps, minpts, tree):
     return partials
 
 
+class UnionFind:
+    """Weighted quick-union with path halving: `loop_merge`'s, and the
+    kernel reference's, component structure."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+        self.components = n
+
+    def find(self, x: int) -> int:
+        """Union-find root of the given element."""
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Join two components; True if they were previously disjoint."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        self.components -= 1
+        return True
+
+
 def loop_merge(clusters, owners, min_cluster_size=0, orphans=()):
     """Per-seed reference for `union_find_merge`: one dict lookup and one
     ``union`` per seed, the loop the array core replaced, and one lookup
@@ -208,28 +256,32 @@ def core_table(clusters, owners):
     )
 
 
-def array_merge(clusters, owners, min_cluster_size=0):
-    return union_find_merge(core_table(clusters, owners), min_cluster_size)
+def array_merge(clusters, owners, min_cluster_size=0, probe="sorted",
+                stats=None):
+    return probe_merge(core_table(clusters, owners), probe, min_cluster_size,
+                       stats)
 
 
 @settings(max_examples=40, deadline=None)
 @given(pts=st.one_of(point_clouds(), chained_inputs()), p=st.integers(1, 6),
        eps=st.floats(0.5, 8.0), minpts=st.integers(2, 6),
        block=st.sampled_from(SEED_BLOCKS), frame=st.sampled_from(FRAMES),
-       witness=st.booleans())
+       witness=st.booleans(), probe=st.sampled_from(PROBES))
 def test_edge_merge_equivalent_to_partials_merge(pts, p, eps, minpts, block,
-                                                 frame, witness):
+                                                 frame, witness, probe):
     """DESIGN.md §11's contract as a property: merging the tasks'
     projections and re-applying the gid map is byte-identical to merging
     their whole records — and, both passing one core a table, to the
-    per-seed loop — whatever the seed block, in the range and the cell
-    frame, with full seeds or up-pointing seeds plus orphan rows."""
+    per-seed loop, the whole record through either probe — whatever the
+    seed block, in the range and the cell frame, with full seeds or
+    up-pointing seeds plus orphan rows."""
     n = len(pts)
     tables = expansions(frame, pts, eps, minpts, p, witness)
     table = ClusterTable.concat(tables)
     with seed_block(block):
         ref = merge_union_find(table, n)
         plan = merge_edges([t.project() for t in tables])
+        whole = probe_merge(table, probe)
     labels = apply_gid_map(table, plan, n)
     np.testing.assert_array_equal(labels, ref.labels)
     assert plan.num_merges == ref.num_merges
@@ -239,6 +291,8 @@ def test_edge_merge_equivalent_to_partials_merge(pts, p, eps, minpts, block,
                                            orphans=table.orphans.tolist())
     assert list(plan.gid_of.items()) == list(gid_of.items())
     assert (plan.claims, plan.num_edges) == (claims, num_edges)
+    assert list(whole.gid_of.items()) == list(gid_of.items())
+    assert (whole.claims, whole.num_edges) == (claims, num_edges)
 
 
 def view_columns(table):
@@ -280,11 +334,14 @@ def test_edge_merge_respects_min_cluster_size(pts, p, eps, size, block):
         ref = merge_partials(list(partials), len(pts), min_cluster_size=size)
         plan = merge_edges(digest_from_partials(partials),
                            min_cluster_size=size)
+        wholes = [probe_merge(as_table(partials), probe, size)
+                  for probe in PROBES]
     labels = apply_gid_map(partials, plan, len(pts))
     np.testing.assert_array_equal(labels, ref.labels)
     assert plan.groups == ref.groups
     gid_of, claims, _ = loop_merge(*core_inputs(partials), size)
-    assert (plan.gid_of, plan.claims) == (gid_of, claims)
+    for got in [plan] + wholes:
+        assert (got.gid_of, got.claims) == (gid_of, claims)
 
 
 def _cluster(cid, founder, seeds, size=10):
@@ -325,29 +382,32 @@ BLOCK_CASES = {
 def test_seed_blocks_do_not_change_the_merge(case, block):
     clusters, owners, size = BLOCK_CASES[case]
     gid_of, claims, num_edges = loop_merge(clusters, owners, size)
-    with seed_block(block):
-        plan = array_merge(clusters, owners, size)
-    assert (plan.gid_of, plan.claims, plan.num_edges) == (
-        gid_of, claims, num_edges)
-    assert plan.num_global_clusters == len(set(gid_of.values()))
-    assert plan.num_merges == len(gid_of) - plan.num_global_clusters
-    assert sorted(ci for g in plan.groups for ci in g) == [
-        ci for ci, row in enumerate(clusters) if row[2] >= size]
+    for probe in PROBES:
+        with seed_block(block):
+            plan = array_merge(clusters, owners, size, probe)
+        assert (plan.gid_of, plan.claims, plan.num_edges) == (
+            gid_of, claims, num_edges)
+        assert plan.num_global_clusters == len(set(gid_of.values()))
+        assert plan.num_merges == len(gid_of) - plan.num_global_clusters
+        assert sorted(ci for g in plan.groups for ci in g) == [
+            ci for ci, row in enumerate(clusters) if row[2] >= size]
 
 
 def test_contested_claim_goes_to_the_lower_founder_across_blocks():
     clusters, owners, _ = BLOCK_CASES[
         "a contested border seed whose claimants fall in different blocks"]
-    with seed_block(7):
-        plan = array_merge(clusters, owners)
-    assert plan.claims[500] == plan.gid_of[(2, 0)] != plan.gid_of[(0, 0)]
+    for probe in PROBES:
+        with seed_block(7):
+            plan = array_merge(clusters, owners, probe=probe)
+        assert plan.claims[500] == plan.gid_of[(2, 0)] != plan.gid_of[(0, 0)]
 
 
 def test_contested_claim_goes_to_the_lower_founder_within_a_block():
     clusters, owners, _ = BLOCK_CASES[
         "a contested border seed whose lower founder comes later in the block"]
-    plan = array_merge(clusters, owners)
-    assert plan.claims[500] == plan.gid_of[(1, 0)] != plan.gid_of[(0, 0)]
+    for probe in PROBES:
+        plan = array_merge(clusters, owners, probe=probe)
+        assert plan.claims[500] == plan.gid_of[(1, 0)] != plan.gid_of[(0, 0)]
 
 
 @pytest.mark.parametrize("block", SEED_BLOCKS)
@@ -365,14 +425,15 @@ def test_a_chain_linked_one_block_at_a_time_is_one_group(block):
     ]
     owners = [(1000 * (m - k), k, True) for k in range(m)]
     gid_of, claims, num_edges = loop_merge(clusters, owners)
-    stats = {}
-    with seed_block(block):
-        plan = union_find_merge(core_table(clusters, owners), stats=stats)
-    assert plan.groups == [list(range(m))]
-    assert (plan.gid_of, plan.claims, plan.num_edges) == (
-        gid_of, claims, num_edges)
-    assert (plan.num_merges, stats["live_pairs"]) == (m - 1, m - 1)
-    assert stats["seed_blocks"] == -(-(7 * m - 1) // block)
+    for probe in PROBES:
+        stats = {}
+        with seed_block(block):
+            plan = array_merge(clusters, owners, probe=probe, stats=stats)
+        assert plan.groups == [list(range(m))]
+        assert (plan.gid_of, plan.claims, plan.num_edges) == (
+            gid_of, claims, num_edges)
+        assert (plan.num_merges, stats["live_pairs"]) == (m - 1, m - 1)
+        assert stats["seed_blocks"] == -(-(7 * m - 1) // block)
 
 
 @pytest.mark.parametrize("block", SEED_BLOCKS)
@@ -383,17 +444,48 @@ def test_num_edges_counts_the_hits_the_component_filter_drops(block):
     clusters = [_cluster(0, 0, range(100, 150)), _cluster(1, 100, range(50))]
     owners = ([(k, 0, True) for k in range(50)]
               + [(100 + k, 1, True) for k in range(50)])
-    stats = {}
-    with seed_block(block):
-        plan = union_find_merge(core_table(clusters, owners), stats=stats)
-    assert plan.num_edges == loop_merge(clusters, owners)[2] == 100
-    assert plan.num_merges == 1
-    assert stats["live_pairs"] == (2 if block >= 100 else 1)
+    for probe in PROBES:
+        stats = {}
+        with seed_block(block):
+            plan = array_merge(clusters, owners, probe=probe, stats=stats)
+        assert plan.num_edges == loop_merge(clusters, owners)[2] == 100
+        assert plan.num_merges == 1
+        assert stats["live_pairs"] == (2 if block >= 100 else 1)
 
 
-def test_a_seed_too_large_for_the_point_sort_key_is_refused():
-    with pytest.raises(OverflowError):
-        array_merge([_cluster(0, 0, [2**62, 1])], [])
+def test_a_seed_outside_the_points_is_refused():
+    """A seed must name a point: with the point count (owner codes) in
+    ``[0, n)``, without it (the sorted table) at least non-negative — a
+    code array would read a wrong point on a negative id."""
+    for seed in (-1, 10, 12, 2**62):
+        partials = [
+            PartialCluster(0, 0, 0, 5, members=[0, 1, 2], seeds=[seed]),
+            PartialCluster(1, 0, 5, 10, members=[9])]
+        with pytest.raises(ValueError,
+                           match=rf"^id {seed} is no point in \[0, 10\)$"):
+            merge_union_find(partials, 10)
+        if seed < 0:
+            with pytest.raises(ValueError, match=f"^id {seed} is no point$"):
+                union_find_merge(as_table(partials))
+        else:
+            assert union_find_merge(as_table(partials)).claims == {seed: 0}
+
+
+def test_the_first_of_two_owner_rows_wins():
+    """Point 5 has two owner rows: a border row in one cluster and a
+    core row in another.  Whichever row comes first decides the probe,
+    as `searchsorted`'s leftmost did: a border row links nothing, a
+    core row links the cluster seeding 5 to its owner."""
+    def partials(border_first):
+        rows = [PartialCluster(0, 0, 0, 10, members=[0, 5], borders={5}),
+                PartialCluster(1, 0, 10, 20, members=[10, 5])]
+        return rows[::1 if border_first else -1] + [
+            PartialCluster(2, 0, 20, 30, members=[20], seeds=[5])]
+    for border_first, groups in ((True, [[0], [1], [2]]),
+                                 (False, [[0, 2], [1]])):
+        got = [merge_union_find(partials(border_first), 30).groups,
+               union_find_merge(as_table(partials(border_first))).groups]
+        assert got == [groups, groups]
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
@@ -412,7 +504,14 @@ def test_seed_sequences_of_any_int_type_give_the_same_plan(case):
         for as_seeds in (list, lambda s: np.array(s, np.int64),
                          lambda s: np.array(s, np.int32))
     ]
-    assert plans[0] == plans[1] == plans[2]
+    plans += [vars(probe_merge(ClusterTable.from_partials(
+        PartialCluster(cid[0], cid[1], 0, 0,
+                       members=[p for p, ci, _ in owners if ci == k],
+                       seeds=seeds,
+                       borders={p for p, ci, core in owners
+                                if ci == k and not core})
+        for k, (cid, _, _, seeds) in enumerate(clusters)), "codes", size))]
+    assert plans[0] == plans[1] == plans[2] == plans[3]
 
 
 def _paper_shaped_partials(seeds_per_cluster):
@@ -440,10 +539,10 @@ def test_merge_memory_is_independent_of_the_seed_total(seeds_per_cluster):
     time from the seed columns in place, so what the merge allocates is
     O(owner table + partials), not O(seeds).  Both merges get what the
     run path hands them — the collected record, and one projection per
-    task (32 here, founders interleaved across them) — and peak at 1.9
-    to 2.1 MiB at either size; joined in one piece (the block constant
-    patched to 10**9) they peak at 58 to 61 MiB with 160 seeds per
-    cluster and 113 to 118 MiB with 320."""
+    task (32 here, founders interleaved across them) — and peak at 1.2
+    (owner codes) and 1.6 MiB (the sorted table) at either size; joined
+    in one piece (the block constant patched to 10**9) they peak at 22
+    and 30 MiB with 160 seeds per cluster and 41 and 57 MiB with 320."""
     n, partials = _paper_shaped_partials(seeds_per_cluster)
     assert len(partials) >= 2000
     assert sum(len(c.seeds) for c in partials) >= 300_000 * seeds_per_cluster // 160
@@ -453,13 +552,50 @@ def test_merge_memory_is_independent_of_the_seed_total(seeds_per_cluster):
                for p in range(32)]
     for merge in (lambda: merge_union_find(table, n),
                   lambda: merge_edges(digests)):
-        tracemalloc.start()
-        try:
-            merge()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(merge)
         assert peak <= 3 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def traced_peak(call):
+    """Peak bytes ``call`` allocates, as `tracemalloc` sees them."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_the_edges_merge_allocates_nothing_sized_by_the_id_range():
+    """`merge_edges` probes the point-sorted owner table, never a
+    per-point code array: on the paper-shaped input with every point id
+    spread x1000 (12.3 M ids, a 94 MiB code array) it stays under the
+    same 3 MiB as at the dense ids."""
+    _, partials = _paper_shaped_partials(160)
+    for c in partials:
+        c.members = [1000 * p for p in c.members]
+        c.seeds = 1000 * np.asarray(c.seeds)
+    digest = digest_from_partials(ClusterTable.from_partials(partials))
+    digests = [digest.take(np.flatnonzero(digest.partition == p))
+               for p in range(32)]
+    peak = traced_peak(lambda: merge_edges(digests))
+    assert peak <= 3 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("merge_mode", MERGE_MODES)
+def test_no_run_path_merge_calls_union_find(merge_mode, monkeypatch):
+    """The merge hooks component arrays (`merge._hook`); `UnionFind` is
+    only the tests' reference.  Fits in either merge mode and the
+    MapReduce reducer run with it patched to raise."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a run-path merge built a UnionFind")
+
+    monkeypatch.setattr(UnionFind, "__init__", refuse)
+    assert not hasattr(merge_module, "UnionFind")
+    pts = np.random.default_rng(3).normal(size=(300, 2))
+    SparkDBSCAN(0.3, 4, num_partitions=4, merge_mode=merge_mode).fit(pts)
+    MapReduceDBSCAN(0.3, 4, num_maps=4).fit(pts)
 
 
 @settings(max_examples=25, deadline=None)
