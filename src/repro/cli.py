@@ -3,7 +3,7 @@
     python -m repro datasets
     python -m repro generate c10k -o points.txt
     python -m repro run points.txt --eps 25 --minpts 5 --partitions 8
-    python -m repro run r10k --algorithm mapreduce
+    python -m repro run r10k --plan mapreduce
     python -m repro run c10k --checkpoint-dir ckpt --resume
     python -m repro scaling r10k --cores 2 4 8
 """
@@ -15,10 +15,9 @@ import sys
 
 import numpy as np
 
-from repro.dbscan.merge import MERGE_MODES, MERGE_STRATEGIES
+from repro.dbscan.merge import MERGE_STRATEGIES
 from repro.dbscan.partial import NEIGHBOR_MODES, SEED_POLICIES
-
-ALGORITHMS = ("spark", "sequential", "naive", "mapreduce", "spatial")
+from repro.pipeline.plans import STAGE_MANIFEST
 
 
 def _load_points(source: str) -> np.ndarray:
@@ -88,19 +87,20 @@ def _write_outputs(args: argparse.Namespace, tracer, registry, done=None) -> Non
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Cluster a dataset/points file: run the chosen algorithm's pipeline
-    plan, with optional per-stage checkpoint/resume.
+    """Cluster a dataset/points file: run the named pipeline plan, with
+    optional per-stage checkpoint/resume.
 
-    The flag x algorithm rules the pipeline would otherwise ignore are
-    rejected here; every other invalid combination (eps, --merge-mode x
-    algorithm, ...) is `RunConfig`'s one-line ``ValueError``.
+    The flag x plan rules the pipeline would otherwise ignore are
+    rejected here; every other invalid combination (eps, an edges plan
+    with --max-neighbors, ...) is `RunConfig`'s one-line ``ValueError``.
     """
     from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
     from repro.pipeline import PipelineCrash, PipelineRunner, RunConfig, build_plan
 
-    if args.sanitize and args.algorithm in ("sequential", "mapreduce"):
-        print(f"error: --sanitize requires a Spark-engine algorithm "
-              f"(spark, spatial, naive), not {args.algorithm!r}", file=sys.stderr)
+    if args.sanitize and args.plan in ("sequential", "mapreduce"):
+        print(f"error: --sanitize requires a Spark-engine plan "
+              f"(not sequential or mapreduce), got {args.plan!r}",
+              file=sys.stderr)
         return 1
 
     points = _load_points(args.source)
@@ -108,7 +108,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = RunConfig(
             eps=args.eps,
             minpts=args.minpts,
-            algorithm=args.algorithm,
+            plan=args.plan,
             num_partitions=args.partitions,
             master=args.master,
             seed_policy=args.seed_policy,
@@ -117,8 +117,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             min_cluster_size=args.min_cluster_size,
             leaf_size=args.leaf_size,
             neighbor_mode=args.neighbor_mode,
-            partitioning=args.partitioning,
-            merge_mode=args.merge_mode,
             impl=args.impl,
             max_rounds=args.max_rounds,
             sanitize=args.sanitize,
@@ -233,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--eps", type=float, default=25.0)
     r.add_argument("--minpts", type=int, default=5)
     r.add_argument("--partitions", type=int, default=4)
-    r.add_argument("--algorithm", choices=ALGORITHMS, default="spark")
+    r.add_argument("--plan", choices=tuple(STAGE_MANIFEST), default="spark",
+                   help="the pipeline plan: a row of STAGE_MANIFEST "
+                        "(DESIGN.md §9)")
     r.add_argument("--master", default=None, metavar="URL",
                    help="engine master (simulated[k], threads[k], processes[k]); "
                         "default simulated[partitions]")
@@ -244,15 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--min-cluster-size", type=int, default=0)
     r.add_argument("--leaf-size", type=int, default=64)
     r.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES, default="per_point",
-                   help="accepted for compatibility: spark/spatial run the one "
+                   help="accepted for compatibility: the SEED plans run the one "
                         "batched kernel under both values; only sequential "
                         "still queries per point under per_point")
-    r.add_argument("--partitioning", choices=("range", "cells"), default="range",
-                   help="spark-only: 'cells' swaps in the cell plan "
-                        "(partition-local indexes, eps-halo, no broadcast)")
-    r.add_argument("--merge-mode", choices=MERGE_MODES, default="partials",
-                   help="spark/spatial: 'edges' swaps in the edge-based "
-                        "merge tail (digests + distributed relabel)")
     r.add_argument("--impl", choices=("array", "hashtable"), default="array",
                    help="sequential-only point-state implementation")
     r.add_argument("--max-rounds", type=int, default=100,
@@ -274,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--sanitize", action="store_true",
                    help="enable the broadcast write-barrier (a task that "
                         "mutates a broadcast value fails the job); "
-                        "Spark-engine algorithms only")
+                        "Spark-engine plans only")
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser("scaling", help="Figure 8-style speedup sweep")

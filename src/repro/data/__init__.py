@@ -7,7 +7,6 @@ from .datasets import (
     MINPTS,
     PAPER_SIZES,
     DatasetSpec,
-    all_dataset_names,
     dataset_spec,
     effective_size,
     make_dataset,
@@ -35,7 +34,6 @@ __all__ = [
     "make_dataset",
     "dataset_spec",
     "effective_size",
-    "all_dataset_names",
     "generate_clustered",
     "generate_scattered",
     "generate_skewed",

@@ -98,7 +98,3 @@ def make_dataset(name: str, scale: float | None = None) -> GeneratedData:
         noise_fraction=0.10, seed=seed,
     )
 
-
-def all_dataset_names() -> list[str]:
-    """Names of the Table I datasets."""
-    return list(PAPER_SIZES)

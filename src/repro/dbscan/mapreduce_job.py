@@ -71,7 +71,7 @@ class MapReduceDBSCAN:
         self.config = RunConfig(
             eps=eps,
             minpts=minpts,
-            algorithm="mapreduce",
+            plan="mapreduce",
             num_partitions=num_maps,
             seed_policy=seed_policy,
             startup_overhead=startup_overhead,

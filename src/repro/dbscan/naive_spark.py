@@ -61,7 +61,7 @@ class NaiveSparkDBSCAN:
         self.config = RunConfig(
             eps=eps,
             minpts=minpts,
-            algorithm="naive",
+            plan="naive",
             num_partitions=num_partitions,
             master=master,
             max_rounds=max_rounds,

@@ -56,7 +56,7 @@ def dbscan_sequential(
     config = RunConfig(
         eps=eps,
         minpts=minpts,
-        algorithm="sequential",
+        plan="sequential",
         num_partitions=1,
         impl=impl,
         leaf_size=leaf_size,

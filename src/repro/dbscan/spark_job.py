@@ -32,6 +32,7 @@ from ..kdtree import KDTree
 from ..obs.spans import NULL_TRACER, Tracer
 from ..pipeline.config import RunConfig
 from .core import ClusteringResult
+from .merge import MERGE_MODES
 from .partial import PartialCluster
 
 
@@ -98,6 +99,9 @@ class SparkDBSCAN:
         keys — O(edges + partials), not O(points) — and a second
         distributed pass applies the broadcast gid map (DESIGN.md §11).
         Labels are byte-identical.
+
+        The two only pick the `STAGE_MANIFEST` row (``RunConfig.plan``):
+        ``cell`` for cells, with an ``_edges`` suffix for edges.
     tracer:
         `repro.obs.Tracer` receiving the run's phase spans (DESIGN.md
         §7).  Defaults to the no-op `NULL_TRACER`; labels are identical
@@ -118,8 +122,8 @@ class SparkDBSCAN:
     All parameter validation lives in `repro.pipeline.RunConfig`.
     """
 
-    #: pipeline plan this frontend composes (subclasses override).
-    ALGORITHM = "spark"
+    #: ``partitioning`` -> the manifest row's head (subclasses override).
+    HEADS = {"range": "spark", "cells": "cell"}
 
     def __init__(
         self,
@@ -143,10 +147,18 @@ class SparkDBSCAN:
         resume: bool = False,
         fail_after: str | None = None,
     ):
+        if partitioning not in self.HEADS:
+            raise ValueError(
+                f"{type(self).__name__} partitioning must be one of "
+                f"{tuple(self.HEADS)}, got {partitioning!r}"
+            )
+        if merge_mode not in MERGE_MODES:
+            raise ValueError(f"unknown merge_mode {merge_mode!r}")
+        edges = "_edges" if merge_mode == "edges" else ""
         self.config = RunConfig(
             eps=eps,
             minpts=minpts,
-            algorithm=self.ALGORITHM,
+            plan=self.HEADS[partitioning] + edges,
             num_partitions=num_partitions,
             master=master,
             seed_policy=seed_policy,
@@ -156,8 +168,6 @@ class SparkDBSCAN:
             leaf_size=leaf_size,
             keep_partials=keep_partials,
             neighbor_mode=neighbor_mode,
-            partitioning=partitioning,
-            merge_mode=merge_mode,
             sanitize=sanitize,
         )
         self.tracer = tracer or NULL_TRACER

@@ -40,7 +40,7 @@ class SpatialSparkDBSCAN(SparkDBSCAN):
     ``result.perm`` carries the reordering for anyone who needs them.
     """
 
-    ALGORITHM = "spatial"
+    HEADS = {"range": "spatial"}
 
     def fit(self, points, sc=None, *, tree=None) -> SparkDBSCANResult:
         """Run the clustering over the given points.

@@ -31,7 +31,7 @@ from .errors import (
     ShuffleFetchError,
     TaskError,
 )
-from .fault import FaultPlan, random_straggler_plan
+from .fault import FaultPlan
 from .metrics import JobMetrics, StageMetrics, TaskMetrics, makespan
 from .partitioner import HashPartitioner, IndexRangePartitioner, Partitioner
 from .rdd import RDD
@@ -56,7 +56,6 @@ __all__ = [
     "HashPartitioner",
     "IndexRangePartitioner",
     "FaultPlan",
-    "random_straggler_plan",
     "JobMetrics",
     "StageMetrics",
     "TaskMetrics",

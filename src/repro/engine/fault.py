@@ -12,7 +12,6 @@ Plans are plain data (picklable) so they travel to worker processes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .errors import InjectedFault
@@ -55,21 +54,3 @@ class FaultPlan:
         """True when the plan injects nothing."""
         return not self.fail_attempts and not self.delays
 
-
-def random_straggler_plan(
-    num_partitions: int,
-    prob: float,
-    delay: float,
-    seed: int = 0,
-    stage: int = -1,
-) -> FaultPlan:
-    """Build a plan delaying each partition with probability ``prob``.
-
-    Models the paper's ``t_straggling`` term: the framework must wait
-    for the slowest executor before the driver-side merge can start.
-    """
-    rng = random.Random(seed)
-    delays = {
-        (stage, p): delay for p in range(num_partitions) if rng.random() < prob
-    }
-    return FaultPlan(delays=delays)

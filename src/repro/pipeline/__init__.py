@@ -13,7 +13,7 @@ in this package, executed by one `PipelineRunner`:
 See DESIGN.md §9 for the architecture and checkpoint format.
 """
 
-from .config import ALGORITHMS, HASHED_FIELDS, PARTITIONINGS, RunConfig
+from .config import HASHED_FIELDS, RunConfig
 from .checkpoint import CheckpointError, CheckpointStore
 from .state import PipelineState
 from .stages import (
@@ -33,7 +33,7 @@ from .stages import (
     SpatialReorder,
     Stage,
 )
-from .stages_cells import CellCollect, CellPartition, LocalIndexExpand
+from .stages_cells import CellPartition, LocalIndexExpand
 from .stages_naive import NaiveRelabel, ShuffleExpand
 from .stages_mapreduce import MRBuildIndex, MRCollect, MRLocalExpand, MRRelabel
 from .plans import (
@@ -41,14 +41,11 @@ from .plans import (
     STAGE_MANIFEST,
     Plan,
     build_plan,
-    plan_name,
 )
 from .runner import RESTORED, RUN, SKIPPED, PipelineCrash, PipelineRunner
 
 __all__ = [
-    "ALGORITHMS",
     "HASHED_FIELDS",
-    "PARTITIONINGS",
     "RunConfig",
     "CheckpointError",
     "CheckpointStore",
@@ -70,7 +67,6 @@ __all__ = [
     "SequentialExpand",
     "CellPartition",
     "LocalIndexExpand",
-    "CellCollect",
     "ShuffleExpand",
     "NaiveRelabel",
     "MRBuildIndex",
@@ -81,7 +77,6 @@ __all__ = [
     "STAGE_MANIFEST",
     "SHUFFLE_FREE_PLANS",
     "build_plan",
-    "plan_name",
     "PipelineRunner",
     "PipelineCrash",
     "RUN",

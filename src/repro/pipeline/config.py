@@ -22,22 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-#: The five frontends, as pipeline plan names.
-ALGORITHMS = ("spark", "spatial", "naive", "mapreduce", "sequential")
-
-#: How points are assigned to executors.  ``"range"`` is the paper's
-#: contiguous index slicing (+ a whole-tree broadcast); ``"cells"``
-#: re-bases the spark plan on eps-grid cell partitions with
-#: partition-local indexes and an eps-halo (DESIGN.md §10).
-PARTITIONINGS = ("range", "cells")
-
 #: Fields covered by ``content_hash`` (see module docstring for the rule).
 HASHED_FIELDS = (
-    "algorithm",
+    "plan",
     "eps",
     "minpts",
     "num_partitions",
@@ -50,24 +42,29 @@ HASHED_FIELDS = (
     "impl",
     "max_rounds",
     "startup_overhead",
-    "partitioning",
-    "merge_mode",
 )
+
+#: Count fields: any integral number but a bool, stored as ``int``.
+_COUNTS = ("minpts", "num_partitions", "max_neighbors", "min_cluster_size",
+           "leaf_size", "max_rounds")
+#: Real-valued fields, stored as ``float``.
+_REALS = ("eps", "startup_overhead")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Frozen parameters of one DBSCAN run, shared by all five frontends.
 
-    Algorithm-specific fields are simply unused by plans that do not need
+    ``plan`` names the `STAGE_MANIFEST` row to run (DESIGN.md §9).
+    Plan-specific fields are simply unused by rows that do not need
     them (``impl`` only matters to ``sequential``, ``max_rounds`` to
     ``naive``, ``startup_overhead``/``tmp_dir`` to ``mapreduce``); their
-    defaults keep the hash stable for the other algorithms.
+    defaults keep the hash stable for the other rows.
     """
 
     eps: float
     minpts: int
-    algorithm: str = "spark"
+    plan: str = "spark"
     num_partitions: int = 4
     master: str | None = None
     seed_policy: str = "all"
@@ -77,13 +74,6 @@ class RunConfig:
     leaf_size: int = 64
     keep_partials: bool = False
     neighbor_mode: str = "per_point"
-    partitioning: str = "range"
-    #: How partial clusters reach the driver: ``"partials"`` ships whole
-    #: point lists (the paper's path); ``"edges"`` ships digests and
-    #: labels via a second distributed pass (DESIGN.md §11).  Labels are
-    #: byte-identical; hashed because the stage list (and therefore the
-    #: checkpoint artifacts) differ.
-    merge_mode: str = "partials"
     sanitize: bool = False
     # sequential only
     impl: str = "array"
@@ -97,12 +87,23 @@ class RunConfig:
         # Imported lazily: repro.dbscan and repro.pipeline import each
         # other at module level, and this module must stay importable
         # from either direction.
-        from ..dbscan.merge import MERGE_MODES, MERGE_STRATEGIES
+        from ..dbscan.merge import MERGE_STRATEGIES
         from ..dbscan.partial import NEIGHBOR_MODES, SEED_POLICIES
+        from .plans import STAGE_MANIFEST
 
-        if self.algorithm not in ALGORITHMS:
+        for name in _COUNTS + _REALS:
+            value = getattr(self, name)
+            if value is None and name == "max_neighbors":
+                continue
+            count = name in _COUNTS
+            kind = numbers.Integral if count else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if count else "a real number"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            object.__setattr__(self, name, int(value) if count else float(value))
+        if self.plan not in STAGE_MANIFEST:
             raise ValueError(
-                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
+                f"plan must be one of {tuple(STAGE_MANIFEST)}, got {self.plan!r}"
             )
         if not self.eps > 0:  # NaN too: every comparison lets it through
             raise ValueError(f"eps must be positive, got {self.eps}")
@@ -118,37 +119,22 @@ class RunConfig:
             raise ValueError(f"unknown merge_strategy {self.merge_strategy!r}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(f"unknown neighbor_mode {self.neighbor_mode!r}")
-        if self.partitioning not in PARTITIONINGS:
-            raise ValueError(f"unknown partitioning {self.partitioning!r}")
-        if self.partitioning == "cells" and self.algorithm != "spark":
-            raise ValueError(
-                "partitioning='cells' re-bases the spark plan; it cannot "
-                f"combine with algorithm={self.algorithm!r}"
-            )
-        if self.merge_mode not in MERGE_MODES:
-            raise ValueError(f"unknown merge_mode {self.merge_mode!r}")
         if self.merge_mode == "edges":
-            if self.algorithm not in ("spark", "spatial"):
-                raise ValueError(
-                    "merge_mode='edges' applies to the SEED pipelines "
-                    f"(spark, spatial); algorithm={self.algorithm!r} has no "
-                    "driver merge to replace"
-                )
             if self.merge_strategy != "union_find":
                 raise ValueError(
-                    "merge_mode='edges' implements the union-find closure; "
+                    f"plan {self.plan!r} implements the union-find closure; "
                     f"merge_strategy={self.merge_strategy!r} is partials-only"
                 )
             if self.keep_partials:
                 raise ValueError(
-                    "merge_mode='edges' never ships point lists to the "
+                    f"plan {self.plan!r} never ships point lists to the "
                     "driver, so keep_partials=True cannot be honoured"
                 )
             if self.max_neighbors is not None:
                 raise ValueError(
-                    "merge_mode='edges' derives merge edges from the "
+                    f"plan {self.plan!r} derives merge edges from the "
                     "symmetric eps-graph; max_neighbors truncation breaks "
-                    "that symmetry (use merge_mode='partials')"
+                    "that symmetry (use a partials plan)"
                 )
         if self.max_neighbors is not None and self.max_neighbors < 1:
             raise ValueError(
@@ -170,6 +156,18 @@ class RunConfig:
             raise ValueError(
                 f"startup_overhead must be >= 0, got {self.startup_overhead}"
             )
+
+    @property
+    def partitioning(self) -> str:
+        """``"cells"`` on the cell rows (DESIGN.md §10), else ``"range"``."""
+        return "cells" if self.plan.startswith("cell") else "range"
+
+    @property
+    def merge_mode(self) -> str:
+        """``"edges"`` on the ``*_edges`` rows, whose executors ship
+        digests instead of partial clusters (DESIGN.md §11), else
+        ``"partials"``."""
+        return "edges" if self.plan.endswith("_edges") else "partials"
 
     @property
     def witness_once(self) -> bool:

@@ -3,8 +3,8 @@
 The paper's driver program is one fixed sequence; the frontends are
 small edits of it (Section IV vs. the Section V baselines).  Each plan
 is a row of `STAGE_MANIFEST` — stage *class* names in execution order —
-and `build_plan` instantiates the row for the plan a `RunConfig`
-resolves to (`plan_name`).  The six SEED plans are the product of three
+and `build_plan` instantiates the row a `RunConfig` names
+(``RunConfig.plan``).  The six SEED plans are the product of three
 heads and two merge tails:
 
 ==============  ==========================================================
@@ -14,12 +14,11 @@ heads and two merge tails:
                 index, for BuildIndex (RelabelFilter undoes the permutation)
 ``cell``        LoadPoints → CellPartition → LocalIndexExpand → (tail) —
                 cell partitions with local indexes and an eps-halo; no
-                BuildIndex, no BroadcastModel (``partitioning="cells"``)
-partials tail   CollectPartials (CellCollect on the cell plan) →
-                MergePartials → RelabelFilter
+                BuildIndex, no BroadcastModel (DESIGN.md §10)
+partials tail   CollectPartials → MergePartials → RelabelFilter
 ``*_edges``     CollectEdges → MergeEdges → ApplyGidMap → RelabelFilter:
                 executors ship digests, not partial clusters
-                (``merge_mode="edges"``, DESIGN.md §11)
+                (DESIGN.md §11)
 ``sequential``  the degenerate single-partition plan (Algorithm 1)
 ``naive``       the shuffle-per-round baseline the paper argues against
 ``mapreduce``   two-round MR-DBSCAN over the mini-MapReduce runtime
@@ -37,7 +36,7 @@ skipped outright when a resume restores their downstream consumers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import stages, stages_cells, stages_mapreduce, stages_naive
 from .config import RunConfig
@@ -51,7 +50,6 @@ class Plan:
     name: str
     stages: tuple[Stage, ...]
     outputs: tuple[str, ...] = ("labels",)
-    algo_label: str = field(default="")
 
     def __post_init__(self) -> None:
         if not self.stages or not isinstance(self.stages[0], LoadPoints):
@@ -80,7 +78,7 @@ STAGE_MANIFEST = {
         "LocalExpand", "CollectPartials", "MergePartials", "RelabelFilter",
     ),
     "cell": (
-        "LoadPoints", "CellPartition", "LocalIndexExpand", "CellCollect",
+        "LoadPoints", "CellPartition", "LocalIndexExpand", "CollectPartials",
         "MergePartials", "RelabelFilter",
     ),
     "spark_edges": (
@@ -106,22 +104,20 @@ STAGE_MANIFEST = {
 }
 
 # What each plan's frontend reads off the final state (beyond
-# ``labels``), and the label its ``dbscan.fit`` span carries.  An edges
-# plan never brings partials to the driver, so it cannot output them;
-# its partial/seed counts live in the merge plan, which a resume
-# therefore restores (O(partials) JSON) instead of skipping.
+# ``labels``).  An edges plan never brings partials to the driver, so it
+# cannot output them; its partial/seed counts live in the merge plan,
+# which a resume therefore restores (O(partials) JSON) instead of
+# skipping.
 PLAN_OUTPUTS = {
-    "spark": (("outcome", "partials"), "SparkDBSCAN"),
-    "spatial": (("outcome", "partials", "perm"), "SpatialSparkDBSCAN"),
-    "cell": (("outcome", "partials"), "SparkDBSCAN[cells]"),
-    "spark_edges": (("outcome", "merge_plan"), "SparkDBSCAN[edges]"),
-    "spatial_edges": (
-        ("outcome", "merge_plan", "perm"), "SpatialSparkDBSCAN[edges]",
-    ),
-    "cell_edges": (("outcome", "merge_plan"), "SparkDBSCAN[cells,edges]"),
-    "sequential": ((), "sequential"),
-    "naive": (("propagated",), "NaiveSparkDBSCAN"),
-    "mapreduce": (("mr_round1", "mr_round2"), "MapReduceDBSCAN"),
+    "spark": ("outcome", "partials"),
+    "spatial": ("outcome", "partials", "perm"),
+    "cell": ("outcome", "partials"),
+    "spark_edges": ("outcome", "merge_plan"),
+    "spatial_edges": ("outcome", "merge_plan", "perm"),
+    "cell_edges": ("outcome", "merge_plan"),
+    "sequential": (),
+    "naive": ("propagated",),
+    "mapreduce": ("mr_round1", "mr_round2"),
 }
 
 # Plans under the paper's zero-shuffle contract (Algorithms 3-4): their
@@ -150,7 +146,6 @@ SIZE_MANIFEST = {
     "LocalExpand": {"input": "O(1)", "output": "O(1)"},
     "LocalIndexExpand": {"input": "O(1)", "output": "O(1)"},
     "CollectPartials": {"input": "O(points)", "output": "O(points)"},
-    "CellCollect": {"input": "O(points)", "output": "O(points)"},
     "CollectEdges": {"input": "O(edges)", "output": "O(edges)"},
     "MergeEdges": {"input": "O(edges)", "output": "O(partials)"},
     "MergePartials": {"input": "O(points)", "output": "O(points)"},
@@ -166,29 +161,12 @@ SIZE_MANIFEST = {
 }
 
 
-def plan_name(config: RunConfig) -> str:
-    """The plan a config resolves to.
-
-    ``partitioning="cells"`` swaps the spark composition for the cell
-    plan; ``merge_mode="edges"`` swaps the merge tail; every other
-    config maps straight to its algorithm name.
-    """
-    base = "cell" if config.partitioning == "cells" else config.algorithm
-    if config.merge_mode == "edges":
-        return f"{base}_edges"
-    return base
-
-
 def build_plan(config: RunConfig) -> Plan:
-    """The plan composition for ``config.algorithm``/``partitioning``/
-    ``merge_mode``: the manifest row, instantiated."""
-    name = plan_name(config)
-    outputs, algo_label = PLAN_OUTPUTS[name]
+    """The manifest row ``config.plan``, instantiated."""
     return Plan(
-        name=name,
-        stages=tuple(_stage_class(cls)() for cls in STAGE_MANIFEST[name]),
-        outputs=("labels",) + outputs,
-        algo_label=algo_label,
+        name=config.plan,
+        stages=tuple(_stage_class(cls)() for cls in STAGE_MANIFEST[config.plan]),
+        outputs=("labels",) + PLAN_OUTPUTS[config.plan],
     )
 
 

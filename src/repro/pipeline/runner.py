@@ -80,7 +80,8 @@ class PipelineRunner:
         """Execute the plan; returns the final `PipelineState`.
 
         ``sc`` lends an engine context (it is reused, never stopped);
-        ``tree`` lends a prebuilt kd-tree to `BuildIndex`.
+        ``tree`` lends a prebuilt kd-tree to `BuildIndex`; ``algo_label``
+        names the ``dbscan.fit`` span (default: the plan's row name).
         """
         tracer = self.tracer
         # When run inside a caller's traced SparkContext, adopt its tracer
@@ -99,7 +100,7 @@ class PipelineRunner:
         try:
             with tracer.span(
                 "dbscan.fit",
-                algorithm=algo_label or self.plan.algo_label,
+                algorithm=algo_label or self.plan.name,
                 n=int(np.asarray(points).shape[0]),
                 partitions=self.config.num_partitions,
                 eps=self.config.eps,

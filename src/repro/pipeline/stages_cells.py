@@ -17,8 +17,8 @@ with the MR-DBSCAN / dDBGSCAN shape (`repro.dbscan.cells`):
   of the range plan.  No ``sc.broadcast`` call exists anywhere in this
   module; ``tests/pipeline/test_cell_plan.py`` pins that with the
   broadcast-nbytes telemetry.
-- `CellCollect` drains the accumulator exactly like `CollectPartials`,
-  whose founder sort (`ClusterTable.concat`) matters most here: cell
+- The plan's collect step is the range plans' `CollectPartials`, whose
+  founder sort (`ClusterTable.concat`) matters most here: cell
   ownership is not contiguous, so the accumulator's partition order
   differs from the range plan's, but every partial's founder is the
   smallest core point it covers — sorting restores the global numbering
@@ -43,7 +43,7 @@ from ..dbscan.cells import CellAssignment, build_cell_assignment, cell_local_dbs
 from ..dbscan.partial import OpCounters
 from ..obs.collect import task_span
 from .checkpoint import CheckpointStore
-from .stages import CollectPartials, Stage, open_accumulators, ship_expansions
+from .stages import Stage, open_accumulators, ship_expansions
 from .state import PipelineState
 
 
@@ -202,21 +202,4 @@ class LocalIndexExpand(Stage):
         ship_expansions(state, state.indices.map_partitions_with_index(expand))
 
 
-class CellCollect(CollectPartials):
-    """`CollectPartials`, which founder-sorts (see the module docstring).
-
-    Cell ownership is not contiguous, so the tasks' tables arrive in an
-    order unrelated to their point ids; the founder sort (the base
-    class's canonical order, since accumulator arrival is
-    completion-ordered on the parallel backends too) makes the record —
-    and therefore global cluster numbering and every downstream artifact
-    — deterministic and identical to the range plan's.  Kept as its own
-    class so the cell plan's manifest names its collect step.
-    """
-
-    name = "CollectPartials"
-    requires = ("expanded", "engine")
-    provides = ("partials",)
-
-
-__all__ = ["CellCollect", "CellPartition", "LocalIndexExpand"]
+__all__ = ["CellPartition", "LocalIndexExpand"]

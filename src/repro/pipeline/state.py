@@ -88,7 +88,7 @@ class PipelineState:
 
             self.sc = SparkContext(
                 self.config.resolved_master,
-                app_name=f"{self.config.algorithm}-dbscan",
+                app_name=f"{self.config.plan}-dbscan",
                 tracer=self.tracer,
                 metrics_registry=self.metrics_registry,
                 sanitize=self.config.sanitize,

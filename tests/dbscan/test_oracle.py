@@ -1,4 +1,4 @@
-"""Every plan × merge mode against the independent oracle.
+"""Every `STAGE_MANIFEST` row against the independent oracle.
 
 `test_properties.py` compares plans with `dbscan_sequential`, which
 shares `repro.dbscan`'s conventions; `tests/oracle.py` shares nothing
@@ -8,32 +8,28 @@ exact-eps lattices, d = 1, single-point and empty partitions, more
 partitions than points.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dbscan import SparkDBSCAN, SpatialSparkDBSCAN
+from repro.dbscan import SparkDBSCAN
+from repro.pipeline import STAGE_MANIFEST, PipelineRunner, RunConfig, build_plan
 from tests.oracle import TIE, dbscan_violation
-
-#: (estimator, partitioning): the range, spatial and cell plans.
-PLANS = {
-    "range": (SparkDBSCAN, "range"),
-    "spatial": (SpatialSparkDBSCAN, "range"),
-    "cells": (SparkDBSCAN, "cells"),
-}
-MERGES = ("partials", "edges")
 
 
 def assert_every_plan_accepted(pts, eps, minpts, partitions, tie=TIE):
-    for plan, (estimator, partitioning) in PLANS.items():
-        for merge in MERGES:
-            labels = estimator(
-                eps, minpts, num_partitions=partitions,
-                partitioning=partitioning, merge_mode=merge,
-            ).fit(pts).labels
+    """Every manifest row, so a new row cannot dodge the oracle."""
+    with tempfile.TemporaryDirectory(prefix="oracle-mr-") as spill:
+        for plan in STAGE_MANIFEST:
+            config = RunConfig(eps, minpts, plan=plan,
+                               num_partitions=partitions,
+                               startup_overhead=0.0, tmp_dir=spill)
+            labels = PipelineRunner(build_plan(config), config).run(pts).labels
             why = dbscan_violation(pts, labels, eps, minpts, tie)
-            assert why is None, (plan, merge, why)
+            assert why is None, (plan, why)
 
 
 @st.composite

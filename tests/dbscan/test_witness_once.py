@@ -193,8 +193,8 @@ def test_the_paper_strategy_refuses_orphan_rows():
 
 @pytest.mark.parametrize("kw,halved", [
     ({}, True),
-    (dict(merge_mode="edges"), True),
-    (dict(partitioning="cells"), True),
+    (dict(plan="spark_edges"), True),
+    (dict(plan="cell"), True),
     (dict(seed_policy="one_per_partition"), False),
     (dict(max_neighbors=8), False),
     (dict(min_cluster_size=1), False),

@@ -4,7 +4,7 @@ global index and nothing dataset-sized ever broadcast.
 Byte-identity argument (DESIGN.md §10): the range plan's collected
 partials are founder-sorted, and each global cluster's minimal founder
 is its minimal core point regardless of how the cluster was decomposed
-across partitions — so `CellCollect`'s founder sort reproduces the
+across partitions — so `CollectPartials`' founder sort reproduces the
 range plan's global numbering exactly.
 """
 

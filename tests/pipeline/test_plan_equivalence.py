@@ -35,7 +35,7 @@ def plan_labels(config, points, **runner_kw):
 
 class TestFrontendEqualsPlan:
     def test_spark(self, points):
-        config = RunConfig(eps=EPS, minpts=MINPTS, algorithm="spark",
+        config = RunConfig(eps=EPS, minpts=MINPTS, plan="spark",
                            num_partitions=4)
         state = plan_labels(config, points)
         result = SparkDBSCAN(EPS, MINPTS, num_partitions=4).fit(points)
@@ -44,7 +44,7 @@ class TestFrontendEqualsPlan:
         assert state.outcome.num_merges == result.num_merges
 
     def test_spark_keeps_partials_identical(self, points):
-        config = RunConfig(eps=EPS, minpts=MINPTS, algorithm="spark",
+        config = RunConfig(eps=EPS, minpts=MINPTS, plan="spark",
                            num_partitions=4, keep_partials=True)
         state = plan_labels(config, points)
         result = SparkDBSCAN(EPS, MINPTS, num_partitions=4,
@@ -57,7 +57,7 @@ class TestFrontendEqualsPlan:
             assert a.borders == b.borders
 
     def test_spatial(self, points):
-        config = RunConfig(eps=EPS, minpts=MINPTS, algorithm="spatial",
+        config = RunConfig(eps=EPS, minpts=MINPTS, plan="spatial",
                            num_partitions=4)
         state = plan_labels(config, points)
         result = SpatialSparkDBSCAN(EPS, MINPTS, num_partitions=4).fit(points)
@@ -65,7 +65,7 @@ class TestFrontendEqualsPlan:
         assert np.array_equal(state.perm, result.perm)
 
     def test_naive(self, points):
-        config = RunConfig(eps=EPS, minpts=MINPTS, algorithm="naive",
+        config = RunConfig(eps=EPS, minpts=MINPTS, plan="naive",
                            num_partitions=2)
         state = plan_labels(config, points)
         result = NaiveSparkDBSCAN(EPS, MINPTS, num_partitions=2).fit(points)
@@ -74,7 +74,7 @@ class TestFrontendEqualsPlan:
         assert state.extras["shuffle_bytes"] == result.shuffle_bytes
 
     def test_mapreduce(self, points, tmp_path):
-        config = RunConfig(eps=EPS, minpts=MINPTS, algorithm="mapreduce",
+        config = RunConfig(eps=EPS, minpts=MINPTS, plan="mapreduce",
                            num_partitions=3, startup_overhead=0.0,
                            tmp_dir=str(tmp_path / "plan"))
         state = plan_labels(config, points)
@@ -87,7 +87,7 @@ class TestFrontendEqualsPlan:
     @pytest.mark.parametrize("impl", ["array", "hashtable"])
     @pytest.mark.parametrize("mode", ["per_point", "batched"])
     def test_sequential(self, points, impl, mode):
-        config = RunConfig(eps=EPS, minpts=MINPTS, algorithm="sequential",
+        config = RunConfig(eps=EPS, minpts=MINPTS, plan="sequential",
                            num_partitions=1, impl=impl, neighbor_mode=mode)
         state = plan_labels(config, points)
         result = dbscan_sequential(points, EPS, MINPTS, impl=impl,
@@ -111,7 +111,7 @@ class TestFrontendEqualsPlan:
                                           MINPTS)
 
     def test_op_counters_identical(self, points):
-        config = RunConfig(eps=EPS, minpts=MINPTS, algorithm="spark",
+        config = RunConfig(eps=EPS, minpts=MINPTS, plan="spark",
                            num_partitions=4)
         reg_plan, reg_front = MetricsRegistry(), MetricsRegistry()
         plan_labels(config, points, metrics_registry=reg_plan)

@@ -2,10 +2,11 @@
 AST and `build_plan` instantiates it, so there is no second copy to
 keep in sync — what is left to pin is that every row builds, that the
 six SEED plans are the head × tail product they claim to be, and that
-configs resolve to the rows they should."""
+the frontends compose the rows they should."""
 
 import pytest
 
+from repro.dbscan import SparkDBSCAN, SpatialSparkDBSCAN
 from repro.pipeline import PipelineRunner, Stage
 from repro.pipeline.config import RunConfig
 from repro.pipeline.plans import (
@@ -14,7 +15,6 @@ from repro.pipeline.plans import (
     SIZE_MANIFEST,
     STAGE_MANIFEST,
     build_plan,
-    plan_name,
 )
 
 HEADS = {
@@ -29,32 +29,16 @@ EDGES_TAIL = ("CollectEdges", "MergeEdges", "ApplyGidMap", "RelabelFilter")
 
 
 def config_for(name: str, **kwargs) -> RunConfig:
-    """A RunConfig that resolves to the named plan.
-
-    The ``cell`` plan is not an algorithm: it is the spark plan re-based
-    via ``partitioning="cells"``; the ``*_edges`` plans are the same
-    compositions with the edge-based merge tail (``merge_mode="edges"``).
-    """
-    if name.endswith("_edges"):
-        name = name[: -len("_edges")]
-        kwargs["merge_mode"] = "edges"
-    if name == "cell":
-        return RunConfig(eps=25.0, minpts=5, algorithm="spark",
-                         partitioning="cells", **kwargs)
-    return RunConfig(eps=25.0, minpts=5, algorithm=name, **kwargs)
+    return RunConfig(eps=25.0, minpts=5, plan=name, **kwargs)
 
 
 def test_every_manifest_row_builds_from_a_resolving_config():
     for name, row in STAGE_MANIFEST.items():
-        config = config_for(name)
-        assert plan_name(config) == name
-        plan = build_plan(config)
+        plan = build_plan(config_for(name))
         assert plan.name == name
         assert tuple(type(s).__name__ for s in plan.stages) == row
         assert all(isinstance(s, Stage) for s in plan.stages)
-        outputs, algo_label = PLAN_OUTPUTS[name]
-        assert plan.outputs == ("labels",) + outputs
-        assert plan.algo_label == algo_label
+        assert plan.outputs == ("labels",) + PLAN_OUTPUTS[name]
         provided = {key for s in plan.stages for key in s.provides}
         assert set(plan.outputs) <= provided, name
 
@@ -68,16 +52,12 @@ def test_manifest_covers_every_plan():
 
 @pytest.mark.parametrize("head", sorted(HEADS))
 def test_product_plans_are_head_plus_tail(head):
-    tail = PARTIALS_TAIL
-    if head == "cell":
-        # Same stage, own class name: BENCHMARK.json times CellCollect.
-        tail = ("CellCollect",) + PARTIALS_TAIL[1:]
-    assert STAGE_MANIFEST[head] == HEADS[head] + tail
+    assert STAGE_MANIFEST[head] == HEADS[head] + PARTIALS_TAIL
     assert STAGE_MANIFEST[f"{head}_edges"] == HEADS[head] + EDGES_TAIL
 
 
 def test_edges_plans_never_output_partials():
-    for name, (outputs, _) in PLAN_OUTPUTS.items():
+    for name, outputs in PLAN_OUTPUTS.items():
         assert ("partials" in outputs) == (name in HEADS)
 
 
@@ -86,7 +66,7 @@ def test_spatial_plans_output_the_permutation_relabel_reads():
     (and ``partials``) as plan outputs is what keeps `SpatialReorder`
     from being skipped when a resume restores everything downstream."""
     for name in ("spatial", "spatial_edges"):
-        assert "perm" in PLAN_OUTPUTS[name][0]
+        assert "perm" in PLAN_OUTPUTS[name]
         plan = build_plan(config_for(name))
         runner = PipelineRunner(plan, config_for(name))
         decisions = runner._plan_decisions(plan.stages[1:], None)
@@ -94,13 +74,18 @@ def test_spatial_plans_output_the_permutation_relabel_reads():
 
 
 def test_plan_name_resolution():
-    assert plan_name(config_for("spark")) == "spark"
-    assert plan_name(config_for("cell")) == "cell"
-    assert plan_name(config_for("spark_edges")) == "spark_edges"
-    assert plan_name(config_for("spatial_edges")) == "spatial_edges"
-    assert plan_name(config_for("cell_edges")) == "cell_edges"
-    # keep_partials is a runtime knob: it never changes the plan.
-    assert plan_name(config_for("spatial", keep_partials=True)) == "spatial"
+    """The frontends keep their selectors and only compose the row name."""
+    for make, kwargs, row in [
+        (SparkDBSCAN, {}, "spark"),
+        (SparkDBSCAN, dict(partitioning="cells"), "cell"),
+        (SparkDBSCAN, dict(merge_mode="edges"), "spark_edges"),
+        (SpatialSparkDBSCAN, dict(merge_mode="edges"), "spatial_edges"),
+        (SparkDBSCAN, dict(partitioning="cells", merge_mode="edges"),
+         "cell_edges"),
+        # keep_partials is a runtime knob: it never changes the plan.
+        (SpatialSparkDBSCAN, dict(keep_partials=True), "spatial"),
+    ]:
+        assert make(25.0, 5, **kwargs).config.plan == row
 
 
 def test_shuffle_free_plans_are_the_paper_pipelines():

@@ -48,13 +48,10 @@ def tied():
 
 
 def make_config(plan, **kw):
-    algorithm, edges, _ = plan.partition("_edges")
-    if edges:
-        kw["merge_mode"] = "edges"
     kw.setdefault("num_partitions", 3)
-    if algorithm == "mapreduce":
+    if plan == "mapreduce":
         kw.setdefault("startup_overhead", 0.0)
-    return RunConfig(eps=EPS, minpts=MINPTS, algorithm=algorithm, **kw)
+    return RunConfig(eps=EPS, minpts=MINPTS, plan=plan, **kw)
 
 
 def run_plan(config, points, **runner_kw):
@@ -93,14 +90,14 @@ class TestNonFiniteInputRejected:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kw", [
-        dict(partitioning="range"),
-        dict(partitioning="cells"),
-        dict(partitioning="cells", merge_mode="edges"),
+        dict(plan="spark"),
+        dict(plan="cell"),
+        dict(plan="cell_edges"),
     ])
     def test_load_points_raises_before_any_stage(self, data, kw, bad):
         points = data.copy()
         points[17, 3] = bad
-        config = make_config("spark", **kw)
+        config = make_config(**kw)
         runner = PipelineRunner(build_plan(config), config)
         with np.errstate(all="raise"), \
                 pytest.raises(ValueError, match="finite") as exc:
@@ -108,7 +105,7 @@ class TestNonFiniteInputRejected:
         assert "\n" not in str(exc.value)
 
     def test_finite_input_still_runs(self, data):
-        state = run_plan(make_config("spark", partitioning="cells"), data)
+        state = run_plan(make_config("cell"), data)
         assert state.labels.shape == (len(data),)
 
 
@@ -203,7 +200,7 @@ class TestCrashResume:
         before super-cell packing (no ``super_side`` / ``num_super_cells``)
         under a manifest that records no format is never loaded, so
         `CellPartition.load` can read both keys unconditionally."""
-        config = make_config("spark", partitioning="cells")
+        config = make_config("cell")
         reference = run_plan(config, data)
         with pytest.raises(PipelineCrash):
             run_plan(config, data, checkpoint_dir=str(tmp_path),
@@ -238,7 +235,7 @@ class TestCrashResume:
             run_plan(config, data, checkpoint_dir=str(tmp_path),
                      fail_after="CollectPartials")
 
-        other = RunConfig(eps=EPS + 1.0, minpts=MINPTS, algorithm="spark",
+        other = RunConfig(eps=EPS + 1.0, minpts=MINPTS, plan="spark",
                           num_partitions=3)
         cold = run_plan(other, data, checkpoint_dir=str(tmp_path), resume=True)
         # Nothing restored: the new eps keys a different run directory.
@@ -300,7 +297,7 @@ class TestEdgeMergeCrashResume:
     @pytest.mark.parametrize("kill_after,skipped", EDGE_CRASH_MATRIX)
     def test_resume_matches_uninterrupted(self, kill_after, skipped, data,
                                           tmp_path):
-        config = make_config("spark", merge_mode="edges")
+        config = make_config("spark_edges")
         reference = run_plan(config, data)
         partials_ref = run_plan(make_config("spark"), data)
         np.testing.assert_array_equal(reference.labels, partials_ref.labels)
@@ -316,7 +313,7 @@ class TestEdgeMergeCrashResume:
         np.testing.assert_array_equal(resumed.labels, reference.labels)
 
     def test_spatial_edges_resume(self, data, tmp_path):
-        config = make_config("spatial", merge_mode="edges")
+        config = make_config("spatial_edges")
         reference = run_plan(config, data)
         with pytest.raises(PipelineCrash):
             run_plan(config, data, checkpoint_dir=str(tmp_path),
@@ -329,8 +326,7 @@ class TestEdgeMergeCrashResume:
         np.testing.assert_array_equal(resumed.perm, reference.perm)
 
     def test_cell_edges_resume(self, data, tmp_path):
-        config = make_config("spark", partitioning="cells",
-                             merge_mode="edges")
+        config = make_config("cell_edges")
         reference = run_plan(config, data)
         with pytest.raises(PipelineCrash):
             run_plan(config, data, checkpoint_dir=str(tmp_path),
@@ -341,7 +337,7 @@ class TestEdgeMergeCrashResume:
         np.testing.assert_array_equal(resumed.labels, reference.labels)
 
     def test_full_restore_never_starts_engine(self, data, tmp_path):
-        config = make_config("spark", merge_mode="edges")
+        config = make_config("spark_edges")
         with pytest.raises(PipelineCrash):
             run_plan(config, data, checkpoint_dir=str(tmp_path),
                      fail_after="ApplyGidMap")

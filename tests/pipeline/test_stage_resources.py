@@ -25,7 +25,7 @@ def test_naive_plan_releases_cached_rdds():
     points = generate_clustered(
         n=120, num_clusters=3, cluster_std=6.0, seed=7
     ).points
-    config = RunConfig(eps=20.0, minpts=4, algorithm="naive", num_partitions=2)
+    config = RunConfig(eps=20.0, minpts=4, plan="naive", num_partitions=2)
     with SparkContext("simulated[2]") as sc:
         state = PipelineRunner(build_plan(config), config).run(points, sc=sc)
         assert state.labels is not None
@@ -42,7 +42,7 @@ def test_naive_stage_releases_caches_even_when_a_round_fails():
     points = generate_clustered(
         n=60, num_clusters=2, cluster_std=5.0, seed=3
     ).points
-    config = RunConfig(eps=20.0, minpts=4, algorithm="naive", num_partitions=2)
+    config = RunConfig(eps=20.0, minpts=4, plan="naive", num_partitions=2)
     with SparkContext("simulated[2]") as sc:
         state = PipelineState(config=config, tracer=Tracer())
         state.points = points
@@ -115,7 +115,7 @@ def test_naive_plan_releases_its_tree_broadcast():
     points = generate_clustered(
         n=120, num_clusters=3, cluster_std=6.0, seed=7
     ).points
-    config = RunConfig(eps=20.0, minpts=4, algorithm="naive", num_partitions=2)
+    config = RunConfig(eps=20.0, minpts=4, plan="naive", num_partitions=2)
     with SparkContext("simulated[2]") as sc:
         before = set(broadcast._local_cache)
         PipelineRunner(build_plan(config), config).run(points, sc=sc)
@@ -134,7 +134,7 @@ def test_naive_fit_on_a_lent_context_releases_every_broadcast(master, fail_round
     points = generate_clustered(
         n=120, num_clusters=3, cluster_std=6.0, seed=7
     ).points
-    config = RunConfig(eps=20.0, minpts=4, algorithm="naive", num_partitions=2)
+    config = RunConfig(eps=20.0, minpts=4, plan="naive", num_partitions=2)
     with SparkContext(master) as sc:
         clean = _live_broadcasts(sc)
         assert clean[1:] == ([], [])

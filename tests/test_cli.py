@@ -36,19 +36,19 @@ class TestCluster:
 
     @pytest.mark.parametrize("algo", ["spark", "sequential", "spatial"])
     def test_cluster_algorithms(self, points_file, capsys, algo):
-        assert main(["cluster", points_file, "--algorithm", algo,
+        assert main(["cluster", points_file, "--plan", algo,
                      "--partitions", "2"]) == 0
         out = capsys.readouterr().out
         assert f"plan={algo}" in out
         assert "3 clusters" in out
 
     def test_cluster_mapreduce(self, points_file, capsys):
-        assert main(["cluster", points_file, "--algorithm", "mapreduce",
+        assert main(["cluster", points_file, "--plan", "mapreduce",
                      "--partitions", "2"]) == 0
         assert "clusters" in capsys.readouterr().out
 
     def test_cluster_naive(self, points_file, capsys):
-        assert main(["cluster", points_file, "--algorithm", "naive",
+        assert main(["cluster", points_file, "--plan", "naive",
                      "--partitions", "2"]) == 0
         assert "clusters" in capsys.readouterr().out
 
@@ -64,9 +64,20 @@ class TestCluster:
         assert main(["cluster", "c10k", "--partitions", "2"]) == 0
         assert "clusters" in capsys.readouterr().out
 
-    def test_bad_algorithm_rejected(self, points_file):
+    def test_bad_algorithm_rejected(self, points_file, capsys):
         with pytest.raises(SystemExit):
-            main(["cluster", points_file, "--algorithm", "quantum"])
+            main(["cluster", points_file, "--plan", "quantum"])
+        # One --plan replaces the three selectors.
+        for flag, value in (("--algorithm", "spark"), ("--partitioning", "cells"),
+                            ("--merge-mode", "edges")):
+            with pytest.raises(SystemExit):
+                main(["cluster", points_file, flag, value])
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--plan" in help_text
+        for flag in ("--algorithm", "--partitioning", "--merge-mode"):
+            assert flag not in help_text
 
 
 class TestTelemetryFlags:
@@ -250,19 +261,18 @@ class TestRun:
         assert err.startswith("error:") and "eps" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("partitioning", ["range", "cells"])
-    def test_non_finite_points_one_line_error(self, tmp_path, capsys,
-                                              partitioning):
+    @pytest.mark.parametrize("plan", [pytest.param("spark", id="range"),
+                                      pytest.param("cell", id="cells")])
+    def test_non_finite_points_one_line_error(self, tmp_path, capsys, plan):
         path = tmp_path / "bad.txt"
         path.write_text("0.0 1.0\n2.0 nan\n3.0 inf\n")
-        assert main(["run", str(path), "--eps", "1.0",
-                     "--partitioning", partitioning]) == 1
+        assert main(["run", str(path), "--eps", "1.0", "--plan", plan]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_sanitize_rejected_for_sequential(self, points_file, capsys):
-        assert main(["run", points_file, "--algorithm", "sequential",
+        assert main(["run", points_file, "--plan", "sequential",
                      "--sanitize"]) == 1
         assert "sanitize" in capsys.readouterr().err
 
@@ -276,7 +286,7 @@ class TestRun:
     def test_profile_rejected_for_naive(self, points_file, capsys):
         # There is no --profile: CPU and RSS are always on TaskMetrics.
         with pytest.raises(SystemExit) as exc_info:
-            main(["run", points_file, "--algorithm", "naive", "--profile"])
+            main(["run", points_file, "--plan", "naive", "--profile"])
         assert exc_info.value.code == 2
         assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
@@ -355,7 +365,7 @@ class TestProfileFlags:
     def test_profile_rejected_for_sequential(self, points_file, capsys):
         # The profile flags are gone: argparse refuses them outright.
         with pytest.raises(SystemExit) as exc_info:
-            main(["cluster", points_file, "--algorithm", "sequential",
+            main(["cluster", points_file, "--plan", "sequential",
                   "--profile-alloc"])
         assert exc_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
