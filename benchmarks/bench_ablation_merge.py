@@ -32,7 +32,7 @@ from repro.dbscan import (
     digest_payload_nbytes,
     merge_edges,
     merge_paper,
-    merge_union_find,
+    merge_partials,
     partials_payload_nbytes,
 )
 from repro.kdtree import KDTree
@@ -59,7 +59,7 @@ def test_ablation_merge_chains(benchmark):
     rows, payload = [], []
     for length in (2, 3, 5, 10, 50):
         partials, n = _synthetic_chain(length)
-        uf = merge_union_find([_copy(c) for c in partials], n)
+        uf = merge_partials([_copy(c) for c in partials], n)
         pp = merge_paper([_copy(c) for c in partials], n)
         rows.append([length, uf.num_global_clusters, pp.num_global_clusters])
         payload.append({
@@ -94,7 +94,7 @@ def test_ablation_merge_on_real_data(benchmark):
     assert partials is not None
 
     t0 = time.perf_counter()
-    uf = merge_union_find([_copy(c) for c in partials], g.n)
+    uf = merge_partials([_copy(c) for c in partials], g.n)
     t_uf = time.perf_counter() - t0
     t0 = time.perf_counter()
     pp = merge_paper([_copy(c) for c in partials], g.n)
@@ -113,7 +113,7 @@ def test_ablation_merge_on_real_data(benchmark):
     assert uf.num_global_clusters == pp.num_global_clusters
 
     benchmark.pedantic(
-        lambda: merge_union_find([_copy(c) for c in partials], g.n),
+        lambda: merge_partials([_copy(c) for c in partials], g.n),
         rounds=3, iterations=1,
     )
 
@@ -123,7 +123,7 @@ def test_ablation_merge_payload_sweep(benchmark):
 
     One spatially-partitioned clustering per dataset produces the
     partial clusters; both wire formats then feed the one union-find
-    core from the same record: `merge_union_find` joins against every
+    core from the same record: `merge_partials` joins against every
     member (O(points)) and applies the labels, `merge_edges` against the
     projection's boundary members (O(boundary)) and `apply_gid_map`
     follows — so the time difference is the owner table's size, not a
@@ -144,7 +144,7 @@ def test_ablation_merge_payload_sweep(benchmark):
             [ClusterTable.from_partials(res.partials)])
 
         t0 = time.perf_counter()
-        ref = merge_union_find(partials, g.n)
+        ref = merge_partials(partials, g.n)
         t_partials = time.perf_counter() - t0
         bytes_partials = partials_payload_nbytes(partials)
 

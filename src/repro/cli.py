@@ -181,7 +181,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     tree = KDTree(points)
 
     def run(p: int):
-        """Execute the given tasks, yielding outcomes as they complete."""
+        """Fit on ``p`` partitions over the shared tree; returns the
+        executor makespan, the driver time and the partial count."""
         res = SparkDBSCAN(args.eps, args.minpts, num_partitions=p,
                           neighbor_mode=args.neighbor_mode).fit(
             points, tree=tree

@@ -11,7 +11,6 @@ from .merge import (
     merge_edges,
     merge_paper,
     merge_partials,
-    merge_union_find,
     union_find_merge,
 )
 from .cells import (
@@ -72,7 +71,6 @@ __all__ = [
     "MergeOutcome",
     "EdgeMergePlan",
     "merge_partials",
-    "merge_union_find",
     "union_find_merge",
     "merge_paper",
     "merge_edges",

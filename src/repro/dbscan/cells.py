@@ -52,7 +52,7 @@ import numpy as np
 
 from ..kdtree import KDTree
 from ..obs.collect import task_span
-from .partial import ClusterTable, Frame, OpCounters, expand_frame
+from .partial import ClusterTable, Frame, expand_frame
 
 #: Relative slack on the eps comparison used by the halo filter only.
 #: ``floor(x / eps)`` and ``cell * eps`` round differently, so a point at
@@ -369,7 +369,6 @@ def cell_local_dbscan(
     seed_policy: str = "all",
     max_neighbors: int | None = None,
     neighbor_mode: str = "batched",
-    counters: OpCounters | None = None,
     boundary_out: set[int] | None = None,
     stats: dict[str, int] | None = None,
     orphans_out: list[np.ndarray] | None = None,
@@ -397,8 +396,7 @@ def cell_local_dbscan(
     return expand_frame(
         cell_frame(payload, leaf_size), eps, minpts, seed_policy=seed_policy,
         max_neighbors=max_neighbors, neighbor_mode=neighbor_mode,
-        counters=counters, boundary_out=boundary_out, stats=stats,
-        orphans_out=orphans_out,
+        boundary_out=boundary_out, stats=stats, orphans_out=orphans_out,
     )
 
 

@@ -22,7 +22,6 @@ the thin frontend shim.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +75,7 @@ class MapReduceDBSCAN:
             seed_policy=seed_policy,
             startup_overhead=startup_overhead,
             leaf_size=leaf_size,
-            tmp_dir=tmp_dir or tempfile.mkdtemp(prefix="mrdbscan-"),
+            tmp_dir=tmp_dir,
         )
         self.tracer = tracer or NULL_TRACER
         self.checkpoint_dir = checkpoint_dir

@@ -10,7 +10,7 @@ merge).
   One implementation, `union_find_merge`, joins a `ClusterTable`'s
   seeds against its member rows — the *owner table* (point, owning
   cluster, core there?) — a block at a time and hooks only the pairs
-  of clusters not already in one component; `merge_union_find` and
+  of clusters not already in one component; `merge_partials` and
   `merge_edges` differ only in the table they pass — full records
   (every member) or projections (boundary members) — and so in the
   probe: a per-point code array, or the point-sorted table.
@@ -74,7 +74,7 @@ class EdgeMergePlan:
     ``claims`` resolves the only other points that get a label:
     cross-partition border seeds owned by nobody — a dict of O(boundary)
     size, not O(points).  ``groups`` indexes the clusters as passed to
-    `union_find_merge`: the table's rows for `merge_union_find`, the
+    `union_find_merge`: the table's rows for `merge_partials`, the
     projections' canonical (founder-sorted) order for `merge_edges`.
     """
 
@@ -312,19 +312,6 @@ def union_find_merge(
     )
 
 
-def merge_union_find(
-    partials: ClusterTable | list[PartialCluster], n: int,
-    stats: dict[str, int] | None = None,
-) -> MergeOutcome:
-    """`union_find_merge` over collected partials — a `ClusterTable` or
-    a hand-built `PartialCluster` list — labels applied here.  The owner
-    table is every member: O(points), which is why only
-    ``merge_mode="partials"`` collects full records, and why its probe
-    may be one code per point.  Gids follow the clusters as passed; the
-    pipeline founder-sorts them."""
-    return merge_partials(partials, n, stats=stats)
-
-
 def merge_edges(
     digests: ClusterTable | list[ClusterTable],
     min_cluster_size: int = 0,
@@ -336,7 +323,7 @@ def merge_edges(
     partials), no point lists.  The owner table is the boundary members.
     By eps-symmetry a member another partition reaches as a SEED is on
     the boundary, and so is each core that claims an orphan, so the plan
-    labels byte-identically to `merge_union_find`'s."""
+    labels byte-identically to `merge_partials`'s."""
     if isinstance(digests, ClusterTable):
         digests = [digests]
     return union_find_merge(digests, min_cluster_size, stats)
@@ -492,7 +479,11 @@ def merge_partials(
     stats: dict[str, int] | None = None,
 ) -> MergeOutcome:
     """Merge partial clusters — a `ClusterTable` or a hand-built
-    `PartialCluster` list — into global labels.
+    `PartialCluster` list — into global labels.  Under ``"union_find"``
+    the owner table is every member: O(points), which is why only
+    ``merge_mode="partials"`` collects full records, and why its probe
+    may be one code per point.  Gids follow the clusters as passed; the
+    pipeline founder-sorts them.
 
     ``min_cluster_size`` filters tiny *partial* clusters before merging —
     the paper's r1m trick ("we filter out those partial clusters whose

@@ -55,6 +55,11 @@ NEIGHBOR_MODES = ("per_point", "batched")
 NO_ORPHANS = np.empty((0, 2), dtype=np.int64)
 NO_ORPHANS.flags.writeable = False
 
+#: An empty ``ops`` column (rows of task id, then the `OpCounters`
+#: fields in declaration order), shared and therefore read-only.
+NO_OPS = np.empty((0, 8), dtype=np.int64)
+NO_OPS.flags.writeable = False
+
 
 @dataclass
 class OpCounters:
@@ -76,12 +81,6 @@ class OpCounters:
     hashtable_lookups: int = 0   # containsKey (Lines 5, 7, 17)
     seeds_placed: int = 0
     seeds_skipped: int = 0       # (cluster, seed) pairs the one-per-partition cap drops
-
-    def merge(self, other: "OpCounters") -> "OpCounters":
-        """Merge another instance into this one; returns self."""
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-        return self
 
 
 @dataclass
@@ -190,7 +189,6 @@ def local_dbscan(
     partitioner: IndexRangePartitioner,
     seed_policy: str = "all",
     max_neighbors: int | None = None,
-    counters: OpCounters | None = None,
     neighbor_mode: str = "per_point",
     boundary_out: set[int] | None = None,
     stats: dict[str, int] | None = None,
@@ -204,9 +202,9 @@ def local_dbscan(
     noise is implicit (points of this partition that are members of no
     partial cluster anywhere).
 
-    Pass an `OpCounters` to collect the Section III-B operation counts
-    (range queries, queue adds/removes, hashtable puts/lookups), and a
-    ``stats`` dict to receive the kernel's propagation ``rounds``.
+    The table carries the task's Section III-B operation counts
+    (`ClusterTable.op_counters`); pass a ``stats`` dict to receive the
+    kernel's propagation ``rounds``.
 
     ``neighbor_mode`` is validated and otherwise ignored: both accepted
     values run the same code — every owned point's eps-neighbourhood
@@ -237,8 +235,8 @@ def local_dbscan(
     return expand_frame(
         range_frame(partition_id, points, tree, partitioner), eps, minpts,
         seed_policy=seed_policy, max_neighbors=max_neighbors,
-        neighbor_mode=neighbor_mode, counters=counters,
-        boundary_out=boundary_out, stats=stats, orphans_out=orphans_out,
+        neighbor_mode=neighbor_mode, boundary_out=boundary_out, stats=stats,
+        orphans_out=orphans_out,
     )
 
 
@@ -269,7 +267,6 @@ def expand_frame(
     seed_policy: str,
     max_neighbors: int | None,
     neighbor_mode: str,
-    counters: OpCounters | None,
     boundary_out: set[int] | None,
     stats: dict[str, int] | None = None,
     orphans_out: list[np.ndarray] | None = None,
@@ -284,7 +281,9 @@ def expand_frame(
     lowest-founder cluster in its row; a cluster's seeds are the distinct
     foreign ids on its core rows (``"one_per_partition"``: the lowest per
     home).  The `ClusterTable` lists each partial's founder, then its
-    other members in ascending id.  ``stats`` receives the propagation
+    other members in ascending id, and its ``ops`` row holds the
+    Section III-B counts the paper's BFS would have made, in closed form
+    (DESIGN.md §6, "Counting").  ``stats`` receives the propagation
     ``rounds``.
 
     With ``orphans_out`` a partial keeps only the seeds whose home
@@ -315,7 +314,8 @@ def expand_frame(
     if n_own == 0:
         none = np.empty(0, dtype=np.int64)
         return _table(frame, none, none, none == 0, none, none, none,
-                      None if boundary_out is None else none == 0, NO_ORPHANS)
+                      None if boundary_out is None else none == 0, NO_ORPHANS,
+                      OpCounters())
     query_stats: dict[str, int] = {}
     with task_span("task.kdtree_query", n=n_own) as qsp:
         degree, seg_q, seg_n, hits = tree.query_radius_segments(
@@ -374,15 +374,14 @@ def expand_frame(
                 + homes)
         first = np.sort(np.unique(pair, return_index=True)[1])
         seed_founder, seeds = seed_founder[first], seeds[first]
-    if counters is not None:
-        # The Section III-B counts of the paper's BFS, in closed form.
-        core_hits = int(degree[core].sum())
-        counters.merge(OpCounters(
-            range_queries=n_own, queue_adds=core_hits, queue_removes=core_hits,
-            hashtable_puts=n_own + len(members),
-            hashtable_lookups=n_own + 2 * (core_hits - foreign_hits),
-            seeds_placed=len(seeds), seeds_skipped=reachable - len(seeds),
-        ))
+    # The Section III-B counts of the paper's BFS, in closed form.
+    core_hits = int(degree[core].sum())
+    ops = OpCounters(
+        range_queries=n_own, queue_adds=core_hits, queue_removes=core_hits,
+        hashtable_puts=n_own + len(members),
+        hashtable_lookups=n_own + 2 * (core_hits - foreign_hits),
+        seeds_placed=len(seeds), seeds_skipped=reachable - len(seeds),
+    )
     founders = group[starts]
     down = np.zeros(len(starts), dtype=np.int64)
     orphans = NO_ORPHANS
@@ -398,7 +397,7 @@ def expand_frame(
         orphans_out.append(orphans)
     return _table(frame, members, starts, ~core[members], seeds,
                   np.searchsorted(seed_founder, founders), down,
-                  None if foreign is None else foreign[members], orphans)
+                  None if foreign is None else foreign[members], orphans, ops)
 
 
 def _orphan_rows(frame: Frame, owner: np.ndarray, degree: np.ndarray,
@@ -470,9 +469,10 @@ def _founders(seg_q: np.ndarray, seg_start: np.ndarray, seg_n: np.ndarray,
 def _table(frame: Frame, members: np.ndarray, starts: np.ndarray,
            border: np.ndarray, seeds: np.ndarray, seed_starts: np.ndarray,
            down: np.ndarray, boundary: np.ndarray | None,
-           orphans: np.ndarray) -> "ClusterTable":
+           orphans: np.ndarray, ops: OpCounters) -> "ClusterTable":
     """The task's record: its member and seed arrays as CSR columns,
-    both mapped to global ids in one `to_global` call."""
+    both mapped to global ids in one `to_global` call, and its one
+    ``ops`` row."""
     ids = frame.to_global(np.concatenate([members, seeds])).astype(
         np.int64, copy=False)
     m = len(starts)
@@ -491,6 +491,7 @@ def _table(frame: Frame, members: np.ndarray, starts: np.ndarray,
         member_ptr=member_ptr, members=member_ids, border=border,
         seed_ptr=np.append(seed_starts, len(seeds)).astype(np.int64),
         seeds=ids[len(members):], orphans=orphans, boundary=boundary,
+        ops=np.array([[frame.partition, *vars(ops).values()]], dtype=np.int64),
     )
 
 
@@ -548,7 +549,9 @@ class ClusterTable:
     tracked it (``boundary_out``), a ``boundary`` flag: the member has a
     foreign neighbour.  Seeds are CSR the same way, ascending per
     cluster.  ``orphans`` is the orphan table, ``task`` the partition
-    whose task built the table (-1 when it spans tasks).
+    whose task built the table (-1 when it spans tasks), and ``ops`` one
+    row per task: its id, then its `OpCounters` fields in declaration
+    order (`op_counters`).
 
     `project` keeps only the boundary members — the edges mode's wire
     format.  Indexing or iterating builds `PartialCluster` views; nothing
@@ -571,6 +574,7 @@ class ClusterTable:
     seeds: np.ndarray
     orphans: np.ndarray = field(default_factory=lambda: NO_ORPHANS)
     boundary: np.ndarray | None = None
+    ops: np.ndarray = field(default_factory=lambda: NO_OPS)
 
     def __len__(self) -> int:
         return len(self.founder)
@@ -595,6 +599,11 @@ class ClusterTable:
         """`PartialCluster.size` per cluster: members, shipped seeds and
         unshipped ones."""
         return self.member_count + np.diff(self.seed_ptr) + self.down_seeds
+
+    def op_counters(self) -> list[tuple[int, OpCounters]]:
+        """The ``ops`` column as ``(task, OpCounters)`` pairs, row order."""
+        return [(task, OpCounters(*counts))
+                for task, *counts in self.ops.tolist()]
 
     @classmethod
     def from_partials(cls, partials: Iterable[PartialCluster]) -> "ClusterTable":
@@ -628,7 +637,8 @@ class ClusterTable:
     @classmethod
     def concat(cls, tables: Iterable["ClusterTable"]) -> "ClusterTable":
         """The tables' clusters, founder-sorted — the canonical order gid
-        numbering follows — and their orphan tables in the order given."""
+        numbering follows — and their orphan and ``ops`` rows in the
+        order given."""
         tables = list(tables) or [cls.from_partials([])]
         first = tables[0]
         if len(tables) == 1 and (np.diff(first.founder) > 0).all():
@@ -636,7 +646,7 @@ class ClusterTable:
         stacked = cls(
             task=first.task if len(tables) == 1 else -1,
             **{f: stack(tables, f) for f in CLUSTER_COLUMNS + MEMBER_COLUMNS
-               + ("seeds", "orphans")},
+               + ("seeds", "orphans", "ops")},
             member_ptr=_ptr(np.concatenate(
                 [np.diff(t.member_ptr) for t in tables])),
             seed_ptr=_ptr(np.concatenate([np.diff(t.seed_ptr) for t in tables])),
@@ -646,7 +656,8 @@ class ClusterTable:
         return stacked.take(np.argsort(stacked.founder, kind="stable"))
 
     def take(self, rows: np.ndarray) -> "ClusterTable":
-        """The clusters ``rows``, in that order (the orphans stay)."""
+        """The clusters ``rows``, in that order (the orphan and ``ops``
+        rows stay)."""
         member_ptr, at = _csr_take(self.member_ptr, rows)
         seed_ptr, seed_at = _csr_take(self.seed_ptr, rows)
         return replace(
@@ -660,7 +671,8 @@ class ClusterTable:
     def project(self) -> "ClusterTable":
         """The edges mode's record: only the boundary members — by
         eps-symmetry every member another partition can reach as a seed —
-        with every count, seed and orphan row kept (DESIGN.md §11)."""
+        with every count, seed, orphan and ``ops`` row kept (DESIGN.md
+        §11)."""
         keep = self.boundary
         if keep is None:
             raise ValueError("project() needs the boundary flags "
@@ -674,29 +686,31 @@ class ClusterTable:
 
     @staticmethod
     def to_arrays(tables: list["ClusterTable"]) -> dict[str, np.ndarray]:
-        """Tables as flat npz columns: each field concatenated, with its
-        per-table lengths under ``<field>_len``; inverse `from_arrays`."""
+        """Tables as flat npz columns, each field a `pack_ragged` pair;
+        inverse `from_arrays`."""
+        from ..pipeline.checkpoint import pack_ragged
+
         arrays = {"task": np.array([t.task for t in tables], dtype=np.int64)}
         for f in TABLE_ARRAYS:
             parts = [getattr(t, f) for t in tables]
-            if any(p is None for p in parts):
-                continue
-            arrays[f] = np.concatenate(parts)
-            arrays[f + "_len"] = np.array(list(map(len, parts)), np.int64)
+            if all(p is not None for p in parts):
+                arrays.update(pack_ragged(f, parts))
         return arrays
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> list["ClusterTable"]:
         """Inverse of `to_arrays`."""
-        split = {f: np.split(arrays[f], np.cumsum(arrays[f + "_len"])[:-1])
-                 for f in TABLE_ARRAYS if f in arrays}
+        from ..pipeline.checkpoint import unpack_ragged
+
+        split = {f: unpack_ragged(arrays, f) for f in TABLE_ARRAYS
+                 if f in arrays}
         return [cls(task=int(task), **{f: parts[i] for f, parts in split.items()})
                 for i, task in enumerate(arrays["task"].tolist())]
 
 
 #: The array fields of a `ClusterTable`, as `to_arrays` stores them.
 TABLE_ARRAYS = (CLUSTER_COLUMNS + ("member_ptr",) + MEMBER_COLUMNS
-                + ("boundary", "seed_ptr", "seeds", "orphans"))
+                + ("boundary", "seed_ptr", "seeds", "orphans", "ops"))
 
 
 def as_table(partials: ClusterTable | Iterable[PartialCluster]) -> ClusterTable:

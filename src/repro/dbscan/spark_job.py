@@ -110,8 +110,9 @@ class SparkDBSCAN:
         `repro.obs.MetricsRegistry` receiving every task attempt's
         `TaskMetrics` (attempts, run and CPU seconds, peak worker RSS,
         shuffle bytes) and the executors' `OpCounters` (closed forms of
-        the expansion's arrays, shipped through a second accumulator only
-        when a registry is present).  Labels are identical either way.
+        the expansion's arrays, shipped in each task's `ClusterTable`
+        whether or not a registry is present).  Labels are identical
+        either way.
     checkpoint_dir, resume, fail_after:
         Per-stage checkpointing (DESIGN.md §9): with ``checkpoint_dir``
         set, checkpointable stages persist their outputs keyed by the

@@ -32,9 +32,26 @@ from typing import Any
 import numpy as np
 
 #: The artifacts' format.  Bump it whenever a stage's documents change
-#: shape without the run key changing: 1 is the collect stages'
-#: `ClusterTable` npz columns.
-FORMAT = 1
+#: shape without the run key changing: 1 was the collect stages'
+#: `ClusterTable` npz columns under a JSON header; 2 is those columns
+#: with the tasks' op counts and no header, every ragged column a
+#: `pack_ragged` pair.
+FORMAT = 2
+
+
+def pack_ragged(name: str, parts: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """``parts`` back to back under ``name`` and their lengths under
+    ``<name>_len``: one npz column pair; inverse `unpack_ragged`."""
+    return {
+        name: np.concatenate(parts) if parts else np.empty(0, np.int64),
+        f"{name}_len": np.array(list(map(len, parts)), dtype=np.int64),
+    }
+
+
+def unpack_ragged(arrays: dict[str, np.ndarray], name: str) -> list[np.ndarray]:
+    """The parts `pack_ragged` stored under ``name``, in order."""
+    ends = np.cumsum(arrays[f"{name}_len"])
+    return np.split(arrays[name], ends[:-1]) if len(ends) else []
 
 
 class CheckpointError(Exception):

@@ -8,7 +8,8 @@ cross-cutting concerns the frontends used to re-thread individually:
   checkpoint hit/miss counters in the metrics registry;
 - **engine lifecycle** — a lent `SparkContext` is reused (and its tracer
   adopted), an owned one is stopped in ``finally``, and either way the
-  fit's tree broadcast is released there;
+  fit's tree broadcast is released there; so is a scratch directory
+  the run created (`PipelineState.ensure_tmp_dir`);
 - **checkpoint/resume** — checkpointable stages persist their outputs
   under ``checkpoint_dir`` keyed by `RunConfig.content_hash`; with
   ``resume=True`` a completed stage is restored from disk and every
@@ -23,6 +24,7 @@ a valid checkpoint satisfies its keys from disk instead.
 
 from __future__ import annotations
 
+import shutil
 import time
 
 import numpy as np
@@ -113,6 +115,8 @@ class PipelineRunner:
                 state.tree_b.unpersist()
             if state.own_sc and state.sc is not None:
                 state.sc.stop()
+            if state.own_tmp_dir:
+                shutil.rmtree(state.tmp_dir, ignore_errors=True)
         state.timings.wall = time.perf_counter() - wall_start
         return state
 

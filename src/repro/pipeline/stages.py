@@ -13,9 +13,8 @@ OpCounters to the monolithic ``fit`` methods the stages replaced.  What
 several stages do alike is one body each: the tree build
 (`build_index`), the executor job (`ship_expansions`), the collect
 stages' drain and checkpoint codec (`CollectStage`: one `ClusterTable`
-per task, npz columns plus a JSON header), the counters, label and
-outcome codecs (`counters_doc` / `restore_counters`, `LabelStage`,
-`OutcomeStage`).
+per task, op counts included, as npz columns), the label and outcome
+codecs (`LabelStage`, `OutcomeStage`).
 The span names emitted here (``driver.kdtree_build``, ``driver.setup``,
 ``driver.accumulator_drain``, ``driver.merge``, ``driver.relabel``,
 ``executor.partition_expand``) are the same vocabulary
@@ -45,7 +44,6 @@ from ..dbscan.merge import (
 )
 from ..dbscan.partial import (
     ClusterTable,
-    OpCounters,
     digest_payload_nbytes,
     local_dbscan,
     partials_payload_nbytes,
@@ -210,7 +208,7 @@ class PartitionPlan(Stage):
 # ---------------------------------------------------------------------------
 
 class BroadcastModel(Stage):
-    """Broadcast the tree, parallelize indices, create accumulators.
+    """Broadcast the tree, parallelize indices, create the accumulator.
 
     The only stage that *creates* engine objects; plans whose downstream
     stages are all restored from checkpoints skip it, and the resumed run
@@ -229,18 +227,8 @@ class BroadcastModel(Stage):
             state.indices = sc.parallelize(
                 range(state.n), state.config.num_partitions
             )
-            open_accumulators(state, sc)
+            state.acc = sc.accumulator(LIST_CONCAT)
             state.timings.setup += time.perf_counter() - t0
-
-
-def open_accumulators(state: PipelineState, sc) -> None:
-    """The partials/digests accumulator, plus one for `OpCounters` when
-    a metrics registry is there to receive them."""
-    state.acc = sc.accumulator(LIST_CONCAT)
-    state.counters_acc = (
-        sc.accumulator(LIST_CONCAT)
-        if state.metrics_registry is not None else None
-    )
 
 
 class LocalExpand(Stage):
@@ -262,7 +250,6 @@ class LocalExpand(Stage):
         seed_policy, max_neighbors = cfg.seed_policy, cfg.max_neighbors
         neighbor_mode = cfg.neighbor_mode
         tree_b = state.tree_b
-        collect_counters = state.counters_acc is not None
         track_boundary = cfg.merge_mode == "edges"
         witness_once = cfg.witness_once
 
@@ -272,7 +259,6 @@ class LocalExpand(Stage):
             with task_span("task.broadcast_fetch", partition=pid) as bsp:
                 t = tree_b.value
                 bsp.annotate(n=len(t.points))
-            counters = OpCounters() if collect_counters else None
             stats: dict[str, int] = {}
             # `mode` stays for the trace schema and selects nothing; the
             # nested task.kdtree_query span carries the kernel's tiles,
@@ -283,13 +269,13 @@ class LocalExpand(Stage):
                 table = local_dbscan(
                     pid, it, t.points, t, eps, minpts, partitioner,
                     seed_policy=seed_policy, max_neighbors=max_neighbors,
-                    neighbor_mode=neighbor_mode, counters=counters,
+                    neighbor_mode=neighbor_mode,
                     boundary_out=set() if track_boundary else None,
                     stats=stats, orphans_out=[] if witness_once else None,
                 )
                 esp.annotate(partials=len(table),
                              rounds=stats.get("rounds", 0))
-            yield table, counters
+            yield table
 
         ship_expansions(state, state.indices.map_partitions_with_index(expand))
 
@@ -297,28 +283,25 @@ class LocalExpand(Stage):
 def ship_expansions(state: PipelineState, expansions) -> None:
     """The executor job shared by the range and cell plans.
 
-    ``expansions`` is the stage's lazy RDD of one ``(ClusterTable,
-    OpCounters | None)`` pair per partition.  With
-    ``merge_mode="partials"`` each task's table ships to the driver
-    through the accumulator as the task finishes (Algorithm 2 lines
-    26-28); with ``"edges"`` only its projection does, and the tables
-    stay cached in the lineage for `ApplyGidMap` — which reuses them, or
-    deterministically recomputes them on a cache miss under the
-    processes backend.
+    ``expansions`` is the stage's lazy RDD of one `ClusterTable` per
+    partition.  With ``merge_mode="partials"`` each task's table ships
+    to the driver through the accumulator as the task finishes
+    (Algorithm 2 lines 26-28); with ``"edges"`` only its projection
+    does, and the tables stay cached in the lineage for `ApplyGidMap` —
+    which reuses them, or deterministically recomputes them on a cache
+    miss under the processes backend.  Either way the table's op counts
+    ride along, and only from this action, so a cache miss in
+    `ApplyGidMap`'s job cannot double-count.
     """
-    acc, counters_acc = state.acc, state.counters_acc
+    acc = state.acc
     edges = state.config.merge_mode == "edges"
     if edges:
         expansions = expansions.persist()
         state.extras["expanded_rdd"] = expansions
 
-    def ship(pid: int, it) -> None:
-        # Counters ship only from this action, so a cache miss in
-        # ApplyGidMap's job cannot double-count.
-        for table, counters in it:
+    def ship(_pid: int, it) -> None:
+        for table in it:
             acc.add([table.project() if edges else table])
-            if counters_acc is not None:
-                counters_acc.add([(pid, counters)])
 
     expansions.foreach_partition_with_index(ship)
 
@@ -329,7 +312,7 @@ def ship_expansions(state: PipelineState, expansions) -> None:
 
 
 def drain_accumulator(state: PipelineState, stage: "CollectStage") -> None:
-    """The collect stages' body: accumulator (and OpCounters) to driver.
+    """The collect stages' body: accumulator to driver.
 
     Hands ``stage.install`` the tasks' tables in partition order — the
     accumulator's own order follows task *completion* under the
@@ -339,7 +322,8 @@ def drain_accumulator(state: PipelineState, stage: "CollectStage") -> None:
     tables' cluster and seed counts
     go on the per-partition expansion spans grafted onto the driver
     trace (with one partition per core, the paper's setup, their max is
-    the executor wall).
+    the executor wall), and their op counts into the registry
+    (``stage.record_ops``).
     """
     tracer, registry = state.tracer, state.metrics_registry
     num_partitions = state.config.num_partitions
@@ -367,59 +351,36 @@ def drain_accumulator(state: PipelineState, stage: "CollectStage") -> None:
                 tid=f"executor-{pid}", partition=pid,
                 partials=partials_per[pid], seeds=seeds_per[pid],
             )
-    install_counters(
-        state,
-        list(state.counters_acc.value)
-        if state.counters_acc is not None else None,
-    )
-
-
-def install_counters(state: PipelineState, counters: list | None) -> None:
-    """``state.counters`` — drained or restored — and, given a registry,
-    the `OpCounters` metrics derived from them."""
-    state.counters = counters
-    if counters is None or state.metrics_registry is None:
-        return
-    from ..obs.registry import record_op_counters
-
-    for pid, oc in counters:
-        record_op_counters(state.metrics_registry, oc, partition=pid)
-
-
-def counters_doc(state: PipelineState) -> list | None:
-    """``state.counters`` as the collect checkpoints store them."""
-    if state.counters is None:
-        return None
-    return [[pid, vars(oc)] for pid, oc in state.counters]
-
-
-def restore_counters(state: PipelineState, doc: list | None) -> None:
-    """Inverse of `counters_doc`."""
-    install_counters(
-        state,
-        None if doc is None else [(pid, OpCounters(**c)) for pid, c in doc],
-    )
+    stage.record_ops(state)
 
 
 class CollectStage(Stage):
-    """Drain the accumulator — one `ClusterTable` per task — and the
-    OpCounters to the driver; save and restore what was collected
-    through one codec: the tables' npz columns
-    (`ClusterTable.to_arrays`) and a JSON header with ``n`` and the
-    counters.  Subclasses say what the tables become (`install`), which
-    tables that is (`collected`) and their canonical pickled size
-    (`payload_nbytes`)."""
+    """Drain the accumulator — one `ClusterTable` per task, its op
+    counts included — to the driver; save and restore what was
+    collected as the tables' npz columns (`ClusterTable.to_arrays`).
+    Subclasses say what the tables become (`install`), which tables
+    that is (`collected`) and their canonical pickled size
+    (`payload_nbytes`).  Drained or restored, the tables' op counts
+    then feed the metrics registry, if any."""
 
     checkpointable = True
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
         store.save_npz(self.name, **ClusterTable.to_arrays(self.collected(state)))
-        store.save_json(self.name, {"n": state.n,
-                                    "counters": counters_doc(state)})
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
         self.install(state, ClusterTable.from_arrays(store.load_npz(self.name)))
-        restore_counters(state, store.load_json(self.name)["counters"])
+        self.record_ops(state)
+
+    def record_ops(self, state: PipelineState) -> None:
+        """Every collected task's `OpCounters` into the registry."""
+        if state.metrics_registry is None:
+            return
+        from ..obs.registry import record_op_counters
+
+        for table in self.collected(state):
+            for pid, oc in table.op_counters():
+                record_op_counters(state.metrics_registry, oc, partition=pid)
 
 
 class CollectPartials(CollectStage):
@@ -604,7 +565,7 @@ class ApplyGidMap(OutcomeStage):
                 def apply_partition(pid: int, it) -> None:
                     gid_of = gid_b.value
                     label_acc.add(
-                        [member_labels(table, gid_of) for table, _ in it]
+                        [member_labels(table, gid_of) for table in it]
                     )
 
                 expanded.foreach_partition_with_index(apply_partition)

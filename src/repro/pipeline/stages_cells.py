@@ -37,13 +37,11 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from ..dbscan.cells import CellAssignment, build_cell_assignment, cell_local_dbscan
-from ..dbscan.partial import OpCounters
+from ..engine import LIST_CONCAT
 from ..obs.collect import task_span
-from .checkpoint import CheckpointStore
-from .stages import Stage, open_accumulators, ship_expansions
+from .checkpoint import CheckpointStore, pack_ragged, unpack_ragged
+from .stages import Stage, ship_expansions
 from .state import PipelineState
 
 
@@ -84,17 +82,9 @@ class CellPartition(Stage):
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
         a = state.extras["cell_assignment"]
-        arrays = {}
-        for key, parts in (("owned", a.owned), ("halo", a.halo),
-                           ("halo_home", a.halo_home)):
-            arrays[key] = (
-                np.concatenate(parts) if parts
-                else np.empty(0, dtype=np.int64)
-            )
-            arrays[f"{key}_sizes"] = np.array(
-                [len(x) for x in parts], dtype=np.int64
-            )
-        store.save_npz(self.name, **arrays)
+        store.save_npz(self.name, **pack_ragged("owned", a.owned),
+                       **pack_ragged("halo", a.halo),
+                       **pack_ragged("halo_home", a.halo_home))
         store.save_json(self.name, {
             "n": a.n,
             "num_partitions": a.num_partitions,
@@ -106,19 +96,13 @@ class CellPartition(Stage):
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
         doc = store.load_json(self.name)
         arrays = store.load_npz(self.name)
-
-        def split(key):
-            flat = arrays[key].astype(np.int64)
-            bounds = np.cumsum(arrays[f"{key}_sizes"].astype(np.int64))[:-1]
-            return [np.ascontiguousarray(x) for x in np.split(flat, bounds)]
-
         assignment = CellAssignment(
             n=doc["n"],
             num_partitions=doc["num_partitions"],
             num_cells=doc["num_cells"],
-            owned=split("owned"),
-            halo=split("halo"),
-            halo_home=split("halo_home"),
+            owned=unpack_ragged(arrays, "owned"),
+            halo=unpack_ragged(arrays, "halo"),
+            halo_home=unpack_ragged(arrays, "halo_home"),
             super_side=doc["super_side"],
             num_super_cells=doc["num_super_cells"],
         )
@@ -146,7 +130,7 @@ class LocalIndexExpand(Stage):
                              for p in payloads)
             payload_bytes = sum(p.nbytes for p in payloads)
             state.indices = sc.parallelize(payloads, cfg.num_partitions)
-            open_accumulators(state, sc)
+            state.acc = sc.accumulator(LIST_CONCAT)
             state.timings.setup += time.perf_counter() - t0
             sp.annotate(halo_points=assignment.halo_points_total,
                         halo_nbytes=halo_bytes, payload_nbytes=payload_bytes)
@@ -170,7 +154,6 @@ class LocalIndexExpand(Stage):
         eps, minpts = cfg.eps, cfg.minpts
         leaf_size, seed_policy = cfg.leaf_size, cfg.seed_policy
         max_neighbors, neighbor_mode = cfg.max_neighbors, cfg.neighbor_mode
-        collect_counters = state.counters_acc is not None
         track_boundary = cfg.merge_mode == "edges"
         witness_once = cfg.witness_once
 
@@ -182,14 +165,13 @@ class LocalIndexExpand(Stage):
                 raise ValueError(f"partition {pid} received {len(payloads)} "
                                  "cell payloads, expected exactly one")
             (payload,) = payloads
-            counters = OpCounters() if collect_counters else None
             stats: dict[str, int] = {}
             with task_span("task.expand", partition=pid,
                            mode=neighbor_mode) as esp:
                 table = cell_local_dbscan(
                     payload, eps, minpts, leaf_size=leaf_size,
                     seed_policy=seed_policy, max_neighbors=max_neighbors,
-                    neighbor_mode=neighbor_mode, counters=counters,
+                    neighbor_mode=neighbor_mode,
                     boundary_out=set() if track_boundary else None,
                     stats=stats, orphans_out=[] if witness_once else None,
                 )
@@ -197,7 +179,7 @@ class LocalIndexExpand(Stage):
                              n_own=len(payload.owned_ids),
                              n_halo=len(payload.halo_ids),
                              rounds=stats.get("rounds", 0))
-            yield table, counters
+            yield table
 
         ship_expansions(state, state.indices.map_partitions_with_index(expand))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import time
 from dataclasses import asdict
 
@@ -52,9 +51,7 @@ class MRBuildIndex(Stage):
 
     def run(self, state: PipelineState) -> None:
         cfg = state.config
-        tmp_dir = cfg.tmp_dir or tempfile.mkdtemp(prefix="mrdbscan-")
-        state.extras["tmp_dir"] = tmp_dir
-        os.makedirs(tmp_dir, exist_ok=True)
+        tmp_dir = state.ensure_tmp_dir()
         with state.tracer.span("driver.kdtree_build", cat="driver") as sp:
             t0 = time.perf_counter()
             tree = KDTree(state.points, leaf_size=cfg.leaf_size)
@@ -106,7 +103,7 @@ class MRLocalExpand(Stage):
             mapper=map_local_cluster,
             reducer=reduce_merge,
             num_reducers=1,
-            tmp_dir=os.path.join(state.extras["tmp_dir"], "job1"),
+            tmp_dir=os.path.join(state.tmp_dir, "job1"),
             startup_overhead=cfg.startup_overhead,
         )
         splits = [
@@ -159,10 +156,7 @@ class MRCollect(Stage):
 
         # A resume can restore round 1 and skip MRBuildIndex entirely, so
         # the staging directory may need resolving afresh here.
-        tmp_dir = (
-            state.extras.get("tmp_dir") or cfg.tmp_dir
-            or tempfile.mkdtemp(prefix="mrdbscan-")
-        )
+        tmp_dir = state.ensure_tmp_dir()
         job2 = MapReduceJob(
             mapper=map_identity,
             reducer=reduce_collect,

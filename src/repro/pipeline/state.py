@@ -4,13 +4,15 @@ Stages communicate exclusively through this object: each `Stage` declares
 the keys it ``requires`` and ``provides``, the `PipelineRunner` checks the
 contract, and checkpoint restore works by repopulating the same keys from
 disk instead of running the stage.  Keys are ordinary attributes; the
-``present`` set records which have been established so far (a stage's
-output may legitimately be ``None`` — e.g. no counters collected — so
-presence cannot be inferred from the value).
+``present`` set records which have been established so far (some keys
+— ``engine``, ``expanded`` — name no attribute, so presence cannot be
+inferred from a value).
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -54,11 +56,11 @@ class PipelineState:
     tree_b: Any = None                       # broadcast handle
     indices: Any = None                      # RDD of point indices
     acc: Any = None                          # per-task ClusterTable accumulator
-    counters_acc: Any = None                 # OpCounters accumulator
+    tmp_dir: str | None = None               # MapReduce cache and spills
+    own_tmp_dir: bool = False
 
     # outputs
     partials: Any = None                     # collected ClusterTable
-    counters: list | None = None             # [(partition, OpCounters)]
     outcome: Any = None                      # MergeOutcome
     labels: "np.ndarray | None" = None
     timings: Timings = field(default_factory=Timings)
@@ -95,3 +97,16 @@ class PipelineState:
             )
             self.own_sc = True
         return self.sc
+
+    def ensure_tmp_dir(self) -> str:
+        """The configured ``tmp_dir``, else a fresh directory this run
+        owns: like an owned context, the runner removes it when the run
+        ends, crash included."""
+        if self.tmp_dir is None:
+            if self.config.tmp_dir is None:
+                self.tmp_dir = tempfile.mkdtemp(prefix="mrdbscan-")
+                self.own_tmp_dir = True
+            else:
+                self.tmp_dir = self.config.tmp_dir
+                os.makedirs(self.tmp_dir, exist_ok=True)
+        return self.tmp_dir

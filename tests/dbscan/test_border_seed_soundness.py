@@ -23,7 +23,7 @@ from repro.dbscan import (
     clusterings_equivalent,
     dbscan_sequential,
     merge_paper,
-    merge_union_find,
+    merge_partials,
 )
 from repro.kdtree import KDTree
 
@@ -70,7 +70,7 @@ class TestSharedBorderPoint:
         left = PartialCluster(0, 0, 0, 5, members=[0, 1, 2, 3, 4],
                               seeds=[], borders={4})
         right = PartialCluster(1, 0, 5, 9, members=[5, 6, 7, 8], seeds=[4])
-        merge = merge_union_find if strategy == "union_find" else merge_paper
+        merge = merge_partials if strategy == "union_find" else merge_paper
         out = merge([left, right], 9)
         assert out.num_global_clusters == 2
         assert out.num_merges == 0
@@ -79,7 +79,7 @@ class TestSharedBorderPoint:
         # Same shape, but the linking point IS core: merging is mandatory.
         left = PartialCluster(0, 0, 0, 5, members=[0, 1, 2, 3, 4], seeds=[])
         right = PartialCluster(1, 0, 5, 9, members=[5, 6, 7, 8], seeds=[4])
-        out = merge_union_find([left, right], 9)
+        out = merge_partials([left, right], 9)
         assert out.num_global_clusters == 1
         assert out.num_merges == 1
 

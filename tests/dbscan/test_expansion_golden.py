@@ -4,7 +4,8 @@ This file pins the kernel to what the pre-collapse loops (`_expand`,
 `_expand_batched`, `_expand_counted`, `_expand_cells`) produced on one
 fixed input — one range frame and one cell frame, both accepted
 ``neighbor_mode`` values, both seed policies: per-partial ``members``
-and ``seeds`` in order, sorted ``borders``, and the `OpCounters` dict.
+and ``seeds`` in order, sorted ``borders``, and the table's `OpCounters`
+(`ClusterTable.op_counters`).
 
 ``expansion_golden.json`` was first written at commit 02e70a8 by running
 this module as a script (``PYTHONPATH=src python
@@ -42,7 +43,7 @@ import pytest
 
 from repro.dbscan import local_dbscan
 from repro.dbscan.cells import build_cell_assignment, cell_local_dbscan
-from repro.dbscan.partial import NEIGHBOR_MODES, SEED_POLICIES, OpCounters
+from repro.dbscan.partial import NEIGHBOR_MODES, SEED_POLICIES, ClusterTable
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
 
@@ -61,7 +62,8 @@ def golden_points() -> np.ndarray:
     return np.round(pts[rng.permutation(len(pts))], 6)
 
 
-def _render(partials, counters) -> dict:
+def _render(partials) -> dict:
+    ((_, counters),) = partials.op_counters()
     return {
         "partials": [
             {"members": [int(m) for m in c.members],
@@ -73,8 +75,9 @@ def _render(partials, counters) -> dict:
     }
 
 
-def expand_frames(counted: bool = True) -> dict:
-    """Every (frame, partition, mode, policy) expansion of the input."""
+def expand_tables() -> dict:
+    """Every (frame, partition, mode, policy) expansion of the input, as
+    the kernel's `ClusterTable`."""
     pts = golden_points()
     tree = KDTree(pts, leaf_size=8)
     part = IndexRangePartitioner(len(pts), PARTITIONS)
@@ -83,21 +86,20 @@ def expand_frames(counted: bool = True) -> dict:
     for mode in NEIGHBOR_MODES:
         for policy in SEED_POLICIES:
             for pid in range(PARTITIONS):
-                c = OpCounters()
-                partials = local_dbscan(
+                out[f"range/p{pid}/{mode}/{policy}"] = local_dbscan(
                     pid, range(*part.range_of(pid)), pts, tree, EPS, MINPTS,
                     part, seed_policy=policy, neighbor_mode=mode,
-                    counters=c if counted else None,
                 )
-                out[f"range/p{pid}/{mode}/{policy}"] = _render(partials, c)
-                c = OpCounters()
-                partials = cell_local_dbscan(
+                out[f"cell/p{pid}/{mode}/{policy}"] = cell_local_dbscan(
                     payloads[pid], EPS, MINPTS, leaf_size=8,
                     seed_policy=policy, neighbor_mode=mode,
-                    counters=c if counted else None,
                 )
-                out[f"cell/p{pid}/{mode}/{policy}"] = _render(partials, c)
     return out
+
+
+def expand_frames() -> dict:
+    """Every expansion of the input, rendered as the record pins it."""
+    return {key: _render(t) for key, t in expand_tables().items()}
 
 
 def _dump(doc: dict) -> str:
@@ -151,10 +153,22 @@ def test_kernel_reproduces_the_golden_record_byte_for_byte():
     assert _dump(expand_frames()) == GOLDEN.read_text()
 
 
-def test_uncounted_partials_match_the_golden_record():
+def test_table_op_counters_match_the_golden_record():
+    """The op counts ride in the table's ``ops`` column: one row per
+    task, its partition first, through concatenation and the npz codec
+    alike."""
     golden = json.loads(GOLDEN.read_text())
-    for key, got in expand_frames(counted=False).items():
-        assert got["partials"] == golden[key]["partials"], key
+    tables = expand_tables()
+    for key, table in tables.items():
+        pid = int(key.split("/")[1][1:])
+        assert [(task, vars(c)) for task, c in table.op_counters()] == [
+            (pid, golden[key]["counters"])], key
+    for frame in ("range", "cell"):
+        keys = [f"{frame}/p{pid}/batched/all" for pid in range(PARTITIONS)]
+        want = [(pid, golden[key]["counters"]) for pid, key in enumerate(keys)]
+        (stacked,) = ClusterTable.from_arrays(ClusterTable.to_arrays(
+            [ClusterTable.concat(tables[key] for key in keys)]))
+        assert [(task, vars(c)) for task, c in stacked.op_counters()] == want
 
 
 def test_golden_input_exercises_seeds_borders_and_both_frames():

@@ -121,11 +121,10 @@ def set_view(partials, home=None):
     ]
 
 
-def kernel(frame, eps, minpts, policy, counters=None, stats=None):
+def kernel(frame, eps, minpts, policy, stats=None):
     return expand_frame(
         frame, eps, minpts, seed_policy=policy, max_neighbors=None,
-        neighbor_mode="batched", counters=counters, boundary_out=None,
-        stats=stats,
+        neighbor_mode="batched", boundary_out=None, stats=stats,
     )
 
 
@@ -134,8 +133,9 @@ def assert_kernel_is_the_bfs(kind, pts, p, eps, minpts, policy):
     capped = policy == "one_per_partition"
     for frame in frames:
         want, counted = bfs_expand(frame, eps, minpts, policy)
-        got_counters = OpCounters()
-        got = kernel(frame, eps, minpts, policy, got_counters)
+        got = kernel(frame, eps, minpts, policy)
+        ((task, got_counters),) = got.op_counters()
+        assert task == frame.partition
         assert set_view(got, home if capped else None) == set_view(
             want, home if capped else None), frame.partition
         if capped:
@@ -257,7 +257,7 @@ def test_truncated_rows_give_undirected_components(max_neighbors):
             want[min(claims)].add(k)
     got = expand_frame(frame, eps, minpts, seed_policy="all",
                        max_neighbors=max_neighbors, neighbor_mode="batched",
-                       counters=None, boundary_out=None)
+                       boundary_out=None)
     assert {c.members[0]: set(c.members) for c in got} == want
 
 
@@ -280,14 +280,15 @@ def test_expansion_ignores_how_rows_are_cut_into_segments(
             frames[0].own_points, 25.0, ids=frames[0].to_local)[1]))
         run = []
         for frame in frames:
-            counters, stats = OpCounters(), {}
+            stats = {}
             boundary = set() if max_neighbors is None else None
             got = expand_frame(
                 frame, 25.0, 5, seed_policy=policy,
                 max_neighbors=max_neighbors, neighbor_mode="batched",
-                counters=counters, boundary_out=boundary, stats=stats,
+                boundary_out=boundary, stats=stats,
             )
-            run.append((plain(got), counters, boundary, stats["rounds"]))
+            run.append((plain(got), got.op_counters(), boundary,
+                        stats["rounds"]))
         runs.append(run)
     assert runs[0] == runs[1] == runs[2]
     # ... though the rows really were cut differently.

@@ -8,7 +8,6 @@ from repro.dbscan import (
     PartialCluster,
     merge_paper,
     merge_partials,
-    merge_union_find,
 )
 from tests.dbscan.test_properties import UnionFind
 
@@ -47,7 +46,7 @@ class TestPaperFigure4:
         return [c0, c5]
 
     def test_union_find_merges_them(self):
-        out = merge_union_find(self._partials(), 5000)
+        out = merge_partials(self._partials(), 5000)
         assert out.num_global_clusters == 1
         assert out.num_merges == 1
         # All elements of both partial clusters share a label (Figure 4b).
@@ -56,13 +55,13 @@ class TestPaperFigure4:
         assert np.unique(out.labels[members]).size == 1
 
     def test_paper_strategy_agrees_on_simple_case(self):
-        a = merge_union_find(self._partials(), 5000)
+        a = merge_partials(self._partials(), 5000)
         b = merge_paper(self._partials(), 5000)
         assert b.num_global_clusters == 1
         np.testing.assert_array_equal(a.labels >= 0, b.labels >= 0)
 
     def test_unmentioned_points_are_noise(self):
-        out = merge_union_find(self._partials(), 5000)
+        out = merge_partials(self._partials(), 5000)
         assert out.labels[1] == NOISE
         assert out.labels[4999] == NOISE
 
@@ -79,7 +78,7 @@ class TestMergeChains:
         return [a, b, c]
 
     def test_union_find_closes_chain(self):
-        out = merge_union_find(self._chain(), 30)
+        out = merge_partials(self._chain(), 30)
         assert out.num_global_clusters == 1
         assert np.unique(out.labels[[0, 10, 20]]).size == 1
 
@@ -97,7 +96,7 @@ class TestMergeChains:
         differently — union-find is order-invariant."""
         chain = list(reversed(self._chain()))
         paper = merge_paper(chain, 30)
-        uf = merge_union_find(chain, 30)
+        uf = merge_partials(chain, 30)
         assert uf.num_global_clusters == 1
         assert paper.num_global_clusters >= uf.num_global_clusters
 
@@ -133,7 +132,7 @@ class TestOverlappingPointsDiagnostic:
 
     def test_union_find_reports_zero(self):
         """Union-find merges every such edge, so the diagnostic is 0."""
-        out = merge_union_find(self._chain(), 30)
+        out = merge_partials(self._chain(), 30)
         assert out.overlapping_points == 0
 
     def test_fully_merged_paper_pass_reports_zero(self):
@@ -170,14 +169,14 @@ class TestBorderSeeds:
         # partition) — it must still join the cluster as a border point.
         a = pc(0, 0, 0, 10, [0, 1], seeds=[15])
         b = pc(1, 0, 10, 20, [11, 12])  # 15 not a member
-        out = merge_union_find([a, b], 20)
+        out = merge_partials([a, b], 20)
         assert out.labels[15] == out.labels[0]
         assert out.num_global_clusters == 2
 
     def test_contested_border_first_wins(self):
         a = pc(0, 0, 0, 10, [0, 1], seeds=[25])
         b = pc(1, 0, 10, 20, [10, 11], seeds=[25])
-        out = merge_union_find([a, b], 30)
+        out = merge_partials([a, b], 30)
         assert out.labels[25] in (out.labels[0], out.labels[10])
         assert out.num_global_clusters == 2
 

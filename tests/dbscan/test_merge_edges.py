@@ -1,5 +1,5 @@
 """Edge-based merging (DESIGN.md §11): `merge_edges` over projections
-must agree with `merge_union_find` over the founder-sorted partials
+must agree with `merge_partials` over the founder-sorted partials
 exactly — same gids, same claims, same labels — while never touching a
 member list on the driver.  Both pass a `ClusterTable` to
 `union_find_merge`, so what these tests compare is the two owner tables
@@ -16,7 +16,6 @@ from repro.dbscan import (
     digest_from_partials,
     merge_edges,
     merge_partials,
-    merge_union_find,
 )
 
 
@@ -75,7 +74,7 @@ class TestPaperFigure4:
 
     def test_edge_merge_matches_union_find(self):
         partials = self._partials()
-        ref = merge_union_find(partials, 5000)
+        ref = merge_partials(partials, 5000)
         labels, plan = edge_labels(partials, 5000)
         np.testing.assert_array_equal(labels, ref.labels)
         assert plan.num_merges == ref.num_merges == 1
@@ -94,7 +93,7 @@ class TestChainsAndBorders:
         a = pc(0, 0, 0, 10, [0, 1, 2], seeds=[10])
         b = pc(1, 0, 10, 20, [10, 11], seeds=[20])
         c = pc(2, 0, 20, 30, [20, 21, 22])
-        ref = merge_union_find([a, b, c], 30)
+        ref = merge_partials([a, b, c], 30)
         labels, plan = edge_labels([a, b, c], 30)
         np.testing.assert_array_equal(labels, ref.labels)
         assert plan.num_global_clusters == 1
@@ -103,7 +102,7 @@ class TestChainsAndBorders:
         # 10 is only a *border* member of b: legal DBSCAN sharing, no merge.
         a = pc(0, 0, 0, 10, [0, 1, 2], seeds=[10])
         b = pc(1, 0, 10, 20, [10, 11], borders=[10])
-        ref = merge_union_find([a, b], 20)
+        ref = merge_partials([a, b], 20)
         labels, plan = edge_labels([a, b], 20)
         np.testing.assert_array_equal(labels, ref.labels)
         assert plan.num_edges == 0
@@ -112,7 +111,7 @@ class TestChainsAndBorders:
     def test_unowned_seed_becomes_claim(self):
         a = pc(0, 0, 0, 10, [0, 1], seeds=[15])
         b = pc(1, 0, 10, 20, [11, 12])
-        ref = merge_union_find([a, b], 20)
+        ref = merge_partials([a, b], 20)
         labels, plan = edge_labels([a, b], 20)
         np.testing.assert_array_equal(labels, ref.labels)
         assert plan.claims == {15: plan.gid_of[(0, 0)]}
@@ -164,7 +163,7 @@ class TestContestedBorderSeedDeterminism:
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_union_find_claim_goes_to_lowest_founder(self, flip):
-        out = merge_union_find(self._contested(flip), 30)
+        out = merge_partials(self._contested(flip), 30)
         assert out.labels[25] == out.labels[0]
 
     @pytest.mark.parametrize("flip", [False, True])
@@ -181,11 +180,11 @@ class TestContestedBorderSeedDeterminism:
         a = pc(0, 0, 0, 10, [0, 1], seeds=[25])
         b = pc(1, 0, 10, 20, [10, 11], seeds=[25, 26])
         c = pc(2, 0, 20, 30, [20, 21], seeds=[26])
-        base = relabel_canonical(merge_union_find([a, b, c], 30).labels)
+        base = relabel_canonical(merge_partials([a, b, c], 30).labels)
         rng = np.random.default_rng(7)
         for _ in range(5):
             order = [[a, b, c][i] for i in rng.permutation(3)]
-            got = relabel_canonical(merge_union_find(order, 30).labels)
+            got = relabel_canonical(merge_partials(order, 30).labels)
             np.testing.assert_array_equal(got, base)
 
 

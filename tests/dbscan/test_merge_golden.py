@@ -1,6 +1,6 @@
 """Golden record of the driver merge, taken from the two per-seed loops.
 
-`merge_union_find` and `merge_edges` are adapters over one union-find
+`merge_partials` and `merge_edges` are adapters over one union-find
 core, so the edges-vs-partials identity tests (`test_merge_edges.py`,
 `test_properties.py`) pass when both drift together.  This file pins
 them to what the pre-collapse loops produced on one fixed 240-point
@@ -48,6 +48,13 @@ same orphan table (6 rows); per partition the same summaries, seed
 sets, export set and orphan table.  Every ``merge_partials`` /
 ``merge_edges`` record and the ``MergePartials`` / ``MergeEdges`` /
 ``ApplyGidMap`` documents stayed byte-identical.
+
+Checkpoint format 2 then dropped that JSON header and put the tasks'
+op counts in the npz, as an ``ops`` column pair.  The file was not
+re-recorded for it: the test compares the record minus the two
+retired headers (`RETIRED`) with the documents minus the ``ops``
+columns, which it checks on their own against the kernel's tables
+(`test_collect_records_carry_each_tasks_op_counts`).
 """
 
 import json
@@ -67,6 +74,9 @@ from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
 
 GOLDEN = Path(__file__).with_name("merge_golden.json")
+#: The collect stages' JSON headers (``n`` and the op counters) that
+#: checkpoint format 1 wrote and format 2 does not.
+RETIRED = ("checkpoint/CollectPartials", "checkpoint/CollectEdges")
 EPS, MINPTS, PARTITIONS = 1.5, 4, 6
 TAIL_DOCS = {
     "partials": ("CollectPartials", "MergePartials"),
@@ -85,15 +95,17 @@ def golden_points() -> np.ndarray:
     return np.round(pts[rng.permutation(len(pts))], 6)
 
 
-def golden_partials(order: str) -> list:
+def golden_tables() -> list:
+    """The six tasks' `ClusterTable` records, full seeds."""
     pts = golden_points()
     tree = KDTree(pts, leaf_size=8)
     part = IndexRangePartitioner(len(pts), PARTITIONS)
-    partials = [
-        c for pid in range(PARTITIONS)
-        for c in local_dbscan(pid, range(*part.range_of(pid)), pts, tree,
-                              EPS, MINPTS, part)
-    ]
+    return [local_dbscan(pid, range(*part.range_of(pid)), pts, tree,
+                         EPS, MINPTS, part) for pid in range(PARTITIONS)]
+
+
+def golden_partials(order: str) -> list:
+    partials = [c for table in golden_tables() for c in table]
     partials.sort(key=lambda c: c.members[0])
     if order == "shuffled":
         rng = np.random.default_rng(4)
@@ -137,12 +149,29 @@ def checkpoint_documents() -> dict:
                         merge_mode=mode, checkpoint_dir=root).fit(pts)
             (run_dir,) = Path(root).iterdir()
             for stage in stages:
-                out[f"checkpoint/{stage}"] = (run_dir / f"{stage}.json").read_text()
                 if stage.startswith("Collect"):
                     with np.load(run_dir / f"{stage}.npz") as arrays:
                         out[f"checkpoint/{stage}.npz"] = {
                             k: arrays[k].tolist() for k in arrays.files}
+                else:
+                    out[f"checkpoint/{stage}"] = (
+                        run_dir / f"{stage}.json").read_text()
     return out
+
+
+def split_ops(docs: dict) -> dict:
+    """The collect records' ``ops`` columns, taken out of ``docs``."""
+    return {stage: {k: docs[f"checkpoint/{stage}.npz"].pop(k)
+                    for k in ("ops", "ops_len")}
+            for stage in ("CollectPartials", "CollectEdges")}
+
+
+def golden_view() -> dict:
+    """What the record pins: every merge record and checkpoint document,
+    the ``ops`` columns aside."""
+    docs = merge_records() | checkpoint_documents()
+    split_ops(docs)
+    return docs
 
 
 def _dump(doc: dict) -> str:
@@ -153,7 +182,24 @@ def _dump(doc: dict) -> str:
 
 
 def test_both_adapters_reproduce_the_golden_record_byte_for_byte():
-    assert _dump(merge_records() | checkpoint_documents()) == GOLDEN.read_text()
+    text = GOLDEN.read_text()
+    golden = json.loads(text)
+    assert _dump(golden) == text
+    for key in RETIRED:
+        golden.pop(key, None)
+    assert _dump(golden_view()) == _dump(golden)
+
+
+def test_collect_records_carry_each_tasks_op_counts():
+    """Both collect records store the six tasks' counts in task order:
+    the partials record as one table's six rows, the edges record as six
+    projections of one row each."""
+    want = [[pid, *vars(c).values()] for table in golden_tables()
+            for pid, c in table.op_counters()]
+    assert [row[0] for row in want] == list(range(PARTITIONS))
+    ops = split_ops(checkpoint_documents())
+    assert ops["CollectPartials"] == {"ops": want, "ops_len": [PARTITIONS]}
+    assert ops["CollectEdges"] == {"ops": want, "ops_len": [1] * PARTITIONS}
 
 
 def test_merge_plan_values_are_plain_python_ints():
@@ -185,5 +231,5 @@ def test_golden_input_exercises_merges_claims_and_the_size_filter():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(_dump(merge_records() | checkpoint_documents()))
+    GOLDEN.write_text(_dump(golden_view()))
     print(f"wrote {GOLDEN}")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbscan import SparkDBSCAN, dbscan_sequential, local_dbscan
-from repro.dbscan.partial import NEIGHBOR_MODES, OpCounters
+from repro.dbscan.partial import NEIGHBOR_MODES
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
 from tests.dbscan.test_properties import plain, point_clouds
@@ -34,11 +34,11 @@ def test_batched_partials_identical(pts, p, eps, minpts, policy):
     for pid in range(p):
         runs = []
         for mode in NEIGHBOR_MODES:
-            counters = OpCounters()
-            runs.append((local_dbscan(
+            table = local_dbscan(
                 pid, range(*part.range_of(pid)), pts, tree, eps, minpts, part,
-                seed_policy=policy, neighbor_mode=mode, counters=counters,
-            ), counters))
+                seed_policy=policy, neighbor_mode=mode,
+            )
+            runs.append((table, table.op_counters()))
         (a, counted_a), (b, counted_b) = runs
         assert (plain(a), counted_a) == (plain(b), counted_b)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dbscan import local_dbscan
-from repro.dbscan.partial import OpCounters
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
 
@@ -20,9 +19,10 @@ def workload():
 def _run_counted(g, tree, p, pid, **kwargs):
     part = IndexRangePartitioner(g.n, p)
     lo, hi = part.range_of(pid)
-    counters = OpCounters()
     partials = local_dbscan(pid, range(lo, hi), g.points, tree, 25.0, 5,
-                            part, counters=counters, **kwargs)
+                            part, **kwargs)
+    ((task, counters),) = partials.op_counters()
+    assert task == pid
     return partials, counters
 
 
@@ -67,28 +67,3 @@ class TestPaperInvariants:
         assert c_cap.seeds_skipped > 0
         assert c_cap.seeds_placed < c_all.seeds_placed
 
-
-class TestInstrumentedPathEquivalence:
-    def test_same_partials_with_and_without_counters(self, workload):
-        g, tree = workload
-        part = IndexRangePartitioner(g.n, 3)
-        for pid in range(3):
-            lo, hi = part.range_of(pid)
-            plain = local_dbscan(pid, range(lo, hi), g.points, tree, 25.0, 5, part)
-            counted = local_dbscan(pid, range(lo, hi), g.points, tree, 25.0, 5,
-                                   part, counters=OpCounters())
-            assert len(plain) == len(counted)
-            for a, b in zip(plain, counted):
-                assert a.members == b.members
-                assert a.seeds.tolist() == b.seeds.tolist()
-
-
-class TestMerge:
-    def test_counters_merge_sums_fields(self):
-        a = OpCounters(range_queries=3, queue_adds=10, queue_removes=10)
-        b = OpCounters(range_queries=2, queue_adds=5, queue_removes=5,
-                       seeds_placed=1)
-        a.merge(b)
-        assert a.range_queries == 5
-        assert a.queue_adds == 15
-        assert a.seeds_placed == 1

@@ -8,8 +8,6 @@ exact-eps lattices, d = 1, single-point and empty partitions, more
 partitions than points.
 """
 
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,14 +20,12 @@ from tests.oracle import TIE, dbscan_violation
 
 def assert_every_plan_accepted(pts, eps, minpts, partitions, tie=TIE):
     """Every manifest row, so a new row cannot dodge the oracle."""
-    with tempfile.TemporaryDirectory(prefix="oracle-mr-") as spill:
-        for plan in STAGE_MANIFEST:
-            config = RunConfig(eps, minpts, plan=plan,
-                               num_partitions=partitions,
-                               startup_overhead=0.0, tmp_dir=spill)
-            labels = PipelineRunner(build_plan(config), config).run(pts).labels
-            why = dbscan_violation(pts, labels, eps, minpts, tie)
-            assert why is None, (plan, why)
+    for plan in STAGE_MANIFEST:
+        config = RunConfig(eps, minpts, plan=plan, num_partitions=partitions,
+                           startup_overhead=0.0)
+        labels = PipelineRunner(build_plan(config), config).run(pts).labels
+        why = dbscan_violation(pts, labels, eps, minpts, tie)
+        assert why is None, (plan, why)
 
 
 @st.composite

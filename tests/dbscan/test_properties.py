@@ -23,7 +23,6 @@ from repro.dbscan import (
     local_dbscan,
     merge_edges,
     merge_partials,
-    merge_union_find,
     union_find_merge,
 )
 from repro.dbscan import merge as merge_module
@@ -279,7 +278,7 @@ def test_edge_merge_equivalent_to_partials_merge(pts, p, eps, minpts, block,
     tables = expansions(frame, pts, eps, minpts, p, witness)
     table = ClusterTable.concat(tables)
     with seed_block(block):
-        ref = merge_union_find(table, n)
+        ref = merge_partials(table, n)
         plan = merge_edges([t.project() for t in tables])
         whole = probe_merge(table, probe)
     labels = apply_gid_map(table, plan, n)
@@ -297,9 +296,9 @@ def test_edge_merge_equivalent_to_partials_merge(pts, p, eps, minpts, block,
 
 def view_columns(table):
     """The record's columns its `PartialCluster` views carry: all but
-    the orphan table and the boundary flags."""
+    the orphan table, the boundary flags and the op counts."""
     return {f: getattr(table, f).tolist() for f in TABLE_ARRAYS
-            if f not in ("orphans", "boundary")}
+            if f not in ("orphans", "boundary", "ops")}
 
 
 @settings(max_examples=30, deadline=None)
@@ -463,7 +462,7 @@ def test_a_seed_outside_the_points_is_refused():
             PartialCluster(1, 0, 5, 10, members=[9])]
         with pytest.raises(ValueError,
                            match=rf"^id {seed} is no point in \[0, 10\)$"):
-            merge_union_find(partials, 10)
+            merge_partials(partials, 10)
         if seed < 0:
             with pytest.raises(ValueError, match=f"^id {seed} is no point$"):
                 union_find_merge(as_table(partials))
@@ -483,7 +482,7 @@ def test_the_first_of_two_owner_rows_wins():
             PartialCluster(2, 0, 20, 30, members=[20], seeds=[5])]
     for border_first, groups in ((True, [[0], [1], [2]]),
                                  (False, [[0, 2], [1]])):
-        got = [merge_union_find(partials(border_first), 30).groups,
+        got = [merge_partials(partials(border_first), 30).groups,
                union_find_merge(as_table(partials(border_first))).groups]
         assert got == [groups, groups]
 
@@ -550,7 +549,7 @@ def test_merge_memory_is_independent_of_the_seed_total(seeds_per_cluster):
     digest = digest_from_partials(table)
     digests = [digest.take(np.flatnonzero(digest.partition == p))
                for p in range(32)]
-    for merge in (lambda: merge_union_find(table, n),
+    for merge in (lambda: merge_partials(table, n),
                   lambda: merge_edges(digests)):
         peak = traced_peak(merge)
         assert peak <= 3 * 2**20, f"{peak / 2**20:.1f} MiB"

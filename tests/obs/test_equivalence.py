@@ -35,7 +35,7 @@ class TestLabelEquivalence:
         ).fit(blobs_small.points)
         assert np.array_equal(plain.labels, traced.labels)
         assert traced.num_partial_clusters == plain.num_partial_clusters
-        # the OpCounters accumulator fed the registry without perturbing labels
+        # the tables' op counts fed the registry without perturbing labels
         assert registry.get("repro_dbscan_ops_total") is not None
 
     def test_naive(self, blobs_small):

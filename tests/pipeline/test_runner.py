@@ -7,6 +7,7 @@ upstream of the restored one.
 """
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -219,6 +220,33 @@ class TestCrashResume:
         assert resumed.stage_status["CellPartition"] == "run"
         assert np.array_equal(resumed.labels, reference.labels)
 
+    def test_a_format_1_collect_checkpoint_runs_cold(self, data, tmp_path):
+        """Checkpoint format 1 kept the op counters in a JSON header next
+        to npz columns without them; under format 2 such a directory is
+        never loaded, and the run's labels are the uninterrupted run's."""
+        config = make_config("spark")
+        reference = run_plan(config, data)
+        with pytest.raises(PipelineCrash):
+            run_plan(config, data, checkpoint_dir=str(tmp_path),
+                     fail_after="CollectPartials")
+        (run_dir,) = tmp_path.iterdir()
+        npz = run_dir / "CollectPartials.npz"
+        with np.load(npz) as arrays:
+            columns = {k: arrays[k] for k in arrays.files
+                       if k not in ("ops", "ops_len")}
+        np.savez(npz, **columns)
+        (run_dir / "CollectPartials.json").write_text(json.dumps(
+            {"n": len(data), "counters": None}))
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["format"] = 1
+        manifest["stages"]["CollectPartials"] = {
+            "files": ["CollectPartials.npz", "CollectPartials.json"]}
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        resumed = run_plan(config, data, checkpoint_dir=str(tmp_path),
+                           resume=True)
+        assert resumed.stage_status["CollectPartials"] == "run"
+        assert np.array_equal(resumed.labels, reference.labels)
+
     def test_resume_never_starts_engine(self, data, tmp_path):
         config = make_config("spark")
         with pytest.raises(PipelineCrash):
@@ -345,6 +373,87 @@ class TestEdgeMergeCrashResume:
                            resume=True)
         assert resumed.sc is None          # relabel ran purely from artifacts
         assert resumed.stage_status["RelabelFilter"] == "run"
+
+
+class TestOpCounts:
+    """The op counts ride in the collected `ClusterTable` records: one
+    accumulator per SEED fit, and a resumed run reports what the cold
+    run counted, whether or not the crashed run had a registry."""
+
+    def test_one_accumulator_per_seed_fit(self, data):
+        from repro.dbscan import SparkDBSCAN
+        from repro.engine import SparkContext
+
+        reg = MetricsRegistry()
+        sc = SparkContext("simulated[2]")
+        try:
+            SparkDBSCAN(EPS, MINPTS, num_partitions=3,
+                        metrics_registry=reg).fit(data, sc=sc)
+            assert len(sc.accumulators._params) == 1
+        finally:
+            sc.stop()
+        ops = reg.get("repro_dbscan_ops_total")
+        assert ops.value(op="range_queries", partition=2) > 0
+
+    @pytest.mark.parametrize("plan,stage", [
+        ("spark", "CollectPartials"), ("spark_edges", "CollectEdges"),
+        ("cell", "CollectPartials"), ("cell_edges", "CollectEdges"),
+    ])
+    def test_resumed_collect_reports_the_cold_counts(self, plan, stage,
+                                                     data, tmp_path):
+        config = make_config(plan)
+        cold = MetricsRegistry()
+        run_plan(config, data, metrics_registry=cold)
+        with pytest.raises(PipelineCrash):
+            run_plan(config, data, checkpoint_dir=str(tmp_path),
+                     fail_after=stage)
+        resumed = MetricsRegistry()
+        state = run_plan(config, data, checkpoint_dir=str(tmp_path),
+                         resume=True, metrics_registry=resumed)
+        assert state.stage_status[stage] == "restored"
+        want = cold.get("repro_dbscan_ops_total").expose()
+        assert "range_queries" in want
+        assert resumed.get("repro_dbscan_ops_total").expose() == want
+
+
+class TestOwnedScratchDir:
+    """A scratch directory the run creates (the MapReduce plan's tree
+    cache and spills) is removed when the run ends, crash included; a
+    caller's ``tmp_dir`` stays."""
+
+    @pytest.fixture
+    def tmpdir_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    def test_a_fit_leaves_nothing(self, data, tmpdir_root):
+        from repro.dbscan import MapReduceDBSCAN
+
+        MapReduceDBSCAN(EPS, MINPTS, num_maps=3,
+                        startup_overhead=0.0).fit(data)
+        assert list(tmpdir_root.iterdir()) == []
+
+    def test_a_crash_leaves_nothing(self, data, tmpdir_root, tmp_path):
+        with pytest.raises(PipelineCrash):
+            run_plan(make_config("mapreduce"), data,
+                     checkpoint_dir=str(tmp_path / "ckpt"),
+                     fail_after="LocalExpand")
+        assert list(tmpdir_root.iterdir()) == []
+
+    def test_the_cli_leaves_nothing(self, tmpdir_root, capsys):
+        from repro.cli import main
+
+        assert main(["run", "c10k", "--plan", "mapreduce",
+                     "--partitions", "2"]) == 0
+        assert list(tmpdir_root.iterdir()) == []
+
+    def test_a_callers_tmp_dir_stays(self, data, tmpdir_root, tmp_path):
+        given = tmp_path / "given"
+        run_plan(make_config("mapreduce", tmp_dir=str(given)), data)
+        assert (given / "kdtree.cache.pkl").exists()
+        assert list(tmpdir_root.iterdir()) == []
 
 
 class TestCheckpointMetrics:
