@@ -9,7 +9,8 @@ optimization guides: vectorise the hot loop, keep memory contiguous).
 Complexities match the paper's Section IV-C citations: O(n log n)
 construction, range search between O(log n) and O(n^(1-1/d) + k).
 
-The build reorders a column-major ``(d, n)`` copy with the permutation.
+The build splits a whole level at a time on a column-major ``(d, n)``
+copy it reorders with the permutation (one gather per row per level).
 The batched kernel yields hits in tile order, one segment per (tile,
 row); `query_radius_batch` alone assembles CSR.  A pickle carries the
 coordinates once (DESIGN.md §6).
@@ -112,6 +113,8 @@ class KDTree:
         points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim != 2:
             raise ValueError(f"points must be 2-D (n, d), got shape {points.shape}")
+        if points.shape[1] == 0:
+            raise ValueError(f"points need d >= 1, got shape {points.shape}")
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
         if not np.isfinite(points).all():
@@ -136,7 +139,7 @@ class KDTree:
         if self.n > 0:
             # Freed before the gather below; a copy, as for d = 1 points.T
             # is contiguous and a view would reorder the caller's array.
-            self._build(points.T.copy(), 0, self.n)
+            self._build(points.T.copy())
         # Contiguous copies in permuted order make leaf scans cache-friendly.
         self._pts_perm = points[self._perm] if self.n else points
         self.num_nodes = len(self._split_dim)
@@ -156,44 +159,66 @@ class KDTree:
             self.points[self._perm] = self._pts_perm
 
     # -- construction ---------------------------------------------------------
-    def _add_node(self) -> int:
-        self._split_dim.append(-1)
-        self._split_val.append(0.0)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._start.append(0)
-        self._end.append(0)
-        return len(self._split_dim) - 1
-
-    def _build(self, work: np.ndarray, start: int, end: int) -> int:
-        """Build the subtree over perm[start:end]; returns its node id.
-        ``work[:, start:end]``, those points column-major, is reordered
-        with perm: spans are row reductions, the split axis one row."""
-        node = self._add_node()
-        count = end - start
-        if count <= self.leaf_size:
-            self._start[node] = start
-            self._end[node] = end
-            return node
-        block = work[:, start:end]
-        # Split on the widest dimension — better balance than cycling when
-        # clusters make some dimensions much more spread than others.
-        spans = block.max(axis=1) - block.min(axis=1)
-        dim = int(spans.argmax())
-        if spans[dim] == 0.0:
-            # All points identical: keep as an (oversized) leaf.
-            self._start[node] = start
-            self._end[node] = end
-            return node
-        mid = count // 2
-        order = block[dim].argpartition(mid)
-        self._perm[start:end] = self._perm[start:end][order]
-        block[:] = block[:, order]
-        self._split_dim[node] = dim
-        self._split_val[node] = float(block[dim, mid])
-        self._left[node] = self._build(work, start, start + mid)
-        self._right[node] = self._build(work, start + mid, end)
-        return node
+    def _build(self, work: np.ndarray) -> None:
+        """Median splits on the widest axis, one tree level at a time.
+        ``work``, the points column-major, is reordered with ``perm``: a
+        level's spans are two ``reduceat`` over its nodes' blocks, each
+        split one ``argpartition`` of a row slice, and the splits' orders
+        one gather per row.  The node table is numbered in pre-order."""
+        n = self.n
+        lo, hi = np.array([0]), np.array([n])
+        levels = []  # (lo, hi, split_dim, split_val, left child) per level
+        above = 0  # nodes in the levels above
+        while lo.size:
+            dim = np.full(lo.size, -1, dtype=np.intp)
+            val = np.zeros(lo.size)
+            left = np.full(lo.size, -1, dtype=np.intp)
+            split = np.flatnonzero(hi - lo > self.leaf_size)
+            # [start, end) interleaved; reduceat takes no index n, and the
+            # last block then runs to the end anyway.
+            cuts = np.column_stack((lo[split], hi[split])).ravel()
+            cuts = cuts[cuts < n]
+            spans = (np.maximum.reduceat(work, cuts, axis=1)
+                     - np.minimum.reduceat(work, cuts, axis=1))[:, ::2]
+            # Split on the widest dimension — better balance than cycling
+            # when clusters make some dimensions much more spread than
+            # others.  All points identical: the node stays an (oversized)
+            # leaf.
+            axis = spans.argmax(axis=0)
+            wide = spans[axis, np.arange(axis.size)] > 0.0
+            split, axis = split[wide], axis[wide]
+            s, e = lo[split], hi[split]
+            mid = s + (e - s) // 2
+            if split.size:
+                order = np.arange(n)
+                for a, i, m, j in zip(axis.tolist(), s.tolist(),
+                                      mid.tolist(), e.tolist()):
+                    order[i:j] = i + work[a, i:j].argpartition(m - i)
+                self._perm = self._perm[order]
+                for row in work:
+                    row[:] = row[order]
+                dim[split] = axis
+                val[split] = work[axis, mid]
+                left[split] = above + lo.size + 2 * np.arange(split.size)
+            levels.append((lo, hi, dim, val, left))
+            above += lo.size
+            lo = np.column_stack((s, mid)).ravel()
+            hi = np.column_stack((mid, e)).ravel()
+        lo, hi, dim, val, left = (np.concatenate(c) for c in zip(*levels))
+        # Pre-order is block-start order, a node before its descendants
+        # (the left spine shares its start; levels are concatenated in
+        # depth order, and the sort is stable).
+        pre = np.argsort(lo, kind="stable")
+        rank = np.empty_like(pre)
+        rank[pre] = np.arange(pre.size)
+        leaf = dim[pre] < 0
+        left = left[pre]  # a right child follows its sibling in its level
+        self._split_dim = dim[pre].tolist()
+        self._split_val = val[pre].tolist()
+        self._left = np.where(leaf, -1, rank[left]).tolist()
+        self._right = np.where(leaf, -1, rank[left + 1]).tolist()
+        self._start = np.where(leaf, lo[pre], 0).tolist()
+        self._end = np.where(leaf, hi[pre], 0).tolist()
 
     def rebase(self) -> np.ndarray:
         """Renumber the points by leaf order, in place, and return ``perm``:

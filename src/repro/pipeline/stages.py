@@ -136,6 +136,8 @@ class LoadPoints(Stage):
             points = np.ascontiguousarray(state.points, dtype=np.float64)
             if points.ndim != 2:
                 raise ValueError(f"points must be 2-D, got shape {points.shape}")
+            if points.shape[1] == 0:
+                raise ValueError(f"points need d >= 1, got shape {points.shape}")
             if not np.isfinite(points).all():
                 raise ValueError("points must be finite (found NaN or inf)")
             state.points = points

@@ -229,6 +229,17 @@ class TestValidationErrors:
         with pytest.raises(ValueError):
             SparkDBSCAN(1.0, 5).fit(np.zeros(10))
 
+    @pytest.mark.parametrize("make", [
+        lambda: SparkDBSCAN(1.0, 5, num_partitions=2),
+        lambda: SpatialSparkDBSCAN(1.0, 5, num_partitions=2),
+        lambda: SparkDBSCAN(1.0, 5, num_partitions=2, partitioning="cells"),
+    ], ids=["spark", "spatial", "cell"])
+    def test_fit_rejects_zero_dimensional_points(self, make):
+        # The cell plan used to retry the doomed task and surface a
+        # JobAbortedError; every plan now stops in LoadPoints.
+        with pytest.raises(ValueError, match=r"d >= 1.*\(100, 0\)"):
+            make().fit(np.zeros((100, 0)))
+
     def test_nan_eps_rejected_inf_eps_is_one_cluster(self, blobs_small):
         # nan passed `eps <= 0` (and the kd-tree's `eps < 0`) and silently
         # labelled every point noise; inf is a legal radius.

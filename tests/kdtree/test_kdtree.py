@@ -57,6 +57,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             KDTree(np.zeros((3, 2)), leaf_size=0)
 
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_rejects_zero_dimensional_points(self, n):
+        # (100, 0) died in argmax of an empty span; (10, 0), one leaf,
+        # built a tree with nothing to measure distances in.
+        with pytest.raises(ValueError, match=rf"d >= 1.*\({n}, 0\)"):
+            KDTree(np.zeros((n, 0)))
+
     def test_integer_input_converted(self):
         t = KDTree(np.array([[0, 0], [3, 4]]))
         assert t.query_radius(np.array([0.0, 0.0]), 5.0).size == 2
