@@ -72,6 +72,15 @@ class Accumulator(Generic[T]):
         backend: on shared-memory backends it would otherwise observe
         half-merged driver state, on processes a registry-less copy.
         """
+        return self._driver_registry().current_value(self.aid)
+
+    def drain(self) -> T:
+        """Hand the merged value over once (driver-only, like `value`):
+        the registry keeps its zero value in its place, so what was
+        collected lives only as long as the caller holds it."""
+        return self._driver_registry().drain(self.aid)
+
+    def _driver_registry(self) -> "AccumulatorRegistry":
         from . import task_context
 
         ctx = task_context.get()
@@ -85,7 +94,7 @@ class Accumulator(Generic[T]):
             )
         if self._registry is None:
             raise RuntimeError("accumulator value is only readable on the driver")
-        return self._registry.current_value(self.aid)
+        return self._registry
 
     def __getstate__(self) -> dict[str, Any]:
         # Ship only the id + param to executors; the registry stays driver-side.
@@ -118,6 +127,14 @@ class AccumulatorRegistry:
         """The merged value so far."""
         with self._lock:
             return self._values[aid]
+
+    def drain(self, aid: int) -> Any:
+        """The merged value so far, its slot reset to the zero value.
+        The exactly-once keys stay: a late duplicate of a task that
+        already reported still merges nothing."""
+        with self._lock:
+            value, self._values[aid] = self._values[aid], self._params[aid].zero()
+        return value
 
     def apply_direct(self, aid: int, term: Any) -> None:
         """Driver-side add (outside any task)."""

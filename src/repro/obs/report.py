@@ -12,6 +12,10 @@ merge-graph statistics fall out of one trace instead of ad-hoc timers:
   per core);
 - **partials / merge stats** — carried as labels on the expansion and
   ``driver.merge`` spans;
+- **memory per stage** — the ``peak_rss`` each ``pipeline.stage`` span
+  records as it ends: the process's high-water mark so far, so the
+  column never falls, and the stage where it reaches its top is where
+  the run's peak was first reached;
 - **jobs table and skew** — one fold over the engine's task-attempt
   spans, keyed by (job, stage, partition), gives the per-job/per-stage
   summary (tasks, failed attempts, task seconds, shuffle bytes) and
@@ -125,6 +129,8 @@ class TraceReport:
     partition_costs: dict[int, float] = field(default_factory=dict)
     partition_pids: dict[int, int] = field(default_factory=dict)
     halo_stats: dict[str, Any] = field(default_factory=dict)
+    # (stage, process peak RSS in bytes as it ended), in stage order
+    stage_peak_rss: list[tuple[str, int]] = field(default_factory=list)
 
     # -- derived ------------------------------------------------------------
     @property
@@ -185,6 +191,12 @@ class TraceReport:
         return max(self.partition_costs, key=self.partition_costs.__getitem__)
 
     @property
+    def peak_stage(self) -> str | None:
+        """The stage in which the run's peak RSS was first reached."""
+        peaks = [rss for _, rss in self.stage_peak_rss]
+        return self.stage_peak_rss[peaks.index(max(peaks))][0] if peaks else None
+
+    @property
     def halo_overhead_fraction(self) -> float:
         """Cell plan: replicated halo bytes over total shipped payload."""
         halo = float(self.halo_stats.get("halo_nbytes", 0))
@@ -209,6 +221,7 @@ class TraceReport:
         report.wall_s = (max_end - min_start) / 1e6
         report.num_spans = len(xs)
         driver = [e for e in xs if e.get("cat") == "driver"]
+        stage_ends: list[tuple[float, str, int]] = []
         for e in xs:
             name = e.get("name", "?")
             cat = e.get("cat", "")
@@ -275,6 +288,9 @@ class TraceReport:
                     p = int(args["partition"])
                     if p not in stage.winners or dur_s < stage.winners[p][0]:
                         stage.winners[p] = (dur_s, int(args.get("worker_pid", 0)))
+            elif cat == "pipeline" and "peak_rss" in args:
+                stage_ends.append((e["ts"] + e["dur"], str(args.get("stage")),
+                                   int(args["peak_rss"])))
             elif cat == "worker":
                 report.worker_phase_s[name] = (
                     report.worker_phase_s.get(name, 0.0) + dur_s
@@ -293,6 +309,7 @@ class TraceReport:
             if pid:
                 report.partition_pids[p] = pid
         report.worker_pids.sort()
+        report.stage_peak_rss = [(s, rss) for _, s, rss in sorted(stage_ends)]
         return report
 
     @classmethod
@@ -343,6 +360,14 @@ def format_report(report: TraceReport) -> str:
         lines.append("driver phases:")
         for name in ordered:
             lines.append(f"  {name:<28} {_fmt_s(report.driver_phases[name])}")
+    if report.stage_peak_rss:
+        lines.append("")
+        lines.append("stage peak RSS (process high-water mark at stage end):")
+        peaks = [rss for _, rss in report.stage_peak_rss]
+        first = peaks.index(max(peaks))
+        for k, (stage, rss) in enumerate(report.stage_peak_rss):
+            mark = "  <- peak first reached" if k == first else ""
+            lines.append(f"  {stage:<28} {rss / 2**20:9.1f} MiB{mark}")
     if report.partials_by_partition:
         lines.append("")
         lines.append(

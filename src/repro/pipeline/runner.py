@@ -4,8 +4,10 @@ One runner replaces the five hand-rolled ``fit`` bodies.  It owns the
 cross-cutting concerns the frontends used to re-thread individually:
 
 - **tracing/metrics** — one ``pipeline.stage`` span per stage (status
-  ``run``/``restored``) around the stage's own legacy spans, plus
-  checkpoint hit/miss counters in the metrics registry;
+  ``run``/``restored``) around the stage's own legacy spans, carrying
+  the process's peak RSS so far as the stage ends (``peak_rss``, bytes:
+  `repro trace`'s memory column), plus checkpoint hit/miss counters in
+  the metrics registry;
 - **engine lifecycle** — a lent `SparkContext` is reused (and its tracer
   adopted), an owned one is stopped in ``finally``, and either way the
   fit's tree broadcast is released there; so is a scratch directory
@@ -29,6 +31,7 @@ import time
 
 import numpy as np
 
+from ..engine.metrics import peak_rss_bytes
 from ..obs.spans import NULL_TRACER, Tracer
 from .checkpoint import CheckpointStore
 from .config import RunConfig
@@ -146,8 +149,9 @@ class PipelineRunner:
                 with state.tracer.span(
                     "pipeline.stage", cat="pipeline",
                     stage=stage.name, status=RESTORED,
-                ):
+                ) as sp:
                     stage.load(state, store)
+                    sp.annotate(peak_rss=peak_rss_bytes())
                 state.mark(*stage.provides)
                 self._count_checkpoint(stage, hit=True)
             else:
@@ -169,8 +173,9 @@ class PipelineRunner:
         stage_start = time.perf_counter()
         with state.tracer.span(
             "pipeline.stage", cat="pipeline", stage=stage.name, status=RUN,
-        ):
+        ) as sp:
             stage.run(state)
+            sp.annotate(peak_rss=peak_rss_bytes())
         if self.metrics_registry is not None:
             self.metrics_registry.histogram(
                 "repro_pipeline_stage_seconds",

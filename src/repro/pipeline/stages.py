@@ -316,6 +316,10 @@ def ship_expansions(state: PipelineState, expansions) -> None:
 def drain_accumulator(state: PipelineState, stage: "CollectStage") -> None:
     """The collect stages' body: accumulator to driver.
 
+    Drains the accumulator once (`Accumulator.drain`): its registry slot
+    goes back to the empty list, so the tasks' tables live no longer
+    than what ``stage.install`` keeps of them — not for the context's
+    life, which a lent context shares across fits.
     Hands ``stage.install`` the tasks' tables in partition order — the
     accumulator's own order follows task *completion* under the
     threads/processes backends, and nothing downstream may depend on
@@ -331,7 +335,7 @@ def drain_accumulator(state: PipelineState, stage: "CollectStage") -> None:
     num_partitions = state.config.num_partitions
     partials_per, seeds_per = [0] * num_partitions, [0] * num_partitions
     with tracer.span("driver.accumulator_drain", cat="driver") as sp:
-        items = sorted(state.acc.value, key=lambda t: t.task)
+        items = sorted(state.acc.drain(), key=lambda t: t.task)
         if tracer.enabled:
             for t in items:
                 partials_per[t.task] += len(t)
@@ -572,7 +576,8 @@ class ApplyGidMap(OutcomeStage):
 
                 expanded.foreach_partition_with_index(apply_partition)
                 labels = apply_gid_map((), plan, state.n)  # the claims
-                for ids, gids, sizes in label_acc.value:
+                parts = label_acc.drain()
+                for ids, gids, sizes in parts:
                     labels[ids] = np.repeat(gids, sizes)
                 state.timings.driver_merge += time.perf_counter() - t0
                 sp.annotate(

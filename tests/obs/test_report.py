@@ -238,3 +238,36 @@ class TestSkewReport:
         tr.add_span("driver.merge", 1.0, cat="driver", start=0.0)
         text = format_skew_report(TraceReport.from_tracer(tr))
         assert "(no per-partition task spans in trace)" in text
+
+
+class TestStageMemoryColumn:
+    def test_a_traced_fit_records_a_rising_peak_per_stage(self, blobs_small):
+        """Each ``pipeline.stage`` span carries the process's peak RSS so
+        far as the stage ends: one row per executed stage, never
+        falling, rendered with the stage the peak was first reached in."""
+        from repro.dbscan import SparkDBSCAN
+
+        tracer = Tracer()
+        SparkDBSCAN(25.0, 5, num_partitions=3, tracer=tracer).fit(
+            blobs_small.points)
+        report = TraceReport.from_tracer(tracer)
+        stages = [s for s, _ in report.stage_peak_rss]
+        assert stages == [sp.labels["stage"]
+                          for sp in tracer.find("pipeline.stage")]
+        assert "CollectPartials" in stages
+        peaks = [rss for _, rss in report.stage_peak_rss]
+        assert all(rss > 0 for rss in peaks)
+        assert peaks == sorted(peaks)
+        assert report.peak_stage == stages[peaks.index(peaks[-1])]
+        text = format_report(report)
+        assert "stage peak RSS" in text
+        assert f"{report.peak_stage:<28}" in text
+        marked = [line for line in text.splitlines()
+                  if line.endswith("<- peak first reached")]
+        assert len(marked) == 1
+        assert marked[0].split()[0] == report.peak_stage
+
+    def test_a_trace_without_stage_spans_has_no_column(self):
+        report = TraceReport.from_tracer(_synthetic_tracer())
+        assert report.stage_peak_rss == [] and report.peak_stage is None
+        assert "stage peak RSS" not in format_report(report)
