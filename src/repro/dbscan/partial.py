@@ -769,15 +769,8 @@ def digest_from_partials(
         table.members, table.seeds, kind="table")).project()
 
 
-#: Clusters the payload gauges render at a time (orphan rows: 16 times
-#: as many).
+#: Clusters `partials_payload_nbytes` renders at a time.
 PAYLOAD_BLOCK = 256
-
-#: Protocol 4's framing: the pickler closes a frame at the first object
-#: it starts at least this many bytes in; a header is 9 bytes.
-FRAME_BYTES = 1 << 16
-#: Protocol 4 writes a list's items in ``MARK ... APPENDS`` batches.
-APPEND_BATCH = 1000
 
 
 def partials_payload_nbytes(partials: ClusterTable,
@@ -791,8 +784,7 @@ def partials_payload_nbytes(partials: ClusterTable,
     laid out.  The orphan table, when given, counts as one more item.
     The sum feeds the ``repro_driver_collect_bytes`` gauge the perf gate
     compares exactly.  The columns are rendered `PAYLOAD_BLOCK` clusters
-    at a time and the orphan list is sized without rendering it
-    (`_Pickle`), so the gauge never holds the whole record as Python
+    at a time, so the gauge never holds the whole record as Python
     objects.
     """
     total = 0
@@ -819,150 +811,30 @@ def partials_payload_nbytes(partials: ClusterTable,
             for k, (p, lid, lo, hi, down) in enumerate(rows)
         )
     if len(orphans):
-        pk = _Pickle()
-        pk.orphan_list(orphans)
-        total += pk.nbytes()
+        total += len(pickle.dumps(orphans.tolist(), protocol=4))
     return total
 
 
 def digest_payload_nbytes(digests: list[ClusterTable]) -> int:
     """Canonical driver-collect size of the edge-mode payload: per
-    projection, the protocol-4 pickle of ``(task, summaries, seed lists,
-    exports, orphan rows)`` — summaries ``(partition, local_id, founder,
-    members, seeds, borders)``, one seed list per cluster, exports
-    ``(point, local_id, core?)`` per member, orphan rows as pairs — as
-    for :func:`partials_payload_nbytes`.  Computed from the columns
-    `PAYLOAD_BLOCK` clusters at a time, byte for byte what `pickle.dumps`
-    of that tuple returns, without building it (`_Pickle`)."""
+    projection, its summaries ``(partition, local_id, founder, members,
+    seeds, borders)``, seed lists, exports ``(point, local_id, core?)``
+    and orphan rows, pickled as for :func:`partials_payload_nbytes`."""
     total = 0
     for t in digests:
-        pk = _Pickle()
-        pk.object(1)                                    # the tuple, MARK
-        pk.object(int(pk.ints(np.array([t.task]))[0]))
-        shipped = t.sizes - t.member_count
-        mp = t.member_ptr
-        blocks = [(a, min(a + PAYLOAD_BLOCK, len(t)))
-                  for a in range(0, len(t), PAYLOAD_BLOCK)]
-        pk.list(len(t), (pk.tuples([
-            t.partition[a:b], t.local_id[a:b], t.founder[a:b],
-            t.member_count[a:b], shipped[a:b], t.border_count[a:b],
-        ]) for a, b in blocks))
-        pk.list(len(t), (pk.int_lists(t.seeds, t.seed_ptr[a:b + 1])
-                         for a, b in blocks))
-        pk.list(len(t.members), (pk.tuples([
-            t.members[mp[a]:mp[b]],
-            np.repeat(t.local_id[a:b], np.diff(mp[a:b + 1])),
-            None,
-        ]) for a, b in blocks))
-        pk.orphan_list(t.orphans)
-        pk.pos += 2                                     # TUPLE, MEMOIZE
-        total += pk.nbytes()
+        seeds, sp = t.seeds.tolist(), t.seed_ptr.tolist()
+        summaries = list(zip(
+            t.partition.tolist(), t.local_id.tolist(), t.founder.tolist(),
+            t.member_count.tolist(), (t.sizes - t.member_count).tolist(),
+            t.border_count.tolist()))
+        exports = list(zip(
+            t.members.tolist(),
+            np.repeat(t.local_id, np.diff(t.member_ptr)).tolist(),
+            (~t.border).tolist()))
+        total += len(pickle.dumps(
+            (t.task, summaries,
+             [seeds[sp[k]:sp[k + 1]] for k in range(len(t))],
+             exports, t.orphans.tolist()),
+            protocol=4,
+        ))
     return total
-
-
-class _Pickle:
-    """The length of one protocol-4 `pickle.dumps` of nested tuples and
-    lists of ints, computed from the ints as arrays.
-
-    Each int costs its opcode (`ints`), each container its fixed
-    opcodes, and the framing 9 bytes per frame.  The pickler starts a
-    new frame at the first object it begins at least `FRAME_BYTES` into
-    the open one, so the containers report the body offset of every
-    object they begin (`begin`), in stream order.  Every tuple and list
-    here is a distinct object, so the memo costs one ``MEMOIZE`` byte
-    per container and never a back-reference.
-    """
-
-    def __init__(self) -> None:
-        self.pos = 0        # body bytes so far (after PROTO)
-        self.frame = 0      # body offset where the open frame began
-        self.closed = 0     # frames closed so far
-
-    def begin(self, at: np.ndarray) -> None:
-        """Objects begin at the body offsets ``at`` (ascending)."""
-        while len(at) and at[-1] >= self.frame + FRAME_BYTES:
-            self.frame = int(at[np.searchsorted(at, self.frame + FRAME_BYTES)])
-            self.closed += 1
-
-    def object(self, nbytes: int) -> None:
-        """An object begins here and ``nbytes`` of opcodes follow."""
-        self.begin(np.array([self.pos]))
-        self.pos += nbytes
-
-    def nbytes(self) -> int:
-        """PROTO, the body, STOP and a header per frame (the last one's
-        only if it holds 4 bytes or more, as the pickler does)."""
-        body = self.pos + 1
-        return 2 + body + 9 * (self.closed + (body - self.frame >= 4))
-
-    @staticmethod
-    def ints(values: np.ndarray) -> np.ndarray:
-        """Opcode bytes per int: BININT1, BININT2, BININT or LONG1."""
-        v = np.asarray(values, dtype=np.int64)
-        n = np.where((v >= 0) & (v < 1 << 8), 2,
-                     np.where((v >= 0) & (v < 1 << 16), 3, 5))
-        big = (v < -(1 << 31)) | (v >= 1 << 31)
-        if big.any():  # PROTO, FRAME and STOP around one LONG1
-            n[big] = [len(pickle.dumps(x, protocol=4)) - 12
-                      for x in v[big].tolist()]
-        return n
-
-    def list(self, n: int, blocks: Iterable[tuple]) -> None:
-        """A list of ``n`` items, given as blocks of ``(sizes, owner,
-        off)`` — item bytes, and objects beginning ``off`` bytes into
-        item ``owner`` — : EMPTY_LIST, MEMOIZE, then the items, in
-        ``MARK ... APPENDS`` batches when there is more than one."""
-        self.object(2)
-        base, done = self.pos, 0
-        for sizes, owner, off in blocks:
-            k = done + np.arange(len(sizes))
-            start = (base + (n > 1) * (1 + 2 * (k // APPEND_BATCH))
-                     + np.cumsum(sizes) - sizes)
-            self.begin(start[owner] + off)
-            base += int(sizes.sum())
-            done += len(sizes)
-        self.pos = base + (1 if n == 1 else 2 * -(-n // APPEND_BATCH))
-
-    def tuples(self, columns: list[np.ndarray | None]) -> tuple:
-        """A block of tuples for `list`, field ``j`` from ``columns[j]``
-        (None: a bool, one byte).  Up to 3 fields: the fields, TUPLEn,
-        MEMOIZE; more: MARK, the fields, TUPLE, MEMOIZE."""
-        rows = len(next(c for c in columns if c is not None))
-        head = int(len(columns) > 3)
-        ends = np.cumsum(np.column_stack([
-            np.ones(rows, dtype=np.int64) if c is None else self.ints(c)
-            for c in columns]), axis=1)
-        off = np.zeros((rows, len(columns) + 1), dtype=np.int64)
-        off[:, 1] = head
-        off[:, 2:] = head + ends[:, :-1]
-        return (ends[:, -1] + head + 2,
-                np.repeat(np.arange(rows), len(columns) + 1), off.ravel())
-
-    def int_lists(self, values: np.ndarray, ptr: np.ndarray) -> tuple:
-        """A block of int lists for `list`: list ``k`` holds
-        ``values[ptr[k]:ptr[k + 1]]``.  A list of one is its value and
-        APPEND; a longer one batches as `list` does."""
-        counts = np.diff(ptr)
-        lists = np.arange(len(counts))
-        cum = np.zeros(ptr[-1] - ptr[0] + 1, dtype=np.int64)
-        np.cumsum(self.ints(values[ptr[0]:ptr[-1]]), out=cum[1:])
-        first = ptr[:-1] - ptr[0]
-        of = np.repeat(lists, counts)            # each value's list
-        k = np.arange(len(of)) - first[of]       # its index in that list
-        at = (2 + (counts[of] > 1) * (1 + 2 * (k // APPEND_BATCH))
-              + cum[:-1] - cum[first[of]])
-        sizes = (2 + cum[first + counts] - cum[first]
-                 + np.where(counts == 1, 1, 2 * -(-counts // APPEND_BATCH)))
-        # Each list begins at its offset 0, then its values.
-        owner = np.concatenate([lists, of])
-        order = np.argsort(owner, kind="stable")
-        return (sizes, owner[order],
-                np.concatenate([np.zeros(len(lists), dtype=np.int64), at])[order])
-
-    def orphan_list(self, orphans: np.ndarray) -> None:
-        """``orphans.tolist()``: a list of ``[point, neighbour]`` lists."""
-        step = 16 * PAYLOAD_BLOCK
-        self.list(len(orphans), (
-            self.int_lists(orphans[a:a + step].ravel(),
-                           np.arange(0, 2 * len(orphans[a:a + step]) + 1, 2))
-            for a in range(0, len(orphans), step)))

@@ -12,10 +12,13 @@ merge-graph statistics fall out of one trace instead of ad-hoc timers:
   per core);
 - **partials / merge stats** — carried as labels on the expansion and
   ``driver.merge`` spans;
-- **memory per stage** — the ``peak_rss`` each ``pipeline.stage`` span
-  records as it ends: the process's high-water mark so far, so the
-  column never falls, and the stage where it reaches its top is where
-  the run's peak was first reached;
+- **memory per stage** — the process's high-water mark each
+  ``pipeline.stage`` span records as it starts and ends
+  (``peak_rss_start``, ``peak_rss``): the column never falls, and the
+  stage that raised it to its top is where the peak was first reached.
+  The mark is process-wide, so a stage counts only if the mark rose
+  within it: a later fit in the same process that never passes an
+  earlier fit's peak names no stage;
 - **jobs table and skew** — one fold over the engine's task-attempt
   spans, keyed by (job, stage, partition), gives the per-job/per-stage
   summary (tasks, failed attempts, task seconds, shuffle bytes) and
@@ -129,8 +132,9 @@ class TraceReport:
     partition_costs: dict[int, float] = field(default_factory=dict)
     partition_pids: dict[int, int] = field(default_factory=dict)
     halo_stats: dict[str, Any] = field(default_factory=dict)
-    # (stage, process peak RSS in bytes as it ended), in stage order
-    stage_peak_rss: list[tuple[str, int]] = field(default_factory=list)
+    # (stage, process peak RSS in bytes as it started, as it ended), in
+    # stage order
+    stage_peak_rss: list[tuple[str, int, int]] = field(default_factory=list)
 
     # -- derived ------------------------------------------------------------
     @property
@@ -191,10 +195,13 @@ class TraceReport:
         return max(self.partition_costs, key=self.partition_costs.__getitem__)
 
     @property
-    def peak_stage(self) -> str | None:
-        """The stage in which the run's peak RSS was first reached."""
-        peaks = [rss for _, rss in self.stage_peak_rss]
-        return self.stage_peak_rss[peaks.index(max(peaks))][0] if peaks else None
+    def peak_row(self) -> int | None:
+        """The row of `stage_peak_rss` whose stage raised the process's
+        peak RSS to its top; None if no stage in the trace did (the peak
+        was reached outside them, e.g. by an earlier fit)."""
+        top = max((end for _, _, end in self.stage_peak_rss), default=0)
+        return next((k for k, (_, start, end) in enumerate(self.stage_peak_rss)
+                     if start < end == top), None)
 
     @property
     def halo_overhead_fraction(self) -> float:
@@ -221,7 +228,7 @@ class TraceReport:
         report.wall_s = (max_end - min_start) / 1e6
         report.num_spans = len(xs)
         driver = [e for e in xs if e.get("cat") == "driver"]
-        stage_ends: list[tuple[float, str, int]] = []
+        stage_ends: list[tuple[float, str, int, int]] = []
         for e in xs:
             name = e.get("name", "?")
             cat = e.get("cat", "")
@@ -290,6 +297,7 @@ class TraceReport:
                         stage.winners[p] = (dur_s, int(args.get("worker_pid", 0)))
             elif cat == "pipeline" and "peak_rss" in args:
                 stage_ends.append((e["ts"] + e["dur"], str(args.get("stage")),
+                                   int(args["peak_rss_start"]),
                                    int(args["peak_rss"])))
             elif cat == "worker":
                 report.worker_phase_s[name] = (
@@ -309,7 +317,7 @@ class TraceReport:
             if pid:
                 report.partition_pids[p] = pid
         report.worker_pids.sort()
-        report.stage_peak_rss = [(s, rss) for _, s, rss in sorted(stage_ends)]
+        report.stage_peak_rss = [row[1:] for row in sorted(stage_ends)]
         return report
 
     @classmethod
@@ -363,10 +371,9 @@ def format_report(report: TraceReport) -> str:
     if report.stage_peak_rss:
         lines.append("")
         lines.append("stage peak RSS (process high-water mark at stage end):")
-        peaks = [rss for _, rss in report.stage_peak_rss]
-        first = peaks.index(max(peaks))
-        for k, (stage, rss) in enumerate(report.stage_peak_rss):
-            mark = "  <- peak first reached" if k == first else ""
+        peak = report.peak_row
+        for k, (stage, _, rss) in enumerate(report.stage_peak_rss):
+            mark = "  <- peak first reached" if k == peak else ""
             lines.append(f"  {stage:<28} {rss / 2**20:9.1f} MiB{mark}")
     if report.partials_by_partition:
         lines.append("")

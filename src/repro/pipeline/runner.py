@@ -5,9 +5,9 @@ cross-cutting concerns the frontends used to re-thread individually:
 
 - **tracing/metrics** — one ``pipeline.stage`` span per stage (status
   ``run``/``restored``) around the stage's own legacy spans, carrying
-  the process's peak RSS so far as the stage ends (``peak_rss``, bytes:
-  `repro trace`'s memory column), plus checkpoint hit/miss counters in
-  the metrics registry;
+  the process's peak RSS so far as the stage starts and ends
+  (``peak_rss_start``/``peak_rss``, bytes: `repro trace`'s memory
+  column), plus checkpoint hit/miss counters in the metrics registry;
 - **engine lifecycle** — a lent `SparkContext` is reused (and its tracer
   adopted), an owned one is stopped in ``finally``, and either way the
   fit's tree broadcast is released there; so is a scratch directory
@@ -149,6 +149,7 @@ class PipelineRunner:
                 with state.tracer.span(
                     "pipeline.stage", cat="pipeline",
                     stage=stage.name, status=RESTORED,
+                    peak_rss_start=peak_rss_bytes(),
                 ) as sp:
                     stage.load(state, store)
                     sp.annotate(peak_rss=peak_rss_bytes())
@@ -173,6 +174,7 @@ class PipelineRunner:
         stage_start = time.perf_counter()
         with state.tracer.span(
             "pipeline.stage", cat="pipeline", stage=stage.name, status=RUN,
+            peak_rss_start=peak_rss_bytes(),
         ) as sp:
             stage.run(state)
             sp.annotate(peak_rss=peak_rss_bytes())

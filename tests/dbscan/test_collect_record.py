@@ -2,9 +2,11 @@
 
 `ClusterTable.concat` writes each task's columns straight into their
 founder-sorted place; it is held here to the stack-then-gather it
-replaced (`stacked_concat`).  The payload gauges render the
-record a block at a time; they are held to whole-record renderings
-(`whole_partials_nbytes`, `whole_digest_nbytes`).  And the accumulator
+replaced (`stacked_concat`).  The partials gauge renders the record
+a block at a time and the digest gauge one projection at a time; both
+are held to whole-record renderings (`whole_partials_nbytes`,
+`whole_digest_nbytes`), since `merge.collect_bytes` is compared
+exactly.  And the accumulator
 hands the tasks' tables over once, so a lent context does not keep an
 earlier fit's tables alive.
 """
@@ -184,10 +186,9 @@ def whole_digest_nbytes(digests):
 
 
 def random_table(seed, clusters):
-    """A record with every int width the pickler distinguishes (1, 2 and
-    4 bytes, and LONG1 past 2**31), a cluster with more than 1 000 seeds
-    and members (two ``APPENDS`` batches), more than 64 KiB per pickle
-    (several frames) and orphan rows."""
+    """A record with ids of every pickled int width (1, 2 and 4 bytes,
+    and past 2**31), a cluster with 2 500 seeds and members, and orphan
+    rows."""
     rng = np.random.default_rng(seed)
     top = [200, 60_000, 10**6, 2**33][seed % 4]
     members = rng.integers(1, 40, clusters)
@@ -211,8 +212,8 @@ def random_table(seed, clusters):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_payload_gauges_match_whole_record_renderings(seed):
-    """More clusters than one block, every int width, multi-batch lists,
-    multi-frame pickles and orphan rows: the same byte counts."""
+    """More clusters than one block, every int width, long lists and
+    orphan rows: the same byte counts."""
     table = random_table(seed, 3 * PAYLOAD_BLOCK + 7)
     assert partials_payload_nbytes(table, table.orphans) == (
         whole_partials_nbytes(table, table.orphans))

@@ -125,6 +125,18 @@ class TestAccumulatorExactlyOnce:
         reg.apply_task_updates(0, 0, 1, {acc.aid: 7})
         assert acc.value == 12
 
+    def test_a_late_duplicate_after_a_drain_merges_nothing(self):
+        """`drain` resets the slot but keeps the exactly-once keys: a
+        task that already reported cannot refill the drained slot."""
+        reg = AccumulatorRegistry()
+        acc = reg.new_accumulator(LIST_CONCAT)
+        assert reg.apply_task_updates(0, 0, 0, {acc.aid: ["t0"]})
+        assert acc.drain() == ["t0"]
+        assert not reg.apply_task_updates(0, 0, 0, {acc.aid: ["t0"]})
+        assert acc.value == []
+        assert reg.apply_task_updates(0, 0, 1, {acc.aid: ["t1"]})
+        assert acc.drain() == ["t1"] and acc.value == []
+
     def test_unknown_accumulator_ignored(self):
         reg = AccumulatorRegistry()
         assert reg.apply_task_updates(0, 0, 0, {999: 5})  # merged nothing, no crash

@@ -240,34 +240,99 @@ class TestSkewReport:
         assert "(no per-partition task spans in trace)" in text
 
 
+def _stage(tr, stage, start, peak_start, peak_end):
+    tr.add_span("pipeline.stage", 1.0, cat="pipeline", start=start,
+                stage=stage, status="run", peak_rss_start=peak_start,
+                peak_rss=peak_end)
+
+
+def _marked(text):
+    return [line.split()[0] for line in text.splitlines()
+            if line.endswith("<- peak first reached")]
+
+
 class TestStageMemoryColumn:
     def test_a_traced_fit_records_a_rising_peak_per_stage(self, blobs_small):
         """Each ``pipeline.stage`` span carries the process's peak RSS so
-        far as the stage ends: one row per executed stage, never
-        falling, rendered with the stage the peak was first reached in."""
+        far as the stage starts and ends: one row per executed stage,
+        never falling, rendered, and at most the stage that raised the
+        peak to its top is marked."""
         from repro.dbscan import SparkDBSCAN
 
         tracer = Tracer()
         SparkDBSCAN(25.0, 5, num_partitions=3, tracer=tracer).fit(
             blobs_small.points)
         report = TraceReport.from_tracer(tracer)
-        stages = [s for s, _ in report.stage_peak_rss]
+        rows = report.stage_peak_rss
+        stages = [s for s, _, _ in rows]
         assert stages == [sp.labels["stage"]
                           for sp in tracer.find("pipeline.stage")]
         assert "CollectPartials" in stages
-        peaks = [rss for _, rss in report.stage_peak_rss]
-        assert all(rss > 0 for rss in peaks)
-        assert peaks == sorted(peaks)
-        assert report.peak_stage == stages[peaks.index(peaks[-1])]
+        marks = [rss for _, start, end in rows for rss in (start, end)]
+        assert all(rss > 0 for rss in marks)
+        assert marks == sorted(marks)
         text = format_report(report)
         assert "stage peak RSS" in text
-        assert f"{report.peak_stage:<28}" in text
-        marked = [line for line in text.splitlines()
-                  if line.endswith("<- peak first reached")]
-        assert len(marked) == 1
-        assert marked[0].split()[0] == report.peak_stage
+        assert all(f"  {stage:<28}" in text for stage in stages)
+        # This process may have peaked before the fit (earlier tests).
+        peak = report.peak_row
+        assert _marked(text) == ([] if peak is None else [stages[peak]])
+        if peak is not None:
+            _, start, end = rows[peak]
+            assert start < end == marks[-1]
+
+    def test_the_mark_names_the_stage_that_raised_the_peak(self):
+        """Two fits in one process: the first raises the mark in its
+        second stage, the second never passes it.  The first fit's
+        stage is marked; a flat column marks nothing."""
+        tr = Tracer()
+        _stage(tr, "LoadPoints", 0.0, 10, 15)
+        _stage(tr, "CollectPartials", 1.0, 15, 20)
+        _stage(tr, "LoadPoints", 2.0, 20, 20)
+        _stage(tr, "CollectPartials", 3.0, 20, 20)
+        report = TraceReport.from_tracer(tr)
+        assert report.stage_peak_rss == [
+            ("LoadPoints", 10, 15), ("CollectPartials", 15, 20),
+            ("LoadPoints", 20, 20), ("CollectPartials", 20, 20)]
+        assert report.peak_row == 1
+        column = format_report(report).split("stage peak RSS")[1]
+        assert [line.endswith("  <- peak first reached")
+                for line in column.splitlines()[1:5]] == [
+            False, True, False, False]
+
+        flat = Tracer()
+        _stage(flat, "LoadPoints", 0.0, 20, 20)
+        _stage(flat, "CollectPartials", 1.0, 20, 20)
+        report = TraceReport.from_tracer(flat)
+        assert report.peak_row is None
+        assert _marked(format_report(report)) == []
+
+    def test_two_fits_on_one_lent_context(self, blobs_small):
+        """The sweep's shape under one tracer: both fits' stages in
+        order, the column never falling across them, and a mark only on
+        a stage that raised the peak."""
+        from repro.dbscan import SparkDBSCAN
+        from repro.engine import SparkContext
+
+        tracer = Tracer()
+        with SparkContext("simulated[2]", tracer=tracer) as sc:
+            for eps in (20.0, 25.0):
+                SparkDBSCAN(eps, 5, num_partitions=3).fit(
+                    blobs_small.points, sc=sc)
+        report = TraceReport.from_tracer(tracer)
+        rows = report.stage_peak_rss
+        stages = [s for s, _, _ in rows]
+        assert len(stages) % 2 == 0
+        assert stages[:len(stages) // 2] == stages[len(stages) // 2:]
+        marks = [rss for _, start, end in rows for rss in (start, end)]
+        assert marks == sorted(marks)
+        peak = report.peak_row
+        assert _marked(format_report(report)) == (
+            [] if peak is None else [stages[peak]])
+        if peak is not None:
+            assert rows[peak][1] < rows[peak][2] == marks[-1]
 
     def test_a_trace_without_stage_spans_has_no_column(self):
         report = TraceReport.from_tracer(_synthetic_tracer())
-        assert report.stage_peak_rss == [] and report.peak_stage is None
+        assert report.stage_peak_rss == [] and report.peak_row is None
         assert "stage peak RSS" not in format_report(report)
