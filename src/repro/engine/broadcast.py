@@ -15,6 +15,7 @@ per task.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import tempfile
@@ -25,17 +26,24 @@ T = TypeVar("T")
 
 _MISSING = object()
 
-# Process-local cache: broadcast id -> deserialized value.  In a worker
+# Process-local cache: broadcast key -> deserialized value.  In a worker
 # process this is populated on first access; in the driver process it is
-# populated at creation time.
+# populated at creation time.  The key is unique within the driver
+# process, not the per-context ``bid``: two live contexts both number
+# their broadcasts from 0, and a kept worker serves one context after
+# another.
 _local_cache: dict[int, Any] = {}
 _cache_lock = threading.Lock()
-# Count of file loads, exposed for tests asserting once-per-executor delivery.
+_keys = itertools.count()
+# File loads per ``bid`` since the last reset, exposed for tests asserting
+# once-per-executor delivery.  A worker resets it with each new lease, so
+# there it counts one context's broadcasts.
 _load_counts: dict[int, int] = {}
 
 
 def _reset_process_cache() -> None:
-    """Test hook: clear the process-local broadcast cache."""
+    """Clear the process-local broadcast cache (a worker does so when it
+    starts serving a new context)."""
     with _cache_lock:
         _local_cache.clear()
         _load_counts.clear()
@@ -44,8 +52,8 @@ def _reset_process_cache() -> None:
 class Broadcast(Generic[T]):
     """Handle to a broadcast value.
 
-    Only the (id, path) pair travels inside task closures; `.value`
-    resolves through the process-local cache.
+    Only the (id, key, path) triple travels inside task closures;
+    `.value` resolves through the process-local cache under ``key``.
     """
 
     def __init__(
@@ -57,6 +65,7 @@ class Broadcast(Generic[T]):
         manager: "BroadcastManager | None" = None,
     ):
         self.bid = bid
+        self.key = next(_keys)
         self._manager = manager   # driver-side only; never pickled
         self._path: str | None = None
         self.nbytes = 0   # serialized size; 0 when never materialised to disk
@@ -64,7 +73,7 @@ class Broadcast(Generic[T]):
         # write-barrier re-hashes against it at the end of every task.
         self._expected_hash = expected_hash
         with _cache_lock:
-            _local_cache[bid] = value
+            _local_cache[self.key] = value
         if spill_dir is not None:
             os.makedirs(spill_dir, exist_ok=True)
             fd, path = tempfile.mkstemp(prefix=f"bcast-{bid}-", dir=spill_dir)
@@ -77,7 +86,7 @@ class Broadcast(Generic[T]):
     def value(self) -> T:
         """The current value."""
         with _cache_lock:
-            cached = _local_cache.get(self.bid, _MISSING)
+            cached = _local_cache.get(self.key, _MISSING)
         if cached is not _MISSING:
             self._note_access(cached)
             return cached
@@ -89,7 +98,7 @@ class Broadcast(Generic[T]):
         with open(self._path, "rb") as f:
             value = pickle.load(f)
         with _cache_lock:
-            _local_cache[self.bid] = value
+            _local_cache[self.key] = value
             _load_counts[self.bid] = _load_counts.get(self.bid, 0) + 1
         self._note_access(value)
         return value
@@ -129,7 +138,7 @@ class Broadcast(Generic[T]):
         """Drop the cached value in this process (and the backing file);
         the issuing manager forgets the handle."""
         with _cache_lock:
-            _local_cache.pop(self.bid, None)
+            _local_cache.pop(self.key, None)
         if self._path is not None and os.path.exists(self._path):
             os.unlink(self._path)
         self._path = None
@@ -144,6 +153,7 @@ class Broadcast(Generic[T]):
         # baked into the handle.
         return {
             "bid": self.bid,
+            "key": self.key,
             "_path": self._path,
             "nbytes": self.nbytes,
             "_expected_hash": self._expected_hash,
@@ -151,6 +161,7 @@ class Broadcast(Generic[T]):
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.bid = state["bid"]
+        self.key = state["key"]
         self._path = state["_path"]
         self.nbytes = state.get("nbytes", 0)
         self._expected_hash = state.get("_expected_hash")

@@ -8,7 +8,8 @@ executor-local `BlockManager`, installing a `TaskContext` so that
 accumulators and metrics behave with Spark semantics.
 
 Worker processes get a process-global block manager, mirroring Spark's
-one-block-manager-per-executor layout.
+one-block-manager-per-executor layout, renewed for each context they
+serve (`serve`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import task_context
 from .errors import TaskError
@@ -24,6 +25,9 @@ from .fault import FaultPlan
 from .metrics import TaskMetrics, peak_rss_bytes
 from .rdd import RDD, TaskRuntime
 from .storage import BlockManager
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 
 @dataclass
@@ -181,10 +185,36 @@ def run_task(
 
 # ---------------------------------------------------------------------------
 # Worker-process entry points (process backend).  Each worker process keeps
-# one block manager for its lifetime — "one per executor", like Spark.
+# one block manager per lease — "one per executor", like Spark.  A worker
+# outlives the context that forked it (the backend hands its pool on to
+# the next context), so it serves one lease after another.
 # ---------------------------------------------------------------------------
 
 _worker_block_manager: BlockManager | None = None
+# The lease whose state this worker holds.  A worker starts on the lease
+# that forked it and keeps what the fork inherited.
+_worker_lease = 0
+
+
+def serve(conn: Connection, lease: int) -> None:
+    """A worker process's loop: run each ``(lease, blob)`` task the
+    driver sends over ``conn`` and send back its envelope, until the
+    driver closes its end."""
+    global _worker_lease
+    _worker_lease = lease
+    while True:
+        try:
+            lease, blob = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply: tuple[Any, Any] = process_entry(blob, lease)
+        except Exception as exc:  # the task did not unpickle here
+            reply = (None, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the driver stopped waiting for this attempt
+            return
 
 
 def _get_worker_block_manager() -> BlockManager:
@@ -194,19 +224,33 @@ def _get_worker_block_manager() -> BlockManager:
     return _worker_block_manager
 
 
-def process_entry(blob: bytes) -> bytes:
-    """Run a cloudpickled Task in a worker process.
+def _enter_lease(lease: int) -> None:
+    """Drop every broadcast value and cached block of an earlier lease,
+    so nothing of a stopped context reaches the next one."""
+    global _worker_block_manager, _worker_lease
+    if lease == _worker_lease:
+        return
+    from .broadcast import _reset_process_cache
 
-    Returns a pickled *envelope* ``(outcome_payload, trailer)`` where
+    _worker_lease = lease
+    _worker_block_manager = None
+    _reset_process_cache()
+
+
+def process_entry(blob: bytes, lease: int) -> tuple[bytes, dict[str, Any] | None]:
+    """Run a cloudpickled Task of backend ``lease`` in a worker process.
+
+    Returns an *envelope* ``(outcome_payload, trailer)`` where
     ``outcome_payload`` is the pickled `TaskOutcome` and ``trailer``
     carries the timing of pickling that outcome (``None`` when the task
     collected no telemetry).  Serialization necessarily happens *after*
     the outcome — and its telemetry buffer — is sealed, so the driver
-    side (`ProcessBackend.run`) grafts the ``task.serialize`` span from
+    side (`backends._unpack`) grafts the ``task.serialize`` span from
     the trailer once the outcome is unpickled.
     """
     import cloudpickle
 
+    _enter_lease(lease)
     t0 = time.perf_counter()
     task: Task = cloudpickle.loads(blob)
     deserialize_s = time.perf_counter() - t0
@@ -239,4 +283,4 @@ def process_entry(blob: bytes) -> bytes:
             "dur": serialize_s,
             "nbytes": len(payload),
         }
-    return cloudpickle.dumps((payload, trailer))
+    return payload, trailer

@@ -43,6 +43,20 @@ class TestBroadcast:
         with pytest.raises(RuntimeError):
             _ = b.value  # no cache, no backing file
 
+    def test_two_live_contexts_keep_their_broadcasts_apart(self):
+        # Both contexts number their broadcasts from 0; the process-wide
+        # cache must still tell them apart, and stopping one must not
+        # unpersist the other's value.
+        with SparkContext("local") as a:
+            ba = a.broadcast("A")
+            b = SparkContext("local")
+            b.broadcast("B")
+            assert ba.bid == 0
+            rdd = a.parallelize(range(2), 2).map(lambda _: ba.value)
+            assert rdd.collect() == ["A", "A"]
+            b.stop()
+            assert rdd.collect() == ["A", "A"]
+
     def test_broadcast_works_across_processes(self):
         with SparkContext("processes[2]") as sc:
             b = sc.broadcast(1000)
