@@ -149,6 +149,10 @@ _leases = itertools.count(1)
 # Every executor not yet closed, so that a forked child drops its copies
 # of their pipes and interpreter exit stops their workers.
 _live: weakref.WeakSet[_Executor] = weakref.WeakSet()
+# How long a job waits on orphaned executors' pipes before it looks
+# again: another driver thread may reclaim an orphan first, after which
+# that pipe stays silent.
+_ORPHAN_POLL_S = 0.05
 
 
 class _Executor:
@@ -162,13 +166,6 @@ class _Executor:
         )
         self.process.start()
         child.close()
-
-    def close(self) -> None:
-        """Stop the worker: it reads end-of-file, or fails to send the
-        result of an attempt no job waits for, and exits."""
-        self.conn.close()
-        self.process.join()
-        _live.discard(self)
 
 
 def _forget_executors() -> None:
@@ -190,8 +187,14 @@ atexit.register(lambda: _close(list(_live)))
 
 
 def _close(pool: list[_Executor]) -> None:
+    """Stop the workers: each reads end-of-file, or fails to send the
+    result of an attempt no job waits for, and exits.  Every pipe closes
+    before the first join, so the workers exit together."""
     for executor in pool:
-        executor.close()
+        executor.conn.close()
+    for executor in pool:
+        executor.process.join()
+        _live.discard(executor)
 
 
 class ProcessBackend(Backend):
@@ -226,6 +229,10 @@ class ProcessBackend(Backend):
         ):
             if pool is not None:
                 _close(pool)
+            # Imported before the fork, so that no worker imports it
+            # again for its first task.
+            import cloudpickle  # noqa: F401
+
             pool = [_Executor(self.lease) for _ in range(slots)]
         self._pool: list[_Executor] | None = pool
         # Executors running no attempt, in slot order, and executors
@@ -274,9 +281,11 @@ class ProcessBackend(Backend):
                         self._changed.wait()
                         continue
                     waiting = [e.conn for e in mine]
-                    if blobs:
+                    timeout = None
+                    if blobs and self._orphaned:
                         waiting += [e.conn for e in self._orphaned]
-                ready = wait_ready(waiting)
+                        timeout = _ORPHAN_POLL_S
+                ready = wait_ready(waiting, timeout)
                 done = [e for e in mine if e.conn in ready]
                 replies = []
                 for executor in done:

@@ -124,6 +124,74 @@ def test_a_job_after_an_aborted_one_gets_every_executor_back():
         assert _job(sc) == old_pids
 
 
+def _fail_quick_or_linger(split, it):
+    if split == 0:
+        raise RuntimeError("boom")
+    time.sleep(0.5 if split == 2 else 0)
+    return list(it)
+
+
+def _hold(split, it):
+    time.sleep((0.7, 1.2)[split])
+    return list(it)
+
+
+def test_a_job_waiting_on_an_orphan_another_thread_freed_still_runs(monkeypatch):
+    # An aborted job leaves one attempt running.  Thread "hold" runs a
+    # job on the two other executors; thread "wait" has a task, no
+    # executor, and waits on the orphan's pipe.  "hold" reclaims the
+    # orphan first, so that pipe never speaks again: "wait" must still
+    # find the freed executor.
+    with SparkContext("processes[3]", max_task_failures=1) as sc:
+        backend = sc.backend
+        with pytest.raises(JobAbortedError):
+            sc.parallelize(range(3), 3).map_partitions_with_index(
+                _fail_quick_or_linger
+            ).collect()
+        time.sleep(0.1)
+        real_wait = backends.wait_ready
+        delayed, stalled = [], []
+
+        def wait_after_reclaim(conns, timeout=None):
+            if threading.current_thread().name != "wait":
+                return real_wait(conns, timeout)
+            # The first wait of "wait" starts only once "hold" has
+            # reclaimed the orphan it is about to wait on.
+            if not delayed:
+                delayed.append(True)
+                deadline = time.monotonic() + 5
+                while backend._orphaned and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            # A wait without end on a pipe that stays silent would hang;
+            # bound it and record that it ran out instead.
+            ready = real_wait(conns, 5 if timeout is None else timeout)
+            if timeout is None and not ready:
+                stalled.append(True)
+            return ready
+
+        monkeypatch.setattr(backends, "wait_ready", wait_after_reclaim)
+        jobs = {
+            "hold": lambda: sc.parallelize(range(2), 2).map_partitions_with_index(
+                _hold
+            ).collect(),
+            "wait": lambda: sc.parallelize([5], 1).map(lambda x: x + 1).collect(),
+        }
+        got = {}
+
+        def run():
+            name = threading.current_thread().name
+            got[name] = jobs[name]()
+
+        threads = [threading.Thread(target=run, name=name) for name in jobs]
+        for t in threads:
+            t.start()
+            time.sleep(0.1)
+        for t in threads:
+            t.join(timeout=10)
+        assert delayed and not stalled
+        assert got == {"hold": [0, 1], "wait": [6]}
+
+
 def test_a_context_stopped_with_an_attempt_running_keeps_no_pool():
     sc = SparkContext("processes[2]", max_task_failures=1)
     old_pids = _job(sc)
