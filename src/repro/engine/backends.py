@@ -9,8 +9,9 @@ Four backends, selected by the master URL:
 - ``threads[n]``                — a thread pool; real concurrency for
   I/O-bound tasks (numpy releases the GIL in hot kernels).
 - ``processes[n]``              — a process pool with cloudpickle task
-  shipping; true parallelism, true serialization boundaries.  The pool
-  outlives the context: the next ``processes[n]`` context leases it.
+  shipping, one task binary per stage; true parallelism, true
+  serialization boundaries.  The pool outlives the context: the next
+  ``processes[n]`` context leases it.
 - ``simulated[n]``              — runs tasks serially but *times each one*;
   job wall-clock on n virtual slots is then the measured-task makespan.
   This is how the paper's 64–512-core runs (Figure 8e/f) are reproduced
@@ -21,7 +22,6 @@ Four backends, selected by the master URL:
 from __future__ import annotations
 
 import atexit
-import itertools
 import multiprocessing
 import os
 import pickle
@@ -84,6 +84,11 @@ class Backend:
         """Execute the given tasks, yielding outcomes as they complete."""
         raise NotImplementedError
 
+    def evict(self, rdd_id: int) -> None:
+        """Drop an unpersisted RDD's blocks from executor-local caches (the
+        driver's block manager, which in-process backends share, is
+        evicted by `RDD.unpersist`)."""
+
     def shutdown(self) -> None:
         """Release executor resources."""
         pass
@@ -145,7 +150,6 @@ class ThreadBackend(Backend):
 # a fit pays no fork, no cold workers and no joined shutdown.
 _idle_pool: list[_Executor] | None = None
 _idle_lock = threading.Lock()
-_leases = itertools.count(1)
 # Every executor not yet closed, so that a forked child drops its copies
 # of their pipes and interpreter exit stops their workers.
 _live: weakref.WeakSet[_Executor] = weakref.WeakSet()
@@ -158,11 +162,11 @@ _ORPHAN_POLL_S = 0.05
 class _Executor:
     """One worker process, fed one task at a time over its own pipe."""
 
-    def __init__(self, lease: int):
+    def __init__(self) -> None:
         self.conn, child = multiprocessing.Pipe()
         _live.add(self)
         self.process = multiprocessing.Process(
-            target=serve, args=(child, lease), name="repro-executor"
+            target=serve, args=(child,), name="repro-executor"
         )
         self.process.start()
         child.close()
@@ -202,7 +206,10 @@ class ProcessBackend(Backend):
 
     This is the backend with real Spark-like boundaries: closures must
     serialize, broadcast values are fetched from their backing files
-    once per worker, and block-manager caches are per-process.
+    once per worker, and block-manager caches are per-process.  As
+    Spark's DAGScheduler does, `run` cloudpickles each stage's closure
+    once (`Task.stage_part`) and each task only its own part
+    (`Task.own_part`).
 
     The pool is one worker process per slot, each behind its own pipe,
     and the backend sends each task to a free executor, in slot order,
@@ -210,9 +217,9 @@ class ProcessBackend(Backend):
     first wave lands on distinct workers, however warm they are.  The
     pool is leased, not owned: the backend takes the process's idle pool
     when its slot count matches and no worker died, and `shutdown` hands
-    it back.  Every task carries the backend's lease number; a worker
-    that sees a new one drops the broadcast values and cached blocks of
-    the lease before (`executor.process_entry`).
+    it back with an end-of-lease message, on which each worker drops the
+    stopped context's broadcast values and cached blocks
+    (`executor.serve`).
     """
 
     name = "processes"
@@ -220,7 +227,6 @@ class ProcessBackend(Backend):
     def __init__(self, slots: int):
         global _idle_pool
         super().__init__(slots)
-        self.lease = next(_leases)
         with _idle_lock:
             pool, _idle_pool = _idle_pool, None
         if (
@@ -233,13 +239,15 @@ class ProcessBackend(Backend):
             # again for its first task.
             import cloudpickle  # noqa: F401
 
-            pool = [_Executor(self.lease) for _ in range(slots)]
+            pool = [_Executor() for _ in range(slots)]
         self._pool: list[_Executor] | None = pool
         # Executors running no attempt, in slot order, and executors
         # still running the attempt of a job that stopped waiting (it
         # aborted); the latter are freed once that attempt ends.
         self._free = list(pool)
         self._orphaned: list[_Executor] = []
+        # RDD ids unpersisted since each executor's last task message.
+        self._evicted: dict[_Executor, list[int]] = {e: [] for e in pool}
         self._broken = False   # a worker died: no job runs here again
         self._changed = threading.Condition()
 
@@ -256,18 +264,24 @@ class ProcessBackend(Backend):
                     continue
                 self._free.append(executor)
 
+    def evict(self, rdd_id: int) -> None:
+        """Queue ``rdd_id`` for every executor; its next task message
+        carries it, and the worker evicts the blocks before running it."""
+        with self._changed:
+            for queued in self._evicted.values():
+                queued.append(rdd_id)
+
     def run(self, tasks: list[Task]) -> Iterator[TaskOutcome]:
         """Execute the given tasks, yielding outcomes as they complete."""
-        import cloudpickle
-
-        blobs = [cloudpickle.dumps(t) for t in reversed(tasks)]
+        blobs = _pack(tasks)[::-1]
         mine: set[_Executor] = set()
 
         def offer() -> None:
             while blobs and self._free:
                 executor = self._free.pop(0)
                 mine.add(executor)
-                executor.conn.send((self.lease, blobs.pop()))
+                evicted, self._evicted[executor] = self._evicted[executor], []
+                executor.conn.send((evicted, *blobs.pop()))
 
         try:
             while blobs or mine:
@@ -323,11 +337,32 @@ class ProcessBackend(Backend):
             self._reclaim()
             reusable = not self._broken and len(self._free) == len(pool)
         if reusable and all(e.process.is_alive() for e in pool):
-            with _idle_lock:
-                if _idle_pool is None:
-                    _idle_pool = pool
-                    return
+            try:
+                for executor in pool:
+                    executor.conn.send(None)   # end of lease
+            except OSError:
+                pass   # a worker died since: shut the pool down
+            else:
+                with _idle_lock:
+                    if _idle_pool is None:
+                        _idle_pool = pool
+                        return
         _close(pool)
+
+
+def _pack(tasks: list[Task]) -> list[tuple[bytes, bytes]]:
+    """Each task's ``(binary, part)``: the cloudpickled `Task.stage_part`,
+    once per stage and shared by its tasks, and its own `Task.own_part`."""
+    import cloudpickle
+
+    binaries: dict[tuple[int, int, int], bytes] = {}
+    packed = []
+    for task in tasks:
+        stage = (id(task.rdd), id(task.func), id(task.partitioner))
+        if stage not in binaries:
+            binaries[stage] = cloudpickle.dumps(task.stage_part())
+        packed.append((binaries[stage], cloudpickle.dumps(task.own_part())))
+    return packed
 
 
 def _unpack(payload: bytes | None, trailer: Any) -> TaskOutcome:

@@ -30,6 +30,10 @@ if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
 
+#: The `Task` fields every task of a stage shares (`Task.stage_part`).
+_STAGE_FIELDS = ("rdd", "func", "partitioner")
+
+
 @dataclass
 class Task:
     """Everything an executor needs to compute one partition of one stage."""
@@ -50,10 +54,31 @@ class Task:
     # WorkerTelemetry buffer back with the outcome.
     collect_telemetry: bool = False
 
-    def __getstate__(self) -> dict[str, Any]:
-        # Only the pickle is narrowed: retries and speculative duplicates
-        # are `dataclasses.replace` copies of the driver's whole task.
-        return {**self.__dict__, "rdd": self.rdd.for_split(self.partition)}
+    def stage_part(self) -> tuple[RDD[Any], Callable[[int, Any], Any] | None, Any]:
+        """What every task of this stage shares, as Spark's "task binary":
+        the stripped lineage (`RDD.stripped`), ``func`` and
+        ``partitioner``."""
+        return self.rdd.stripped(), self.func, self.partitioner
+
+    def own_part(self) -> tuple[dict[str, Any], dict[int, Any]]:
+        """What only this task ships: its other fields and its split's
+        source data.  Retries and speculative duplicates are
+        `dataclasses.replace` copies of the driver's whole task."""
+        fields = {k: v for k, v in vars(self).items() if k not in _STAGE_FIELDS}
+        return fields, self.rdd.split_data(self.partition)
+
+    @classmethod
+    def assemble(
+        cls,
+        stage: tuple[RDD[Any], Callable[[int, Any], Any] | None, Any],
+        own: tuple[dict[str, Any], dict[int, Any]],
+    ) -> "Task":
+        """The task a `stage_part` and an `own_part` were taken from; the
+        lineage is refilled in place."""
+        rdd, func, partitioner = stage
+        fields, data = own
+        rdd.refill(fields["partition"], data)
+        return cls(rdd=rdd, func=func, partitioner=partitioner, **fields)
 
 
 @dataclass
@@ -191,24 +216,27 @@ def run_task(
 # ---------------------------------------------------------------------------
 
 _worker_block_manager: BlockManager | None = None
-# The lease whose state this worker holds.  A worker starts on the lease
-# that forked it and keeps what the fork inherited.
-_worker_lease = 0
 
 
-def serve(conn: Connection, lease: int) -> None:
-    """A worker process's loop: run each ``(lease, blob)`` task the
-    driver sends over ``conn`` and send back its envelope, until the
-    driver closes its end."""
-    global _worker_lease
-    _worker_lease = lease
+def serve(conn: Connection) -> None:
+    """A worker process's loop, until the driver closes its end of
+    ``conn``.  A task message is ``(evicted, binary, part)``: the worker
+    drops the cached blocks of the ``evicted`` RDD ids, runs the task and
+    sends back its envelope.  ``None`` ends the lease: the worker drops
+    what the stopped context left in it and sends nothing."""
     while True:
         try:
-            lease, blob = conn.recv()
+            message = conn.recv()
         except EOFError:
             return
+        if message is None:
+            _end_lease()
+            continue
+        evicted, binary, part = message
+        for rdd_id in evicted:
+            _get_worker_block_manager().evict(rdd_id)
         try:
-            reply: tuple[Any, Any] = process_entry(blob, lease)
+            reply: tuple[Any, Any] = process_entry(binary, part)
         except Exception as exc:  # the task did not unpickle here
             reply = (None, exc)
         try:
@@ -224,21 +252,21 @@ def _get_worker_block_manager() -> BlockManager:
     return _worker_block_manager
 
 
-def _enter_lease(lease: int) -> None:
-    """Drop every broadcast value and cached block of an earlier lease,
-    so nothing of a stopped context reaches the next one."""
-    global _worker_block_manager, _worker_lease
-    if lease == _worker_lease:
-        return
+def _end_lease() -> None:
+    """Drop every broadcast value and cached block, so nothing of a
+    stopped context stays in an idle worker or reaches the next one."""
+    global _worker_block_manager
     from .broadcast import _reset_process_cache
 
-    _worker_lease = lease
     _worker_block_manager = None
     _reset_process_cache()
 
 
-def process_entry(blob: bytes, lease: int) -> tuple[bytes, dict[str, Any] | None]:
-    """Run a cloudpickled Task of backend ``lease`` in a worker process.
+def process_entry(binary: bytes, part: bytes) -> tuple[bytes, dict[str, Any] | None]:
+    """Run a task in a worker process from its stage's cloudpickled
+    `Task.stage_part` (``binary``) and its own `Task.own_part`
+    (``part``).  Both are unpickled for every task, so each attempt gets
+    its own copy of the stage's closure.
 
     Returns an *envelope* ``(outcome_payload, trailer)`` where
     ``outcome_payload`` is the pickled `TaskOutcome` and ``trailer``
@@ -250,14 +278,13 @@ def process_entry(blob: bytes, lease: int) -> tuple[bytes, dict[str, Any] | None
     """
     import cloudpickle
 
-    _enter_lease(lease)
     t0 = time.perf_counter()
-    task: Task = cloudpickle.loads(blob)
+    task = Task.assemble(cloudpickle.loads(binary), cloudpickle.loads(part))
     deserialize_s = time.perf_counter() - t0
     outcome = run_task(
         task, _get_worker_block_manager(),
         deserialize_s=deserialize_s if task.collect_telemetry else None,
-        deserialize_nbytes=len(blob),
+        deserialize_nbytes=len(binary) + len(part),
     )
     try:
         t1 = time.perf_counter()

@@ -93,16 +93,32 @@ class RDD(Generic[T]):
         state["ctx"] = None
         return state
 
-    def for_split(self, split: int) -> "RDD[T]":
-        """What a task for ``split`` ships: this lineage (same ``rdd_id``,
-        so cached blocks match) down to that split's source data, or to a
-        shuffle — the reduce side reads bucket files, not its parent."""
+    def stripped(self) -> "RDD[T]":
+        """What a stage ships once for all its tasks: this lineage (same
+        ``rdd_id``s, so cached blocks match) down to its sources with
+        their data taken out, or to a shuffle — the reduce side reads
+        bucket files, not its parent.  `split_data` is what one task adds
+        back (`refill`)."""
         shipped = copy.copy(self)
         shipped.deps = [
-            NarrowDependency(dep.parent.for_split(split))
-            for dep in self.deps if isinstance(dep, NarrowDependency)
+            NarrowDependency(dep.parent.stripped()) for dep in self._narrow()
         ]
         return shipped
+
+    def split_data(self, split: int) -> dict[int, Any]:
+        """The source data a task for ``split`` ships, by ``rdd_id``."""
+        data: dict[int, Any] = {}
+        for dep in self._narrow():
+            data.update(dep.parent.split_data(split))
+        return data
+
+    def refill(self, split: int, data: dict[int, Any]) -> None:
+        """Put ``split``'s source data back into a stripped lineage."""
+        for dep in self._narrow():
+            dep.parent.refill(split, data)
+
+    def _narrow(self) -> list[Dependency]:
+        return [dep for dep in self.deps if isinstance(dep, NarrowDependency)]
 
     # -- structure ---------------------------------------------------------
     @property
@@ -143,6 +159,7 @@ class RDD(Generic[T]):
         self.persisted = False
         if self.ctx is not None:
             self.ctx.block_manager.evict(self.rdd_id)
+            self.ctx.backend.evict(self.rdd_id)
         return self
 
     # -- transformations (lazy) ---------------------------------------------
@@ -229,10 +246,16 @@ class ParallelCollectionRDD(RDD[T]):
             i: items[slice(*ranges.range_of(i))] for i in range(num_partitions)
         }
 
-    def for_split(self, split: int) -> "RDD[T]":
-        shipped = super().for_split(split)
-        shipped._slices = {split: self._slices[split]}
+    def stripped(self) -> "RDD[T]":
+        shipped = super().stripped()
+        shipped._slices = {}
         return shipped
+
+    def split_data(self, split: int) -> dict[int, Any]:
+        return {self.rdd_id: self._slices[split]}
+
+    def refill(self, split: int, data: dict[int, Any]) -> None:
+        self._slices = {split: data[self.rdd_id]}
 
     def compute(self, split: int, runtime: TaskRuntime) -> Iterator[T]:
         """Compute one partition of this RDD."""

@@ -7,6 +7,15 @@ import pytest
 from repro.engine import SparkContext
 from repro.engine.backends import parse_master
 
+class _Counted:
+    """Counts how often the driver pickles it."""
+    pickles = 0
+
+    def __reduce__(self):
+        _Counted.pickles += 1
+        return _Counted, ()
+
+
 MASTERS = ["local", "local[1]", "threads[3]", "processes[2]", "simulated[8]"]
 
 
@@ -99,7 +108,8 @@ class TestProcessBackendBoundaries:
 
     def test_task_ships_its_own_split_only(self):
         """A task used to pickle every split's data — p× the bytes per
-        task, p²× per job; it carries its own, also as a retry copy."""
+        task, p²× per job; its own part carries its split only, also as a
+        retry copy, and the stage binary carries none."""
         import dataclasses
 
         import cloudpickle
@@ -118,12 +128,16 @@ class TestProcessBackendBoundaries:
         with SparkContext("local") as sc:
             small, big = task_for(10), task_for(100_000)
             retry = dataclasses.replace(big, attempt=1)
-            base = len(cloudpickle.dumps(small))
+            base = len(cloudpickle.dumps(small.own_part()))
+            base_stage = len(cloudpickle.dumps(small.stage_part()))
             for task in (big, retry):
-                blob = cloudpickle.dumps(task)
-                assert len(blob) <= base + 64
-                shipped = cloudpickle.loads(blob)
+                stage = cloudpickle.dumps(task.stage_part())
+                part = cloudpickle.dumps(task.own_part())
+                assert len(part) <= base + 64
+                assert len(stage) <= base_stage + 64
+                shipped = Task.assemble(cloudpickle.loads(stage), cloudpickle.loads(part))
                 assert shipped.rdd.rdd_id == task.rdd.rdd_id  # cache key kept
+                assert shipped.attempt == task.attempt
                 got = shipped.rdd.iterator(1, TaskRuntime(BlockManager()))
                 assert list(got) == [sum(range(1000))]
             # The driver's own task still reaches every split.
@@ -140,9 +154,34 @@ class TestProcessBackendBoundaries:
             rdd = sc.parallelize(range(4_000_000), 4)
             task = Task(job_id=0, stage_id=0, partition=3, attempt=0,
                         rdd=rdd, kind="result", func=lambda _i, it: next(it))
-            assert len(cloudpickle.dumps(task)) < 4096
+            assert len(cloudpickle.dumps(task.own_part())) < 4096
             firsts = sc.run_job(rdd, lambda _i, it: next(it))
             assert firsts == [0, 1_000_000, 2_000_000, 3_000_000]
+
+    def test_a_stage_is_pickled_once_on_the_driver(self):
+        """Spark's task binary: a stage of more tasks than slots
+        cloudpickles its closure once, not once per task."""
+        _Counted.pickles = 0
+        probe = _Counted()
+        with SparkContext("processes[2]") as sc:
+            got = sc.parallelize(range(8), 8).map(
+                lambda x: (x, type(probe).__name__)
+            ).collect()
+        assert got == [(x, "_Counted") for x in range(8)]
+        assert _Counted.pickles == 1
+
+    def test_tasks_sharing_a_worker_get_their_own_closure(self):
+        """Each attempt unpickles the stage binary afresh: a closure's
+        captured state never carries from one task to the next."""
+        seen = []
+
+        def remember(i, _it):
+            seen.append(i)
+            return list(seen)
+
+        with SparkContext("processes[2]") as sc:
+            got = sc.run_job(sc.parallelize(range(8), 8), remember)
+        assert got == [[p] for p in range(8)]
 
     def test_retry_and_cache_miss_recompute_from_the_shipped_split(self):
         """Job 2 may land on a worker that never cached the split (the

@@ -43,6 +43,17 @@ class TestActionGuards:
                 # A generator is not picklable.
                 sc.parallelize(range(2), 1).map(lambda x: (y for y in [x])).collect()
 
+    def test_unpicklable_capture_fails_in_the_stage_binary(self):
+        """A closure that captures a lock fails as its stage is packed,
+        before any task ships, and the pool serves the next job."""
+        import threading
+
+        lock = threading.Lock()
+        with SparkContext("processes[2]") as sc:
+            with pytest.raises(TypeError, match="pickle"):
+                sc.parallelize(range(4), 4).map(lambda x: (x, lock)).collect()
+            assert sc.parallelize(range(4), 2).map(lambda x: -x).collect() == [0, -1, -2, -3]
+
 
 class TestNumpyPayloads:
     def test_numpy_arrays_through_shuffle(self, sc):

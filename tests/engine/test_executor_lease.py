@@ -1,6 +1,6 @@
 """Kept executors: a stopped `processes[n]` context hands its pool to the
-next one, and a worker drops the old context's state when it starts
-serving the new one (engine/backends.py, `ProcessBackend`)."""
+next one, and each worker drops the old context's state as the lease
+ends (engine/backends.py, `ProcessBackend`)."""
 
 import os
 import threading
@@ -89,6 +89,49 @@ def test_next_lease_sees_nothing_of_the_stopped_context():
         new_pids = _pids(sc)
     assert new_pids == old_pids
     assert after == [(pid, set(), 0, 0) for pid, *_ in after]
+
+
+def test_unpersist_reaches_the_workers():
+    # Each cycle caches a fresh RDD, one block per worker, and drops it;
+    # the next task message to a worker carries the eviction.
+    with SparkContext("processes[2]") as sc:
+        for _ in range(3):
+            cached = sc.parallelize(range(4), 2).map(lambda x: x).cache()
+            assert cached.count() == 4
+            cached.unpersist()
+        probe = sc.parallelize(range(2), 2).map_partitions_with_index(
+            _worker_state
+        ).collect()
+    assert len({pid for pid, *_ in probe}) == 2
+    assert all(blocks <= 1 for _, _, blocks, _ in probe), probe
+
+
+class _Marker:
+    """A broadcast value that leaves a file named after the process that
+    drops it."""
+
+    def __init__(self, directory):
+        self.directory = directory
+
+    def __del__(self):
+        open(os.path.join(self.directory, str(os.getpid())), "w").close()
+
+
+def test_idle_workers_drop_the_stopped_context_at_once(tmp_path):
+    with SparkContext("processes[2]") as sc:
+        marker = sc.broadcast(_Marker(str(tmp_path)))
+        assert sc.parallelize(range(2), 2).map(
+            lambda _x: marker.value.directory
+        ).collect() == [str(tmp_path)] * 2
+        pids = _pids(sc)
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline and not all(
+        (tmp_path / str(pid)).exists() for pid in pids
+    ):
+        time.sleep(0.02)
+    assert all((tmp_path / str(pid)).exists() for pid in pids)
+    assert backends._idle_pool is not None
 
 
 def test_a_pool_whose_worker_died_is_never_leased_again():
