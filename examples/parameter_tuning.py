@@ -6,8 +6,10 @@ user facing new data sweeps eps instead, and a sweep is many small jobs:
 starting an executor pool per fit would cost more than the fits.  This
 example lends one `SparkContext` to every fit — the shape the
 ``sweep_small_jobs`` benchmark workload measures — and reports clusters
-and noise fraction per eps.  The plateau where the cluster count stops
-moving is the stable choice.
+and noise fraction per eps.  The kd-tree does not depend on eps, and the
+lent context keeps the one its first fit built: every later fit on the
+same points reuses it instead of building and broadcasting its own.
+The plateau where the cluster count stops moving is the stable choice.
 
     python examples/parameter_tuning.py
 """

@@ -89,6 +89,11 @@ class Backend:
         driver's block manager, which in-process backends share, is
         evicted by `RDD.unpersist`)."""
 
+    def drop_broadcast(self, key: int) -> None:
+        """Drop an unpersisted broadcast's value from executor-local
+        caches (in-process backends share the driver's, which
+        `Broadcast.unpersist` clears)."""
+
     def shutdown(self) -> None:
         """Release executor resources."""
         pass
@@ -219,7 +224,8 @@ class ProcessBackend(Backend):
     when its slot count matches and no worker died, and `shutdown` hands
     it back with an end-of-lease message, on which each worker drops the
     stopped context's broadcast values and cached blocks
-    (`executor.serve`).
+    (`executor.serve`).  Within a lease, an unpersisted RDD's blocks and
+    a released broadcast's value go with the worker's next task.
     """
 
     name = "processes"
@@ -246,8 +252,11 @@ class ProcessBackend(Backend):
         # aborted); the latter are freed once that attempt ends.
         self._free = list(pool)
         self._orphaned: list[_Executor] = []
-        # RDD ids unpersisted since each executor's last task message.
-        self._evicted: dict[_Executor, list[int]] = {e: [] for e in pool}
+        # RDD ids unpersisted and broadcast keys released since each
+        # executor's last task message.
+        self._dropped: dict[_Executor, tuple[list[int], list[int]]] = {
+            e: ([], []) for e in pool
+        }
         self._broken = False   # a worker died: no job runs here again
         self._changed = threading.Condition()
 
@@ -267,9 +276,16 @@ class ProcessBackend(Backend):
     def evict(self, rdd_id: int) -> None:
         """Queue ``rdd_id`` for every executor; its next task message
         carries it, and the worker evicts the blocks before running it."""
+        self._queue(0, rdd_id)
+
+    def drop_broadcast(self, key: int) -> None:
+        """Queue a broadcast ``key`` the way `evict` queues an RDD id."""
+        self._queue(1, key)
+
+    def _queue(self, kind: int, ident: int) -> None:
         with self._changed:
-            for queued in self._evicted.values():
-                queued.append(rdd_id)
+            for queued in self._dropped.values():
+                queued[kind].append(ident)
 
     def run(self, tasks: list[Task]) -> Iterator[TaskOutcome]:
         """Execute the given tasks, yielding outcomes as they complete."""
@@ -280,8 +296,10 @@ class ProcessBackend(Backend):
             while blobs and self._free:
                 executor = self._free.pop(0)
                 mine.add(executor)
-                evicted, self._evicted[executor] = self._evicted[executor], []
-                executor.conn.send((evicted, *blobs.pop()))
+                dropped, self._dropped[executor] = (
+                    self._dropped[executor], ([], [])
+                )
+                executor.conn.send((dropped, *blobs.pop()))
 
         try:
             while blobs or mine:

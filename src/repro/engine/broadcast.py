@@ -20,7 +20,7 @@ import os
 import pickle
 import tempfile
 import threading
-from typing import Any, Generic, TypeVar
+from typing import Any, Callable, Generic, TypeVar
 
 T = TypeVar("T")
 
@@ -39,6 +39,12 @@ _keys = itertools.count()
 # once-per-executor delivery.  A worker resets it with each new lease, so
 # there it counts one context's broadcasts.
 _load_counts: dict[int, int] = {}
+
+
+def _drop_cached(key: int) -> None:
+    """Drop one broadcast value from this process's cache."""
+    with _cache_lock:
+        _local_cache.pop(key, None)
 
 
 def _reset_process_cache() -> None:
@@ -136,9 +142,9 @@ class Broadcast(Generic[T]):
 
     def unpersist(self) -> None:
         """Drop the cached value in this process (and the backing file);
-        the issuing manager forgets the handle."""
-        with _cache_lock:
-            _local_cache.pop(self.key, None)
+        the issuing manager forgets the handle and has the executors
+        drop their copies."""
+        _drop_cached(self.key)
         if self._path is not None and os.path.exists(self._path):
             os.unlink(self._path)
         self._path = None
@@ -171,10 +177,17 @@ class Broadcast(Generic[T]):
 class BroadcastManager:
     """Driver-side factory handing out monotonically-numbered broadcasts."""
 
-    def __init__(self, spill_dir: str | None, compute_hashes: bool = False):
+    def __init__(
+        self,
+        spill_dir: str | None,
+        compute_hashes: bool = False,
+        drop: Callable[[int], None] | None = None,
+    ):
         self._next_id = 0
         self._spill_dir = spill_dir
         self._compute_hashes = compute_hashes
+        # Tells the executors to drop a released key (`Backend.drop_broadcast`).
+        self._drop = drop
         self._lock = threading.Lock()
         self._issued: list[Broadcast[Any]] = []
 
@@ -196,10 +209,13 @@ class BroadcastManager:
         return b
 
     def forget(self, b: Broadcast[Any]) -> None:
-        """Stop tracking a handle its holder has released."""
+        """Stop tracking a handle its holder has released, and have the
+        executors drop its value."""
         with self._lock:
             if b in self._issued:
                 self._issued.remove(b)
+        if self._drop is not None:
+            self._drop(b.key)
 
     def stop(self) -> None:
         """Shut the component down and release resources."""

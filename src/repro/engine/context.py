@@ -62,12 +62,16 @@ class SparkContext:
         self.spill_dir = spill_dir or tempfile.mkdtemp(prefix="minispark-")
         self.block_manager = BlockManager()
         self.shuffle_manager = ShuffleManager(self.spill_dir)
+        self.backend = make_backend(master, self.block_manager)
         self.broadcast_manager = BroadcastManager(
             self.spill_dir if self.mode == "processes" else None,
             compute_hashes=sanitize,
+            drop=self.backend.drop_broadcast,
         )
         self.accumulators = AccumulatorRegistry()
-        self.backend = make_backend(master, self.block_manager)
+        # Driver-side values a library keeps for this context's life, by
+        # name (the pipeline's kd-tree memo, `repro.pipeline.memo`).
+        self.memos: dict[str, Any] = {}
         self.task_scheduler = TaskScheduler(
             self.backend,
             max_task_failures,
@@ -146,6 +150,7 @@ class SparkContext:
         self._stopped = True
         self.backend.shutdown()
         self.broadcast_manager.stop()
+        self.memos.clear()
         self.block_manager.clear()
         self.shuffle_manager.clear()
         if self._own_spill_dir:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from . import task_context
+from .broadcast import _drop_cached, _reset_process_cache
 from .errors import TaskError
 from .fault import FaultPlan
 from .metrics import TaskMetrics, peak_rss_bytes
@@ -220,9 +221,10 @@ _worker_block_manager: BlockManager | None = None
 
 def serve(conn: Connection) -> None:
     """A worker process's loop, until the driver closes its end of
-    ``conn``.  A task message is ``(evicted, binary, part)``: the worker
-    drops the cached blocks of the ``evicted`` RDD ids, runs the task and
-    sends back its envelope.  ``None`` ends the lease: the worker drops
+    ``conn``.  A task message is ``((evicted, released), binary, part)``:
+    the worker drops the cached blocks of the ``evicted`` RDD ids and the
+    values of the ``released`` broadcast keys, runs the task and sends
+    back its envelope.  ``None`` ends the lease: the worker drops
     what the stopped context left in it and sends nothing."""
     while True:
         try:
@@ -232,9 +234,11 @@ def serve(conn: Connection) -> None:
         if message is None:
             _end_lease()
             continue
-        evicted, binary, part = message
+        (evicted, released), binary, part = message
         for rdd_id in evicted:
             _get_worker_block_manager().evict(rdd_id)
+        for key in released:
+            _drop_cached(key)
         try:
             reply: tuple[Any, Any] = process_entry(binary, part)
         except Exception as exc:  # the task did not unpickle here
@@ -256,8 +260,6 @@ def _end_lease() -> None:
     """Drop every broadcast value and cached block, so nothing of a
     stopped context stays in an idle worker or reaches the next one."""
     global _worker_block_manager
-    from .broadcast import _reset_process_cache
-
     _worker_block_manager = None
     _reset_process_cache()
 

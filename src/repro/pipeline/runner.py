@@ -10,7 +10,8 @@ cross-cutting concerns the frontends used to re-thread individually:
   column), plus checkpoint hit/miss counters in the metrics registry;
 - **engine lifecycle** — a lent `SparkContext` is reused (and its tracer
   adopted), an owned one is stopped in ``finally``, and either way the
-  fit's tree broadcast is released there; so is a scratch directory
+  fit's tree broadcast is released there (a lent context's memo may
+  keep it for the next fit, `pipeline.memo`); so is a scratch directory
   the run created (`PipelineState.ensure_tmp_dir`);
 - **checkpoint/resume** — checkpointable stages persist their outputs
   under ``checkpoint_dir`` keyed by `RunConfig.content_hash`; with
@@ -35,6 +36,7 @@ from ..engine.metrics import peak_rss_bytes
 from ..obs.spans import NULL_TRACER, Tracer
 from .checkpoint import CheckpointStore
 from .config import RunConfig
+from .memo import release_tree_broadcast
 from .plans import Plan
 from .stages import PipelineError, Stage
 from .state import PipelineState
@@ -113,9 +115,10 @@ class PipelineRunner:
             ):
                 self._execute(state)
         finally:
-            # A lent context outlives this fit; its tree broadcast must not.
+            # A lent context outlives this fit; its tree broadcast must
+            # not, unless the context's memo keeps it for the next fit.
             if state.tree_b is not None:
-                state.tree_b.unpersist()
+                release_tree_broadcast(state)
             if state.own_sc and state.sc is not None:
                 state.sc.stop()
             if state.own_tmp_dir:

@@ -50,6 +50,7 @@ from ..dbscan.partial import (
 )
 from ..obs.collect import task_span
 from .checkpoint import CheckpointStore
+from .memo import lent_memo
 from .state import PipelineState
 
 
@@ -145,11 +146,13 @@ class LoadPoints(Stage):
             sp.annotate(n=state.n, d=int(points.shape[1]))
 
 
-def build_index(state: PipelineState) -> None:
-    """Build the fit's one kd-tree over ``state.points`` on the driver."""
+def build_index(state: PipelineState, own_copy: bool = False) -> None:
+    """Build the fit's one kd-tree over ``state.points`` on the driver;
+    with ``own_copy``, over a copy the caller cannot edit."""
     with state.tracer.span("driver.kdtree_build", cat="driver") as sp:
         t0 = time.perf_counter()
-        state.tree = KDTree(state.points, leaf_size=state.config.leaf_size)
+        points = state.points.copy() if own_copy else state.points
+        state.tree = KDTree(points, leaf_size=state.config.leaf_size)
         state.timings.kdtree_build = time.perf_counter() - t0
         sp.annotate(n=state.n, leaf_size=state.config.leaf_size)
 
@@ -180,7 +183,9 @@ class BuildIndex(Stage):
 
     A prebuilt tree lent by the caller (``fit(..., tree=...)``) short-
     circuits the build: the scaling benchmarks sweep partition counts
-    over one tree.
+    over one tree.  On a lent context the context's `TreeMemo` does the
+    same for a fit on the points of the last tree built there; the
+    stage span says ``reused=True``.
     """
 
     name = "BuildIndex"
@@ -188,8 +193,20 @@ class BuildIndex(Stage):
     provides = ("tree",)
 
     def run(self, state: PipelineState) -> None:
-        if state.tree is None:
+        if state.tree is not None:
+            return
+        memo = lent_memo(state)
+        if memo is None:
             build_index(state)
+            return
+        state.tree = memo.lookup(state.points, state.config.leaf_size)
+        if state.tree is None:
+            build_index(state, own_copy=True)
+            memo.keep(state.tree)
+        else:
+            span = state.tracer.current()
+            if span is not None:
+                span.annotate(reused=True)
 
 
 class PartitionPlan(Stage):
@@ -214,7 +231,8 @@ class BroadcastModel(Stage):
 
     The only stage that *creates* engine objects; plans whose downstream
     stages are all restored from checkpoints skip it, and the resumed run
-    finishes without ever starting a SparkContext.
+    finishes without ever starting a SparkContext.  A lent context's
+    memo tree goes out under the memo's broadcast, issued once.
     """
 
     name = "BroadcastModel"
@@ -225,7 +243,9 @@ class BroadcastModel(Stage):
         sc = state.ensure_context()
         with state.tracer.span("driver.setup", cat="driver"):
             t0 = time.perf_counter()
-            state.tree_b = sc.broadcast(state.tree)
+            memo = lent_memo(state)
+            tree_b = memo.acquire(sc, state.tree) if memo else None
+            state.tree_b = tree_b or sc.broadcast(state.tree)
             state.indices = sc.parallelize(
                 range(state.n), state.config.num_partitions
             )

@@ -106,6 +106,26 @@ def test_unpersist_reaches_the_workers():
     assert all(blocks <= 1 for _, _, blocks, _ in probe), probe
 
 
+def test_broadcast_unpersist_reaches_the_workers():
+    # Each cycle broadcasts a fresh tree, loads it (and its operand) in
+    # both workers and releases it; the next task message to a worker
+    # carries the release.
+    points = np.random.default_rng(1).uniform(0, 10, size=(TREE_N, 2))
+    with SparkContext("processes[2]") as sc:
+        for _ in range(3):
+            tree_b = sc.broadcast(KDTree(points))
+            assert sc.parallelize(range(2), 2).map(
+                lambda x: len(tree_b.value.query_radius_batch(
+                    points[x:x + 1], 1.0)[1])
+            ).collect()
+            tree_b.unpersist()
+        probe = sc.parallelize(range(2), 2).map_partitions_with_index(
+            _worker_state
+        ).collect()
+    assert len({pid for pid, *_ in probe}) == 2
+    assert all(keys == set() and ops == 0 for _, keys, _, ops in probe), probe
+
+
 class _Marker:
     """A broadcast value that leaves a file named after the process that
     drops it."""

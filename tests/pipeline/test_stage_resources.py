@@ -18,6 +18,7 @@ import pytest
 from repro.data import generate_clustered
 from repro.dbscan import SparkDBSCAN
 from repro.engine import SparkContext
+from repro.kdtree import KDTree
 from repro.pipeline import PipelineRunner, RunConfig, build_plan
 
 
@@ -48,8 +49,6 @@ def test_naive_stage_releases_caches_even_when_a_round_fails():
         state.points = points
         state.sc = sc
         state.n = len(points)
-        from repro.kdtree import KDTree
-
         state.tree = KDTree(np.asarray(points))
         state.mark("tree", "n")
 
@@ -89,14 +88,19 @@ def _live_broadcasts(sc):
 def test_fits_on_a_lent_context_release_their_broadcasts(master):
     # BroadcastModel's tree and ApplyGidMap's gid map used to stay
     # cached (and on disk under ``processes``) until sc.stop(): three
-    # fits left {KDTree, KDTree, dict, KDTree, dict} behind.  Labels must
-    # not change: under ``processes`` ApplyGidMap may recompute the
-    # expansion through the lineage, which needs the tree broadcast
-    # alive until the fit — not the stage — ends.
+    # fits left {KDTree, KDTree, dict, KDTree, dict} behind.  Now the
+    # only broadcast a fit leaves is the tree the context's memo keeps
+    # for the next fit on these points, one and the same every time.
+    # Labels must not change: under ``processes`` ApplyGidMap may
+    # recompute the expansion through the lineage, which needs the tree
+    # broadcast alive until the fit — not the stage — ends.
+    from repro.engine import broadcast
+
     points = generate_clustered(
         n=400, num_clusters=4, cluster_std=8.0, seed=11
     ).points
     expected = SparkDBSCAN(25.0, 5, num_partitions=4).fit(points).labels
+    kept = []
     with SparkContext(master) as sc:
         clean = _live_broadcasts(sc)
         assert clean[1:] == ([], [])
@@ -105,12 +109,17 @@ def test_fits_on_a_lent_context_release_their_broadcasts(master):
                 25.0, 5, num_partitions=4, merge_mode=mode
             ).fit(points, sc=sc)
             np.testing.assert_array_equal(got.labels, expected)
-            assert _live_broadcasts(sc) == clean
+            cache, (tree_b,), files = _live_broadcasts(sc)
+            assert isinstance(tree_b.value, KDTree)
+            assert cache == clean[0] | {tree_b.key}
+            assert len(files) == (master == "processes[2]")
+            kept.append(tree_b)
+    assert kept[1] is kept[0] and kept[2] is kept[0]
+    assert set(broadcast._local_cache) == clean[0]
 
 
 def test_naive_plan_releases_its_tree_broadcast():
     from repro.engine import broadcast
-    from repro.kdtree import KDTree
 
     points = generate_clustered(
         n=120, num_clusters=3, cluster_std=6.0, seed=7
