@@ -51,6 +51,7 @@ from typing import Iterator
 import numpy as np
 
 from ..kdtree import KDTree
+from ..kdtree.kdtree import id_dtype
 from ..obs.collect import task_span
 from .partial import ClusterTable, Frame, expand_frame
 
@@ -245,13 +246,15 @@ class CellAssignment:
         return LookupPartitioner(pid, self.num_partitions)
 
     def payloads(self, points: np.ndarray) -> list[CellPayload]:
-        """Materialise one `CellPayload` per partition."""
+        """Materialise one `CellPayload` per partition, its ids in the id
+        dtype of the ``n`` points (`id_dtype`)."""
         points = np.ascontiguousarray(points, dtype=np.float64)
+        dtype = id_dtype(self.n)
         return [
             CellPayload(
                 partition=p,
-                owned_ids=self.owned[p],
-                halo_ids=self.halo[p],
+                owned_ids=self.owned[p].astype(dtype),
+                halo_ids=self.halo[p].astype(dtype),
                 halo_home=self.halo_home[p],
                 owned_points=points[self.owned[p]],
                 halo_points=points[self.halo[p]],

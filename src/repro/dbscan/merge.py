@@ -23,6 +23,7 @@ merge).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -100,6 +101,7 @@ def _seed_blocks(seeds: list[np.ndarray], source: np.ndarray,
     first = ends - counts  # each cluster's first position in the walk
     shift = start[walk] - first  # ... and in its seed column
     in_place = len(seeds) == 1 and not shift.any()
+    dtype = np.result_type(*seeds)
     total = int(ends[-1]) if len(ends) else 0
     for a in range(0, total, SEED_BLOCK_ROWS):
         b = min(a + SEED_BLOCK_ROWS, total)
@@ -116,7 +118,7 @@ def _seed_blocks(seeds: list[np.ndarray], source: np.ndarray,
             yield src, seeds[0][at]
             continue
         of = source[src]
-        s = np.empty(b - a, dtype=np.int64)
+        s = np.empty(b - a, dtype=dtype)
         for i in np.unique(of).tolist():
             hit = of == i
             s[hit] = seeds[i][at[hit]]
@@ -135,14 +137,19 @@ def _refuse_foreign(ids: np.ndarray, n: int | None) -> None:
 def _point_codes(point: np.ndarray, code: np.ndarray, n: int):
     """Partials mode's probe: one code per point, ``code`` of the
     point's first owner row or -1 with none — 8 B a point (16 B while
-    built), which only a caller already holding O(points) may spend."""
+    built), which only a caller already holding O(points) may spend.
+    numpy's fancy indexing casts an int32 index array on the fly, 1.3-2x
+    slower than intp even counting a cast up front: the owner rows are
+    widened once, and the probe is a ``take(mode="clip")``, as fast as
+    intp (every id is a point by then: `_refuse_foreign`)."""
+    point = point.astype(np.intp, copy=False)
     rows = np.arange(len(point))
     row = np.full(n, len(point), dtype=np.int64)
     row[point] = rows
     # A point held by two rows: the first row wins, whichever write won.
     lost = np.flatnonzero(row[point] != rows)
     np.minimum.at(row, point[lost], lost)
-    return np.append(code, -1)[row].__getitem__
+    return partial(np.append(code, -1)[row].take, mode="clip")
 
 
 def _table_probe(point: np.ndarray, code: np.ndarray):
@@ -335,8 +342,8 @@ def member_labels(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`apply_gid_map`'s per-partition half, what an `ApplyGidMap` task
     ships: the member ids of the clusters ``gid_of`` keeps, back to
-    back, then each such cluster's gid and member count — 8 B a point;
-    the driver repeats the gids."""
+    back, then each such cluster's gid and member count — one id (4 B
+    below 2³¹ points) a point; the driver repeats the gids."""
     t = as_table(partials)
     gids = np.fromiter(
         map(gid_of.get, zip(t.partition.tolist(), t.local_id.tolist()),
@@ -356,7 +363,8 @@ def apply_gid_map(partials: ClusterTable | list[PartialCluster],
     """
     labels = np.full(n, NOISE, dtype=np.int64)
     ids, gids, sizes = member_labels(partials, plan.gid_of)
-    labels[ids] = np.repeat(gids, sizes)
+    # An intp index scatters faster than int32, even counting the cast.
+    labels[ids.astype(np.intp, copy=False)] = np.repeat(gids, sizes)
     claims = plan.claims
     labels[np.fromiter(claims, np.int64, len(claims))] = np.fromiter(
         claims.values(), np.int64, len(claims)

@@ -40,6 +40,7 @@ import numpy as np
 
 from ..engine.partitioner import IndexRangePartitioner
 from ..kdtree import KDTree
+from ..kdtree.kdtree import id_dtype
 from ..obs.collect import task_span
 
 SEED_POLICIES = ("all", "one_per_partition")
@@ -51,8 +52,9 @@ SEED_POLICIES = ("all", "one_per_partition")
 NEIGHBOR_MODES = ("per_point", "batched")
 
 #: An empty orphan table (``(orphan, neighbour homed above)`` rows),
-#: shared and therefore read-only.
-NO_ORPHANS = np.empty((0, 2), dtype=np.int64)
+#: shared and therefore read-only; int32, the narrowest id dtype, so
+#: stacking it with a table's rows never widens them.
+NO_ORPHANS = np.empty((0, 2), dtype=np.int32)
 NO_ORPHANS.flags.writeable = False
 
 #: An empty ``ops`` column (rows of task id, then the `OpCounters`
@@ -163,8 +165,10 @@ class Frame:
     (one entry per tree point) maps into the frame — ``None`` when the
     tree is already built over local ids.  The range plan is the rotation
     ``(g - lo) % n`` of the global index space; the cell plan is
-    ``owned_ids`` followed by ``halo_ids``.  ``above`` tells which foreign
-    ids are homed in a higher partition: under the rotation, those below
+    ``owned_ids`` followed by ``halo_ids``.  ``to_global`` returns new
+    arrays in the id dtype of all ``n`` points (`id_dtype`), so the
+    task's record is born in it.  ``above`` tells which foreign ids are
+    homed in a higher partition: under the rotation, those below
     ``n - lo``.
     """
 
@@ -245,17 +249,26 @@ def range_frame(partition_id: int, points: np.ndarray, tree: KDTree,
     """The range plan's frame: the rotation ``(g - lo) % n``."""
     lo, hi = partitioner.range_of(partition_id)
     n = points.shape[0]
+    dtype = id_dtype(n)
+
+    def to_global(ids: np.ndarray) -> np.ndarray:
+        # (ids + lo) % n inside the id dtype: ids - (n - lo) lies in
+        # (-n, n), and the negative ones wrap.
+        g = ids.astype(dtype)
+        g -= n - lo
+        np.add(g, n, out=g, where=g < 0)
+        return g
 
     def home_of(ids: np.ndarray) -> np.ndarray:
         ends = [partitioner.range_of(q)[1]
                 for q in range(partitioner.num_partitions)]
-        return np.searchsorted(ends, (ids + lo) % n, side="right")
+        return np.searchsorted(ends, to_global(ids), side="right")
 
     return Frame(
         partition=partition_id, lo=lo, hi=hi, tree=tree,
-        own_points=points[lo:hi], to_local=(np.arange(n) - lo) % n,
-        to_global=lambda ids: (ids + lo) % n, home_of=home_of,
-        above=lambda ids: ids < n - lo,
+        own_points=points[lo:hi],
+        to_local=np.roll(np.arange(n, dtype=dtype), lo), to_global=to_global,
+        home_of=home_of, above=lambda ids: ids < n - lo,
     )
 
 
@@ -313,7 +326,8 @@ def expand_frame(
     n_own = len(own_points)
     if n_own == 0:
         none = np.empty(0, dtype=np.int64)
-        return _table(frame, none, none, none == 0, none, none, none,
+        return _table(frame, none, none, none == 0, none,
+                      np.zeros(1, dtype=np.int64), none,
                       None if boundary_out is None else none == 0, NO_ORPHANS,
                       OpCounters())
     query_stats: dict[str, int] = {}
@@ -349,31 +363,38 @@ def expand_frame(
     rank = key - group * (n_own + 1)
     members = np.where(rank == 0, group, rank - 1)
     starts = np.flatnonzero(rank == 0)
+    m = len(starts)
 
-    # Seeds: the distinct (founder, foreign id) pairs on core rows, by one
-    # sort of founder * n_tree + id.
-    key_type = np.int32 if n_own * n_tree < 2**31 else np.int64
-    key = np.repeat(np.where(core, owner, n_own).astype(key_type)[seg_q], seg_n)
-    hit = key < n_own
+    # Seeds: the distinct (cluster, foreign id) pairs on core rows, by one
+    # sort of k * n_tree + id, k the cluster's rank among the m founders
+    # and m on rows no cluster expands — int32 while (m + 1) * n_tree
+    # fits (`seed_key_dtype`).
+    cluster = np.full(n_own + 1, m, dtype=seed_key_dtype(m, n_tree))
+    cluster[group[starts]] = np.arange(m)
+    key = np.repeat(cluster[np.where(core, owner, n_own)][seg_q], seg_n)
+    del cluster
+    hit = key < m
     hit &= hits >= n_own
-    key = key[hit]
+    # Every hit's key in place, then one gather: no intp copy of the
+    # foreign hits, and rank m's keys stay under (m + 1) * n_tree too.
     key *= n_tree
-    np.add(key, hits[hit], out=key, casting="unsafe")
+    np.add(key, hits, out=key, casting="unsafe")
+    key = key[hit]
     del hit
     foreign_hits = len(key)
     key.sort()  # not np.unique: numpy 2.x hashes there, 10x slower here
     key = key[heads(key)]
-    seed_founder = key // n_tree
-    seeds = key - seed_founder * n_tree
+    seed_cluster = key // n_tree
+    seeds = key - seed_cluster * n_tree
     reachable = len(seeds)
     if seed_policy == "one_per_partition":
         # Algorithm 3 line 11 as a filter: the lowest frame id per
         # (cluster, home partition) stays.
         homes = frame.home_of(seeds)
-        pair = (seed_founder.astype(np.int64) * (int(homes.max(initial=0)) + 1)
+        pair = (seed_cluster.astype(np.int64) * (int(homes.max(initial=0)) + 1)
                 + homes)
         first = np.sort(np.unique(pair, return_index=True)[1])
-        seed_founder, seeds = seed_founder[first], seeds[first]
+        seed_cluster, seeds = seed_cluster[first], seeds[first]
     # The Section III-B counts of the paper's BFS, in closed form.
     core_hits = int(degree[core].sum())
     ops = OpCounters(
@@ -382,22 +403,29 @@ def expand_frame(
         hashtable_lookups=n_own + 2 * (core_hits - foreign_hits),
         seeds_placed=len(seeds), seeds_skipped=reachable - len(seeds),
     )
-    founders = group[starts]
-    down = np.zeros(len(starts), dtype=np.int64)
+    down = np.zeros(m, dtype=np.int64)
     orphans = NO_ORPHANS
     if orphans_out is not None:
         # A cross-partition core pair is on both cores' rows: the lower
         # partition's task alone witnesses it.
         up = frame.above(seeds)
-        down = np.bincount(np.searchsorted(founders, seed_founder[~up]),
-                           minlength=len(starts))
-        seed_founder, seeds = seed_founder[up], seeds[up]
+        down = np.bincount(seed_cluster[~up], minlength=m)
+        seed_cluster, seeds = seed_cluster[up], seeds[up]
         orphans = _orphan_rows(frame, owner, degree, seg_q, seg_start, seg_n,
                                hits)
         orphans_out.append(orphans)
-    return _table(frame, members, starts, ~core[members], seeds,
-                  np.searchsorted(seed_founder, founders), down,
-                  None if foreign is None else foreign[members], orphans, ops)
+    seed_ptr = np.searchsorted(seed_cluster,
+                               np.arange(m + 1, dtype=seed_cluster.dtype))
+    return _table(frame, members, starts, ~core[members], seeds, seed_ptr,
+                  down, None if foreign is None else foreign[members],
+                  orphans, ops)
+
+
+def seed_key_dtype(m: int, n_tree: int) -> type:
+    """The dtype of `expand_frame`'s seed keys ``k * n_tree + id`` for a
+    task with ``m`` founders and ``n_tree`` frame ids: keys are ids over
+    ``(m + 1) * n_tree`` slots (rank ``m`` the no-cluster sentinel)."""
+    return id_dtype((m + 1) * n_tree)
 
 
 def _orphan_rows(frame: Frame, owner: np.ndarray, degree: np.ndarray,
@@ -467,14 +495,13 @@ def _founders(seg_q: np.ndarray, seg_start: np.ndarray, seg_n: np.ndarray,
 
 
 def _table(frame: Frame, members: np.ndarray, starts: np.ndarray,
-           border: np.ndarray, seeds: np.ndarray, seed_starts: np.ndarray,
+           border: np.ndarray, seeds: np.ndarray, seed_ptr: np.ndarray,
            down: np.ndarray, boundary: np.ndarray | None,
            orphans: np.ndarray, ops: OpCounters) -> "ClusterTable":
     """The task's record: its member and seed arrays as CSR columns,
-    both mapped to global ids in one `to_global` call, and its one
-    ``ops`` row."""
-    ids = frame.to_global(np.concatenate([members, seeds])).astype(
-        np.int64, copy=False)
+    both mapped to global ids (in the id dtype) in one `to_global` call,
+    and its one ``ops`` row."""
+    ids = frame.to_global(np.concatenate([members, seeds]))
     m = len(starts)
     member_ptr = np.append(starts, len(members))
     member_ids = ids[:len(members)]
@@ -489,8 +516,8 @@ def _table(frame: Frame, members: np.ndarray, starts: np.ndarray,
         border_count=np.diff(np.append(0, np.cumsum(border))[member_ptr]),
         down_seeds=down,
         member_ptr=member_ptr, members=member_ids, border=border,
-        seed_ptr=np.append(seed_starts, len(seeds)).astype(np.int64),
-        seeds=ids[len(members):], orphans=orphans, boundary=boundary,
+        seed_ptr=seed_ptr, seeds=ids[len(members):], orphans=orphans,
+        boundary=boundary,
         ops=np.array([[frame.partition, *vars(ops).values()]], dtype=np.int64),
     )
 
@@ -569,9 +596,11 @@ class ClusterTable:
     row per task: its id, then its `OpCounters` fields in declaration
     order (`op_counters`).
 
-    `project` keeps only the boundary members — the edges mode's wire
-    format.  Indexing or iterating builds `PartialCluster` views; nothing
-    on the run path does.
+    Point ids (``members``, ``seeds``, ``founder``, ``orphans``) keep
+    the dtype they were written in: a task's `id_dtype`, int64 from
+    `from_partials`.  `project` keeps only the boundary members — the
+    edges mode's wire format.  Indexing or iterating builds
+    `PartialCluster` views; nothing on the run path does.
     """
 
     task: int

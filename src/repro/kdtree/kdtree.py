@@ -60,6 +60,12 @@ def _int_dtype(lo: int, hi: int) -> type:
     return np.int32 if i32.min <= lo and hi <= i32.max else np.intp
 
 
+def id_dtype(n: int) -> type:
+    """The dtype of point ids over ``n`` points: int32 while ``n`` itself
+    fits (``n < 2³¹``, so the sentinel ``n`` does too), else intp."""
+    return _int_dtype(0, n)
+
+
 def _check_eps(eps: float) -> None:
     if not eps >= 0:  # also rejects NaN, which every comparison lets through
         raise ValueError(f"eps must be non-negative, got {eps}")
@@ -358,7 +364,7 @@ class KDTree:
         # Emitted ids in permuted order, 32-bit where they fit: the
         # pending chunks are what a block's memory is made of.
         ids = self._perm if ids is None else np.asarray(ids)[self._perm]
-        ids = ids.astype(_int_dtype(ids.min(), ids.max()))
+        ids = ids.astype(_int_dtype(ids.min(), ids.max()), copy=False)
         base = done = 0
         rows = query_block or FIRST_BLOCK_ROWS
         while base < nq:

@@ -562,8 +562,8 @@ class MergeEdges(Stage):
 class ApplyGidMap(OutcomeStage):
     """Second distributed pass: label members executor-side via the
     broadcast ``local_cid → gid`` map (`member_labels`); the driver
-    writes each partition's member ids, 8 B a point on the wire, over
-    the O(boundary) claims.
+    writes each partition's member ids, 4 B a point on the wire below
+    2³¹ points, over the O(boundary) claims.
 
     Under the processes backend a fresh worker misses the job-1 cache and
     recomputes the expansion through the lineage — deterministically, so
@@ -597,8 +597,9 @@ class ApplyGidMap(OutcomeStage):
                 expanded.foreach_partition_with_index(apply_partition)
                 labels = apply_gid_map((), plan, state.n)  # the claims
                 parts = label_acc.drain()
-                for ids, gids, sizes in parts:
-                    labels[ids] = np.repeat(gids, sizes)
+                for ids, gids, sizes in parts:  # as in apply_gid_map
+                    labels[ids.astype(np.intp, copy=False)] = np.repeat(
+                        gids, sizes)
                 state.timings.driver_merge += time.perf_counter() - t0
                 sp.annotate(
                     num_labelled_partials=len(plan.gid_of),
@@ -642,9 +643,10 @@ class RelabelFilter(LabelStage):
 
     @staticmethod
     def _remap_partials(table: ClusterTable, perm: np.ndarray) -> None:
-        table.members = perm[table.members]
-        table.seeds = perm[table.seeds]
-        table.founder = perm[table.founder]
+        # Each column keeps the id dtype it arrived in.
+        for f in ("members", "seeds", "founder"):
+            ids = getattr(table, f)
+            setattr(table, f, perm[ids].astype(ids.dtype, copy=False))
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
         super().load(state, store)

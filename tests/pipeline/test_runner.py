@@ -247,6 +247,40 @@ class TestCrashResume:
         assert resumed.stage_status["CollectPartials"] == "run"
         assert np.array_equal(resumed.labels, reference.labels)
 
+    @pytest.mark.parametrize("plan, stage", [
+        ("spark", "CollectPartials"), ("spatial", "CollectPartials"),
+        ("cell", "CollectPartials"), ("spark_edges", "CollectEdges")])
+    def test_an_int64_collect_checkpoint_resumes(self, data, tmp_path, plan,
+                                                 stage):
+        """Format 2 written with int64 ids, before ids took `id_dtype`:
+        the columns load as they were written, every later stage takes
+        them in that dtype, and the labels (and, in partials mode, the
+        kept partials, spatial remap included) are the uninterrupted
+        run's."""
+        from tests.dbscan.test_properties import plain
+
+        edges = plan.endswith("_edges")
+        config = make_config(plan, keep_partials=not edges)
+        reference = run_plan(config, data)
+        with pytest.raises(PipelineCrash):
+            run_plan(config, data, checkpoint_dir=str(tmp_path),
+                     fail_after=stage)
+        (run_dir,) = tmp_path.iterdir()
+        npz = run_dir / f"{stage}.npz"
+        with np.load(npz) as arrays:
+            columns = {k: arrays[k] for k in arrays.files}
+        for f in ("members", "seeds", "founder", "orphans"):
+            assert columns[f].dtype == np.int32
+            columns[f] = columns[f].astype(np.int64)
+        np.savez(npz, **columns)
+        resumed = run_plan(config, data, checkpoint_dir=str(tmp_path),
+                           resume=True)
+        assert resumed.stage_status[stage] == "restored"
+        assert np.array_equal(resumed.labels, reference.labels)
+        if not edges:
+            assert resumed.partials.seeds.dtype == np.int64
+            assert plain(resumed.partials) == plain(reference.partials)
+
     def test_resume_never_starts_engine(self, data, tmp_path):
         config = make_config("spark")
         with pytest.raises(PipelineCrash):
