@@ -21,7 +21,9 @@ from repro.pipeline.plans import STAGE_MANIFEST
 
 
 def _load_points(source: str) -> np.ndarray:
-    """A dataset name from Table I, or a path to a points file."""
+    """A dataset name from Table I, or a path to a points file (a file
+    that cannot be read raises ``OSError``, one with no points
+    ``ValueError``)."""
     from repro.data import PAPER_SIZES, load_points, make_dataset
 
     if source in PAPER_SIZES:
@@ -103,8 +105,8 @@ def cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
 
-    points = _load_points(args.source)
     try:
+        points = _load_points(args.source)
         config = RunConfig(
             eps=args.eps,
             minpts=args.minpts,
@@ -121,7 +123,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             max_rounds=args.max_rounds,
             sanitize=args.sanitize,
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -177,7 +179,11 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     from repro.dbscan import SparkDBSCAN
     from repro.kdtree import KDTree
 
-    points = _load_points(args.source)
+    try:
+        points = _load_points(args.source)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     tree = KDTree(points)
 
     def run(p: int):

@@ -7,6 +7,8 @@ to 12 significant digits, which is far below eps-scale differences.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 
@@ -19,8 +21,14 @@ def save_points(path: str, points: np.ndarray) -> None:
 
 
 def load_points(path: str) -> np.ndarray:
-    """Read points written by `save_points`."""
-    pts = np.loadtxt(path, ndmin=2)
+    """Read points written by `save_points`; a file with no points
+    raises ``ValueError``."""
+    with warnings.catch_warnings():
+        # An empty file: the ValueError below says it once.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        pts = np.loadtxt(path, ndmin=2)
+    if not pts.size:
+        raise ValueError(f"points file {path!r} holds no points")
     return np.ascontiguousarray(pts, dtype=np.float64)
 
 

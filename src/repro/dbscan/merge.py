@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -69,9 +68,11 @@ class MergeOutcome:
 class EdgeMergePlan:
     """The merge's decisions, without a label array.
 
-    ``gid_of`` maps each kept partial cluster's ``(partition, local_id)``
-    key to its global cluster id; `apply_gid_map` — in edges mode, the
-    second distributed pass — applies it to the member lists.
+    ``partition``, ``local_id`` and ``gid`` are int columns, one row per
+    kept partial cluster: its cid and its global cluster id, in gid
+    numbering order (a restored checkpoint's in cid order).  `lookup`
+    sorts them for `member_labels`; `apply_gid_map` — in edges mode, the
+    second distributed pass — labels the member lists with them.
     ``claims`` resolves the only other points that get a label:
     cross-partition border seeds owned by nobody — a dict of O(boundary)
     size, not O(points).  ``groups`` indexes the clusters as passed to
@@ -79,7 +80,9 @@ class EdgeMergePlan:
     projections' canonical (founder-sorted) order for `merge_edges`.
     """
 
-    gid_of: dict[tuple[int, int], int]
+    partition: np.ndarray
+    local_id: np.ndarray
+    gid: np.ndarray
     claims: dict[int, int]
     num_partials: int
     num_seeds: int
@@ -87,6 +90,35 @@ class EdgeMergePlan:
     num_merges: int
     num_global_clusters: int
     groups: list[list[int]] = field(default_factory=list)
+
+    def lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gid column searchable by cid: ``(key, gid)`` sorted by
+        `_cid_keys`, what `member_labels` takes and `ApplyGidMap`
+        broadcasts — O(partials), built once per label application."""
+        return _sorted_codes(_cid_keys(self.partition, self.local_id),
+                             self.gid)
+
+
+def _cid_keys(partition: np.ndarray, local_id: np.ndarray) -> np.ndarray:
+    """One int64 key per cid ``(partition, local_id)``, ordered as the
+    pairs are: a task numbers its clusters from 0, far below 2³²."""
+    return partition.astype(np.int64) << 32 | local_id
+
+
+def _sorted_codes(key: np.ndarray, code: np.ndarray):
+    """``(key, code)`` sorted by key, stably, each with one entry past
+    the end (key -1, code -1), so that a `_search` that runs off the
+    table (or finds it empty) reads a miss instead of raising."""
+    by_key = np.argsort(key, kind="stable")
+    return np.append(key[by_key], -1), np.append(code[by_key], -1)
+
+
+def _search(table: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """The code of each non-negative key ``x`` in a `_sorted_codes`
+    table (its first row's), or -1 where no row holds it."""
+    key, code = table
+    pos = np.searchsorted(key[:-1], x)
+    return np.where(key[pos] == x, code[pos], -1)
 
 
 def _seed_blocks(seeds: list[np.ndarray], source: np.ndarray,
@@ -155,16 +187,7 @@ def _point_codes(point: np.ndarray, code: np.ndarray, n: int):
 def _table_probe(point: np.ndarray, code: np.ndarray):
     """Edges mode's probe: a binary search in the point-sorted owner
     table, O(rows) — nothing sized by the id range."""
-    by_point = np.argsort(point, kind="stable")
-    # One past the end holds no point, so a probe that runs off the
-    # table (or finds it empty) reads a miss instead of raising.
-    point = np.append(point[by_point], -1)
-    code = np.append(code[by_point], -1)
-
-    def probe(x: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(point[:-1], x)
-        return np.where(point[pos] == x, code[pos], -1)
-    return probe
+    return partial(_search, _sorted_codes(point, code))
 
 
 def _hook(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -305,10 +328,10 @@ def union_find_merge(
     by_gid = np.argsort(gid, kind="stable")
     groups = [g.tolist() for g in np.split(
         kept[by_gid], np.flatnonzero(np.diff(gid[by_gid])) + 1) if len(g)]
-    cids = zip(stack(tables, "partition")[order][kept].tolist(),
-               stack(tables, "local_id")[order][kept].tolist())
     return EdgeMergePlan(
-        gid_of=dict(zip(cids, gid.tolist())),
+        partition=stack(tables, "partition")[order][kept],
+        local_id=stack(tables, "local_id")[order][kept],
+        gid=gid,
         claims=dict(zip(claim_point.tolist(), gid_at[claim_src].tolist())),
         num_partials=m,
         num_seeds=int(count.sum()),
@@ -338,38 +361,41 @@ def merge_edges(
 
 def member_labels(
     partials: ClusterTable | list[PartialCluster],
-    gid_of: dict[tuple[int, int], int],
+    lookup: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`apply_gid_map`'s per-partition half, what an `ApplyGidMap` task
-    ships: the member ids of the clusters ``gid_of`` keeps, back to
-    back, then each such cluster's gid and member count — one id (4 B
-    below 2³¹ points) a point; the driver repeats the gids."""
+    ships: the member ids of the clusters the plan keeps (its `lookup`
+    finds their gids by cid), back to back, then each such cluster's
+    gid and member count — one id (4 B below 2³¹ points) a point; the
+    driver repeats the gids."""
     t = as_table(partials)
-    gids = np.fromiter(
-        map(gid_of.get, zip(t.partition.tolist(), t.local_id.tolist()),
-            repeat(-1)),
-        np.int64, len(t))
+    gids = _search(lookup, _cid_keys(t.partition, t.local_id))
     kept = gids >= 0
     counts = np.diff(t.member_ptr)
     return t.members[np.repeat(kept, counts)], gids[kept], counts[kept]
 
 
-def apply_gid_map(partials: ClusterTable | list[PartialCluster],
-                  plan: EdgeMergePlan, n: int) -> np.ndarray:
-    """The label application: members take their cluster's gid, the
-    plan's claimed border seeds theirs, everything else is noise.
-    ``merge_mode="edges"`` runs the `member_labels` half executor-side
-    and calls this for the claims only.
-    """
+def write_labels(plan: EdgeMergePlan, n: int, parts) -> np.ndarray:
+    """The one label scatter: every point noise, then each
+    `member_labels` part's members their cluster's gid, then the plan's
+    claimed border seeds theirs."""
     labels = np.full(n, NOISE, dtype=np.int64)
-    ids, gids, sizes = member_labels(partials, plan.gid_of)
-    # An intp index scatters faster than int32, even counting the cast.
-    labels[ids.astype(np.intp, copy=False)] = np.repeat(gids, sizes)
+    for ids, gids, sizes in parts:
+        # An intp index scatters faster than int32, even counting the cast.
+        labels[ids.astype(np.intp, copy=False)] = np.repeat(gids, sizes)
     claims = plan.claims
     labels[np.fromiter(claims, np.int64, len(claims))] = np.fromiter(
         claims.values(), np.int64, len(claims)
     )
     return labels
+
+
+def apply_gid_map(partials: ClusterTable | list[PartialCluster],
+                  plan: EdgeMergePlan, n: int) -> np.ndarray:
+    """The label application on the driver: `write_labels` over the
+    `member_labels` of ``partials``.  ``merge_mode="edges"`` runs
+    `member_labels` executor-side instead (`ApplyGidMap`)."""
+    return write_labels(plan, n, [member_labels(partials, plan.lookup())])
 
 
 def _member_owner_map(partials: list[PartialCluster]) -> dict[int, int]:

@@ -32,7 +32,6 @@ from ..kdtree import KDTree
 from ..obs.spans import NULL_TRACER, Tracer
 from ..pipeline.config import RunConfig
 from .core import ClusteringResult
-from .merge import MERGE_MODES
 from .partial import PartialCluster
 
 
@@ -97,11 +96,15 @@ class SparkDBSCAN:
         to the driver (the paper's path).  ``"edges"``: executors ship
         compact partition digests, the driver union-finds over cluster
         keys — O(edges + partials), not O(points) — and a second
-        distributed pass applies the broadcast gid map (DESIGN.md §11).
-        Labels are byte-identical.
+        distributed pass applies the broadcast gid columns (DESIGN.md
+        §11).  Labels are byte-identical.  Edges mode needs spatial
+        partitions: ``partitioning="cells"`` here (``cell_edges``) or
+        `SpatialSparkDBSCAN` (``spatial_edges``).  Range partitions
+        raise ``ValueError``: nearly every member is a boundary member
+        there, so the digest is the whole record.
 
-        The two only pick the `STAGE_MANIFEST` row (``RunConfig.plan``):
-        ``cell`` for cells, with an ``_edges`` suffix for edges.
+        The two only pick the `STAGE_MANIFEST` row (``RunConfig.plan``,
+        ``ROWS``).
     tracer:
         `repro.obs.Tracer` receiving the run's phase spans (DESIGN.md
         §7).  Defaults to the no-op `NULL_TRACER`; labels are identical
@@ -123,8 +126,10 @@ class SparkDBSCAN:
     All parameter validation lives in `repro.pipeline.RunConfig`.
     """
 
-    #: ``partitioning`` -> the manifest row's head (subclasses override).
-    HEADS = {"range": "spark", "cells": "cell"}
+    #: ``(partitioning, merge_mode)`` -> its `STAGE_MANIFEST` row
+    #: (subclasses override).  Range partitions have no edges row.
+    ROWS = {("range", "partials"): "spark", ("cells", "partials"): "cell",
+            ("cells", "edges"): "cell_edges"}
 
     def __init__(
         self,
@@ -148,18 +153,18 @@ class SparkDBSCAN:
         resume: bool = False,
         fail_after: str | None = None,
     ):
-        if partitioning not in self.HEADS:
+        plan = self.ROWS.get((partitioning, merge_mode))
+        if plan is None:
             raise ValueError(
-                f"{type(self).__name__} partitioning must be one of "
-                f"{tuple(self.HEADS)}, got {partitioning!r}"
+                f"{type(self).__name__} has no plan for partitioning="
+                f"{partitioning!r} with merge_mode={merge_mode!r} (its rows: "
+                f"{', '.join(self.ROWS.values())}); edges mode needs spatial "
+                f"partitions: spatial_edges, cell_edges"
             )
-        if merge_mode not in MERGE_MODES:
-            raise ValueError(f"unknown merge_mode {merge_mode!r}")
-        edges = "_edges" if merge_mode == "edges" else ""
         self.config = RunConfig(
             eps=eps,
             minpts=minpts,
-            plan=self.HEADS[partitioning] + edges,
+            plan=plan,
             num_partitions=num_partitions,
             master=master,
             seed_policy=seed_policy,

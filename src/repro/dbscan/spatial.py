@@ -40,7 +40,8 @@ class SpatialSparkDBSCAN(SparkDBSCAN):
     ``result.perm`` carries the reordering for anyone who needs them.
     """
 
-    HEADS = {"range": "spatial"}
+    ROWS = {("range", "partials"): "spatial",
+            ("range", "edges"): "spatial_edges"}
 
     def fit(self, points, sc=None, *, tree=None) -> SparkDBSCANResult:
         """Run the clustering over the given points.

@@ -4,8 +4,8 @@ The paper's driver program is one fixed sequence; the frontends are
 small edits of it (Section IV vs. the Section V baselines).  Each plan
 is a row of `STAGE_MANIFEST` — stage *class* names in execution order —
 and `build_plan` instantiates the row a `RunConfig` names
-(``RunConfig.plan``).  The six SEED plans are the product of three
-heads and two merge tails:
+(``RunConfig.plan``).  The five SEED plans are three heads with the
+partials tail, and the two spatial heads with the edges tail:
 
 ==============  ==========================================================
 ``spark``       LoadPoints → BuildIndex → PartitionPlan → BroadcastModel →
@@ -16,13 +16,16 @@ heads and two merge tails:
                 cell partitions with local indexes and an eps-halo; no
                 BuildIndex, no BroadcastModel (DESIGN.md §10)
 partials tail   CollectPartials → MergePartials → RelabelFilter
-``*_edges``     CollectEdges → MergeEdges → ApplyGidMap → RelabelFilter:
-                executors ship digests, not partial clusters
-                (DESIGN.md §11)
+edges tail      ``spatial_edges``, ``cell_edges``: CollectEdges →
+                MergeEdges → ApplyGidMap → RelabelFilter — executors
+                ship digests, not partial clusters (DESIGN.md §11)
 ``sequential``  the degenerate single-partition plan (Algorithm 1)
 ``naive``       the shuffle-per-round baseline the paper argues against
 ``mapreduce``   two-round MR-DBSCAN over the mini-MapReduce runtime
 ==============  ==========================================================
+
+The ``spark`` head has no edges row: on index ranges the digest is the
+whole record (DESIGN.md §11).
 
 Stages take no constructor arguments: whatever varies between plans
 that share a stage class (what `LocalExpand` ships, whether
@@ -81,11 +84,6 @@ STAGE_MANIFEST = {
         "LoadPoints", "CellPartition", "LocalIndexExpand", "CollectPartials",
         "MergePartials", "RelabelFilter",
     ),
-    "spark_edges": (
-        "LoadPoints", "BuildIndex", "PartitionPlan", "BroadcastModel",
-        "LocalExpand", "CollectEdges", "MergeEdges", "ApplyGidMap",
-        "RelabelFilter",
-    ),
     "spatial_edges": (
         "LoadPoints", "SpatialReorder", "PartitionPlan", "BroadcastModel",
         "LocalExpand", "CollectEdges", "MergeEdges", "ApplyGidMap",
@@ -112,7 +110,6 @@ PLAN_OUTPUTS = {
     "spark": ("outcome", "partials"),
     "spatial": ("outcome", "partials", "perm"),
     "cell": ("outcome", "partials"),
-    "spark_edges": ("outcome", "merge_plan"),
     "spatial_edges": ("outcome", "merge_plan", "perm"),
     "cell_edges": ("outcome", "merge_plan"),
     "sequential": (),
@@ -123,9 +120,7 @@ PLAN_OUTPUTS = {
 # Plans under the paper's zero-shuffle contract (Algorithms 3-4): their
 # stage classes are SHF001 entry points, so a stage added to these
 # compositions is automatically under the shuffle-free proof.
-SHUFFLE_FREE_PLANS = (
-    "spark", "spatial", "cell", "spark_edges", "spatial_edges", "cell_edges",
-)
+SHUFFLE_FREE_PLANS = ("spark", "spatial", "cell", "spatial_edges", "cell_edges")
 
 # Static per-stage size-class contract (DESIGN.md §8.7).  Pure literals
 # again: ``repro.lint.sizeclass`` reads the ``input``/``output`` classes

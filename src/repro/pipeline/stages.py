@@ -37,10 +37,10 @@ from ..kdtree import KDTree
 from ..dbscan.merge import (
     EdgeMergePlan,
     MergeOutcome,
-    apply_gid_map,
     member_labels,
     merge_edges,
     merge_partials,
+    write_labels,
 )
 from ..dbscan.partial import (
     ClusterTable,
@@ -544,26 +544,29 @@ class MergeEdges(Stage):
             )
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        # The plan's fields, its two dicts as sorted rows.
+        # The plan's fields; its gid columns and claims as rows, sorted.
         plan = state.extras["merge_plan"]
+        by_cid = np.lexsort((plan.local_id, plan.partition))
+        rows = np.c_[plan.partition, plan.local_id, plan.gid][by_cid]
         store.save_json(self.name, {
-            **vars(plan),
-            "gid_of": [[p, l, g] for (p, l), g in sorted(plan.gid_of.items())],
+            "gid_of": rows.tolist(),
             "claims": [[s, g] for s, g in sorted(plan.claims.items())],
+            **{k: v for k, v in vars(plan).items()
+               if k not in ("partition", "local_id", "gid", "claims")},
         })
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
         doc = store.load_json(self.name)
-        doc["gid_of"] = {(p, l): g for p, l, g in doc["gid_of"]}
+        rows = np.array(doc.pop("gid_of"), dtype=np.int64).reshape(-1, 3)
         doc["claims"] = {s: g for s, g in doc["claims"]}
-        state.extras["merge_plan"] = EdgeMergePlan(**doc)
+        state.extras["merge_plan"] = EdgeMergePlan(*rows.T, **doc)
 
 
 class ApplyGidMap(OutcomeStage):
     """Second distributed pass: label members executor-side via the
-    broadcast ``local_cid → gid`` map (`member_labels`); the driver
-    writes each partition's member ids, 4 B a point on the wire below
-    2³¹ points, over the O(boundary) claims.
+    broadcast gid columns (`EdgeMergePlan.lookup`, `member_labels`); the
+    driver writes each partition's member ids, 4 B a point on the wire
+    below 2³¹ points, then the O(boundary) claims (`write_labels`).
 
     Under the processes backend a fresh worker misses the job-1 cache and
     recomputes the expansion through the lineage — deterministically, so
@@ -585,24 +588,20 @@ class ApplyGidMap(OutcomeStage):
         try:
             with state.tracer.span("driver.apply_labels", cat="driver") as sp:
                 t0 = time.perf_counter()
-                gid_b = sc.broadcast(dict(plan.gid_of))
+                gid_b = sc.broadcast(plan.lookup())
                 label_acc = sc.accumulator(LIST_CONCAT)
 
                 def apply_partition(pid: int, it) -> None:
-                    gid_of = gid_b.value
+                    lookup = gid_b.value
                     label_acc.add(
-                        [member_labels(table, gid_of) for table in it]
+                        [member_labels(table, lookup) for table in it]
                     )
 
                 expanded.foreach_partition_with_index(apply_partition)
-                labels = apply_gid_map((), plan, state.n)  # the claims
-                parts = label_acc.drain()
-                for ids, gids, sizes in parts:  # as in apply_gid_map
-                    labels[ids.astype(np.intp, copy=False)] = np.repeat(
-                        gids, sizes)
+                labels = write_labels(plan, state.n, label_acc.drain())
                 state.timings.driver_merge += time.perf_counter() - t0
                 sp.annotate(
-                    num_labelled_partials=len(plan.gid_of),
+                    num_labelled_partials=len(plan.gid),
                     num_claims=len(plan.claims),
                 )
         finally:

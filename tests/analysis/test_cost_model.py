@@ -106,7 +106,7 @@ class TestSizeClassedMergeTerm:
             assert merge_input_class(plan) == "O(points)"
 
     def test_edges_plans_merge_oedges(self):
-        for plan in ("spark_edges", "cell_edges"):
+        for plan in ("spatial_edges", "cell_edges"):
             assert merge_input_class(plan) == "O(edges)"
 
     def test_unknown_plan_is_rejected(self):
@@ -132,7 +132,7 @@ class TestSizeClassedMergeTerm:
     def test_merge_time_takes_a_size_class(self, params):
         m = CostModel(params)
         assert m.merge_time() == merge_units(params, "O(points)")
-        assert m.merge_time(merge_input_class("spark_edges")) == \
+        assert m.merge_time(merge_input_class("spatial_edges")) == \
             merge_units(params, "O(edges)")
         assert m.merge_time("O(edges)") < m.merge_time("O(points)")
 

@@ -94,9 +94,11 @@ def test_the_collected_record_holds_int32_ids(estimator, partitioning):
 
 @pytest.mark.parametrize("partitioning", ["range", "cells"])
 def test_the_projections_hold_int32_ids(partitioning):
+    """The spatial range plan and the cell plan."""
     pts, eps, minpts, p = FIXED
-    state = SparkDBSCAN(eps, minpts, num_partitions=p, partitioning=partitioning,
-                        merge_mode="edges")._fit_state(pts)
+    make = SpatialSparkDBSCAN if partitioning == "range" else SparkDBSCAN
+    state = make(eps, minpts, num_partitions=p, partitioning=partitioning,
+                 merge_mode="edges")._fit_state(pts)
     digests = state.extras["digest"]
     assert sum(len(d.orphans) for d in digests)
     assert [id_dtypes(d) for d in digests] == [INT32] * p
@@ -168,15 +170,17 @@ def test_kept_partials_are_those_of_int64_records(paper, estimator,
         estimator.__name__, partitioning]
 
 
-#: ``repro_driver_collect_bytes`` per merge mode, as recorded with int64
-#: records: the gauges pickle Python ints, so the dtype never shows.
-COLLECT_BYTES = {"partials": 44_322, "edges": 55_610}
+#: ``repro_driver_collect_bytes`` per merge mode — `SparkDBSCAN` in
+#: partials mode, `SpatialSparkDBSCAN` in edges mode — as recorded with
+#: int64 records: the gauges pickle Python ints, so the dtype never shows.
+COLLECT_BYTES = {"partials": (SparkDBSCAN, 44_322),
+                 "edges": (SpatialSparkDBSCAN, 11_999)}
 
 
 @pytest.mark.parametrize("merge_mode", ["partials", "edges"])
 def test_the_collect_gauge_is_unchanged(paper, merge_mode):
     registry = MetricsRegistry()
-    SparkDBSCAN(25.0, 5, num_partitions=8, merge_mode=merge_mode,
-                metrics_registry=registry).fit(paper)
-    assert registry.get("repro_driver_collect_bytes").value() == (
-        COLLECT_BYTES[merge_mode])
+    make, collect_bytes = COLLECT_BYTES[merge_mode]
+    make(25.0, 5, num_partitions=8, merge_mode=merge_mode,
+         metrics_registry=registry).fit(paper)
+    assert registry.get("repro_driver_collect_bytes").value() == collect_bytes

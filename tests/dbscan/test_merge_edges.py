@@ -17,6 +17,7 @@ from repro.dbscan import (
     merge_edges,
     merge_partials,
 )
+from tests.dbscan.test_properties import gid_map, plan_view
 
 
 def pc(partition, local_id, lo, hi, members, seeds=(), borders=()):
@@ -114,7 +115,7 @@ class TestChainsAndBorders:
         ref = merge_partials([a, b], 20)
         labels, plan = edge_labels([a, b], 20)
         np.testing.assert_array_equal(labels, ref.labels)
-        assert plan.claims == {15: plan.gid_of[(0, 0)]}
+        assert plan.claims == {15: gid_map(plan)[0, 0]}
 
     def test_min_cluster_size_filters_like_merge_partials(self):
         tiny = pc(0, 0, 0, 10, [3])
@@ -128,9 +129,9 @@ class TestChainsAndBorders:
 
     def test_empty_digests(self):
         plan = merge_edges([])
-        assert vars(merge_edges(digest_from_partials([]))) == vars(plan)
+        assert plan_view(merge_edges(digest_from_partials([]))) == plan_view(plan)
         assert plan.num_global_clusters == 0
-        assert plan.gid_of == {} and plan.claims == {}
+        assert gid_map(plan) == {} and plan.claims == {}
         labels = apply_gid_map([], plan, 10)
         assert (labels == NOISE).all()
 
@@ -144,7 +145,7 @@ class TestChainsAndBorders:
         b = pc(1, 0, 10, 20, [10, 11, 12])
         plan = merge_edges(digest_from_partials([a, small, b]),
                            min_cluster_size=2)
-        ids, gids, sizes = member_labels([a, small, b], plan.gid_of)
+        ids, gids, sizes = member_labels([a, small, b], plan.lookup())
         assert ids.tolist() == [0, 1, 2, 3, 10, 11, 12]
         assert gids.tolist() == [0, 0] and sizes.tolist() == [4, 3]
         assert ids.nbytes == 8 * 7 and gids.nbytes == sizes.nbytes == 8 * 2
@@ -197,7 +198,7 @@ class TestDigestOrderInvariance:
         digests = [digest.take(np.array([k])) for k in range(3)]
         fwd = merge_edges(list(digests))
         rev = merge_edges(list(reversed(digests)))
-        assert fwd.gid_of == rev.gid_of
+        assert gid_map(fwd) == gid_map(rev)
         assert fwd.claims == rev.claims
         assert fwd.groups == rev.groups
         assert (fwd.num_edges, fwd.num_merges) == (rev.num_edges, rev.num_merges)

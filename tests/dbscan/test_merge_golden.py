@@ -6,10 +6,12 @@ core, so the edges-vs-partials identity tests (`test_merge_edges.py`,
 them to what the pre-collapse loops produced on one fixed 240-point
 input x ``min_cluster_size`` in {0, 3, 8} x founder-sorted and shuffled list
 order — ``labels``, ``num_merges``, ``num_global_clusters``, ``groups``
-for `merge_partials`; ``gid_of`` (in dict order: it is the broadcast
-payload), sorted ``claims``, ``num_edges``, ``num_merges``, ``groups``
-for `merge_edges` — and to the checkpoint JSON documents the five tail
-stages wrote for one run of the same input in each merge mode.
+for `merge_partials`; ``gid_of`` (the plan's gid columns as
+``[partition, local_id, gid]`` rows, in column order), sorted
+``claims``, ``num_edges``, ``num_merges``, ``groups`` for `merge_edges`
+— and to the checkpoint JSON documents the five tail stages wrote for
+one run of the same input in each merge mode: `SparkDBSCAN` in
+partials mode, `SpatialSparkDBSCAN` in edges mode.
 
 ``merge_golden.json`` was written by running this module as a script
 (``PYTHONPATH=src python tests/dbscan/test_merge_golden.py``) at commit
@@ -55,6 +57,19 @@ re-recorded for it: the test compares the record minus the two
 retired headers (`RETIRED`) with the documents minus the ``ops``
 columns, which it checks on their own against the kernel's tables
 (`test_collect_records_carry_each_tasks_op_counts`).
+
+It was re-recorded a fifth time when the range head lost its edges row
+(``spark_edges``: index ranges make nearly every member a boundary
+member, so the digest was the whole record) and the merge plan's
+``(partition, local_id) -> gid`` dict became three int columns.  The
+edges documents — ``CollectEdges.npz``, ``MergeEdges`` and
+``ApplyGidMap`` — now come from `SpatialSparkDBSCAN` on the same 240
+points, so they describe other partitions and other partial clusters;
+the retired ``CollectEdges`` header went with them.  Every
+``merge_partials`` / ``merge_edges`` record, with its ``gid_of`` rows
+now read off the columns, and the partials-mode documents stayed
+byte-identical.  `test_the_merge_edges_checkpoint_layout_applies` holds
+the ``MergeEdges`` document to the layout `MergeEdges.load` reads.
 """
 
 import json
@@ -62,25 +77,31 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.dbscan import (
     SparkDBSCAN,
+    SpatialSparkDBSCAN,
     digest_from_partials,
     local_dbscan,
     merge_edges,
     merge_partials,
+    relabel_canonical,
 )
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
+from repro.pipeline import PipelineCrash
 
 GOLDEN = Path(__file__).with_name("merge_golden.json")
 #: The collect stages' JSON headers (``n`` and the op counters) that
 #: checkpoint format 1 wrote and format 2 does not.
 RETIRED = ("checkpoint/CollectPartials", "checkpoint/CollectEdges")
 EPS, MINPTS, PARTITIONS = 1.5, 4, 6
+#: Per merge mode: the frontend that wrote the documents, and its stages.
 TAIL_DOCS = {
-    "partials": ("CollectPartials", "MergePartials"),
-    "edges": ("CollectEdges", "MergeEdges", "ApplyGidMap"),
+    "partials": (SparkDBSCAN, ("CollectPartials", "MergePartials")),
+    "edges": (SpatialSparkDBSCAN,
+              ("CollectEdges", "MergeEdges", "ApplyGidMap")),
 }
 
 
@@ -95,10 +116,15 @@ def golden_points() -> np.ndarray:
     return np.round(pts[rng.permutation(len(pts))], 6)
 
 
-def golden_tables() -> list:
-    """The six tasks' `ClusterTable` records, full seeds."""
+def golden_tables(spatial: bool = False) -> list:
+    """The six tasks' `ClusterTable` records, full seeds; ``spatial``:
+    over the points renumbered in leaf order, as `SpatialSparkDBSCAN`
+    partitions them."""
     pts = golden_points()
-    tree = KDTree(pts, leaf_size=8)
+    tree = KDTree(pts, leaf_size=64 if spatial else 8)
+    if spatial:
+        tree.rebase()
+        pts = tree.points
     part = IndexRangePartitioner(len(pts), PARTITIONS)
     return [local_dbscan(pid, range(*part.range_of(pid)), pts, tree,
                          EPS, MINPTS, part) for pid in range(PARTITIONS)]
@@ -129,7 +155,8 @@ def merge_records() -> dict:
             plan = merge_edges(digest_from_partials(partials),
                                min_cluster_size=size)
             out[f"merge_edges/{order}/min{size}"] = {
-                "gid_of": [[p, l, g] for (p, l), g in plan.gid_of.items()],
+                "gid_of": np.c_[plan.partition, plan.local_id,
+                                plan.gid].tolist(),
                 "claims": [[s, g] for s, g in sorted(plan.claims.items())],
                 "num_edges": plan.num_edges,
                 "num_merges": plan.num_merges,
@@ -143,10 +170,10 @@ def checkpoint_documents() -> dict:
     and the collect stages' npz columns as lists."""
     pts = golden_points()
     out = {}
-    for mode, stages in TAIL_DOCS.items():
+    for mode, (frontend, stages) in TAIL_DOCS.items():
         with tempfile.TemporaryDirectory() as root:
-            SparkDBSCAN(EPS, MINPTS, num_partitions=PARTITIONS,
-                        merge_mode=mode, checkpoint_dir=root).fit(pts)
+            frontend(EPS, MINPTS, num_partitions=PARTITIONS,
+                     merge_mode=mode, checkpoint_dir=root).fit(pts)
             (run_dir,) = Path(root).iterdir()
             for stage in stages:
                 if stage.startswith("Collect"):
@@ -192,30 +219,63 @@ def test_both_adapters_reproduce_the_golden_record_byte_for_byte():
 
 def test_collect_records_carry_each_tasks_op_counts():
     """Both collect records store the six tasks' counts in task order:
-    the partials record as one table's six rows, the edges record as six
-    projections of one row each."""
-    want = [[pid, *vars(c).values()] for table in golden_tables()
-            for pid, c in table.op_counters()]
-    assert [row[0] for row in want] == list(range(PARTITIONS))
+    the partials record as one table's six rows, the edges record (the
+    spatial plan's tasks) as six projections of one row each."""
     ops = split_ops(checkpoint_documents())
-    assert ops["CollectPartials"] == {"ops": want, "ops_len": [PARTITIONS]}
-    assert ops["CollectEdges"] == {"ops": want, "ops_len": [1] * PARTITIONS}
+    for stage, spatial, ops_len in (
+            ("CollectPartials", False, [PARTITIONS]),
+            ("CollectEdges", True, [1] * PARTITIONS)):
+        want = [[pid, *vars(c).values()] for table in golden_tables(spatial)
+                for pid, c in table.op_counters()]
+        assert [row[0] for row in want] == list(range(PARTITIONS))
+        assert ops[stage] == {"ops": want, "ops_len": ops_len}
 
 
 def test_merge_plan_values_are_plain_python_ints():
-    """`EdgeMergePlan` goes into checkpoint JSON and a broadcast pickle:
-    a numpy scalar would fail the first and bloat the second."""
+    """`EdgeMergePlan`'s counts, claims and groups go into checkpoint
+    JSON as they are, and its gid columns as int rows: a numpy scalar
+    would fail the first."""
     plan = merge_edges(digest_from_partials(golden_partials("founder")))
     ints = [plan.num_partials, plan.num_seeds, plan.num_edges,
             plan.num_merges, plan.num_global_clusters]
-    for (p, l), g in plan.gid_of.items():
-        ints += [p, l, g]
     for s, g in plan.claims.items():
         ints += [s, g]
     for group in plan.groups:
         ints += group
     assert {type(v) for v in ints} == {int}
+    for column in (plan.partition, plan.local_id, plan.gid):
+        assert column.dtype == np.int64 and len(column) == plan.num_partials
     json.dumps(plan.groups)
+
+
+def test_the_merge_edges_checkpoint_layout_applies(tmp_path):
+    """The golden ``MergeEdges`` document, resumed through
+    `MergeEdges.load` in place of the one the run wrote, drives
+    `ApplyGidMap` to the golden outcome document and to the labels of an
+    uninterrupted run — which partition the points as the golden
+    `merge_partials` record does.  A change of the document's layout on
+    either side fails here."""
+    golden = json.loads(GOLDEN.read_text())
+    pts = golden_points()
+
+    def model(**kw):
+        return SpatialSparkDBSCAN(EPS, MINPTS, num_partitions=PARTITIONS,
+                                  merge_mode="edges", **kw)
+
+    with pytest.raises(PipelineCrash):
+        model(checkpoint_dir=str(tmp_path), fail_after="MergeEdges").fit(pts)
+    (run_dir,) = tmp_path.iterdir()
+    (run_dir / "MergeEdges.json").write_text(golden["checkpoint/MergeEdges"])
+    resumed = model(checkpoint_dir=str(tmp_path), resume=True)
+    state = resumed._fit_state(pts)
+    assert state.stage_status["MergeEdges"] == "restored"
+    assert state.stage_status["ApplyGidMap"] == "run"
+    assert (run_dir / "ApplyGidMap.json").read_text() == (
+        golden["checkpoint/ApplyGidMap"])
+    np.testing.assert_array_equal(state.labels, model().fit(pts).labels)
+    want = np.array(golden["merge_partials/founder/min0"]["labels"])
+    assert relabel_canonical(state.labels).tolist() == (
+        relabel_canonical(want).tolist())
 
 
 def test_golden_input_exercises_merges_claims_and_the_size_filter():

@@ -16,6 +16,7 @@ from repro.dbscan import (
     MapReduceDBSCAN,
     PartialCluster,
     SparkDBSCAN,
+    SpatialSparkDBSCAN,
     apply_gid_map,
     clusterings_equivalent,
     dbscan_sequential,
@@ -59,6 +60,21 @@ def plain(partials):
     """Partials as values ``==`` can compare: every field, the int64
     seed array as a list."""
     return [{**vars(c), "seeds": c.seeds.tolist()} for c in partials]
+
+
+def gid_map(plan) -> dict:
+    """An `EdgeMergePlan`'s gid columns as ``{(partition, local_id):
+    gid}``, in column order: what `loop_merge` returns."""
+    return dict(zip(zip(plan.partition.tolist(), plan.local_id.tolist()),
+                    plan.gid.tolist()))
+
+
+def plan_view(plan) -> dict:
+    """An `EdgeMergePlan` as a value ``==`` can compare: every field,
+    the gid columns as `gid_map`."""
+    return {"gid_of": gid_map(plan), **{
+        k: v for k, v in vars(plan).items()
+        if k not in ("partition", "local_id", "gid")}}
 
 
 @st.composite
@@ -288,9 +304,9 @@ def test_edge_merge_equivalent_to_partials_merge(pts, p, eps, minpts, block,
     assert plan.groups == ref.groups
     gid_of, claims, num_edges = loop_merge(*core_inputs(table),
                                            orphans=table.orphans.tolist())
-    assert list(plan.gid_of.items()) == list(gid_of.items())
+    assert list(gid_map(plan).items()) == list(gid_of.items())
     assert (plan.claims, plan.num_edges) == (claims, num_edges)
-    assert list(whole.gid_of.items()) == list(gid_of.items())
+    assert list(gid_map(whole).items()) == list(gid_of.items())
     assert (whole.claims, whole.num_edges) == (claims, num_edges)
 
 
@@ -316,8 +332,8 @@ def test_record_views_round_trip(pts, p, eps, minpts, frame, witness):
     for t in tables + [table]:
         assert view_columns(ClusterTable.from_partials(t)) == view_columns(t)
     if not witness:
-        assert vars(merge_edges([t.project() for t in tables])) == vars(
-            merge_edges(digest_from_partials(list(table))))
+        assert plan_view(merge_edges([t.project() for t in tables])) == (
+            plan_view(merge_edges(digest_from_partials(list(table)))))
 
 
 @settings(max_examples=20, deadline=None)
@@ -340,7 +356,7 @@ def test_edge_merge_respects_min_cluster_size(pts, p, eps, size, block):
     assert plan.groups == ref.groups
     gid_of, claims, _ = loop_merge(*core_inputs(partials), size)
     for got in [plan] + wholes:
-        assert (got.gid_of, got.claims) == (gid_of, claims)
+        assert (gid_map(got), got.claims) == (gid_of, claims)
 
 
 def _cluster(cid, founder, seeds, size=10):
@@ -384,7 +400,7 @@ def test_seed_blocks_do_not_change_the_merge(case, block):
     for probe in PROBES:
         with seed_block(block):
             plan = array_merge(clusters, owners, size, probe)
-        assert (plan.gid_of, plan.claims, plan.num_edges) == (
+        assert (gid_map(plan), plan.claims, plan.num_edges) == (
             gid_of, claims, num_edges)
         assert plan.num_global_clusters == len(set(gid_of.values()))
         assert plan.num_merges == len(gid_of) - plan.num_global_clusters
@@ -398,7 +414,7 @@ def test_contested_claim_goes_to_the_lower_founder_across_blocks():
     for probe in PROBES:
         with seed_block(7):
             plan = array_merge(clusters, owners, probe=probe)
-        assert plan.claims[500] == plan.gid_of[(2, 0)] != plan.gid_of[(0, 0)]
+        assert plan.claims[500] == gid_map(plan)[2, 0] != gid_map(plan)[0, 0]
 
 
 def test_contested_claim_goes_to_the_lower_founder_within_a_block():
@@ -406,7 +422,7 @@ def test_contested_claim_goes_to_the_lower_founder_within_a_block():
         "a contested border seed whose lower founder comes later in the block"]
     for probe in PROBES:
         plan = array_merge(clusters, owners, probe=probe)
-        assert plan.claims[500] == plan.gid_of[(1, 0)] != plan.gid_of[(0, 0)]
+        assert plan.claims[500] == gid_map(plan)[1, 0] != gid_map(plan)[0, 0]
 
 
 @pytest.mark.parametrize("block", SEED_BLOCKS)
@@ -429,7 +445,7 @@ def test_a_chain_linked_one_block_at_a_time_is_one_group(block):
         with seed_block(block):
             plan = array_merge(clusters, owners, probe=probe, stats=stats)
         assert plan.groups == [list(range(m))]
-        assert (plan.gid_of, plan.claims, plan.num_edges) == (
+        assert (gid_map(plan), plan.claims, plan.num_edges) == (
             gid_of, claims, num_edges)
         assert (plan.num_merges, stats["live_pairs"]) == (m - 1, m - 1)
         assert stats["seed_blocks"] == -(-(7 * m - 1) // block)
@@ -493,7 +509,7 @@ def test_seed_sequences_of_any_int_type_give_the_same_plan(case):
     coercion to a record (`ClusterTable.from_partials`) makes them int64."""
     clusters, owners, size = BLOCK_CASES[case]
     plans = [
-        vars(union_find_merge(ClusterTable.from_partials(
+        plan_view(union_find_merge(ClusterTable.from_partials(
             PartialCluster(
                 cid[0], cid[1], 0, 0,
                 members=[p for p, ci, _ in owners if ci == k],
@@ -503,7 +519,7 @@ def test_seed_sequences_of_any_int_type_give_the_same_plan(case):
         for as_seeds in (list, lambda s: np.array(s, np.int64),
                          lambda s: np.array(s, np.int32))
     ]
-    plans += [vars(probe_merge(ClusterTable.from_partials(
+    plans += [plan_view(probe_merge(ClusterTable.from_partials(
         PartialCluster(cid[0], cid[1], 0, 0,
                        members=[p for p, ci, _ in owners if ci == k],
                        seeds=seeds,
@@ -593,7 +609,7 @@ def test_no_run_path_merge_calls_union_find(merge_mode, monkeypatch):
     monkeypatch.setattr(UnionFind, "__init__", refuse)
     assert not hasattr(merge_module, "UnionFind")
     pts = np.random.default_rng(3).normal(size=(300, 2))
-    SparkDBSCAN(0.3, 4, num_partitions=4, merge_mode=merge_mode).fit(pts)
+    SpatialSparkDBSCAN(0.3, 4, num_partitions=4, merge_mode=merge_mode).fit(pts)
     MapReduceDBSCAN(0.3, 4, num_maps=4).fit(pts)
 
 

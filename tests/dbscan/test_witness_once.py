@@ -99,7 +99,8 @@ def assert_same_merge(pts, frame, eps, minpts, p):
     np.testing.assert_array_equal(got.labels, ref.labels)
     assert (got.num_merges, got.num_global_clusters, got.groups) == (
         ref.num_merges, ref.num_global_clusters, ref.groups)
-    assert list(plan.gid_of.items()) == list(ref_plan.gid_of.items())
+    for f in ("partition", "local_id", "gid"):
+        np.testing.assert_array_equal(getattr(plan, f), getattr(ref_plan, f))
     assert (plan.claims, plan.groups, plan.num_merges) == (
         ref_plan.claims, ref_plan.groups, ref_plan.num_merges)
     assert [c.size for c in partials] == [c.size for c in full_partials]
@@ -193,7 +194,7 @@ def test_the_paper_strategy_refuses_orphan_rows():
 
 @pytest.mark.parametrize("kw,halved", [
     ({}, True),
-    (dict(plan="spark_edges"), True),
+    (dict(plan="spatial_edges"), True),
     (dict(plan="cell"), True),
     (dict(seed_policy="one_per_partition"), False),
     (dict(max_neighbors=8), False),
@@ -207,7 +208,7 @@ def test_which_configs_witness_once(kw, halved):
 @pytest.mark.parametrize("master", [None, "threads[2]", "processes[2]"])
 @pytest.mark.parametrize("make,kw", [
     (SparkDBSCAN, {}),
-    (SparkDBSCAN, dict(merge_mode="edges")),
+    (SparkDBSCAN, dict(partitioning="cells", merge_mode="edges")),
     (SparkDBSCAN, dict(partitioning="cells")),
     (SpatialSparkDBSCAN, {}),
     (SpatialSparkDBSCAN, dict(merge_mode="edges")),
@@ -226,11 +227,13 @@ def test_pipeline_labels_match_a_full_seed_run(make, kw, master):
 
 @pytest.mark.parametrize("merge_mode", ["partials", "edges"])
 def test_the_merge_span_reports_the_rows_it_joined(merge_mode):
+    """Partials mode on range partitions, edges mode on cells."""
     pts, eps, minpts, p = FIXED
+    frame = "cells" if merge_mode == "edges" else "range"
     tracer = Tracer()
     SparkDBSCAN(eps, minpts, num_partitions=p, merge_mode=merge_mode,
-                tracer=tracer).fit(pts)
+                partitioning=frame, tracer=tracer).fit(pts)
     expect = sum(len(e.orphans)
-                 for e in expansions("range", pts, eps, minpts, p, True))
+                 for e in expansions(frame, pts, eps, minpts, p, True))
     stats = TraceReport.from_tracer(tracer).merge_stats
     assert stats["orphan_rows"] == expect > 0

@@ -115,8 +115,11 @@ def test_pickle_holds_the_coordinates_once(rebased):
     )
 
 
-@pytest.mark.parametrize("estimator", [SparkDBSCAN, SpatialSparkDBSCAN])
-@pytest.mark.parametrize("merge_mode", ["partials", "edges"])
+@pytest.mark.parametrize("merge_mode,estimator", [
+    ("edges", SpatialSparkDBSCAN),
+    ("partials", SparkDBSCAN),
+    ("partials", SpatialSparkDBSCAN),
+], ids=lambda v: getattr(v, "__name__", v))
 def test_one_tree_build_per_fit(blobs_small, monkeypatch, estimator,
                                 merge_mode):
     init, builds = KDTree.__init__, []

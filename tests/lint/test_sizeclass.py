@@ -223,7 +223,7 @@ class TestSCL003:
             sc = state.sc
             state.b = sc.broadcast(state.points)
             return None
-        """, plan="spark_edges")
+        """, plan="spatial_edges")
         assert "SCL003" in rules_of(findings)
 
 

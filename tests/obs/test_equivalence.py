@@ -77,8 +77,9 @@ class TestTraceAgreesWithResult:
     @pytest.mark.parametrize("merge_mode", ["partials", "edges"])
     def test_merge_span_carries_the_join_stats(self, blobs_small, merge_mode):
         tracer = Tracer()
-        res = SparkDBSCAN(EPS, MINPTS, num_partitions=4, tracer=tracer,
-                          merge_mode=merge_mode).fit(blobs_small.points)
+        frontend = SpatialSparkDBSCAN if merge_mode == "edges" else SparkDBSCAN
+        res = frontend(EPS, MINPTS, num_partitions=4, tracer=tracer,
+                       merge_mode=merge_mode).fit(blobs_small.points)
         stats = TraceReport.from_tracer(tracer).merge_stats
         # One block holds this fit's seeds; every merge took a live pair.
         assert 0 < res.num_seeds <= SEED_BLOCK_ROWS

@@ -4,7 +4,7 @@ fault story, and agrees with the always-on `JobMetrics` record."""
 import numpy as np
 import pytest
 
-from repro.dbscan import SparkDBSCAN
+from repro.dbscan import SparkDBSCAN, SpatialSparkDBSCAN
 from repro.engine import FaultPlan, SparkContext
 from repro.obs import TraceReport, Tracer, load_trace
 
@@ -16,7 +16,7 @@ class TestSkewNumbersFromTheEngine:
         # Edges mode runs two jobs over the same partitions; the skew
         # numbers must describe the expansion, not ApplyGidMap's pass.
         tracer = Tracer()
-        res = SparkDBSCAN(
+        res = SpatialSparkDBSCAN(
             EPS, MINPTS, num_partitions=4, master="simulated[4]",
             merge_mode="edges", tracer=tracer,
         ).fit(blobs_medium.points)

@@ -225,11 +225,10 @@ class TestBorderTieBreak:
         of two or more clusters within eps, and there are some."""
         eps = 2.0
         points = generate_skewed(seed=seed, **SKEWED_BENCH).points
-        kw = dict(num_partitions=4, merge_mode="edges",
-                  neighbor_mode="batched")
+        kw = dict(num_partitions=4, neighbor_mode="batched")
         base = SparkDBSCAN(eps, MINPTS, **kw).fit(points).labels
         cell = SparkDBSCAN(eps, MINPTS, partitioning="cells",
-                           **kw).fit(points).labels
+                           merge_mode="edges", **kw).fit(points).labels
         tree = KDTree(points)
         core = tree.count_radius_batch(points, eps) >= MINPTS
         assert np.array_equal(base[core], cell[core])

@@ -77,12 +77,17 @@ class TestValidation:
             SpatialSparkDBSCAN(1.0, 3, partitioning="cells")
 
     def test_merge_mode_validated(self):
-        assert cfg(plan="spark_edges").merge_mode == "edges"
+        assert cfg(plan="spatial_edges").merge_mode == "edges"
         assert cfg(plan="cell").merge_mode == "partials"
         assert SpatialSparkDBSCAN(
             1.0, 3, merge_mode="edges").config.plan == "spatial_edges"
         with pytest.raises(ValueError):
             SparkDBSCAN(1.0, 3, merge_mode="telepathy")
+        # Range partitions have no edges row (the digest would be the
+        # whole record): one line names the two rows that do.
+        with pytest.raises(ValueError,
+                           match=r"^[^\n]*spatial_edges, cell_edges[^\n]*$"):
+            SparkDBSCAN(1.0, 3, merge_mode="edges")
 
     @pytest.mark.parametrize("given,stored", [
         (dict(minpts=np.int64(3), num_partitions=np.int32(2),
@@ -117,7 +122,7 @@ class TestValidation:
     ])
     def test_edges_mode_incompatibilities(self, bad):
         with pytest.raises(ValueError):
-            cfg(**{"plan": "spark_edges", **bad})
+            cfg(**{"plan": "spatial_edges", **bad})
 
 
 class TestContentHash:
@@ -138,7 +143,7 @@ class TestContentHash:
         dict(impl="hashtable"),
         dict(max_neighbors=40),
         dict(plan="cell"),
-        dict(plan="spark_edges"),
+        dict(plan="spatial_edges"),
     ])
     def test_semantic_field_changes_hash(self, change):
         pts = np.arange(20, dtype=np.float64).reshape(10, 2)

@@ -105,11 +105,13 @@ class TestFrontendCheckpointing:
     ):
         """Edges mode reads its counts off the merge plan, which a
         resume restores even when every later stage is restored too
-        (``None``: the first run completes, RelabelFilter included)."""
+        (``None``: the first run completes, RelabelFilter included).
+        Range partitions run edges mode through `SpatialSparkDBSCAN`."""
+        make = SpatialSparkDBSCAN if partitioning == "range" else SparkDBSCAN
+
         def model(**kw):
-            return SparkDBSCAN(EPS, MINPTS, num_partitions=3,
-                               merge_mode="edges", partitioning=partitioning,
-                               **kw)
+            return make(EPS, MINPTS, num_partitions=3, merge_mode="edges",
+                        partitioning=partitioning, **kw)
 
         reference = model().fit(points)
         assert reference.num_partial_clusters > 0 and reference.num_seeds > 0

@@ -25,12 +25,22 @@ def fit(points, frontend=SparkDBSCAN, **kw):
     return result, reg
 
 
-@pytest.mark.parametrize("merge_mode", ["partials", "edges"])
-@pytest.mark.parametrize("frontend,extra", [
-    (SparkDBSCAN, {}),
-    (SpatialSparkDBSCAN, {}),
-    (SparkDBSCAN, {"partitioning": "cells"}),
-], ids=["spark", "spatial", "cell"])
+#: The two heads with an edges row (DESIGN.md §11): SpatialSparkDBSCAN
+#: and the cell plan.
+EDGE_HEADS = {
+    "spatial": (SpatialSparkDBSCAN, {}),
+    "cell": (SparkDBSCAN, {"partitioning": "cells"}),
+}
+
+
+@pytest.mark.parametrize("frontend,extra,merge_mode", [
+    (SparkDBSCAN, {}, "partials"),
+    (SpatialSparkDBSCAN, {}, "edges"),
+    (SpatialSparkDBSCAN, {}, "partials"),
+    (SparkDBSCAN, {"partitioning": "cells"}, "edges"),
+    (SparkDBSCAN, {"partitioning": "cells"}, "partials"),
+], ids=["spark-partials", "spatial-edges", "spatial-partials", "cell-edges",
+        "cell-partials"])
 def test_the_run_path_builds_no_partial_cluster(points, frontend, extra,
                                                 merge_mode, tmp_path,
                                                 monkeypatch):
@@ -50,12 +60,9 @@ def test_the_run_path_builds_no_partial_cluster(points, frontend, extra,
 
 
 class TestLabelEquivalence:
-    @pytest.mark.parametrize("frontend,extra", [
-        (SparkDBSCAN, {}),
-        (SpatialSparkDBSCAN, {}),
-        (SparkDBSCAN, {"partitioning": "cells"}),
-    ], ids=["spark", "spatial", "cell"])
-    def test_edges_byte_identical_to_partials(self, points, frontend, extra):
+    @pytest.mark.parametrize("head", EDGE_HEADS)
+    def test_edges_byte_identical_to_partials(self, points, head):
+        frontend, extra = EDGE_HEADS[head]
         base, _ = fit(points, frontend, **extra)
         edge, _ = fit(points, frontend, merge_mode="edges", **extra)
         np.testing.assert_array_equal(edge.labels, base.labels)
@@ -65,40 +72,45 @@ class TestLabelEquivalence:
 
     @pytest.mark.parametrize("master", ["threads[2]", "processes[2]"])
     def test_edges_backend_invariant(self, points, master):
-        base, _ = fit(points)
-        edge, _ = fit(points, master=master, merge_mode="edges")
-        np.testing.assert_array_equal(edge.labels, base.labels)
+        for frontend, extra in EDGE_HEADS.values():
+            base, _ = fit(points, frontend, **extra)
+            edge, _ = fit(points, frontend, master=master, merge_mode="edges",
+                          **extra)
+            np.testing.assert_array_equal(edge.labels, base.labels)
 
     @pytest.mark.parametrize("mode", ["per_point", "batched"])
     def test_neighbor_modes_agree(self, points, mode):
-        base, _ = fit(points, neighbor_mode=mode)
-        edge, _ = fit(points, neighbor_mode=mode, merge_mode="edges")
+        base, _ = fit(points, SpatialSparkDBSCAN, neighbor_mode=mode)
+        edge, _ = fit(points, SpatialSparkDBSCAN, neighbor_mode=mode,
+                      merge_mode="edges")
         np.testing.assert_array_equal(edge.labels, base.labels)
 
     def test_skewed_data(self):
         pts = generate_skewed(2000, shuffle=False).points
-        base, _ = fit(pts)
-        edge, _ = fit(pts, merge_mode="edges")
-        np.testing.assert_array_equal(edge.labels, base.labels)
+        for frontend, extra in EDGE_HEADS.values():
+            base, _ = fit(pts, frontend, **extra)
+            edge, _ = fit(pts, frontend, merge_mode="edges", **extra)
+            np.testing.assert_array_equal(edge.labels, base.labels)
 
     def test_min_cluster_size(self, points):
-        base, _ = fit(points, min_cluster_size=4)
-        edge, _ = fit(points, min_cluster_size=4, merge_mode="edges")
+        base, _ = fit(points, SpatialSparkDBSCAN, min_cluster_size=4)
+        edge, _ = fit(points, SpatialSparkDBSCAN, min_cluster_size=4,
+                      merge_mode="edges")
         np.testing.assert_array_equal(edge.labels, base.labels)
 
 
 class TestMergeTelemetry:
     def test_outcome_stats_surface_as_gauges(self, points):
         for mode in ("partials", "edges"):
-            _, reg = fit(points, merge_mode=mode)
+            _, reg = fit(points, SpatialSparkDBSCAN, merge_mode=mode)
             merges = reg.get("repro_merge_merges")
             clusters = reg.get("repro_merge_global_clusters")
             assert merges is not None and clusters is not None
             assert clusters.value() > 0
 
     def test_edge_counter_only_in_edges_mode(self, points):
-        _, reg_base = fit(points)
-        _, reg_edge = fit(points, merge_mode="edges")
+        _, reg_base = fit(points, SpatialSparkDBSCAN)
+        _, reg_edge = fit(points, SpatialSparkDBSCAN, merge_mode="edges")
         assert reg_base.get("repro_merge_edges_total") is None
         edges = reg_edge.get("repro_merge_edges_total")
         assert edges is not None and edges.value() >= 0

@@ -1,7 +1,7 @@
 """`STAGE_MANIFEST` is the one plan table: the linter reads it off the
 AST and `build_plan` instantiates it, so there is no second copy to
 keep in sync — what is left to pin is that every row builds, that the
-six SEED plans are the head × tail product they claim to be, and that
+five SEED plans are the head × tail products they claim to be, and that
 the frontends compose the rows they should."""
 
 import pytest
@@ -44,6 +44,8 @@ def test_every_manifest_row_builds_from_a_resolving_config():
 
 
 def test_manifest_covers_every_plan():
+    # Five SEED plans, then sequential, naive and mapreduce.
+    assert len(STAGE_MANIFEST) == 8
     assert set(PLAN_OUTPUTS) == set(STAGE_MANIFEST)
     assert set(SHUFFLE_FREE_PLANS) <= set(STAGE_MANIFEST)
     assert {cls for row in STAGE_MANIFEST.values() for cls in row} \
@@ -52,8 +54,11 @@ def test_manifest_covers_every_plan():
 
 @pytest.mark.parametrize("head", sorted(HEADS))
 def test_product_plans_are_head_plus_tail(head):
+    """Every head takes the partials tail; only the spatial heads take
+    the edges tail (index ranges make the digest the whole record)."""
     assert STAGE_MANIFEST[head] == HEADS[head] + PARTIALS_TAIL
-    assert STAGE_MANIFEST[f"{head}_edges"] == HEADS[head] + EDGES_TAIL
+    assert STAGE_MANIFEST.get(f"{head}_edges") == (
+        None if head == "spark" else HEADS[head] + EDGES_TAIL)
 
 
 def test_edges_plans_never_output_partials():
@@ -78,7 +83,6 @@ def test_plan_name_resolution():
     for make, kwargs, row in [
         (SparkDBSCAN, {}, "spark"),
         (SparkDBSCAN, dict(partitioning="cells"), "cell"),
-        (SparkDBSCAN, dict(merge_mode="edges"), "spark_edges"),
         (SpatialSparkDBSCAN, dict(merge_mode="edges"), "spatial_edges"),
         (SparkDBSCAN, dict(partitioning="cells", merge_mode="edges"),
          "cell_edges"),
@@ -90,8 +94,7 @@ def test_plan_name_resolution():
 
 def test_shuffle_free_plans_are_the_paper_pipelines():
     assert SHUFFLE_FREE_PLANS == (
-        "spark", "spatial", "cell",
-        "spark_edges", "spatial_edges", "cell_edges",
+        "spark", "spatial", "cell", "spatial_edges", "cell_edges",
     )
 
 

@@ -249,7 +249,7 @@ class TestCrashResume:
 
     @pytest.mark.parametrize("plan, stage", [
         ("spark", "CollectPartials"), ("spatial", "CollectPartials"),
-        ("cell", "CollectPartials"), ("spark_edges", "CollectEdges")])
+        ("cell", "CollectPartials"), ("spatial_edges", "CollectEdges")])
     def test_an_int64_collect_checkpoint_resumes(self, data, tmp_path, plan,
                                                  stage):
         """Format 2 written with int64 ids, before ids took `id_dtype`:
@@ -341,8 +341,9 @@ class TestCrashResume:
 
 
 #: (kill_after, stages that must be skipped on resume) for the edge-merge
-#: tail.  Killing after ApplyGidMap leaves only RelabelFilter, a pure
-#: driver transform — MergeEdges is restored too, not skipped: the
+#: tail of the ``spatial_edges`` plan.  Killing after ApplyGidMap leaves
+#: only RelabelFilter, a pure driver transform, and the SpatialReorder
+#: whose permutation it undoes — MergeEdges is restored too, not skipped: the
 #: frontend reads its partial/seed counts off the plan (an edges plan
 #: output); killing after MergeEdges must re-run the expansion
 #: (ApplyGidMap needs the executor-resident member lists) but restores
@@ -350,8 +351,8 @@ class TestCrashResume:
 EDGE_CRASH_MATRIX = [
     ("CollectEdges", set()),
     ("MergeEdges", {"CollectEdges"}),
-    ("ApplyGidMap", {"BuildIndex", "PartitionPlan", "BroadcastModel",
-                     "LocalExpand", "CollectEdges"}),
+    ("ApplyGidMap", {"PartitionPlan", "BroadcastModel", "LocalExpand",
+                     "CollectEdges"}),
 ]
 
 
@@ -359,9 +360,9 @@ class TestEdgeMergeCrashResume:
     @pytest.mark.parametrize("kill_after,skipped", EDGE_CRASH_MATRIX)
     def test_resume_matches_uninterrupted(self, kill_after, skipped, data,
                                           tmp_path):
-        config = make_config("spark_edges")
+        config = make_config("spatial_edges")
         reference = run_plan(config, data)
-        partials_ref = run_plan(make_config("spark"), data)
+        partials_ref = run_plan(make_config("spatial"), data)
         np.testing.assert_array_equal(reference.labels, partials_ref.labels)
 
         with pytest.raises(PipelineCrash):
@@ -399,7 +400,7 @@ class TestEdgeMergeCrashResume:
         np.testing.assert_array_equal(resumed.labels, reference.labels)
 
     def test_full_restore_never_starts_engine(self, data, tmp_path):
-        config = make_config("spark_edges")
+        config = make_config("spatial_edges")
         with pytest.raises(PipelineCrash):
             run_plan(config, data, checkpoint_dir=str(tmp_path),
                      fail_after="ApplyGidMap")
@@ -430,7 +431,7 @@ class TestOpCounts:
         assert ops.value(op="range_queries", partition=2) > 0
 
     @pytest.mark.parametrize("plan,stage", [
-        ("spark", "CollectPartials"), ("spark_edges", "CollectEdges"),
+        ("spark", "CollectPartials"), ("spatial_edges", "CollectEdges"),
         ("cell", "CollectPartials"), ("cell_edges", "CollectEdges"),
     ])
     def test_resumed_collect_reports_the_cold_counts(self, plan, stage,

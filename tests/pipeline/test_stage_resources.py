@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.data import generate_clustered
-from repro.dbscan import SparkDBSCAN
+from repro.dbscan import SparkDBSCAN, SpatialSparkDBSCAN
 from repro.engine import SparkContext
 from repro.kdtree import KDTree
 from repro.pipeline import PipelineRunner, RunConfig, build_plan
@@ -90,7 +90,8 @@ def test_fits_on_a_lent_context_release_their_broadcasts(master):
     # cached (and on disk under ``processes``) until sc.stop(): three
     # fits left {KDTree, KDTree, dict, KDTree, dict} behind.  Now the
     # only broadcast a fit leaves is the tree the context's memo keeps
-    # for the next fit on these points, one and the same every time.
+    # for the next fit on these points, one and the same every time: the
+    # spatial edges fits release their own tree and gid columns.
     # Labels must not change: under ``processes`` ApplyGidMap may
     # recompute the expansion through the lineage, which needs the tree
     # broadcast alive until the fit — not the stage — ends.
@@ -99,16 +100,19 @@ def test_fits_on_a_lent_context_release_their_broadcasts(master):
     points = generate_clustered(
         n=400, num_clusters=4, cluster_std=8.0, seed=11
     ).points
-    expected = SparkDBSCAN(25.0, 5, num_partitions=4).fit(points).labels
+    fits = [(SparkDBSCAN, "partials"), (SpatialSparkDBSCAN, "edges"),
+            (SpatialSparkDBSCAN, "edges")]
+    expected = {make: make(25.0, 5, num_partitions=4).fit(points).labels
+                for make, _ in fits}
     kept = []
     with SparkContext(master) as sc:
         clean = _live_broadcasts(sc)
         assert clean[1:] == ([], [])
-        for mode in ("partials", "edges", "edges"):
-            got = SparkDBSCAN(
+        for make, mode in fits:
+            got = make(
                 25.0, 5, num_partitions=4, merge_mode=mode
             ).fit(points, sc=sc)
-            np.testing.assert_array_equal(got.labels, expected)
+            np.testing.assert_array_equal(got.labels, expected[make])
             cache, (tree_b,), files = _live_broadcasts(sc)
             assert isinstance(tree_b.value, KDTree)
             assert cache == clean[0] | {tree_b.key}
@@ -179,8 +183,8 @@ def test_gid_map_broadcast_is_timed_inside_apply_labels():
         n=400, num_clusters=4, cluster_std=8.0, seed=11
     ).points
     tracer = Tracer()
-    SparkDBSCAN(25.0, 5, num_partitions=4, merge_mode="edges",
-                tracer=tracer).fit(points)
+    SpatialSparkDBSCAN(25.0, 5, num_partitions=4, merge_mode="edges",
+                       tracer=tracer).fit(points)
     (apply,) = tracer.find("driver.apply_labels")
     tree_b, gid_b = tracer.find("driver.broadcast")
     assert tree_b.end <= apply.start

@@ -1,5 +1,7 @@
 """CLI smoke and behaviour tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,8 +67,9 @@ class TestCluster:
         assert "clusters" in capsys.readouterr().out
 
     def test_bad_algorithm_rejected(self, points_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["cluster", points_file, "--plan", "quantum"])
+        for plan in ("quantum", "spark_edges"):  # no edges row on ranges
+            with pytest.raises(SystemExit):
+                main(["cluster", points_file, "--plan", plan])
         # One --plan replaces the three selectors.
         for flag, value in (("--algorithm", "spark"), ("--partitioning", "cells"),
                             ("--merge-mode", "edges")):
@@ -270,6 +273,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name,text", [("nosuch.txt", None),
+                                           ("empty.txt", "")])
+    def test_unreadable_points_file_one_line_error(self, tmp_path, capsys,
+                                                   name, text):
+        # A missing file used to end in numpy's FileNotFoundError
+        # traceback; an empty one warned, then clustered "0 points", exit 0.
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1 and "points," not in out
 
     def test_sanitize_rejected_for_sequential(self, points_file, capsys):
         assert main(["run", points_file, "--plan", "sequential",
