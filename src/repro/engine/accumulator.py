@@ -16,6 +16,7 @@ partial clusters would corrupt the DBSCAN merge phase.
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Any, Callable, Generic, TypeVar
 
@@ -30,9 +31,11 @@ class AccumulatorParam(Generic[T]):
         self.add = add
 
 
-INT_SUM = AccumulatorParam[int](zero=lambda: 0, add=lambda a, b: a + b)
-FLOAT_SUM = AccumulatorParam[float](zero=lambda: 0.0, add=lambda a, b: a + b)
-LIST_CONCAT = AccumulatorParam[list](zero=list, add=lambda a, b: a + b)
+# Builtins and `operator.add`, not lambdas: cloudpickle ships them by
+# reference, so a task holding an accumulator carries no code objects.
+INT_SUM = AccumulatorParam[int](zero=int, add=operator.add)
+FLOAT_SUM = AccumulatorParam[float](zero=float, add=operator.add)
+LIST_CONCAT = AccumulatorParam[list](zero=list, add=operator.add)
 
 
 class Accumulator(Generic[T]):

@@ -162,10 +162,16 @@ _live: weakref.WeakSet[_Executor] = weakref.WeakSet()
 # again: another driver thread may reclaim an orphan first, after which
 # that pipe stays silent.
 _ORPHAN_POLL_S = 0.05
+# The largest task message queued behind a running task.  A pipe is a
+# socket pair whose buffer holds 208 KiB on Linux by default, so such a
+# message fits whole and its send returns even while the worker, done
+# with the task it runs, blocks sending a large reply to this driver.
+QUEUE_MAX_BYTES = 64 * 1024
 
 
 class _Executor:
-    """One worker process, fed one task at a time over its own pipe."""
+    """One worker process, fed tasks over its own pipe: the one it runs
+    and at most one queued behind it."""
 
     def __init__(self) -> None:
         self.conn, child = multiprocessing.Pipe()
@@ -219,7 +225,10 @@ class ProcessBackend(Backend):
     The pool is one worker process per slot, each behind its own pipe,
     and the backend sends each task to a free executor, in slot order,
     as Spark's scheduler offers tasks to free executors: a task set's
-    first wave lands on distinct workers, however warm they are.  The
+    first wave lands on distinct workers, however warm they are.  Then
+    each of the job's executors gets one more task, of at most
+    `QUEUE_MAX_BYTES`, queued behind the one it runs, so a worker goes
+    from its reply to its next task without waiting for the driver.  The
     pool is leased, not owned: the backend takes the process's idle pool
     when its slot count matches and no worker died, and `shutdown` hands
     it back with an end-of-lease message, on which each worker drops the
@@ -248,10 +257,11 @@ class ProcessBackend(Backend):
             pool = [_Executor() for _ in range(slots)]
         self._pool: list[_Executor] | None = pool
         # Executors running no attempt, in slot order, and executors
-        # still running the attempt of a job that stopped waiting (it
-        # aborted); the latter are freed once that attempt ends.
+        # still running attempts of a job that stopped waiting (it
+        # aborted), with the number of replies each still owes; the
+        # latter are freed once every one of those replies is read.
         self._free = list(pool)
-        self._orphaned: list[_Executor] = []
+        self._orphaned: dict[_Executor, int] = {}
         # RDD ids unpersisted and broadcast keys released since each
         # executor's last task message.
         self._dropped: dict[_Executor, tuple[list[int], list[int]]] = {
@@ -261,16 +271,21 @@ class ProcessBackend(Backend):
         self._changed = threading.Condition()
 
     def _reclaim(self) -> None:
-        """Free the orphaned executors whose attempt ended (call under
-        ``_changed``)."""
-        for executor in list(self._orphaned):
-            if executor.conn.poll():
-                self._orphaned.remove(executor)
-                try:
+        """Read the replies of orphaned attempts that ended, and free the
+        executors that owe none any more (call under ``_changed``)."""
+        for executor, owed in list(self._orphaned.items()):
+            try:
+                while owed and executor.conn.poll():
                     executor.conn.recv()
-                except (EOFError, OSError):
-                    self._broken = True
-                    continue
+                    owed -= 1
+            except (EOFError, OSError):
+                del self._orphaned[executor]
+                self._broken = True
+                continue
+            if owed:
+                self._orphaned[executor] = owed
+            else:
+                del self._orphaned[executor]
                 self._free.append(executor)
 
     def evict(self, rdd_id: int) -> None:
@@ -290,16 +305,25 @@ class ProcessBackend(Backend):
     def run(self, tasks: list[Task]) -> Iterator[TaskOutcome]:
         """Execute the given tasks, yielding outcomes as they complete."""
         blobs = _pack(tasks)[::-1]
-        mine: set[_Executor] = set()
+        # This job's executors and the replies each owes: 1 while it
+        # runs a task, 2 while another is queued behind it.
+        mine: dict[_Executor, int] = {}
+
+        def send(executor: _Executor) -> None:
+            dropped, self._dropped[executor] = (
+                self._dropped[executor], ([], [])
+            )
+            executor.conn.send((dropped, *blobs.pop()))
+            mine[executor] = mine.get(executor, 0) + 1
 
         def offer() -> None:
             while blobs and self._free:
-                executor = self._free.pop(0)
-                mine.add(executor)
-                dropped, self._dropped[executor] = (
-                    self._dropped[executor], ([], [])
-                )
-                executor.conn.send((dropped, *blobs.pop()))
+                send(self._free.pop(0))
+            for executor in list(mine):
+                if not blobs or sum(map(len, blobs[-1])) > QUEUE_MAX_BYTES:
+                    return   # a larger task waits for a free executor
+                if mine[executor] == 1:
+                    send(executor)
 
         try:
             while blobs or mine:
@@ -321,7 +345,6 @@ class ProcessBackend(Backend):
                 done = [e for e in mine if e.conn in ready]
                 replies = []
                 for executor in done:
-                    mine.discard(executor)
                     try:
                         replies.append(executor.conn.recv())
                     except (EOFError, OSError):
@@ -330,17 +353,21 @@ class ProcessBackend(Backend):
                             f"executor process {executor.process.pid} died "
                             "running a task"
                         ) from None
+                    mine[executor] -= 1
                 # Refill the freed executors before handing anything back,
                 # so they work while the caller handles the outcomes.
                 with self._changed:
-                    self._free += done
+                    for executor in done:
+                        if not mine[executor]:
+                            del mine[executor]
+                            self._free.append(executor)
                     offer()
                     self._changed.notify_all()
                 for payload, trailer in replies:
                     yield _unpack(payload, trailer)
         finally:
             with self._changed:
-                self._orphaned += mine
+                self._orphaned.update(mine)
                 self._changed.notify_all()
 
     def shutdown(self) -> None:

@@ -258,6 +258,15 @@ class Project:
             hit = self.resolve_call(analysis, scope, call)
             if hit is not None:
                 out.append(hit)
+            # A function bound with `functools.partial` is reached as a
+            # def nested in ``node`` would be: it runs as ``node``'s task.
+            bound = analysis.partial_target(call)
+            if bound is not None:
+                hit = self.resolve_call(
+                    analysis, scope, ast.Call(func=bound, args=[], keywords=[])
+                )
+                if hit is not None:
+                    out.append(hit)
         return out
 
     def _close(

@@ -9,9 +9,9 @@ module computes, for one source file:
   environment (``sc = SparkContext(...)`` binds ``sc`` to
   ``SparkContext``; ``b = sc.broadcast(x)`` binds ``b`` to
   ``Broadcast``; chains like ``sc.parallelize(...).map(f)`` stay RDD);
-- the set of *task functions*: lambdas and local defs passed to RDD
+- the set of *task functions*: lambdas and defs passed to RDD
   operations (``.map``/``.foreach_partition_with_index``/…) or to
-  ``run_job``;
+  ``run_job``, bare or bound with ``functools.partial(f, ...)``;
 - the raw material the whole-program layer (`repro.lint.callgraph`)
   builds on: a function table keyed by qualname, a class/method table,
   import bindings that keep their relative-import level, and the task
@@ -456,6 +456,17 @@ class ModuleAnalysis:
                 self.unresolved_task_args.append(
                     UnresolvedTaskArg(dotted, via, line, scope)
                 )
+        elif isinstance(arg, ast.Call):
+            bound = self.partial_target(arg)
+            if bound is not None:
+                self._register_task_arg(bound, via, line, scope)
+
+    def partial_target(self, call: ast.Call) -> ast.AST | None:
+        """The function a ``functools.partial(f, ...)`` call binds, as
+        written, or None for any other call."""
+        if call.args and self.resolve_dotted(call.func) == "functools.partial":
+            return call.args[0]
+        return None
 
     def _resolve_function(self, name: str, scope: Scope) -> ast.AST | None:
         """Find the def bound to ``name`` in enclosing scopes (same module)."""

@@ -28,6 +28,8 @@ modules (`stages_naive`, `stages_mapreduce`) outside it.
 from __future__ import annotations
 
 import time
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -266,40 +268,69 @@ class LocalExpand(Stage):
     provides = ("expanded",)
 
     def run(self, state: PipelineState) -> None:
-        cfg = state.config
-        partitioner = state.partitioner
-        eps, minpts = cfg.eps, cfg.minpts
-        seed_policy, max_neighbors = cfg.seed_policy, cfg.max_neighbors
-        neighbor_mode = cfg.neighbor_mode
-        tree_b = state.tree_b
-        track_boundary = cfg.merge_mode == "edges"
-        witness_once = cfg.witness_once
+        ship_expansions(state, state.indices.map_partitions_with_index(
+            partial(_expand_range, state.tree_b, state.partitioner,
+                    ExpandOptions.of(state.config))
+        ))
 
-        def expand(pid: int, it):
-            # Worker sub-phase spans: no-ops unless the run collects
-            # telemetry, merged into the driver trace either way.
-            with task_span("task.broadcast_fetch", partition=pid) as bsp:
-                t = tree_b.value
-                bsp.annotate(n=len(t.points))
-            stats: dict[str, int] = {}
-            # `mode` stays for the trace schema and selects nothing; the
-            # nested task.kdtree_query span carries the kernel's tiles,
-            # rows and rechecks.
-            with task_span(
-                "task.expand", partition=pid, mode=neighbor_mode,
-            ) as esp:
-                table = local_dbscan(
-                    pid, it, t.points, t, eps, minpts, partitioner,
-                    seed_policy=seed_policy, max_neighbors=max_neighbors,
-                    neighbor_mode=neighbor_mode,
-                    boundary_out=set() if track_boundary else None,
-                    stats=stats, orphans_out=[] if witness_once else None,
-                )
-                esp.annotate(partials=len(table),
-                             rounds=stats.get("rounds", 0))
-            yield table
 
-        ship_expansions(state, state.indices.map_partitions_with_index(expand))
+class ExpandOptions(NamedTuple):
+    """What an expansion task reads of the fit's `RunConfig`, shipped in
+    the stage binary in place of the whole config."""
+
+    eps: float
+    minpts: int
+    seed_policy: str
+    max_neighbors: int | None
+    neighbor_mode: str
+    track_boundary: bool
+    witness_once: bool
+
+    @classmethod
+    def of(cls, cfg) -> "ExpandOptions":
+        return cls(cfg.eps, cfg.minpts, cfg.seed_policy, cfg.max_neighbors,
+                   cfg.neighbor_mode, cfg.merge_mode == "edges",
+                   cfg.witness_once)
+
+    def kernel_kwargs(self, stats: dict[str, int]) -> dict:
+        """The expansion kernels' keyword arguments, with this task's
+        own boundary and orphan buffers."""
+        return dict(
+            seed_policy=self.seed_policy, max_neighbors=self.max_neighbors,
+            neighbor_mode=self.neighbor_mode,
+            boundary_out=set() if self.track_boundary else None,
+            stats=stats, orphans_out=[] if self.witness_once else None,
+        )
+
+
+# The task functions below are module-level and bound with
+# `functools.partial`, so cloudpickle ships them by reference: a stage
+# binary carries their arguments, not their code.
+
+def _expand_range(tree_b, partitioner, opts: ExpandOptions, pid: int, it):
+    """`LocalExpand`'s task: one partition's `ClusterTable`."""
+    # Worker sub-phase spans: no-ops unless the run collects telemetry,
+    # merged into the driver trace either way.
+    with task_span("task.broadcast_fetch", partition=pid) as bsp:
+        t = tree_b.value
+        bsp.annotate(n=len(t.points))
+    stats: dict[str, int] = {}
+    # `mode` stays for the trace schema and selects nothing; the nested
+    # task.kdtree_query span carries the kernel's tiles, rows and
+    # rechecks.
+    with task_span("task.expand", partition=pid,
+                   mode=opts.neighbor_mode) as esp:
+        table = local_dbscan(pid, it, t.points, t, opts.eps, opts.minpts,
+                             partitioner, **opts.kernel_kwargs(stats))
+        esp.annotate(partials=len(table), rounds=stats.get("rounds", 0))
+    yield table
+
+
+def _ship(acc, edges: bool, _pid: int, it) -> None:
+    """`ship_expansions`' task: the partition's tables, or their
+    projections, into the accumulator."""
+    for table in it:
+        acc.add([table.project() if edges else table])
 
 
 def ship_expansions(state: PipelineState, expansions) -> None:
@@ -315,17 +346,12 @@ def ship_expansions(state: PipelineState, expansions) -> None:
     ride along, and only from this action, so a cache miss in
     `ApplyGidMap`'s job cannot double-count.
     """
-    acc = state.acc
     edges = state.config.merge_mode == "edges"
     if edges:
         expansions = expansions.persist()
         state.extras["expanded_rdd"] = expansions
 
-    def ship(_pid: int, it) -> None:
-        for table in it:
-            acc.add([table.project() if edges else table])
-
-    expansions.foreach_partition_with_index(ship)
+    expansions.foreach_partition_with_index(partial(_ship, state.acc, edges))
 
     durations = state.sc.last_job_metrics.task_durations()
     state.timings.executor_task_durations = durations
@@ -590,14 +616,9 @@ class ApplyGidMap(OutcomeStage):
                 t0 = time.perf_counter()
                 gid_b = sc.broadcast(plan.lookup())
                 label_acc = sc.accumulator(LIST_CONCAT)
-
-                def apply_partition(pid: int, it) -> None:
-                    lookup = gid_b.value
-                    label_acc.add(
-                        [member_labels(table, lookup) for table in it]
-                    )
-
-                expanded.foreach_partition_with_index(apply_partition)
+                expanded.foreach_partition_with_index(
+                    partial(_apply_partition, gid_b, label_acc)
+                )
                 labels = write_labels(plan, state.n, label_acc.drain())
                 state.timings.driver_merge += time.perf_counter() - t0
                 sp.annotate(
@@ -612,6 +633,12 @@ class ApplyGidMap(OutcomeStage):
             labels, plan.num_merges, plan.num_global_clusters,
             groups=plan.groups,
         )
+
+
+def _apply_partition(gid_b, label_acc, _pid: int, it) -> None:
+    """`ApplyGidMap`'s task: each cached table's member ids and labels."""
+    lookup = gid_b.value
+    label_acc.add([member_labels(table, lookup) for table in it])
 
 
 class RelabelFilter(LabelStage):

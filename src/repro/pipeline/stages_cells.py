@@ -19,11 +19,10 @@ with the MR-DBSCAN / dDBGSCAN shape (`repro.dbscan.cells`):
   broadcast-nbytes telemetry.
 - The plan's collect step is the range plans' `CollectPartials`, whose
   founder sort (`ClusterTable.concat`) matters most here: cell
-  ownership is not contiguous, so the accumulator's partition order
-  differs from the range plan's, but every partial's founder is the
-  smallest core point it covers — sorting restores the global numbering
-  order and the downstream union-find merge yields labels
-  byte-identical to `SparkDBSCAN` (DESIGN.md §10).
+  ownership is not contiguous, so partition order is not the range
+  plan's, but every partial's founder is the smallest core point it
+  covers — sorting restores the global numbering and the union-find
+  merge yields labels byte-identical to `SparkDBSCAN` (DESIGN.md §10).
 
 The unchanged `MergePartials` + `RelabelFilter` tail completes the
 plan; halo SEEDs feed the same core-seed-containment union-find.
@@ -36,12 +35,13 @@ stage classes lineage-proof entry points automatically.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from ..dbscan.cells import CellAssignment, build_cell_assignment, cell_local_dbscan
 from ..engine import LIST_CONCAT
 from ..obs.collect import task_span
 from .checkpoint import CheckpointStore, pack_ragged, unpack_ragged
-from .stages import Stage, ship_expansions
+from .stages import ExpandOptions, Stage, ship_expansions
 from .state import PipelineState
 
 
@@ -151,37 +151,32 @@ class LocalIndexExpand(Stage):
                 "Serialized bytes of all cell payloads (owned + halo).",
             ).set(payload_bytes)
 
-        eps, minpts = cfg.eps, cfg.minpts
-        leaf_size, seed_policy = cfg.leaf_size, cfg.seed_policy
-        max_neighbors, neighbor_mode = cfg.max_neighbors, cfg.neighbor_mode
-        track_boundary = cfg.merge_mode == "edges"
-        witness_once = cfg.witness_once
+        ship_expansions(state, state.indices.map_partitions_with_index(
+            partial(_expand_cells, cfg.leaf_size, ExpandOptions.of(cfg))
+        ))
 
-        def expand(pid: int, it):
-            # `payloads` returns one per partition and parallelize slices
-            # them one a partition, so a table's row is its local id.
-            payloads = list(it)
-            if len(payloads) != 1:
-                raise ValueError(f"partition {pid} received {len(payloads)} "
-                                 "cell payloads, expected exactly one")
-            (payload,) = payloads
-            stats: dict[str, int] = {}
-            with task_span("task.expand", partition=pid,
-                           mode=neighbor_mode) as esp:
-                table = cell_local_dbscan(
-                    payload, eps, minpts, leaf_size=leaf_size,
-                    seed_policy=seed_policy, max_neighbors=max_neighbors,
-                    neighbor_mode=neighbor_mode,
-                    boundary_out=set() if track_boundary else None,
-                    stats=stats, orphans_out=[] if witness_once else None,
-                )
-                esp.annotate(partials=len(table),
-                             n_own=len(payload.owned_ids),
-                             n_halo=len(payload.halo_ids),
-                             rounds=stats.get("rounds", 0))
-            yield table
 
-        ship_expansions(state, state.indices.map_partitions_with_index(expand))
+def _expand_cells(leaf_size: int, opts: ExpandOptions, pid: int, it):
+    """`LocalIndexExpand`'s task (bound like `stages._expand_range`):
+    one partition's `ClusterTable`, from a kd-tree over its payload."""
+    # `payloads` returns one per partition and parallelize slices them
+    # one a partition, so a table's row is its local id.
+    payloads = list(it)
+    if len(payloads) != 1:
+        raise ValueError(f"partition {pid} received {len(payloads)} "
+                         "cell payloads, expected exactly one")
+    (payload,) = payloads
+    stats: dict[str, int] = {}
+    with task_span("task.expand", partition=pid,
+                   mode=opts.neighbor_mode) as esp:
+        table = cell_local_dbscan(payload, opts.eps, opts.minpts,
+                                  leaf_size=leaf_size,
+                                  **opts.kernel_kwargs(stats))
+        esp.annotate(partials=len(table),
+                     n_own=len(payload.owned_ids),
+                     n_halo=len(payload.halo_ids),
+                     rounds=stats.get("rounds", 0))
+    yield table
 
 
 __all__ = ["CellPartition", "LocalIndexExpand"]

@@ -255,6 +255,91 @@ def test_a_job_waiting_on_an_orphan_another_thread_freed_still_runs(monkeypatch)
         assert got == {"hold": [0, 1], "wait": [6]}
 
 
+def _pid_of_partition(sc):
+    """Worker pid of each partition of the context's most recent job."""
+    return {
+        t.partition: t.worker_pid
+        for stage in sc.last_job_metrics.stages
+        for t in stage.task_metrics
+    }
+
+
+def test_the_first_wave_lands_on_distinct_workers_and_the_rest_queue():
+    with SparkContext("processes[2]") as sc:
+        assert sc.parallelize(range(4), 4).map(lambda x: x).collect() == [0, 1, 2, 3]
+        pid = _pid_of_partition(sc)
+    # Tasks 0 and 1 go to the two free executors; 2 and 3 queue behind
+    # them, in the same order, before either reply is read.
+    assert pid[0] != pid[1]
+    assert (pid[2], pid[3]) == (pid[0], pid[1])
+
+
+def _run_bounded(sc, job, seconds=60):
+    """``job()``'s value, or a failure if it has not returned in time.
+    Sends that block on both ends of a pipe never return; killing the
+    workers breaks them, so the failure does not hang the suite."""
+    got = []
+    thread = threading.Thread(target=lambda: got.append(job()), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        for executor in sc.backend._pool:
+            executor.process.kill()
+        thread.join(10)
+        pytest.fail("the job did not finish in time: a pipe deadlock")
+    return got[0]
+
+
+def test_large_splits_and_results_do_not_deadlock_the_queue():
+    mib = 1 << 20
+    with SparkContext("processes[2]") as sc:
+        # Small task messages, so attempts queue, each replying 1 MiB
+        # while the driver may be sending the next one.
+        blobs = _run_bounded(sc, lambda: sc.parallelize(range(8), 8).map(
+            lambda i: bytes(mib + i)).collect())
+        assert [len(b) for b in blobs] == [mib + i for i in range(8)]
+        # 1 MiB splits, too large to queue, with 1 MiB results.
+        splits = [bytes([i]) * mib for i in range(6)]
+        echoed = _run_bounded(sc, lambda: sc.parallelize(splits, 6).map(
+            lambda b: b + b).collect())
+        assert echoed == [b + b for b in splits]
+
+
+def _fail_first_or_linger(split, it):
+    if split == 0:
+        raise RuntimeError("boom")
+    time.sleep(1.5 if split == 3 else 0.3)
+    return list(it)
+
+
+def test_an_executor_is_freed_once_every_orphaned_reply_is_read():
+    with SparkContext("processes[2]", max_task_failures=1) as sc:
+        backend = sc.backend
+        old_pids = _job(sc)
+        with pytest.raises(JobAbortedError):
+            sc.parallelize(range(4), 4).map_partitions_with_index(
+                _fail_first_or_linger
+            ).collect()
+        # Task 0 failed on the first executor, whose queued task 2 still
+        # runs; the second runs task 1 with task 3 queued behind it.
+        owed = backend._orphaned
+        first, second = sorted(owed, key=owed.get)
+        assert owed == {first: 1, second: 2}
+        time.sleep(0.8)
+        with backend._changed:
+            backend._reclaim()
+        # Tasks 1 and 2 ended; task 3 still holds the second executor.
+        assert backend._free == [first]
+        assert backend._orphaned == {second: 1}
+        squares = sc.parallelize(range(6), 3).map(lambda x: x * x).collect()
+        with SparkContext("local") as local:
+            assert squares == local.parallelize(range(6), 3).map(
+                lambda x: x * x).collect()
+        time.sleep(1.0)
+        assert _job(sc) == old_pids
+        assert not backend._orphaned and len(backend._free) == 2
+
+
 def test_a_context_stopped_with_an_attempt_running_keeps_no_pool():
     sc = SparkContext("processes[2]", max_task_failures=1)
     old_pids = _job(sc)

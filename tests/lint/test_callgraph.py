@@ -122,6 +122,78 @@ class TestCrossModuleReachability:
         assert findings == []
 
 
+class TestPartialBoundTasks:
+    """A task function bound with ``functools.partial`` is task code, and
+    is reached from its caller as a nested def would be."""
+
+    def test_partial_binds_a_module_level_task(self, task_code):
+        reach = task_code({
+            "main.py": """
+                from functools import partial
+
+                def work(offset, x):
+                    return scale(x) + offset
+
+                def scale(x):
+                    return 2 * x
+
+                def job(rdd):
+                    return rdd.map(partial(work, 1)).collect()
+                """,
+        })
+        assert reach == {("pkg.main", "work"), ("pkg.main", "scale")}
+
+    def test_module_qualified_partial_of_an_imported_task(self, task_code):
+        reach = task_code({
+            "helpers.py": """
+                def stamp(tag, split, it):
+                    return [(tag, x) for x in it]
+                """,
+            "main.py": """
+                import functools
+
+                from .helpers import stamp
+
+                def job(rdd):
+                    rdd.foreach_partition_with_index(
+                        functools.partial(stamp, "t"))
+                """,
+        })
+        assert reach == {("pkg.helpers", "stamp")}
+
+    def test_other_calls_bind_no_task(self, task_code):
+        reach = task_code({
+            "main.py": """
+                def work(x):
+                    return x
+
+                def wrap(f):
+                    return f
+
+                def job(rdd):
+                    return rdd.map(wrap(work)).collect()
+                """,
+        })
+        assert reach == set()
+
+    def test_the_bound_task_is_reached_from_its_caller(self, tmp_path):
+        write_files(tmp_path, package_files({
+            "main.py": """
+                from functools import partial
+
+                def work(offset, x):
+                    return x + offset
+
+                class Stage:
+                    def run(self, rdd):
+                        return rdd.map(partial(work, 1)).collect()
+                """,
+        }))
+        project = build_project(discover_files([str(tmp_path / "pkg")]))
+        reached = project.reachable_from({"Stage"})["pkg.main"]
+        assert "work" in {node.name for node in reached}
+
+
 class TestGraphStats:
     def test_project_graph_counts(self, tmp_path):
         pkg = tmp_path / "pkg"

@@ -1,0 +1,55 @@
+"""The run path's stage binaries ship their task functions by reference.
+
+Each `processes[n]` task unpickles its stage binary (`Task.stage_part`);
+a function cloudpickled by value adds its code object to every one of
+those unpickles.  The stages bind module-level task functions with
+`functools.partial`, and the accumulator params use builtins, so no
+stage binary of a shipping plan rebuilds a function from its code.
+"""
+
+import pickletools
+
+import numpy as np
+import pytest
+
+from repro.data import generate_clustered
+from repro.dbscan import SparkDBSCAN, SpatialSparkDBSCAN
+from repro.engine import SparkContext, backends
+
+EPS, MINPTS = 25.0, 5
+POINTS = generate_clustered(n=600, d=2, num_clusters=4, seed=3).points
+
+#: One model per shipping plan: the range head, the edges tail
+#: (`ApplyGidMap`'s second job) and the cell head.
+PLANS = {
+    "spark": lambda: SparkDBSCAN(EPS, MINPTS, num_partitions=4),
+    "spatial_edges": lambda: SpatialSparkDBSCAN(
+        EPS, MINPTS, num_partitions=4, merge_mode="edges"),
+    "cell": lambda: SparkDBSCAN(
+        EPS, MINPTS, num_partitions=4, partitioning="cells"),
+}
+
+
+def functions_by_value(binary: bytes) -> int:
+    """How often the pickle names cloudpickle's `_make_function`, the
+    reducer of a function shipped with its code."""
+    return sum(arg == "_make_function"
+               for _op, arg, _pos in pickletools.genops(binary))
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_no_stage_binary_holds_a_function_by_value(plan, monkeypatch):
+    binaries = []
+    pack = backends._pack
+
+    def spy(tasks):
+        packed = pack(tasks)
+        binaries.extend(b for b, _part in packed if b not in binaries)
+        return packed
+
+    monkeypatch.setattr(backends, "_pack", spy)
+    with SparkContext("processes[2]") as sc:
+        labels = PLANS[plan]().fit(POINTS, sc=sc).labels
+    assert binaries
+    assert [functions_by_value(b) for b in binaries] == [0] * len(binaries)
+    assert np.array_equal(labels, PLANS[plan]().fit(POINTS).labels)
