@@ -1,6 +1,6 @@
 """Ablation — telemetry overhead: tracing and metrics must be ~free.
 
-The worker-telemetry layer (task spans) rides the executor hot path, so
+The worker span layer (task spans) rides the executor hot path, so
 its cost budget is explicit: a traced and an observed run must stay
 within a few percent of the plain run, and the clustering must be
 byte-identical — observability that changes the observed system is
@@ -8,9 +8,9 @@ worthless.  Three configurations of the same job:
 
 - **plain**    — NULL_TRACER, no registry (the production fast path:
   one thread-local read per instrumentation site);
-- **traced**   — a live Tracer: per-task `WorkerTelemetry` buffers,
-  sub-phase spans (`task.expand`, `task.kdtree_query`, ...) recorded in
-  the workers and merged into the driver trace;
+- **traced**   — a live Tracer: each task records its sub-phase spans
+  (`task.expand`, `task.kdtree_query`, ...) on a `Tracer` of its own in
+  the worker, merged into the driver trace;
 - **observed** — traced plus a `MetricsRegistry`: every attempt's
   `TaskMetrics` (run and CPU seconds, peak RSS) and the Section III-B
   `OpCounters` folded in — what `benchmarks/perf/worker.py`'s

@@ -1,11 +1,15 @@
-"""Command-line interface: generate data, cluster, and run scaling studies.
+"""Command-line interface: generate data, cluster, run scaling studies,
+read traces and lint task code — one subcommand per job.
 
     python -m repro datasets
     python -m repro generate c10k -o points.txt
     python -m repro run points.txt --eps 25 --minpts 5 --partitions 8
     python -m repro run r10k --plan mapreduce
     python -m repro run c10k --checkpoint-dir ckpt --resume
+    python -m repro run c10k --trace-out t.jsonl
+    python -m repro trace t.jsonl        # summary, skew report, timeline
     python -m repro scaling r10k --cores 2 4 8
+    python -m repro lint src
 """
 
 from __future__ import annotations
@@ -189,8 +193,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     def run(p: int):
         """Fit on ``p`` partitions over the shared tree; returns the
         executor makespan, the driver time and the partial count."""
-        res = SparkDBSCAN(args.eps, args.minpts, num_partitions=p,
-                          neighbor_mode=args.neighbor_mode).fit(
+        res = SparkDBSCAN(args.eps, args.minpts, num_partitions=p).fit(
             points, tree=tree
         )
         return res.timings.executor_max, res.timings.driver_time, \
@@ -225,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser(
         "run",
-        aliases=["cluster"],
         help="cluster a dataset name or points file: run a pipeline plan, "
              "with optional per-stage checkpoint/resume",
         description="Run one DBSCAN pipeline plan (see DESIGN.md §9). "
@@ -283,29 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps", type=float, default=25.0)
     s.add_argument("--minpts", type=int, default=5)
     s.add_argument("--cores", type=int, nargs="+", default=[2, 4, 8])
-    s.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES, default="per_point")
     s.set_defaults(func=cmd_scaling)
 
-    tr = sub.add_parser("trace", help="report on a span trace written "
-                                      "by --trace-out")
+    tr = sub.add_parser(
+        "trace",
+        help="report on a span trace written by --trace-out",
+        description="The headline splits and jobs table, the skew report "
+                    "(per-partition cost table, imbalance ratio, makespan "
+                    "critical path) and an ASCII timeline of a trace "
+                    "written with --trace-out.",
+    )
     tr.add_argument("trace_path")
     tr.add_argument("--no-timeline", action="store_true",
                     help="skip the ASCII timeline rendering")
     tr.set_defaults(func=cmd_trace)
-
-    rp = sub.add_parser(
-        "report",
-        help="skew/straggler analysis of a span trace",
-        description="Per-partition cost table, imbalance ratio, makespan "
-                    "critical path, and halo-overhead attribution from a "
-                    "trace written with --trace-out (worker task spans "
-                    "populate the table; run with tracing enabled).",
-    )
-    rp.add_argument("trace_path")
-    rp.add_argument("--no-summary", action="store_true",
-                    help="skip the headline phase report, print only the "
-                         "skew analysis")
-    rp.set_defaults(func=cmd_report)
 
     li = sub.add_parser(
         "lint",
@@ -329,8 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Render a span trace: headline splits plus an ASCII timeline."""
-    from repro.obs import TraceReport, format_report, load_trace, render_timeline
+    """Render a span trace: headline splits, the skew report, and an
+    ASCII timeline."""
+    from repro.obs import (
+        TraceReport,
+        format_report,
+        format_skew_report,
+        load_trace,
+        render_timeline,
+    )
 
     try:
         events = load_trace(args.trace_path)
@@ -341,33 +341,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: trace {args.trace_path!r} contains no events",
               file=sys.stderr)
         return 1
-    print(format_report(TraceReport.from_events(events)))
+    report = TraceReport.from_events(events)
+    print(format_report(report))
+    print()
+    print(format_skew_report(report))
     if not args.no_timeline:
         print()
         print(render_timeline(events))
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    """Skew/straggler analysis of a span trace: per-partition cost
-    table, imbalance ratio, makespan critical path, halo overhead."""
-    from repro.obs import (
-        TraceReport,
-        format_report,
-        format_skew_report,
-        load_trace,
-    )
-
-    try:
-        events = load_trace(args.trace_path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    report = TraceReport.from_events(events)
-    if not args.no_summary:
-        print(format_report(report))
-        print()
-    print(format_skew_report(report))
     return 0
 
 

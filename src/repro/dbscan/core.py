@@ -39,6 +39,12 @@ class Timings:
         """All driver-side time: tree build + setup + merge."""
         return self.kdtree_build + self.setup + self.driver_merge
 
+    def charge_executors(self, durations: list[float]) -> None:
+        """Charge the executor side with these per-task durations."""
+        self.executor_task_durations = durations
+        self.executor_total = sum(durations)
+        self.executor_max = max(durations, default=0.0)
+
     def parallel_wall(self) -> float:
         """Virtual wall-clock with one core per partition: driver time plus
         the slowest executor."""

@@ -115,21 +115,11 @@ class MapReduceDBSCAN:
             fail_after=self.fail_after,
         )
         state = runner.run(points, algo_label=type(self).__name__)
-        job1_stats: JobStats = state.extras["job1_stats"]
-        job2_stats: JobStats = state.extras["job2_stats"]
         merge_info = state.extras["mr_merge_info"]
-        timings = state.timings
-        timings.executor_task_durations = (
-            job1_stats.map_task_durations + job2_stats.map_task_durations
-        )
-        timings.executor_total = (
-            job1_stats.total_task_time + job2_stats.total_task_time
-        )
-        timings.executor_max = max(timings.executor_task_durations, default=0.0)
         return MRDBSCANResult(
             labels=state.labels,
-            timings=timings,
+            timings=state.timings,
             num_partial_clusters=int(merge_info.get("num_partials", 0)),
             num_merges=int(merge_info.get("num_merges", 0)),
-            job_stats=[job1_stats, job2_stats],
+            job_stats=[state.extras["job1_stats"], state.extras["job2_stats"]],
         )

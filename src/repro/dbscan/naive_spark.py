@@ -101,13 +101,9 @@ class NaiveSparkDBSCAN:
             fail_after=self.fail_after,
         )
         state = runner.run(points, sc=sc, algo_label=type(self).__name__)
-        timings = state.timings
-        # Historical accounting: everything past the tree build is
-        # charged to the (shuffle-bound) executor side.
-        timings.executor_total = timings.wall - timings.kdtree_build
         return NaiveSparkResult(
             labels=state.labels,
-            timings=timings,
+            timings=state.timings,
             shuffle_rounds=state.extras["shuffle_rounds"],
             shuffle_bytes=state.extras["shuffle_bytes"],
         )

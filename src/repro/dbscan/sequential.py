@@ -71,13 +71,7 @@ def dbscan_sequential(
         checkpoint_dir=checkpoint_dir, resume=resume,
     )
     state = runner.run(points, tree=tree, algo_label="sequential")
-    timings = state.timings
-    # Single-partition accounting: everything past the tree build is the
-    # one executor's task.
-    timings.executor_total = timings.wall - timings.kdtree_build
-    timings.executor_max = timings.executor_total
-    timings.executor_task_durations = [timings.executor_total]
-    return ClusteringResult(labels=state.labels, timings=timings)
+    return ClusteringResult(labels=state.labels, timings=state.timings)
 
 
 def _dbscan_array(n: int, minpts: int, neigh_of) -> np.ndarray:

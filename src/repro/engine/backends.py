@@ -413,15 +413,15 @@ def _pack(tasks: list[Task]) -> list[tuple[bytes, bytes]]:
 def _unpack(payload: bytes | None, trailer: Any) -> TaskOutcome:
     """The outcome in a worker's envelope (`executor.process_entry`): the
     pickled outcome plus a trailer timing its own serialization, measured
-    after the outcome's telemetry buffer was sealed.  A ``None`` payload
+    after the outcome's worker tracer was sealed.  A ``None`` payload
     carries the exception that kept the task from unpickling."""
     if payload is None:
         raise trailer
     outcome: TaskOutcome = pickle.loads(payload)
     if trailer is not None and outcome.telemetry is not None:
         outcome.telemetry.add_span(
-            "task.serialize", start=trailer["start"],
-            dur=trailer["dur"], nbytes=trailer["nbytes"],
+            "task.serialize", trailer["dur"], cat="worker",
+            start=trailer["start"], nbytes=trailer["nbytes"],
         )
     return outcome
 

@@ -78,7 +78,7 @@ class SparkContext:
             speculation=speculation,
             speculation_multiplier=speculation_multiplier,
             tracer=tracer,
-            # Worker span buffers are only worth filling for a tracer;
+            # Worker tracers are only worth filling for a live tracer;
             # per-attempt CPU and RSS ride on `TaskMetrics` regardless.
             collect_telemetry=tracer.enabled,
         )

@@ -262,12 +262,15 @@ class DAGScheduler:
                 from ..obs.registry import record_task_metrics
 
                 record_task_metrics(self.metrics_registry, tm)
-        if outcome.telemetry is not None:
-            # Worker-side sub-phase spans: rebase onto the driver clock,
-            # preserve the worker pid.
-            from ..obs.collect import merge_telemetry
+            if outcome.telemetry is not None:
+                # Worker-side sub-phase spans: rebase onto the driver
+                # clock, preserve the worker pid, one lane per task.
+                from ..obs.collect import merge_telemetry
 
-            merge_telemetry(self.tracer, outcome.telemetry)
+                merge_telemetry(
+                    self.tracer, outcome.telemetry, tm.worker_pid,
+                    f"task-s{tm.stage_id}p{tm.partition}",
+                )
         if outcome.fatal:
             # A violation belongs to the context whose job ran the task;
             # the task scheduler re-raises it right after this returns.

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from ..obs.spans import Tracer
 from . import task_context
 from .broadcast import _drop_cached, _reset_process_cache
 from .errors import TaskError
@@ -51,8 +52,8 @@ class Task:
     shuffle_inputs: dict[tuple[int, int], list[str]] = field(default_factory=dict)
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
     sanitize: bool = False
-    # Stamped by the TaskScheduler when a tracer is live: ship a
-    # WorkerTelemetry buffer back with the outcome.
+    # Stamped by the TaskScheduler when a tracer is live: record the
+    # task's sub-phases on a worker `Tracer` shipped back with the outcome.
     collect_telemetry: bool = False
 
     def stage_part(self) -> tuple[RDD[Any], Callable[[int, Any], Any] | None, Any]:
@@ -98,9 +99,9 @@ class TaskOutcome:
     # job immediately, re-raising the error type named here.
     fatal: bool = False
     error_type: str = ""
-    # Worker-side span buffer, shipped back across the process boundary
-    # and merged into the trace by the DAG scheduler.
-    telemetry: Any = None  # repro.obs.collect.WorkerTelemetry | None
+    # The attempt's worker tracer, shipped back across the process
+    # boundary and merged into the trace by the DAG scheduler.
+    telemetry: Tracer | None = None
 
 
 def run_task(
@@ -116,22 +117,18 @@ def run_task(
     after it.  ``deserialize_s`` / ``deserialize_nbytes`` let a
     process-backend entry point report how long unpickling the task
     took; the time is grafted in as a ``task.deserialize`` span *before*
-    the telemetry anchor (negative start), since the work predates the
-    buffer.
+    the worker tracer's origin (negative start), since the work predates
+    the tracer.
     """
     metrics = TaskMetrics(task.stage_id, task.partition, task.attempt)
     metrics.worker_pid = os.getpid()
     telemetry = None
     if task.collect_telemetry:
-        from ..obs.collect import WorkerTelemetry
-
-        telemetry = WorkerTelemetry.create(
-            tid=f"task-s{task.stage_id}p{task.partition}"
-        )
+        telemetry = Tracer()
         if deserialize_s is not None:
             telemetry.add_span(
-                "task.deserialize", start=-deserialize_s, dur=deserialize_s,
-                nbytes=deserialize_nbytes,
+                "task.deserialize", deserialize_s, cat="worker",
+                start=-deserialize_s, nbytes=deserialize_nbytes,
             )
     ctx = task_context.TaskContext(
         task.stage_id, task.partition, task.attempt, metrics,
@@ -177,8 +174,8 @@ def run_task(
     metrics.succeeded = failure is None
     if telemetry is not None:
         telemetry.add_span(
-            "task.run", start=start - telemetry.perf_anchor,
-            dur=metrics.run_time, cpu_s=metrics.cpu_time,
+            "task.run", metrics.run_time, cat="worker",
+            start=start - telemetry._origin, cpu_s=metrics.cpu_time,
             stage=task.stage_id, partition=task.partition,
             attempt=task.attempt, **({} if failure is None else {"failed": True}),
         )
@@ -273,8 +270,8 @@ def process_entry(binary: bytes, part: bytes) -> tuple[bytes, dict[str, Any] | N
     Returns an *envelope* ``(outcome_payload, trailer)`` where
     ``outcome_payload`` is the pickled `TaskOutcome` and ``trailer``
     carries the timing of pickling that outcome (``None`` when the task
-    collected no telemetry).  Serialization necessarily happens *after*
-    the outcome — and its telemetry buffer — is sealed, so the driver
+    was not traced).  Serialization necessarily happens *after* the
+    outcome — and its worker tracer — is sealed, so the driver
     side (`backends._unpack`) grafts the ``task.serialize`` span from
     the trailer once the outcome is unpickled.
     """
@@ -308,7 +305,7 @@ def process_entry(binary: bytes, part: bytes) -> tuple[bytes, dict[str, Any] | N
     trailer = None
     if outcome.telemetry is not None:
         trailer = {
-            "start": t1 - outcome.telemetry.perf_anchor,
+            "start": t1 - outcome.telemetry._origin,
             "dur": serialize_s,
             "nbytes": len(payload),
         }

@@ -28,9 +28,8 @@ class TaskContext:
     acc_updates: dict[int, Any] = field(default_factory=dict)
     _acc_params: dict[int, AccumulatorParam[Any]] = field(default_factory=dict)
     sanitize: bool = False
-    # Worker-side telemetry buffer (repro.obs.collect.WorkerTelemetry)
-    # when the run collects task spans; task code reaches it through
-    # repro.obs.collect.task_span, never directly.
+    # The task's worker `Tracer` when the run is traced; task code
+    # reaches it through repro.obs.collect.task_span, never directly.
     telemetry: Any = None
     # bid -> (broadcast handle, the value object this task observed);
     # re-verified against the broadcast-time hash at task end.

@@ -1,11 +1,12 @@
 """Observability: structured span tracing, a metrics registry, and
 trace-driven reports.
 
-Four pieces (DESIGN.md §7):
+Four pieces (DESIGN.md §7), over one span type:
 
 - `spans` — `Tracer` / `Span`: nestable timed regions with labels,
   exported as Chrome trace-event JSON lines (Perfetto-loadable).  The
-  module singleton `NULL_TRACER` is the zero-overhead default.
+  module singleton `NULL_TRACER` is the zero-overhead default.  The
+  driver and every traced executor task record into a `Tracer`.
 - `registry` — `MetricsRegistry` of labelled Counter/Gauge/Histogram
   instruments with Prometheus text exposition; `TaskMetrics` (run and
   CPU seconds, peak RSS, shuffle bytes per attempt) and `OpCounters`
@@ -13,11 +14,12 @@ Four pieces (DESIGN.md §7):
 - `report` — computes the paper's headline splits (Fig 5 kd-tree
   fraction, Fig 6 driver/executor time and partial-cluster counts,
   merge stats) directly from a trace, plus skew/straggler diagnostics
-  and a text timeline renderer.
-- `collect` — the distributed half: a picklable `WorkerTelemetry`
-  buffer created inside executor workers, shipped back on the
-  `TaskOutcome`, and merged into the driver tracer with worker pids
-  preserved and timestamps rebased to the driver clock.
+  and a text timeline renderer; `repro trace` prints all three.
+- `collect` — the distributed half: `task_span` records a task's
+  sub-phases on the worker `Tracer` created inside the executor, which
+  ships back on the `TaskOutcome` and is merged into the driver tracer
+  with worker pids preserved and timestamps rebased to the driver
+  clock.
 """
 
 from .spans import NULL_TRACER, NullTracer, Span, Tracer, load_trace
@@ -36,7 +38,7 @@ from .report import (
     format_skew_report,
     render_timeline,
 )
-from .collect import WorkerTelemetry, merge_telemetry, task_span
+from .collect import merge_telemetry, task_span
 
 __all__ = [
     "NULL_TRACER",
@@ -48,7 +50,6 @@ __all__ = [
     "Span",
     "TraceReport",
     "Tracer",
-    "WorkerTelemetry",
     "format_report",
     "format_skew_report",
     "load_trace",

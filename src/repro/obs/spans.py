@@ -131,11 +131,25 @@ class Tracer:
 
     def __init__(self) -> None:
         self._origin = time.perf_counter()
-        # Wall-clock twin of the origin: worker telemetry created in other
-        # processes anchors itself with time.time(), and the difference to
-        # this value rebases its spans onto the tracer's timeline.
+        # Wall-clock twin of the origin: a worker task's tracer made in
+        # another process carries its own pair, and the difference of
+        # the two wall anchors rebases its spans onto this timeline.
         self._origin_wall = time.time()  # clock-rebase anchor
         self._spans: list[Span] = []
+        self._lock = threading.Lock()
+        self._tls = threading.local()
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A worker's tracer ships back with its task's outcome: the
+        # finished spans and both anchors travel, the lock and the
+        # thread-local span stack do not.
+        state = self.__dict__.copy()
+        state.pop("_lock", None)
+        state.pop("_tls", None)
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
         self._lock = threading.Lock()
         self._tls = threading.local()
 

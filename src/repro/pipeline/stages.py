@@ -353,10 +353,7 @@ def ship_expansions(state: PipelineState, expansions) -> None:
 
     expansions.foreach_partition_with_index(partial(_ship, state.acc, edges))
 
-    durations = state.sc.last_job_metrics.task_durations()
-    state.timings.executor_task_durations = durations
-    state.timings.executor_total = sum(durations)
-    state.timings.executor_max = max(durations) if durations else 0.0
+    state.timings.charge_executors(state.sc.last_job_metrics.task_durations())
 
 
 def drain_accumulator(state: PipelineState, stage: "CollectStage") -> None:
@@ -688,7 +685,8 @@ class RelabelFilter(LabelStage):
 # ---------------------------------------------------------------------------
 
 class SequentialExpand(LabelStage):
-    """Classic DBSCAN as a single executor-less expansion over all points."""
+    """Classic DBSCAN as a single executor-less expansion over all points;
+    its own time is charged as the one executor task."""
 
     name = "SequentialExpand"
     requires = ("points", "tree")
@@ -701,6 +699,7 @@ class SequentialExpand(LabelStage):
 
         cfg = state.config
         points, tree = state.points, state.tree
+        t0 = time.perf_counter()
         with state.tracer.span(
             "executor.partition_expand", cat="executor", tid="executor-0",
             partition=0, impl=cfg.impl, mode=cfg.neighbor_mode,
@@ -722,6 +721,7 @@ class SequentialExpand(LabelStage):
                 state.labels = _dbscan_array(state.n, cfg.minpts, neigh_of)
             else:
                 state.labels = _dbscan_hashtable(state.n, cfg.minpts, neigh_of)
+        state.timings.charge_executors([time.perf_counter() - t0])
 
 
 __all__ = [

@@ -137,7 +137,11 @@ class MRLocalExpand(Stage):
 
 
 class MRCollect(Stage):
-    """MR round 2: re-materialise all (point, label) records (relabel job)."""
+    """MR round 2: re-materialise all (point, label) records (relabel job).
+
+    With both jobs' stats in hand it charges the executor side: every
+    map task's duration, and all map and reduce task time as the total.
+    """
 
     name = "CollectPartials"
     requires = ("mr_round1",)
@@ -171,6 +175,11 @@ class MRCollect(Stage):
         _graft_map_spans(state, job2.stats, "mr2")
         state.extras["out2"] = out2
         state.extras["job2_stats"] = job2.stats
+        job1_stats = state.extras["job1_stats"]
+        state.timings.charge_executors(
+            job1_stats.map_task_durations + job2.stats.map_task_durations)
+        state.timings.executor_total = (
+            job1_stats.total_task_time + job2.stats.total_task_time)
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
         store.save_json(self.name, {

@@ -26,7 +26,8 @@ class ShuffleExpand(Stage):
     Produces the converged core-point labelling plus the border claims
     (``state.extras``: ``naive_labels``, ``naive_border``,
     ``shuffle_rounds``, ``shuffle_bytes``) — everything the relabel tail
-    needs to assemble final labels.
+    needs to assemble final labels — and charges the tasks of the jobs
+    it ran to the executor side.
     """
 
     name = "ShuffleExpand"
@@ -39,6 +40,8 @@ class ShuffleExpand(Stage):
         tracer = state.tracer
         n = state.n
         sc = state.ensure_context()
+        # A lent context carries earlier fits' jobs: count only this one's.
+        first_job = len(sc.dag_scheduler.job_metrics)
         eps, minpts = cfg.eps, cfg.minpts
         rounds = 0
         tree_b = state.tree_b = sc.broadcast(state.tree)
@@ -126,12 +129,15 @@ class ShuffleExpand(Stage):
                 if b is not None:
                     b.unpersist()
         rounds += 1
+        jobs = sc.dag_scheduler.job_metrics[first_job:]
         shuffle_bytes = sum(
             tm.shuffle_bytes_written
-            for jm in sc.dag_scheduler.job_metrics
+            for jm in jobs
             for st in jm.stages
             for tm in st.task_metrics
         )
+        state.timings.charge_executors(
+            [d for jm in jobs for d in jm.task_durations()])
         state.extras["naive_labels"] = labels
         state.extras["naive_border"] = border
         state.extras["shuffle_rounds"] = rounds

@@ -55,6 +55,21 @@ class TestNaiveSparkDBSCAN:
             # Every job in the SEED pipeline is single-stage (no wide deps).
             assert all(len(jm.stages) == 1 for jm in sc.dag_scheduler.job_metrics)
 
+    def test_lent_context_counts_only_this_fits_jobs(self, data):
+        # A lent context keeps every earlier job's metrics: a second fit
+        # must report its own shuffle bytes and task times, not the sum.
+        from repro.engine import SparkContext
+
+        g, _tree, _seq = data
+        with SparkContext("simulated[2]") as sc:
+            first, second = (
+                NaiveSparkDBSCAN(25.0, 5, num_partitions=2).fit(g.points, sc=sc)
+                for _ in range(2)
+            )
+        assert second.shuffle_bytes == first.shuffle_bytes > 0
+        assert (len(second.timings.executor_task_durations)
+                == len(first.timings.executor_task_durations) > 0)
+
     def test_convergence_within_round_budget(self, data):
         g, _tree, _seq = data
         res = NaiveSparkDBSCAN(25.0, 5, num_partitions=2, max_rounds=100).fit(g.points)

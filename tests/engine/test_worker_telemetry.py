@@ -202,3 +202,29 @@ class TestDbscanLabelsUnaffected:
             assert s.labels["tiles"] >= 1
             assert s.labels["rows"] >= s.labels["n"] > 0
             assert s.labels["rechecks"] == 0
+
+
+class TestWorkerSpanNesting:
+    def test_kdtree_query_nests_inside_expand_on_the_worker(self):
+        # A worker task records into a Tracer of its own, so its spans
+        # keep the nesting the task code gave them across the process
+        # boundary.
+        from repro.data import generate_clustered
+        from repro.dbscan import SparkDBSCAN
+
+        pts = generate_clustered(n=400, num_clusters=3, cluster_std=8.0,
+                                 seed=5).points
+        tracer = Tracer()
+        SparkDBSCAN(25.0, 5, num_partitions=4, master="processes[2]",
+                    tracer=tracer).fit(pts)
+        expands = [s for s in tracer.spans if s.name == "task.expand"]
+        queries = [s for s in tracer.spans if s.name == "task.kdtree_query"]
+        assert len(expands) == len(queries) == 4
+        lane_pid = {s.tid: s.pid for s in tracer.spans
+                    if s.cat == "worker" and s.name == "task.run"}
+        for q in queries:
+            (outer,) = [e for e in expands if e.tid == q.tid]
+            assert q.depth == outer.depth + 1
+            assert outer.start <= q.start and q.end <= outer.end
+            assert q.pid == outer.pid == lane_pid[q.tid]
+            assert q.pid not in (0, os.getpid())

@@ -38,43 +38,53 @@ class TestCluster:
 
     @pytest.mark.parametrize("algo", ["spark", "sequential", "spatial"])
     def test_cluster_algorithms(self, points_file, capsys, algo):
-        assert main(["cluster", points_file, "--plan", algo,
+        assert main(["run", points_file, "--plan", algo,
                      "--partitions", "2"]) == 0
         out = capsys.readouterr().out
         assert f"plan={algo}" in out
         assert "3 clusters" in out
 
     def test_cluster_mapreduce(self, points_file, capsys):
-        assert main(["cluster", points_file, "--plan", "mapreduce",
+        assert main(["run", points_file, "--plan", "mapreduce",
                      "--partitions", "2"]) == 0
         assert "clusters" in capsys.readouterr().out
 
     def test_cluster_naive(self, points_file, capsys):
-        assert main(["cluster", points_file, "--plan", "naive",
+        assert main(["run", points_file, "--plan", "naive",
                      "--partitions", "2"]) == 0
         assert "clusters" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("plan", ["sequential", "naive", "mapreduce"])
+    def test_executor_time_is_charged(self, points_file, capsys, plan):
+        # These plans' stages, not their frontends, charge the executor
+        # side, so `run` reports it like the Spark plans.
+        assert main(["run", points_file, "--plan", plan]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("timing:")]
+        total = float(line.split("executors ")[1].split("s total")[0])
+        assert total > 0.0
+
     def test_labels_out(self, points_file, tmp_path, capsys):
         labels_path = tmp_path / "labels.txt"
-        assert main(["cluster", points_file, "--labels-out", str(labels_path)]) == 0
+        assert main(["run", points_file, "--labels-out", str(labels_path)]) == 0
         labels = np.loadtxt(labels_path, dtype=int)
         assert labels.shape == (400,)
         assert (labels >= -1).all()
 
     def test_dataset_name_as_source(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.02")
-        assert main(["cluster", "c10k", "--partitions", "2"]) == 0
+        assert main(["run", "c10k", "--partitions", "2"]) == 0
         assert "clusters" in capsys.readouterr().out
 
     def test_bad_algorithm_rejected(self, points_file, capsys):
         for plan in ("quantum", "spark_edges"):  # no edges row on ranges
             with pytest.raises(SystemExit):
-                main(["cluster", points_file, "--plan", plan])
+                main(["run", points_file, "--plan", plan])
         # One --plan replaces the three selectors.
         for flag, value in (("--algorithm", "spark"), ("--partitioning", "cells"),
                             ("--merge-mode", "edges")):
             with pytest.raises(SystemExit):
-                main(["cluster", points_file, flag, value])
+                main(["run", points_file, flag, value])
         with pytest.raises(SystemExit):
             main(["run", "--help"])
         help_text = capsys.readouterr().out
@@ -97,7 +107,7 @@ class TestTelemetryFlags:
         from repro.obs import TraceReport, load_trace
 
         trace_path = tmp_path / "t.jsonl"
-        assert main(["cluster", points_file, "--partitions", "2",
+        assert main(["run", points_file, "--partitions", "2",
                      "--trace-out", str(trace_path)]) == 0
         assert "trace written" in capsys.readouterr().out
         events = load_trace(str(trace_path))
@@ -114,7 +124,7 @@ class TestTelemetryFlags:
         from repro.obs import parse_exposition
 
         prom_path = tmp_path / "m.prom"
-        assert main(["cluster", points_file, "--partitions", "2",
+        assert main(["run", points_file, "--partitions", "2",
                      "--metrics-out", str(prom_path)]) == 0
         assert "metrics written" in capsys.readouterr().out
         samples = parse_exposition(prom_path.read_text())
@@ -125,7 +135,7 @@ class TestTelemetryFlags:
 
     def test_trace_subcommand_reports(self, points_file, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
-        main(["cluster", points_file, "--partitions", "2",
+        main(["run", points_file, "--partitions", "2",
               "--trace-out", str(trace_path)])
         capsys.readouterr()
         assert main(["trace", str(trace_path)]) == 0
@@ -229,24 +239,25 @@ class TestRun:
     def test_run_sets_the_gauges_cluster_sets(self, points_file, tmp_path, capsys):
         from repro.obs import parse_exposition
 
+        # Two runs of the same input set the same result gauges.
         gauges = {}
-        for command in ("run", "cluster"):
-            prom = tmp_path / f"{command}.prom"
-            assert main([command, points_file, "--partitions", "2",
+        for attempt in ("first", "second"):
+            prom = tmp_path / f"{attempt}.prom"
+            assert main(["run", points_file, "--partitions", "2",
                          "--metrics-out", str(prom)]) == 0
             samples = parse_exposition(prom.read_text())
-            gauges[command] = {
+            gauges[attempt] = {
                 name: samples[name] for name in
                 ("repro_clusters", "repro_noise_points", "repro_partial_clusters")
             }
-        assert gauges["run"] == gauges["cluster"]
+        assert gauges["first"] == gauges["second"]
 
     def test_run_labels_match_cluster(self, points_file, tmp_path, capsys):
         run_out = tmp_path / "run.txt"
         cluster_out = tmp_path / "cluster.txt"
         assert main(["run", points_file, "--partitions", "2",
                      "--labels-out", str(run_out)]) == 0
-        assert main(["cluster", points_file, "--partitions", "2",
+        assert main(["run", points_file, "--partitions", "2",
                      "--labels-out", str(cluster_out)]) == 0
         capsys.readouterr()
         assert run_out.read_bytes() == cluster_out.read_bytes()
@@ -297,7 +308,7 @@ class TestRun:
 
     def test_cluster_alias_invalid_config_one_line_error(self, points_file,
                                                          capsys):
-        assert main(["cluster", points_file, "--eps", "-1"]) == 1
+        assert main(["run", points_file, "--eps", "-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: eps must be positive")
         assert len(err.strip().splitlines()) == 1
@@ -323,33 +334,41 @@ class TestReportAndPerf:
     @pytest.fixture
     def trace_file(self, points_file, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
-        assert main(["cluster", points_file, "--partitions", "2",
+        assert main(["run", points_file, "--partitions", "2",
                      "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
         return str(trace_path)
 
     def test_report_prints_skew_table(self, trace_file, capsys):
-        assert main(["report", trace_file]) == 0
+        # `repro trace` prints the summary, then the skew report, then
+        # the timeline.
+        assert main(["trace", trace_file]) == 0
         out = capsys.readouterr().out
         assert "skew report" in out
         assert "imbalance ratio" in out
         assert "partitions, makespan" in out
+        assert (out.index("=== trace report ===") < out.index("=== skew report ===")
+                < out.index("-- lane "))
 
-    def test_report_no_summary(self, trace_file, capsys):
-        assert main(["report", trace_file, "--no-summary"]) == 0
+    def test_no_timeline_drops_only_the_timeline(self, trace_file, capsys):
+        assert main(["trace", trace_file]) == 0
+        full = capsys.readouterr().out
+        assert main(["trace", trace_file, "--no-timeline"]) == 0
         out = capsys.readouterr().out
+        assert "trace report" in out
         assert "skew report" in out
-        assert "trace report" not in out
+        assert "-- lane " not in out
+        assert full.startswith(out)
 
     def test_report_missing_file(self, tmp_path, capsys):
-        assert main(["report", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["trace", str(tmp_path / "nope.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_report_events_only_trace(self, tmp_path, capsys):
         # Metadata-only traces render the explicit empty report.
         p = tmp_path / "meta.jsonl"
         p.write_text('{"name": "process_name", "ph": "M", "pid": 0}\n')
-        assert main(["report", str(p)]) == 0
+        assert main(["trace", str(p)]) == 0
         out = capsys.readouterr().out
         assert "(no spans)" in out
         assert "(no per-partition task spans in trace)" in out
@@ -373,7 +392,7 @@ class TestProfileFlags:
         from repro.obs import parse_exposition
 
         prom = tmp_path / "m.prom"
-        assert main(["cluster", points_file, "--partitions", "2",
+        assert main(["run", points_file, "--partitions", "2",
                      "--metrics-out", str(prom)]) == 0
         samples = parse_exposition(prom.read_text())
         assert "repro_task_cpu_seconds_count" in samples
@@ -384,7 +403,7 @@ class TestProfileFlags:
     def test_profile_rejected_for_sequential(self, points_file, capsys):
         # The profile flags are gone: argparse refuses them outright.
         with pytest.raises(SystemExit) as exc_info:
-            main(["cluster", points_file, "--plan", "sequential",
+            main(["run", points_file, "--plan", "sequential",
                   "--profile-alloc"])
         assert exc_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -395,7 +414,7 @@ class TestProfileFlags:
         from repro.obs import load_trace
 
         trace = tmp_path / "t.jsonl"
-        assert main(["cluster", points_file, "--partitions", "2",
+        assert main(["run", points_file, "--partitions", "2",
                      "--master", "processes[2]",
                      "--trace-out", str(trace)]) == 0
         events = load_trace(str(trace))
@@ -431,6 +450,21 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", ["report", "cluster"])
+    def test_folded_commands_are_refused(self, command, tmp_path, capsys):
+        # `repro trace` prints what `report` did; `run` has no alias.
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, str(tmp_path / "t.jsonl")])
+        assert exc_info.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+    def test_scaling_has_no_neighbor_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["scaling", "--help"])
+        assert exc_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--cores" in out and "--neighbor-mode" not in out
 
     def test_module_entry_importable(self):
         import repro.cli
