@@ -57,39 +57,24 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_outputs(args: argparse.Namespace, tracer, registry, done=None) -> None:
-    """The output tail of `run`.
+def _write_outputs(args: argparse.Namespace, tracer, registry,
+                   labels=None) -> None:
+    """The output tail of `run`: where the record goes.
 
-    ``done`` is ``(labels, wall seconds, partial clusters or None)`` of a
-    finished fit: labels and the result gauges need it.  The trace and the
-    metrics are written either way — `run` calls this in a ``finally``,
-    so a crashed run still leaves its log behind.
+    ``labels`` are a finished fit's.  The trace and the metrics (which
+    the runner filled) are written either way — `run` calls this in a
+    ``finally``, so a crashed run still leaves its log behind.
     """
-    if done is not None:
-        labels, wall, partials = done
-        if args.labels_out:
-            np.savetxt(args.labels_out, labels, fmt="%d")
-            print(f"labels written to {args.labels_out}")
+    if labels is not None and args.labels_out:
+        np.savetxt(args.labels_out, labels, fmt="%d")
+        print(f"labels written to {args.labels_out}")
     if args.trace_out:
         tracer.write_jsonl(args.trace_out)
         print(f"trace written to {args.trace_out} "
               f"({len(tracer.spans)} spans; render with `repro trace`)")
-    if registry is None:
-        return
-    if done is not None:
-        registry.gauge(
-            "repro_run_wall_seconds", "End-to-end wall clock of the run."
-        ).set(wall)
-        registry.gauge("repro_clusters", "Clusters found.").set(
-            int(np.unique(labels[labels >= 0]).size))
-        registry.gauge("repro_noise_points", "Noise points.").set(
-            int(np.count_nonzero(labels == -1)))
-        if partials is not None:
-            registry.gauge(
-                "repro_partial_clusters", "Partial clusters before merging."
-            ).set(partials)
-    registry.write(args.metrics_out)
-    print(f"metrics written to {args.metrics_out}")
+    if args.metrics_out:
+        registry.write(args.metrics_out)
+        print(f"metrics written to {args.metrics_out}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -145,7 +130,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         mode = "resume" if args.resume else "cold"
         print(f"checkpoints: {args.checkpoint_dir} ({mode}, "
               f"run key {config.content_hash(points)[:16]}…)")
-    done = None
+    labels = None
     try:
         state = runner.run(points)
     except PipelineCrash as exc:
@@ -168,14 +153,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"timing: kdtree {t.kdtree_build:.3f}s | executors "
               f"{t.executor_total:.3f}s total / {t.executor_max:.3f}s max | "
               f"driver merge {t.driver_merge:.3f}s")
-        if state.partials is not None:
-            partials = len(state.partials)
-        else:  # edges mode counts them in the merge plan; other plans have none
-            partials = getattr(state.extras.get("merge_plan"), "num_partials", None)
-        done = (labels, t.wall, partials)
         return 0
     finally:
-        _write_outputs(args, tracer, registry, done)
+        _write_outputs(args, tracer, registry, labels)
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:

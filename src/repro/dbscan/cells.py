@@ -158,23 +158,23 @@ class CellGrid:
         as chunks ``(I, J)`` of cell-row arrays, each pair in one chunk.
 
         Two strategies: a sorted-key join (one `np.searchsorted` and one
-        chunk per offset) when the 3^d offset box is smaller than the
-        occupied-cell count; else (3^d explodes at d=10 while real
-        datasets occupy far fewer cells), or when the keys would
-        overflow, a pairwise scan of occupied cells in vectorised
-        blocks, one chunk per block.
+        chunk per offset) while 3^d <= the occupied-cell count; else
+        (3^d is 59 049 at d=10), or on key overflow, one kd-tree query
+        over the cells, each axis compressed to small float-exact ints
+        (gaps between sorted distinct values clamped to 2), one chunk.
         """
         m = self.num_cells
         joined = self.join_keys() if 3 ** self.d <= m else None
         if joined is None:
-            # Block size keeps the (block, m, d) difference tensor small.
-            block = max(1, (1 << 22) // max(1, m * self.d))
-            for s in range(0, m, block):
-                rows = self.cells[s:s + block]
-                cheb = np.abs(rows[:, None] - self.cells[None]).max(axis=2)
-                i, j = np.nonzero(cheb <= 1)
-                i += s
-                yield i[i != j], j[i != j]
+            from scipy.spatial import cKDTree  # SCL001 sizes KDTree by points
+            compact = np.empty((m, self.d))
+            for k in range(self.d):
+                values, inverse = np.unique(self.cells[:, k], return_inverse=True)
+                steps = np.minimum(np.diff(values), 2)
+                compact[:, k] = np.append(0, np.cumsum(steps))[inverse]
+            i, j = cKDTree(compact, leafsize=64).query_pairs(
+                1.0, p=np.inf, output_type="ndarray").T
+            yield np.append(i, j), np.append(j, i)
             return
         keys, radix = joined
         for offset in itertools.product((-1, 0, 1), repeat=self.d):

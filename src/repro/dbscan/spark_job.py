@@ -110,12 +110,14 @@ class SparkDBSCAN:
         §7).  Defaults to the no-op `NULL_TRACER`; labels are identical
         either way.
     metrics_registry:
-        `repro.obs.MetricsRegistry` receiving every task attempt's
-        `TaskMetrics` (attempts, run and CPU seconds, peak worker RSS,
-        shuffle bytes) and the executors' `OpCounters` (closed forms of
-        the expansion's arrays, shipped in each task's `ClusterTable`
-        whether or not a registry is present).  Labels are identical
-        either way.
+        `repro.obs.MetricsRegistry` filled when the fit ends (crash
+        included) by folding the fit's own trace into it
+        (`repro.obs.fold_trace`): task attempts (run and CPU seconds,
+        peak worker RSS, shuffle bytes), the executors' `OpCounters`
+        (closed forms of the expansion's arrays, shipped in each task's
+        `ClusterTable` either way), broadcast, merge and stage facts;
+        a finished fit adds its result gauges.  Without ``tracer`` the
+        fit runs under a private one.  Labels are identical either way.
     checkpoint_dir, resume, fail_after:
         Per-stage checkpointing (DESIGN.md §9): with ``checkpoint_dir``
         set, checkpointable stages persist their outputs keyed by the

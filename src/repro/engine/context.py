@@ -26,7 +26,7 @@ from .broadcast import Broadcast, BroadcastManager
 from .dag_scheduler import DAGScheduler
 from . import task_context
 from .errors import NESTED_ACTION, ContextStoppedError, EngineError
-from ..obs.spans import NULL_TRACER, Tracer
+from ..obs.spans import NULL_TRACER, Tracer, routed
 from .fault import FaultPlan
 from .metrics import JobMetrics
 from .rdd import RDD, ParallelCollectionRDD, SourceRDD
@@ -49,13 +49,11 @@ class SparkContext:
         speculation: bool = False,
         speculation_multiplier: float = 2.0,
         tracer: Tracer = NULL_TRACER,
-        metrics_registry: Any = None,
         sanitize: bool = False,
     ):
         self.master = master
         self.app_name = app_name
         self.tracer = tracer
-        self.metrics_registry = metrics_registry
         self.sanitize = sanitize
         self.mode, self.default_parallelism = parse_master(master)
         self._own_spill_dir = spill_dir is None
@@ -78,16 +76,12 @@ class SparkContext:
             speculation=speculation,
             speculation_multiplier=speculation_multiplier,
             tracer=tracer,
-            # Worker tracers are only worth filling for a live tracer;
-            # per-attempt CPU and RSS ride on `TaskMetrics` regardless.
-            collect_telemetry=tracer.enabled,
         )
         self.dag_scheduler = DAGScheduler(
             self.task_scheduler,
             self.shuffle_manager,
             self.accumulators,
             tracer=tracer,
-            metrics_registry=metrics_registry,
             sanitize=sanitize,
         )
         self.fault_plan = FaultPlan()  # injected faults/stragglers for tests
@@ -112,14 +106,9 @@ class SparkContext:
     def broadcast(self, value: T) -> Broadcast[T]:
         """Create a read-only shared variable cached per executor."""
         self._check_running()
-        with self.tracer.span("driver.broadcast", cat="driver") as sp:
+        with routed(self.tracer).span("driver.broadcast", cat="driver") as sp:
             b = self.broadcast_manager.new_broadcast(value)
             sp.annotate(bid=b.bid, nbytes=b.nbytes)
-        if self.metrics_registry is not None and b.nbytes:
-            self.metrics_registry.counter(
-                "repro_broadcast_bytes_total",
-                "Bytes serialized for broadcast variables.",
-            ).inc(b.nbytes)
         return b
 
     def accumulator(self, param: AccumulatorParam[T] = INT_SUM) -> Accumulator[T]:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..obs.spans import NULL_TRACER, Tracer
+from ..obs.spans import NULL_TRACER, Tracer, routed
 from .accumulator import AccumulatorRegistry
 from .executor import Task, TaskOutcome
 from .fault import FaultPlan
@@ -75,14 +75,12 @@ class DAGScheduler:
         shuffle_manager: ShuffleManager,
         accumulators: AccumulatorRegistry,
         tracer: Tracer = NULL_TRACER,
-        metrics_registry: Any = None,
         sanitize: bool = False,
     ):
         self.task_scheduler = task_scheduler
         self.shuffle_manager = shuffle_manager
         self.accumulators = accumulators
         self.tracer = tracer
-        self.metrics_registry = metrics_registry
         self.sanitize = sanitize
         self._next_job_id = itertools.count()
         self._next_stage_id = itertools.count()
@@ -132,8 +130,9 @@ class DAGScheduler:
         plan = fault_plan or FaultPlan()
         t0 = time.perf_counter()
         metrics = JobMetrics(job_id)
+        tracer = routed(self.tracer)
 
-        with self.tracer.span("engine.job", cat="engine", job_id=job_id) as job_span:
+        with tracer.span("engine.job", cat="engine", job_id=job_id) as job_span:
             result_stage = self._build_stages(final_rdd)
 
             # Topological run of ancestor shuffle stages.
@@ -141,7 +140,7 @@ class DAGScheduler:
                 for parent in stage.parents:
                     run_stage_tree(parent)
                 if stage.is_shuffle_map:
-                    with self.tracer.span(
+                    with tracer.span(
                         "engine.stage", cat="engine", job_id=job_id,
                         stage_id=stage.stage_id, kind="shuffle_map",
                         num_tasks=stage.num_tasks,
@@ -150,7 +149,7 @@ class DAGScheduler:
 
             for parent in result_stage.parents:
                 run_stage_tree(parent)
-            with self.tracer.span(
+            with tracer.span(
                 "engine.stage", cat="engine", job_id=job_id,
                 stage_id=result_stage.stage_id, kind="result",
                 num_tasks=result_stage.num_tasks,
@@ -236,15 +235,16 @@ class DAGScheduler:
 
     def _record(self, job_id: int, sm: StageMetrics, outcome: TaskOutcome) -> None:
         """The one place a task attempt fans out: always into `JobMetrics`,
-        into this job's trace and registry only when one is live."""
+        into the running fit's (else this job's) trace when one is live."""
+        tracer = routed(self.tracer)
         tm = outcome.metrics
         if tm is not None:
             sm.task_metrics.append(tm)
-            if self.tracer.enabled:
+            if tracer.enabled:
                 # Task attempts may have run in worker threads/processes or
                 # the simulated backend; graft their measured durations into
                 # the trace as one lane per partition.
-                self.tracer.add_span(
+                tracer.add_span(
                     f"task[s{tm.stage_id},p{tm.partition}]",
                     tm.run_time,
                     cat="engine",
@@ -257,34 +257,26 @@ class DAGScheduler:
                     shuffle_bytes_written=tm.shuffle_bytes_written,
                     shuffle_bytes_read=tm.shuffle_bytes_read,
                     worker_pid=tm.worker_pid,
+                    cpu_time=tm.cpu_time,
+                    peak_rss=tm.peak_rss,
                 )
-            if self.metrics_registry is not None:
-                from ..obs.registry import record_task_metrics
-
-                record_task_metrics(self.metrics_registry, tm)
             if outcome.telemetry is not None:
                 # Worker-side sub-phase spans: rebase onto the driver
                 # clock, preserve the worker pid, one lane per task.
                 from ..obs.collect import merge_telemetry
 
                 merge_telemetry(
-                    self.tracer, outcome.telemetry, tm.worker_pid,
+                    tracer, outcome.telemetry, tm.worker_pid,
                     f"task-s{tm.stage_id}p{tm.partition}",
                 )
         if outcome.fatal:
             # A violation belongs to the context whose job ran the task;
             # the task scheduler re-raises it right after this returns.
-            self.tracer.instant(
+            tracer.instant(
                 "sanitizer.violation", cat="sanitizer", detail=outcome.error,
                 error_type=outcome.error_type, stage_id=outcome.stage_id,
                 partition=outcome.partition,
             )
-            if self.metrics_registry is not None:
-                self.metrics_registry.counter(
-                    "repro_sanitizer_findings_total",
-                    "Findings reported by the runtime sanitizers.",
-                    labelnames=("kind",),
-                ).inc(1, kind="violation")
         if outcome.succeeded:
             self.accumulators.apply_task_updates(
                 job_id, outcome.stage_id, outcome.partition, outcome.acc_updates

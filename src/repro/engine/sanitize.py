@@ -21,8 +21,8 @@ stays mutated, so retries cannot succeed and would only mask the bug.
 `Accumulator.value` raises it inside any task on every backend
 (accumulators are write-only on executors; the driver merges
 exactly-once).  `DAGScheduler._record` reports each fatal attempt to
-its own job's trace (a ``sanitizer.violation`` instant) and registry
-(``repro_sanitizer_findings_total``).
+its own job's trace (a ``sanitizer.violation`` instant, which a metrics
+registry folds into ``repro_sanitizer_findings_total``).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import dataclasses
 import statistics
 from typing import Callable
 
-from ..obs.spans import NULL_TRACER, Tracer
+from ..obs.spans import NULL_TRACER, Tracer, routed
 from . import sanitize
 from .backends import Backend
 from .errors import JobAbortedError
@@ -36,7 +36,7 @@ def _raise_sanitizer(outcome: TaskOutcome) -> None:
     retry budget.  The original error type is reconstructed from the
     outcome so callers can catch e.g. `BroadcastMutationError` even when
     the task ran in a worker process.  The violation already reached
-    this job's trace and registry through `DAGScheduler._record`.
+    this job's trace through `DAGScheduler._record`.
     """
     exc_type = sanitize.FATAL_ERROR_TYPES.get(
         outcome.error_type, sanitize.SanitizerError
@@ -53,7 +53,6 @@ class TaskScheduler:
         speculation: bool = False,
         speculation_multiplier: float = 2.0,
         tracer: Tracer = NULL_TRACER,
-        collect_telemetry: bool = False,
     ):
         if max_task_failures < 1:
             raise ValueError("max_task_failures must be >= 1")
@@ -65,7 +64,6 @@ class TaskScheduler:
         self.speculation_multiplier = speculation_multiplier
         self.speculative_launches = 0
         self.tracer = tracer
-        self.collect_telemetry = collect_telemetry
 
     def run_task_set(
         self,
@@ -77,7 +75,8 @@ class TaskScheduler:
         ``on_outcome`` observes every attempt (success or failure) — the
         DAG scheduler uses it to record metrics for all attempts.
         """
-        if self.collect_telemetry:
+        tracer = routed(self.tracer)
+        if tracer.enabled:  # worker tracers are only worth filling then
             # Stamp the run-level setting onto every task here, once —
             # retries go through dataclasses.replace and inherit it.
             tasks = [
@@ -107,7 +106,7 @@ class TaskScheduler:
                             f"{next_attempt} times; last error: {outcome.error}"
                         )
                     original = by_partition[outcome.partition]
-                    self.tracer.instant(
+                    tracer.instant(
                         "task_retry", cat="engine",
                         stage_id=original.stage_id,
                         partition=outcome.partition, attempt=next_attempt,
@@ -170,7 +169,7 @@ class TaskScheduler:
                 )
                 respawn.append(clean)
                 self.speculative_launches += 1
-                self.tracer.instant(
+                routed(self.tracer).instant(
                     "speculative_launch", cat="engine",
                     stage_id=original.stage_id, partition=o.partition,
                     attempt=o.attempt + 1,

@@ -1,16 +1,18 @@
 """Observability: structured span tracing, a metrics registry, and
 trace-driven reports.
 
-Four pieces (DESIGN.md §7), over one span type:
+Four pieces (DESIGN.md §7), over one span type and one recorder:
 
 - `spans` — `Tracer` / `Span`: nestable timed regions with labels,
   exported as Chrome trace-event JSON lines (Perfetto-loadable).  The
   module singleton `NULL_TRACER` is the zero-overhead default.  The
-  driver and every traced executor task record into a `Tracer`.
+  driver and every traced executor task record into a `Tracer`; a
+  fit's engine records go to the fit's tracer (`fit_scope`).
 - `registry` — `MetricsRegistry` of labelled Counter/Gauge/Histogram
-  instruments with Prometheus text exposition; `TaskMetrics` (run and
-  CPU seconds, peak RSS, shuffle bytes per attempt) and `OpCounters`
-  bridge in via `record_task_metrics`/`record_op_counters`.
+  instruments with Prometheus text exposition, filled by `fold_trace`
+  from a fit's spans (task attempts with their CPU seconds and peak
+  RSS, stage op counts, broadcast, merge and halo labels): the
+  exposition is a fold of the trace, not a second recorder.
 - `report` — computes the paper's headline splits (Fig 5 kd-tree
   fraction, Fig 6 driver/executor time and partial-cluster counts,
   merge stats) directly from a trace, plus skew/straggler diagnostics
@@ -28,9 +30,8 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    fold_trace,
     parse_exposition,
-    record_op_counters,
-    record_task_metrics,
 )
 from .report import (
     TraceReport,
@@ -50,13 +51,12 @@ __all__ = [
     "Span",
     "TraceReport",
     "Tracer",
+    "fold_trace",
     "format_report",
     "format_skew_report",
     "load_trace",
     "merge_telemetry",
     "parse_exposition",
-    "record_op_counters",
-    "record_task_metrics",
     "render_timeline",
     "task_span",
 ]

@@ -1,11 +1,11 @@
 """Metrics registry: labelled Counter/Gauge/Histogram instruments with
 Prometheus text exposition.
 
-The registry is the numeric counterpart of `repro.obs.spans`: spans
-answer *where did the time go*, instruments answer *how much of X
-happened*.  The engine's `TaskMetrics` and the algorithm's `OpCounters`
-are bridged in through `record_task_metrics` / `record_op_counters`, so
-benchmarks and the CLI read one store instead of re-deriving counts.
+The registry is the numeric view of `repro.obs.spans`: spans answer
+*where did the time go*, instruments answer *how much of X happened*.
+It records nothing itself: `fold_trace` fills it from one fit's spans
+(`repro.pipeline.PipelineRunner` folds each fit it runs with one, crash
+included), so the exposition and `repro trace` read one record.
 
 Exposition follows the Prometheus text format (version 0.0.4)::
 
@@ -21,22 +21,17 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
-from ..engine.metrics import TaskMetrics
-
-if TYPE_CHECKING:  # avoid a cycle: dbscan.spark_job imports repro.obs
-    from ..dbscan.partial import OpCounters
+from .spans import Span
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "fold_trace",
     "parse_exposition",
-    "record_checkpoint",
-    "record_op_counters",
-    "record_task_metrics",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -271,99 +266,131 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Bridges from the existing metric silos.
+# The fold: one fit's spans into instruments.
 # ---------------------------------------------------------------------------
 
+#: Every family the fold fills: name -> (kind, help, label names).
+_FAMILIES: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "repro_task_attempts_total": (
+        "counter", "Task attempts by stage and outcome.", ("stage", "outcome")),
+    "repro_task_run_seconds": ("histogram", "Task attempt run time.", ("stage",)),
+    "repro_task_cpu_seconds": (
+        "histogram", "CPU seconds per task attempt.", ("stage",)),
+    "repro_task_peak_rss_bytes": (
+        "gauge", "Worker process RSS high-water mark after the task, since "
+        "the worker started (kept workers carry it across fits; bytes, max "
+        "over attempts).", ("stage", "partition")),
+    "repro_shuffle_bytes_written_total": (
+        "counter", "Bytes written to shuffle buckets.", ("stage",)),
+    "repro_shuffle_bytes_read_total": (
+        "counter", "Bytes fetched from shuffle buckets.", ("stage",)),
+    "repro_pipeline_stage_seconds": (
+        "histogram", "Wall-clock per executed pipeline stage.", ("stage",)),
+    "repro_checkpoint_hits_total": (
+        "counter", "Pipeline stages restored from checkpoint.", ("stage",)),
+    "repro_checkpoint_misses_total": (
+        "counter", "Pipeline stages executed and checkpointed.", ("stage",)),
+    "repro_dbscan_ops_total": (
+        "counter", "Section III-B operation counts from local DBSCAN "
+        "expansion.", ("op", "partition")),
+    "repro_broadcast_bytes_total": (
+        "counter", "Bytes serialized for broadcast variables.", ()),
+    "repro_merge_edges_total": (
+        "counter", "Core seed/export half-edge joins walked by the edge "
+        "merge.", ()),
+    "repro_merge_merges": (
+        "gauge", "Successful partial-cluster unions performed by the driver "
+        "merge.", ()),
+    "repro_merge_global_clusters": (
+        "gauge", "Global clusters after the driver merge.", ()),
+    "repro_merge_overlapping_points": (
+        "gauge", "Unfollowed merge evidence left by the paper strategy (0 "
+        "for union_find).", ()),
+    "repro_cell_halo_points": (
+        "gauge", "Replicated eps-halo point slots across all partitions.", ()),
+    "repro_cell_halo_bytes": (
+        "gauge", "Serialized bytes of replicated halo ids + coordinates.", ()),
+    "repro_cell_payload_bytes": (
+        "gauge", "Serialized bytes of all cell payloads (owned + halo).", ()),
+    "repro_sanitizer_findings_total": (
+        "counter", "Findings reported by the runtime sanitizers.", ("kind",)),
+    "repro_driver_collect_bytes": (
+        "gauge", "Canonical pickled size of the merge payload collected by "
+        "the driver.", ()),
+    "repro_run_wall_seconds": ("gauge", "End-to-end wall clock of the run.", ()),
+    "repro_clusters": ("gauge", "Clusters found.", ()),
+    "repro_noise_points": ("gauge", "Noise points.", ()),
+    "repro_partial_clusters": ("gauge", "Partial clusters before merging.", ()),
+}
 
-def record_task_metrics(registry: MetricsRegistry, tm: TaskMetrics) -> None:
-    """Fold one task attempt's `TaskMetrics` into the registry.
+#: Gauges set from one span's labels: span name -> (family, label) pairs.
+#: ``dbscan.fit`` carries the result gauges (`PipelineRunner._results`).
+_GAUGE_LABELS = {
+    "driver.merge": (("repro_merge_merges", "num_merges"),
+                     ("repro_merge_global_clusters", "num_global_clusters"),
+                     ("repro_merge_overlapping_points", "overlapping_points")),
+    "driver.setup": (("repro_cell_halo_points", "halo_points"),
+                     ("repro_cell_halo_bytes", "halo_nbytes"),
+                     ("repro_cell_payload_bytes", "payload_nbytes")),
+    "dbscan.fit": (("repro_driver_collect_bytes", "collect_bytes"),
+                   ("repro_run_wall_seconds", "wall"),
+                   ("repro_clusters", "clusters"),
+                   ("repro_noise_points", "noise_points"),
+                   ("repro_partial_clusters", "partial_clusters")),
+}
 
-    Times are histograms per stage (distribution matters for skew); the
-    peak-RSS gauge keeps the max per (stage, partition) over attempts —
-    RSS is a process high-water mark and summing it would double-count.
+
+def fold_trace(registry: MetricsRegistry, spans: Iterable[Span]) -> None:
+    """Fold one fit's finished spans into the registry: task attempts
+    (run time, ``cpu_time``, ``peak_rss``, shuffle bytes), stages (run
+    time, ``restored``/``checkpointed``, the collect stage's ``ops``),
+    broadcasts, violations and the labels of `_GAUGE_LABELS`.  Task
+    times are histograms per stage (skew); the peak-RSS gauge keeps the
+    max per (stage, partition) over attempts: high-water marks do not add.
     """
-    outcome = "succeeded" if tm.succeeded else "failed"
-    registry.counter(
-        "repro_task_attempts_total", "Task attempts by stage and outcome.",
-        ("stage", "outcome"),
-    ).inc(stage=tm.stage_id, outcome=outcome)
-    registry.histogram(
-        "repro_task_run_seconds", "Task attempt run time.", ("stage",),
-    ).observe(tm.run_time, stage=tm.stage_id)
-    registry.histogram(
-        "repro_task_cpu_seconds", "CPU seconds per task attempt.", ("stage",),
-    ).observe(tm.cpu_time, stage=tm.stage_id)
-    if tm.peak_rss:
-        gauge = registry.gauge(
-            "repro_task_peak_rss_bytes",
-            "Peak worker RSS observed after a task (bytes, max-aggregated).",
-            ("stage", "partition"),
-        )
-        cell = {"stage": tm.stage_id, "partition": tm.partition}
-        if tm.peak_rss > gauge.value(**cell):
-            gauge.set(tm.peak_rss, **cell)
-    if tm.shuffle_bytes_written:
-        registry.counter(
-            "repro_shuffle_bytes_written_total",
-            "Bytes written to shuffle buckets.", ("stage",),
-        ).inc(tm.shuffle_bytes_written, stage=tm.stage_id)
-    if tm.shuffle_bytes_read:
-        registry.counter(
-            "repro_shuffle_bytes_read_total",
-            "Bytes fetched from shuffle buckets.", ("stage",),
-        ).inc(tm.shuffle_bytes_read, stage=tm.stage_id)
+    def family(name: str) -> Any:
+        kind, help_text, labelnames = _FAMILIES[name]
+        return getattr(registry, kind)(name, help_text, labelnames)
 
-
-def record_op_counters(
-    registry: MetricsRegistry, oc: OpCounters, partition: int | str = "all"
-) -> None:
-    """Fold one executor's `OpCounters` into the registry."""
-    c = registry.counter(
-        "repro_dbscan_ops_total",
-        "Section III-B operation counts from local DBSCAN expansion.",
-        ("op", "partition"),
-    )
-    for op in (
-        "range_queries", "queue_adds", "queue_removes",
-        "hashtable_puts", "hashtable_lookups", "seeds_placed", "seeds_skipped",
-    ):
-        count = getattr(oc, op)
-        if count:
-            c.inc(count, op=op, partition=partition)
-
-
-def record_merge_outcome(
-    registry: MetricsRegistry,
-    num_merges: int,
-    num_global_clusters: int,
-    overlapping_points: int,
-) -> None:
-    """Surface the driver merge's `MergeOutcome` stats as gauges."""
-    registry.gauge(
-        "repro_merge_merges",
-        "Successful partial-cluster unions performed by the driver merge.",
-    ).set(num_merges)
-    registry.gauge(
-        "repro_merge_global_clusters",
-        "Global clusters after the driver merge.",
-    ).set(num_global_clusters)
-    registry.gauge(
-        "repro_merge_overlapping_points",
-        "Unfollowed merge evidence left by the paper strategy (0 for "
-        "union_find).",
-    ).set(overlapping_points)
-
-
-def record_checkpoint(registry: MetricsRegistry, stage: str, hit: bool) -> None:
-    """Count one pipeline checkpoint decision (restored = hit, written = miss)."""
-    name = (
-        "repro_checkpoint_hits_total" if hit else "repro_checkpoint_misses_total"
-    )
-    help_text = (
-        "Pipeline stages restored from checkpoint." if hit
-        else "Pipeline stages executed and checkpointed."
-    )
-    registry.counter(name, help_text, ("stage",)).inc(stage=stage)
+    for span in spans:
+        name, labels = span.name, span.labels
+        if name.startswith("task["):
+            stage = labels.get("stage_id", 0)
+            outcome = "succeeded" if labels.get("succeeded", True) else "failed"
+            family("repro_task_attempts_total").inc(stage=stage, outcome=outcome)
+            family("repro_task_run_seconds").observe(span.duration, stage=stage)
+            family("repro_task_cpu_seconds").observe(
+                labels.get("cpu_time", 0.0), stage=stage)
+            if labels.get("peak_rss"):
+                rss = family("repro_task_peak_rss_bytes")
+                cell = {"stage": stage, "partition": labels.get("partition", 0)}
+                rss.set(max(rss.value(**cell), labels["peak_rss"]), **cell)
+            for key in ("shuffle_bytes_written", "shuffle_bytes_read"):
+                if labels.get(key):
+                    family(f"repro_{key}_total").inc(labels[key], stage=stage)
+        elif name == "pipeline.stage":
+            stage = labels.get("stage")
+            if labels.get("status") == "run":
+                family("repro_pipeline_stage_seconds").observe(
+                    span.duration, stage=stage)
+            if labels.get("status") == "restored":
+                family("repro_checkpoint_hits_total").inc(stage=stage)
+            if labels.get("checkpointed"):
+                family("repro_checkpoint_misses_total").inc(stage=stage)
+            for partition, counts in labels.get("ops", {}).items():
+                for op, count in counts.items():
+                    if count:
+                        family("repro_dbscan_ops_total").inc(
+                            count, op=op, partition=partition)
+        elif name == "driver.broadcast" and labels.get("nbytes"):
+            family("repro_broadcast_bytes_total").inc(labels["nbytes"])
+        elif name == "sanitizer.violation":
+            family("repro_sanitizer_findings_total").inc(kind="violation")
+        elif name == "driver.merge" and "num_edges" in labels:
+            family("repro_merge_edges_total").inc(labels["num_edges"])
+        for metric, key in _GAUGE_LABELS.get(name, ()):
+            if key in labels:
+                family(metric).set(labels[key])
 
 
 # ---------------------------------------------------------------------------

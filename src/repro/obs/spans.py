@@ -23,6 +23,9 @@ every operation on it is a no-op returning shared immutable objects, so
 the disabled path costs one attribute check and no allocation — safe to
 leave in the executor hot loop's callers.
 
+A running fit's tracer (`fit_scope`) takes the engine's records on its
+thread, also on a lent context: record sites write to `routed(tracer)`.
+
 Span categories (``cat``) are load-bearing for `repro.obs.report`:
 
 - ``"driver"``    — driver-side algorithm phases (tree build, setup,
@@ -45,10 +48,13 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "load_trace"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "fit_scope",
+           "load_trace", "routed"]
 
 
 @dataclass
@@ -322,6 +328,27 @@ class NullTracer(Tracer):
 
 #: Shared disabled tracer — the default everywhere instrumentation exists.
 NULL_TRACER = NullTracer()
+
+#: The running fit's tracer in this thread's context, if any.
+_FIT_TRACER: ContextVar[Tracer | None] = ContextVar("fit_tracer", default=None)
+
+
+@contextmanager
+def fit_scope(tracer: Tracer) -> Iterator[Tracer]:
+    """Route the engine's records on this thread to ``tracer`` while the
+    block runs: a fit on a lent context lands in the fit's own trace,
+    and two driver threads sharing one context stay apart."""
+    token = _FIT_TRACER.set(tracer)
+    try:
+        yield tracer
+    finally:
+        _FIT_TRACER.reset(token)
+
+
+def routed(tracer: Tracer) -> Tracer:
+    """The tracer a record site writes to: the running fit's
+    (`fit_scope`), else its own ``tracer``."""
+    return _FIT_TRACER.get() or tracer
 
 
 def load_trace(path: str) -> list[dict[str, Any]]:

@@ -4,10 +4,14 @@ One runner replaces the five hand-rolled ``fit`` bodies.  It owns the
 cross-cutting concerns the frontends used to re-thread individually:
 
 - **tracing/metrics** — one ``pipeline.stage`` span per stage (status
-  ``run``/``restored``) around the stage's own legacy spans, carrying
-  the process's peak RSS so far as the stage starts and ends
-  (``peak_rss_start``/``peak_rss``, bytes: `repro trace`'s memory
-  column), plus checkpoint hit/miss counters in the metrics registry;
+  ``run``/``restored``, ``checkpointed`` when written) around the
+  stage's own legacy spans, carrying the process's peak RSS so far as
+  the stage starts and ends (``peak_rss_start``/``peak_rss``, bytes:
+  `repro trace`'s memory column).  The engine records into the fit's
+  tracer (`fit_scope`), also on a lent context.  A metrics registry is
+  that trace folded (`fold_trace`): when the fit ends, crash included,
+  the fit's own spans go into it, the result gauges (`_results`) riding
+  on its ``dbscan.fit`` span;
 - **engine lifecycle** — a lent `SparkContext` is reused (and its tracer
   adopted), an owned one is stopped in ``finally``, and either way the
   fit's tree broadcast is released there (a lent context's memo may
@@ -33,12 +37,13 @@ import time
 import numpy as np
 
 from ..engine.metrics import peak_rss_bytes
-from ..obs.spans import NULL_TRACER, Tracer
+from ..obs.registry import MetricsRegistry, fold_trace
+from ..obs.spans import NULL_TRACER, Span, Tracer, fit_scope
 from .checkpoint import CheckpointStore
 from .config import RunConfig
 from .memo import release_tree_broadcast
 from .plans import Plan
-from .stages import PipelineError, Stage
+from .stages import CollectStage, PipelineError, Stage
 from .state import PipelineState
 
 #: Per-stage execution decisions, recorded in ``state.stage_status``.
@@ -58,7 +63,7 @@ class PipelineRunner:
         config: RunConfig,
         *,
         tracer: Tracer | None = None,
-        metrics_registry=None,
+        metrics_registry: MetricsRegistry | None = None,
         checkpoint_dir: str | None = None,
         resume: bool = False,
         fail_after: str | None = None,
@@ -89,31 +94,35 @@ class PipelineRunner:
         ``sc`` lends an engine context (it is reused, never stopped);
         ``tree`` lends a prebuilt kd-tree to `BuildIndex`; ``algo_label``
         names the ``dbscan.fit`` span (default: the plan's row name).
+        A metrics registry receives the fold of this fit's spans only.
         """
         tracer = self.tracer
         # When run inside a caller's traced SparkContext, adopt its tracer
         # so algorithm and engine spans land in one trace.
         if not tracer.enabled and sc is not None and sc.tracer.enabled:
             tracer = sc.tracer
-        state = PipelineState(
-            config=self.config, tracer=tracer,
-            metrics_registry=self.metrics_registry,
-        )
+        registry = self.metrics_registry
+        if registry is not None and not tracer.enabled:
+            tracer = Tracer()  # private: the registry is folded from it
+        first = len(tracer.spans)
+        state = PipelineState(config=self.config, tracer=tracer)
         state.points = points
         state.sc = sc
         state.tree = tree
 
         wall_start = time.perf_counter()
+        finished = False
         try:
-            with tracer.span(
+            with fit_scope(tracer), tracer.span(
                 "dbscan.fit",
                 algorithm=algo_label or self.plan.name,
                 n=int(np.asarray(points).shape[0]),
                 partitions=self.config.num_partitions,
                 eps=self.config.eps,
                 minpts=self.config.minpts,
-            ):
+            ) as fit:
                 self._execute(state)
+            finished = True
         finally:
             # A lent context outlives this fit; its tree broadcast must
             # not, unless the context's memo keeps it for the next fit.
@@ -123,7 +132,12 @@ class PipelineRunner:
                 state.sc.stop()
             if state.own_tmp_dir:
                 shutil.rmtree(state.tmp_dir, ignore_errors=True)
-        state.timings.wall = time.perf_counter() - wall_start
+            state.timings.wall = time.perf_counter() - wall_start
+            if registry is not None:
+                results = self._results(state, finished)
+                if results:  # so the fit span was opened
+                    fit.annotate(**results)
+                fold_trace(registry, tracer.spans[first:])
         return state
 
     # -- internals ------------------------------------------------------------
@@ -157,38 +171,30 @@ class PipelineRunner:
                     stage.load(state, store)
                     sp.annotate(peak_rss=peak_rss_bytes())
                 state.mark(*stage.provides)
-                self._count_checkpoint(stage, hit=True)
             else:
-                self._run_stage(stage, state)
+                span = self._run_stage(stage, state)
                 if store is not None and stage.checkpointable:
                     stage.save(state, store)
                     store.complete(stage.name)
-                if stage.checkpointable and store is not None:
-                    self._count_checkpoint(stage, hit=False)
+                    span.annotate(checkpointed=True)
             self._checkpoint_barrier(stage, state)
 
-    def _run_stage(self, stage: Stage, state: PipelineState) -> None:
+    def _run_stage(self, stage: Stage, state: PipelineState) -> Span:
         missing = [k for k in stage.requires if not state.has(k)]
         if missing:
             raise PipelineError(
                 f"stage {stage.name!r} requires {missing} but no earlier "
                 f"stage provided them (plan {self.plan.name!r})"
             )
-        stage_start = time.perf_counter()
         with state.tracer.span(
             "pipeline.stage", cat="pipeline", stage=stage.name, status=RUN,
             peak_rss_start=peak_rss_bytes(),
         ) as sp:
             stage.run(state)
             sp.annotate(peak_rss=peak_rss_bytes())
-        if self.metrics_registry is not None:
-            self.metrics_registry.histogram(
-                "repro_pipeline_stage_seconds",
-                "Wall-clock per executed pipeline stage.",
-                ("stage",),
-            ).observe(time.perf_counter() - stage_start, stage=stage.name)
         state.mark(*stage.provides)
         state.stage_status[stage.name] = RUN
+        return sp
 
     def _plan_decisions(
         self, stages: tuple[Stage, ...], store: CheckpointStore | None
@@ -220,9 +226,25 @@ class PipelineRunner:
                 f"(plan {self.plan.name!r})"
             )
 
-    def _count_checkpoint(self, stage: Stage, hit: bool) -> None:
-        if self.metrics_registry is None:
-            return
-        from ..obs.registry import record_checkpoint
-
-        record_checkpoint(self.metrics_registry, stage.name, hit)
+    def _results(self, state: PipelineState, finished: bool) -> dict:
+        """The result gauges, as ``dbscan.fit`` labels: the collected
+        payload's canonical size once a collect stage has run (not when
+        it was restored) and, for a finished fit, wall, clusters, noise
+        and, where the plan has them, partial clusters."""
+        out = {}
+        for stage in self.plan.stages:
+            if (isinstance(stage, CollectStage)
+                    and state.stage_status.get(stage.name) == RUN
+                    and all(map(state.has, stage.provides))):
+                out["collect_bytes"] = stage.payload_nbytes(state)
+        if not finished:
+            return out
+        labels = state.labels
+        out.update(wall=state.timings.wall,
+                   clusters=int(np.unique(labels[labels >= 0]).size),
+                   noise_points=int(np.count_nonzero(labels == -1)))
+        if state.partials is not None:
+            out["partial_clusters"] = len(state.partials)
+        elif "merge_plan" in state.extras:  # edges mode counts them there
+            out["partial_clusters"] = state.extras["merge_plan"].num_partials
+        return out

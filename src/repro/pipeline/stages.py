@@ -28,6 +28,8 @@ modules (`stages_naive`, `stages_mapreduce`) outside it.
 from __future__ import annotations
 
 import time
+from collections import Counter
+from dataclasses import asdict
 from functools import partial
 from typing import NamedTuple
 
@@ -367,14 +369,14 @@ def drain_accumulator(state: PipelineState, stage: "CollectStage") -> None:
     accumulator's own order follows task *completion* under the
     threads/processes backends, and nothing downstream may depend on
     which executor finished first.  ``stage.payload_nbytes`` sizes what
-    was installed for the ``repro_driver_collect_bytes`` gauge; the
-    tables' cluster and seed counts
-    go on the per-partition expansion spans grafted onto the driver
-    trace (with one partition per core, the paper's setup, their max is
-    the executor wall), and their op counts into the registry
+    was installed for the ``repro_driver_collect_bytes`` gauge, which
+    the runner renders after the fit; the tables' cluster and seed
+    counts go on the per-partition expansion spans grafted onto the
+    driver trace (with one partition per core, the paper's setup, their
+    max is the executor wall), and their op counts on the stage's span
     (``stage.record_ops``).
     """
-    tracer, registry = state.tracer, state.metrics_registry
+    tracer = state.tracer
     num_partitions = state.config.num_partitions
     partials_per, seeds_per = [0] * num_partitions, [0] * num_partitions
     with tracer.span("driver.accumulator_drain", cat="driver") as sp:
@@ -385,14 +387,6 @@ def drain_accumulator(state: PipelineState, stage: "CollectStage") -> None:
                 seeds_per[t.task] += len(t.seeds)
             sp.annotate(num_partials=sum(partials_per))
         stage.install(state, items)
-        if registry is not None:
-            nbytes = stage.payload_nbytes(state)
-            registry.gauge(
-                "repro_driver_collect_bytes",
-                "Canonical pickled size of the merge payload collected "
-                "by the driver.",
-            ).set(nbytes)
-            sp.annotate(collect_bytes=nbytes)
     if tracer.enabled:
         for pid, dur in enumerate(state.timings.executor_task_durations):
             tracer.add_span(
@@ -410,7 +404,7 @@ class CollectStage(Stage):
     Subclasses say what the tables become (`install`), which tables
     that is (`collected`) and their canonical pickled size
     (`payload_nbytes`).  Drained or restored, the tables' op counts
-    then feed the metrics registry, if any."""
+    then go on the stage's ``pipeline.stage`` span."""
 
     checkpointable = True
 
@@ -422,14 +416,16 @@ class CollectStage(Stage):
         self.record_ops(state)
 
     def record_ops(self, state: PipelineState) -> None:
-        """Every collected task's `OpCounters` into the registry."""
-        if state.metrics_registry is None:
+        """Every collected task's `OpCounters`, summed per partition, as
+        the ``ops`` label of the open ``pipeline.stage`` span."""
+        span = state.tracer.current()
+        if span is None:
             return
-        from ..obs.registry import record_op_counters
-
+        ops: dict[int, Counter] = {}
         for table in self.collected(state):
             for pid, oc in table.op_counters():
-                record_op_counters(state.metrics_registry, oc, partition=pid)
+                ops.setdefault(pid, Counter()).update(asdict(oc))
+        span.annotate(ops={pid: dict(c) for pid, c in ops.items()})
 
 
 class CollectPartials(CollectStage):
@@ -486,13 +482,6 @@ class MergePartials(OutcomeStage):
                 **stats,
             )
         state.outcome = outcome
-        if state.metrics_registry is not None:
-            from ..obs.registry import record_merge_outcome
-
-            record_merge_outcome(
-                state.metrics_registry, outcome.num_merges,
-                outcome.num_global_clusters, outcome.overlapping_points,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +543,6 @@ class MergeEdges(Stage):
                 **stats,
             )
         state.extras["merge_plan"] = plan
-        if state.metrics_registry is not None:
-            from ..obs.registry import record_merge_outcome
-
-            state.metrics_registry.counter(
-                "repro_merge_edges_total",
-                "Core seed/export half-edge joins walked by the edge merge.",
-            ).inc(plan.num_edges)
-            record_merge_outcome(
-                state.metrics_registry, plan.num_merges,
-                plan.num_global_clusters, 0,
-            )
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
         # The plan's fields; its gid columns and claims as rows, sorted.

@@ -134,22 +134,6 @@ class LocalIndexExpand(Stage):
             state.timings.setup += time.perf_counter() - t0
             sp.annotate(halo_points=assignment.halo_points_total,
                         halo_nbytes=halo_bytes, payload_nbytes=payload_bytes)
-        state.extras["halo_points"] = assignment.halo_points_total
-        state.extras["halo_bytes"] = halo_bytes
-        state.extras["payload_bytes"] = payload_bytes
-        if state.metrics_registry is not None:
-            state.metrics_registry.gauge(
-                "repro_cell_halo_points",
-                "Replicated eps-halo point slots across all partitions.",
-            ).set(assignment.halo_points_total)
-            state.metrics_registry.gauge(
-                "repro_cell_halo_bytes",
-                "Serialized bytes of replicated halo ids + coordinates.",
-            ).set(halo_bytes)
-            state.metrics_registry.gauge(
-                "repro_cell_payload_bytes",
-                "Serialized bytes of all cell payloads (owned + halo).",
-            ).set(payload_bytes)
 
         ship_expansions(state, state.indices.map_partitions_with_index(
             partial(_expand_cells, cfg.leaf_size, ExpandOptions.of(cfg))

@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
 
     from ..engine import SparkContext
     from ..kdtree import KDTree
-    from ..obs.registry import MetricsRegistry
     from ..obs.spans import Tracer
     from .config import RunConfig
 
@@ -39,7 +38,6 @@ class PipelineState:
 
     config: "RunConfig"
     tracer: "Tracer"
-    metrics_registry: Any = None
 
     # data
     points: "np.ndarray | None" = None
@@ -92,7 +90,6 @@ class PipelineState:
                 self.config.resolved_master,
                 app_name=f"{self.config.plan}-dbscan",
                 tracer=self.tracer,
-                metrics_registry=self.metrics_registry,
                 sanitize=self.config.sanitize,
             )
             self.own_sc = True

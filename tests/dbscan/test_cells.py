@@ -140,8 +140,8 @@ class TestCellGrid:
 
     def test_adjacency_key_overflow_falls_back_to_scan(self):
         # Two far-apart clumps: the per-axis spans multiply past int64,
-        # so the join is refused (exact Python-int guard) and the scan
-        # answers instead — same pairs.
+        # so the join is refused (exact Python-int guard) and the
+        # kd-tree query answers instead — same pairs.
         rng = np.random.default_rng(11)
         near = rng.uniform(0, 6, (60, 3))
         pts = np.vstack([near, near + 3e12, near - 3e12])
@@ -158,11 +158,33 @@ class TestCellGrid:
 
     def test_adjacency_scan_strategy_matches_brute_force(self):
         # d=10: 3^10 = 59 049 offsets dwarf the occupied-cell count, so
-        # the blocked vectorised scan runs instead.
+        # the kd-tree query over the occupied cells runs instead.
         g = generate_skewed(400, d=10, seed=2)
         grid = CellGrid(g.points, eps=25.0)
         assert 3 ** grid.d > grid.num_cells
         assert pair_set(grid) == brute_adjacent_pairs(grid.cells)
+
+    @pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_adjacency_matches_brute_force_in_any_dimension(self, d, far):
+        # Either strategy, then the kd-tree query on its own, against the
+        # brute-force Chebyshev check.  Far clumps (3e12 cells apart)
+        # overflow the join's keys from d = 2 on; shifted by 2^60 their
+        # cell coordinates are no longer float-exact, so the query must
+        # compress them first.
+        rng = np.random.default_rng(d)
+        pts = rng.uniform(0, 6, (300, d))
+        if far:
+            pts = np.vstack([pts, pts + 3e12, pts - 3e12])
+        grid = CellGrid(pts, eps=1.0)
+        if far and d > 1:
+            assert grid.join_keys() is None
+        want = brute_adjacent_pairs(grid.cells)
+        assert pair_set(grid) == want
+        grid.join_keys = lambda: None  # the kd-tree query at any m
+        assert pair_set(grid) == want
+        grid.cells = grid.cells + 2 ** 60
+        assert pair_set(grid) == want
 
 
 def unique_grouping(points, eps):

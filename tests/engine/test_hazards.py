@@ -16,7 +16,7 @@ from repro.engine import (
     JobAbortedError,
     SparkContext,
 )
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, fold_trace
 
 MASTERS = ["simulated[2]", "threads[2]", "processes[2]"]
 
@@ -92,12 +92,13 @@ def test_fatal_hazard_is_reported_by_the_context_that_ran_it(master):
     """A task's fatal violation is reported to its own job's trace and
     registry, never to another (sanitized) context alive in the process."""
     mine, bystander = Tracer(), Tracer()
-    mine_reg, bystander_reg = MetricsRegistry(), MetricsRegistry()
-    with SparkContext(master, tracer=mine, metrics_registry=mine_reg) as sc:
-        with SparkContext("local", sanitize=True, tracer=bystander,
-                          metrics_registry=bystander_reg):
+    with SparkContext(master, tracer=mine) as sc:
+        with SparkContext("local", sanitize=True, tracer=bystander):
             with pytest.raises(AccumulatorReadError):
                 accumulator_read_in_task(sc)
+    mine_reg, bystander_reg = MetricsRegistry(), MetricsRegistry()
+    fold_trace(mine_reg, mine.spans)
+    fold_trace(bystander_reg, bystander.spans)
     violations = [s for s in mine.spans if s.name == "sanitizer.violation"]
     assert violations
     assert violations[0].labels["error_type"] == "AccumulatorReadError"

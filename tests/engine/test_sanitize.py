@@ -21,7 +21,7 @@ from repro.engine.broadcast import _reset_process_cache
 from repro.engine.executor import Task, run_task
 from repro.engine.sanitize import FATAL_ERROR_TYPES, SanitizerError
 from repro.engine.storage import BlockManager
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, fold_trace
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +128,10 @@ class TestBroadcastBarrier:
                 sc.parallelize(range(4), 2).map(poke).collect()
 
     def test_violation_recorded_by_sanitizer(self):
-        # The violation lands in the run's one log and its registry.
-        tracer, registry = Tracer(), MetricsRegistry()
-        with SparkContext("local", sanitize=True, tracer=tracer,
-                          metrics_registry=registry) as sc:
+        # The violation lands in the run's one log, and so in the
+        # registry folded from it.
+        tracer = Tracer()
+        with SparkContext("local", sanitize=True, tracer=tracer) as sc:
             b = sc.broadcast([1])
 
             def mutate(x):
@@ -144,6 +144,8 @@ class TestBroadcastBarrier:
         assert violation.name == "sanitizer.violation"
         assert violation.labels["error_type"] == "BroadcastMutationError"
         assert "was mutated" in violation.labels["detail"]
+        registry = MetricsRegistry()
+        fold_trace(registry, tracer.spans)
         findings = registry.get("repro_sanitizer_findings_total")
         assert findings.value(kind="violation") == 1
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.engine import SparkContext
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, fold_trace
 
 MASTERS = ["threads[2]", "processes[2]", "simulated[4]"]
 
@@ -116,22 +116,6 @@ class TestTelemetryCollectionPolicy:
             ).collect()
         assert all(got)
 
-    def test_registry_alone_collects_no_worker_spans(self):
-        # Span buffers are only worth filling for a tracer: per-attempt
-        # CPU and RSS reach the registry through TaskMetrics.
-        reg = MetricsRegistry()
-        with SparkContext("threads[2]", metrics_registry=reg) as sc:
-            def probe(pid, it):
-                from repro.obs.collect import current_telemetry
-
-                return [current_telemetry() is None for _ in it]
-
-            got = sc.parallelize(range(4), 2).map_partitions_with_index(
-                probe
-            ).collect()
-        assert all(got)
-        assert reg.get("repro_task_cpu_seconds").count(stage=0) == 2
-
 
 def _rss_job(sc):
     sc.parallelize(range(8), 2).map(lambda x: x + 1).collect()
@@ -150,9 +134,11 @@ class TestProfilingThroughTheEngine:
             assert tm.cpu_time >= 0.0
 
     def test_profiles_land_in_registry(self):
-        reg = MetricsRegistry()
-        with SparkContext("threads[2]", metrics_registry=reg) as sc:
+        tracer = Tracer()
+        with SparkContext("threads[2]", tracer=tracer) as sc:
             _rss_job(sc)
+        reg = MetricsRegistry()
+        fold_trace(reg, tracer.spans)
         assert reg.get("repro_task_cpu_seconds").count(stage=0) == 2
         rss = reg.get("repro_task_peak_rss_bytes")
         assert rss is not None
@@ -161,11 +147,13 @@ class TestProfilingThroughTheEngine:
     def test_retried_attempts_keep_the_max_rss(self):
         from repro.engine import FaultPlan
 
-        reg = MetricsRegistry()
-        with SparkContext("simulated[2]", metrics_registry=reg) as sc:
+        tracer = Tracer()
+        with SparkContext("simulated[2]", tracer=tracer) as sc:
             sc.fault_plan = FaultPlan(fail_attempts={(-1, 1): 2})
             _rss_job(sc)
             (stage,) = sc.last_job_metrics.stages
+        reg = MetricsRegistry()
+        fold_trace(reg, tracer.spans)
         attempts = [tm for tm in stage.task_metrics if tm.partition == 1]
         assert [tm.succeeded for tm in attempts] == [False, False, True]
         assert all(tm.peak_rss > 0 for tm in attempts)

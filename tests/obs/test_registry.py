@@ -1,19 +1,13 @@
-"""MetricsRegistry instruments, exposition, and the metric bridges."""
+"""MetricsRegistry instruments, exposition, and the fold of spans."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 
 from repro.dbscan.partial import OpCounters
-from repro.engine.metrics import TaskMetrics
-from repro.obs import MetricsRegistry, parse_exposition
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    record_op_counters,
-    record_task_metrics,
-)
+from repro.obs import MetricsRegistry, Span, fold_trace, parse_exposition
+from repro.obs.registry import Counter, Gauge, Histogram
 
 
 class TestCounter:
@@ -137,14 +131,24 @@ class TestParseExposition:
         )
 
 
+def attempt(partition, attempt=0, run_time=0.0, **labels):
+    """A task-attempt span as `DAGScheduler._record` grafts it (stage 0)."""
+    labels = {"stage_id": 0, "partition": partition, "attempt": attempt,
+              "succeeded": True, **labels}
+    return Span(f"task[s0,p{partition}]", cat="engine", end=run_time,
+                labels=labels)
+
+
 class TestBridges:
+    """The registry as a fold of spans (`fold_trace`)."""
+
     def test_record_task_metrics(self):
         reg = MetricsRegistry()
-        record_task_metrics(reg, TaskMetrics(
-            0, 0, 0, run_time=0.2, succeeded=True,
-            shuffle_bytes_written=100, shuffle_bytes_read=40,
-        ))
-        record_task_metrics(reg, TaskMetrics(0, 1, 0, run_time=0.1, succeeded=False))
+        fold_trace(reg, [
+            attempt(0, run_time=0.2, shuffle_bytes_written=100,
+                    shuffle_bytes_read=40),
+            attempt(1, run_time=0.1, succeeded=False),
+        ])
         attempts = reg.get("repro_task_attempts_total")
         assert attempts.value(stage=0, outcome="succeeded") == 1
         assert attempts.value(stage=0, outcome="failed") == 1
@@ -155,8 +159,7 @@ class TestBridges:
 
     def test_cpu_histogram_observes_each_attempt(self):
         reg = MetricsRegistry()
-        record_task_metrics(reg, TaskMetrics(0, 0, 0, cpu_time=0.3))
-        record_task_metrics(reg, TaskMetrics(0, 1, 0, cpu_time=0.1))
+        fold_trace(reg, [attempt(0, cpu_time=0.3), attempt(1, cpu_time=0.1)])
         cpu = reg.get("repro_task_cpu_seconds")
         assert cpu.count(stage=0) == 2
         assert cpu.sum(stage=0) == pytest.approx(0.4)
@@ -165,22 +168,22 @@ class TestBridges:
         # RSS is a process high-water mark: summing a partition's
         # attempts would overstate memory; the gauge keeps the max.
         reg = MetricsRegistry()
-        for attempt, rss in enumerate((100, 300, 200)):
-            record_task_metrics(reg, TaskMetrics(0, 1, attempt, peak_rss=rss))
+        fold_trace(reg, [attempt(1, a, peak_rss=rss)
+                         for a, rss in enumerate((100, 300, 200))])
         gauge = reg.get("repro_task_peak_rss_bytes")
         assert gauge.value(stage=0, partition=1) == 300
 
     def test_unmeasured_rss_leaves_no_gauge(self):
         reg = MetricsRegistry()
-        record_task_metrics(reg, TaskMetrics(0, 0, 0))
+        fold_trace(reg, [attempt(0, peak_rss=0)])
         assert reg.get("repro_task_peak_rss_bytes") is None
 
     def test_record_op_counters_skips_zero_cells(self):
         reg = MetricsRegistry()
-        oc = OpCounters()
-        oc.range_queries = 7
-        oc.queue_adds = 3
-        record_op_counters(reg, oc, partition=2)
+        counts = asdict(OpCounters(range_queries=7, queue_adds=3))
+        fold_trace(reg, [Span("pipeline.stage", cat="pipeline", labels={
+            "stage": "CollectPartials", "status": "restored",
+            "ops": {2: counts}})])
         ops = reg.get("repro_dbscan_ops_total")
         assert ops.value(op="range_queries", partition=2) == 7
         assert ops.value(op="queue_adds", partition=2) == 3

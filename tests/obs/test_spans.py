@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.obs import NULL_TRACER, Tracer, load_trace
-from repro.obs.spans import NullTracer, iter_complete_events
+from repro.obs.spans import NullTracer, fit_scope, iter_complete_events, routed
 
 
 class TestTracer:
@@ -178,3 +178,15 @@ class TestNullTracer:
     def test_write_jsonl_refuses(self, tmp_path):
         with pytest.raises(RuntimeError):
             NULL_TRACER.write_jsonl(str(tmp_path / "t.jsonl"))
+
+
+def test_fit_scope_routes_this_thread_only():
+    own, fit = Tracer(), Tracer()
+    seen = []
+    with fit_scope(fit):
+        assert routed(own) is fit
+        other = threading.Thread(target=lambda: seen.append(routed(own)))
+        other.start()
+        other.join()
+    assert seen == [own]
+    assert routed(own) is own

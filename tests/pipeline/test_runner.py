@@ -491,6 +491,47 @@ class TestOwnedScratchDir:
         assert list(tmpdir_root.iterdir()) == []
 
 
+class TestFitTracer:
+    """The engine records a fit's jobs into the fit's tracer, also on a
+    context the fit was lent, and the registry is folded from them."""
+
+    TASK_FAMILIES = {"repro_task_attempts_total", "repro_task_run_seconds",
+                     "repro_task_cpu_seconds", "repro_task_peak_rss_bytes"}
+
+    def test_a_fit_on_a_lent_context_records_its_jobs(self):
+        from repro.dbscan import SparkDBSCAN
+        from repro.engine import SparkContext
+        from repro.obs import Tracer
+
+        points = generate_clustered(n=2000, seed=3).points
+        own, tracer, reg = Tracer(), Tracer(), MetricsRegistry()
+        sc = SparkContext("local", tracer=own)
+        try:
+            SparkDBSCAN(3.0, 5, num_partitions=4, tracer=tracer,
+                        metrics_registry=reg).fit(points, sc=sc)
+        finally:
+            sc.stop()
+        tasks = [s for s in tracer.spans if s.name.startswith("task[")]
+        assert len(tasks) == 4
+        assert any(s.name == "engine.job" for s in tracer.spans)
+        assert {name for name in reg._instruments
+                if name.startswith("repro_task_")} == self.TASK_FAMILIES
+        # The context's own tracer saw its creation, not the fit's jobs.
+        assert [s.name for s in own.spans] == ["engine.context"]
+
+    def test_the_registry_folds_only_this_fits_spans(self, data):
+        from repro.dbscan import SparkDBSCAN
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        SparkDBSCAN(EPS, MINPTS, num_partitions=3, tracer=tracer).fit(data)
+        reg = MetricsRegistry()
+        SparkDBSCAN(EPS, MINPTS, num_partitions=3, tracer=tracer,
+                    metrics_registry=reg).fit(data)
+        attempts = reg.get("repro_task_attempts_total")
+        assert attempts.value(stage=0, outcome="succeeded") == 3
+
+
 class TestCheckpointMetrics:
     def test_miss_then_hit_counters(self, data, tmp_path):
         config = make_config("spark")

@@ -165,6 +165,49 @@ class TestTelemetryFlags:
         assert "no events" in capsys.readouterr().err
 
 
+#: The families every fit writes, the engine plans' task families, the
+#: SEED plans' collect and merge families, and what each row adds.
+RESULT = {"clusters", "noise_points", "pipeline_stage_seconds",
+          "run_wall_seconds"}
+TASKS = {"task_attempts_total", "task_cpu_seconds", "task_peak_rss_bytes",
+         "task_run_seconds"}
+SEED = RESULT | TASKS | {
+    "dbscan_ops_total", "driver_collect_bytes", "merge_global_clusters",
+    "merge_merges", "merge_overlapping_points", "partial_clusters"}
+HALO = {"cell_halo_bytes", "cell_halo_points", "cell_payload_bytes"}
+FAMILIES = {
+    "spark": SEED,
+    "spatial": SEED,
+    "cell": SEED | HALO,
+    "spatial_edges": SEED | {"merge_edges_total"},
+    "cell_edges": SEED | HALO | {"merge_edges_total"},
+    "sequential": RESULT,
+    "naive": RESULT | TASKS | {"shuffle_bytes_read_total",
+                               "shuffle_bytes_written_total"},
+    "mapreduce": RESULT,
+}
+
+
+@pytest.mark.parametrize("flags,want", [
+    *((["--plan", plan], want) for plan, want in FAMILIES.items()),
+    # A registry with no tracer of the caller's, on a process backend.
+    (["--master", "processes[2]"], SEED | {"broadcast_bytes_total"}),
+], ids=[*FAMILIES, "processes"])
+def test_metrics_out_writes_each_plans_families(flags, want, tmp_path,
+                                                capsys, monkeypatch):
+    from repro.obs import parse_exposition
+
+    monkeypatch.setenv("REPRO_SCALE", "0.02")
+    prom = tmp_path / "m.prom"
+    assert main(["run", "c10k", "--partitions", "4", *flags,
+                 "--metrics-out", str(prom)]) == 0
+    text = prom.read_text()
+    parse_exposition(text)
+    families = {line.split()[2] for line in text.splitlines()
+                if line.startswith("# TYPE ")}
+    assert families == {f"repro_{name}" for name in want}
+
+
 class TestRun:
     @pytest.fixture
     def points_file(self, tmp_path):
