@@ -11,9 +11,9 @@ worthless.  Three configurations of the same job:
 - **traced**   — a live Tracer: each task records its sub-phase spans
   (`task.expand`, `task.kdtree_query`, ...) on a `Tracer` of its own in
   the worker, merged into the driver trace;
-- **observed** — traced plus a `MetricsRegistry`: every attempt's
-  `TaskMetrics` (run and CPU seconds, peak RSS) and the Section III-B
-  `OpCounters` folded in — what `benchmarks/perf/worker.py`'s
+- **observed** — traced plus a `MetricsRegistry`, folded from the fit's
+  spans when it ends (attempts with their CPU seconds and peak RSS, the
+  Section III-B op counts) — what `benchmarks/perf/worker.py`'s
   `observed_wall` runs.
 
 Rounds are interleaved with the configuration order rotated every

@@ -334,13 +334,13 @@ _FIT_TRACER: ContextVar[Tracer | None] = ContextVar("fit_tracer", default=None)
 
 
 @contextmanager
-def fit_scope(tracer: Tracer) -> Iterator[Tracer]:
+def fit_scope(tracer: Tracer) -> Iterator[None]:
     """Route the engine's records on this thread to ``tracer`` while the
     block runs: a fit on a lent context lands in the fit's own trace,
     and two driver threads sharing one context stay apart."""
     token = _FIT_TRACER.set(tracer)
     try:
-        yield tracer
+        yield
     finally:
         _FIT_TRACER.reset(token)
 
