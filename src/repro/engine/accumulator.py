@@ -31,8 +31,8 @@ class AccumulatorParam(Generic[T]):
         self.add = add
 
 
-# Builtins and `operator.add`, not lambdas: cloudpickle ships them by
-# reference, so a task holding an accumulator carries no code objects.
+# Builtins and `operator.add`, not lambdas: C pickle ships them by
+# reference, so a task holding an accumulator needs no cloudpickle.
 INT_SUM = AccumulatorParam[int](zero=int, add=operator.add)
 FLOAT_SUM = AccumulatorParam[float](zero=float, add=operator.add)
 LIST_CONCAT = AccumulatorParam[list](zero=list, add=operator.add)

@@ -8,10 +8,10 @@ Four backends, selected by the master URL:
   concurrency, or ``simulated[n]`` for measured-makespan analysis).
 - ``threads[n]``                — a thread pool; real concurrency for
   I/O-bound tasks (numpy releases the GIL in hot kernels).
-- ``processes[n]``              — a process pool with cloudpickle task
-  shipping, one task binary per stage; true parallelism, true
-  serialization boundaries.  The pool outlives the context: the next
-  ``processes[n]`` context leases it.
+- ``processes[n]``              — a process pool that pickles its tasks
+  (cloudpickle as the fallback), one task binary per stage; true
+  parallelism, true serialization boundaries.  The pool outlives the
+  context: the next ``processes[n]`` context leases it.
 - ``simulated[n]``              — runs tasks serially but *times each one*;
   job wall-clock on n virtual slots is then the measured-task makespan.
   This is how the paper's 64–512-core runs (Figure 8e/f) are reproduced
@@ -33,7 +33,7 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait as wait_ready
 from typing import Any, Callable, Iterator
 
-from .executor import Task, TaskOutcome, run_task, serve
+from .executor import Task, TaskOutcome, dumps, run_task, serve
 from .storage import BlockManager
 
 _MASTER_RE = re.compile(r"^(local|threads|processes|simulated)(?:\[(\d+|\*)\])?$")
@@ -213,12 +213,13 @@ def _close(pool: list[_Executor]) -> None:
 
 
 class ProcessBackend(Backend):
-    """Process pool with cloudpickle task shipping.
+    """Process pool that pickles its tasks, with cloudpickle as the
+    fallback (`executor.dumps`).
 
     This is the backend with real Spark-like boundaries: closures must
     serialize, broadcast values are fetched from their backing files
     once per worker, and block-manager caches are per-process.  As
-    Spark's DAGScheduler does, `run` cloudpickles each stage's closure
+    Spark's DAGScheduler does, `run` pickles each stage's closure
     once (`Task.stage_part`) and each task only its own part
     (`Task.own_part`).
 
@@ -396,25 +397,25 @@ class ProcessBackend(Backend):
 
 
 def _pack(tasks: list[Task]) -> list[tuple[bytes, bytes]]:
-    """Each task's ``(binary, part)``: the cloudpickled `Task.stage_part`,
-    once per stage and shared by its tasks, and its own `Task.own_part`."""
-    import cloudpickle
-
+    """Each task's ``(binary, part)``: the pickled `Task.stage_part`,
+    once per stage and shared by its tasks, and its own `Task.own_part`
+    (`executor.dumps`)."""
     binaries: dict[tuple[int, int, int], bytes] = {}
     packed = []
     for task in tasks:
         stage = (id(task.rdd), id(task.func), id(task.partitioner))
         if stage not in binaries:
-            binaries[stage] = cloudpickle.dumps(task.stage_part())
-        packed.append((binaries[stage], cloudpickle.dumps(task.own_part())))
+            binaries[stage] = dumps(task.stage_part())[0]
+        packed.append((binaries[stage], dumps(task.own_part())[0]))
     return packed
 
 
 def _unpack(payload: bytes | None, trailer: Any) -> TaskOutcome:
     """The outcome in a worker's envelope (`executor.process_entry`): the
     pickled outcome plus a trailer timing its own serialization, measured
-    after the outcome's worker tracer was sealed.  A ``None`` payload
-    carries the exception that kept the task from unpickling."""
+    after the outcome's worker tracer was sealed, and naming the codec
+    that made it.  A ``None`` payload carries the exception that kept
+    the task from unpickling."""
     if payload is None:
         raise trailer
     outcome: TaskOutcome = pickle.loads(payload)
@@ -422,6 +423,7 @@ def _unpack(payload: bytes | None, trailer: Any) -> TaskOutcome:
         outcome.telemetry.add_span(
             "task.serialize", trailer["dur"], cat="worker",
             start=trailer["start"], nbytes=trailer["nbytes"],
+            codec=trailer["codec"],
         )
     return outcome
 

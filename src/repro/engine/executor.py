@@ -15,6 +15,7 @@ serve (`serve`).
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -261,24 +262,40 @@ def _end_lease() -> None:
     _reset_process_cache()
 
 
+def dumps(obj: Any) -> tuple[bytes, str]:
+    """``obj`` pickled for the other side of the process boundary, and
+    the codec that did it: C `pickle` at the highest protocol, or
+    ``cloudpickle`` when C pickle raises (a lambda, a local function, a
+    lock) or its bytes name ``__main__``.  A kept worker forked before a
+    ``__main__`` definition cannot resolve it by reference; cloudpickle
+    ships it by value.  Either way the bytes decode with `pickle.loads`."""
+    try:
+        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+        if b"__main__" not in data:
+            return data, "pickle"
+    except (pickle.PicklingError, AttributeError, TypeError):
+        pass   # a lambda, a local object, a lock: cloudpickle or raise
+    import cloudpickle
+
+    return cloudpickle.dumps(obj, pickle.HIGHEST_PROTOCOL), "cloudpickle"
+
+
 def process_entry(binary: bytes, part: bytes) -> tuple[bytes, dict[str, Any] | None]:
-    """Run a task in a worker process from its stage's cloudpickled
+    """Run a task in a worker process from its stage's pickled
     `Task.stage_part` (``binary``) and its own `Task.own_part`
     (``part``).  Both are unpickled for every task, so each attempt gets
     its own copy of the stage's closure.
 
     Returns an *envelope* ``(outcome_payload, trailer)`` where
-    ``outcome_payload`` is the pickled `TaskOutcome` and ``trailer``
-    carries the timing of pickling that outcome (``None`` when the task
-    was not traced).  Serialization necessarily happens *after* the
+    ``outcome_payload`` is the outcome encoded by `dumps` and ``trailer``
+    carries the time and the codec of that encoding (``None`` when the
+    task was not traced).  Serialization necessarily happens *after* the
     outcome — and its worker tracer — is sealed, so the driver
     side (`backends._unpack`) grafts the ``task.serialize`` span from
     the trailer once the outcome is unpickled.
     """
-    import cloudpickle
-
     t0 = time.perf_counter()
-    task = Task.assemble(cloudpickle.loads(binary), cloudpickle.loads(part))
+    task = Task.assemble(pickle.loads(binary), pickle.loads(part))
     deserialize_s = time.perf_counter() - t0
     outcome = run_task(
         task, _get_worker_block_manager(),
@@ -287,7 +304,7 @@ def process_entry(binary: bytes, part: bytes) -> tuple[bytes, dict[str, Any] | N
     )
     try:
         t1 = time.perf_counter()
-        payload = cloudpickle.dumps(outcome)
+        payload, codec = dumps(outcome)
     except Exception as exc:  # unpicklable result value
         fallback = TaskOutcome(
             task.stage_id,
@@ -299,7 +316,7 @@ def process_entry(binary: bytes, part: bytes) -> tuple[bytes, dict[str, Any] | N
             telemetry=outcome.telemetry,
         )
         t1 = time.perf_counter()
-        payload = cloudpickle.dumps(fallback)
+        payload, codec = dumps(fallback)
         outcome = fallback
     serialize_s = time.perf_counter() - t1
     trailer = None
@@ -308,5 +325,6 @@ def process_entry(binary: bytes, part: bytes) -> tuple[bytes, dict[str, Any] | N
             "start": t1 - outcome.telemetry._origin,
             "dur": serialize_s,
             "nbytes": len(payload),
+            "codec": codec,
         }
     return payload, trailer

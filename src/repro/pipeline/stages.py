@@ -306,7 +306,7 @@ class ExpandOptions(NamedTuple):
 
 
 # The task functions below are module-level and bound with
-# `functools.partial`, so cloudpickle ships them by reference: a stage
+# `functools.partial`, so C pickle ships them by reference: a stage
 # binary carries their arguments, not their code.
 
 def _expand_range(tree_b, partitioner, opts: ExpandOptions, pid: int, it):
